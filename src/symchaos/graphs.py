@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
-from .streams import StreamWord
+from .streams import StreamWord, enclosure_contains
 from .words import (
     Word,
     bits_of,
@@ -239,29 +239,22 @@ class GraphSystem:
             return {"node": point.id}
         return {"arc": self.spec.arc(point.arc).id, "t": str(point.t)}
 
+    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
+        """Arc index and parameter window addressed by the packed first
+        r-1+precision bits of a sequence (first bit most significant)."""
+        r = self.spec.r
+        zeros = ~(x >> precision) & ((1 << (r - 1)) - 1)  # 0s among the r-1 lead bits
+        arc = r - zeros.bit_length()  # one more than the leading 1s, at most r
+        skip = min(arc, r - 1)
+        return arc, (x >> (r - 1 - skip)) & ((1 << precision) - 1)
+
     def stream_excludes_all(self, sw: StreamWord, points: Sequence[GraphPoint],
                             precision: int) -> bool:
-        r = self.spec.r
-        bits = sw.prefix(r - 1 + precision)
-        ones = 0
-        while ones < r - 1 and bits[ones] == 1:
-            ones += 1
-        arc = ones + 1 if ones < r - 1 else r
-        skip = ones + 1 if ones < r - 1 else r - 1
-        v = 0
-        for b in bits[skip:skip + precision]:
-            v = (v << 1) | b
-        lo = Fraction(v, 1 << precision)
-        hi = Fraction(v + 1, 1 << precision)
-        for pt in points:
-            if isinstance(pt, Node):
-                # on any arc, a node means parameter 0 or 1
-                if lo <= 0 or hi >= 1:
-                    return False
-            else:
-                if pt.arc == arc and lo <= pt.t <= hi:
-                    return False
-        return True
+        arc, v = self.split_window(sw.window_int(self.spec.r - 1 + precision), precision)
+        at_node = v == 0 or v + 1 == 1 << precision  # parameter 0 or 1, on any arc
+        return not any(at_node if isinstance(pt, Node)
+                       else pt.arc == arc and enclosure_contains(v, precision, pt.t)
+                       for pt in points)
 
 
 def graph_system(spec: GraphSpec) -> GraphSystem:

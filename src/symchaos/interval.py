@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
-from .streams import StreamWord
+from .streams import StreamWord, enclosure_contains
 from .words import Word, bits_of, c_map, r_map, shift_map, word_value
 
 __all__ = [
@@ -66,9 +66,7 @@ class IntervalCodec:
     def stream_excludes_all(self, sw: StreamWord, points: Sequence[Fraction],
                             precision: int) -> bool:
         v = sw.window_int(precision)
-        lo = Fraction(v, 1 << precision)
-        hi = Fraction(v + 1, 1 << precision)
-        return all(pt < lo or pt > hi for pt in points)
+        return not any(enclosure_contains(v, precision, pt) for pt in points)
 
 
 def _dyadic_twin(word: Word) -> Word | None:

@@ -1,19 +1,18 @@
-"""Lazily generated binary sequences: the dense word and its exact iterates.
+"""The dense word and its exact iterates, read through a closed form.
 
 The dense word is the concatenation of all finite binary words ordered by
 length then lexicographically (0, 1, 00, 01, 10, 11, 000, ...).  Its shift
 orbit visits every cylinder, which is what the dense-orbit checks consume.
+Nothing is stored: block L lists the 2^L words of length L and starts after
+(L-2)*2^L + 2 bits, so any bit or window is computed from its position.
 
-A StreamWord never materialises the whole sequence: it is a (generator tag,
-offset, flip) triple whose bits are read from a shared, lock-guarded prefix
-cache of the generator.  The flip flag makes iterates of the complementing
-map exact as well: the n-th such iterate of a sequence w is the n-fold
-shift of w XOR w(n), a single global bit flip.
+A StreamWord is an (offset, flip) view of the dense word.  The flip flag
+makes iterates of the complementing map exact as well: the n-th such
+iterate of a sequence w is the n-fold shift of w XOR w(n), a global flip.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -27,50 +26,43 @@ __all__ = [
     "stream_c_step",
     "stream_prefix",
     "value_enclosure",
+    "enclosure_contains",
 ]
 
-_cache_lock = threading.Lock()
-_cache: List[int] = []
 
-
-def _generate(n: int) -> List[int]:
-    bits: List[int] = []
-    length = 1
-    while len(bits) < n:
-        for v in range(1 << length):
-            bits.extend((v >> (length - 1 - i)) & 1 for i in range(length))
-            if len(bits) >= n:
-                break
+def _dense_window(start: int, n: int) -> int:
+    """Dense-word bits start+1 .. start+n packed into an int (first bit most
+    significant), assembled a whole listed word at a time."""
+    # block L starts at (L-2)*2^L + 2, about L*2^L, so this guess is at most L
+    length = max(1, start.bit_length() - start.bit_length().bit_length() - 1)
+    while ((length - 1) << (length + 1)) + 2 <= start:  # block length+1 starts there
         length += 1
-    return bits
-
-
-def _ensure(n: int) -> List[int]:
-    global _cache
-    if len(_cache) < n:
-        with _cache_lock:
-            if len(_cache) < n:
-                _cache = _generate(max(n, 2 * len(_cache), 1024))
-    return _cache
+    v, j = divmod(start - ((length - 2) << length) - 2, length)
+    value, have = v & ((1 << (length - j)) - 1), length - j
+    while have < n:
+        v += 1
+        if v >> length:
+            length, v = length + 1, 0
+        value, have = (value << length) | v, have + length
+    return value >> (have - n)
 
 
 def dense_prefix(n: int) -> List[int]:
-    """First n bits of the dense word (copy of the cached prefix)."""
-    return _ensure(n)[:n]
+    """First n bits of the dense word."""
+    return dense_word().prefix(n)
 
 
 def dense_bit(i: int) -> int:
     """Bit i (1-based) of the dense word."""
     if i < 1:
         raise IndexError("bit positions are 1-based")
-    return dense_prefix(i)[i - 1]
+    return _dense_window(i - 1, 1)
 
 
 @dataclass(frozen=True)
 class StreamWord:
-    """A shifted (and possibly complemented) view of a generated sequence."""
+    """The dense word shifted by `offset` bits, complemented when `flip`."""
 
-    tag: str = "DENSE"
     offset: int = 0
     flip: int = 0
 
@@ -78,17 +70,13 @@ class StreamWord:
         return dense_bit(self.offset + i) ^ self.flip
 
     def prefix(self, n: int) -> List[int]:
-        bits = _ensure(self.offset + n)[self.offset:self.offset + n]
-        if self.flip:
-            bits = [b ^ 1 for b in bits]
-        return bits
+        value = self.window_int(n)
+        return [(value >> (n - 1 - i)) & 1 for i in range(n)]
 
     def window_int(self, n: int) -> int:
         """First n bits packed into an int (first bit most significant)."""
-        value = 0
-        for b in self.prefix(n):
-            value = (value << 1) | b
-        return value
+        value = _dense_window(self.offset, n)
+        return value ^ ((1 << n) - 1) if self.flip else value
 
 
 def dense_word() -> StreamWord:
@@ -96,12 +84,12 @@ def dense_word() -> StreamWord:
 
 
 def stream_shift(sw: StreamWord) -> StreamWord:
-    return StreamWord(sw.tag, sw.offset + 1, sw.flip)
+    return StreamWord(sw.offset + 1, sw.flip)
 
 
 def stream_c_step(sw: StreamWord) -> StreamWord:
     """One step of the complementing map: shift, then flip if bit 1 was 1."""
-    return StreamWord(sw.tag, sw.offset + 1, sw.flip ^ sw.bit(1))
+    return StreamWord(sw.offset + 1, sw.flip ^ sw.bit(1))
 
 
 def stream_prefix(sw: StreamWord, n: int) -> List[int]:
@@ -116,3 +104,9 @@ def value_enclosure(sw: StreamWord, p: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("p must be positive")
     v = sw.window_int(p)
     return Fraction(v, 1 << p), Fraction(v + 1, 1 << p)
+
+
+def enclosure_contains(v: int, p: int, t: Fraction) -> bool:
+    """Is t = a/b in [v/2^p, (v+1)/2^p], that is v*b <= a*2^p <= (v+1)*b?"""
+    a, b = t.numerator * (1 << p), t.denominator
+    return v * b <= a <= (v + 1) * b

@@ -9,15 +9,15 @@ elapsed_ms is the only nondeterministic report field.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .decomposition import InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
 from .interval import baker, baker_system, tent, tent_system
-from .streams import StreamWord, dense_word, stream_c_step, stream_shift
-from .words import Word, max_bits_bound, periodic_words, word_value
+from .streams import StreamWord, dense_bit, dense_word, stream_c_step, stream_shift
+from .words import Word, c_map, max_bits_bound, periodic_words, shift_map, word_value
 
 __all__ = [
     "ChaosReport",
@@ -57,14 +57,7 @@ class ChaosReport:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "system": self.system,
-            "property": self.property,
-            "params": self.params,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ChaosReport":
@@ -193,15 +186,17 @@ def _decode(target: Target, word: Word):
     return word_value(word)
 
 
+def _at_least(low: int, **params: int) -> None:
+    """Reject parameters below their least meaningful value (a usage error)."""
+    for name, value in params.items():
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def _collect_periodic(max_period: int) -> List[Word]:
-    seen = set()
-    words = []
-    for k in range(1, max_period + 1):
-        for w in periodic_words(k):
-            if w not in seen:
-                seen.add(w)
-                words.append(w)
-    return words
+    """Every distinct word of period at most max_period, in enumeration order."""
+    return list(dict.fromkeys(w for k in range(1, max_period + 1)
+                              for w in periodic_words(k)))
 
 
 # -- dense periodic points -------------------------------------------------
@@ -212,45 +207,69 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     words, kept only when exact iteration confirms periodicity) dense at
     resolution 2^-resolution?"""
     started = time.monotonic()
+    _at_least(1, max_period=max_period, resolution=resolution)
     if max_period > min(24, max_bits_bound()):
         raise ValueError(f"max_period {max_period} exceeds bound")
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
-    pinned = frozenset(target.induced.pinned_points) if target.induced else frozenset()
+    returns = _word_returns(target.induced, max_period) if target.induced else None
     covered = set()
     points_kept = 0
     for w in _collect_periodic(max_period):
+        if returns is not None and not returns(w):
+            continue
         pt = _decode(target, w)
-        if _is_f_periodic(target, w, pt, max_period, pinned):
-            points_kept += 1
-            covered.update(_point_cells(target, pt, resolution))
-    missing = [c for c in _all_cells(target, resolution) if c not in covered]
+        if returns is None and not _point_returns(target.fmap, pt, max_period):
+            continue
+        points_kept += 1
+        covered.update(_point_cells(target, pt, resolution))
+    cells = _all_cells(target, resolution)
+    missing = [c for c in cells if c not in covered]
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
-              "covered": len(_all_cells(target, resolution)) - len(missing),
-              "cells": len(_all_cells(target, resolution))}
+              "covered": len(cells) - len(missing), "cells": len(cells)}
     witnesses = [_cell_json(target, c) for c in missing]
     return _finish(target.name, "periodic-density", params, witnesses, started)
 
 
-def _is_f_periodic(target: Target, w: Word, pt, horizon: int, pinned) -> bool:
-    if target.induced is not None:
-        # Exceptional fibers are held fixed; elsewhere the induced map
-        # follows the symbolic orbit, so iterate the word.
-        if pt in pinned:
+def _word_returns(sys: InducedSystem, horizon: int) -> Callable[[Word], bool]:
+    """Does the projected point of a purely periodic word return under the
+    induced map?  Decided on the word: S^n(w) is w's primitive block q (of
+    length k) rotated left by n mod k, and C^n(w)(i) = w(i+n) XOR w(n) is that
+    rotation, complemented when w(n) = 1.  Only the two constant words can
+    share a point (a graph node), and S fixes both, so comparing words
+    compares points; pinned fibers (held fixed) are met exactly at their
+    purely periodic words."""
+    if sys.symbolic_map is not shift_map and sys.symbolic_map is not c_map:
+        raise ValueError(f"system {sys.name!r}: periodicity is decided only "
+                         "for the shift and the complementing shift")
+    complementing = sys.symbolic_map is c_map
+    pinned = {(w.period_len, w.period) for fib in sys.pinned_fibers for w in fib
+              if w.pre_len == 0}
+
+    def returns(w: Word) -> bool:
+        k, q = w.period_len, w.period
+        if (k, q) in pinned:
             return True
-        cur = w
+        mask, cur = (1 << k) - 1, q
         for _ in range(horizon):
-            cur = target.induced.symbolic_map(cur)
-            cpt = _decode(target, cur)
-            if cpt == pt:
+            lead = cur >> (k - 1)
+            cur = ((cur << 1) & mask) | lead
+            if complementing and lead:
+                cur ^= mask
+            if cur == q:
                 return True
-            if cpt in pinned:
+            if (k, cur) in pinned:
                 return False
         return False
+
+    return returns
+
+
+def _point_returns(fmap, pt, horizon: int) -> bool:
     cur = pt
     for _ in range(horizon):
-        cur = target.fmap(cur)
+        cur = fmap(cur)
         if cur == pt:
             return True
     return False
@@ -262,42 +281,33 @@ def _is_f_periodic(target: Target, w: Word, pt, horizon: int, pinned) -> bool:
 def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosReport:
     """Does the projected generator orbit visit every resolution cell within
     the step budget?  Cells are marked only when the whole value enclosure
-    (resolution+2 bits) sits inside them."""
+    (resolution+2 bits) sits inside them.  The unflipped first
+    r-1+resolution+2 bits (r = 1 on the interval) roll along the dense word,
+    one bit per step: every generator step advances the offset by one."""
     started = time.monotonic()
+    _at_least(1, steps=steps, resolution=resolution)
     if steps > 10 ** 6:
         raise ValueError(f"steps {steps} exceeds bound 10^6")
     if target.stream_step is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     prec = resolution + 2
+    graph = target.system if isinstance(target, GraphTarget) else None
+    width = prec + (graph.spec.r - 1 if graph else 0)
+    mask = (1 << width) - 1
     total = _all_cells(target, resolution)
     covered = set()
     sw = dense_word()
+    window = sw.window_int(width)
     full_at = None
-    if isinstance(target, GraphTarget):
-        r = target.system.spec.r
-        for n in range(steps):
-            bits = sw.prefix(r - 1 + prec)
-            ones = 0
-            while ones < r - 1 and bits[ones] == 1:
-                ones += 1
-            arc = ones + 1 if ones < r - 1 else r
-            skip = ones + 1 if ones < r - 1 else r - 1
-            v = 0
-            for b in bits[skip:skip + prec]:
-                v = (v << 1) | b
-            covered.add((arc, v >> (prec - resolution)))
-            if full_at is None and len(covered) == len(total):
-                full_at = n
-                break
-            sw = target.stream_step(sw)
-    else:
-        for n in range(steps):
-            v = sw.window_int(prec)
-            covered.add(v >> (prec - resolution))
-            if full_at is None and len(covered) == len(total):
-                full_at = n
-                break
-            sw = target.stream_step(sw)
+    for n in range(steps):
+        x = window ^ mask if sw.flip else window
+        arc, v = graph.split_window(x, prec) if graph else (None, x)
+        covered.add((arc, v >> 2) if graph else v >> 2)
+        if len(covered) == len(total):
+            full_at = n
+            break
+        sw = target.stream_step(sw)
+        window = ((window << 1) & mask) | dense_bit(sw.offset + width)
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(total) - len(missing), "cells": len(total),
@@ -320,6 +330,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     and the report records that route.
     """
     started = time.monotonic()
+    _at_least(1, resolution=resolution, horizon=horizon)
     if resolution > 8:
         raise ValueError(f"resolution {resolution} exceeds bound 8")
     if isinstance(target, GraphTarget):
@@ -332,7 +343,6 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     size = 1 << resolution
     cells = [(Fraction(j, size), Fraction(j + 1, size)) for j in range(size)]
     unwitnessed = []
-    found: Dict[Tuple[int, int], Tuple[Fraction, int]] = {}
     for uj, (ulo, uhi) in enumerate(cells):
         remaining = set(range(size))
         pieces = [(ulo, uhi, ulo, uhi)]
@@ -344,7 +354,6 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                 vlo, vhi = cells[vj]
                 hit = _find_witness(target, pieces, n, vlo, vhi, ulo, uhi)
                 if hit is not None:
-                    found[(uj, vj)] = hit
                     remaining.discard(vj)
             if not remaining:
                 break
@@ -406,6 +415,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     eta within the horizon?  Distances are exact (interval metric, or the
     fiber Hausdorff metric on graphs)."""
     started = time.monotonic()
+    _at_least(1, grid=grid, horizon=horizon)
     if grid > 1 << 12:
         raise ValueError(f"grid {grid} exceeds bound 2^12")
     failures = []
@@ -467,6 +477,8 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     enclosure checks, from the sampled generator orbit.
     """
     started = time.monotonic()
+    _at_least(1, max_period=max_period)
+    _at_least(0, orbit_steps=orbit_steps)
     if max_period > 16:
         raise ValueError(f"max_period {max_period} exceeds bound 16")
     if target.induced is None or target.stream_step is None:

@@ -158,6 +158,19 @@ def test_verify_graph_requires_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--system", "tent", "--property", "sensitivity", "--grid", "0"),
+    ("--system", "baker", "--property", "lemma6", "--max-period", "0", "--steps", "-1"),
+    ("--system", "baker", "--property", "dense-orbit", "--steps", "-5"),
+    ("--system", "tent", "--property", "periodic-density", "--resolution", "-1"),
+], ids=["grid-0", "max-period-0", "steps-negative", "resolution-negative"])
+def test_verify_out_of_range_parameter_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least" in err
+
+
 def test_verify_output_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--system", "tent",
                      "--property", "sensitivity", "--grid", "16")

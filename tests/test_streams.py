@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symchaos.graphs import EXAMPLE_GRAPHS, Interior, Node, graph_system, parse_graph
+from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import (
+    StreamWord,
     dense_bit,
     dense_prefix,
     dense_word,
@@ -81,3 +86,110 @@ def test_stream_word_immutability():
     sw = dense_word()
     with pytest.raises(Exception):
         sw.offset = 3
+
+
+# ------------------------------------- closed form against a brute-force listing
+
+def _brute_dense(n):
+    """The dense word by its definition: every binary word, by length then
+    lexicographically, written out as text and concatenated."""
+    bits, length = [], 1
+    while len(bits) < n:
+        for v in range(1 << length):
+            bits.extend(int(c) for c in format(v, f"0{length}b"))
+        length += 1
+    return bits[:n]
+
+
+BRUTE = _brute_dense(100_000)  # blocks 1..12 in full and part of block 13
+BLOCK_STARTS = [(L - 2) * 2 ** L + 2 for L in range(1, 14)]
+
+
+def test_block_starts_match_the_listing():
+    assert BLOCK_STARTS[:4] == [0, 2, 10, 34]
+    for L, start in enumerate(BLOCK_STARTS, start=1):
+        # block L opens with the all-zero word of length L after a word of 1s
+        assert BRUTE[start:start + L] == [0] * L
+        if start:
+            assert BRUTE[start - L + 1:start] == [1] * (L - 1)
+
+
+def test_dense_prefix_and_bits_across_block_boundaries():
+    assert dense_prefix(0) == []
+    assert dense_prefix(len(BRUTE)) == BRUTE
+    for start in BLOCK_STARTS:
+        for pos in range(max(0, start - 3), start + 3):
+            assert dense_bit(pos + 1) == BRUTE[pos]
+            for n in (1, 7, 40):
+                sw = StreamWord(pos, 0)
+                assert sw.prefix(n) == BRUTE[pos:pos + n]
+
+
+@settings(max_examples=300)
+@given(st.integers(0, len(BRUTE) - 700), st.integers(1, 600), st.integers(0, 1))
+def test_stream_word_reads_match_brute_force(offset, n, flip):
+    expected = [b ^ flip for b in BRUTE[offset:offset + n]]
+    sw = StreamWord(offset, flip)
+    assert sw.prefix(n) == expected
+    assert stream_prefix(sw, n) == expected
+    assert sw.window_int(n) == int("".join(map(str, expected)), 2)
+    assert dense_bit(offset + 1) == BRUTE[offset]
+    assert sw.bit(n) == expected[-1]
+
+
+# ------------------------------------- integer exclusion against Fraction bounds
+
+def _interval_excludes_oracle(sw, points, p):
+    bits = [b ^ sw.flip for b in BRUTE[sw.offset:sw.offset + p]]
+    v = int("".join(map(str, bits)), 2)
+    lo, hi = Fraction(v, 1 << p), Fraction(v + 1, 1 << p)
+    return all(pt < lo or pt > hi for pt in points)
+
+
+def _graph_excludes_oracle(system, sw, points, p):
+    r = system.spec.r
+    bits = [b ^ sw.flip for b in BRUTE[sw.offset:sw.offset + r - 1 + p]]
+    ones = 0
+    while ones < r - 1 and bits[ones] == 1:
+        ones += 1
+    arc = ones + 1 if ones < r - 1 else r
+    skip = ones + 1 if ones < r - 1 else r - 1
+    v = int("".join(map(str, bits[skip:skip + p])), 2)
+    lo, hi = Fraction(v, 1 << p), Fraction(v + 1, 1 << p)
+    for pt in points:
+        if isinstance(pt, Node):
+            if lo <= 0 or hi >= 1:
+                return False
+        elif pt.arc == arc and lo <= pt.t <= hi:
+            return False
+    return True
+
+
+units = st.fractions(min_value=0, max_value=1, max_denominator=70)
+SYSTEMS = {name: graph_system(parse_graph(text)) for name, text in EXAMPLE_GRAPHS.items()}
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 5000), st.integers(0, 1), st.integers(1, 14), st.data())
+def test_interval_stream_exclusion_matches_fraction_oracle(offset, flip, p, data):
+    sw = StreamWord(offset, flip)
+    v = sw.window_int(p)
+    # the enclosure's own endpoints, so the closed comparisons are exercised
+    points = data.draw(st.lists(units | st.sampled_from(
+        [Fraction(v, 1 << p), Fraction(v + 1, 1 << p)]), max_size=4))
+    assert (INTERVAL_CODEC.stream_excludes_all(sw, points, p)
+            == _interval_excludes_oracle(sw, points, p))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 5000),
+       st.integers(0, 1), st.integers(1, 12), st.data())
+def test_graph_stream_exclusion_matches_fraction_oracle(name, offset, flip, p, data):
+    system = SYSTEMS[name]
+    sw = StreamWord(offset, flip)
+    interior = st.builds(Interior, st.integers(1, system.spec.r),
+                         units.filter(lambda t: 0 < t < 1))
+    points = list(system.exceptional) + data.draw(st.lists(interior, max_size=3))
+    points = data.draw(st.permutations(points))[:data.draw(st.integers(0, len(points)))]
+    assert (system.stream_excludes_all(sw, points, p)
+            == _graph_excludes_oracle(system, sw, points, p))

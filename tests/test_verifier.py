@@ -1,10 +1,17 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from symchaos import verifier
+from symchaos.decomposition import induced_system
+from symchaos.graphs import EXAMPLE_GRAPHS, graph_system, parse_graph
+from symchaos.interval import INTERVAL_CODEC
+from symchaos.streams import dense_word
 from symchaos.verifier import (
     ChaosReport,
+    IntervalTarget,
     baker_target,
     constant_target,
     dense_orbit_coverage,
@@ -173,3 +180,205 @@ def test_lemma6_graph(k3, two_segments):
 def test_lemma6_requires_induced_system():
     with pytest.raises(ValueError):
         lemma6_commute_check(identity_target(), 4, 10)
+
+
+# ------------------------------------------------ parameter ranges
+
+@pytest.mark.parametrize("call", [
+    lambda: periodic_density(tent_target(), 0, 4),
+    lambda: periodic_density(tent_target(), 4, 0),
+    lambda: dense_orbit_coverage(baker_target(), 0, 4),
+    lambda: dense_orbit_coverage(baker_target(), 100, -1),
+    lambda: transitivity_witness(tent_target(), 0, 10),
+    lambda: transitivity_witness(tent_target(), 2, 0),
+    lambda: sensitivity_probe(tent_target(), F(1, 4), F(1, 4096), 0, 10),
+    lambda: sensitivity_probe(tent_target(), F(1, 4), F(1, 4096), 8, 0),
+    lambda: lemma6_commute_check(baker_target(), 0, 10),
+    lambda: lemma6_commute_check(baker_target(), 4, -1),
+])
+def test_out_of_range_parameters_raise(call):
+    with pytest.raises(ValueError, match="must be at least"):
+        call()
+
+
+def test_lemma6_accepts_empty_orbit():
+    assert lemma6_commute_check(baker_target(), 4, 0).verdict == "pass"
+
+
+# ------------------------- oracles for the word-level and rolling-window fast paths
+
+GRAPH_TARGETS = [graph_target(graph_system(parse_graph(text)), name)
+                 for name, text in EXAMPLE_GRAPHS.items()]
+
+
+def _pinned_target(base, point):
+    """`base` with one purely periodic expansion pinned, so that the
+    pinned-fiber branch of the periodicity test has work to do."""
+    sys = induced_system(f"{base.name}-pinned", base.induced.symbolic_map,
+                         INTERVAL_CODEC, pinned_points=(point,))
+    return IntervalTarget(f"{base.name}-pinned-{point}", base.fmap, base.branches,
+                          sys, base.stream_step)
+
+
+def _interval_targets():
+    return [tent_target(), baker_target(),
+            _pinned_target(baker_target(), F(1, 3)),
+            _pinned_target(tent_target(), F(2, 5)),
+            _pinned_target(tent_target(), F(1, 3))]
+
+
+def _old_is_f_periodic(target, w, pt, horizon, pinned):
+    # the decode-every-iterate loop the word-level test replaced
+    if pt in pinned:
+        return True
+    cur = w
+    for _ in range(horizon):
+        cur = target.induced.symbolic_map(cur)
+        cpt = verifier._decode(target, cur)
+        if cpt == pt:
+            return True
+        if cpt in pinned:
+            return False
+    return False
+
+
+def _old_periodic_density(target, max_period, resolution):
+    """(params, witnesses, kept words) as the decode-every-iterate loop gives them."""
+    pinned = frozenset(target.induced.pinned_points)
+    covered, kept = set(), set()
+    for w in verifier._collect_periodic(max_period):
+        pt = verifier._decode(target, w)
+        if _old_is_f_periodic(target, w, pt, max_period, pinned):
+            kept.add(w)
+            covered.update(verifier._point_cells(target, pt, resolution))
+    cells = verifier._all_cells(target, resolution)
+    missing = [c for c in cells if c not in covered]
+    params = {"max_period": max_period, "resolution": resolution,
+              "periodic_points": len(kept), "covered": len(cells) - len(missing),
+              "cells": len(cells)}
+    return params, [verifier._cell_json(target, c) for c in missing], kept
+
+
+def _count_decodes(monkeypatch, target):
+    """Wrap the target's decode; returns the Counter of decoded words."""
+    seen = Counter()
+    if isinstance(target, verifier.GraphTarget):
+        original, owner, name = target.system.decode, target.system, "decode"
+    else:
+        original, owner, name = verifier.word_value, verifier, "word_value"
+
+    def counting(word, *args):
+        seen[word] += 1
+        return original(word, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return seen
+
+
+ORACLE_CASES = ([(t, mp, res) for t in _interval_targets()
+                 for mp, res in ((1, 2), (3, 3), (7, 5), (12, 7))]
+                + [(t, mp, res) for t in GRAPH_TARGETS
+                   for mp, res in ((1, 2), (3, 3), (7, 4), (10, 5))])
+
+
+@pytest.mark.parametrize("target,max_period,resolution", ORACLE_CASES,
+                         ids=[f"{t.name}-{mp}/{res}" for t, mp, res in ORACLE_CASES])
+def test_periodic_density_matches_decode_every_iterate_oracle(
+        monkeypatch, target, max_period, resolution):
+    params, witnesses, kept = _old_periodic_density(target, max_period, resolution)
+    decoded = _count_decodes(monkeypatch, target)
+    report = periodic_density(target, max_period, resolution)
+    assert report.params == params
+    assert report.witnesses == witnesses
+    assert set(decoded) == kept
+
+
+def test_pinned_purely_periodic_words_are_tested():
+    # 1/3 pinned: 2/3, whose baker orbit enters 1/3, is no longer periodic;
+    # 2/5 pinned: 4/5, whose tent orbit enters 2/5, is no longer periodic;
+    # 1/3 pinned under the tent map is held fixed, so it becomes periodic
+    baker_1_3, tent_2_5, tent_1_3 = _interval_targets()[2:]
+    kept = {t.name: periodic_density(t, 4, 2).params["periodic_points"]
+            for t in (baker_target(), tent_target(), baker_1_3, tent_2_5, tent_1_3)}
+    assert kept[baker_1_3.name] == kept["baker"] - 1
+    assert kept[tent_2_5.name] == kept["tent"] - 1
+    assert kept[tent_1_3.name] == kept["tent"] + 1
+
+
+def test_periodicity_needs_shift_or_complementing_shift():
+    from symchaos.words import r_map
+
+    target = IntervalTarget("r", tent_target().fmap, tent_target().branches,
+                            induced_system("r", r_map, INTERVAL_CODEC))
+    with pytest.raises(ValueError, match="complementing shift"):
+        periodic_density(target, 4, 2)
+
+
+def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
+    # a tracer rebinds shift_map and c_map at every binding site before any
+    # system is built; the S/C dispatch must then see the wrappers
+    from symchaos import words
+
+    expected = {t.name: periodic_density(t, 8, 5).params
+                for t in (tent_target(), baker_target())}
+    wrapped = {}
+    for name in ("shift_map", "c_map"):
+        wrapped[name] = lambda w, f=getattr(words, name): f(w)
+        monkeypatch.setattr(words, name, wrapped[name])
+        monkeypatch.setattr(verifier, name, wrapped[name])
+    for base, name in ((tent_target(), "c_map"), (baker_target(), "shift_map")):
+        sys = induced_system(base.name, wrapped[name], INTERVAL_CODEC,
+                             pinned_points=base.induced.pinned_points)
+        target = IntervalTarget(base.name, base.fmap, base.branches, sys,
+                                base.stream_step)
+        assert periodic_density(target, 8, 5).params == expected[base.name]
+
+
+@pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS
+                         + [rotation_target()], ids=lambda t: t.name)
+def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
+    # a deterministic work guard: per-iterate decoding would decode words
+    # many times over
+    enumerated = set(verifier._collect_periodic(12))
+    decoded = _count_decodes(monkeypatch, target)
+    periodic_density(target, 12, 6)
+    assert decoded and max(decoded.values()) == 1
+    assert set(decoded) <= enumerated
+
+
+def _orbit_oracle(target, steps, resolution):
+    """(params, witnesses) from one window_int read per generator step."""
+    system = getattr(target, "system", None)
+    r = system.spec.r if system else 1
+    width = r - 1 + resolution + 2
+    cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
+             if system else list(range(1 << resolution)))
+    covered, full_at, sw = set(), None, dense_word()
+    for n in range(steps):
+        bits = format(sw.window_int(width), f"0{width}b")
+        ones = len(bits[:r - 1]) - len(bits[:r - 1].lstrip("1"))
+        arc, skip = (ones + 1, ones + 1) if ones < r - 1 else (r, r - 1)
+        j = int(bits[skip:skip + resolution], 2)
+        covered.add((arc, j) if system else j)
+        if len(covered) == len(cells):
+            full_at = n
+            break
+        sw = target.stream_step(sw)
+    missing = [c for c in cells if c not in covered]
+    params = {"steps": steps, "resolution": resolution,
+              "covered": len(cells) - len(missing), "cells": len(cells),
+              "full_coverage_step": full_at}
+    witnesses = [{"arc": system.spec.arc(c[0]).id, "cell": c[1]} if system
+                 else {"cell": c} for c in missing]
+    return params, witnesses
+
+
+ORBIT_CASES = [(t, steps, res) for t in _interval_targets()[:2] + GRAPH_TARGETS
+               for steps, res in ((1, 1), (300, 3), (4000, 6), (20000, 4))]
+
+
+@pytest.mark.parametrize("target,steps,resolution", ORBIT_CASES,
+                         ids=[f"{t.name}-{s}/{res}" for t, s, res in ORBIT_CASES])
+def test_dense_orbit_matches_per_step_window_oracle(target, steps, resolution):
+    report = dense_orbit_coverage(target, steps, resolution)
+    assert (report.params, report.witnesses) == _orbit_oracle(target, steps, resolution)
