@@ -126,6 +126,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {args.steps}")
     fmap = EVAL_SYSTEMS[args.system]
     x = args.x
     rows = []

@@ -413,20 +413,26 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
                       grid: int, horizon: int) -> ChaosReport:
     """From each grid point, does some delta-close neighbour separate beyond
     eta within the horizon?  Distances are exact (interval metric, or the
-    fiber Hausdorff metric on graphs)."""
+    fiber Hausdorff metric on graphs).  eta must be positive and delta in
+    (0, 1); neighbours outside the space are skipped."""
     started = time.monotonic()
     _at_least(1, grid=grid, horizon=horizon)
     if grid > 1 << 12:
         raise ValueError(f"grid {grid} exceeds bound 2^12")
+    if eta <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
     failures = []
     tested = 0
     if isinstance(target, GraphTarget):
         r = target.system.spec.r
+        image, far = {}, {}
         for i in range(1, r + 1):
             for j in range(grid):
                 x = Interior(i, Fraction(2 * j + 1, 2 * grid))
                 tested += 1
-                if not _separates_graph(target, x, eta, delta, horizon):
+                if not _separates_graph(target, x, eta, delta, horizon, image, far):
                     failures.append(target.system.point_json(x))
     else:
         for j in range(grid):
@@ -441,7 +447,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
 
 def _separates_interval(target, x, eta, delta, horizon) -> bool:
     for y in (x - delta, x + delta):
-        if not 0 <= y <= 1 or y == x:
+        if not 0 <= y <= 1:
             continue
         fx, fy = x, y
         for _ in range(horizon + 1):
@@ -451,16 +457,26 @@ def _separates_interval(target, x, eta, delta, horizon) -> bool:
     return False
 
 
-def _separates_graph(target, x: Interior, eta, delta, horizon) -> bool:
+def _separates_graph(target, x: Interior, eta, delta, horizon,
+                     image: dict, far: dict) -> bool:
+    """`image` (point -> F(point)) and `far` ((p, q) -> metric > eta) hold
+    what earlier grid points of the same probe computed: grid points share a
+    denominator, so their orbits merge, and both functions are pure."""
     for t in (x.t - delta, x.t + delta):
-        if not 0 < t < 1 or t == x.t:
+        if not 0 < t < 1:
             continue
         fx: GraphPoint = x
         fy: GraphPoint = Interior(x.arc, t)
         for _ in range(horizon + 1):
-            if graph_metric(target.system, fx, fy) > eta:
+            pair = (fx, fy)
+            if pair not in far:
+                far[pair] = graph_metric(target.system, fx, fy) > eta
+            if far[pair]:
                 return True
-            fx, fy = target.fmap(fx), target.fmap(fy)
+            for p in pair:
+                if p not in image:
+                    image[p] = target.fmap(p)
+            fx, fy = image[fx], image[fy]
     return False
 
 

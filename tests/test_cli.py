@@ -62,6 +62,14 @@ def test_orbit_csv_golden(capsys):
     assert out == GOLDEN_ORBIT
 
 
+def test_orbit_negative_steps_is_usage_error(capsys):
+    code, out, err = run(capsys, "orbit", "--system", "tent", "--x", "1/3",
+                         "--steps", "-2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--steps" in err
+
+
 def test_orbit_json(capsys):
     code, out, _ = run(capsys, "orbit", "--system", "tent", "--x", "1/2",
                        "--steps", "2", "--format", "json")
@@ -169,6 +177,18 @@ def test_verify_out_of_range_parameter_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "must be at least" in err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("eta", "-1"), ("eta", "0"), ("delta", "0"), ("delta", "1"), ("delta", "-1/8"),
+])
+def test_verify_sensitivity_eta_delta_out_of_range_is_usage_error(capsys, name, value):
+    code, out, err = run(capsys, "verify", "--system", "tent",
+                         "--property", "sensitivity", "--grid", "4",
+                         f"--{name}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and name in err
 
 
 def test_verify_output_deterministic(capsys):

@@ -6,7 +6,13 @@ import pytest
 
 from symchaos import verifier
 from symchaos.decomposition import induced_system
-from symchaos.graphs import EXAMPLE_GRAPHS, graph_system, parse_graph
+from symchaos.graphs import (
+    EXAMPLE_GRAPHS,
+    Interior,
+    graph_metric,
+    graph_system,
+    parse_graph,
+)
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import dense_word
 from symchaos.verifier import (
@@ -158,6 +164,21 @@ def test_sensitivity_graph(k3):
     assert report.verdict == "pass"
 
 
+def test_sensitivity_skips_neighbours_outside_the_interval():
+    # from 1/4 and 3/4, the neighbours -1/4 and 5/4 lie outside [0, 1],
+    # where the tent map raises; only 3/4 and 1/4 are probed
+    report = sensitivity_probe(tent_target(), F(1, 4), F(1, 2), 2, 10)
+    assert report.verdict == "pass" and report.params["points"] == 2
+    report = sensitivity_probe(tent_target(), F(1, 2), F(1, 2), 2, 10)
+    assert report.witnesses == ["1/4", "3/4"]
+
+
+def test_sensitivity_skips_graph_neighbours_outside_the_arc(k3):
+    # t = 1/4 and 3/4 on each arc: t - 1/2 and t + 1/2 leave (0, 1)
+    report = sensitivity_probe(graph_target(k3, "k3"), F(1, 8), F(1, 2), 2, 10)
+    assert report.verdict == "pass" and report.params["points"] == 6
+
+
 # -------------------------------------------------------------- lemma 6
 
 def test_lemma6_baker():
@@ -199,6 +220,17 @@ def test_lemma6_requires_induced_system():
 def test_out_of_range_parameters_raise(call):
     with pytest.raises(ValueError, match="must be at least"):
         call()
+
+
+@pytest.mark.parametrize("eta,delta", [
+    (F(-1), F(1, 4096)), (F(0), F(1, 4096)),
+    (F(1, 4), F(0)), (F(1, 4), F(-1, 8)), (F(1, 4), F(1)), (F(1, 4), F(3, 2)),
+], ids=["eta-negative", "eta-0", "delta-0", "delta-negative", "delta-1",
+        "delta-above-1"])
+def test_sensitivity_rejects_eta_and_delta_out_of_range(k3, eta, delta):
+    for target in (tent_target(), graph_target(k3, "k3")):
+        with pytest.raises(ValueError, match="eta must be positive|delta must lie"):
+            sensitivity_probe(target, eta, delta, 4, 10)
 
 
 def test_lemma6_accepts_empty_orbit():
@@ -382,3 +414,74 @@ ORBIT_CASES = [(t, steps, res) for t in _interval_targets()[:2] + GRAPH_TARGETS
 def test_dense_orbit_matches_per_step_window_oracle(target, steps, resolution):
     report = dense_orbit_coverage(target, steps, resolution)
     assert (report.params, report.witnesses) == _orbit_oracle(target, steps, resolution)
+
+
+def _old_separates_graph(target, x, eta, delta, horizon):
+    # the per-step loop the per-call image and separation memo replaced
+    for t in (x.t - delta, x.t + delta):
+        if not 0 < t < 1 or t == x.t:
+            continue
+        fx, fy = x, Interior(x.arc, t)
+        for _ in range(horizon + 1):
+            if graph_metric(target.system, fx, fy) > eta:
+                return True
+            fx, fy = target.fmap(fx), target.fmap(fy)
+    return False
+
+
+def _old_sensitivity_graph(target, eta, delta, grid, horizon):
+    """(params, verdict, witnesses) from one map and one metric per step."""
+    points = [Interior(i, F(2 * j + 1, 2 * grid))
+              for i in range(1, target.system.spec.r + 1) for j in range(grid)]
+    witnesses = [target.system.point_json(x) for x in points
+                 if not _old_separates_graph(target, x, eta, delta, horizon)]
+    params = {"eta": str(eta), "delta": str(delta), "grid": grid,
+              "horizon": horizon, "points": len(points)}
+    return params, "fail" if witnesses else "pass", witnesses
+
+
+SENSITIVITY_CASES = [(t, eta, delta, grid, horizon) for t in GRAPH_TARGETS
+                     for eta, delta, grid, horizon in (
+                         (F(1, 8), F(1, 4096), 16, 40),
+                         (F(1, 8), F(1, 4096), 24, 40),
+                         (F(1), F(1, 4096), 8, 40),
+                         (F(1, 8), F(1, 4096), 16, 1),
+                         (F(1, 8), F(1, 4096), 16, 3),
+                         (F(1, 8), F(1, 3), 16, 40))]
+
+
+@pytest.mark.parametrize(
+    "target,eta,delta,grid,horizon", SENSITIVITY_CASES,
+    ids=[f"{t.name}-{e}/{d}/{g}/{h}" for t, e, d, g, h in SENSITIVITY_CASES])
+def test_graph_sensitivity_matches_per_step_oracle(target, eta, delta, grid, horizon):
+    report = sensitivity_probe(target, eta, delta, grid, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _old_sensitivity_graph(target, eta, delta, grid, horizon))
+
+
+def test_graph_sensitivity_maps_each_point_and_measures_each_pair_once(
+        monkeypatch, k3):
+    # a deterministic work guard: the per-step loop maps and measures the
+    # merged orbits of neighbouring grid points many times over
+    mapped, measured = Counter(), Counter()
+    original_map, original_metric = verifier.graph_map, verifier.graph_metric
+
+    def counting_map(system, point):
+        mapped[point] += 1
+        return original_map(system, point)
+
+    def counting_metric(system, p, q):
+        measured[p, q] += 1
+        return original_metric(system, p, q)
+
+    monkeypatch.setattr(verifier, "graph_map", counting_map)
+    monkeypatch.setattr(verifier, "graph_metric", counting_metric)
+    target = graph_target(k3, "k3")
+    first = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
+    assert max(mapped.values()) == 1 and max(measured.values()) == 1
+    points, pairs = set(mapped), set(measured)
+    second = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
+    # nothing survives a call: the second one recomputes every entry
+    assert set(mapped.values()) == {2} and set(mapped) == points
+    assert set(measured.values()) == {2} and set(measured) == pairs
+    assert (first.params, first.witnesses) == (second.params, second.witnesses)
