@@ -49,8 +49,6 @@ from .graphs import (
     Node,
     parse_graph,
     graph_system,
-    encode_point,
-    decode_word,
     graph_map,
     exceptional_points,
     graph_orbit,

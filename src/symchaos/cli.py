@@ -2,7 +2,8 @@
 
 All data output is exact rationals (a float column is appended for
 plotting).  Exit codes: 0 success/pass, 1 failed verification, 2 usage or
-input errors.
+input errors, 3 an internal invariant failed (a wrong answer was caught
+before it was printed).
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _approx(x: Fraction) -> str:
-    return repr(float(x))
-
-
 def _load_graph(path: str) -> graphs.GraphSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,12 +92,9 @@ def _load_graph(path: str) -> graphs.GraphSystem:
 
 
 def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:
-    if token.isdigit():
-        i = int(token)
-        if not 1 <= i <= sys.spec.r:
-            raise graphs.GraphError(f"arc index {i} out of range 1..{sys.spec.r}")
-        return i
-    return sys.arc_index(token)
+    i = int(token) if token.isdigit() else sys.arc_index(token)
+    sys.spec.arc(i)  # an index out of range raises before the parameter is read
+    return i
 
 
 def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
@@ -111,13 +105,18 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
         return graphs.Node(rest)
     if not rest:
         raise graphs.GraphError(f"malformed start {text!r}; expected ARC:p/q or node:ID")
-    i = _resolve_arc(sys, kind)
-    t = Fraction(rest)
-    if t == 0:
-        return graphs.Node(sys.spec.arc(i).tail)
-    if t == 1:
-        return graphs.Node(sys.spec.arc(i).head)
-    return graphs.Interior(i, t)
+    return sys.point_at(_resolve_arc(sys, kind), Fraction(rest))
+
+
+def _print_rows(rows: List[dict], fmt: str) -> None:
+    """Orbit rows as indented JSON, or as CSV with a header line (None is
+    an empty field)."""
+    if fmt == "json":
+        print(json.dumps(rows, indent=2))
+        return
+    print(",".join(rows[0]))
+    for row in rows:
+        print(",".join("" if v is None else str(v) for v in row.values()))
 
 
 def _cmd_eval(args) -> int:
@@ -132,42 +131,27 @@ def _cmd_orbit(args) -> int:
     x = args.x
     rows = []
     for step in range(args.steps + 1):
-        rows.append((step, x))
+        rows.append({"step": step, "num": x.numerator, "den": x.denominator,
+                     "approx": float(x)})
         if step < args.steps:
             x = fmap(x)
-    if args.format == "csv":
-        print("step,num,den,approx")
-        for step, v in rows:
-            print(f"{step},{v.numerator},{v.denominator},{_approx(v)}")
-    else:
-        print(json.dumps([{"step": s, "num": v.numerator, "den": v.denominator,
-                           "approx": float(v)} for s, v in rows], indent=2))
+    _print_rows(rows, args.format)
     return 0
 
 
 def _cmd_graph_orbit(args) -> int:
     sys_ = _load_graph(args.file)
     start = _parse_start(sys_, args.start)
-    orbit = graphs.graph_orbit(sys_, start, args.steps)
-    if args.format == "csv":
-        print("step,arc_or_node,t_num,t_den,approx")
-        for step, pt in enumerate(orbit):
-            if isinstance(pt, graphs.Interior):
-                arc_id = sys_.spec.arc(pt.arc).id
-                print(f"{step},{arc_id},{pt.t.numerator},{pt.t.denominator},{_approx(pt.t)}")
-            else:
-                print(f"{step},{pt.id},,,")
-    else:
-        rows = []
-        for step, pt in enumerate(orbit):
-            if isinstance(pt, graphs.Interior):
-                rows.append({"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
-                             "t_num": pt.t.numerator, "t_den": pt.t.denominator,
-                             "approx": float(pt.t)})
-            else:
-                rows.append({"step": step, "arc_or_node": pt.id,
-                             "t_num": None, "t_den": None, "approx": None})
-        print(json.dumps(rows, indent=2))
+    rows = []
+    for step, pt in enumerate(graphs.graph_orbit(sys_, start, args.steps)):
+        if isinstance(pt, graphs.Interior):
+            rows.append({"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
+                         "t_num": pt.t.numerator, "t_den": pt.t.denominator,
+                         "approx": float(pt.t)})
+        else:
+            rows.append({"step": step, "arc_or_node": pt.id,
+                         "t_num": None, "t_den": None, "approx": None})
+    _print_rows(rows, args.format)
     return 0
 
 
@@ -223,15 +207,7 @@ def _cmd_fiber(args) -> int:
         sys_ = _load_graph(args.file)
         if not args.arc:
             raise graphs.GraphError("--file requires --arc")
-        i = _resolve_arc(sys_, args.arc)
-        t = args.x
-        if t == 0:
-            point: graphs.GraphPoint = graphs.Node(sys_.spec.arc(i).tail)
-        elif t == 1:
-            point = graphs.Node(sys_.spec.arc(i).head)
-        else:
-            point = graphs.Interior(i, t)
-        for w in graphs.encode_point(sys_, point):
+        for w in sys_.encode(sys_.point_at(_resolve_arc(sys_, args.arc), args.x)):
             print(w)
     else:
         for w in bits_of(args.x):
@@ -257,6 +233,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, graphs.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

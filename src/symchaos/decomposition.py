@@ -11,7 +11,7 @@ either fixing the fiber or redirecting it to a designated point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Protocol, Sequence, Tuple, Union
 
 from .streams import StreamWord
 from .words import Word
@@ -67,7 +67,13 @@ class Fiber:
 
 
 class Codec(Protocol):
-    """Bridge between words and points of a concrete space."""
+    """Bridge between words and points of a concrete space.
+
+    The space is a union of r arcs (r = 1 on the interval); a resolution-p
+    cell is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].
+    """
+
+    r: int
 
     def encode(self, point) -> Fiber: ...
 
@@ -80,6 +86,14 @@ class Codec(Protocol):
     def point_json(self, point): ...
 
     def stream_excludes_all(self, sw: StreamWord, points: Sequence, precision: int) -> bool: ...
+
+    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
+        """Cell (arc, window) addressed by the packed first r-1+precision bits."""
+
+    def point_cells(self, point, p: int) -> List[Tuple[int, int]]:
+        """Every resolution-p cell that contains the point."""
+
+    def cell_json(self, cell: Tuple[int, int]) -> dict: ...
 
 
 @dataclass(frozen=True)
@@ -106,13 +120,13 @@ class InducedSystem:
 
     name: str
     symbolic_map: Callable[[Word], Word]
-    codec: Any
+    codec: Codec
     designated: Any = None
     pinned_points: Tuple = ()
     pinned_fibers: frozenset = field(default_factory=frozenset)
 
 
-def induced_system(name: str, symbolic_map: Callable[[Word], Word], codec,
+def induced_system(name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
                    designated=None, pinned_points: Sequence = ()) -> InducedSystem:
     fibers = frozenset(codec.encode(pt) for pt in pinned_points)
     return InducedSystem(name, symbolic_map, codec, designated,

@@ -16,12 +16,13 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
+from .interval import unit_cells
 from .streams import StreamWord, enclosure_contains
 from .words import (
     Word,
     bits_of,
     drop_bits,
-    leading_ones,
+    prefix_int,
     prepend_bits,
     shift_map,
     word_metric,
@@ -38,8 +39,6 @@ __all__ = [
     "GraphSystem",
     "parse_graph",
     "graph_system",
-    "encode_point",
-    "decode_word",
     "graph_map",
     "exceptional_points",
     "graph_orbit",
@@ -75,6 +74,8 @@ class GraphSpec:
 
     def arc(self, i: int) -> Arc:
         """1-based arc lookup."""
+        if not 1 <= i <= len(self.arcs):
+            raise GraphError(f"arc index {i} out of range 1..{len(self.arcs)}")
         return self.arcs[i - 1]
 
 
@@ -160,7 +161,7 @@ class GraphSystem:
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        r = spec.r
+        self.r = r = spec.r
         # prefix of arc i: 1^(i-1) 0 for i < r, 1^(r-1) for the last arc
         self.prefixes: List[Tuple[int, ...]] = []
         for i in range(1, r + 1):
@@ -177,8 +178,8 @@ class GraphSystem:
     def _exceptional(self) -> Tuple[GraphPoint, ...]:
         points: List[GraphPoint] = [Node(v) for v in self.spec.nodes]
         points.append(Interior(1, HALF))
-        if self.spec.r > 1:
-            points.append(Interior(self.spec.r, HALF))
+        if self.r > 1:
+            points.append(Interior(self.r, HALF))
         return tuple(points)
 
     def arc_index(self, arc_id: str) -> int:
@@ -190,43 +191,32 @@ class GraphSystem:
     # -- codec protocol -------------------------------------------------
 
     def encode(self, point: GraphPoint) -> Fiber:
+        """All address words of a point: prefixed expansions for an interior
+        point, one eventually constant word per incident arc end for a node."""
         if isinstance(point, Interior):
-            if not 1 <= point.arc <= self.spec.r:
-                raise GraphError(f"arc index {point.arc} out of range 1..{self.spec.r}")
+            self.spec.arc(point.arc)  # an index out of range raises
             prefix = self.prefixes[point.arc - 1]
             return Fiber(prepend_bits(w, prefix) for w in bits_of(point.t))
         if isinstance(point, Node):
             if point.id not in self.spec.nodes:
                 raise GraphError(f"unknown node {point.id!r}")
-            words = []
-            for i, arc in enumerate(self.spec.arcs, start=1):
-                prefix = self.prefixes[i - 1]
-                if arc.tail == point.id:
-                    words.append(prepend_bits(Word([], [0]), prefix))
-                if arc.head == point.id:
-                    words.append(prepend_bits(Word([], [1]), prefix))
+            words = [prepend_bits(Word([], [t]), self.prefixes[i - 1])
+                     for i, t in self._ends(point.id)]
             if not words:
                 raise GraphError(f"node {point.id!r} has no incident arcs")
             return Fiber(words)
         raise TypeError(f"not a graph point: {point!r}")
 
-    def decode(self, word: Word) -> GraphPoint:
-        i, tail = self._split(word)
-        t = word_value(tail)
-        arc = self.spec.arc(i)
-        if t == 0:
-            return Node(arc.tail)
-        if t == 1:
-            return Node(arc.head)
-        return Interior(i, t)
+    def _ends(self, node_id: str) -> List[Tuple[int, int]]:
+        """(arc, parameter 0 or 1) of every arc end at the node."""
+        return [(i, t) for i, arc in enumerate(self.spec.arcs, start=1)
+                for t, end in ((0, arc.tail), (1, arc.head)) if end == node_id]
 
-    def _split(self, word: Word) -> Tuple[int, Word]:
-        """Arc index addressed by the word and the parameter tail."""
-        r = self.spec.r
-        ones = leading_ones(word, r - 1)
-        if ones < r - 1:
-            return ones + 1, drop_bits(word, ones + 1)
-        return r, drop_bits(word, r - 1)
+    def decode(self, word: Word) -> GraphPoint:
+        """Point addressed by a word; endpoint parameters collapse to nodes."""
+        r = self.r
+        i, skip = _arc_address(prefix_int(word, r - 1), r)
+        return self.point_at(i, word_value(drop_bits(word, skip)))
 
     def fiber_of(self, word: Word) -> Fiber:
         return self.encode(self.decode(word))
@@ -239,37 +229,51 @@ class GraphSystem:
             return {"node": point.id}
         return {"arc": self.spec.arc(point.arc).id, "t": str(point.t)}
 
+    def point_at(self, i: int, t: Fraction) -> GraphPoint:
+        """The point at parameter t of arc i: the arc's tail node at 0, its
+        head node at 1."""
+        arc = self.spec.arc(i)
+        if t == 0:
+            return Node(arc.tail)
+        if t == 1:
+            return Node(arc.head)
+        return Interior(i, t)
+
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         """Arc index and parameter window addressed by the packed first
         r-1+precision bits of a sequence (first bit most significant)."""
-        r = self.spec.r
-        zeros = ~(x >> precision) & ((1 << (r - 1)) - 1)  # 0s among the r-1 lead bits
-        arc = r - zeros.bit_length()  # one more than the leading 1s, at most r
-        skip = min(arc, r - 1)
+        r = self.r
+        arc, skip = _arc_address(x >> precision, r)
         return arc, (x >> (r - 1 - skip)) & ((1 << precision) - 1)
+
+    def point_cells(self, point: GraphPoint, p: int) -> List[Tuple[int, int]]:
+        if isinstance(point, Interior):
+            return [(point.arc, j) for j in unit_cells(point.t, p)]
+        return [(i, t * ((1 << p) - 1)) for i, t in self._ends(point.id)]
+
+    def cell_json(self, cell: Tuple[int, int]) -> dict:
+        return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
     def stream_excludes_all(self, sw: StreamWord, points: Sequence[GraphPoint],
                             precision: int) -> bool:
-        arc, v = self.split_window(sw.window_int(self.spec.r - 1 + precision), precision)
+        arc, v = self.split_window(sw.window_int(self.r - 1 + precision), precision)
         at_node = v == 0 or v + 1 == 1 << precision  # parameter 0 or 1, on any arc
         return not any(at_node if isinstance(pt, Node)
                        else pt.arc == arc and enclosure_contains(v, precision, pt.t)
                        for pt in points)
 
 
+def _arc_address(lead: int, r: int) -> Tuple[int, int]:
+    """Arc index addressed by the first r-1 bits of a sequence (packed, first
+    bit most significant), and how many of those bits its prefix takes: one
+    more than the leading 1s, and all r-1 bits on the last arc."""
+    zeros = ~lead & ((1 << (r - 1)) - 1)  # 0s among the r-1 lead bits
+    arc = r - zeros.bit_length()
+    return arc, min(arc, r - 1)
+
+
 def graph_system(spec: GraphSpec) -> GraphSystem:
     return GraphSystem(spec)
-
-
-def encode_point(sys: GraphSystem, point: GraphPoint) -> Fiber:
-    """All address words of a point: prefixed expansions for an interior
-    point, one eventually constant word per incident arc end for a node."""
-    return sys.encode(point)
-
-
-def decode_word(sys: GraphSystem, word: Word) -> GraphPoint:
-    """Point addressed by a word; endpoint parameters collapse to nodes."""
-    return sys.decode(word)
 
 
 def exceptional_points(sys: GraphSystem) -> List[GraphPoint]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
 from .streams import StreamWord, enclosure_contains
@@ -41,8 +41,23 @@ def as_unit(y) -> Fraction:
     return y
 
 
+def unit_cells(y: Fraction, p: int) -> List[int]:
+    """Indices j of the cells [j/2^p, (j+1)/2^p] of [0, 1] that contain y."""
+    scaled = y * (1 << p)
+    j = int(scaled)
+    if j == (1 << p):
+        return [j - 1]
+    cells = [j]
+    if scaled == j and j > 0:
+        cells.append(j - 1)
+    return cells
+
+
 class IntervalCodec:
-    """Word/point bridge for [0, 1]; all comparisons stay word-level."""
+    """Word/point bridge for [0, 1]; all comparisons stay word-level.  The
+    interval is the one-arc space with an empty prefix: its cells are (1, j)."""
+
+    r = 1
 
     def encode(self, point: Fraction) -> Fiber:
         return Fiber(bits_of(as_unit(point)))
@@ -62,6 +77,15 @@ class IntervalCodec:
 
     def point_json(self, point: Fraction) -> str:
         return str(point)
+
+    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
+        return 1, x
+
+    def point_cells(self, point: Fraction, p: int) -> List[Tuple[int, int]]:
+        return [(1, j) for j in unit_cells(point, p)]
+
+    def cell_json(self, cell: Tuple[int, int]) -> dict:
+        return {"cell": cell[1]}
 
     def stream_excludes_all(self, sw: StreamWord, points: Sequence[Fraction],
                             precision: int) -> bool:
@@ -111,30 +135,30 @@ def baker_system() -> InducedSystem:
                           designated=ONE, pinned_points=(HALF,))
 
 
-def _decode_fiber(fib: Fiber, den_hint: int | None = None) -> Fraction:
-    return word_value(fib.words[0], den_hint)
+def _through_fibers(system: InducedSystem, closed_form, y) -> Fraction:
+    """The induced map at y, checked against its closed form; a mismatch is
+    an internal invariant failure and raises ArithmeticError."""
+    y = as_unit(y)
+    out = induced_apply(system, interval_fiber(y))
+    value = word_value(out.words[0], y.denominator)
+    if value != closed_form(y):
+        raise ArithmeticError(f"induced {system.name} map at {y} gave {value}, "
+                              f"closed form gives {closed_form(y)}")
+    return value
 
 
 def induced_tent(y) -> Fraction:
     """Tent map computed through the fiber route.
 
-    The equality with the closed form is the whole point; it is asserted
+    The equality with the closed form is the whole point; it is checked
     here and exercised exhaustively by the acceptance suite.
     """
-    y = as_unit(y)
-    out = induced_apply(tent_system(), interval_fiber(y))
-    value = _decode_fiber(out, den_hint=y.denominator)
-    assert value == tent(y)
-    return value
+    return _through_fibers(tent_system(), tent, y)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
-    y = as_unit(y)
-    out = induced_apply(baker_system(), interval_fiber(y))
-    value = _decode_fiber(out, den_hint=y.denominator)
-    assert value == baker(y)
-    return value
+    return _through_fibers(baker_system(), baker, y)
 
 
 def conjugate_via_r(y) -> Fraction:

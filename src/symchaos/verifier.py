@@ -11,18 +11,17 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
-from .decomposition import InducedSystem, semiconjugacy_check
+from .decomposition import Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
-from .interval import baker, baker_system, tent, tent_system
+from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, dense_word, stream_c_step, stream_shift
-from .words import Word, c_map, max_bits_bound, periodic_words, shift_map, word_value
+from .words import Word, c_map, max_bits_bound, periodic_words, shift_map
 
 __all__ = [
     "ChaosReport",
-    "IntervalTarget",
-    "GraphTarget",
+    "Target",
     "tent_target",
     "baker_target",
     "graph_target",
@@ -36,7 +35,7 @@ __all__ = [
     "lemma6_commute_check",
 ]
 
-HALF = Fraction(1, 2)
+ZERO, HALF, ONE, TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
 
 Branch = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, slope, intercept
 
@@ -73,117 +72,53 @@ def _finish(system: str, prop: str, params: dict, witnesses: list,
 
 
 @dataclass(frozen=True, eq=False)
-class IntervalTarget:
-    """An exact self-map of [0, 1] under test, with its branch structure."""
+class Target:
+    """An exact self-map under test on a decomposition space: [0, 1]
+    (space INTERVAL_CODEC, with the map's branch structure) or a graph
+    (space the GraphSystem, no branches)."""
 
     name: str
-    fmap: Callable[[Fraction], Fraction]
-    branches: Tuple[Branch, ...]
+    fmap: Callable
+    space: Codec
+    branches: Optional[Tuple[Branch, ...]] = None
     induced: Optional[InducedSystem] = None
     stream_step: Optional[Callable[[StreamWord], StreamWord]] = None
 
 
-class GraphTarget:
-    """A graph system under test."""
-
-    def __init__(self, system: GraphSystem, name: str = "graph"):
-        self.name = name
-        self.system = system
-        self.induced = system.induced
-        self.stream_step = stream_shift
-
-    def fmap(self, point: GraphPoint) -> GraphPoint:
-        return graph_map(self.system, point)
+def tent_target() -> Target:
+    branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, -TWO, TWO))
+    return Target("tent", tent, INTERVAL_CODEC, branches, tent_system(), stream_c_step)
 
 
-Target = Union[IntervalTarget, GraphTarget]
+def baker_target() -> Target:
+    branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, TWO, -ONE))
+    return Target("baker", baker, INTERVAL_CODEC, branches, baker_system(), stream_shift)
 
 
-def _fr(a: int, b: int = 1) -> Fraction:
-    return Fraction(a, b)
+def graph_target(system: GraphSystem, name: str = "graph") -> Target:
+    return Target(name, lambda point: graph_map(system, point), system,
+                  induced=system.induced, stream_step=stream_shift)
 
 
-def tent_target() -> IntervalTarget:
-    branches = ((_fr(0), HALF, _fr(2), _fr(0)), (HALF, _fr(1), _fr(-2), _fr(2)))
-    return IntervalTarget("tent", tent, branches, tent_system(), stream_c_step)
+def identity_target() -> Target:
+    return Target("identity", lambda y: y, INTERVAL_CODEC, ((ZERO, ONE, ONE, ZERO),))
 
 
-def baker_target() -> IntervalTarget:
-    branches = ((_fr(0), HALF, _fr(2), _fr(0)), (HALF, _fr(1), _fr(2), _fr(-1)))
-    return IntervalTarget("baker", baker, branches, baker_system(), stream_shift)
+def constant_target(value: Fraction = HALF) -> Target:
+    return Target("constant", lambda y: value, INTERVAL_CODEC, ((ZERO, ONE, ZERO, value),))
 
 
-def graph_target(system: GraphSystem, name: str = "graph") -> GraphTarget:
-    return GraphTarget(system, name)
-
-
-def identity_target() -> IntervalTarget:
-    return IntervalTarget("identity", lambda y: y,
-                          ((_fr(0), _fr(1), _fr(1), _fr(0)),))
-
-
-def constant_target(value: Fraction = HALF) -> IntervalTarget:
-    return IntervalTarget("constant", lambda y: value,
-                          ((_fr(0), _fr(1), _fr(0), value),))
-
-
-def rotation_target(step: Fraction = Fraction(1, 3)) -> IntervalTarget:
+def rotation_target(step: Fraction = Fraction(1, 3)) -> Target:
     def rot(y: Fraction) -> Fraction:
         y = y + step
         return y - 1 if y >= 1 else y
 
-    return IntervalTarget("rotation", rot,
-                          ((_fr(0), 1 - step, _fr(1), step),
-                           (1 - step, _fr(1), _fr(1), step - 1)))
+    return Target("rotation", rot, INTERVAL_CODEC,
+                  ((ZERO, 1 - step, ONE, step), (1 - step, ONE, ONE, step - 1)))
 
 
-# -- cells ----------------------------------------------------------------
-
-
-def _all_cells(target: Target, p: int) -> List:
-    if isinstance(target, GraphTarget):
-        r = target.system.spec.r
-        return [(i, j) for i in range(1, r + 1) for j in range(1 << p)]
-    return list(range(1 << p))
-
-
-def _value_cells(y: Fraction, p: int) -> List[int]:
-    scaled = y * (1 << p)
-    j = int(scaled)
-    if j == (1 << p):
-        return [j - 1]
-    cells = [j]
-    if scaled == j and j > 0:
-        cells.append(j - 1)
-    return cells
-
-
-def _point_cells(target: Target, point, p: int) -> List:
-    if isinstance(target, GraphTarget):
-        spec = target.system.spec
-        if isinstance(point, Interior):
-            return [(point.arc, j) for j in _value_cells(point.t, p)]
-        cells = []
-        for i, arc in enumerate(spec.arcs, start=1):
-            if arc.tail == point.id:
-                cells.append((i, 0))
-            if arc.head == point.id:
-                cells.append((i, (1 << p) - 1))
-        return cells
-    return _value_cells(point, p)
-
-
-def _cell_json(target: Target, cell) -> dict:
-    if isinstance(target, GraphTarget):
-        i, j = cell
-        return {"arc": target.system.spec.arc(i).id, "cell": j}
-    return {"cell": cell}
-
-
-def _decode(target: Target, word: Word):
-    if isinstance(target, GraphTarget):
-        return target.system.decode(word)
-    return word_value(word)
+def _all_cells(space: Codec, p: int) -> List[Tuple[int, int]]:
+    return [(i, j) for i in range(1, space.r + 1) for j in range(1 << p)]
 
 
 def _at_least(low: int, **params: int) -> None:
@@ -213,22 +148,23 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
     returns = _word_returns(target.induced, max_period) if target.induced else None
+    space = target.space
     covered = set()
     points_kept = 0
     for w in _collect_periodic(max_period):
         if returns is not None and not returns(w):
             continue
-        pt = _decode(target, w)
+        pt = space.decode(w)
         if returns is None and not _point_returns(target.fmap, pt, max_period):
             continue
         points_kept += 1
-        covered.update(_point_cells(target, pt, resolution))
-    cells = _all_cells(target, resolution)
+        covered.update(space.point_cells(pt, resolution))
+    cells = _all_cells(space, resolution)
     missing = [c for c in cells if c not in covered]
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
               "covered": len(cells) - len(missing), "cells": len(cells)}
-    witnesses = [_cell_json(target, c) for c in missing]
+    witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "periodic-density", params, witnesses, started)
 
 
@@ -280,39 +216,37 @@ def _point_returns(fmap, pt, horizon: int) -> bool:
 
 def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosReport:
     """Does the projected generator orbit visit every resolution cell within
-    the step budget?  Cells are marked only when the whole value enclosure
-    (resolution+2 bits) sits inside them.  The unflipped first
-    r-1+resolution+2 bits (r = 1 on the interval) roll along the dense word,
-    one bit per step: every generator step advances the offset by one."""
+    the step budget?  A step marks the cell addressed by the first
+    r-1+resolution bits of its iterate (r = 1 on the interval): their value
+    enclosure is that cell, so no mark is a guess.  These bits roll along
+    the dense word, one bit per step: every generator step advances the
+    offset by one."""
     started = time.monotonic()
     _at_least(1, steps=steps, resolution=resolution)
     if steps > 10 ** 6:
         raise ValueError(f"steps {steps} exceeds bound 10^6")
     if target.stream_step is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
-    prec = resolution + 2
-    graph = target.system if isinstance(target, GraphTarget) else None
-    width = prec + (graph.spec.r - 1 if graph else 0)
+    space = target.space
+    width = space.r - 1 + resolution
     mask = (1 << width) - 1
-    total = _all_cells(target, resolution)
-    covered = set()
+    total = _all_cells(space, resolution)
+    covered, split, step = set(), space.split_window, target.stream_step
     sw = dense_word()
     window = sw.window_int(width)
     full_at = None
     for n in range(steps):
-        x = window ^ mask if sw.flip else window
-        arc, v = graph.split_window(x, prec) if graph else (None, x)
-        covered.add((arc, v >> 2) if graph else v >> 2)
+        covered.add(split(window ^ mask if sw.flip else window, resolution))
         if len(covered) == len(total):
             full_at = n
             break
-        sw = target.stream_step(sw)
+        sw = step(sw)
         window = ((window << 1) & mask) | dense_bit(sw.offset + width)
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(total) - len(missing), "cells": len(total),
               "full_coverage_step": full_at}
-    witnesses = [_cell_json(target, c) for c in missing]
+    witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
 
 
@@ -323,23 +257,20 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     """For every ordered cell pair (U, V), an exact point of U and a step
     count carrying it into V.
 
-    Interval targets propagate the monotone-affine laps of the iterated map
-    and pull an exact witness back through the covering lap; every witness
-    is re-verified by direct iteration before it counts.  Graph targets use
-    the dense-orbit route (a dense orbit on these spaces gives transitivity),
-    and the report records that route.
+    Targets with branches (interval maps) propagate the monotone-affine laps
+    of the iterated map and pull an exact witness back through the covering
+    lap; every witness is re-verified by direct iteration before it counts.
+    Targets without (graphs) use the dense-orbit route (a dense orbit on
+    these spaces gives transitivity), and the report records that route.
     """
     started = time.monotonic()
     _at_least(1, resolution=resolution, horizon=horizon)
     if resolution > 8:
         raise ValueError(f"resolution {resolution} exceeds bound 8")
-    if isinstance(target, GraphTarget):
+    if target.branches is None:
         report = dense_orbit_coverage(target, horizon, resolution)
-        params = dict(report.params)
-        params["route"] = "dense-orbit"
-        return ChaosReport(target.name, "transitivity", params, report.verdict,
-                           report.witnesses,
-                           int((time.monotonic() - started) * 1000))
+        params = dict(report.params, route="dense-orbit")
+        return _finish(target.name, "transitivity", params, report.witnesses, started)
     size = 1 << resolution
     cells = [(Fraction(j, size), Fraction(j + 1, size)) for j in range(size)]
     unwitnessed = []
@@ -423,25 +354,23 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
-    failures = []
-    tested = 0
-    if isinstance(target, GraphTarget):
-        r = target.system.spec.r
+    space = target.space
+    points = [Fraction(2 * j + 1, 2 * grid) for j in range(grid)]
+    # the one branch on the space kind: a per-call memo pays on graphs, whose
+    # grid orbits merge and whose fiber metric is costly; on the interval a
+    # closed-form step costs less than hashing its Fraction key, and the memo
+    # about doubles the constant control (grid 256, horizon 40: about 85 ms
+    # -> 175 ms on a 2-core x86-64 VM)
+    if isinstance(space, GraphSystem):
         image, far = {}, {}
-        for i in range(1, r + 1):
-            for j in range(grid):
-                x = Interior(i, Fraction(2 * j + 1, 2 * grid))
-                tested += 1
-                if not _separates_graph(target, x, eta, delta, horizon, image, far):
-                    failures.append(target.system.point_json(x))
+        points = [Interior(i, t) for i in range(1, space.r + 1) for t in points]
+        failures = [space.point_json(x) for x in points
+                    if not _separates_graph(target, x, eta, delta, horizon, image, far)]
     else:
-        for j in range(grid):
-            x = Fraction(2 * j + 1, 2 * grid)
-            tested += 1
-            if not _separates_interval(target, x, eta, delta, horizon):
-                failures.append(str(x))
+        failures = [space.point_json(x) for x in points
+                    if not _separates_interval(target, x, eta, delta, horizon)]
     params = {"eta": str(eta), "delta": str(delta), "grid": grid,
-              "horizon": horizon, "points": tested}
+              "horizon": horizon, "points": len(points)}
     return _finish(target.name, "sensitivity", params, failures, started)
 
 
@@ -470,7 +399,7 @@ def _separates_graph(target, x: Interior, eta, delta, horizon,
         for _ in range(horizon + 1):
             pair = (fx, fy)
             if pair not in far:
-                far[pair] = graph_metric(target.system, fx, fy) > eta
+                far[pair] = graph_metric(target.space, fx, fy) > eta
             if far[pair]:
                 return True
             for p in pair:

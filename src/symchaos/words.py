@@ -32,7 +32,6 @@ __all__ = [
     "prefix_int",
     "prepend_bits",
     "drop_bits",
-    "leading_ones",
     "max_bits_bound",
 ]
 
@@ -417,11 +416,3 @@ def drop_bits(w: Word, n: int) -> Word:
     d = n - w.pre_len
     return Word._from_packed(0, 0, w.period_len,
                              _rot_left(w.period, w.period_len, d), primitive=True)
-
-
-def leading_ones(w: Word, cap: int) -> int:
-    """Length of the leading run of 1s, counted up to cap."""
-    count = 0
-    while count < cap and w.bit(count + 1) == 1:
-        count += 1
-    return count

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,17 @@ def test_eval_out_of_range_is_error(capsys):
     code, _, err = run(capsys, "eval", "--system", "tent", "--x", "3/2")
     assert code == 2
     assert "error" in err
+
+
+def test_eval_internal_invariant_failure_exits_three(capsys, monkeypatch):
+    import symchaos.interval
+
+    monkeypatch.setattr(symchaos.interval, "tent", lambda y: Fraction(0))
+    code, out, err = run(capsys, "eval", "--system", "induced-tent", "--x", "1/3")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: internal invariant failed: induced tent map at 1/3 "
+                   "gave 2/3, closed form gives 0\n")
 
 
 # ----------------------------------------------------------------- orbit

@@ -13,7 +13,7 @@ from symchaos.decomposition import (
     semiconjugacy_check,
     star_check,
 )
-from symchaos.graphs import Interior, Node, encode_point, exceptional_points
+from symchaos.graphs import Interior, Node, exceptional_points
 from symchaos.interval import (
     INTERVAL_CODEC,
     baker_system,
@@ -72,7 +72,7 @@ def test_induced_baker_redirects_half_to_one():
 
 
 def test_induced_identity_fixes_node_fiber(k3):
-    fib = encode_point(k3, Node("b"))
+    fib = k3.encode(Node("b"))
     assert induced_apply(k3.induced, fib) == fib
 
 
@@ -177,7 +177,7 @@ def test_outcome_json_round_trip():
 
 
 def test_graph_outcome_json(k3):
-    fib = encode_point(k3, Interior(2, F(1, 3)))
+    fib = k3.encode(Interior(2, F(1, 3)))
     out = star_check(k3.induced, fib)
     data = outcome_to_json(out, k3)
     assert data["kind"] == "single"

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphError,
     Interior,
     Node,
-    decode_word,
-    encode_point,
     exceptional_points,
     graph_map,
     graph_metric,
@@ -17,6 +17,7 @@ from symchaos.graphs import (
     graph_system,
     parse_graph,
 )
+from symchaos.interval import INTERVAL_CODEC
 from symchaos.words import Word, parse_word, prefix_int
 
 W = parse_word
@@ -78,15 +79,15 @@ def test_disconnected_graph_parses(two_segments):
 # ------------------------------------------------------------------ codec
 
 def test_encode_examples(k3):
-    assert set(encode_point(k3, Interior(2, F(1, 3)))) == {W("10:01")}
-    assert set(encode_point(k3, Node("b"))) == {W("0:1"), W("1:0")}
-    assert set(encode_point(k3, Interior(3, F(1, 2)))) == {W("111:0"), W("110:1")}
+    assert set(k3.encode(Interior(2, F(1, 3)))) == {W("10:01")}
+    assert set(k3.encode(Node("b"))) == {W("0:1"), W("1:0")}
+    assert set(k3.encode(Interior(3, F(1, 2)))) == {W("111:0"), W("110:1")}
 
 
 def test_decode_examples(k3):
-    assert decode_word(k3, W("0:01")) == Interior(1, F(1, 3))
-    assert decode_word(k3, W(":1")) == Node("a")
-    assert decode_word(k3, W("1:0")) == Node("b")
+    assert k3.decode(W("0:01")) == Interior(1, F(1, 3))
+    assert k3.decode(W(":1")) == Node("a")
+    assert k3.decode(W("1:0")) == Node("b")
 
 
 def test_codec_round_trip_sampled(k3, loop1, figure8, two_segments):
@@ -101,11 +102,11 @@ def test_codec_round_trip_sampled(k3, loop1, figure8, two_segments):
                 p = rng.randrange(1, q)
                 points.append(Interior(i, F(p, q)))
         for pt in points:
-            fib = encode_point(sys, pt)
+            fib = sys.encode(pt)
             for w in fib:
-                assert decode_word(sys, w) == pt
+                assert sys.decode(w) == pt
             # decode is constant on the fiber and encode recovers it
-            assert encode_point(sys, decode_word(sys, fib.words[0])) == fib
+            assert sys.encode(sys.decode(fib.words[0])) == fib
 
 
 def test_cylinder_partition(k3, path2, loop1, figure8, two_segments):
@@ -115,9 +116,36 @@ def test_cylinder_partition(k3, path2, loop1, figure8, two_segments):
         n = sys.spec.r + 4
         for seed in range(1 << n):
             w = Word._from_packed(n, seed, 1, 0)
-            pt = decode_word(sys, w)
-            fib = encode_point(sys, pt)
+            pt = sys.decode(w)
+            fib = sys.encode(pt)
             assert any(prefix_int(member, n) == seed for member in fib)
+
+
+SPACES = {"interval": INTERVAL_CODEC,
+          **{name: graph_system(parse_graph(text)) for name, text in EXAMPLE_GRAPHS.items()}}
+bits = st.lists(st.integers(0, 1), max_size=8)
+
+
+def _arcs_of(space, point):
+    """The arcs a decoded point lies on: every incident arc for a node."""
+    if isinstance(point, Interior):
+        return {point.arc}
+    if isinstance(point, Node):
+        return {i for i, arc in enumerate(space.spec.arcs, start=1)
+                if point.id in (arc.tail, arc.head)}
+    return {1}
+
+
+@given(st.sampled_from(sorted(SPACES)), st.builds(Word, bits, bits.filter(len)),
+       st.integers(1, 10))
+def test_window_and_word_addressing_agree(name, w, p):
+    # the packed window (dense orbit) and the word decode (periodic points)
+    # address a sequence through the same arc rule
+    space = SPACES[name]
+    point = space.decode(w)
+    cell = space.split_window(prefix_int(w, space.r - 1 + p), p)
+    assert cell[0] in _arcs_of(space, point)
+    assert cell in space.point_cells(point, p)
 
 
 # ------------------------------------------------------------------- map

@@ -138,3 +138,36 @@ def test_baker_orbit_tracks_stream_enclosures():
             raise AssertionError("enclosure straddles the branch point")
         assert img_lo <= nlo and nhi <= img_hi
         sw = nxt
+
+
+# ------------------------------------------- the fiber route's invariant
+
+@pytest.mark.parametrize("name,induced", [("tent", induced_tent), ("baker", induced_baker)])
+def test_fiber_route_mismatch_raises_arithmetic_error(monkeypatch, name, induced):
+    # a wrong closed form stands in for a wrong fiber route: either way the
+    # two disagree, and the induced map must not return a value
+    import symchaos.interval
+
+    closed = getattr(symchaos.interval, name)
+    monkeypatch.setattr(symchaos.interval, name, lambda y: closed(y) + F(1, 1 << 40))
+    with pytest.raises(ArithmeticError, match=f"induced {name} map at 1/3 gave"):
+        induced(F(1, 3))
+
+
+def test_fiber_route_invariant_survives_optimized_mode():
+    # python -O strips assert statements; the check must not be one
+    import os
+    import subprocess
+    import sys
+
+    import symchaos
+
+    code = ("import symchaos.interval as m\n"
+            "m.tent = lambda y: 0\n"
+            "try:\n"
+            "    m.induced_tent(m.Fraction(1, 3))\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(7)\n")
+    src = os.path.dirname(symchaos.__path__[0])
+    done = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src})
+    assert done.returncode == 7

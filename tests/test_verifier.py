@@ -8,6 +8,7 @@ from symchaos import verifier
 from symchaos.decomposition import induced_system
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
+    GraphSystem,
     Interior,
     graph_metric,
     graph_system,
@@ -17,7 +18,7 @@ from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import dense_word
 from symchaos.verifier import (
     ChaosReport,
-    IntervalTarget,
+    Target,
     baker_target,
     constant_target,
     dense_orbit_coverage,
@@ -248,8 +249,8 @@ def _pinned_target(base, point):
     pinned-fiber branch of the periodicity test has work to do."""
     sys = induced_system(f"{base.name}-pinned", base.induced.symbolic_map,
                          INTERVAL_CODEC, pinned_points=(point,))
-    return IntervalTarget(f"{base.name}-pinned-{point}", base.fmap, base.branches,
-                          sys, base.stream_step)
+    return Target(f"{base.name}-pinned-{point}", base.fmap, base.space, base.branches,
+                  sys, base.stream_step)
 
 
 def _interval_targets():
@@ -266,7 +267,7 @@ def _old_is_f_periodic(target, w, pt, horizon, pinned):
     cur = w
     for _ in range(horizon):
         cur = target.induced.symbolic_map(cur)
-        cpt = verifier._decode(target, cur)
+        cpt = target.space.decode(cur)
         if cpt == pt:
             return True
         if cpt in pinned:
@@ -279,31 +280,29 @@ def _old_periodic_density(target, max_period, resolution):
     pinned = frozenset(target.induced.pinned_points)
     covered, kept = set(), set()
     for w in verifier._collect_periodic(max_period):
-        pt = verifier._decode(target, w)
+        pt = target.space.decode(w)
         if _old_is_f_periodic(target, w, pt, max_period, pinned):
             kept.add(w)
-            covered.update(verifier._point_cells(target, pt, resolution))
-    cells = verifier._all_cells(target, resolution)
+            covered.update(target.space.point_cells(pt, resolution))
+    cells = verifier._all_cells(target.space, resolution)
     missing = [c for c in cells if c not in covered]
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": len(kept), "covered": len(cells) - len(missing),
               "cells": len(cells)}
-    return params, [verifier._cell_json(target, c) for c in missing], kept
+    return params, [target.space.cell_json(c) for c in missing], kept
 
 
 def _count_decodes(monkeypatch, target):
-    """Wrap the target's decode; returns the Counter of decoded words."""
+    """Wrap the decode of the target's space; returns the Counter of decoded words."""
     seen = Counter()
-    if isinstance(target, verifier.GraphTarget):
-        original, owner, name = target.system.decode, target.system, "decode"
-    else:
-        original, owner, name = verifier.word_value, verifier, "word_value"
+    codec = type(target.space)
+    original = codec.decode
 
-    def counting(word, *args):
+    def counting(self, word, *args):
         seen[word] += 1
-        return original(word, *args)
+        return original(self, word, *args)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(codec, "decode", counting)
     return seen
 
 
@@ -340,8 +339,8 @@ def test_pinned_purely_periodic_words_are_tested():
 def test_periodicity_needs_shift_or_complementing_shift():
     from symchaos.words import r_map
 
-    target = IntervalTarget("r", tent_target().fmap, tent_target().branches,
-                            induced_system("r", r_map, INTERVAL_CODEC))
+    target = Target("r", tent_target().fmap, INTERVAL_CODEC, tent_target().branches,
+                    induced_system("r", r_map, INTERVAL_CODEC))
     with pytest.raises(ValueError, match="complementing shift"):
         periodic_density(target, 4, 2)
 
@@ -361,8 +360,8 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
     for base, name in ((tent_target(), "c_map"), (baker_target(), "shift_map")):
         sys = induced_system(base.name, wrapped[name], INTERVAL_CODEC,
                              pinned_points=base.induced.pinned_points)
-        target = IntervalTarget(base.name, base.fmap, base.branches, sys,
-                                base.stream_step)
+        target = Target(base.name, base.fmap, base.space, base.branches, sys,
+                        base.stream_step)
         assert periodic_density(target, 8, 5).params == expected[base.name]
 
 
@@ -380,7 +379,7 @@ def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
 
 def _orbit_oracle(target, steps, resolution):
     """(params, witnesses) from one window_int read per generator step."""
-    system = getattr(target, "system", None)
+    system = target.space if isinstance(target.space, GraphSystem) else None
     r = system.spec.r if system else 1
     width = r - 1 + resolution + 2
     cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
@@ -423,7 +422,7 @@ def _old_separates_graph(target, x, eta, delta, horizon):
             continue
         fx, fy = x, Interior(x.arc, t)
         for _ in range(horizon + 1):
-            if graph_metric(target.system, fx, fy) > eta:
+            if graph_metric(target.space, fx, fy) > eta:
                 return True
             fx, fy = target.fmap(fx), target.fmap(fy)
     return False
@@ -432,8 +431,8 @@ def _old_separates_graph(target, x, eta, delta, horizon):
 def _old_sensitivity_graph(target, eta, delta, grid, horizon):
     """(params, verdict, witnesses) from one map and one metric per step."""
     points = [Interior(i, F(2 * j + 1, 2 * grid))
-              for i in range(1, target.system.spec.r + 1) for j in range(grid)]
-    witnesses = [target.system.point_json(x) for x in points
+              for i in range(1, target.space.spec.r + 1) for j in range(grid)]
+    witnesses = [target.space.point_json(x) for x in points
                  if not _old_separates_graph(target, x, eta, delta, horizon)]
     params = {"eta": str(eta), "delta": str(delta), "grid": grid,
               "horizon": horizon, "points": len(points)}
