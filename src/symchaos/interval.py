@@ -35,10 +35,23 @@ HALF = Fraction(1, 2)
 
 
 def as_unit(y) -> Fraction:
-    y = Fraction(y)
-    if y < 0 or y > 1:
-        raise ValueError(f"point {y} outside [0, 1]")
+    if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
+        y = Fraction(y)
+    if not 0 <= y.numerator <= y.denominator:
+        raise ValueError(f"point {_show(y)} outside [0, 1]")
     return y
+
+
+_SHOWN_BITS = 256
+
+
+def _show(x: Fraction) -> str:
+    """x as text for a message, or only its size once a part passes
+    _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError)."""
+    num, den = x.numerator.bit_length(), x.denominator.bit_length()
+    if max(num, den) <= _SHOWN_BITS:
+        return str(x)
+    return f"a fraction with a {num}-bit numerator and a {den}-bit denominator"
 
 
 def unit_cells(y: Fraction, p: int) -> List[int]:
@@ -62,8 +75,8 @@ class IntervalCodec:
     def encode(self, point: Fraction) -> Fiber:
         return Fiber(bits_of(as_unit(point)))
 
-    def decode(self, word: Word, den_hint: int | None = None) -> Fraction:
-        return word_value(word, den_hint)
+    def decode(self, word: Word) -> Fraction:
+        return word_value(word)
 
     def fiber_of(self, word: Word) -> Fiber:
         twin = _dyadic_twin(word)
@@ -141,9 +154,10 @@ def _through_fibers(system: InducedSystem, closed_form, y) -> Fraction:
     y = as_unit(y)
     out = induced_apply(system, interval_fiber(y))
     value = word_value(out.words[0], y.denominator)
-    if value != closed_form(y):
-        raise ArithmeticError(f"induced {system.name} map at {y} gave {value}, "
-                              f"closed form gives {closed_form(y)}")
+    expected = closed_form(y)
+    if value != expected:
+        raise ArithmeticError(f"induced {system.name} map at {_show(y)} gave "
+                              f"{_show(value)}, closed form gives {_show(expected)}")
     return value
 
 

@@ -37,6 +37,8 @@ __all__ = [
 
 _WORD_RE = re.compile(r"^([01]*):([01]+)$")
 
+_M64 = (1 << 64) - 1
+
 DEFAULT_MAX_BITS = 24
 
 
@@ -169,7 +171,9 @@ class Word:
                 and self.period_len == other.period_len and self.period == other.period)
 
     def __hash__(self) -> int:
-        return hash((self.pre_len, self.pre, self.period_len, self.period))
+        # the low 64 bits of each field: O(1) on periods of any length, and
+        # the plain field hash whenever both fields are below 2^64
+        return hash((self.pre_len, self.pre & _M64, self.period_len, self.period & _M64))
 
     def __lt__(self, other: "Word") -> bool:
         # (preperiod, period) lexicographic, bitstring order.
@@ -201,7 +205,7 @@ def _canonical(m: int, p: int, k: int, q: int, *, primitive: bool) -> Tuple[int,
                 k, q = d, block
                 break
     # absorb preperiod bits that already match the cycle
-    while m and ((p ^ q) & 1) == 0:
+    while m and (p & 1) == (q & 1):
         m -= 1
         p >>= 1
         q = ((q & 1) << (k - 1)) | (q >> 1)
@@ -235,8 +239,9 @@ def shift_map(w: Word) -> Word:
     if w.pre_len:
         return Word._from_packed(w.pre_len - 1, w.pre & ((1 << (w.pre_len - 1)) - 1),
                                  w.period_len, w.period, primitive=True)
-    return Word._from_packed(0, 0, w.period_len,
-                             _rot_left(w.period, w.period_len), primitive=True)
+    k, q = w.period_len, w.period
+    top = q >> (k - 1)
+    return Word._from_packed(0, 0, k, ((q << 1) | top) - (top << k), primitive=True)
 
 
 def complement(w: Word) -> Word:
@@ -290,17 +295,23 @@ def word_value(w: Word, den_hint: int | None = None) -> Fraction:
     """Exact value of the binary expansion, in [0, 1].
 
     den_hint, when given, is tried as a denominator before falling back to a
-    full gcd; for huge periods (orders of 2 near 10^6) the hint path avoids
-    a multi-second reduction.
+    full gcd.  With k the period length, the periodic part period/(2^k - 1)
+    is c/den_hint exactly when period·den_hint == c·2^k - c; for
+    0 < c <= 2^k that forces c = floor(period·den_hint / 2^k) + 1, so one
+    candidate is tested, in a few linear passes over the period.  For huge
+    periods (orders of 2 near 10^6) the gcd reduction takes seconds.
     """
-    mask = (1 << w.period_len) - 1
-    num = w.pre * mask + w.period
-    den = mask << w.pre_len
+    m, k = w.pre_len, w.period_len
     if den_hint:
-        t = num * den_hint
-        a, r = divmod(t, den)
-        if r == 0:
-            return Fraction(a, den_hint)
+        pq = w.period * den_hint
+        c = (pq >> k) + 1 if pq else 0
+        if pq == (c << k) - c:
+            a = w.pre * den_hint + c
+            if a & ((1 << m) - 1) == 0:
+                return Fraction(a >> m, den_hint)
+    mask = (1 << k) - 1
+    num = w.pre * mask + w.period
+    den = mask << m
     g = math.gcd(num, den)
     return Fraction(num // g, den // g)
 
@@ -324,22 +335,68 @@ def _aligned_period(w: Word, start: int, k: int) -> int:
     return _repeat_block(block, w.period_len, k // w.period_len)
 
 
+_TRIAL_LIMIT = 1000  # trial division by the primes below this
 _SMALL_PRIMES: List[int] = []
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this bound (Sorenson and Webster, 2015); a larger n that passes all 13
+# bases is not assumed prime.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-def _small_primes(limit: int = 1001) -> List[int]:
+
+def _small_primes() -> List[int]:
     global _SMALL_PRIMES
     if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * limit
+        sieve = bytearray([1]) * _TRIAL_LIMIT
         sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(limit ** 0.5) + 1):
+        for i in range(2, int(_TRIAL_LIMIT ** 0.5) + 1):
             if sieve[i]:
                 sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-        _SMALL_PRIMES = [i for i in range(limit) if sieve[i]]
+        _SMALL_PRIMES = [i for i in range(_TRIAL_LIMIT) if sieve[i]]
     return _SMALL_PRIMES
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on odd n > 41 with the bases _MR_BASES.  False is always
+    a proof; True needs n < MILLER_RABIN_BOUND, and past it ValueError."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot prove a {n.bit_length()}-bit factor prime: exact "
+                         f"factorization is limited to factors below {MILLER_RABIN_BOUND}")
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard's rho, Floyd cycles)."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"no factor found for composite {n}")
+
+
 def _factorize(n: int) -> dict:
+    """Exact prime factorization of n >= 1: trial division by the primes
+    below _TRIAL_LIMIT, then Miller-Rabin and Pollard's rho on the rest."""
     factors: dict = {}
     for p in _small_primes():
         if p * p > n:
@@ -347,8 +404,15 @@ def _factorize(n: int) -> dict:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        # m has no factor below _TRIAL_LIMIT, so below its square it is prime
+        if m < _TRIAL_LIMIT ** 2 or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
     return factors
 
 
@@ -361,6 +425,8 @@ def _order_of_two(q: int) -> int:
     for p in _factorize(lam):
         while order % p == 0 and pow(2, order // p, q) == 1:
             order //= p
+    if pow(2, order, q) != 1:
+        raise ArithmeticError(f"2^{order} is not 1 modulo {q}")
     return order
 
 
@@ -387,7 +453,7 @@ def bits_of(t: Fraction) -> List[Word]:
     head = p // q_odd
     s = p % q_odd
     k = _order_of_two(q_odd)
-    block = s * ((1 << k) - 1) // q_odd
+    block = ((s << k) - s) // q_odd
     return [Word._from_packed(a, head, k, block, primitive=True)]
 
 

@@ -58,6 +58,28 @@ def test_eval_internal_invariant_failure_exits_three(capsys, monkeypatch):
                    "gave 2/3, closed form gives 0\n")
 
 
+def test_eval_invariant_failure_with_a_huge_value_exits_three(capsys, monkeypatch):
+    # a value whose numerator or denominator has over 4300 digits cannot go
+    # through str(); the failure must still be reported as an invariant
+    import symchaos.interval
+
+    huge = Fraction(1, 10 ** 4400)
+    monkeypatch.setattr(symchaos.interval, "tent", lambda y: huge)
+    code, out, err = run(capsys, "eval", "--system", "induced-tent", "--x", "1/3")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: internal invariant failed: induced tent map at 1/3 gave 2/3, "
+                   "closed form gives a fraction with a 1-bit numerator and a "
+                   f"{huge.denominator.bit_length()}-bit denominator\n")
+
+
+@pytest.mark.parametrize("system", ["induced-tent", "induced-baker"])
+def test_eval_denominator_with_composite_cofactor_golden(capsys, system):
+    # 1022117 = 1009·1013: the odd part is composite with no factor below 1000
+    code, out, err = run(capsys, "eval", "--system", system, "--x", "1/1022117")
+    assert (code, out, err) == (0, "2/1022117\n", "")
+
+
 # ----------------------------------------------------------------- orbit
 
 GOLDEN_ORBIT = """step,num,den,approx

@@ -29,6 +29,14 @@ def test_as_unit_rejects_out_of_range():
         as_unit(F(-1, 4))
 
 
+def test_as_unit_message_survives_huge_values():
+    # str() of an int over 4300 digits raises; the message must not need it
+    huge = F(10 ** 5000 + 1, 10 ** 5000)
+    with pytest.raises(ValueError, match=r"point a fraction with a \d+-bit numerator and "
+                                         r"a \d+-bit denominator outside \[0, 1\]"):
+        as_unit(huge)
+
+
 def test_interval_fiber_examples():
     assert interval_fiber(F(0)).words == (W(":0"),)
     assert set(interval_fiber(F(1, 2))) == {W("1:0"), W("0:1")}
@@ -73,6 +81,14 @@ def test_induced_maps_match_formulas_random():
     for _ in range(100):
         q = rng.randrange(2, 10 ** 5)
         y = F(rng.randrange(0, q + 1), q)
+        assert induced_tent(y) == tent(y)
+        assert induced_baker(y) == baker(y)
+
+
+@pytest.mark.parametrize("q", [1009 * 1013, 1009 ** 2, 3 * 1019 * 1021, 10007 * 10009])
+def test_induced_maps_exact_for_composite_cofactors(q):
+    # odd parts with a composite cofactor above 1000 (1009·1013 = 1022117)
+    for y in (F(1, q), F(q // 2, q), F(q - 1, q), F(3, 2 * q), F(5, 1024 * q)):
         assert induced_tent(y) == tent(y)
         assert induced_baker(y) == baker(y)
 

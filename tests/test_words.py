@@ -1,12 +1,20 @@
+import math
 import random
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symchaos.words
 from symchaos.words import (
+    MILLER_RABIN_BOUND,
     Word,
+    _factorize,
+    _order_of_two,
+    _rot_left,
     bits_of,
     c_map,
     complement,
@@ -19,6 +27,11 @@ from symchaos.words import (
     word_metric,
     word_value,
 )
+
+try:
+    from sympy import factorint
+except ImportError:  # the oracle is optional
+    factorint = None
 
 W = parse_word
 
@@ -141,6 +154,82 @@ def test_c_map_decomposition_all_short_prefixes():
             assert img.bit(i) == w.bit(i + 1) ^ first
 
 
+def _old_shift_map(w):
+    # shift_map before the one-pass rotation: the period rotated by _rot_left
+    if w.pre_len:
+        return Word._from_packed(w.pre_len - 1, w.pre & ((1 << (w.pre_len - 1)) - 1),
+                                 w.period_len, w.period, primitive=True)
+    return Word._from_packed(0, 0, w.period_len, _rot_left(w.period, w.period_len),
+                             primitive=True)
+
+
+def _old_c_map(w):
+    s = _old_shift_map(w)
+    return complement(s) if w.bit(1) else s
+
+
+def _long_periodic_words():
+    # purely periodic words whose period straddles the 64-bit hash window
+    rng = random.Random(64)
+    out = []
+    for k in (63, 64, 65, 200, 4099):
+        for top in (0, 1):
+            q = rng.getrandbits(k - 1) | (top << (k - 1)) | 1
+            out.append(Word._from_packed(0, 0, k, q))
+    return out
+
+
+def test_shift_and_c_map_match_old_rotation_exhaustively():
+    # every purely periodic word with period up to 8 (k = 1 included), and
+    # long periods: the old rotation and the bitwise definition agree
+    words = [w for n in range(1, 9) for w in periodic_words(n)] + _long_periodic_words()
+    for w in words:
+        horizon = 2 * w.period_len + 3
+        assert shift_map(w) == _old_shift_map(w)
+        assert c_map(w) == _old_c_map(w)
+        assert shift_map(w).prefix(horizon) == w.prefix(horizon + 1)[1:]
+        assert c_map(w).prefix(horizon) == _c_oracle_bits(w, horizon)
+
+
+@given(words_strategy)
+def test_shift_and_c_map_match_old_rotation(w):
+    assert shift_map(w) == _old_shift_map(w)
+    assert c_map(w) == _old_c_map(w)
+
+
+# ---------------------------------------------------------------- hash
+
+@given(words_strategy)
+def test_hash_below_2_64_is_the_field_hash(w):
+    assert hash(w) == hash((w.pre_len, w.pre, w.period_len, w.period))
+
+
+@given(bits_strategy(70), bits_strategy(70, min_len=1), st.integers(1, 3))
+def test_equal_words_hash_equal(pre, period, reps):
+    # the same sequence written with an unrolled period and a longer preperiod
+    a = Word(pre, period)
+    b = Word(pre + period, period * reps)
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_words_differing_only_above_bit_64_are_distinct_members():
+    for w in _long_periodic_words():
+        if w.period_len <= 64:
+            assert hash(w) == hash((w.pre_len, w.pre, w.period_len, w.period))
+        if w.period_len <= 65:
+            continue
+        twin = Word._from_packed(0, 0, w.period_len, w.period ^ (1 << 100))
+        # preperiods end in 0 and periods in 1, so nothing is absorbed
+        pre_a = Word._from_packed(130, (1 << 129) | 2, w.period_len, w.period)
+        pre_b = Word._from_packed(130, (1 << 129) | (1 << 90) | 2, w.period_len, w.period)
+        assert pre_a.pre_len == pre_b.pre_len == 130
+        for a, b in ((w, twin), (pre_a, pre_b)):
+            assert hash(a) == hash(b)
+            assert a != b
+            assert len({a, b}) == 2
+
+
 # ---------------------------------------------------------------- r map
 
 def _c_prefix_int(v, length):
@@ -239,6 +328,45 @@ def test_word_value_den_hint_paths():
     assert word_value(w, den_hint=7919) == exact  # wrong hint falls back
 
 
+def _old_word_value(w, den_hint=None):
+    # word_value before the divisibility identity: a divmod exactness check
+    mask = (1 << w.period_len) - 1
+    num = w.pre * mask + w.period
+    den = mask << w.pre_len
+    if den_hint:
+        a, r = divmod(num * den_hint, den)
+        if r == 0:
+            return Fraction(a, den_hint)
+    g = math.gcd(num, den)
+    return Fraction(num // g, den // g)
+
+
+@given(words_strategy, st.integers(1, 1 << 12), st.integers(1, 10 ** 7))
+def test_word_value_hint_matches_divmod_and_gcd_paths(w, mult, other):
+    exact = _old_word_value(w)
+    assert word_value(w) == exact
+    # hints that divide: the denominator and its multiples; and arbitrary ones
+    for hint in (exact.denominator, mult * exact.denominator, other, other | 1):
+        assert word_value(w, hint) == exact
+        assert _old_word_value(w, hint) == exact
+
+
+def test_word_value_hint_skips_the_gcd(monkeypatch):
+    # an odd denominator always satisfies the identity, so the hint path
+    # never reaches the gcd, even on periods of ~10^5 bits
+    rng = random.Random(17)
+    qs = [3, 7, 1022117, 999983] + [rng.randrange(3, 10 ** 6, 2) for _ in range(20)]
+    points = [Fraction(rng.randrange(1, q), q) for q in qs]
+    words = [bits_of(t)[0] for t in points]
+
+    def no_gcd(a, b):
+        raise AssertionError("gcd reached")
+
+    monkeypatch.setattr(symchaos.words, "math", types.SimpleNamespace(gcd=no_gcd))
+    for t, w in zip(points, words):
+        assert word_value(w, t.denominator) == t
+
+
 # ---------------------------------------------------------------- metric
 
 def test_word_metric_examples():
@@ -304,6 +432,84 @@ def test_bits_of_value_round_trip_random_rationals():
         t = Fraction(p, q)
         for w in bits_of(t):
             assert word_value(w, den_hint=t.denominator) == t
+
+
+# ------------------------------------------------- exact factorization
+
+def _next_prime(n):
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _brute_order(q):
+    """Multiplicative order of 2 modulo odd q > 1, by stepping its powers."""
+    k, x = 1, 2 % q
+    while x != 1:
+        k, x = k + 1, 2 * x % q
+    return k
+
+
+# denominators whose odd part keeps a composite cofactor above 1000, each
+# with its prime powers
+COMPOSITE_COFACTORS = [
+    (1009 * 1013, [1009, 1013]),
+    (1009 ** 2, [1009 ** 2]),
+    (3 * 1019 * 1021, [3, 1019, 1021]),
+    (10007 * 10009, [10007, 10009]),
+]
+
+
+@pytest.mark.parametrize("q,prime_powers", COMPOSITE_COFACTORS)
+def test_bits_of_exact_for_composite_cofactors(q, prime_powers):
+    order = math.lcm(*(_brute_order(pp) for pp in prime_powers))
+    for t in (Fraction(1, q), Fraction(q - 2, q), Fraction(1, 4 * q)):
+        [w] = bits_of(t)
+        assert w.period_len == order  # the least period: the block is primitive
+        assert prefix_int(w, 96) == (t.numerator << 96) // t.denominator
+        assert word_value(w, t.denominator) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1001, 30000).map(_next_prime), min_size=1, max_size=3,
+                unique=True),
+       st.integers(1, 3))
+def test_factorize_and_order_on_products_of_primes_above_1000(primes, e):
+    q = math.prod(primes)
+    assert _factorize(q) == {p: 1 for p in primes}
+    assert _order_of_two(q) == math.lcm(*(_brute_order(p) for p in primes))
+    n = 2 ** e * 3 * primes[0] ** e * q
+    expected = Counter({2: e, 3: 1, primes[0]: e + 1, **{p: 1 for p in primes[1:]}})
+    assert _factorize(n) == expected
+    if factorint is not None:
+        assert _factorize(n) == factorint(n)
+
+
+def test_factorize_splits_composites_above_the_miller_rabin_bound():
+    # a composite past the bound is proven composite by a witness and split;
+    # its factors are below the bound, so they are proven prime
+    a, b = 2 ** 61 - 1, 2 ** 31 - 1
+    assert a * b > MILLER_RABIN_BOUND
+    assert _factorize(a * b) == {a: 1, b: 1}
+
+
+def test_unprovable_prime_factor_is_an_error():
+    # 2^89 - 1 is prime, but past the bound Miller-Rabin proves nothing
+    with pytest.raises(ValueError, match="cannot prove a 89-bit factor prime"):
+        _factorize(2 ** 89 - 1)
+    with pytest.raises(ValueError, match="cannot prove"):
+        bits_of(Fraction(1, 2 ** 89 - 1))
+
+
+def test_order_of_two_rejects_a_wrong_factorization(monkeypatch):
+    # a composite passed off as prime gives a candidate order that is not a
+    # multiple of the true one; the final check catches it
+    q = 1009 * 1013
+    real = symchaos.words._factorize
+    monkeypatch.setattr(symchaos.words, "_factorize",
+                        lambda n: {n: 1} if n == q else real(n))
+    with pytest.raises(ArithmeticError, match=f"is not 1 modulo {q}"):
+        _order_of_two(q)
 
 
 # ------------------------------------------------------- periodic words
