@@ -69,8 +69,10 @@ class Fiber:
 class Codec(Protocol):
     """Bridge between words and points of a concrete space.
 
-    The space is a union of r arcs (r = 1 on the interval); a resolution-p
-    cell is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].
+    Fibers are the points: `fiber_of` gives a word's fiber from the word,
+    and nothing between `encode` and `decode` names a point otherwise.  The
+    space is a union of r arcs (r = 1 on the interval); a resolution-p cell
+    is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].
     """
 
     r: int
@@ -80,8 +82,6 @@ class Codec(Protocol):
     def decode(self, word: Word): ...
 
     def fiber_of(self, word: Word) -> Fiber: ...
-
-    def point_key(self, word: Word): ...
 
     def point_json(self, point): ...
 
@@ -136,25 +136,24 @@ def induced_system(name: str, symbolic_map: Callable[[Word], Word], codec: Codec
 def star_check(sys: InducedSystem, fib: Fiber) -> StarOutcome:
     """Apply the symbolic map memberwise and test the star condition.
 
-    Image words are compared as space points (two expansions of one dyadic
-    are the same point, not a violation).  Returns the full fiber of the
-    common point, or the list of disagreeing images.
+    It holds when every image word lies in the fiber of the first (two
+    expansions of one dyadic are one point, not a violation), and that fiber
+    is the result; otherwise returns every image with its point.
     """
     codec = sys.codec
     images = [sys.symbolic_map(w) for w in fib]
-    keys = {codec.point_key(w) for w in images}
-    if len(keys) == 1:
-        return SingleFiber(codec.fiber_of(images[0]))
+    target = codec.fiber_of(images[0])
+    if all(w in target for w in images):
+        return SingleFiber(target)
     return Violation(tuple((w, codec.decode(w)) for w in images))
 
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
-    if fib in sys.pinned_fibers:
-        return fib if sys.designated is None else sys.codec.encode(sys.designated)
-    outcome = star_check(sys, fib)
-    if isinstance(outcome, SingleFiber):
-        return outcome.target
+    if fib not in sys.pinned_fibers:
+        outcome = star_check(sys, fib)
+        if isinstance(outcome, SingleFiber):
+            return outcome.target
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 

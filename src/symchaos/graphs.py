@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
-from .interval import unit_cells
+from .interval import INTERVAL_CODEC, unit_cells
 from .streams import StreamWord, enclosure_contains
 from .words import (
     Word,
@@ -214,15 +214,24 @@ class GraphSystem:
 
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word; endpoint parameters collapse to nodes."""
-        r = self.r
-        i, skip = _arc_address(prefix_int(word, r - 1), r)
-        return self.point_at(i, word_value(drop_bits(word, skip)))
+        i, param = self._split_address(word)
+        return self.point_at(i, word_value(param))
 
     def fiber_of(self, word: Word) -> Fiber:
-        return self.encode(self.decode(word))
+        """The fiber of a word's point, from the word: a node's fiber at a
+        constant parameter word, else the arc prefix before each word of the
+        parameter word's interval fiber."""
+        i, param = self._split_address(word)
+        if param.pre_len == 0 and param.period_len == 1:  # 0^inf or 1^inf
+            return self.encode(self.point_at(i, param.period))
+        prefix = self.prefixes[i - 1]
+        return Fiber(prepend_bits(w, prefix) for w in INTERVAL_CODEC.fiber_of(param))
 
-    def point_key(self, word: Word) -> GraphPoint:
-        return self.decode(word)
+    def _split_address(self, word: Word) -> Tuple[int, Word]:
+        """The arc a word addresses and its parameter word (the word after
+        the arc prefix)."""
+        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
+        return i, drop_bits(word, skip)
 
     def point_json(self, point: GraphPoint):
         if isinstance(point, Node):

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
 from .streams import StreamWord, enclosure_contains
-from .words import Word, bits_of, c_map, r_map, shift_map, word_value
+from .words import Word, bits_of, c_map, dyadic_twin, r_map, shift_map, word_value
 
 __all__ = [
     "as_unit",
@@ -79,14 +79,8 @@ class IntervalCodec:
         return word_value(word)
 
     def fiber_of(self, word: Word) -> Fiber:
-        twin = _dyadic_twin(word)
+        twin = dyadic_twin(word)
         return Fiber([word] if twin is None else [word, twin])
-
-    def point_key(self, word: Word) -> Word:
-        # canonical word per point: the ...10^inf expansion for dyadics
-        if word.period_len == 1 and word.period == 1 and word.pre_len:
-            return _dyadic_twin(word)
-        return word
 
     def point_json(self, point: Fraction) -> str:
         return str(point)
@@ -104,19 +98,6 @@ class IntervalCodec:
                             precision: int) -> bool:
         v = sw.window_int(precision)
         return not any(enclosure_contains(v, precision, pt) for pt in points)
-
-
-def _dyadic_twin(word: Word) -> Word | None:
-    """The other expansion of the same point, if there is one."""
-    if word.pre_len == 0:
-        return None
-    if word.period_len == 1 and word.period == 0:
-        # pre ends in 1: ...10^inf  ->  ...01^inf
-        return Word._from_packed(word.pre_len, word.pre - 1, 1, 1)
-    if word.period_len == 1 and word.period == 1:
-        # pre ends in 0: ...01^inf  ->  ...10^inf
-        return Word._from_packed(word.pre_len, word.pre + 1, 1, 0)
-    return None
 
 
 INTERVAL_CODEC = IntervalCodec()

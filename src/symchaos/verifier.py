@@ -225,6 +225,8 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     _at_least(1, steps=steps, resolution=resolution)
     if steps > 10 ** 6:
         raise ValueError(f"steps {steps} exceeds bound 10^6")
+    if resolution > 16:
+        raise ValueError(f"resolution {resolution} exceeds bound 16")
     if target.stream_step is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space = target.space
@@ -426,6 +428,8 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     _at_least(0, orbit_steps=orbit_steps)
     if max_period > 16:
         raise ValueError(f"max_period {max_period} exceeds bound 16")
+    if orbit_steps > 10 ** 6:
+        raise ValueError(f"orbit_steps {orbit_steps} exceeds bound 10^6")
     if target.induced is None or target.stream_step is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced

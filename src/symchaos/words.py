@@ -28,6 +28,7 @@ __all__ = [
     "word_value",
     "word_metric",
     "bits_of",
+    "dyadic_twin",
     "periodic_words",
     "prefix_int",
     "prepend_bits",
@@ -87,18 +88,6 @@ def _repeat_block(block: int, width: int, times: int) -> int:
     if times == 1:
         return block
     return block * (((1 << (width * times)) - 1) // ((1 << width) - 1))
-
-
-def _divisors(n: int) -> List[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 class Word:
@@ -197,13 +186,13 @@ def _cmp_bitstring(len_a: int, a: int, len_b: int, b: int) -> int:
 
 def _canonical(m: int, p: int, k: int, q: int, *, primitive: bool) -> Tuple[int, int, int, int]:
     if not primitive:
-        for d in _divisors(k):
-            if d == k:
-                break
-            block = q >> (k - d)
-            if _repeat_block(block, d, k // d) == q:
-                k, q = d, block
-                break
+        # q repeats a block of length k/p exactly when rotating it by k/p
+        # leaves it unchanged; dropping each prime p of k while that holds
+        # ends at the primitive period
+        for prime in _factorize(k):
+            while k % prime == 0 and _rot_left(q, k, k // prime) == q:
+                k //= prime
+                q >>= k * (prime - 1)
     # absorb preperiod bits that already match the cycle
     while m and (p & 1) == (q & 1):
         m -= 1
@@ -447,14 +436,23 @@ def bits_of(t: Fraction) -> List[Word]:
         if p == 0:
             return [Word([], [0])]
         # terminating expansion: a bits of p, last bit 1 (p odd in lowest terms)
-        w1 = Word._from_packed(a, p, 1, 0)
-        w2 = Word._from_packed(a, p - 1, 1, 1)
-        return [w1, w2]
+        w = Word._from_packed(a, p, 1, 0)
+        return [w, dyadic_twin(w)]
     head = p // q_odd
     s = p % q_odd
     k = _order_of_two(q_odd)
     block = ((s << k) - s) // q_odd
     return [Word._from_packed(a, head, k, block, primitive=True)]
+
+
+def dyadic_twin(w: Word) -> Word | None:
+    """The other binary expansion of w's value, if there is one: the
+    expansions u10^inf and u01^inf of a dyadic pair up, and no other word
+    shares its value with a second word."""
+    if w.pre_len == 0 or w.period_len != 1:
+        return None
+    # canonical, the preperiod ends in the bit the period does not repeat
+    return Word._from_packed(w.pre_len, w.pre + (1 if w.period else -1), 1, 1 - w.period)
 
 
 def periodic_words(n: int) -> List[Word]:

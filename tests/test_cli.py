@@ -213,6 +213,18 @@ def test_verify_out_of_range_parameter_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--property", "dense-orbit", "--resolution", "17"),
+    ("--property", "dense-orbit", "--resolution", "40"),
+    ("--property", "lemma6", "--steps", str(10 ** 6 + 1)),
+], ids=["resolution-17", "resolution-40", "lemma6-steps-above-10^6"])
+def test_verify_parameter_above_its_cap_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", "--system", "tent", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds bound" in err
+
+
 @pytest.mark.parametrize("name,value", [
     ("eta", "-1"), ("eta", "0"), ("delta", "0"), ("delta", "1"), ("delta", "-1/8"),
 ])

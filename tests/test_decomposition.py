@@ -13,7 +13,15 @@ from symchaos.decomposition import (
     semiconjugacy_check,
     star_check,
 )
-from symchaos.graphs import Interior, Node, exceptional_points
+from symchaos.graphs import (
+    EXAMPLE_GRAPHS,
+    GraphSystem,
+    Interior,
+    Node,
+    exceptional_points,
+    graph_system,
+    parse_graph,
+)
 from symchaos.interval import (
     INTERVAL_CODEC,
     baker_system,
@@ -22,7 +30,7 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import dense_word, stream_shift
-from symchaos.words import parse_word, periodic_words
+from symchaos.words import Word, dyadic_twin, parse_word, periodic_words
 
 W = parse_word
 F = Fraction
@@ -86,6 +94,48 @@ def test_semiconjugacy_examples():
     assert semiconjugacy_check(tent_system(), W(":10")) is True
     assert semiconjugacy_check(baker_system(), W("1:0")) is False
     assert semiconjugacy_check(baker_system(), W(":01")) is True
+
+
+def _words_up_to(total):
+    """Every word with pre_len + period_len <= total."""
+    return list(dict.fromkeys(
+        Word._from_packed(m, pre, k, per)
+        for k in range(1, total + 1) for m in range(total - k + 1)
+        for pre in range(1 << m) for per in range(1 << k)))
+
+
+def _point_key(codec, w):
+    """The former point identity: the decoded point on a graph, the
+    ...10^inf word of an interval dyadic."""
+    if isinstance(codec, GraphSystem):
+        return codec.decode(w)
+    if w.period_len == 1 and w.period == 1 and w.pre_len:
+        return dyadic_twin(w)
+    return w
+
+
+def _star_check_by_point_keys(sys, fib):
+    """The former star check: image words compared as points through keys,
+    the target fiber through a decode and an encode."""
+    codec = sys.codec
+    images = [sys.symbolic_map(w) for w in fib]
+    if len({_point_key(codec, w) for w in images}) == 1:
+        return SingleFiber(codec.encode(codec.decode(images[0])))
+    return Violation(tuple((w, codec.decode(w)) for w in images))
+
+
+@pytest.mark.parametrize("name", ["tent", "baker", *EXAMPLE_GRAPHS])
+def test_star_check_by_membership_matches_point_keys(name):
+    if name in ("tent", "baker"):
+        sys = tent_system() if name == "tent" else baker_system()
+    else:
+        sys = graph_system(parse_graph(EXAMPLE_GRAPHS[name])).induced
+    # violations occur over baker's 1/2 and on path2 and two_segments
+    codec = sys.codec
+    for w in _words_up_to(8):
+        fib = codec.encode(codec.decode(w))
+        assert codec.fiber_of(w) == fib
+        assert star_check(sys, fib) == _star_check_by_point_keys(sys, fib)
 
 
 def test_semiconjugacy_streams():

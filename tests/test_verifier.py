@@ -223,6 +223,18 @@ def test_out_of_range_parameters_raise(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dense_orbit_coverage(tent_target(), 100, 17),
+    lambda: dense_orbit_coverage(baker_target(), 100, 40),
+    lambda: lemma6_commute_check(tent_target(), 4, 10 ** 6 + 1),
+], ids=["dense-orbit-resolution-17", "dense-orbit-resolution-40",
+        "lemma6-orbit-steps-above-10^6"])
+def test_parameters_above_their_caps_raise(call):
+    # rejected before any cell or orbit step is built
+    with pytest.raises(ValueError, match="exceeds bound"):
+        call()
+
+
 @pytest.mark.parametrize("eta,delta", [
     (F(-1), F(1, 4096)), (F(0), F(1, 4096)),
     (F(1, 4), F(0)), (F(1, 4), F(-1, 8)), (F(1, 4), F(1)), (F(1, 4), F(3, 2)),

@@ -14,6 +14,7 @@ from symchaos.words import (
     Word,
     _factorize,
     _order_of_two,
+    _repeat_block,
     _rot_left,
     bits_of,
     c_map,
@@ -77,6 +78,47 @@ def test_canonical_minimal_preperiod():
     assert Word([0], [0]) == W(":0")
     assert Word([1, 0], [1, 0]) == W(":10")
     assert Word([1], [0, 1]) == W(":10")
+
+
+def _divisors(n):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _primitive_by_all_divisors(k, q):
+    """The former primitive-period search: the least proper divisor d of k
+    whose leading block, repeated k/d times, is q."""
+    for d in _divisors(k):
+        if d == k:
+            break
+        block = q >> (k - d)
+        if _repeat_block(block, d, k // d) == q:
+            return d, block
+    return k, q
+
+
+def test_primitive_period_matches_the_all_divisor_scan():
+    for k in range(1, 13):
+        for q in range(1 << k):
+            w = Word._from_packed(0, 0, k, q)
+            assert (w.period_len, w.period) == _primitive_by_all_divisors(k, q)
+
+
+def test_canonical_form_of_a_multi_million_bit_period():
+    # 2 has order 8,345,004 modulo 10007 * 10009: one prime test per prime
+    # factor of the period length, where the divisor scan took minutes
+    [w] = bits_of(Fraction(1, 10007 * 10009))
+    k, q = w.period_len, w.period
+    assert k == 8345004
+    assert Word._from_packed(0, 0, k, q) == w
+    assert Word._from_packed(0, 0, 2 * k, (q << k) | q) == w
 
 
 @given(words_strategy)
