@@ -8,16 +8,19 @@ elapsed_ms is the only nondeterministic report field.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .decomposition import Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, dense_word, stream_c_step, stream_shift
-from .words import Word, c_map, max_bits_bound, periodic_words, shift_map
+from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
+                    shift_map)
 
 __all__ = [
     "ChaosReport",
@@ -138,68 +141,156 @@ def _collect_periodic(max_period: int) -> List[Word]:
 
 
 def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosReport:
-    """Are the verified periodic points (projected from symbolically periodic
-    words, kept only when exact iteration confirms periodicity) dense at
-    resolution 2^-resolution?"""
+    """Are the verified periodic points (projected from purely periodic words
+    of period at most max_period, kept only when their point returns within
+    max_period steps) dense at resolution 2^-resolution?
+
+    Under an induced shift or complementing shift the kept words are counted
+    and each cell is searched for one (see _kept_blocks and _uncovered);
+    other maps enumerate every word and iterate its point."""
     started = time.monotonic()
     _at_least(1, max_period=max_period, resolution=resolution)
     if max_period > min(24, max_bits_bound()):
         raise ValueError(f"max_period {max_period} exceeds bound")
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
-    returns = _word_returns(target.induced, max_period) if target.induced else None
     space = target.space
-    covered = set()
-    points_kept = 0
-    for w in _collect_periodic(max_period):
-        if returns is not None and not returns(w):
-            continue
-        pt = space.decode(w)
-        if returns is None and not _point_returns(target.fmap, pt, max_period):
-            continue
-        points_kept += 1
-        covered.update(space.point_cells(pt, resolution))
-    cells = _all_cells(space, resolution)
-    missing = [c for c in cells if c not in covered]
+    if target.induced is not None:
+        points_kept, kept = _kept_blocks(target.induced, max_period)
+        missing = _uncovered(space, kept, max_period, resolution)
+    else:
+        if max_period > 16:
+            raise ValueError(f"max_period {max_period} exceeds bound 16 for a map "
+                             "without an induced symbolic system")
+        points_kept, covered = 0, set()
+        for w in _collect_periodic(max_period):
+            pt = space.decode(w)
+            if _point_returns(target.fmap, pt, max_period):
+                points_kept += 1
+                covered.update(space.point_cells(pt, resolution))
+        missing = [c for c in _all_cells(space, resolution) if c not in covered]
+    cells = space.r << resolution
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
-              "covered": len(cells) - len(missing), "cells": len(cells)}
+              "covered": cells - len(missing), "cells": cells}
     witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "periodic-density", params, witnesses, started)
 
 
-def _word_returns(sys: InducedSystem, horizon: int) -> Callable[[Word], bool]:
-    """Does the projected point of a purely periodic word return under the
-    induced map?  Decided on the word: S^n(w) is w's primitive block q (of
-    length k) rotated left by n mod k, and C^n(w)(i) = w(i+n) XOR w(n) is that
-    rotation, complemented when w(n) = 1.  Only the two constant words can
-    share a point (a graph node), and S fixes both, so comparing words
-    compares points; pinned fibers (held fixed) are met exactly at their
-    purely periodic words."""
+def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, int], bool]]:
+    """How many purely periodic words of period at most `horizon` are kept,
+    and the predicate kept(k, q) on the word whose primitive block is q, of
+    length k (a block that is not primitive gives False).
+
+    S^n(w) is q rotated left by n mod k, and C^n(w)(i) = w(i+n) XOR w(n) is
+    that rotation, complemented when w(n) = 1.  So under S every word is
+    back at step k, and under C a word comes back (at k, or at k/2 when a
+    rotation complements it) exactly when q ends in 0; complementing pairs
+    the primitive blocks of each length, so half of them end in 0.
+    The primitive blocks of length k number P(k) = sum over d | k of
+    mu(k/d) 2^d.  Only the two constant words can share a point (a graph
+    node), and S fixes both, so comparing words compares points.  A pinned
+    (exceptional, held fixed) purely periodic word is kept, and every other
+    word on its cycle meets it before coming back and is dropped."""
     if sys.symbolic_map is not shift_map and sys.symbolic_map is not c_map:
         raise ValueError(f"system {sys.name!r}: periodicity is decided only "
                          "for the shift and the complementing shift")
     complementing = sys.symbolic_map is c_map
     pinned = {(w.period_len, w.period) for fib in sys.pinned_fibers for w in fib
-              if w.pre_len == 0}
+              if w.pre_len == 0 and w.period_len <= horizon}
+    primes = [()] + [tuple(_factorize(k)) for k in range(1, horizon + 1)]
+    count = 0
+    for k in range(1, horizon + 1):
+        # mu(k/d) is (-1)^n when k/d is a product of n distinct primes, else 0
+        primitive = sum((-1) ** n << (k // math.prod(ps))
+                        for n in range(len(primes[k]) + 1)
+                        for ps in combinations(primes[k], n))
+        count += primitive // 2 if complementing else primitive
+    blocked = set()
+    for k, q in pinned:
+        cycle = _cycle(k, q, complementing, horizon)
+        if cycle is None:  # not counted above: it never comes back
+            count += 1
+        else:
+            blocked |= cycle
+    blocked -= pinned
+    count -= len(blocked)
+    # q repeats a block of length k/p exactly when the repunit
+    # (2^k - 1)/(2^(k/p) - 1) divides it
+    repunits = [[((1 << k) - 1) // ((1 << k // p) - 1) for p in primes[k]]
+                for k in range(horizon + 1)]
 
-    def returns(w: Word) -> bool:
-        k, q = w.period_len, w.period
+    def kept(k: int, q: int) -> bool:
         if (k, q) in pinned:
             return True
-        mask, cur = (1 << k) - 1, q
-        for _ in range(horizon):
-            lead = cur >> (k - 1)
-            cur = ((cur << 1) & mask) | lead
-            if complementing and lead:
-                cur ^= mask
-            if cur == q:
-                return True
-            if (k, cur) in pinned:
+        if complementing and q & 1:
+            return False
+        for rep in repunits[k]:
+            if q % rep == 0:
                 return False
-        return False
+        return (k, q) not in blocked
 
-    return returns
+    return count, kept
+
+
+def _cycle(k: int, q: int, complementing: bool, horizon: int):
+    """The blocks (k, q) meets on its way back to itself within `horizon`
+    steps, q included, or None when it does not come back."""
+    mask, cur, seen = (1 << k) - 1, q, {(k, q)}
+    for _ in range(horizon):
+        lead = cur >> (k - 1)
+        cur = ((cur << 1) & mask) | lead
+        if complementing and lead:
+            cur ^= mask
+        if cur == q:
+            return seen
+        seen.add((k, cur))
+    return None
+
+
+def _uncovered(space: Codec, kept: Callable[[int, int], bool], max_period: int,
+               p: int) -> List[Tuple[int, int]]:
+    """Every resolution-p cell that holds no kept word's point.
+
+    The two constant words are decoded (on a graph, to nodes at arc ends).
+    Any other purely periodic word has its point in exactly one cell, since
+    its value is never dyadic.  On an arc whose address prefix is the s bits
+    c, such a word q^inf has q = c followed by k-s bits u (s <= k, because c
+    has no 0 before its last bit), and its parameter word (u c)^inf has the
+    value (u 2^s + c)/(2^k - 1).  That lies in cell j exactly when
+    j(2^k - 1) <= (u 2^s + c) 2^p <= (j+1)(2^k - 1): one range of u per
+    length k.  A cell's search tries k from max_period down, where ranges
+    are widest, and stops at its first kept block."""
+    ends = set()
+    for b in (0, 1):
+        if kept(1, b):
+            ends.update(space.point_cells(space.decode(Word._from_packed(0, 0, 1, b)), p))
+    missing = []
+    for i, (s, c) in enumerate(_arc_prefixes(space), start=1):
+        for j in range(1 << p):
+            if (i, j) not in ends and not _holds_kept(kept, s, c, j, p, max_period):
+                missing.append((i, j))
+    return missing
+
+
+def _holds_kept(kept, s: int, c: int, j: int, p: int, max_period: int) -> bool:
+    for k in range(max_period, max(s, 2) - 1, -1):
+        top = (1 << k) - 1
+        lo = -((c + ((-j * top) >> p)) >> s)  # ceil((ceil(j top / 2^p) - c) / 2^s)
+        hi = ((((j + 1) * top) >> p) - c) >> s
+        base = c << (k - s)
+        for u in range(lo, hi + 1):
+            if kept(k, base | u):
+                return True
+    return False
+
+
+def _arc_prefixes(space: Codec) -> List[Tuple[int, int]]:
+    """(s, c) for each arc: a word addresses the arc exactly when its first
+    s bits, packed, are c.  The interval is one arc with an empty prefix."""
+    if isinstance(space, GraphSystem):
+        return [_pack(bits) for bits in space.prefixes]
+    return [(0, 0)]
 
 
 def _point_returns(fmap, pt, horizon: int) -> bool:
@@ -269,6 +360,8 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     _at_least(1, resolution=resolution, horizon=horizon)
     if resolution > 8:
         raise ValueError(f"resolution {resolution} exceeds bound 8")
+    if horizon > 10 ** 6:
+        raise ValueError(f"horizon {horizon} exceeds bound 10^6")
     if target.branches is None:
         report = dense_orbit_coverage(target, horizon, resolution)
         params = dict(report.params, route="dense-orbit")
@@ -352,6 +445,8 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     _at_least(1, grid=grid, horizon=horizon)
     if grid > 1 << 12:
         raise ValueError(f"grid {grid} exceeds bound 2^12")
+    if horizon > 10 ** 6:
+        raise ValueError(f"horizon {horizon} exceeds bound 10^6")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0 < delta < 1:

@@ -217,12 +217,27 @@ def test_verify_out_of_range_parameter_is_usage_error(capsys, argv):
     ("--property", "dense-orbit", "--resolution", "17"),
     ("--property", "dense-orbit", "--resolution", "40"),
     ("--property", "lemma6", "--steps", str(10 ** 6 + 1)),
-], ids=["resolution-17", "resolution-40", "lemma6-steps-above-10^6"])
+    ("--property", "sensitivity", "--grid", "1", "--eta", "100",
+     "--horizon", str(10 ** 6 + 1)),
+    ("--property", "transitivity", "--resolution", "1", "--horizon", str(10 ** 6 + 1)),
+], ids=["resolution-17", "resolution-40", "lemma6-steps-above-10^6",
+        "sensitivity-horizon-above-10^6", "transitivity-horizon-above-10^6"])
 def test_verify_parameter_above_its_cap_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", "--system", "tent", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds bound" in err
+    assert argv[-2].lstrip("-") in err  # the message names the parameter
+
+
+@pytest.mark.parametrize("prop", ["sensitivity", "transitivity"])
+def test_verify_graph_horizon_above_its_cap_names_horizon(capsys, k3_file, prop):
+    # the dense-orbit route of graph transitivity used to report it as `steps`
+    code, out, err = run(capsys, "verify", "--system", "graph", "--file", k3_file,
+                         "--property", prop, "--resolution", "1",
+                         "--horizon", str(10 ** 6 + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: horizon 1000001 exceeds bound 10^6\n"
 
 
 @pytest.mark.parametrize("name,value", [

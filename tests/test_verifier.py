@@ -16,6 +16,7 @@ from symchaos.graphs import (
 )
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import dense_word
+from symchaos.words import Word
 from symchaos.verifier import (
     ChaosReport,
     Target,
@@ -223,15 +224,34 @@ def test_out_of_range_parameters_raise(call):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: dense_orbit_coverage(tent_target(), 100, 17),
-    lambda: dense_orbit_coverage(baker_target(), 100, 40),
-    lambda: lemma6_commute_check(tent_target(), 4, 10 ** 6 + 1),
+@pytest.mark.parametrize("call,name", [
+    (lambda: dense_orbit_coverage(tent_target(), 100, 17), "resolution"),
+    (lambda: dense_orbit_coverage(baker_target(), 100, 40), "resolution"),
+    (lambda: lemma6_commute_check(tent_target(), 4, 10 ** 6 + 1), "orbit_steps"),
+    (lambda: transitivity_witness(tent_target(), 1, 10 ** 6 + 1), "horizon"),
+    (lambda: transitivity_witness(GRAPH_TARGETS[0], 1, 10 ** 6 + 1), "horizon"),
+    (lambda: sensitivity_probe(tent_target(), F(1, 4), F(1, 4096), 1, 10 ** 6 + 1),
+     "horizon"),
+    (lambda: sensitivity_probe(GRAPH_TARGETS[0], F(1, 8), F(1, 4096), 1, 10 ** 6 + 1),
+     "horizon"),
+    (lambda: periodic_density(tent_target(), 25, 4), "max_period"),
+    (lambda: periodic_density(rotation_target(), 17, 4), "max_period"),
+    (lambda: periodic_density(identity_target(), 17, 4), "max_period"),
 ], ids=["dense-orbit-resolution-17", "dense-orbit-resolution-40",
-        "lemma6-orbit-steps-above-10^6"])
-def test_parameters_above_their_caps_raise(call):
-    # rejected before any cell or orbit step is built
-    with pytest.raises(ValueError, match="exceeds bound"):
+        "lemma6-orbit-steps-above-10^6", "transitivity-horizon-above-10^6",
+        "graph-transitivity-horizon-above-10^6", "sensitivity-horizon-above-10^6",
+        "graph-sensitivity-horizon-above-10^6", "periodic-density-max-period-25",
+        "rotation-max-period-17", "identity-max-period-17"])
+def test_parameters_above_their_caps_raise(monkeypatch, call, name):
+    # rejected before any cell, orbit step or word is built: without the
+    # check, a horizon probe would finish (its pairs separate, or every
+    # witness turns up, at once) and raise nothing, the graph transitivity
+    # route would name `steps`, and a control would enumerate 2^17 words
+    def no_enumeration(n):
+        raise AssertionError("words enumerated before the cap was checked")
+
+    monkeypatch.setattr(verifier, "periodic_words", no_enumeration)
+    with pytest.raises(ValueError, match=f"^{name} .*exceeds bound"):
         call()
 
 
@@ -270,6 +290,52 @@ def _interval_targets():
             _pinned_target(baker_target(), F(1, 3)),
             _pinned_target(tent_target(), F(2, 5)),
             _pinned_target(tent_target(), F(1, 3))]
+
+
+def _word_returns(sys, horizon):
+    """The per-word periodicity test the count and the per-cell search
+    replaced: iterate the word's block, rotating (and complementing under
+    C), until it comes back within `horizon` steps or meets a pinned word."""
+    complementing = sys.symbolic_map is verifier.c_map
+    pinned = {(w.period_len, w.period) for fib in sys.pinned_fibers for w in fib
+              if w.pre_len == 0}
+
+    def returns(w):
+        k, q = w.period_len, w.period
+        if (k, q) in pinned:
+            return True
+        mask, cur = (1 << k) - 1, q
+        for _ in range(horizon):
+            lead = cur >> (k - 1)
+            cur = ((cur << 1) & mask) | lead
+            if complementing and lead:
+                cur ^= mask
+            if cur == q:
+                return True
+            if (k, cur) in pinned:
+                return False
+        return False
+
+    return returns
+
+
+def _kept_set(target, max_period):
+    """(count, every block (k, q) the integer predicate keeps)."""
+    count, kept = verifier._kept_blocks(target.induced, max_period)
+    return count, {(k, q) for k in range(1, max_period + 1)
+                   for q in range(1 << k) if kept(k, q)}
+
+
+@pytest.mark.parametrize("max_period", [4, 12])
+@pytest.mark.parametrize("target", _interval_targets() + GRAPH_TARGETS,
+                         ids=lambda t: t.name)
+def test_kept_predicate_matches_word_returns_oracle(target, max_period):
+    # every block of length <= max_period: the primitive ones against the
+    # per-word loop, the others (a shorter word's block repeated) never kept
+    returns = _word_returns(target.induced, max_period)
+    expected = {(w.period_len, w.period) for w in verifier._collect_periodic(max_period)
+                if returns(w)}
+    assert _kept_set(target, max_period) == (len(expected), expected)
 
 
 def _old_is_f_periodic(target, w, pt, horizon, pinned):
@@ -321,19 +387,22 @@ def _count_decodes(monkeypatch, target):
 ORACLE_CASES = ([(t, mp, res) for t in _interval_targets()
                  for mp, res in ((1, 2), (3, 3), (7, 5), (12, 7))]
                 + [(t, mp, res) for t in GRAPH_TARGETS
-                   for mp, res in ((1, 2), (3, 3), (7, 4), (10, 5))])
+                   for mp, res in ((1, 2), (3, 3), (7, 4), (10, 5))]
+                # cells without a short periodic point (max_period < resolution),
+                # and the longest words the oracle enumerates here
+                + [(t, mp, res) for t in _interval_targets()[:2] + GRAPH_TARGETS[:1]
+                   for mp, res in ((4, 6), (6, 8), (14, 7))])
 
 
 @pytest.mark.parametrize("target,max_period,resolution", ORACLE_CASES,
                          ids=[f"{t.name}-{mp}/{res}" for t, mp, res in ORACLE_CASES])
 def test_periodic_density_matches_decode_every_iterate_oracle(
-        monkeypatch, target, max_period, resolution):
+        target, max_period, resolution):
     params, witnesses, kept = _old_periodic_density(target, max_period, resolution)
-    decoded = _count_decodes(monkeypatch, target)
     report = periodic_density(target, max_period, resolution)
     assert report.params == params
     assert report.witnesses == witnesses
-    assert set(decoded) == kept
+    assert _kept_set(target, max_period)[1] == {(w.period_len, w.period) for w in kept}
 
 
 def test_pinned_purely_periodic_words_are_tested():
@@ -381,12 +450,32 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
                          + [rotation_target()], ids=lambda t: t.name)
 def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
     # a deterministic work guard: per-iterate decoding would decode words
-    # many times over
+    # many times over; under S and C nothing is enumerated, and only the two
+    # constant words (a graph node, or an end of [0, 1]) are decoded
     enumerated = set(verifier._collect_periodic(12))
     decoded = _count_decodes(monkeypatch, target)
+    enumerations = []
+    original = verifier.periodic_words
+    monkeypatch.setattr(verifier, "periodic_words",
+                        lambda n: enumerations.append(n) or original(n))
     periodic_density(target, 12, 6)
     assert decoded and max(decoded.values()) == 1
-    assert set(decoded) <= enumerated
+    if target.induced is None:
+        assert set(decoded) <= enumerated
+    else:
+        assert set(decoded) <= {Word([], [0]), Word([], [1])} and enumerations == []
+
+
+@pytest.mark.parametrize("target,points", [
+    (tent_target(), 16772858), (baker_target(), 33545716), (GRAPH_TARGETS[0], 33545716),
+], ids=lambda v: getattr(v, "name", v))
+def test_periodic_density_at_the_max_period_bound(target, points):
+    # sum over k <= 24 of the primitive blocks of length k under S, and
+    # 1 + half of those of length 2..24 under C
+    report = periodic_density(target, 24, 16)
+    assert report.params["periodic_points"] == points
+    assert report.params["covered"] == report.params["cells"] == target.space.r << 16
+    assert report.verdict == "pass"
 
 
 def _orbit_oracle(target, steps, resolution):
