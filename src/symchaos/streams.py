@@ -9,16 +9,24 @@ Nothing is stored: block L lists the 2^L words of length L and starts after
 A StreamWord is an (offset, flip) view of the dense word.  The flip flag
 makes iterates of the complementing map exact as well: the n-th such
 iterate of a sequence w is the n-fold shift of w XOR w(n), a global flip.
+Along the generator orbit that flip is dense bit n, the bit just before
+the iterate's first bit (and 0 at step 0).
+
+orbit_windows reads the first bits of every iterate along the orbit for
+the verifier: it takes the dense word a chunk of bits at a time and rolls
+one integer through it, one bit per step, so no step builds a StreamWord
+or finds its place in the dense word again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 __all__ = [
     "StreamWord",
+    "orbit_windows",
     "dense_word",
     "dense_prefix",
     "dense_bit",
@@ -90,6 +98,38 @@ def stream_shift(sw: StreamWord) -> StreamWord:
 def stream_c_step(sw: StreamWord) -> StreamWord:
     """One step of the complementing map: shift, then flip if bit 1 was 1."""
     return StreamWord(sw.offset + 1, sw.flip ^ sw.bit(1))
+
+
+_CHUNK_BITS = 4096
+
+
+def orbit_windows(width: int, steps: int, complementing: bool) -> Iterator[int]:
+    """The first `width` bits (packed, first bit most significant) of each of
+    the first `steps` iterates of the dense word under the shift, or under
+    the complementing shift when `complementing`.
+
+    One integer x of width+1 bits rolls along the dense word: at step n it
+    holds dense bits n .. n+width (bit 0 reads as 0).  Under the shift the
+    window is its low width bits; under the complementing shift those bits
+    are complemented when the top bit, the flip of stream_c_step, is set.
+    The dense word is read _CHUNK_BITS bits per _dense_window call."""
+    mask = (1 << width) - 1
+    full = (mask << 1) | 1
+    x = _dense_window(0, width)
+    start = width  # dense bits 1..start are in x
+    while steps > 0:
+        n = min(_CHUNK_BITS, steps)
+        # ASCII '0' and '1' differ in their low bit
+        chunk = format(_dense_window(start, n), f"0{n}b").encode()
+        start, steps = start + n, steps - n
+        if complementing:
+            for b in chunk:
+                yield x ^ full if x > mask else x
+                x = ((x << 1) & full) | (b & 1)
+        else:
+            for b in chunk:
+                yield x & mask
+                x = ((x << 1) & full) | (b & 1)
 
 
 def stream_prefix(sw: StreamWord, n: int) -> List[int]:

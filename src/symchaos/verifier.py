@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
-from .decomposition import Codec, InducedSystem, semiconjugacy_check
-from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
+from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
+from .graphs import GraphSystem, GraphPoint, Interior, Node, graph_map, graph_metric
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
-from .streams import StreamWord, dense_bit, dense_word, stream_c_step, stream_shift
+from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
                     shift_map)
 
@@ -78,7 +78,9 @@ def _finish(system: str, prop: str, params: dict, witnesses: list,
 class Target:
     """An exact self-map under test on a decomposition space: [0, 1]
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
-    (space the GraphSystem, no branches)."""
+    (space the GraphSystem, no branches).  `stream_step` is one step of the
+    generator orbit (stream_c_step or stream_shift); the checks read that
+    orbit through streams.orbit_windows, chosen by the induced map."""
 
     name: str
     fmap: Callable
@@ -309,38 +311,45 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     """Does the projected generator orbit visit every resolution cell within
     the step budget?  A step marks the cell addressed by the first
     r-1+resolution bits of its iterate (r = 1 on the interval): their value
-    enclosure is that cell, so no mark is a guess.  These bits roll along
-    the dense word, one bit per step: every generator step advances the
-    offset by one."""
+    enclosure is that cell, so no mark is a guess.  The windows come from
+    one rolled integer (_orbit_windows), and only a window not seen before
+    is split into its cell."""
     started = time.monotonic()
     _at_least(1, steps=steps, resolution=resolution)
     if steps > 10 ** 6:
         raise ValueError(f"steps {steps} exceeds bound 10^6")
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
-    if target.stream_step is None:
-        raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space = target.space
-    width = space.r - 1 + resolution
-    mask = (1 << width) - 1
+    windows = _orbit_windows(target, space.r - 1 + resolution, steps)
     total = _all_cells(space, resolution)
-    covered, split, step = set(), space.split_window, target.stream_step
-    sw = dense_word()
-    window = sw.window_int(width)
+    seen, covered, split = set(), set(), space.split_window
     full_at = None
-    for n in range(steps):
-        covered.add(split(window ^ mask if sw.flip else window, resolution))
-        if len(covered) == len(total):
-            full_at = n
-            break
-        sw = step(sw)
-        window = ((window << 1) & mask) | dense_bit(sw.offset + width)
+    for n, window in enumerate(windows):
+        if window not in seen:
+            seen.add(window)
+            covered.add(split(window, resolution))
+            if len(covered) == len(total):
+                full_at = n
+                break
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(total) - len(missing), "cells": len(total),
               "full_coverage_step": full_at}
     witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
+
+
+def _orbit_windows(target: Target, width: int, steps: int):
+    """streams.orbit_windows along the target's generator orbit: under C
+    when its induced map is the complementing shift, else under S."""
+    if target.stream_step is None or target.induced is None:
+        raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
+    sym = target.induced.symbolic_map
+    if sym is not shift_map and sym is not c_map:
+        raise ValueError(f"system {target.name!r}: the generator orbit is read "
+                         "only under the shift and the complementing shift")
+    return orbit_windows(width, steps, sym is c_map)
 
 
 # -- transitivity ------------------------------------------------------------
@@ -353,6 +362,8 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     Targets with branches (interval maps) propagate the monotone-affine laps
     of the iterated map and pull an exact witness back through the covering
     lap; every witness is re-verified by direct iteration before it counts.
+    Each step sweeps the laps once, and a lap is tried only on the cells its
+    image overlaps.
     Targets without (graphs) use the dense-orbit route (a dense orbit on
     these spaces gives transitivity), and the report records that route.
     """
@@ -376,11 +387,10 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
             pieces = _advance_pieces(target.branches, pieces)
             if not pieces:
                 break
-            for vj in sorted(remaining):
-                vlo, vhi = cells[vj]
-                hit = _find_witness(target, pieces, n, vlo, vhi, ulo, uhi)
-                if hit is not None:
-                    remaining.discard(vj)
+            for piece in pieces:
+                for vj in _overlapped_cells(piece, size):
+                    if vj in remaining and _witnessed_by(target, piece, n, *cells[vj], ulo, uhi):
+                        remaining.discard(vj)
             if not remaining:
                 break
         unwitnessed.extend((uj, vj) for vj in sorted(remaining))
@@ -413,23 +423,36 @@ def _advance_pieces(branches, pieces):
     return out
 
 
-def _find_witness(target, pieces, n, vlo, vhi, ulo, uhi):
-    for d0, d1, i0, i1 in pieces:
-        img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
-        lo = max(img_lo, vlo)
-        hi = min(img_hi, vhi)
-        if lo >= hi:
-            continue
-        v = (lo + hi) / 2
-        x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
-        if not ulo <= x <= uhi:
-            continue
-        y = x
-        for _ in range(n):
-            y = target.fmap(y)
-        if vlo <= y <= vhi:
-            return (x, n)
-    return None
+def _overlapped_cells(piece, size: int) -> range:
+    """The cells j whose interval [j/size, (j+1)/size] meets the piece's
+    image in more than a point: floor(lo size) .. ceil(hi size) - 1."""
+    i0, i1 = piece[2], piece[3]
+    lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+    if lo == hi:
+        return range(0)
+    first = lo.numerator * size // lo.denominator
+    end = -(-hi.numerator * size // hi.denominator)
+    return range(max(first, 0), min(end, size))
+
+
+def _witnessed_by(target, piece, n, vlo, vhi, ulo, uhi) -> bool:
+    """Does the piece carry an exact point of U = [ulo, uhi] into
+    V = [vlo, vhi] in n steps?  The midpoint of the piece's image within V is
+    pulled back and re-verified by direct iteration."""
+    d0, d1, i0, i1 = piece
+    img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+    lo = max(img_lo, vlo)
+    hi = min(img_hi, vhi)
+    if lo >= hi:
+        return False
+    v = (lo + hi) / 2
+    x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
+    if not ulo <= x <= uhi:
+        return False
+    y = x
+    for _ in range(n):
+        y = target.fmap(y)
+    return vlo <= y <= vhi
 
 
 # -- sensitivity -------------------------------------------------------------
@@ -516,7 +539,10 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     For systems with a designated-redirect override this also confirms the
     redirected fiber is disjoint from the periodic words (its members are
     all eventually constant, never purely periodic) and, through the
-    enclosure checks, from the sampled generator orbit.
+    enclosure checks, from the sampled generator orbit.  Along the orbit
+    only a step whose 64-bit window the enclosure test cannot separate from
+    a pinned point is checked (see _orbit_commute_failures); with no pinned
+    point every step commutes.
     """
     started = time.monotonic()
     _at_least(1, max_period=max_period)
@@ -541,12 +567,53 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     for w in words:
         if not semiconjugacy_check(sys, w):
             witnesses.append({"word": str(w)})
-    sw = dense_word()
-    for n in range(orbit_steps):
-        if not semiconjugacy_check(sys, sw):
-            witnesses.append({"orbit_step": n})
-        sw = target.stream_step(sw)
+    if sys.pinned_points:
+        witnesses += _orbit_commute_failures(target, orbit_steps)
     params = {"max_period": max_period, "orbit_steps": orbit_steps,
               "periodic_words": len(words),
               "periodic_in_redirected_fibers": redirected_hits}
     return _finish(target.name, "lemma6", params, witnesses, started)
+
+
+def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
+    """The generator-orbit steps where semiconjugacy_check fails.
+
+    A step whose first r-1+64 bits the precision-64 enclosure test
+    separates from every pinned point passes at once, so only a step whose
+    cell (arc, v) is a suspect is checked, refining to 512 bits as before.
+    Each rolled window is looked up by its first 64 bits: the arc prefix and
+    the leading bits of v, which its cell fixes.  So every suspect step is
+    found, and a step that is not a suspect may be checked needlessly."""
+    sys, p = target.induced, _STREAM_PRECISIONS[0]
+    space = sys.codec
+    r = space.r
+    prefixes = _arc_prefixes(space)
+    keys = set()
+    for i, v in _suspect_cells(space, sys.pinned_points, p):
+        s, c = prefixes[i - 1]
+        keys.add(((c << p) | v) >> s)
+    flips = sys.symbolic_map is c_map
+    failures = []
+    for n, window in enumerate(_orbit_windows(target, r - 1 + p, steps)):
+        if window >> (r - 1) in keys:
+            sw = StreamWord(n, dense_bit(n) if flips and n else 0)
+            if not semiconjugacy_check(sys, sw):
+                failures.append({"orbit_step": n})
+    return failures
+
+
+def _suspect_cells(space: Codec, points, p: int) -> set:
+    """Every precision-p cell (arc, v) that stream_excludes_all cannot
+    separate from some pinned point: v = 0 and v = 2^p - 1 on every arc for
+    a node, and for a parameter t on an arc the one or two v with
+    v <= t 2^p <= v + 1."""
+    top = (1 << p) - 1
+    cells = set()
+    for pt in points:
+        if isinstance(pt, Node):
+            cells.update((i, v) for i in range(1, space.r + 1) for v in (0, top))
+            continue
+        arc, t = (pt.arc, pt.t) if isinstance(pt, Interior) else (1, pt)
+        m, rest = divmod(t.numerator << p, t.denominator)
+        cells.update((arc, v) for v in ((m,) if rest else (m - 1, m)) if 0 <= v <= top)
+    return cells

@@ -305,13 +305,21 @@ def word_value(w: Word, den_hint: int | None = None) -> Fraction:
     return Fraction(num // g, den // g)
 
 
+MAX_METRIC_PERIOD_BITS = 1 << 24
+
+
 def word_metric(a: Word, b: Word) -> Fraction:
     """d(a, b) = sum |a(i) - b(i)| / 2^i, exactly.
 
-    Cost is governed by lcm of the two period lengths.
+    Cost is governed by lcm of the two period lengths, the period of the
+    difference; above MAX_METRIC_PERIOD_BITS it raises ValueError before
+    building anything.
     """
     m = max(a.pre_len, b.pre_len)
     k = math.lcm(a.period_len, b.period_len)
+    if k > MAX_METRIC_PERIOD_BITS:
+        raise ValueError(f"word_metric: lcm of the period lengths is {k} bits, "
+                         "exceeds bound 2^24")
     diff_pre = prefix_int(a, m) ^ prefix_int(b, m)
     diff_per = _aligned_period(a, m, k) ^ _aligned_period(b, m, k)
     return word_value(Word._from_packed(m, diff_pre, k, diff_per))

@@ -11,6 +11,7 @@ from symchaos.streams import (
     dense_bit,
     dense_prefix,
     dense_word,
+    orbit_windows,
     stream_c_step,
     stream_prefix,
     stream_shift,
@@ -193,3 +194,23 @@ def test_graph_stream_exclusion_matches_fraction_oracle(name, offset, flip, p, d
     points = data.draw(st.permutations(points))[:data.draw(st.integers(0, len(points)))]
     assert (system.stream_excludes_all(sw, points, p)
             == _graph_excludes_oracle(system, sw, points, p))
+
+
+@pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])
+@pytest.mark.parametrize("width", [1, 5, 17, 66])
+@pytest.mark.parametrize("steps", [0, 1, 2, 4095, 4096, 4097, 8193])
+def test_orbit_windows_match_per_step_stream_words(complementing, width, steps):
+    # oracle: one StreamWord per step, read through its closed form
+    step = stream_c_step if complementing else stream_shift
+    sw, expected = dense_word(), []
+    for _ in range(steps):
+        expected.append(sw.window_int(width))
+        sw = step(sw)
+    assert list(orbit_windows(width, steps, complementing)) == expected
+
+
+def test_the_complementing_flip_is_the_previous_dense_bit():
+    sw = dense_word()
+    for n in range(3000):
+        assert sw.flip == (dense_bit(n) if n else 0)
+        sw = stream_c_step(sw)

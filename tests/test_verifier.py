@@ -1,11 +1,12 @@
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symchaos import verifier
-from symchaos.decomposition import induced_system
+from symchaos import streams, verifier
+from symchaos.decomposition import induced_system, semiconjugacy_check
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphSystem,
@@ -107,6 +108,18 @@ def test_dense_orbit_too_few_steps_fails():
 def test_dense_orbit_requires_symbolic_orbit():
     with pytest.raises(ValueError):
         dense_orbit_coverage(identity_target(), 100, 4)
+
+
+def test_generator_orbit_is_read_only_under_shift_or_complementing_shift():
+    from symchaos.words import r_map
+
+    sys = induced_system("r", r_map, INTERVAL_CODEC, pinned_points=(F(1, 2),))
+    target = Target("r", tent_target().fmap, INTERVAL_CODEC, tent_target().branches,
+                    sys, tent_target().stream_step)
+    with pytest.raises(ValueError, match="complementing shift"):
+        dense_orbit_coverage(target, 100, 4)
+    with pytest.raises(ValueError, match="complementing shift"):
+        lemma6_commute_check(target, 1, 100)
 
 
 def test_dense_orbit_tent_uses_complementing_iterates():
@@ -431,8 +444,11 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
     # system is built; the S/C dispatch must then see the wrappers
     from symchaos import words
 
-    expected = {t.name: periodic_density(t, 8, 5).params
-                for t in (tent_target(), baker_target())}
+    def reports(target):
+        return (periodic_density(target, 8, 5).params,
+                dense_orbit_coverage(target, 5000, 8).params)
+
+    expected = {t.name: reports(t) for t in (tent_target(), baker_target())}
     wrapped = {}
     for name in ("shift_map", "c_map"):
         wrapped[name] = lambda w, f=getattr(words, name): f(w)
@@ -443,7 +459,7 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
                              pinned_points=base.induced.pinned_points)
         target = Target(base.name, base.fmap, base.space, base.branches, sys,
                         base.stream_step)
-        assert periodic_density(target, 8, 5).params == expected[base.name]
+        assert reports(target) == expected[base.name]
 
 
 @pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS
@@ -505,8 +521,12 @@ def _orbit_oracle(target, steps, resolution):
     return params, witnesses
 
 
+CHUNK = streams._CHUNK_BITS
+
 ORBIT_CASES = [(t, steps, res) for t in _interval_targets()[:2] + GRAPH_TARGETS
-               for steps, res in ((1, 1), (300, 3), (4000, 6), (20000, 4))]
+               for steps, res in ((1, 1), (300, 3), (4000, 6), (20000, 4),
+                                  (CHUNK - 1, 10), (CHUNK, 10), (CHUNK + 1, 10),
+                                  (2 * CHUNK + 1, 11))]
 
 
 @pytest.mark.parametrize("target,steps,resolution", ORBIT_CASES,
@@ -514,6 +534,229 @@ ORBIT_CASES = [(t, steps, res) for t in _interval_targets()[:2] + GRAPH_TARGETS
 def test_dense_orbit_matches_per_step_window_oracle(target, steps, resolution):
     report = dense_orbit_coverage(target, steps, resolution)
     assert (report.params, report.witnesses) == _orbit_oracle(target, steps, resolution)
+
+
+PATH24 = graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(25))
+    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, 25)))), "path24")
+
+
+def test_dense_orbit_on_a_24_arc_graph_matches_the_oracle_quickly():
+    # the window is 23 + 8 = 31 bits: anything sized 2^width would not
+    # finish (or fit) in a second
+    started = time.monotonic()
+    report = dense_orbit_coverage(PATH24, 2000, 8)
+    assert time.monotonic() - started < 1
+    assert (report.params, report.witnesses) == _orbit_oracle(PATH24, 2000, 8)
+
+
+@pytest.mark.parametrize("target,steps,resolution,params,witnesses", [
+    (tent_target(), 10 ** 6, 16, {"covered": 65536, "cells": 65536,
+                                  "full_coverage_step": 794612}, []),
+    (baker_target(), 10 ** 6, 16, {"covered": 65535, "cells": 65536,
+                                   "full_coverage_step": None}, [{"cell": 65535}]),
+    (GRAPH_TARGETS[0], 10 ** 6, 14, {"covered": 49151, "cells": 49152,
+                                     "full_coverage_step": None},
+     [{"arc": "E3", "cell": 16383}]),
+], ids=["tent-10^6/16", "baker-10^6/16", "k3-10^6/14"])
+def test_dense_orbit_at_the_step_bound(target, steps, resolution, params, witnesses):
+    # reports recorded with the one-StreamWord-per-step loop
+    report = dense_orbit_coverage(target, steps, resolution)
+    assert report.params == {"steps": steps, "resolution": resolution, **params}
+    assert report.witnesses == witnesses
+
+
+def test_lemma6_at_the_step_bound():
+    report = lemma6_commute_check(GRAPH_TARGETS[0], 12, 10 ** 6)
+    assert report.params == {"max_period": 12, "orbit_steps": 10 ** 6,
+                             "periodic_words": 8032, "periodic_in_redirected_fibers": 0}
+    assert report.verdict == "pass" and report.witnesses == []
+
+
+def _orbit_iterate(base, n):
+    sw = dense_word()
+    for _ in range(n):
+        sw = base.stream_step(sw)
+    return sw
+
+
+def _copy_target(base, n, bits):
+    """`base` with one pinned point: the point addressed by the first
+    r-1+bits bits of the generator orbit's iterate at step n."""
+    space = base.space
+    window = _orbit_iterate(base, n).window_int(space.r - 1 + bits)
+    arc, v = space.split_window(window, bits)
+    point = Interior(arc, F(v, 1 << bits)) if space.r > 1 else F(v, 1 << bits)
+    sys = induced_system(f"{base.name}-copy", base.induced.symbolic_map, space,
+                         pinned_points=(point,))
+    return Target(f"{base.name}-copy{bits}@{n}", base.fmap, space, base.branches,
+                  sys, base.stream_step)
+
+
+# S on baker; C on the tent at a step whose flip is set; S on the triangle
+# at a step on arc 1, whose prefix leaves one window bit unread
+COPY_STEPS = {"baker": 4097, "tent": 12001, "k3": 7003}
+COPY_TARGETS = [_copy_target(base, COPY_STEPS[base.name], bits)
+                for base in (baker_target(), tent_target(), GRAPH_TARGETS[0])
+                for bits in (100, 600)]
+
+
+def test_the_copy_steps_exercise_the_flip_and_a_short_prefix():
+    assert _orbit_iterate(tent_target(), COPY_STEPS["tent"]).flip == 1
+    assert COPY_TARGETS[4].induced.pinned_points[0].arc == 1
+
+
+@pytest.mark.parametrize("target", COPY_TARGETS[::2], ids=lambda t: t.name)
+def test_lemma6_refines_where_64_bits_cannot_separate(target):
+    # 100 copied bits: 64 cannot separate the iterate from the point, 128 can
+    sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
+    points, space = target.induced.pinned_points, target.space
+    assert not space.stream_excludes_all(sw, points, 64)
+    assert space.stream_excludes_all(sw, points, 128)
+    assert lemma6_commute_check(target, 4, 20000).verdict == "pass"
+
+
+@pytest.mark.parametrize("target", COPY_TARGETS[1::2], ids=lambda t: t.name)
+def test_lemma6_reports_the_step_512_bits_cannot_separate(target):
+    n = COPY_STEPS[target.name.split("-")[0]]
+    report = lemma6_commute_check(target, 4, 20000)
+    assert report.verdict == "fail"
+    assert report.witnesses == [{"orbit_step": n}]
+
+
+LEMMA6_TARGETS = (_interval_targets() + GRAPH_TARGETS + COPY_TARGETS + [PATH24])
+LEMMA6_STEPS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000)
+
+
+def _old_orbit_failures(target, steps):
+    """The per-step loop the rolled window replaced: one StreamWord per
+    generator step and a semiconjugacy_check on each."""
+    failures, sw = [], dense_word()
+    for n in range(steps):
+        if not semiconjugacy_check(target.induced, sw):
+            failures.append({"orbit_step": n})
+        sw = target.stream_step(sw)
+    return failures
+
+
+@pytest.mark.parametrize("target", LEMMA6_TARGETS, ids=lambda t: t.name)
+def test_lemma6_matches_the_per_step_oracle(target):
+    # the oracle runs once to the largest step count; a shorter orbit's
+    # failures are the ones before its end
+    periodic = lemma6_commute_check(target, 4, 0)
+    orbit = _old_orbit_failures(target, max(LEMMA6_STEPS))
+    for steps in LEMMA6_STEPS:
+        witnesses = periodic.witnesses + [w for w in orbit if w["orbit_step"] < steps]
+        report = lemma6_commute_check(target, 4, steps)
+        assert report.params == dict(periodic.params, orbit_steps=steps)
+        assert report.witnesses == witnesses
+        assert report.verdict == ("fail" if witnesses else "pass")
+
+
+class _Window:
+    """A stream whose first bits are one given window."""
+
+    def __init__(self, x, width):
+        self.x, self.width = x, width
+
+    def window_int(self, n):
+        assert n == self.width
+        return self.x
+
+
+@pytest.mark.parametrize("target", [t for t in LEMMA6_TARGETS if t.induced.pinned_points],
+                         ids=lambda t: t.name)
+def test_suspect_cells_are_where_64_bits_cannot_separate(target):
+    codec, points, p = target.induced.codec, target.induced.pinned_points, 64
+    r, top = codec.r, (1 << p) - 1
+    suspects = verifier._suspect_cells(codec, points, p)
+    assert suspects
+    near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
+    for i in range(1, r + 1):
+        near |= {(i, v + d) for _, v in suspects for d in range(-2, 3)}
+        near |= {(i, 0), (i, top)}
+    for i, v in sorted(near):
+        if not 0 <= v <= top:
+            continue
+        s, c = verifier._arc_prefixes(codec)[i - 1]
+        free = r - 1 - s
+        for tail in {0, (1 << free) - 1}:
+            x = (c << (p + free)) | (v << free) | tail
+            assert codec.split_window(x, p) == (i, v)
+            separated = codec.stream_excludes_all(_Window(x, r - 1 + p), points, p)
+            assert ((i, v) in suspects) == (not separated), (i, v)
+
+
+def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
+    monkeypatch.setattr(verifier, "orbit_windows", None)
+    assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
+
+
+def _old_find_witness(target, pieces, n, vlo, vhi, ulo, uhi):
+    for d0, d1, i0, i1 in pieces:
+        img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+        lo = max(img_lo, vlo)
+        hi = min(img_hi, vhi)
+        if lo >= hi:
+            continue
+        v = (lo + hi) / 2
+        x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
+        if not ulo <= x <= uhi:
+            continue
+        y = x
+        for _ in range(n):
+            y = target.fmap(y)
+        if vlo <= y <= vhi:
+            return (x, n)
+    return None
+
+
+def _old_transitivity(target, resolution, horizon):
+    """(params, witnesses) from the loop the per-lap sweep replaced: every
+    remaining cell tried against every lap at every step."""
+    size = 1 << resolution
+    cells = [(F(j, size), F(j + 1, size)) for j in range(size)]
+    unwitnessed = []
+    for uj, (ulo, uhi) in enumerate(cells):
+        remaining = set(range(size))
+        pieces = [(ulo, uhi, ulo, uhi)]
+        for n in range(1, horizon + 1):
+            pieces = verifier._advance_pieces(target.branches, pieces)
+            if not pieces:
+                break
+            for vj in sorted(remaining):
+                vlo, vhi = cells[vj]
+                if _old_find_witness(target, pieces, n, vlo, vhi, ulo, uhi) is not None:
+                    remaining.discard(vj)
+            if not remaining:
+                break
+        unwitnessed.extend((uj, vj) for vj in sorted(remaining))
+    params = {"resolution": resolution, "horizon": horizon,
+              "pairs": size * size, "witnessed": size * size - len(unwitnessed)}
+    return params, [{"from": uj, "to": vj} for uj, vj in unwitnessed]
+
+
+TRANSITIVITY_CASES = [(make(), res, hor)
+                      for make in (tent_target, baker_target, identity_target,
+                                   constant_target, rotation_target)
+                      for res, hor in ((6, 40), (3, 20), (5, 5))]
+
+
+@pytest.mark.parametrize("target,resolution,horizon", TRANSITIVITY_CASES,
+                         ids=[f"{t.name}-{r}/{h}" for t, r, h in TRANSITIVITY_CASES])
+def test_transitivity_matches_the_all_cells_oracle(target, resolution, horizon):
+    report = transitivity_witness(target, resolution, horizon)
+    assert (report.params, report.witnesses) == _old_transitivity(target, resolution, horizon)
+
+
+def test_overlapped_cells_are_the_cells_a_lap_image_meets():
+    size = 16
+    ends = [F(k, 32) for k in range(33)] + [F(1, 3), F(5, 7), F(99, 100)]
+    for a in ends:
+        for b in ends:
+            expected = [j for j in range(size)
+                        if max(min(a, b), F(j, size)) < min(max(a, b), F(j + 1, size))]
+            assert list(verifier._overlapped_cells((F(0), F(1), a, b), size)) == expected
 
 
 def _old_separates_graph(target, x, eta, delta, horizon):

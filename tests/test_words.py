@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import symchaos.words
 from symchaos.words import (
+    MAX_METRIC_PERIOD_BITS,
     MILLER_RABIN_BOUND,
     Word,
     _factorize,
@@ -436,6 +438,26 @@ def test_word_metric_axioms(data):
     assert word_metric(a, b) == word_metric(b, a)
     assert (word_metric(a, b) == 0) == (a == b)
     assert word_metric(a, c) <= word_metric(a, b) + word_metric(b, c)
+
+
+def test_word_metric_rejects_a_difference_period_above_its_bound(monkeypatch):
+    # periods 499,991 and 999,978 bits: the difference would repeat every
+    # lcm, about 5*10^11 bits (62 GB); the bound is checked before anything
+    # is built, through both the word and the graph metric
+    from symchaos.graphs import EXAMPLE_GRAPHS, Interior, graph_metric, graph_system, parse_graph
+
+    a, b = bits_of(Fraction(1, 999983))[0], bits_of(Fraction(1, 999979))[0]
+    k = math.lcm(a.period_len, b.period_len)
+    assert k > MAX_METRIC_PERIOD_BITS == 1 << 24 > 8345004
+    monkeypatch.setattr(symchaos.words, "_aligned_period", None)
+    k3 = graph_system(parse_graph(EXAMPLE_GRAPHS["k3"]))
+    started = time.monotonic()
+    message = f"lcm of the period lengths is {k} bits, exceeds bound 2\\^24"
+    with pytest.raises(ValueError, match=message):
+        word_metric(a, b)
+    with pytest.raises(ValueError, match=message):
+        graph_metric(k3, Interior(1, Fraction(1, 999983)), Interior(2, Fraction(1, 999979)))
+    assert time.monotonic() - started < 1
 
 
 # ---------------------------------------------------------------- bits_of
