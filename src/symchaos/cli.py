@@ -105,7 +105,7 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
         return graphs.Node(rest)
     if not rest:
         raise graphs.GraphError(f"malformed start {text!r}; expected ARC:p/q or node:ID")
-    return sys.point_at(_resolve_arc(sys, kind), Fraction(rest))
+    return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))
 
 
 def _print_rows(rows: List[dict], fmt: str) -> None:
@@ -230,7 +230,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, graphs.GraphError) as exc:
+    except (ValueError, graphs.GraphError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -26,6 +26,7 @@ __all__ = [
     "star_check",
     "induced_apply",
     "semiconjugacy_check",
+    "stream_excludes_all",
     "outcome_to_json",
 ]
 
@@ -72,10 +73,12 @@ class Codec(Protocol):
     Fibers are the points: `fiber_of` gives a word's fiber from the word,
     and nothing between `encode` and `decode` names a point otherwise.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
-    is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].
+    is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
+    addressed by the prefix bits prefixes[i-1] (the interval's is empty).
     """
 
     r: int
+    prefixes: Sequence[Tuple[int, ...]]
 
     def encode(self, point) -> Fiber: ...
 
@@ -181,6 +184,16 @@ def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
     lhs = induced_apply(sys, fib)
     rhs = sys.codec.fiber_of(sys.symbolic_map(w))
     return lhs == rhs
+
+
+def stream_excludes_all(codec: Codec, sw: StreamWord, points: Sequence,
+                        precision: int) -> bool:
+    """Is every point outside the precision-p cell that sw's first
+    r-1+precision bits address?  The cell is the value enclosure of the
+    stream's parameter, and it fails to separate a point exactly when it is
+    one of the point's point_cells.  Each codec binds this as its method."""
+    cell = codec.split_window(sw.window_int(codec.r - 1 + precision), precision)
+    return not any(cell in codec.point_cells(pt, precision) for pt in points)
 
 
 def outcome_to_json(outcome: StarOutcome, codec) -> dict:

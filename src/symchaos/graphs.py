@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
-from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
+from .decomposition import (Fiber, InducedSystem, induced_apply, induced_system,
+                            stream_excludes_all)
 from .interval import INTERVAL_CODEC, unit_cells
-from .streams import StreamWord, enclosure_contains
 from .words import (
     Word,
     bits_of,
@@ -170,6 +170,11 @@ class GraphSystem:
             else:
                 self.prefixes.append((1,) * (r - 1))
         self._arc_index: Dict[str, int] = {a.id: i + 1 for i, a in enumerate(spec.arcs)}
+        # (arc, parameter 0 or 1) of every arc end at each node
+        self._ends: Dict[str, List[Tuple[int, int]]] = {v: [] for v in spec.nodes}
+        for i, arc in enumerate(spec.arcs, start=1):
+            self._ends[arc.tail].append((i, 0))
+            self._ends[arc.head].append((i, 1))
         self.exceptional: Tuple[GraphPoint, ...] = self._exceptional()
         self.induced: InducedSystem = induced_system(
             "graph", shift_map, self, designated=None,
@@ -201,16 +206,11 @@ class GraphSystem:
             if point.id not in self.spec.nodes:
                 raise GraphError(f"unknown node {point.id!r}")
             words = [prepend_bits(Word([], [t]), self.prefixes[i - 1])
-                     for i, t in self._ends(point.id)]
+                     for i, t in self._ends[point.id]]
             if not words:
                 raise GraphError(f"node {point.id!r} has no incident arcs")
             return Fiber(words)
         raise TypeError(f"not a graph point: {point!r}")
-
-    def _ends(self, node_id: str) -> List[Tuple[int, int]]:
-        """(arc, parameter 0 or 1) of every arc end at the node."""
-        return [(i, t) for i, arc in enumerate(self.spec.arcs, start=1)
-                for t, end in ((0, arc.tail), (1, arc.head)) if end == node_id]
 
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word; endpoint parameters collapse to nodes."""
@@ -258,18 +258,12 @@ class GraphSystem:
     def point_cells(self, point: GraphPoint, p: int) -> List[Tuple[int, int]]:
         if isinstance(point, Interior):
             return [(point.arc, j) for j in unit_cells(point.t, p)]
-        return [(i, t * ((1 << p) - 1)) for i, t in self._ends(point.id)]
+        return [(i, t * ((1 << p) - 1)) for i, t in self._ends[point.id]]
 
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
-    def stream_excludes_all(self, sw: StreamWord, points: Sequence[GraphPoint],
-                            precision: int) -> bool:
-        arc, v = self.split_window(sw.window_int(self.r - 1 + precision), precision)
-        at_node = v == 0 or v + 1 == 1 << precision  # parameter 0 or 1, on any arc
-        return not any(at_node if isinstance(pt, Node)
-                       else pt.arc == arc and enclosure_contains(v, precision, pt.t)
-                       for pt in points)
+    stream_excludes_all = stream_excludes_all
 
 
 def _arc_address(lead: int, r: int) -> Tuple[int, int]:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .decomposition import Fiber, InducedSystem, induced_apply, induced_system
-from .streams import StreamWord, enclosure_contains
+from .decomposition import (Fiber, InducedSystem, induced_apply, induced_system,
+                            stream_excludes_all)
 from .words import Word, bits_of, c_map, dyadic_twin, r_map, shift_map, word_value
 
 __all__ = [
@@ -56,14 +56,10 @@ def _show(x: Fraction) -> str:
 
 def unit_cells(y: Fraction, p: int) -> List[int]:
     """Indices j of the cells [j/2^p, (j+1)/2^p] of [0, 1] that contain y."""
-    scaled = y * (1 << p)
-    j = int(scaled)
-    if j == (1 << p):
+    j, rest = divmod(y.numerator << p, y.denominator)
+    if j == 1 << p:
         return [j - 1]
-    cells = [j]
-    if scaled == j and j > 0:
-        cells.append(j - 1)
-    return cells
+    return [j, j - 1] if rest == 0 and j > 0 else [j]
 
 
 class IntervalCodec:
@@ -71,6 +67,8 @@ class IntervalCodec:
     interval is the one-arc space with an empty prefix: its cells are (1, j)."""
 
     r = 1
+    prefixes = ((),)
+    stream_excludes_all = stream_excludes_all
 
     def encode(self, point: Fraction) -> Fiber:
         return Fiber(bits_of(as_unit(point)))
@@ -93,11 +91,6 @@ class IntervalCodec:
 
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"cell": cell[1]}
-
-    def stream_excludes_all(self, sw: StreamWord, points: Sequence[Fraction],
-                            precision: int) -> bool:
-        v = sw.window_int(precision)
-        return not any(enclosure_contains(v, precision, pt) for pt in points)
 
 
 INTERVAL_CODEC = IntervalCodec()

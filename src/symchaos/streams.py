@@ -34,7 +34,6 @@ __all__ = [
     "stream_c_step",
     "stream_prefix",
     "value_enclosure",
-    "enclosure_contains",
 ]
 
 
@@ -144,9 +143,3 @@ def value_enclosure(sw: StreamWord, p: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("p must be positive")
     v = sw.window_int(p)
     return Fraction(v, 1 << p), Fraction(v + 1, 1 << p)
-
-
-def enclosure_contains(v: int, p: int, t: Fraction) -> bool:
-    """Is t = a/b in [v/2^p, (v+1)/2^p], that is v*b <= a*2^p <= (v+1)*b?"""
-    a, b = t.numerator * (1 << p), t.denominator
-    return v * b <= a <= (v + 1) * b

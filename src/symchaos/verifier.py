@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
-from .graphs import GraphSystem, GraphPoint, Interior, Node, graph_map, graph_metric
+from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
@@ -133,6 +133,9 @@ def _at_least(low: int, **params: int) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+_CONSTANTS = (Word([], [0]), Word([], [1]))
+
+
 def _collect_periodic(max_period: int) -> List[Word]:
     """Every distinct word of period at most max_period, in enumeration order."""
     return list(dict.fromkeys(w for k in range(1, max_period + 1)
@@ -188,26 +191,16 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
     that rotation, complemented when w(n) = 1.  So under S every word is
     back at step k, and under C a word comes back (at k, or at k/2 when a
     rotation complements it) exactly when q ends in 0; complementing pairs
-    the primitive blocks of each length, so half of them end in 0.
-    The primitive blocks of length k number P(k) = sum over d | k of
-    mu(k/d) 2^d.  Only the two constant words can share a point (a graph
+    the primitive blocks of each length (_primitive_blocks), so half of
+    them end in 0.  Only the two constant words can share a point (a graph
     node), and S fixes both, so comparing words compares points.  A pinned
     (exceptional, held fixed) purely periodic word is kept, and every other
     word on its cycle meets it before coming back and is dropped."""
-    if sys.symbolic_map is not shift_map and sys.symbolic_map is not c_map:
-        raise ValueError(f"system {sys.name!r}: periodicity is decided only "
-                         "for the shift and the complementing shift")
-    complementing = sys.symbolic_map is c_map
-    pinned = {(w.period_len, w.period) for fib in sys.pinned_fibers for w in fib
-              if w.pre_len == 0 and w.period_len <= horizon}
-    primes = [()] + [tuple(_factorize(k)) for k in range(1, horizon + 1)]
-    count = 0
-    for k in range(1, horizon + 1):
-        # mu(k/d) is (-1)^n when k/d is a product of n distinct primes, else 0
-        primitive = sum((-1) ** n << (k // math.prod(ps))
-                        for n in range(len(primes[k]) + 1)
-                        for ps in combinations(primes[k], n))
-        count += primitive // 2 if complementing else primitive
+    complementing = _complementing(sys)
+    pinned = {(w.period_len, w.period) for w in _pinned_periodic(sys, horizon)}
+    count = sum(map(_primitive_blocks, range(1, horizon + 1)))
+    if complementing:
+        count //= 2
     blocked = set()
     for k, q in pinned:
         cycle = _cycle(k, q, complementing, horizon)
@@ -219,7 +212,7 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
     count -= len(blocked)
     # q repeats a block of length k/p exactly when the repunit
     # (2^k - 1)/(2^(k/p) - 1) divides it
-    repunits = [[((1 << k) - 1) // ((1 << k // p) - 1) for p in primes[k]]
+    repunits = [[((1 << k) - 1) // ((1 << k // p) - 1) for p in _factorize(k)]
                 for k in range(horizon + 1)]
 
     def kept(k: int, q: int) -> bool:
@@ -233,6 +226,34 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
         return (k, q) not in blocked
 
     return count, kept
+
+
+def _complementing(sys: InducedSystem) -> bool:
+    """Is the induced symbolic map the complementing shift C (else the
+    shift S)?  Periodicity and the generator orbit are read only under
+    these two."""
+    if sys.symbolic_map is c_map:
+        return True
+    if sys.symbolic_map is shift_map:
+        return False
+    raise ValueError(f"system {sys.name!r}: periodicity and the generator orbit are "
+                     "decided only under the shift and the complementing shift")
+
+
+def _primitive_blocks(k: int) -> int:
+    """P(k) = sum over d | k of mu(k/d) 2^d, the primitive blocks of length k."""
+    primes = tuple(_factorize(k))
+    # mu(k/d) is (-1)^n when k/d is a product of n distinct primes, else 0
+    return sum((-1) ** n << (k // math.prod(ps))
+               for n in range(len(primes) + 1) for ps in combinations(primes, n))
+
+
+def _pinned_periodic(sys: InducedSystem, horizon: int) -> List[Word]:
+    """The pinned purely periodic words of period at most `horizon`, in
+    (period length, block) order."""
+    return sorted({w for fib in sys.pinned_fibers for w in fib
+                   if w.pre_len == 0 and w.period_len <= horizon},
+                  key=lambda w: (w.period_len, w.period))
 
 
 def _cycle(k: int, q: int, complementing: bool, horizon: int):
@@ -264,9 +285,9 @@ def _uncovered(space: Codec, kept: Callable[[int, int], bool], max_period: int,
     length k.  A cell's search tries k from max_period down, where ranges
     are widest, and stops at its first kept block."""
     ends = set()
-    for b in (0, 1):
+    for b, w in enumerate(_CONSTANTS):
         if kept(1, b):
-            ends.update(space.point_cells(space.decode(Word._from_packed(0, 0, 1, b)), p))
+            ends.update(space.point_cells(space.decode(w), p))
     missing = []
     for i, (s, c) in enumerate(_arc_prefixes(space), start=1):
         for j in range(1 << p):
@@ -290,9 +311,7 @@ def _holds_kept(kept, s: int, c: int, j: int, p: int, max_period: int) -> bool:
 def _arc_prefixes(space: Codec) -> List[Tuple[int, int]]:
     """(s, c) for each arc: a word addresses the arc exactly when its first
     s bits, packed, are c.  The interval is one arc with an empty prefix."""
-    if isinstance(space, GraphSystem):
-        return [_pack(bits) for bits in space.prefixes]
-    return [(0, 0)]
+    return [_pack(bits) for bits in space.prefixes]
 
 
 def _point_returns(fmap, pt, horizon: int) -> bool:
@@ -345,11 +364,7 @@ def _orbit_windows(target: Target, width: int, steps: int):
     when its induced map is the complementing shift, else under S."""
     if target.stream_step is None or target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
-    sym = target.induced.symbolic_map
-    if sym is not shift_map and sym is not c_map:
-        raise ValueError(f"system {target.name!r}: the generator orbit is read "
-                         "only under the shift and the complementing shift")
-    return orbit_windows(width, steps, sym is c_map)
+    return orbit_windows(width, steps, _complementing(target.induced))
 
 
 # -- transitivity ------------------------------------------------------------
@@ -536,13 +551,16 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     """Does projection commute with the patched induced map on all short
     periodic words and along the generator orbit?
 
-    For systems with a designated-redirect override this also confirms the
-    redirected fiber is disjoint from the periodic words (its members are
-    all eventually constant, never purely periodic) and, through the
-    enclosure checks, from the sampled generator orbit.  Along the orbit
-    only a step whose 64-bit window the enclosure test cannot separate from
-    a pinned point is checked (see _orbit_commute_failures); with no pinned
-    point every step commutes.
+    The override acts only on a pinned fiber or where the star condition
+    fails, which needs a fiber of two or more words.  A purely periodic word
+    that is not constant is alone in its fiber, so unless it is pinned the
+    commute holds by construction: of the periodic_words purely periodic
+    words of period at most max_period, only the two constant words and the
+    pinned ones are checked.  With a designated-redirect override this also
+    confirms the redirected fiber holds no periodic word (its members are
+    all eventually constant, never purely periodic).  Along the orbit only
+    a step in a pinned point's cell is checked (see _orbit_commute_failures);
+    with no pinned point every step commutes.
     """
     started = time.monotonic()
     _at_least(1, max_period=max_period)
@@ -554,66 +572,42 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     if target.induced is None or target.stream_step is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced
-    witnesses = []
-    words = _collect_periodic(max_period)
-    redirected_hits = 0
-    if sys.designated is not None:
-        # a periodic word inside a redirected fiber would break the commute
-        pinned_words = {w for fib in sys.pinned_fibers for w in fib}
-        for w in words:
-            if w in pinned_words:
-                redirected_hits += 1
-                witnesses.append({"periodic_in_redirected_fiber": str(w)})
-    for w in words:
-        if not semiconjugacy_check(sys, w):
-            witnesses.append({"word": str(w)})
+    pinned = _pinned_periodic(sys, max_period)
+    # a periodic word inside a redirected fiber would break the commute
+    redirected = pinned if sys.designated is not None else []
+    witnesses = [{"periodic_in_redirected_fiber": str(w)} for w in redirected]
+    checked = list(_CONSTANTS) + [w for w in pinned if w.period_len > 1]
+    witnesses += [{"word": str(w)} for w in checked if not semiconjugacy_check(sys, w)]
     if sys.pinned_points:
         witnesses += _orbit_commute_failures(target, orbit_steps)
     params = {"max_period": max_period, "orbit_steps": orbit_steps,
-              "periodic_words": len(words),
-              "periodic_in_redirected_fibers": redirected_hits}
+              "periodic_words": sum(map(_primitive_blocks, range(1, max_period + 1))),
+              "periodic_in_redirected_fibers": len(redirected)}
     return _finish(target.name, "lemma6", params, witnesses, started)
 
 
 def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
     """The generator-orbit steps where semiconjugacy_check fails.
 
-    A step whose first r-1+64 bits the precision-64 enclosure test
-    separates from every pinned point passes at once, so only a step whose
-    cell (arc, v) is a suspect is checked, refining to 512 bits as before.
-    Each rolled window is looked up by its first 64 bits: the arc prefix and
-    the leading bits of v, which its cell fixes.  So every suspect step is
-    found, and a step that is not a suspect may be checked needlessly."""
+    A step whose first r-1+64 bits address a precision-64 cell (arc, v)
+    that no pinned point lies in (codec.point_cells) passes at once, so only
+    a step in a pinned point's cell is checked, and the check refines to 512
+    bits.  Each rolled window is looked up by its first 64 bits: the arc
+    prefix and the leading bits of v, which its cell fixes.  So every such
+    step is found, and a step outside those cells may be checked needlessly."""
     sys, p = target.induced, _STREAM_PRECISIONS[0]
     space = sys.codec
-    r = space.r
     prefixes = _arc_prefixes(space)
     keys = set()
-    for i, v in _suspect_cells(space, sys.pinned_points, p):
-        s, c = prefixes[i - 1]
-        keys.add(((c << p) | v) >> s)
-    flips = sys.symbolic_map is c_map
+    for pt in sys.pinned_points:
+        for i, v in space.point_cells(pt, p):
+            s, c = prefixes[i - 1]
+            keys.add(((c << p) | v) >> s)
+    flips = _complementing(sys)
     failures = []
-    for n, window in enumerate(_orbit_windows(target, r - 1 + p, steps)):
-        if window >> (r - 1) in keys:
+    for n, window in enumerate(orbit_windows(space.r - 1 + p, steps, flips)):
+        if window >> (space.r - 1) in keys:
             sw = StreamWord(n, dense_bit(n) if flips and n else 0)
             if not semiconjugacy_check(sys, sw):
                 failures.append({"orbit_step": n})
     return failures
-
-
-def _suspect_cells(space: Codec, points, p: int) -> set:
-    """Every precision-p cell (arc, v) that stream_excludes_all cannot
-    separate from some pinned point: v = 0 and v = 2^p - 1 on every arc for
-    a node, and for a parameter t on an arc the one or two v with
-    v <= t 2^p <= v + 1."""
-    top = (1 << p) - 1
-    cells = set()
-    for pt in points:
-        if isinstance(pt, Node):
-            cells.update((i, v) for i in range(1, space.r + 1) for v in (0, top))
-            continue
-        arc, t = (pt.arc, pt.t) if isinstance(pt, Interior) else (1, pt)
-        m, rest = divmod(t.numerator << p, t.denominator)
-        cells.update((arc, v) for v in ((m,) if rest else (m - 1, m)) if 0 <= v <= top)
-    return cells

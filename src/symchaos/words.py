@@ -305,19 +305,19 @@ def word_value(w: Word, den_hint: int | None = None) -> Fraction:
     return Fraction(num // g, den // g)
 
 
-MAX_METRIC_PERIOD_BITS = 1 << 24
+MAX_PERIOD_BITS = 1 << 24  # the longest period bits_of and word_metric build
 
 
 def word_metric(a: Word, b: Word) -> Fraction:
     """d(a, b) = sum |a(i) - b(i)| / 2^i, exactly.
 
     Cost is governed by lcm of the two period lengths, the period of the
-    difference; above MAX_METRIC_PERIOD_BITS it raises ValueError before
+    difference; above MAX_PERIOD_BITS it raises ValueError before
     building anything.
     """
     m = max(a.pre_len, b.pre_len)
     k = math.lcm(a.period_len, b.period_len)
-    if k > MAX_METRIC_PERIOD_BITS:
+    if k > MAX_PERIOD_BITS:
         raise ValueError(f"word_metric: lcm of the period lengths is {k} bits, "
                          "exceeds bound 2^24")
     diff_pre = prefix_int(a, m) ^ prefix_int(b, m)
@@ -431,7 +431,8 @@ def bits_of(t: Fraction) -> List[Word]:
     """All binary expansions of t in [0, 1].
 
     Two expansions (ordered [...10^inf, ...01^inf]) exactly when t is a
-    dyadic l/2^n strictly inside (0, 1); otherwise one.
+    dyadic l/2^n strictly inside (0, 1); otherwise one.  A period above
+    MAX_PERIOD_BITS raises ValueError before the block is built.
     """
     if t < 0 or t > 1:
         raise ValueError(f"value {t} outside [0, 1]")
@@ -449,6 +450,8 @@ def bits_of(t: Fraction) -> List[Word]:
     head = p // q_odd
     s = p % q_odd
     k = _order_of_two(q_odd)
+    if k > MAX_PERIOD_BITS:
+        raise ValueError(f"bits_of: the expansion's period is {k} bits, exceeds bound 2^24")
     block = ((s << k) - s) // q_odd
     return [Word._from_packed(a, head, k, block, primitive=True)]
 

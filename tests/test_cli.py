@@ -160,6 +160,13 @@ def test_graph_orbit_bad_start(capsys, k3_file):
     assert "error" in err
 
 
+def test_graph_orbit_start_with_a_zero_denominator_is_usage_error(capsys, k3_file):
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file,
+                         "--start", "E1:1/0", "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: not a rational: '1/0'\n"
+
+
 def test_graph_orbit_missing_file(capsys):
     code, _, err = run(capsys, "graph-orbit", "--file", "/nonexistent.graph",
                        "--start", "node:a", "--steps", "1")
@@ -291,6 +298,12 @@ def test_fiber_non_dyadic(capsys):
     code, out, _ = run(capsys, "fiber", "--x", "1/3")
     assert code == 0
     assert out == ":01\n"
+
+
+def test_fiber_period_above_its_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "fiber", "--x", "1/33554467")
+    assert (code, out) == (2, "")
+    assert err == "error: bits_of: the expansion's period is 33554466 bits, exceeds bound 2^24\n"
 
 
 def test_fiber_graph(capsys, k3_file):

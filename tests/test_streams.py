@@ -157,9 +157,12 @@ def _graph_excludes_oracle(system, sw, points, p):
     skip = ones + 1 if ones < r - 1 else r - 1
     v = int("".join(map(str, bits[skip:skip + p])), 2)
     lo, hi = Fraction(v, 1 << p), Fraction(v + 1, 1 << p)
+    ends = system.spec.arc(arc)
     for pt in points:
         if isinstance(pt, Node):
-            if lo <= 0 or hi >= 1:
+            # a node lies on an arc only at its ends: parameter 0 at its tail,
+            # 1 at its head
+            if (ends.tail == pt.id and lo <= 0) or (ends.head == pt.id and hi >= 1):
                 return False
         elif pt.arc == arc and lo <= pt.t <= hi:
             return False
@@ -194,6 +197,30 @@ def test_graph_stream_exclusion_matches_fraction_oracle(name, offset, flip, p, d
     points = data.draw(st.permutations(points))[:data.draw(st.integers(0, len(points)))]
     assert (system.stream_excludes_all(sw, points, p)
             == _graph_excludes_oracle(system, sw, points, p))
+
+
+class _Window:
+    """A stream whose first r-1+p bits are one given window."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def window_int(self, n):
+        return self.x
+
+
+def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
+    # on the triangle E1 runs from a to b and has the 1-bit prefix 0, so a
+    # 2+p bit window 0 v x addresses (E1, v); with only node a pinned the
+    # window at E1's head (v = 2^p - 1, node b) is separated, and the one at
+    # its tail (v = 0, node a) is not
+    k3, p = SYSTEMS["k3"], 8
+    top = (1 << p) - 1
+    head, tail = _Window(top << 1), _Window(0)
+    assert k3.split_window(head.x, p) == (1, top) and k3.split_window(tail.x, p) == (1, 0)
+    assert k3.stream_excludes_all(head, [Node("a")], p)
+    assert not k3.stream_excludes_all(tail, [Node("a")], p)
+    assert not k3.stream_excludes_all(head, [Node("b")], p)
 
 
 @pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])

@@ -11,13 +11,14 @@ from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphSystem,
     Interior,
+    Node,
     graph_metric,
     graph_system,
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import dense_word
-from symchaos.words import Word
+from symchaos.words import Word, shift_map
 from symchaos.verifier import (
     ChaosReport,
     Target,
@@ -573,6 +574,17 @@ def test_lemma6_at_the_step_bound():
     assert report.verdict == "pass" and report.witnesses == []
 
 
+@pytest.mark.parametrize("target", [tent_target(), baker_target(), GRAPH_TARGETS[0]],
+                         ids=lambda t: t.name)
+def test_lemma6_at_its_bounds(target):
+    # 130,486 words of period at most 16 (sum of the primitive blocks), of
+    # which only the two constant words are checked
+    report = lemma6_commute_check(target, 16, 10 ** 6)
+    assert report.params == {"max_period": 16, "orbit_steps": 10 ** 6,
+                             "periodic_words": 130486, "periodic_in_redirected_fibers": 0}
+    assert report.verdict == "pass" and report.witnesses == []
+
+
 def _orbit_iterate(base, n):
     sw = dense_word()
     for _ in range(n):
@@ -624,7 +636,16 @@ def test_lemma6_reports_the_step_512_bits_cannot_separate(target):
     assert report.witnesses == [{"orbit_step": n}]
 
 
-LEMMA6_TARGETS = (_interval_targets() + GRAPH_TARGETS + COPY_TARGETS + [PATH24])
+def _node_a_target():
+    """The triangle with only node a pinned: a pinned node lies on an arc
+    only at the ends incident to it."""
+    base = GRAPH_TARGETS[0]
+    sys = induced_system("k3-a", shift_map, base.space, pinned_points=(Node("a"),))
+    return Target("k3-node-a", base.fmap, base.space, None, sys, base.stream_step)
+
+
+LEMMA6_TARGETS = (_interval_targets() + GRAPH_TARGETS + COPY_TARGETS + [PATH24,
+                                                                      _node_a_target()])
 LEMMA6_STEPS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000)
 
 
@@ -653,6 +674,81 @@ def test_lemma6_matches_the_per_step_oracle(target):
         assert report.verdict == ("fail" if witnesses else "pass")
 
 
+def _redirect_target(base, designated, points):
+    """`base` with the designated-redirect override on pinned `points`."""
+    sys = induced_system(f"{base.name}-redirect", base.induced.symbolic_map, base.space,
+                         designated=designated, pinned_points=points)
+    return Target(f"{base.name}-redirect-{designated}", base.fmap, base.space,
+                  base.branches, sys, base.stream_step)
+
+
+# 1/3 and 2/7 are purely periodic, as are 0 and 1 (the constant words)
+REDIRECT_TARGETS = [_redirect_target(baker_target(), F(1), (F(1, 3), F(2, 7))),
+                    _redirect_target(baker_target(), F(1, 2), (F(0), F(1)))]
+
+
+def _old_lemma6_periodic(target, max_period):
+    """{M: (params, witnesses)} for M up to max_period, orbit steps 0, from
+    the enumeration lemma6 replaced: every distinct word of period at most M,
+    each tested for a redirected fiber and put through semiconjugacy_check."""
+    sys = target.induced
+    pinned_words = {w for fib in sys.pinned_fibers for w in fib}
+    rows = [(w, w in pinned_words, semiconjugacy_check(sys, w))
+            for w in verifier._collect_periodic(max_period)]
+    reports = {}
+    for m in range(1, max_period + 1):
+        # the first-occurrence order of a longer enumeration keeps the
+        # order of a shorter one
+        words = [row for row in rows if row[0].period_len <= m]
+        hits = [w for w, pinned, _ in words if pinned] if sys.designated is not None else []
+        witnesses = ([{"periodic_in_redirected_fiber": str(w)} for w in hits]
+                     + [{"word": str(w)} for w, _, commutes in words if not commutes])
+        params = {"max_period": m, "orbit_steps": 0, "periodic_words": len(words),
+                  "periodic_in_redirected_fibers": len(hits)}
+        reports[m] = (params, witnesses)
+    return reports
+
+
+@pytest.mark.parametrize("target", LEMMA6_TARGETS + REDIRECT_TARGETS, ids=lambda t: t.name)
+def test_lemma6_periodic_words_match_the_enumeration_oracle(target):
+    for m, (params, witnesses) in _old_lemma6_periodic(target, 12).items():
+        report = lemma6_commute_check(target, m, 0)
+        assert (report.params, report.witnesses) == (params, witnesses), m
+        assert report.verdict == ("fail" if witnesses else "pass")
+
+
+@pytest.mark.parametrize("target,words", [(REDIRECT_TARGETS[0], [":01", ":010"]),
+                                          (REDIRECT_TARGETS[1], [":0", ":1"])],
+                         ids=lambda v: getattr(v, "name", None))
+def test_redirected_periodic_words_are_witnessed(target, words):
+    # each pinned periodic word lies in a redirected fiber and, sent to the
+    # designated point, fails the commute
+    report = lemma6_commute_check(target, 4, 3000)
+    assert report.params["periodic_in_redirected_fibers"] == 2
+    assert report.witnesses == ([{"periodic_in_redirected_fiber": w} for w in words]
+                                + [{"word": w} for w in words])
+
+
+@pytest.mark.parametrize("target", LEMMA6_TARGETS + REDIRECT_TARGETS, ids=lambda t: t.name)
+def test_lemma6_checks_only_the_constant_and_pinned_words(monkeypatch, target):
+    # a deterministic work guard: nothing is enumerated, and only the two
+    # constant words and the pinned purely periodic words are checked
+    monkeypatch.setattr(verifier, "periodic_words", None)
+    checked, original = [], verifier.semiconjugacy_check
+
+    def counting(sys, w):
+        if isinstance(w, Word):
+            checked.append(w)
+        return original(sys, w)
+
+    monkeypatch.setattr(verifier, "semiconjugacy_check", counting)
+    lemma6_commute_check(target, 12, 100)
+    pinned = {w for fib in target.induced.pinned_fibers for w in fib
+              if w.pre_len == 0 and w.period_len <= 12}
+    assert len(checked) == len(set(checked)) <= 2 + len(pinned)
+    assert set(checked) == {Word([], [0]), Word([], [1])} | pinned
+
+
 class _Window:
     """A stream whose first bits are one given window."""
 
@@ -669,7 +765,7 @@ class _Window:
 def test_suspect_cells_are_where_64_bits_cannot_separate(target):
     codec, points, p = target.induced.codec, target.induced.pinned_points, 64
     r, top = codec.r, (1 << p) - 1
-    suspects = verifier._suspect_cells(codec, points, p)
+    suspects = {c for pt in points for c in codec.point_cells(pt, p)}
     assert suspects
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
     for i in range(1, r + 1):
@@ -685,6 +781,19 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(target):
             assert codec.split_window(x, p) == (i, v)
             separated = codec.stream_excludes_all(_Window(x, r - 1 + p), points, p)
             assert ((i, v) in suspects) == (not separated), (i, v)
+            inside = any(_in_enclosure(codec, pt, i, v, p) for pt in points)
+            assert inside == (not separated), (i, v)
+
+
+def _in_enclosure(codec, pt, i, v, p):
+    """Does the pinned point lie in the closed parameter window
+    [v/2^p, (v+1)/2^p] of arc i?  A node lies on an arc only at its ends."""
+    lo, hi = F(v, 1 << p), F(v + 1, 1 << p)
+    if isinstance(pt, Node):
+        arc = codec.spec.arc(i)
+        return (arc.tail == pt.id and lo == 0) or (arc.head == pt.id and hi == 1)
+    arc, t = (pt.arc, pt.t) if isinstance(pt, Interior) else (1, pt)
+    return arc == i and lo <= t <= hi
 
 
 def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import symchaos.words
 from symchaos.words import (
-    MAX_METRIC_PERIOD_BITS,
+    MAX_PERIOD_BITS,
     MILLER_RABIN_BOUND,
     Word,
     _factorize,
@@ -448,7 +448,7 @@ def test_word_metric_rejects_a_difference_period_above_its_bound(monkeypatch):
 
     a, b = bits_of(Fraction(1, 999983))[0], bits_of(Fraction(1, 999979))[0]
     k = math.lcm(a.period_len, b.period_len)
-    assert k > MAX_METRIC_PERIOD_BITS == 1 << 24 > 8345004
+    assert k > MAX_PERIOD_BITS == 1 << 24 > 8345004
     monkeypatch.setattr(symchaos.words, "_aligned_period", None)
     k3 = graph_system(parse_graph(EXAMPLE_GRAPHS["k3"]))
     started = time.monotonic()
@@ -468,6 +468,18 @@ def test_bits_of_examples():
     assert bits_of(Fraction(1, 2)) == [W("1:0"), W("0:1")]
     assert bits_of(Fraction(1, 3)) == [W(":01")]
     assert bits_of(Fraction(3, 4)) == [W("11:0"), W("10:1")]
+
+
+def test_bits_of_rejects_a_period_above_its_bound():
+    # 2 has order 33,554,466 modulo the prime 33,554,467: the order is
+    # checked against the bound before the 2^25-bit block is built
+    assert _order_of_two(33554467) == 33554466 > MAX_PERIOD_BITS
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="period is 33554466 bits, exceeds bound 2\\^24"):
+        bits_of(Fraction(1, 33554467))
+    assert time.monotonic() - started < 1
+    # the longest period the tests and the benchmark use stays below it
+    assert bits_of(Fraction(1, 10007 * 10009))[0].period_len == 8345004
 
 
 def test_bits_of_rejects_out_of_range():
