@@ -50,6 +50,7 @@ from .graphs import (
     parse_graph,
     graph_system,
     graph_map,
+    graph_step,
     exceptional_points,
     graph_orbit,
     graph_metric,

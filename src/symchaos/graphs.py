@@ -13,13 +13,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import (Fiber, InducedSystem, induced_apply, induced_system,
                             stream_excludes_all)
-from .interval import INTERVAL_CODEC, unit_cells
+from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
+    _pack,
     bits_of,
     drop_bits,
     prefix_int,
@@ -40,6 +41,7 @@ __all__ = [
     "parse_graph",
     "graph_system",
     "graph_map",
+    "graph_step",
     "exceptional_points",
     "graph_orbit",
     "graph_metric",
@@ -87,11 +89,13 @@ class Interior:
     t: Fraction
 
     def __post_init__(self):
-        if not 0 < self.t < 1:
+        t = self.t
+        # a reduced Fraction compares by its parts in a third of the time
+        if not 0 < t.numerator < t.denominator:
             raise ValueError(f"interior parameter {self.t} not in (0, 1)")
 
     def __repr__(self) -> str:
-        return f"Interior({self.arc}, {self.t})"
+        return f"Interior({self.arc}, {_show(self.t)})"
 
 
 @dataclass(frozen=True)
@@ -285,10 +289,76 @@ def exceptional_points(sys: GraphSystem) -> List[GraphPoint]:
 
 
 def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
-    """The induced chaotic map: shift through fibers, exceptional set fixed."""
+    """The induced chaotic map: shift through fibers, exceptional set fixed.
+    The result is checked against the closed form (graph_step); a mismatch
+    is an internal invariant failure and raises ArithmeticError."""
     fib = sys.encode(point)
     out = induced_apply(sys.induced, fib)
-    return sys.decode(out.words[0])
+    image = sys.decode(out.words[0])
+    expected = graph_step(sys, point)
+    if image != expected:
+        raise ArithmeticError(f"induced graph map at {point!r} gave {image!r}, "
+                              f"closed form gives {expected!r}")
+    return image
+
+
+def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
+    """The induced map in closed form: lattice_step on the lattice of the
+    parameter's own denominator."""
+    if isinstance(point, Node):
+        if point.id not in sys._ends:
+            raise GraphError(f"unknown node {point.id!r}")
+        return point
+    sys.spec.arc(point.arc)  # an index out of range raises
+    q = point.t.denominator
+    return lattice_point(lattice_step(sys, (point.arc, point.t.numerator), q), q)
+
+
+# A lattice key names a point whose parameter is a multiple of 1/q: (i, n)
+# for the interior point n/q of arc i (0 < n < q), else the node itself.
+Key = Union[Tuple[int, int], Node]
+
+
+def lattice_point(key: Key, q: int) -> GraphPoint:
+    if isinstance(key, Node):
+        return key
+    return Interior(key[0], Fraction(key[1], q))
+
+
+def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
+    """The arc-ladder map on a key of the lattice of denominator q: it only
+    doubles or shifts parameters, so the image is on the same lattice.  Nodes and the midpoints of arcs 1 and r
+    are pinned.  On the loop (r = 1) it doubles mod 1; arc i (1 < i < r)
+    steps down to arc i-1; the last arc doubles into arc r-1 below 1/2 and
+    into itself above.  On arc 1 (r > 1), with j the leading 1s of the
+    parameter's larger expansion (at most r-1), the point moves to arc j+1
+    and drops j+1 bits (r-1 when j = r-1).  At t = 1 - 2^-j the two
+    expansions land on head(arc j) and tail(arc j+1): one node, or a star
+    failure, which the identity override holds fixed."""
+    if isinstance(key, Node):
+        return key
+    i, n = key
+    r = sys.r
+    if 2 * n == q and (i == 1 or i == r):
+        return key
+    if r == 1:
+        return 1, 2 * n % q
+    if i == r:
+        return (r - 1, 2 * n) if 2 * n < q else (r, 2 * n - q)
+    if i > 1:
+        return i - 1, n
+    # j is the largest j <= r-1 with t >= 1 - 2^-j, that is (q - n) 2^j <= q
+    gap = q - n
+    j = q.bit_length() - gap.bit_length()
+    if gap << j > q:
+        j -= 1
+    j = min(j, r - 1)
+    d = min(j + 1, r - 1)
+    m = (n << d) - q * ((1 << d) - (1 << d - j))
+    if m:
+        return j + 1, m
+    tail, head = sys.spec.arcs[j].tail, sys.spec.arcs[j - 1].head
+    return Node(tail) if tail == head else key
 
 
 def graph_orbit(sys: GraphSystem, point: GraphPoint, n: int) -> List[GraphPoint]:
@@ -308,6 +378,50 @@ def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
     forward = max(min(dist[(a, b)] for b in fb) for a in fa)
     backward = max(min(dist[(a, b)] for a in fa) for b in fb)
     return max(forward, backward)
+
+
+def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key], bool]:
+    """The test graph_metric > eta on keys of the lattice of denominator q.
+
+    When q = 2^e every fiber word is an arc prefix of s <= r-1 bits, e
+    parameter bits, then a constant tail.  Packed as its first r+e bits
+    (the last one a tail bit), two words a, b lie d(a, b) 2^(r+e) =
+    (a XOR b) + (its last bit) apart.  Other lattices take the word route."""
+    if q & (q - 1):
+        return lambda x, y: graph_metric(sys, lattice_point(x, q), lattice_point(y, q)) > eta
+    e = q.bit_length() - 1
+    r = sys.r
+    bound, den = eta.numerator << (r + e), eta.denominator
+    # per arc: its prefix shifted past the parameter bits, the shift that
+    # leaves room for the tail, and the tail of 1s
+    frames = [(c << e, r - s, (1 << (r - s)) - 1)
+              for s, c in map(_pack, sys.prefixes)]
+
+    def words(key: Key) -> List[int]:
+        if isinstance(key, Node):
+            return [_tail_word(frames[i - 1], (q - 1) * end, end)
+                    for i, end in sys._ends[key.id]]
+        i, n = key
+        frame = frames[i - 1]
+        return [_tail_word(frame, n, 0), _tail_word(frame, n - 1, 1)]
+
+    def far(x: Key, y: Key) -> bool:
+        a, b = words(x), words(y)
+        forward = max(min(_xor_distance(u, v) for v in b) for u in a)
+        backward = max(min(_xor_distance(u, v) for u in a) for v in b)
+        return max(forward, backward) * den > bound
+
+    return far
+
+
+def _tail_word(frame, m: int, tail: int) -> int:
+    head, shift, ones = frame
+    return ((head | m) << shift) | (ones if tail else 0)
+
+
+def _xor_distance(a: int, b: int) -> int:
+    x = a ^ b
+    return x + (x & 1)
 
 
 EXAMPLE_GRAPHS: Dict[str, str] = {

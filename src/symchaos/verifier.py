@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
-from .graphs import GraphSystem, GraphPoint, Interior, graph_map, graph_metric
+from .graphs import GraphSystem, graph_step, lattice_far, lattice_point, lattice_step
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
@@ -101,7 +101,7 @@ def baker_target() -> Target:
 
 
 def graph_target(system: GraphSystem, name: str = "graph") -> Target:
-    return Target(name, lambda point: graph_map(system, point), system,
+    return Target(name, lambda point: graph_step(system, point), system,
                   induced=system.induced, stream_step=stream_shift)
 
 
@@ -490,22 +490,19 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
     space = target.space
-    points = [Fraction(2 * j + 1, 2 * grid) for j in range(grid)]
-    # the one branch on the space kind: a per-call memo pays on graphs, whose
-    # grid orbits merge and whose fiber metric is costly; on the interval a
-    # closed-form step costs less than hashing its Fraction key, and the memo
-    # about doubles the constant control (grid 256, horizon 40: about 85 ms
-    # -> 175 ms on a 2-core x86-64 VM)
+    # the one branch on the space kind: graph grid orbits merge and their
+    # fiber metric is costly, so a per-call memo of lattice keys pays; on
+    # the interval a closed-form step costs less than hashing its Fraction
+    # key, and the memo about doubles the constant control (grid 256,
+    # horizon 40: about 85 ms -> 175 ms on a 2-core x86-64 VM)
     if isinstance(space, GraphSystem):
-        image, far = {}, {}
-        points = [Interior(i, t) for i in range(1, space.r + 1) for t in points]
-        failures = [space.point_json(x) for x in points
-                    if not _separates_graph(target, x, eta, delta, horizon, image, far)]
+        failures = _graph_failures(space, eta, delta, grid, horizon)
     else:
+        points = [Fraction(2 * j + 1, 2 * grid) for j in range(grid)]
         failures = [space.point_json(x) for x in points
                     if not _separates_interval(target, x, eta, delta, horizon)]
     params = {"eta": str(eta), "delta": str(delta), "grid": grid,
-              "horizon": horizon, "points": len(points)}
+              "horizon": horizon, "points": space.r * grid}
     return _finish(target.name, "sensitivity", params, failures, started)
 
 
@@ -521,25 +518,42 @@ def _separates_interval(target, x, eta, delta, horizon) -> bool:
     return False
 
 
-def _separates_graph(target, x: Interior, eta, delta, horizon,
+def _graph_failures(space: GraphSystem, eta, delta, grid: int, horizon: int) -> List[dict]:
+    """The grid points of every arc that no neighbour separates from.
+
+    Grid points, neighbours and (the map only doubles or shifts
+    parameters) their orbits all lie on the lattice of denominator
+    q = lcm(2 grid, delta's denominator), so points are lattice keys.
+    `image` (key -> F(key)) and `far` ((x, y) -> metric > eta) hold what
+    earlier grid points computed: their orbits merge, and both are pure."""
+    q = math.lcm(2 * grid, delta.denominator)
+    unit, step = q // (2 * grid), delta.numerator * (q // delta.denominator)
+    apart = lattice_far(space, q, eta)
+    image, far = {}, {}
+    failures = []
+    for i in range(1, space.r + 1):
+        for n in range(unit, q, 2 * unit):
+            if not _separates_graph(space, apart, q, (i, n), step, horizon, image, far):
+                failures.append(space.point_json(lattice_point((i, n), q)))
+    return failures
+
+
+def _separates_graph(space, apart, q: int, x, step: int, horizon: int,
                      image: dict, far: dict) -> bool:
-    """`image` (point -> F(point)) and `far` ((p, q) -> metric > eta) hold
-    what earlier grid points of the same probe computed: grid points share a
-    denominator, so their orbits merge, and both functions are pure."""
-    for t in (x.t - delta, x.t + delta):
-        if not 0 < t < 1:
+    i, n = x
+    for m in (n - step, n + step):
+        if not 0 < m < q:
             continue
-        fx: GraphPoint = x
-        fy: GraphPoint = Interior(x.arc, t)
+        fx, fy = x, (i, m)
         for _ in range(horizon + 1):
             pair = (fx, fy)
             if pair not in far:
-                far[pair] = graph_metric(target.space, fx, fy) > eta
+                far[pair] = apart(fx, fy)
             if far[pair]:
                 return True
             for p in pair:
                 if p not in image:
-                    image[p] = target.fmap(p)
+                    image[p] = lattice_step(space, p, q)
             fx, fy = image[fx], image[fy]
     return False
 

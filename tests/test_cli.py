@@ -167,6 +167,18 @@ def test_graph_orbit_start_with_a_zero_denominator_is_usage_error(capsys, k3_fil
     assert err == "error: not a rational: '1/0'\n"
 
 
+def test_graph_orbit_closed_form_mismatch_exits_three(capsys, monkeypatch, k3_file):
+    import symchaos.graphs
+
+    monkeypatch.setattr(symchaos.graphs, "graph_step", lambda sys, point: point)
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file,
+                         "--start", "E2:1/3", "--steps", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: internal invariant failed: induced graph map at "
+                   "Interior(2, 1/3) gave Interior(1, 1/3), closed form gives "
+                   "Interior(2, 1/3)\n")
+
+
 def test_graph_orbit_missing_file(capsys):
     code, _, err = run(capsys, "graph-orbit", "--file", "/nonexistent.graph",
                        "--start", "node:a", "--steps", "1")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import symchaos.graphs
+from symchaos.decomposition import induced_apply
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphError,
@@ -14,7 +16,10 @@ from symchaos.graphs import (
     graph_map,
     graph_metric,
     graph_orbit,
+    graph_step,
     graph_system,
+    lattice_far,
+    lattice_point,
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
@@ -232,6 +237,93 @@ def test_disconnected_graph_map_crosses_components(two_segments):
     assert graph_map(two_segments, Interior(1, F(1, 3))) == Interior(1, F(2, 3))
 
 
+# ------------------------------------------- the closed form and its oracle
+
+def _fiber_route(sys, point):
+    return sys.decode(induced_apply(sys.induced, sys.encode(point)).words[0])
+
+
+def random_graph(rng):
+    """A graph of 1-6 arcs between 1-4 nodes drawn with replacement: loops,
+    disconnected graphs and head(arc j) != tail(arc j+1) all occur."""
+    nodes = [f"v{k}" for k in range(rng.randint(1, 4))]
+    arcs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(1, 6))]
+    used = sorted({v for arc in arcs for v in arc})
+    lines = [f"node {v}" for v in used]
+    lines += [f"arc E{i} {tail} {head}" for i, (tail, head) in enumerate(arcs, start=1)]
+    return graph_system(parse_graph("\n".join(lines)))
+
+
+def _star_failures(sys):
+    """The arc-1 points 1 - 2^-j (1 < j <= r-1; j = 1 is the pinned 1/2)
+    whose two expansions land on different nodes, head(arc j) and
+    tail(arc j+1)."""
+    arcs = sys.spec.arcs
+    return [Interior(1, 1 - F(1, 2 ** j)) for j in range(2, sys.r)
+            if arcs[j - 1].head != arcs[j].tail]
+
+
+def _non_dyadic(rng):
+    while True:
+        q = rng.randrange(3, 10 ** 4)
+        t = F(rng.randrange(1, q), q)
+        if t.denominator & (t.denominator - 1):
+            return t
+
+
+def _oracle_points(sys, rng, rationals):
+    points = list(sys.exceptional)
+    for i in range(1, sys.r + 1):
+        points += [Interior(i, F(k, 64)) for k in range(1, 64)]
+        points += [Interior(i, 1 - F(1, 2 ** j)) for j in range(1, sys.r + 1)]
+        points += [Interior(i, _non_dyadic(rng)) for _ in range(rationals)]
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_GRAPHS))
+def test_graph_step_matches_the_fiber_route_on_the_example_graphs(name):
+    sys = graph_system(parse_graph(EXAMPLE_GRAPHS[name]))
+    for point in _oracle_points(sys, random.Random(name), 300):
+        assert graph_step(sys, point) == _fiber_route(sys, point), point
+
+
+def test_graph_step_matches_the_fiber_route_on_random_graphs():
+    rng = random.Random(17)
+    failures = 0
+    for _ in range(60):
+        sys = random_graph(rng)
+        for point in _oracle_points(sys, rng, 30):
+            assert graph_step(sys, point) == _fiber_route(sys, point), (sys.spec, point)
+        for point in _star_failures(sys):
+            assert graph_step(sys, point) == point
+            failures += 1
+    assert failures >= 20  # the example graphs have none outside the pinned set
+
+
+def test_a_star_failure_on_arc_one_is_held_fixed():
+    # 3/4 on E1 expands as 110^inf and 101^inf; shifted, they address the
+    # tail of E3 and the head of E2
+    text = "node a\nnode b\narc E1 a b\narc E2 b a\narc E3 {} {}\n"
+    apart = graph_system(parse_graph(text.format("b", "b")))
+    joined = graph_system(parse_graph(text.format("a", "a")))
+    assert graph_map(apart, Interior(1, F(3, 4))) == Interior(1, F(3, 4))
+    assert graph_map(joined, Interior(1, F(3, 4))) == Node("a")
+
+
+def test_graph_map_raises_when_the_closed_form_disagrees(monkeypatch, k3):
+    monkeypatch.setattr(symchaos.graphs, "graph_step", lambda sys, point: point)
+    with pytest.raises(ArithmeticError, match=r"induced graph map at Interior\(2, 1/3\) "
+                       r"gave Interior\(1, 1/3\), closed form gives Interior\(2, 1/3\)"):
+        graph_map(k3, Interior(2, F(1, 3)))
+
+
+def test_graph_step_rejects_what_graph_map_rejects(k3):
+    with pytest.raises(GraphError):
+        graph_step(k3, Interior(4, F(1, 3)))
+    with pytest.raises(GraphError):
+        graph_step(k3, Node("z"))
+
+
 # ---------------------------------------------------------------- metric
 
 def test_graph_metric_axioms(k3):
@@ -246,6 +338,37 @@ def test_graph_metric_axioms(k3):
         for q in pts:
             for s in pts:
                 assert graph_metric(k3, p, s) <= graph_metric(k3, p, q) + graph_metric(k3, q, s)
+
+
+def _dyadic_keys(sys, q):
+    return [Node(v) for v in sys.spec.nodes] + [(i, n) for i in range(1, sys.r + 1)
+                                                 for n in range(1, q)]
+
+
+def test_lattice_far_decides_as_graph_metric_on_dyadic_pairs():
+    # eta at the exact distance of some pairs checks the strict inequality
+    rng = random.Random(23)
+    systems = [graph_system(parse_graph(t)) for t in EXAMPLE_GRAPHS.values()]
+    systems += [random_graph(rng) for _ in range(20)]
+    for sys in systems:
+        for q in (2, 8, 32):
+            keys = _dyadic_keys(sys, q)
+            pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(40)]
+            distances = {graph_metric(sys, lattice_point(x, q), lattice_point(y, q))
+                         for x, y in pairs}
+            for eta in sorted(distances - {0})[:4] + [F(1, 4), F(1, 3), F(7, 8)]:
+                far = lattice_far(sys, q, eta)
+                for x, y in pairs:
+                    d = graph_metric(sys, lattice_point(x, q), lattice_point(y, q))
+                    assert far(x, y) == (d > eta), (sys.spec, q, eta, x, y)
+
+
+def test_lattice_far_takes_the_word_route_off_dyadic_lattices(k3):
+    far = lattice_far(k3, 6, F(1, 8))
+    for x in _dyadic_keys(k3, 6):
+        for y in ((1, 1), (3, 5), Node("c")):
+            d = graph_metric(k3, lattice_point(x, 6), lattice_point(y, 6))
+            assert far(x, y) == (d > F(1, 8))
 
 
 def test_interior_validation():

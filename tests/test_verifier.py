@@ -12,6 +12,7 @@ from symchaos.graphs import (
     GraphSystem,
     Interior,
     Node,
+    graph_map,
     graph_metric,
     graph_system,
     parse_graph,
@@ -869,7 +870,8 @@ def test_overlapped_cells_are_the_cells_a_lap_image_meets():
 
 
 def _old_separates_graph(target, x, eta, delta, horizon):
-    # the per-step loop the per-call image and separation memo replaced
+    # the per-step loop on points: one fiber-route map and one word metric
+    # per step
     for t in (x.t - delta, x.t + delta):
         if not 0 < t < 1 or t == x.t:
             continue
@@ -877,7 +879,7 @@ def _old_separates_graph(target, x, eta, delta, horizon):
         for _ in range(horizon + 1):
             if graph_metric(target.space, fx, fy) > eta:
                 return True
-            fx, fy = target.fmap(fx), target.fmap(fy)
+            fx, fy = graph_map(target.space, fx), graph_map(target.space, fy)
     return False
 
 
@@ -892,13 +894,27 @@ def _old_sensitivity_graph(target, eta, delta, grid, horizon):
     return params, "fail" if witnesses else "pass", witnesses
 
 
-SENSITIVITY_CASES = [(t, eta, delta, grid, horizon) for t in GRAPH_TARGETS
+# seeded draws of test_graphs.random_graph (seeds 0, 9 and 26): on arc 1,
+# 1 - 2^-j is a star failure for j = 2, 3 (seed 0), j = 2, 3, 4 (seed 9, two
+# loops on their own nodes) and j = 2, 4, 5 (seed 26), and the grid orbits
+# below reach some of them
+STAR_TARGETS = [graph_target(graph_system(parse_graph(text)), name) for name, text in (
+    ("random0", "node v0\nnode v1\nnode v2\nnode v3\narc E1 v0 v2\narc E2 v3 v3\n"
+                "arc E3 v2 v3\narc E4 v2 v1\n"),
+    ("random9", "node v0\nnode v1\nnode v2\nnode v3\narc E1 v2 v2\narc E2 v1 v1\n"
+                "arc E3 v0 v2\narc E4 v3 v0\narc E5 v2 v0\n"),
+    ("random26", "node v0\nnode v1\narc E1 v0 v1\narc E2 v0 v0\narc E3 v1 v0\n"
+                 "arc E4 v0 v1\narc E5 v0 v1\narc E6 v0 v0\n"))]
+
+SENSITIVITY_CASES = [(t, eta, delta, grid, horizon) for t in GRAPH_TARGETS + STAR_TARGETS
                      for eta, delta, grid, horizon in (
                          (F(1, 8), F(1, 4096), 16, 40),
                          (F(1, 8), F(1, 4096), 24, 40),
                          (F(1), F(1, 4096), 8, 40),
                          (F(1, 8), F(1, 4096), 16, 1),
                          (F(1, 8), F(1, 4096), 16, 3),
+                         (F(1, 8), F(3, 64), 16, 40),
+                         (F(1, 2), F(1, 4), 2, 3),  # neighbours at both arc ends
                          (F(1, 8), F(1, 3), 16, 40))]
 
 
@@ -916,24 +932,58 @@ def test_graph_sensitivity_maps_each_point_and_measures_each_pair_once(
     # a deterministic work guard: the per-step loop maps and measures the
     # merged orbits of neighbouring grid points many times over
     mapped, measured = Counter(), Counter()
-    original_map, original_metric = verifier.graph_map, verifier.graph_metric
+    original_step, original_far = verifier.lattice_step, verifier.lattice_far
 
-    def counting_map(system, point):
-        mapped[point] += 1
-        return original_map(system, point)
+    def counting_step(system, key, q):
+        mapped[key] += 1
+        return original_step(system, key, q)
 
-    def counting_metric(system, p, q):
-        measured[p, q] += 1
-        return original_metric(system, p, q)
+    def counting_far(system, q, eta):
+        far = original_far(system, q, eta)
 
-    monkeypatch.setattr(verifier, "graph_map", counting_map)
-    monkeypatch.setattr(verifier, "graph_metric", counting_metric)
+        def counted(x, y):
+            measured[x, y] += 1
+            return far(x, y)
+        return counted
+
+    monkeypatch.setattr(verifier, "lattice_step", counting_step)
+    monkeypatch.setattr(verifier, "lattice_far", counting_far)
     target = graph_target(k3, "k3")
     first = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
     assert max(mapped.values()) == 1 and max(measured.values()) == 1
-    points, pairs = set(mapped), set(measured)
+    keys, pairs = set(mapped), set(measured)
     second = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
     # nothing survives a call: the second one recomputes every entry
-    assert set(mapped.values()) == {2} and set(mapped) == points
+    assert set(mapped.values()) == {2} and set(mapped) == keys
     assert set(measured.values()) == {2} and set(measured) == pairs
     assert (first.params, first.witnesses) == (second.params, second.witnesses)
+
+
+def test_graph_sensitivity_orbits_reach_star_failures(monkeypatch):
+    # so the oracle comparison above sees the star-failure rule at work
+    held = set()
+    original_step = verifier.lattice_step
+
+    def recording_step(system, key, q):
+        image = original_step(system, key, q)
+        if image == key and isinstance(key, tuple) and key[0] == 1 and 2 * key[1] != q:
+            held.add((system.r, F(key[1], q)))
+        return image
+
+    monkeypatch.setattr(verifier, "lattice_step", recording_step)
+    for target in STAR_TARGETS:
+        sensitivity_probe(target, F(1, 8), F(1, 4096), 16, 40)
+    assert held == {(4, F(7, 8)), (5, F(7, 8)), (5, F(15, 16)), (6, F(15, 16)),
+                    (6, F(31, 32))}
+
+
+def test_k3_sensitivity_at_grid_4096():
+    # reports recorded with the Fraction-keyed loop this lattice route replaced
+    target = GRAPH_TARGETS[0]
+    half = sensitivity_probe(target, F(1, 2), F(1, 4096), 4096, 40)
+    assert half.witnesses == [{"arc": arc, "t": "1/8192"} for arc in ("E1", "E2", "E3")]
+    assert half.params["points"] == 3 * 4096
+    wide = sensitivity_probe(target, F(3, 4), F(1, 4096), 4096, 40)
+    assert len(wide.witnesses) == 3075
+    assert wide.witnesses[0] == {"arc": "E1", "t": "1/8192"}
+    assert wide.witnesses[-1] == {"arc": "E3", "t": "8187/8192"}
