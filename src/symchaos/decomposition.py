@@ -11,7 +11,7 @@ either fixing the fiber or redirecting it to a designated point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
 from .words import Word
@@ -88,7 +88,7 @@ class Codec(Protocol):
 
     def point_json(self, point): ...
 
-    def stream_excludes_all(self, sw: StreamWord, points: Sequence, precision: int) -> bool: ...
+    def stream_excludes_all(self, sw: StreamWord, cells: Set, precision: int) -> bool: ...
 
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         """Cell (arc, window) addressed by the packed first r-1+precision bits."""
@@ -97,6 +97,11 @@ class Codec(Protocol):
         """Every resolution-p cell that contains the point."""
 
     def cell_json(self, cell: Tuple[int, int]) -> dict: ...
+
+    def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, Callable, bool]:
+        """The space on the parameters n/q of each arc, keyed (arc, n): one
+        step of fmap on a key, the test metric > eta on two keys, the point
+        of a key, and whether arc ends (n = 0 or q) may be neighbours."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,8 @@ class InducedSystem:
 
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
-    fiber where the star condition fails.
+    fiber where the star condition fails.  `pinned_cells` maps each stream
+    precision to the cells (codec.point_cells) that hold a pinned point.
     """
 
     name: str
@@ -127,13 +133,19 @@ class InducedSystem:
     designated: Any = None
     pinned_points: Tuple = ()
     pinned_fibers: frozenset = field(default_factory=frozenset)
+    pinned_cells: Dict[int, frozenset] = field(default_factory=dict)
+
+
+_STREAM_PRECISIONS = (64, 128, 256, 512)
 
 
 def induced_system(name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
                    designated=None, pinned_points: Sequence = ()) -> InducedSystem:
     fibers = frozenset(codec.encode(pt) for pt in pinned_points)
+    cells = {p: frozenset(c for pt in pinned_points for c in codec.point_cells(pt, p))
+             for p in _STREAM_PRECISIONS}
     return InducedSystem(name, symbolic_map, codec, designated,
-                         tuple(pinned_points), fibers)
+                         tuple(pinned_points), fibers, cells)
 
 
 def star_check(sys: InducedSystem, fib: Fiber) -> StarOutcome:
@@ -160,9 +172,6 @@ def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
-_STREAM_PRECISIONS = (64, 128, 256, 512)
-
-
 def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
     """Does the induced map commute with projection at w?
 
@@ -174,10 +183,8 @@ def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
     them.
     """
     if isinstance(w, StreamWord):
-        if not sys.pinned_points:
-            return True
         for precision in _STREAM_PRECISIONS:
-            if sys.codec.stream_excludes_all(w, sys.pinned_points, precision):
+            if sys.codec.stream_excludes_all(w, sys.pinned_cells[precision], precision):
                 return True
         return False
     fib = sys.codec.fiber_of(w)
@@ -186,14 +193,12 @@ def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
     return lhs == rhs
 
 
-def stream_excludes_all(codec: Codec, sw: StreamWord, points: Sequence,
-                        precision: int) -> bool:
-    """Is every point outside the precision-p cell that sw's first
-    r-1+precision bits address?  The cell is the value enclosure of the
-    stream's parameter, and it fails to separate a point exactly when it is
-    one of the point's point_cells.  Each codec binds this as its method."""
-    cell = codec.split_window(sw.window_int(codec.r - 1 + precision), precision)
-    return not any(cell in codec.point_cells(pt, precision) for pt in points)
+def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int) -> bool:
+    """Is the precision-p cell that sw's first r-1+precision bits address
+    outside `cells`?  The cell is the value enclosure of the stream's
+    parameter, and it fails to separate a point exactly when it is one of
+    the point's point_cells.  Each codec binds this as its method."""
+    return codec.split_window(sw.window_int(codec.r - 1 + precision), precision) not in cells
 
 
 def outcome_to_json(outcome: StarOutcome, codec) -> dict:

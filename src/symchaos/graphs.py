@@ -267,6 +267,12 @@ class GraphSystem:
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
+    def lattice(self, fmap, q: int, eta: Fraction):
+        """lattice_step (the closed form of fmap, graph_step), lattice_far
+        and lattice_point; arc ends are nodes, never neighbours."""
+        return (lambda key: lattice_step(self, key, q), lattice_far(self, q, eta),
+                lambda key: lattice_point(key, q), False)
+
     stream_excludes_all = stream_excludes_all
 
 

@@ -92,6 +92,21 @@ class IntervalCodec:
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"cell": cell[1]}
 
+    def lattice(self, fmap, q: int, eta: Fraction):
+        """The key (1, n) is n/q, ends included.  A step is fmap, and an
+        image off the lattice raises ArithmeticError."""
+        def step(key):
+            y = fmap(Fraction(key[1], q))
+            n, rest = divmod(y.numerator * q, y.denominator)
+            if rest:
+                raise ArithmeticError(f"the map takes {key[1]}/{q} to {_show(y)}, "
+                                      f"off the lattice of denominator {q}")
+            return 1, n
+
+        bound, den = eta.numerator * q, eta.denominator
+        return (step, lambda x, y: abs(x[1] - y[1]) * den > bound,
+                lambda key: Fraction(key[1], q), True)
+
 
 INTERVAL_CODEC = IntervalCodec()
 

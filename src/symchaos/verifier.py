@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
-from .graphs import GraphSystem, graph_step, lattice_far, lattice_point, lattice_step
+from .graphs import GraphSystem, graph_step
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
@@ -478,7 +478,14 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     """From each grid point, does some delta-close neighbour separate beyond
     eta within the horizon?  Distances are exact (interval metric, or the
     fiber Hausdorff metric on graphs).  eta must be positive and delta in
-    (0, 1); neighbours outside the space are skipped."""
+    (0, 1); neighbours outside the space are skipped.
+
+    Grid points, their neighbours and their orbits lie on the lattice of
+    denominator q = lcm(2 grid, delta's denominator, the branch data's
+    denominators): a point is the key (arc, n) of parameter n/q, which the
+    codec steps and measures (Codec.lattice).  Orbits of neighbouring grid
+    points merge, so `image` (key -> F(key)) and `far` ((x, y) -> metric >
+    eta) hold, for one call, what earlier points computed."""
     started = time.monotonic()
     _at_least(1, grid=grid, horizon=horizon)
     if grid > 1 << 12:
@@ -490,71 +497,36 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
     space = target.space
-    # the one branch on the space kind: graph grid orbits merge and their
-    # fiber metric is costly, so a per-call memo of lattice keys pays; on
-    # the interval a closed-form step costs less than hashing its Fraction
-    # key, and the memo about doubles the constant control (grid 256,
-    # horizon 40: about 85 ms -> 175 ms on a 2-core x86-64 VM)
-    if isinstance(space, GraphSystem):
-        failures = _graph_failures(space, eta, delta, grid, horizon)
-    else:
-        points = [Fraction(2 * j + 1, 2 * grid) for j in range(grid)]
-        failures = [space.point_json(x) for x in points
-                    if not _separates_interval(target, x, eta, delta, horizon)]
+    q = math.lcm(2 * grid, delta.denominator,
+                 *(c.denominator for branch in target.branches or () for c in branch))
+    step, apart, point, ends = space.lattice(target.fmap, q, eta)
+    unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
+    lo, hi = (0, q) if ends else (1, q - 1)
+    image, far = {}, {}
+    failures = [space.point_json(point((i, n)))
+                for i in range(1, space.r + 1) for n in range(unit, q, 2 * unit)
+                if not any(_separates(step, apart, (i, n), (i, m), horizon, image, far)
+                           for m in (n - width, n + width) if lo <= m <= hi)]
     params = {"eta": str(eta), "delta": str(delta), "grid": grid,
               "horizon": horizon, "points": space.r * grid}
     return _finish(target.name, "sensitivity", params, failures, started)
 
 
-def _separates_interval(target, x, eta, delta, horizon) -> bool:
-    for y in (x - delta, x + delta):
-        if not 0 <= y <= 1:
-            continue
-        fx, fy = x, y
-        for _ in range(horizon + 1):
-            if abs(fx - fy) > eta:
-                return True
-            fx, fy = target.fmap(fx), target.fmap(fy)
-    return False
-
-
-def _graph_failures(space: GraphSystem, eta, delta, grid: int, horizon: int) -> List[dict]:
-    """The grid points of every arc that no neighbour separates from.
-
-    Grid points, neighbours and (the map only doubles or shifts
-    parameters) their orbits all lie on the lattice of denominator
-    q = lcm(2 grid, delta's denominator), so points are lattice keys.
-    `image` (key -> F(key)) and `far` ((x, y) -> metric > eta) hold what
-    earlier grid points computed: their orbits merge, and both are pure."""
-    q = math.lcm(2 * grid, delta.denominator)
-    unit, step = q // (2 * grid), delta.numerator * (q // delta.denominator)
-    apart = lattice_far(space, q, eta)
-    image, far = {}, {}
-    failures = []
-    for i in range(1, space.r + 1):
-        for n in range(unit, q, 2 * unit):
-            if not _separates_graph(space, apart, q, (i, n), step, horizon, image, far):
-                failures.append(space.point_json(lattice_point((i, n), q)))
-    return failures
-
-
-def _separates_graph(space, apart, q: int, x, step: int, horizon: int,
-                     image: dict, far: dict) -> bool:
-    i, n = x
-    for m in (n - step, n + step):
-        if not 0 < m < q:
-            continue
-        fx, fy = x, (i, m)
-        for _ in range(horizon + 1):
-            pair = (fx, fy)
-            if pair not in far:
-                far[pair] = apart(fx, fy)
-            if far[pair]:
-                return True
-            for p in pair:
-                if p not in image:
-                    image[p] = lattice_step(space, p, q)
-            fx, fy = image[fx], image[fy]
+def _separates(step, apart, fx, fy, horizon: int, image: dict, far: dict) -> bool:
+    for _ in range(horizon + 1):
+        if fx == fy:  # one orbit from here on
+            return False
+        separated = far.get((fx, fy))
+        if separated is None:
+            separated = far[fx, fy] = apart(fx, fy)
+        if separated:
+            return True
+        gx, gy = image.get(fx), image.get(fy)
+        if gx is None:
+            gx = image[fx] = step(fx)
+        if gy is None:
+            gy = image[fy] = step(fy)
+        fx, fy = gx, gy
     return False
 
 
@@ -613,10 +585,9 @@ def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
     space = sys.codec
     prefixes = _arc_prefixes(space)
     keys = set()
-    for pt in sys.pinned_points:
-        for i, v in space.point_cells(pt, p):
-            s, c = prefixes[i - 1]
-            keys.add(((c << p) | v) >> s)
+    for i, v in sys.pinned_cells[p]:
+        s, c = prefixes[i - 1]
+        keys.add(((c << p) | v) >> s)
     flips = _complementing(sys)
     failures = []
     for n, window in enumerate(orbit_windows(space.r - 1 + p, steps, flips)):

@@ -147,6 +147,11 @@ def _interval_excludes_oracle(sw, points, p):
     return all(pt < lo or pt > hi for pt in points)
 
 
+def _cells(codec, points, p):
+    """The cells that hold a point, as induced_system gathers them."""
+    return {c for pt in points for c in codec.point_cells(pt, p)}
+
+
 def _graph_excludes_oracle(system, sw, points, p):
     r = system.spec.r
     bits = [b ^ sw.flip for b in BRUTE[sw.offset:sw.offset + r - 1 + p]]
@@ -181,7 +186,7 @@ def test_interval_stream_exclusion_matches_fraction_oracle(offset, flip, p, data
     # the enclosure's own endpoints, so the closed comparisons are exercised
     points = data.draw(st.lists(units | st.sampled_from(
         [Fraction(v, 1 << p), Fraction(v + 1, 1 << p)]), max_size=4))
-    assert (INTERVAL_CODEC.stream_excludes_all(sw, points, p)
+    assert (INTERVAL_CODEC.stream_excludes_all(sw, _cells(INTERVAL_CODEC, points, p), p)
             == _interval_excludes_oracle(sw, points, p))
 
 
@@ -195,7 +200,7 @@ def test_graph_stream_exclusion_matches_fraction_oracle(name, offset, flip, p, d
                          units.filter(lambda t: 0 < t < 1))
     points = list(system.exceptional) + data.draw(st.lists(interior, max_size=3))
     points = data.draw(st.permutations(points))[:data.draw(st.integers(0, len(points)))]
-    assert (system.stream_excludes_all(sw, points, p)
+    assert (system.stream_excludes_all(sw, _cells(system, points, p), p)
             == _graph_excludes_oracle(system, sw, points, p))
 
 
@@ -218,9 +223,9 @@ def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
     top = (1 << p) - 1
     head, tail = _Window(top << 1), _Window(0)
     assert k3.split_window(head.x, p) == (1, top) and k3.split_window(tail.x, p) == (1, 0)
-    assert k3.stream_excludes_all(head, [Node("a")], p)
-    assert not k3.stream_excludes_all(tail, [Node("a")], p)
-    assert not k3.stream_excludes_all(head, [Node("b")], p)
+    assert k3.stream_excludes_all(head, _cells(k3, [Node("a")], p), p)
+    assert not k3.stream_excludes_all(tail, _cells(k3, [Node("a")], p), p)
+    assert not k3.stream_excludes_all(head, _cells(k3, [Node("b")], p), p)
 
 
 @pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])

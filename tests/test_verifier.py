@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from collections import Counter
@@ -15,6 +16,7 @@ from symchaos.graphs import (
     graph_map,
     graph_metric,
     graph_system,
+    lattice_step,
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
@@ -623,9 +625,9 @@ def test_the_copy_steps_exercise_the_flip_and_a_short_prefix():
 def test_lemma6_refines_where_64_bits_cannot_separate(target):
     # 100 copied bits: 64 cannot separate the iterate from the point, 128 can
     sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
-    points, space = target.induced.pinned_points, target.space
-    assert not space.stream_excludes_all(sw, points, 64)
-    assert space.stream_excludes_all(sw, points, 128)
+    cells, space = target.induced.pinned_cells, target.space
+    assert not space.stream_excludes_all(sw, cells[64], 64)
+    assert space.stream_excludes_all(sw, cells[128], 128)
     assert lemma6_commute_check(target, 4, 20000).verdict == "pass"
 
 
@@ -767,7 +769,7 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(target):
     codec, points, p = target.induced.codec, target.induced.pinned_points, 64
     r, top = codec.r, (1 << p) - 1
     suspects = {c for pt in points for c in codec.point_cells(pt, p)}
-    assert suspects
+    assert suspects and suspects == target.induced.pinned_cells[p]
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
     for i in range(1, r + 1):
         near |= {(i, v + d) for _, v in suspects for d in range(-2, 3)}
@@ -780,7 +782,7 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(target):
         for tail in {0, (1 << free) - 1}:
             x = (c << (p + free)) | (v << free) | tail
             assert codec.split_window(x, p) == (i, v)
-            separated = codec.stream_excludes_all(_Window(x, r - 1 + p), points, p)
+            separated = codec.stream_excludes_all(_Window(x, r - 1 + p), suspects, p)
             assert ((i, v) in suspects) == (not separated), (i, v)
             inside = any(_in_enclosure(codec, pt, i, v, p) for pt in points)
             assert inside == (not separated), (i, v)
@@ -927,27 +929,116 @@ def test_graph_sensitivity_matches_per_step_oracle(target, eta, delta, grid, hor
             == _old_sensitivity_graph(target, eta, delta, grid, horizon))
 
 
+def _old_separates_interval(target, x, eta, delta, horizon):
+    # the per-step loop on Fractions: neighbours at 0 and 1 are probed
+    for y in (x - delta, x + delta):
+        if not 0 <= y <= 1:
+            continue
+        fx, fy = x, y
+        for _ in range(horizon + 1):
+            if abs(fx - fy) > eta:
+                return True
+            fx, fy = target.fmap(fx), target.fmap(fy)
+    return False
+
+
+def _old_sensitivity_interval(target, eta, delta, grid, horizon):
+    """(params, verdict, witnesses) from the Fraction loop the lattice
+    route replaced."""
+    points = [F(2 * j + 1, 2 * grid) for j in range(grid)]
+    witnesses = [str(x) for x in points
+                 if not _old_separates_interval(target, x, eta, delta, horizon)]
+    params = {"eta": str(eta), "delta": str(delta), "grid": grid,
+              "horizon": horizon, "points": grid}
+    return params, "fail" if witnesses else "pass", witnesses
+
+
+INTERVAL_SENSITIVITY_TARGETS = [
+    ("tent", tent_target()), ("baker", baker_target()), ("identity", identity_target()),
+    ("constant-1/2", constant_target()), ("constant-1/3", constant_target(F(1, 3))),
+    ("rotation-1/3", rotation_target()), ("rotation-1/5", rotation_target(F(1, 5)))]
+
+INTERVAL_SENSITIVITY_CASES = [
+    (name, t, eta, delta, grid, horizon) for name, t in INTERVAL_SENSITIVITY_TARGETS
+    for eta, delta, grid, horizon in (
+        (F(1, 4), F(1, 4096), 64, 40),
+        (F(1, 8), F(1, 4096), 24, 40),
+        (F(1, 2), F(1, 4096), 16, 40),
+        (F(3, 4), F(1, 4096), 16, 40),
+        (F(1), F(1, 4096), 8, 40),
+        (F(1, 8), F(1, 4096), 16, 1),
+        (F(1, 8), F(1, 4096), 16, 3),
+        (F(1, 8), F(3, 64), 16, 40),
+        (F(1, 2), F(1, 4), 2, 3),  # neighbours at both ends, 0 and 1
+        (F(1, 4), F(1, 2), 2, 10),
+        (F(1, 8), F(1, 3), 16, 40),
+        (F(1, 100), F(1, 7), 5, 12))]
+
+
+@pytest.mark.parametrize(
+    "name,target,eta,delta,grid,horizon", INTERVAL_SENSITIVITY_CASES,
+    ids=[f"{n}-{e}/{d}/{g}/{h}" for n, _, e, d, g, h in INTERVAL_SENSITIVITY_CASES])
+def test_interval_sensitivity_matches_fraction_loop_oracle(name, target, eta, delta,
+                                                           grid, horizon):
+    report = sensitivity_probe(target, eta, delta, grid, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _old_sensitivity_interval(target, eta, delta, grid, horizon))
+
+
+# recorded with the Fraction loop: verdict, failures, and the first 16 hex
+# digits of the sha256 of the JSON witness list
+@pytest.mark.parametrize("make,eta,verdict,failures,digest", [
+    (tent_target, F(1, 4), "pass", 0, "4f53cda18c2baa0c"),
+    (tent_target, F(1, 2), "fail", 4096, "ad17139517ca49dc"),
+    (tent_target, F(3, 4), "fail", 4096, "ad17139517ca49dc"),
+    (baker_target, F(1, 4), "pass", 0, "4f53cda18c2baa0c"),
+    (baker_target, F(1, 2), "fail", 2050, "356fe430ac6accdb"),
+    (baker_target, F(3, 4), "fail", 3074, "f5229e98e581a858")],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_interval_sensitivity_at_grid_4096(make, eta, verdict, failures, digest):
+    report = sensitivity_probe(make(), eta, F(1, 4096), 4096, 40)
+    text = json.dumps(report.witnesses)
+    assert report.verdict == verdict and len(report.witnesses) == failures
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert report.params["points"] == 4096
+    if failures == 4096:
+        assert report.witnesses == [str(F(2 * j + 1, 8192)) for j in range(4096)]
+
+
+def test_interval_sensitivity_raises_when_the_map_leaves_the_lattice():
+    # q = lcm(8, 4096, 3) holds the branch data, but a third of a grid
+    # point's image is off the lattice within two steps
+    third = Target("third", lambda y: y / 3, INTERVAL_CODEC, ((F(0), F(1), F(1, 3), F(0)),))
+    with pytest.raises(ArithmeticError, match="off the lattice of denominator 12288"):
+        sensitivity_probe(third, F(1), F(1, 4096), 4, 10)
+
+
+def _count_lattice(monkeypatch, codec_class, mapped, measured):
+    """Wrap the step and the far test that codec_class.lattice hands the
+    probe, counting each step by key and each far test by pair."""
+    original = codec_class.lattice
+
+    def counting(codec, fmap, q, eta):
+        step, far, point, ends = original(codec, fmap, q, eta)
+
+        def counted_step(key):
+            mapped[codec, q, key] += 1
+            return step(key)
+
+        def counted_far(x, y):
+            measured[x, y] += 1
+            return far(x, y)
+        return counted_step, counted_far, point, ends
+
+    monkeypatch.setattr(codec_class, "lattice", counting)
+
+
 def test_graph_sensitivity_maps_each_point_and_measures_each_pair_once(
         monkeypatch, k3):
     # a deterministic work guard: the per-step loop maps and measures the
     # merged orbits of neighbouring grid points many times over
     mapped, measured = Counter(), Counter()
-    original_step, original_far = verifier.lattice_step, verifier.lattice_far
-
-    def counting_step(system, key, q):
-        mapped[key] += 1
-        return original_step(system, key, q)
-
-    def counting_far(system, q, eta):
-        far = original_far(system, q, eta)
-
-        def counted(x, y):
-            measured[x, y] += 1
-            return far(x, y)
-        return counted
-
-    monkeypatch.setattr(verifier, "lattice_step", counting_step)
-    monkeypatch.setattr(verifier, "lattice_far", counting_far)
+    _count_lattice(monkeypatch, GraphSystem, mapped, measured)
     target = graph_target(k3, "k3")
     first = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
     assert max(mapped.values()) == 1 and max(measured.values()) == 1
@@ -959,20 +1050,42 @@ def test_graph_sensitivity_maps_each_point_and_measures_each_pair_once(
     assert (first.params, first.witnesses) == (second.params, second.witnesses)
 
 
+@pytest.mark.parametrize("make", [tent_target, baker_target, constant_target],
+                         ids=lambda make: make.__name__)
+def test_interval_sensitivity_maps_each_point_and_measures_each_pair_once(
+        monkeypatch, make):
+    # the interval's step is the target's own fmap, called once per key
+    base = make()
+    calls, mapped, measured = Counter(), Counter(), Counter()
+
+    def counting_fmap(y):
+        calls[y] += 1
+        return base.fmap(y)
+
+    _count_lattice(monkeypatch, type(INTERVAL_CODEC), mapped, measured)
+    target = Target(base.name, counting_fmap, base.space, base.branches)
+    first = sensitivity_probe(target, F(1, 2), F(1, 4096), 256, 40)
+    assert max(calls.values()) == 1 and sum(calls.values()) == len(mapped) > 256
+    assert max(mapped.values()) == 1 and max(measured.values()) == 1
+    # a pair stops where its two orbits meet, before measuring a key against itself
+    assert all(x != y for x, y in measured)
+    points, pairs = set(calls), set(measured)
+    second = sensitivity_probe(target, F(1, 2), F(1, 4096), 256, 40)
+    assert set(calls.values()) == {2} and set(calls) == points
+    assert set(measured.values()) == {2} and set(measured) == pairs
+    assert (first.params, first.witnesses) == (second.params, second.witnesses)
+    assert first.witnesses == sensitivity_probe(base, F(1, 2), F(1, 4096), 256, 40).witnesses
+
+
 def test_graph_sensitivity_orbits_reach_star_failures(monkeypatch):
     # so the oracle comparison above sees the star-failure rule at work
-    held = set()
-    original_step = verifier.lattice_step
-
-    def recording_step(system, key, q):
-        image = original_step(system, key, q)
-        if image == key and isinstance(key, tuple) and key[0] == 1 and 2 * key[1] != q:
-            held.add((system.r, F(key[1], q)))
-        return image
-
-    monkeypatch.setattr(verifier, "lattice_step", recording_step)
+    mapped = Counter()
+    _count_lattice(monkeypatch, GraphSystem, mapped, Counter())
     for target in STAR_TARGETS:
         sensitivity_probe(target, F(1, 8), F(1, 4096), 16, 40)
+    held = {(system.r, F(key[1], q)) for system, q, key in mapped
+            if isinstance(key, tuple) and key[0] == 1 and 2 * key[1] != q
+            and lattice_step(system, key, q) == key}
     assert held == {(4, F(7, 8)), (5, F(7, 8)), (5, F(15, 16)), (6, F(15, 16)),
                     (6, F(31, 32))}
 
