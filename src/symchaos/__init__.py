@@ -15,10 +15,8 @@ from .words import (
 )
 from .streams import (
     StreamWord,
-    dense_word,
     stream_shift,
     stream_c_step,
-    stream_prefix,
     value_enclosure,
 )
 from .decomposition import (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import graphs, interval, verifier
-from .words import Word, bits_of, c_map, max_bits_bound, prefix_int, r_map, shift_map
+from .words import MAX_BITS, Word, bits_of, c_map, prefix_int, r_map, shift_map
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -185,9 +185,8 @@ def _cmd_conjugacy(args) -> int:
     length = args.length
     if length < 2:
         raise ValueError("--length must be at least 2")
-    bound = max_bits_bound()
-    if length > bound:
-        raise ValueError(f"--length {length} exceeds SYMCHAOS_MAX_BITS bound {bound}")
+    if length > MAX_BITS:
+        raise ValueError(f"--length {length} exceeds bound {MAX_BITS}")
     compare_bits = length - 1
     mismatches = 0
     for seed in range(1 << length):

@@ -27,7 +27,6 @@ __all__ = [
     "induced_apply",
     "semiconjugacy_check",
     "stream_excludes_all",
-    "outcome_to_json",
 ]
 
 
@@ -200,18 +199,3 @@ def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int
     the point's point_cells.  Each codec binds this as its method."""
     return codec.split_window(sw.window_int(codec.r - 1 + precision), precision) not in cells
 
-
-def outcome_to_json(outcome: StarOutcome, codec) -> dict:
-    """Serialize a star outcome: kind plus (word, point) image pairs."""
-    if isinstance(outcome, SingleFiber):
-        return {
-            "kind": "single",
-            "target": [str(w) for w in outcome.target],
-            "images": [{"word": str(w), "point": codec.point_json(codec.decode(w))}
-                       for w in outcome.target],
-        }
-    return {
-        "kind": "violation",
-        "images": [{"word": str(w), "point": codec.point_json(pt)}
-                   for w, pt in outcome.images],
-    }

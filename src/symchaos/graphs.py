@@ -98,8 +98,7 @@ class Interior:
         return f"Interior({self.arc}, {_show(self.t)})"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A node of the graph."""
 
     id: str

@@ -27,12 +27,10 @@ from typing import Iterator, List, Tuple
 __all__ = [
     "StreamWord",
     "orbit_windows",
-    "dense_word",
     "dense_prefix",
     "dense_bit",
     "stream_shift",
     "stream_c_step",
-    "stream_prefix",
     "value_enclosure",
 ]
 
@@ -56,7 +54,7 @@ def _dense_window(start: int, n: int) -> int:
 
 def dense_prefix(n: int) -> List[int]:
     """First n bits of the dense word."""
-    return dense_word().prefix(n)
+    return StreamWord().prefix(n)
 
 
 def dense_bit(i: int) -> int:
@@ -73,9 +71,6 @@ class StreamWord:
     offset: int = 0
     flip: int = 0
 
-    def bit(self, i: int) -> int:
-        return dense_bit(self.offset + i) ^ self.flip
-
     def prefix(self, n: int) -> List[int]:
         value = self.window_int(n)
         return [(value >> (n - 1 - i)) & 1 for i in range(n)]
@@ -86,17 +81,13 @@ class StreamWord:
         return value ^ ((1 << n) - 1) if self.flip else value
 
 
-def dense_word() -> StreamWord:
-    return StreamWord()
-
-
 def stream_shift(sw: StreamWord) -> StreamWord:
     return StreamWord(sw.offset + 1, sw.flip)
 
 
 def stream_c_step(sw: StreamWord) -> StreamWord:
     """One step of the complementing map: shift, then flip if bit 1 was 1."""
-    return StreamWord(sw.offset + 1, sw.flip ^ sw.bit(1))
+    return StreamWord(sw.offset + 1, sw.flip ^ sw.window_int(1))
 
 
 _CHUNK_BITS = 4096
@@ -129,12 +120,6 @@ def orbit_windows(width: int, steps: int, complementing: bool) -> Iterator[int]:
             for b in chunk:
                 yield x & mask
                 x = ((x << 1) & full) | (b & 1)
-
-
-def stream_prefix(sw: StreamWord, n: int) -> List[int]:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sw.prefix(n)
 
 
 def value_enclosure(sw: StreamWord, p: int) -> Tuple[Fraction, Fraction]:

@@ -19,8 +19,7 @@ from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjuga
 from .graphs import GraphSystem, graph_step
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
-from .words import (Word, _factorize, _pack, c_map, max_bits_bound, periodic_words,
-                    shift_map)
+from .words import MAX_BITS, Word, _factorize, _pack, c_map, shift_map
 
 __all__ = [
     "ChaosReport",
@@ -136,12 +135,6 @@ def _at_least(low: int, **params: int) -> None:
 _CONSTANTS = (Word([], [0]), Word([], [1]))
 
 
-def _collect_periodic(max_period: int) -> List[Word]:
-    """Every distinct word of period at most max_period, in enumeration order."""
-    return list(dict.fromkeys(w for k in range(1, max_period + 1)
-                              for w in periodic_words(k)))
-
-
 # -- dense periodic points -------------------------------------------------
 
 
@@ -150,30 +143,26 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     of period at most max_period, kept only when their point returns within
     max_period steps) dense at resolution 2^-resolution?
 
-    Under an induced shift or complementing shift the kept words are counted
-    and each cell is searched for one (see _kept_blocks and _uncovered);
-    other maps enumerate every word and iterate its point."""
+    The kept words are counted and each cell is searched for one (see
+    _uncovered).  Under an induced shift or complementing shift the count
+    and the kept test are closed forms (_kept_blocks); other maps decode
+    every word and iterate its point (_returning_blocks)."""
     started = time.monotonic()
     _at_least(1, max_period=max_period, resolution=resolution)
-    if max_period > min(24, max_bits_bound()):
-        raise ValueError(f"max_period {max_period} exceeds bound")
+    if max_period > MAX_BITS:
+        raise ValueError(f"max_period {max_period} exceeds bound {MAX_BITS}")
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
     space = target.space
+    if target.induced is None and max_period > 16:
+        raise ValueError(f"max_period {max_period} exceeds bound 16 for a map "
+                         "without an induced symbolic system")
+    ends = [space.decode(w) for w in _CONSTANTS]
     if target.induced is not None:
         points_kept, kept = _kept_blocks(target.induced, max_period)
-        missing = _uncovered(space, kept, max_period, resolution)
     else:
-        if max_period > 16:
-            raise ValueError(f"max_period {max_period} exceeds bound 16 for a map "
-                             "without an induced symbolic system")
-        points_kept, covered = 0, set()
-        for w in _collect_periodic(max_period):
-            pt = space.decode(w)
-            if _point_returns(target.fmap, pt, max_period):
-                points_kept += 1
-                covered.update(space.point_cells(pt, resolution))
-        missing = [c for c in _all_cells(space, resolution) if c not in covered]
+        points_kept, kept = _returning_blocks(target, ends, max_period)
+    missing = _uncovered(space, kept, ends, max_period, resolution)
     cells = space.r << resolution
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
@@ -210,10 +199,7 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
             blocked |= cycle
     blocked -= pinned
     count -= len(blocked)
-    # q repeats a block of length k/p exactly when the repunit
-    # (2^k - 1)/(2^(k/p) - 1) divides it
-    repunits = [[((1 << k) - 1) // ((1 << k // p) - 1) for p in _factorize(k)]
-                for k in range(horizon + 1)]
+    repunits = [_repunits(k) for k in range(horizon + 1)]
 
     def kept(k: int, q: int) -> bool:
         if (k, q) in pinned:
@@ -226,6 +212,30 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
         return (k, q) not in blocked
 
     return count, kept
+
+
+def _repunits(k: int) -> List[int]:
+    """A block of length k repeats a block of length k/p exactly when the
+    repunit (2^k - 1)/(2^(k/p) - 1) divides it, for a prime p of k."""
+    return [((1 << k) - 1) // ((1 << k // p) - 1) for p in _factorize(k)]
+
+
+def _returning_blocks(target: Target, ends: list,
+                      horizon: int) -> Tuple[int, Callable[[int, int], bool]]:
+    """_kept_blocks for a map without an induced symbolic system: the word
+    q^inf of each primitive block q of length at most `horizon` is decoded
+    once (the constant words' points are `ends`), and it is kept when its
+    point returns within `horizon` steps."""
+    space, fmap = target.space, target.fmap
+    kept = {(1, b) for b, pt in enumerate(ends) if _point_returns(fmap, pt, horizon)}
+    for k in range(2, horizon + 1):
+        repeats = {q for rep in _repunits(k) for q in range(0, 1 << k, rep)}
+        for q in range(1 << k):
+            if q not in repeats:
+                pt = space.decode(Word._from_packed(0, 0, k, q, primitive=True))
+                if _point_returns(fmap, pt, horizon):
+                    kept.add((k, q))
+    return len(kept), lambda k, q: (k, q) in kept
 
 
 def _complementing(sys: InducedSystem) -> bool:
@@ -271,27 +281,26 @@ def _cycle(k: int, q: int, complementing: bool, horizon: int):
     return None
 
 
-def _uncovered(space: Codec, kept: Callable[[int, int], bool], max_period: int,
-               p: int) -> List[Tuple[int, int]]:
+def _uncovered(space: Codec, kept: Callable[[int, int], bool], ends: list,
+               max_period: int, p: int) -> List[Tuple[int, int]]:
     """Every resolution-p cell that holds no kept word's point.
 
-    The two constant words are decoded (on a graph, to nodes at arc ends).
-    Any other purely periodic word has its point in exactly one cell, since
-    its value is never dyadic.  On an arc whose address prefix is the s bits
-    c, such a word q^inf has q = c followed by k-s bits u (s <= k, because c
-    has no 0 before its last bit), and its parameter word (u c)^inf has the
+    `ends` are the points of the two constant words (on a graph, nodes at
+    arc ends), and each one kept marks its cells.  Any other purely
+    periodic word has its point in exactly one cell, since its value is
+    never dyadic.  On an arc whose address prefix is the s bits c, such a
+    word q^inf has q = c followed by k-s bits u (s <= k, because c has no 0
+    before its last bit), and its parameter word (u c)^inf has the
     value (u 2^s + c)/(2^k - 1).  That lies in cell j exactly when
     j(2^k - 1) <= (u 2^s + c) 2^p <= (j+1)(2^k - 1): one range of u per
     length k.  A cell's search tries k from max_period down, where ranges
     are widest, and stops at its first kept block."""
-    ends = set()
-    for b, w in enumerate(_CONSTANTS):
-        if kept(1, b):
-            ends.update(space.point_cells(space.decode(w), p))
+    end_cells = {c for b, pt in enumerate(ends) if kept(1, b)
+                 for c in space.point_cells(pt, p)}
     missing = []
     for i, (s, c) in enumerate(_arc_prefixes(space), start=1):
         for j in range(1 << p):
-            if (i, j) not in ends and not _holds_kept(kept, s, c, j, p, max_period):
+            if (i, j) not in end_cells and not _holds_kept(kept, s, c, j, p, max_period):
                 missing.append((i, j))
     return missing
 

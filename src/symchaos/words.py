@@ -13,7 +13,6 @@ the valuation sum(w(i)/2^i).
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -33,25 +32,13 @@ __all__ = [
     "prefix_int",
     "prepend_bits",
     "drop_bits",
-    "max_bits_bound",
 ]
 
 _WORD_RE = re.compile(r"^([01]*):([01]+)$")
 
 _M64 = (1 << 64) - 1
 
-DEFAULT_MAX_BITS = 24
-
-
-def max_bits_bound() -> int:
-    """Enumeration cap, overridable through SYMCHAOS_MAX_BITS."""
-    raw = os.environ.get("SYMCHAOS_MAX_BITS")
-    if raw is None:
-        return DEFAULT_MAX_BITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SYMCHAOS_MAX_BITS must be an integer, got {raw!r}") from exc
+MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 
 
 def _pack(bits: Iterable[int]) -> Tuple[int, int]:
@@ -470,9 +457,8 @@ def periodic_words(n: int) -> List[Word]:
     """All words fixed by the n-fold shift (period dividing n); 2^n of them."""
     if n < 1:
         raise ValueError("n must be positive")
-    bound = max_bits_bound()
-    if n > bound:
-        raise ValueError(f"periodic_words bound exceeded: n={n} > {bound}")
+    if n > MAX_BITS:
+        raise ValueError(f"periodic_words bound exceeded: n={n} > {MAX_BITS}")
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symchaos import cli
 from symchaos.cli import main
 from symchaos.graphs import EXAMPLE_GRAPHS
 
@@ -291,11 +292,13 @@ def test_conjugacy_golden(capsys):
                    "0 mismatches\n")
 
 
-def test_conjugacy_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SYMCHAOS_MAX_BITS", "6")
-    code, _, err = run(capsys, "conjugacy", "--length", "8")
-    assert code == 2
-    assert "SYMCHAOS_MAX_BITS" in err
+def test_conjugacy_respects_length_cap(capsys, monkeypatch):
+    # the cap is checked before any prefix is mapped
+    mapped = []
+    monkeypatch.setattr(cli, "r_map", mapped.append)
+    code, out, err = run(capsys, "conjugacy", "--length", "25")
+    assert (code, out, mapped) == (2, "", [])
+    assert err == "error: --length 25 exceeds bound 24\n"
 
 
 # ----------------------------------------------------------------- fiber

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from symchaos.decomposition import (
     SingleFiber,
     Violation,
     induced_apply,
-    outcome_to_json,
     semiconjugacy_check,
     star_check,
 )
@@ -23,13 +21,12 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import (
-    INTERVAL_CODEC,
     baker_system,
     interval_fiber,
     tent,
     tent_system,
 )
-from symchaos.streams import dense_word, stream_shift
+from symchaos.streams import StreamWord, stream_shift
 from symchaos.words import Word, dyadic_twin, parse_word, periodic_words
 
 W = parse_word
@@ -139,7 +136,7 @@ def test_star_check_by_membership_matches_point_keys(name):
 
 
 def test_semiconjugacy_streams():
-    sw = dense_word()
+    sw = StreamWord()
     for _ in range(50):
         assert semiconjugacy_check(baker_system(), sw)
         assert semiconjugacy_check(tent_system(), sw)
@@ -209,26 +206,3 @@ def test_graph_violations_within_exceptional_set(k3, path2, loop1, figure8, two_
             print(f"{sys.spec.arcs[0].id}-graph: exceptional beyond violations: "
                   f"{sorted(map(repr, strict))}")
 
-
-# ------------------------------------------------------------------ json
-
-def test_outcome_json_round_trip():
-    single = star_check(tent_system(), interval_fiber(F(1, 2)))
-    data = outcome_to_json(single, INTERVAL_CODEC)
-    assert data["kind"] == "single"
-    assert data["target"] == [":1"]
-    assert json.loads(json.dumps(data)) == data
-
-    violation = star_check(baker_system(), interval_fiber(F(1, 2)))
-    data = outcome_to_json(violation, INTERVAL_CODEC)
-    assert data["kind"] == "violation"
-    assert {img["point"] for img in data["images"]} == {"0", "1"}
-    assert json.loads(json.dumps(data)) == data
-
-
-def test_graph_outcome_json(k3):
-    fib = k3.encode(Interior(2, F(1, 3)))
-    out = star_check(k3.induced, fib)
-    data = outcome_to_json(out, k3)
-    assert data["kind"] == "single"
-    assert data["images"][0]["point"] == {"arc": "E1", "t": "1/3"}

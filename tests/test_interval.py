@@ -15,7 +15,7 @@ from symchaos.interval import (
     tent,
     tent_system,
 )
-from symchaos.streams import dense_word, stream_shift, value_enclosure
+from symchaos.streams import StreamWord, stream_shift, value_enclosure
 from symchaos.words import parse_word, periodic_words, word_value
 
 W = parse_word
@@ -138,7 +138,7 @@ def test_tent_periodic_projections():
 def test_baker_orbit_tracks_stream_enclosures():
     # the induced-baker image of each enclosure contains the next one
     precision = 48
-    sw = dense_word()
+    sw = StreamWord()
     for _ in range(500):
         lo, hi = value_enclosure(sw, precision)
         bits = set(sw.prefix(precision))

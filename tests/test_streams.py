@@ -10,10 +10,8 @@ from symchaos.streams import (
     StreamWord,
     dense_bit,
     dense_prefix,
-    dense_word,
     orbit_windows,
     stream_c_step,
-    stream_prefix,
     stream_shift,
     value_enclosure,
 )
@@ -21,10 +19,10 @@ from symchaos.streams import (
 
 def test_dense_word_listing():
     # 0 1 | 00 01 10 11 | 000 ...
-    assert stream_prefix(dense_word(), 2) == [0, 1]
-    assert stream_prefix(dense_word(), 10) == [0, 1, 0, 0, 0, 1, 1, 0, 1, 1]
+    assert StreamWord().prefix(2) == [0, 1]
+    assert StreamWord().prefix(10) == [0, 1, 0, 0, 0, 1, 1, 0, 1, 1]
     assert dense_bit(11) == 0
-    assert stream_prefix(dense_word(), 13)[10:] == [0, 0, 0]
+    assert StreamWord().prefix(13)[10:] == [0, 0, 0]
 
 
 def test_dense_prefix_concatenates_all_words_in_order():
@@ -39,21 +37,21 @@ def test_dense_prefix_concatenates_all_words_in_order():
 
 
 def test_stream_shift_and_prefix():
-    sw = stream_shift(dense_word())
+    sw = stream_shift(StreamWord())
     assert sw.offset == 1
-    assert stream_prefix(sw, 3) == [1, 0, 0]
+    assert sw.prefix(3) == [1, 0, 0]
     assert stream_shift(sw).offset == 2
 
 
 def test_value_enclosure_examples():
-    lo, hi = value_enclosure(dense_word(), 1)
+    lo, hi = value_enclosure(StreamWord(), 1)
     assert (lo, hi) == (Fraction(0), Fraction(1, 2))
-    lo, hi = value_enclosure(dense_word(), 4)
+    lo, hi = value_enclosure(StreamWord(), 4)
     assert (lo, hi) == (Fraction(1, 4), Fraction(5, 16))
 
 
 def test_value_enclosure_nested():
-    sw = dense_word()
+    sw = StreamWord()
     for p in range(1, 12):
         lo, hi = value_enclosure(sw, p)
         lo2, hi2 = value_enclosure(sw, p + 1)
@@ -62,29 +60,29 @@ def test_value_enclosure_nested():
 
 
 def test_stream_c_step_flips_on_leading_one():
-    sw = dense_word()            # bits 0 1 0 0 0 1 ...
+    sw = StreamWord()            # bits 0 1 0 0 0 1 ...
     s1 = stream_c_step(sw)       # leading 0: plain shift
     assert s1.flip == 0
-    assert stream_prefix(s1, 4) == [1, 0, 0, 0]
+    assert s1.prefix(4) == [1, 0, 0, 0]
     s2 = stream_c_step(s1)       # leading 1: complemented shift
     assert s2.flip == 1
-    assert stream_prefix(s2, 4) == [1, 1, 1, 0]
+    assert s2.prefix(4) == [1, 1, 1, 0]
 
 
 def test_stream_c_step_matches_word_identity():
     # the n-th c-iterate of a sequence w is shift^n(w) xor w(n), so the
     # carried flip after n steps is exactly the n-th generator bit
-    cur = dense_word()
+    cur = StreamWord()
     for n in range(1, 60):
         cur = stream_c_step(cur)
         assert cur.offset == n
         assert cur.flip == dense_bit(n)
-        assert stream_prefix(cur, 5) == [dense_bit(n + i) ^ dense_bit(n)
+        assert cur.prefix(5) == [dense_bit(n + i) ^ dense_bit(n)
                                          for i in range(1, 6)]
 
 
 def test_stream_word_immutability():
-    sw = dense_word()
+    sw = StreamWord()
     with pytest.raises(Exception):
         sw.offset = 3
 
@@ -132,10 +130,8 @@ def test_stream_word_reads_match_brute_force(offset, n, flip):
     expected = [b ^ flip for b in BRUTE[offset:offset + n]]
     sw = StreamWord(offset, flip)
     assert sw.prefix(n) == expected
-    assert stream_prefix(sw, n) == expected
     assert sw.window_int(n) == int("".join(map(str, expected)), 2)
     assert dense_bit(offset + 1) == BRUTE[offset]
-    assert sw.bit(n) == expected[-1]
 
 
 # ------------------------------------- integer exclusion against Fraction bounds
@@ -234,7 +230,7 @@ def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
 def test_orbit_windows_match_per_step_stream_words(complementing, width, steps):
     # oracle: one StreamWord per step, read through its closed form
     step = stream_c_step if complementing else stream_shift
-    sw, expected = dense_word(), []
+    sw, expected = StreamWord(), []
     for _ in range(steps):
         expected.append(sw.window_int(width))
         sw = step(sw)
@@ -242,7 +238,7 @@ def test_orbit_windows_match_per_step_stream_words(complementing, width, steps):
 
 
 def test_the_complementing_flip_is_the_previous_dense_bit():
-    sw = dense_word()
+    sw = StreamWord()
     for n in range(3000):
         assert sw.flip == (dense_bit(n) if n else 0)
         sw = stream_c_step(sw)

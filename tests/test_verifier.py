@@ -20,8 +20,8 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
-from symchaos.streams import dense_word
-from symchaos.words import Word, shift_map
+from symchaos.streams import StreamWord
+from symchaos.words import Word, periodic_words, shift_map
 from symchaos.verifier import (
     ChaosReport,
     Target,
@@ -263,11 +263,12 @@ def test_parameters_above_their_caps_raise(monkeypatch, call, name):
     # rejected before any cell, orbit step or word is built: without the
     # check, a horizon probe would finish (its pairs separate, or every
     # witness turns up, at once) and raise nothing, the graph transitivity
-    # route would name `steps`, and a control would enumerate 2^17 words
-    def no_enumeration(n):
-        raise AssertionError("words enumerated before the cap was checked")
+    # route would name `steps`, and a control would decode 2^17 words
+    def no_decoding(self, word):
+        raise AssertionError("words decoded before the cap was checked")
 
-    monkeypatch.setattr(verifier, "periodic_words", no_enumeration)
+    for codec in (type(INTERVAL_CODEC), GraphSystem):
+        monkeypatch.setattr(codec, "decode", no_decoding)
     with pytest.raises(ValueError, match=f"^{name} .*exceeds bound"):
         call()
 
@@ -291,6 +292,12 @@ def test_lemma6_accepts_empty_orbit():
 
 GRAPH_TARGETS = [graph_target(graph_system(parse_graph(text)), name)
                  for name, text in EXAMPLE_GRAPHS.items()]
+
+
+def _collect_periodic(max_period):
+    """Every distinct word of period at most max_period, in enumeration order."""
+    return list(dict.fromkeys(w for k in range(1, max_period + 1)
+                              for w in periodic_words(k)))
 
 
 def _pinned_target(base, point):
@@ -350,7 +357,7 @@ def test_kept_predicate_matches_word_returns_oracle(target, max_period):
     # every block of length <= max_period: the primitive ones against the
     # per-word loop, the others (a shorter word's block repeated) never kept
     returns = _word_returns(target.induced, max_period)
-    expected = {(w.period_len, w.period) for w in verifier._collect_periodic(max_period)
+    expected = {(w.period_len, w.period) for w in _collect_periodic(max_period)
                 if returns(w)}
     assert _kept_set(target, max_period) == (len(expected), expected)
 
@@ -374,7 +381,7 @@ def _old_periodic_density(target, max_period, resolution):
     """(params, witnesses, kept words) as the decode-every-iterate loop gives them."""
     pinned = frozenset(target.induced.pinned_points)
     covered, kept = set(), set()
-    for w in verifier._collect_periodic(max_period):
+    for w in _collect_periodic(max_period):
         pt = target.space.decode(w)
         if _old_is_f_periodic(target, w, pt, max_period, pinned):
             kept.add(w)
@@ -470,20 +477,16 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
                          + [rotation_target()], ids=lambda t: t.name)
 def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
     # a deterministic work guard: per-iterate decoding would decode words
-    # many times over; under S and C nothing is enumerated, and only the two
-    # constant words (a graph node, or an end of [0, 1]) are decoded
-    enumerated = set(verifier._collect_periodic(12))
+    # many times over; under S and C only the two constant words (a graph
+    # node, or an end of [0, 1]) are decoded
+    enumerated = set(_collect_periodic(12))
     decoded = _count_decodes(monkeypatch, target)
-    enumerations = []
-    original = verifier.periodic_words
-    monkeypatch.setattr(verifier, "periodic_words",
-                        lambda n: enumerations.append(n) or original(n))
     periodic_density(target, 12, 6)
     assert decoded and max(decoded.values()) == 1
     if target.induced is None:
         assert set(decoded) <= enumerated
     else:
-        assert set(decoded) <= {Word([], [0]), Word([], [1])} and enumerations == []
+        assert set(decoded) <= {Word([], [0]), Word([], [1])}
 
 
 @pytest.mark.parametrize("target,points", [
@@ -498,6 +501,51 @@ def test_periodic_density_at_the_max_period_bound(target, points):
     assert report.verdict == "pass"
 
 
+CONTROLS = {"identity": identity_target(),
+            **{f"constant-{v}": constant_target(F(v)) for v in ("0", "1/2", "1/3", "1")},
+            **{f"rotation-{v}": rotation_target(F(v)) for v in ("1/3", "1/5", "1/17", "2/3")}}
+
+
+def _enumerate_and_cover(target, max_period, resolutions):
+    """{p: (params, witnesses)} for each resolution p, from the loop the cell
+    search replaced for maps without an induced system: every word is
+    decoded, its point iterated, and the cells of each returning point marked."""
+    space, points = target.space, []
+    for w in _collect_periodic(max_period):
+        pt = cur = space.decode(w)
+        for _ in range(max_period):
+            cur = target.fmap(cur)
+            if cur == pt:
+                points.append(pt)
+                break
+    reports = {}
+    for p in resolutions:
+        covered = {c for pt in points for c in space.point_cells(pt, p)}
+        cells = verifier._all_cells(space, p)
+        missing = [c for c in cells if c not in covered]
+        params = {"max_period": max_period, "resolution": p,
+                  "periodic_points": len(points), "covered": len(cells) - len(missing),
+                  "cells": len(cells)}
+        reports[p] = (params, [space.cell_json(c) for c in missing])
+    return reports
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_control_periodic_density_matches_enumerate_and_cover_oracle(name):
+    target = CONTROLS[name]
+    for max_period in range(1, 11):
+        for p, expected in _enumerate_and_cover(target, max_period, range(1, 7)).items():
+            report = periodic_density(target, max_period, p)
+            assert (report.params, report.witnesses) == expected, (max_period, p)
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation-1/3"])
+def test_control_periodic_density_at_its_cap(name):
+    target = CONTROLS[name]
+    report = periodic_density(target, 16, 8)
+    assert (report.params, report.witnesses) == _enumerate_and_cover(target, 16, [8])[8]
+
+
 def _orbit_oracle(target, steps, resolution):
     """(params, witnesses) from one window_int read per generator step."""
     system = target.space if isinstance(target.space, GraphSystem) else None
@@ -505,7 +553,7 @@ def _orbit_oracle(target, steps, resolution):
     width = r - 1 + resolution + 2
     cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
              if system else list(range(1 << resolution)))
-    covered, full_at, sw = set(), None, dense_word()
+    covered, full_at, sw = set(), None, StreamWord()
     for n in range(steps):
         bits = format(sw.window_int(width), f"0{width}b")
         ones = len(bits[:r - 1]) - len(bits[:r - 1].lstrip("1"))
@@ -589,7 +637,7 @@ def test_lemma6_at_its_bounds(target):
 
 
 def _orbit_iterate(base, n):
-    sw = dense_word()
+    sw = StreamWord()
     for _ in range(n):
         sw = base.stream_step(sw)
     return sw
@@ -655,7 +703,7 @@ LEMMA6_STEPS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000)
 def _old_orbit_failures(target, steps):
     """The per-step loop the rolled window replaced: one StreamWord per
     generator step and a semiconjugacy_check on each."""
-    failures, sw = [], dense_word()
+    failures, sw = [], StreamWord()
     for n in range(steps):
         if not semiconjugacy_check(target.induced, sw):
             failures.append({"orbit_step": n})
@@ -697,7 +745,7 @@ def _old_lemma6_periodic(target, max_period):
     sys = target.induced
     pinned_words = {w for fib in sys.pinned_fibers for w in fib}
     rows = [(w, w in pinned_words, semiconjugacy_check(sys, w))
-            for w in verifier._collect_periodic(max_period)]
+            for w in _collect_periodic(max_period)]
     reports = {}
     for m in range(1, max_period + 1):
         # the first-occurrence order of a longer enumeration keeps the
@@ -734,9 +782,8 @@ def test_redirected_periodic_words_are_witnessed(target, words):
 
 @pytest.mark.parametrize("target", LEMMA6_TARGETS + REDIRECT_TARGETS, ids=lambda t: t.name)
 def test_lemma6_checks_only_the_constant_and_pinned_words(monkeypatch, target):
-    # a deterministic work guard: nothing is enumerated, and only the two
-    # constant words and the pinned purely periodic words are checked
-    monkeypatch.setattr(verifier, "periodic_words", None)
+    # a deterministic work guard: only the two constant words and the
+    # pinned purely periodic words are checked
     checked, original = [], verifier.semiconjugacy_check
 
     def counting(sys, w):

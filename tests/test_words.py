@@ -614,13 +614,9 @@ def test_periodic_words_brute_force_oracle(n):
     assert set(words) == expected
 
 
-def test_periodic_words_bound(monkeypatch):
+def test_periodic_words_bound():
     with pytest.raises(ValueError):
         periodic_words(25)
-    monkeypatch.setenv("SYMCHAOS_MAX_BITS", "4")
-    with pytest.raises(ValueError):
-        periodic_words(5)
-    assert len(periodic_words(4)) == 16
 
 
 # ---------------------------------------------------------------- misc
