@@ -324,11 +324,20 @@ def _arc_prefixes(space: Codec) -> List[Tuple[int, int]]:
 
 
 def _point_returns(fmap, pt, horizon: int) -> bool:
-    cur = pt
+    """Does pt come back within `horizon` steps?  An orbit that stops at
+    another point (an iterate equal to the one before) never does.  Points
+    are compared by (numerator, denominator), which skips the numbers-ABC
+    check of Fraction.__eq__."""
+    cur, start = pt, (pt.numerator, pt.denominator)
+    last = start
     for _ in range(horizon):
         cur = fmap(cur)
-        if cur == pt:
+        key = (cur.numerator, cur.denominator)
+        if key == start:
             return True
+        if key == last:
+            return False
+        last = key
     return False
 
 
@@ -384,8 +393,13 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     count carrying it into V.
 
     Targets with branches (interval maps) propagate the monotone-affine laps
-    of the iterated map and pull an exact witness back through the covering
-    lap; every witness is re-verified by direct iteration before it counts.
+    of the iterated map on integers and pull a witness back through the
+    covering lap; every witness is re-verified by n calls of the target's
+    own map on its Fraction before it counts.  The branch slopes must be
+    integers (else ValueError).  Image ends lie on 1/L for L = 2 lcm(2^p,
+    the branch data's denominators), which also holds their midpoints, and
+    a lap carries its cumulative slope, so its domain ends at step n lie on
+    1/(L S^n) for S the lcm of the nonzero |slopes| (_integer_branches).
     Each step sweeps the laps once, and a lap is tried only on the cells its
     image overlaps.
     Targets without (graphs) use the dense-orbit route (a dense orbit on
@@ -401,19 +415,35 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
         report = dense_orbit_coverage(target, horizon, resolution)
         params = dict(report.params, route="dense-orbit")
         return _finish(target.name, "transitivity", params, report.witnesses, started)
-    size = 1 << resolution
-    cells = [(Fraction(j, size), Fraction(j + 1, size)) for j in range(size)]
+    lattice, stretch, branches = _integer_branches(target, resolution)
+    size, fmap = 1 << resolution, target.fmap
+    width = lattice >> resolution
     unwitnessed = []
-    for uj, (ulo, uhi) in enumerate(cells):
+    for uj in range(size):
         remaining = set(range(size))
-        pieces = [(ulo, uhi, ulo, uhi)]
+        ulo, uhi = uj * width, (uj + 1) * width
+        pieces = [(ulo, ulo, uhi, 1)]
+        scale = 1  # S^n: the domain ends' lattice is 1/(lattice scale)
         for n in range(1, horizon + 1):
-            pieces = _advance_pieces(target.branches, pieces)
+            pieces = _advance_laps(branches, pieces, scale, stretch)
+            scale *= stretch
             if not pieces:
                 break
-            for piece in pieces:
-                for vj in _overlapped_cells(piece, size):
-                    if vj in remaining and _witnessed_by(target, piece, n, *cells[vj], ulo, uhi):
+            for d0, i0, i1, sigma in pieces:
+                lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+                for vj in _met_cells(lo, hi, width, size):
+                    if vj not in remaining:
+                        continue
+                    # the midpoint of the image within V, pulled back
+                    v = (max(lo, vj * width) + min(hi, (vj + 1) * width)) >> 1
+                    x = d0 + (v - i0) * (scale // sigma)
+                    if not ulo * scale <= x <= uhi * scale:
+                        continue
+                    y = Fraction(x, lattice * scale)
+                    for _ in range(n):
+                        y = fmap(y)
+                    num, den = y.numerator << resolution, y.denominator
+                    if vj * den <= num <= (vj + 1) * den:
                         remaining.discard(vj)
             if not remaining:
                 break
@@ -427,56 +457,51 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 _MAX_PIECES = 4096
 
 
-def _advance_pieces(branches, pieces):
+def _integer_branches(target: Target, p: int):
+    """(L, S, branches) for the lap route, each branch (lo, hi, slope,
+    intercept) with its ends and intercept counted on 1/L.  Cell ends, branch
+    ends and intercepts are even there, so image ends and their midpoints
+    are on 1/L.  A slope that is not an integer raises ValueError."""
+    for _, _, slope, _ in target.branches:
+        if slope.denominator != 1:
+            raise ValueError(f"system {target.name!r}: the lap route needs integer "
+                             f"branch slopes, got {slope}")
+    lattice = 2 * math.lcm(1 << p, *(v.denominator for b in target.branches for v in b))
+    stretch = math.lcm(*(abs(b[2].numerator) for b in target.branches if b[2]))
+    branches = [(int(lo * lattice), int(hi * lattice), int(slope), int(c * lattice))
+                for lo, hi, slope, c in target.branches]
+    return lattice, stretch, branches
+
+
+def _advance_laps(branches, pieces, scale: int, stretch: int):
+    """One step of every lap (d0, i0, i1, sigma): the domain end d0 on
+    1/(L scale) that maps to the image end i0 on 1/L, the other image end
+    i1, and the cumulative slope sigma, which divides scale (the domain's
+    other end is never needed).  A lap's image meets each branch in a
+    sub-lap, whose domain end moves to 1/(L scale stretch)."""
     # dropping surplus pieces only loses witnesses, never fabricates one
     out = []
-    for d0, d1, i0, i1 in pieces[:_MAX_PIECES]:
+    for d0, i0, i1, sigma in pieces[:_MAX_PIECES]:
         img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
         if img_lo == img_hi:
             continue
+        per = scale // sigma
         for blo, bhi, s, c in branches:
             seg_lo = max(img_lo, blo)
             seg_hi = min(img_hi, bhi)
             if seg_lo >= seg_hi:
                 continue
             a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)
-            slope = (d1 - d0) / (i1 - i0)
-            nd0 = d0 + (a - i0) * slope
-            nd1 = d0 + (b - i0) * slope
-            out.append((nd0, nd1, s * a + c, s * b + c))
+            out.append(((d0 + (a - i0) * per) * stretch, s * a + c, s * b + c, sigma * s))
     return out
 
 
-def _overlapped_cells(piece, size: int) -> range:
-    """The cells j whose interval [j/size, (j+1)/size] meets the piece's
-    image in more than a point: floor(lo size) .. ceil(hi size) - 1."""
-    i0, i1 = piece[2], piece[3]
-    lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+def _met_cells(lo: int, hi: int, width: int, size: int) -> range:
+    """The cells j whose interval [j width, (j+1) width] meets [lo, hi] in
+    more than a point: floor(lo/width) .. ceil(hi/width) - 1."""
     if lo == hi:
         return range(0)
-    first = lo.numerator * size // lo.denominator
-    end = -(-hi.numerator * size // hi.denominator)
-    return range(max(first, 0), min(end, size))
-
-
-def _witnessed_by(target, piece, n, vlo, vhi, ulo, uhi) -> bool:
-    """Does the piece carry an exact point of U = [ulo, uhi] into
-    V = [vlo, vhi] in n steps?  The midpoint of the piece's image within V is
-    pulled back and re-verified by direct iteration."""
-    d0, d1, i0, i1 = piece
-    img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
-    lo = max(img_lo, vlo)
-    hi = min(img_hi, vhi)
-    if lo >= hi:
-        return False
-    v = (lo + hi) / 2
-    x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
-    if not ulo <= x <= uhi:
-        return False
-    y = x
-    for _ in range(n):
-        y = target.fmap(y)
-    return vlo <= y <= vhi
+    return range(max(lo // width, 0), min(-(-hi // width), size))
 
 
 # -- sensitivity -------------------------------------------------------------

@@ -546,6 +546,23 @@ def test_control_periodic_density_at_its_cap(name):
     assert (report.params, report.witnesses) == _enumerate_and_cover(target, 16, [8])[8]
 
 
+@pytest.mark.parametrize("value", ["0", "1/2", "1/3", "1"])
+def test_constant_control_maps_each_decoded_point_at_most_twice(monkeypatch, value):
+    # an orbit fixed at a point other than its start never comes back, so
+    # its iteration stops at the second step
+    base, calls = constant_target(F(value)), []
+
+    def fmap(y):
+        calls.append(y)
+        return base.fmap(y)
+
+    expected = periodic_density(base, 12, 6)
+    decoded = _count_decodes(monkeypatch, base)
+    report = periodic_density(Target(base.name, fmap, base.space, base.branches), 12, 6)
+    assert (report.params, report.witnesses) == (expected.params, expected.witnesses)
+    assert 0 < len(calls) <= 2 * sum(decoded.values())
+
+
 def _orbit_oracle(target, steps, resolution):
     """(params, witnesses) from one window_int read per generator step."""
     system = target.space if isinstance(target.space, GraphSystem) else None
@@ -851,6 +868,80 @@ def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
     assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
 
 
+def _advance_pieces(branches, pieces):
+    # the Fraction lap step the integer laps replaced; it truncates as the
+    # verifier does
+    out = []
+    for d0, d1, i0, i1 in pieces[:verifier._MAX_PIECES]:
+        img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+        if img_lo == img_hi:
+            continue
+        for blo, bhi, s, c in branches:
+            seg_lo = max(img_lo, blo)
+            seg_hi = min(img_hi, bhi)
+            if seg_lo >= seg_hi:
+                continue
+            a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)
+            slope = (d1 - d0) / (i1 - i0)
+            nd0 = d0 + (a - i0) * slope
+            nd1 = d0 + (b - i0) * slope
+            out.append((nd0, nd1, s * a + c, s * b + c))
+    return out
+
+
+def _overlapped_cells(piece, size):
+    i0, i1 = piece[2], piece[3]
+    lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+    if lo == hi:
+        return range(0)
+    first = lo.numerator * size // lo.denominator
+    end = -(-hi.numerator * size // hi.denominator)
+    return range(max(first, 0), min(end, size))
+
+
+def _witnessed_by(target, piece, n, vlo, vhi, ulo, uhi):
+    d0, d1, i0, i1 = piece
+    img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+    lo = max(img_lo, vlo)
+    hi = min(img_hi, vhi)
+    if lo >= hi:
+        return False
+    v = (lo + hi) / 2
+    x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
+    if not ulo <= x <= uhi:
+        return False
+    y = x
+    for _ in range(n):
+        y = target.fmap(y)
+    return vlo <= y <= vhi
+
+
+def _fraction_transitivity(target, resolution, horizon):
+    """(params, verdict, witnesses) from the Fraction lap route the integer
+    laps replaced: the same per-lap sweep, on Fraction ends."""
+    size = 1 << resolution
+    cells = [(F(j, size), F(j + 1, size)) for j in range(size)]
+    unwitnessed = []
+    for uj, (ulo, uhi) in enumerate(cells):
+        remaining = set(range(size))
+        pieces = [(ulo, uhi, ulo, uhi)]
+        for n in range(1, horizon + 1):
+            pieces = _advance_pieces(target.branches, pieces)
+            if not pieces:
+                break
+            for piece in pieces:
+                for vj in _overlapped_cells(piece, size):
+                    if vj in remaining and _witnessed_by(target, piece, n, *cells[vj], ulo, uhi):
+                        remaining.discard(vj)
+            if not remaining:
+                break
+        unwitnessed.extend((uj, vj) for vj in sorted(remaining))
+    params = {"resolution": resolution, "horizon": horizon,
+              "pairs": size * size, "witnessed": size * size - len(unwitnessed)}
+    return params, "fail" if unwitnessed else "pass", [{"from": uj, "to": vj}
+                                                       for uj, vj in unwitnessed]
+
+
 def _old_find_witness(target, pieces, n, vlo, vhi, ulo, uhi):
     for d0, d1, i0, i1 in pieces:
         img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
@@ -880,7 +971,7 @@ def _old_transitivity(target, resolution, horizon):
         remaining = set(range(size))
         pieces = [(ulo, uhi, ulo, uhi)]
         for n in range(1, horizon + 1):
-            pieces = verifier._advance_pieces(target.branches, pieces)
+            pieces = _advance_pieces(target.branches, pieces)
             if not pieces:
                 break
             for vj in sorted(remaining):
@@ -906,16 +997,95 @@ TRANSITIVITY_CASES = [(make(), res, hor)
 def test_transitivity_matches_the_all_cells_oracle(target, resolution, horizon):
     report = transitivity_witness(target, resolution, horizon)
     assert (report.params, report.witnesses) == _old_transitivity(target, resolution, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _fraction_transitivity(target, resolution, horizon))
+
+
+TRANSITIVITY_CONTROLS = [identity_target(), constant_target(), constant_target(F(1, 3)),
+                         *(rotation_target(F(v)) for v in ("1/3", "1/5", "2/3"))]
+
+
+@pytest.mark.parametrize("target", TRANSITIVITY_CONTROLS,
+                         ids=[f"{t.name}-{i}" for i, t in enumerate(TRANSITIVITY_CONTROLS)])
+def test_control_transitivity_at_its_cap_matches_the_fraction_lap_route(target):
+    report = transitivity_witness(target, 8, 40)
+    assert (report.params, report.verdict, report.witnesses) == _fraction_transitivity(target, 8, 40)
+
+
+@pytest.mark.parametrize("make", [tent_target, baker_target])
+def test_transitivity_at_its_cap(make):
+    # both equalled the Fraction lap route when the integer laps came in;
+    # that route takes several seconds each here, so only the result is pinned
+    report = transitivity_witness(make(), 8, 40)
+    assert report.verdict == "pass" and report.witnesses == []
+    assert report.params["witnessed"] == report.params["pairs"] == 65536
+
+
+def _exchange_target():
+    """A slope-1 exchange of the sixteenths of [0, 1]: 0 <-> 4, 1 <-> 5,
+    2 -> 12 -> 8 -> 2 and 3 -> 13 -> 9 -> 3.  A quarter cell splits into four
+    laps, so a cap of 2 drops laps that reach cells no kept lap reaches."""
+    perm = {0: 4, 4: 0, 1: 5, 5: 1, 2: 12, 12: 8, 8: 2, 3: 13, 13: 9, 9: 3}
+    shift = [F(perm.get(k, k) - k, 16) for k in range(16)]
+    branches = tuple((F(k, 16), F(k + 1, 16), F(1), shift[k]) for k in range(16))
+    return Target("exchange", lambda y: y + shift[min(int(y * 16), 15)], INTERVAL_CODEC,
+                  branches)
+
+
+@pytest.mark.parametrize("make,resolution", [(tent_target, 4), (baker_target, 4),
+                                             (_exchange_target, 2)])
+def test_transitivity_truncates_laps_as_the_fraction_route(monkeypatch, make, resolution):
+    target = make()
+    uncapped = transitivity_witness(target, resolution, 12).params["witnessed"]
+    monkeypatch.setattr(verifier, "_MAX_PIECES", 2)
+    report = transitivity_witness(target, resolution, 12)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _fraction_transitivity(target, resolution, 12))
+    if make is _exchange_target:  # the cap bites
+        assert report.params["witnessed"] == uncapped - 1 == 11
+
+
+@pytest.mark.parametrize("fmap,reached", [
+    (lambda y: y, lambda u: {u}),
+    (lambda y: F(1, 2), lambda u: {7, 8}),  # 1/2 ends cell 7 and starts cell 8
+], ids=["identity", "constant-1/2"])
+def test_transitivity_reverifies_every_witness_through_fmap(fmap, reached):
+    # the tent's laps with another map: the laps reach every cell, but a
+    # witness counts only when the target's own map carries it into V, so
+    # exactly the pairs that map links are witnessed, as on the Fraction route
+    lying = Target("lying", fmap, INTERVAL_CODEC, tent_target().branches)
+    report = transitivity_witness(lying, 4, 8)
+    assert (report.params, report.verdict, report.witnesses) == _fraction_transitivity(lying, 4, 8)
+    unwitnessed = {(w["from"], w["to"]) for w in report.witnesses}
+    assert ({(u, v) for u in range(16) for v in range(16)} - unwitnessed
+            == {(u, v) for u in range(16) for v in reached(u)})
+    assert transitivity_witness(tent_target(), 4, 8).verdict == "pass"
+
+
+def test_transitivity_rejects_a_slope_that_is_not_an_integer():
+    calls = []
+
+    def fmap(y):
+        calls.append(y)
+        return y / 2
+
+    target = Target("half", fmap, INTERVAL_CODEC, ((F(0), F(1), F(1, 2), F(0)),))
+    with pytest.raises(ValueError, match="integer branch slopes"):
+        transitivity_witness(target, 3, 5)
+    assert calls == []
 
 
 def test_overlapped_cells_are_the_cells_a_lap_image_meets():
-    size = 16
-    ends = [F(k, 32) for k in range(33)] + [F(1, 3), F(5, 7), F(99, 100)]
+    # integer ends on 1/96 (a multiple of the cells' 1/16 and of 1/3)
+    size, width = 16, 6
+    ends = range(-7, 104)
     for a in ends:
         for b in ends:
+            lo, hi = min(a, b), max(a, b)
             expected = [j for j in range(size)
-                        if max(min(a, b), F(j, size)) < min(max(a, b), F(j + 1, size))]
-            assert list(verifier._overlapped_cells((F(0), F(1), a, b), size)) == expected
+                        if max(lo, j * width) < min(hi, (j + 1) * width)]
+            assert list(verifier._met_cells(lo, hi, width, size)) == expected
+            assert list(_overlapped_cells((0, 0, F(a, 96), F(b, 96)), size)) == expected
 
 
 def _old_separates_graph(target, x, eta, delta, horizon):
