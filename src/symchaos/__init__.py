@@ -24,7 +24,6 @@ from .decomposition import (
     SingleFiber,
     Violation,
     InducedSystem,
-    induced_system,
     star_check,
     induced_apply,
     semiconjugacy_check,

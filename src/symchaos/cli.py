@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import graphs, interval, verifier
-from .words import MAX_BITS, Word, bits_of, c_map, prefix_int, r_map, shift_map
+from .words import MAX_BITS, Word, bits_of, c_map, r_map, shift_map
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -193,7 +193,7 @@ def _cmd_conjugacy(args) -> int:
         w = Word._from_packed(length, seed, 1, 0)
         lhs = shift_map(r_map(w))
         rhs = r_map(c_map(w))
-        if lhs != rhs or prefix_int(lhs, compare_bits) != prefix_int(rhs, compare_bits):
+        if lhs != rhs:
             mismatches += 1
     print(f"length {length}: {1 << length} prefixes checked, "
           f"{(1 << length) - mismatches} agree on {compare_bits} bits, "
@@ -229,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, graphs.GraphError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -22,9 +22,9 @@ __all__ = [
     "Violation",
     "StarOutcome",
     "InducedSystem",
-    "induced_system",
     "star_check",
     "induced_apply",
+    "induced_point",
     "semiconjugacy_check",
     "stream_excludes_all",
 ]
@@ -81,7 +81,7 @@ class Codec(Protocol):
 
     def encode(self, point) -> Fiber: ...
 
-    def decode(self, word: Word): ...
+    def decode(self, word: Word, den_hint=None): ...
 
     def fiber_of(self, word: Word) -> Fiber: ...
 
@@ -99,8 +99,9 @@ class Codec(Protocol):
 
     def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, Callable, bool]:
         """The space on the parameters n/q of each arc, keyed (arc, n): one
-        step of fmap on a key, the test metric > eta on two keys, the point
-        of a key, and whether arc ends (n = 0 or q) may be neighbours."""
+        step of fmap (None on a graph) on a key, the test metric > eta on
+        two keys, the point of a key, and whether arc ends (n = 0 or q) may
+        be neighbours."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,18 @@ class Violation:
 StarOutcome = Union[SingleFiber, Violation]
 
 
+_STREAM_PRECISIONS = (64, 128, 256, 512)
+
+
 @dataclass(frozen=True, eq=False)
 class InducedSystem:
     """A symbolic map, a codec, and the override data for the induced map.
 
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
-    fiber where the star condition fails.  `pinned_cells` maps each stream
-    precision to the cells (codec.point_cells) that hold a pinned point.
+    fiber where the star condition fails.  The pinned points' fibers and,
+    for each stream precision, the cells that hold one (codec.point_cells)
+    are derived from the points once, here.
     """
 
     name: str
@@ -131,20 +136,16 @@ class InducedSystem:
     codec: Codec
     designated: Any = None
     pinned_points: Tuple = ()
-    pinned_fibers: frozenset = field(default_factory=frozenset)
-    pinned_cells: Dict[int, frozenset] = field(default_factory=dict)
+    pinned_fibers: frozenset = field(init=False)
+    pinned_cells: Dict[int, frozenset] = field(init=False)
 
-
-_STREAM_PRECISIONS = (64, 128, 256, 512)
-
-
-def induced_system(name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
-                   designated=None, pinned_points: Sequence = ()) -> InducedSystem:
-    fibers = frozenset(codec.encode(pt) for pt in pinned_points)
-    cells = {p: frozenset(c for pt in pinned_points for c in codec.point_cells(pt, p))
-             for p in _STREAM_PRECISIONS}
-    return InducedSystem(name, symbolic_map, codec, designated,
-                         tuple(pinned_points), fibers, cells)
+    def __post_init__(self):
+        points, codec = tuple(self.pinned_points), self.codec
+        object.__setattr__(self, "pinned_points", points)
+        object.__setattr__(self, "pinned_fibers", frozenset(map(codec.encode, points)))
+        object.__setattr__(self, "pinned_cells", {
+            p: frozenset(c for pt in points for c in codec.point_cells(pt, p))
+            for p in _STREAM_PRECISIONS})
 
 
 def star_check(sys: InducedSystem, fib: Fiber) -> StarOutcome:
@@ -169,6 +170,20 @@ def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
         if isinstance(outcome, SingleFiber):
             return outcome.target
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
+
+
+def induced_point(sys: InducedSystem, closed_form: Callable, point, den_hint=None,
+                  show: Callable = repr):
+    """The induced map at a point by the fiber route (encode, induced_apply,
+    decode with den_hint), checked against its closed form; a mismatch is
+    an internal invariant failure and raises ArithmeticError."""
+    codec = sys.codec
+    image = codec.decode(induced_apply(sys, codec.encode(point)).words[0], den_hint)
+    expected = closed_form(point)
+    if image != expected:
+        raise ArithmeticError(f"induced {sys.name} map at {show(point)} gave "
+                              f"{show(image)}, closed form gives {show(expected)}")
+    return image
 
 
 def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:

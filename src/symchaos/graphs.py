@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
-from .decomposition import (Fiber, InducedSystem, induced_apply, induced_system,
-                            stream_excludes_all)
+from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
@@ -179,9 +178,8 @@ class GraphSystem:
             self._ends[arc.tail].append((i, 0))
             self._ends[arc.head].append((i, 1))
         self.exceptional: Tuple[GraphPoint, ...] = self._exceptional()
-        self.induced: InducedSystem = induced_system(
-            "graph", shift_map, self, designated=None,
-            pinned_points=self.exceptional)
+        self.induced = InducedSystem("graph", shift_map, self,
+                                     pinned_points=self.exceptional)
 
     def _exceptional(self) -> Tuple[GraphPoint, ...]:
         points: List[GraphPoint] = [Node(v) for v in self.spec.nodes]
@@ -215,10 +213,10 @@ class GraphSystem:
             return Fiber(words)
         raise TypeError(f"not a graph point: {point!r}")
 
-    def decode(self, word: Word) -> GraphPoint:
+    def decode(self, word: Word, den_hint=None) -> GraphPoint:
         """Point addressed by a word; endpoint parameters collapse to nodes."""
         i, param = self._split_address(word)
-        return self.point_at(i, word_value(param))
+        return self.point_at(i, word_value(param, den_hint))
 
     def fiber_of(self, word: Word) -> Fiber:
         """The fiber of a word's point, from the word: a node's fiber at a
@@ -267,8 +265,11 @@ class GraphSystem:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
     def lattice(self, fmap, q: int, eta: Fraction):
-        """lattice_step (the closed form of fmap, graph_step), lattice_far
-        and lattice_point; arc ends are nodes, never neighbours."""
+        """lattice_step (graph_step's closed form), lattice_far and
+        lattice_point; arc ends are nodes, never neighbours.  A graph steps
+        by its own map, so an fmap raises ValueError."""
+        if fmap is not None:
+            raise ValueError("a graph steps by its induced map; it takes no fmap")
         return (lambda key: lattice_step(self, key, q), lattice_far(self, q, eta),
                 lambda key: lattice_point(key, q), False)
 
@@ -294,17 +295,9 @@ def exceptional_points(sys: GraphSystem) -> List[GraphPoint]:
 
 
 def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
-    """The induced chaotic map: shift through fibers, exceptional set fixed.
-    The result is checked against the closed form (graph_step); a mismatch
-    is an internal invariant failure and raises ArithmeticError."""
-    fib = sys.encode(point)
-    out = induced_apply(sys.induced, fib)
-    image = sys.decode(out.words[0])
-    expected = graph_step(sys, point)
-    if image != expected:
-        raise ArithmeticError(f"induced graph map at {point!r} gave {image!r}, "
-                              f"closed form gives {expected!r}")
-    return image
+    """The induced chaotic map: shift through fibers, exceptional set fixed,
+    checked against the closed form (graph_step) by induced_point."""
+    return induced_point(sys.induced, lambda pt: graph_step(sys, pt), point)
 
 
 def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
@@ -378,11 +371,14 @@ def graph_orbit(sys: GraphSystem, point: GraphPoint, n: int) -> List[GraphPoint]
 
 def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Hausdorff distance between the two fibers under the word metric."""
-    fa, fb = sys.encode(p), sys.encode(q)
-    dist = {(a, b): word_metric(a, b) for a in fa for b in fb}
-    forward = max(min(dist[(a, b)] for b in fb) for a in fa)
-    backward = max(min(dist[(a, b)] for a in fa) for b in fb)
-    return max(forward, backward)
+    return _hausdorff(sys.encode(p).words, sys.encode(q).words, word_metric)
+
+
+def _hausdorff(a, b, d):
+    """Hausdorff distance between the finite sets a and b under d: each
+    pair's distance once, in rows, then the row and column minima."""
+    rows = [[d(u, v) for v in b] for u in a]
+    return max(max(map(min, rows)), max(map(min, zip(*rows))))
 
 
 def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key], bool]:
@@ -411,10 +407,7 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key],
         return [_tail_word(frame, n, 0), _tail_word(frame, n - 1, 1)]
 
     def far(x: Key, y: Key) -> bool:
-        a, b = words(x), words(y)
-        forward = max(min(_xor_distance(u, v) for v in b) for u in a)
-        backward = max(min(_xor_distance(u, v) for u in a) for v in b)
-        return max(forward, backward) * den > bound
+        return _hausdorff(words(x), words(y), _xor_distance) * den > bound
 
     return far
 

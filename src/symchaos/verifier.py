@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
-from .graphs import GraphSystem, graph_step
+from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import MAX_BITS, Word, _factorize, _pack, c_map, shift_map
@@ -77,31 +77,37 @@ def _finish(system: str, prop: str, params: dict, witnesses: list,
 class Target:
     """An exact self-map under test on a decomposition space: [0, 1]
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
-    (space the GraphSystem, no branches).  `stream_step` is one step of the
-    generator orbit (stream_c_step or stream_shift); the checks read that
-    orbit through streams.orbit_windows, chosen by the induced map."""
+    (space the GraphSystem, no branches and no fmap: it steps by its
+    induced map's closed form).  The checks read the generator orbit
+    through streams.orbit_windows, under C or S as the induced map says."""
 
     name: str
-    fmap: Callable
+    fmap: Optional[Callable]
     space: Codec
     branches: Optional[Tuple[Branch, ...]] = None
     induced: Optional[InducedSystem] = None
-    stream_step: Optional[Callable[[StreamWord], StreamWord]] = None
+
+    @property
+    def stream_step(self) -> Optional[Callable[[StreamWord], StreamWord]]:
+        """One step of the generator orbit: stream_c_step under C,
+        stream_shift under S, None without an induced map."""
+        if self.induced is None:
+            return None
+        return stream_c_step if _complementing(self.induced) else stream_shift
 
 
 def tent_target() -> Target:
     branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, -TWO, TWO))
-    return Target("tent", tent, INTERVAL_CODEC, branches, tent_system(), stream_c_step)
+    return Target("tent", tent, INTERVAL_CODEC, branches, tent_system())
 
 
 def baker_target() -> Target:
     branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, TWO, -ONE))
-    return Target("baker", baker, INTERVAL_CODEC, branches, baker_system(), stream_shift)
+    return Target("baker", baker, INTERVAL_CODEC, branches, baker_system())
 
 
 def graph_target(system: GraphSystem, name: str = "graph") -> Target:
-    return Target(name, lambda point: graph_step(system, point), system,
-                  induced=system.induced, stream_step=stream_shift)
+    return Target(name, None, system, induced=system.induced)
 
 
 def identity_target() -> Target:
@@ -380,7 +386,7 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
 def _orbit_windows(target: Target, width: int, steps: int):
     """streams.orbit_windows along the target's generator orbit: under C
     when its induced map is the complementing shift, else under S."""
-    if target.stream_step is None or target.induced is None:
+    if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     return orbit_windows(width, steps, _complementing(target.induced))
 
@@ -589,7 +595,7 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
         raise ValueError(f"max_period {max_period} exceeds bound 16")
     if orbit_steps > 10 ** 6:
         raise ValueError(f"orbit_steps {orbit_steps} exceeds bound 10^6")
-    if target.induced is None or target.stream_step is None:
+    if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced
     pinned = _pinned_periodic(sys, max_period)

@@ -56,18 +56,12 @@ def _unpack(length: int, value: int) -> Tuple[int, ...]:
     return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
 
 
-def _rot_right(value: int, length: int, n: int = 1) -> int:
+def _rot_left(value: int, length: int, n: int = 1) -> int:
     if length == 0:
         return 0
     n %= length
-    if n == 0:
-        return value
     mask = (1 << length) - 1
-    return ((value & ((1 << n) - 1)) << (length - n)) | (value >> n) & mask
-
-
-def _rot_left(value: int, length: int, n: int = 1) -> int:
-    return _rot_right(value, length, length - (n % length)) if length else 0
+    return ((value << n) | (value >> (length - n))) & mask
 
 
 def _repeat_block(block: int, width: int, times: int) -> int:
@@ -320,25 +314,14 @@ def _aligned_period(w: Word, start: int, k: int) -> int:
 
 
 _TRIAL_LIMIT = 1000  # trial division by the primes below this
-_SMALL_PRIMES: List[int] = []
+_SMALL_PRIMES = [p for p in range(2, _TRIAL_LIMIT)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 # Miller-Rabin with the first 13 primes as bases is exact for every n below
 # this bound (Sorenson and Webster, 2015); a larger n that passes all 13
 # bases is not assumed prime.
 MILLER_RABIN_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _small_primes() -> List[int]:
-    global _SMALL_PRIMES
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * _TRIAL_LIMIT
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(_TRIAL_LIMIT ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-        _SMALL_PRIMES = [i for i in range(_TRIAL_LIMIT) if sieve[i]]
-    return _SMALL_PRIMES
 
 
 def _is_prime(n: int) -> bool:
@@ -382,7 +365,7 @@ def _factorize(n: int) -> dict:
     """Exact prime factorization of n >= 1: trial division by the primes
     below _TRIAL_LIMIT, then Miller-Rabin and Pollard's rho on the rest."""
     factors: dict = {}
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from symchaos.decomposition import (
+    _STREAM_PRECISIONS,
     Fiber,
+    InducedSystem,
     SingleFiber,
     Violation,
     induced_apply,
@@ -21,13 +23,14 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import (
+    INTERVAL_CODEC,
     baker_system,
     interval_fiber,
     tent,
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift
-from symchaos.words import Word, dyadic_twin, parse_word, periodic_words
+from symchaos.words import Word, dyadic_twin, parse_word, periodic_words, shift_map
 
 W = parse_word
 F = Fraction
@@ -121,12 +124,15 @@ def _star_check_by_point_keys(sys, fib):
     return Violation(tuple((w, codec.decode(w)) for w in images))
 
 
+def _system(name):
+    if name in ("tent", "baker"):
+        return tent_system() if name == "tent" else baker_system()
+    return graph_system(parse_graph(EXAMPLE_GRAPHS[name])).induced
+
+
 @pytest.mark.parametrize("name", ["tent", "baker", *EXAMPLE_GRAPHS])
 def test_star_check_by_membership_matches_point_keys(name):
-    if name in ("tent", "baker"):
-        sys = tent_system() if name == "tent" else baker_system()
-    else:
-        sys = graph_system(parse_graph(EXAMPLE_GRAPHS[name])).induced
+    sys = _system(name)
     # violations occur over baker's 1/2 and on path2 and two_segments
     codec = sys.codec
     for w in _words_up_to(8):
@@ -206,3 +212,24 @@ def test_graph_violations_within_exceptional_set(k3, path2, loop1, figure8, two_
             print(f"{sys.spec.arcs[0].id}-graph: exceptional beyond violations: "
                   f"{sorted(map(repr, strict))}")
 
+
+@pytest.mark.parametrize("name", ["tent", "baker", *EXAMPLE_GRAPHS])
+def test_pinned_data_is_derived_from_the_pinned_points(name):
+    sys = _system(name)
+    codec, points = sys.codec, sys.pinned_points
+    assert type(points) is tuple
+    assert sys.pinned_fibers == {codec.encode(pt) for pt in points}
+    assert set(sys.pinned_cells) == set(_STREAM_PRECISIONS)
+    for p in _STREAM_PRECISIONS:
+        assert sys.pinned_cells[p] == {c for pt in points for c in codec.point_cells(pt, p)}
+
+
+def test_induced_system_takes_no_derived_data():
+    half = Fraction(1, 2)
+    sys = InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, [half])
+    assert sys.pinned_points == (half,)
+    assert sys.pinned_fibers == {interval_fiber(half)}
+    for derived in ("pinned_fibers", "pinned_cells"):
+        with pytest.raises(TypeError):
+            InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, (half,),
+                          **{derived: sys.pinned_fibers})

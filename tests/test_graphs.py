@@ -18,6 +18,8 @@ from symchaos.graphs import (
     graph_orbit,
     graph_step,
     graph_system,
+    _hausdorff,
+    _xor_distance,
     lattice_far,
     lattice_point,
     parse_graph,
@@ -369,6 +371,22 @@ def test_lattice_far_takes_the_word_route_off_dyadic_lattices(k3):
         for y in ((1, 1), (3, 5), Node("c")):
             d = graph_metric(k3, lattice_point(x, 6), lattice_point(y, 6))
             assert far(x, y) == (d > F(1, 8))
+
+
+def test_hausdorff_matches_the_two_maximins():
+    # the maximins the row matrix replaced, on symmetric and asymmetric d
+    def maximin(a, b, d):
+        forward = max(min(d(u, v) for v in b) for u in a)
+        backward = max(min(d(u, v) for u in a) for v in b)
+        return max(forward, backward)
+
+    rng = random.Random(31)
+    metrics = (lambda u, v: abs(u - v), _xor_distance, lambda u, v: (3 * u + v) % 11)
+    for _ in range(300):
+        a = [rng.randrange(64) for _ in range(rng.randint(1, 4))]
+        b = [rng.randrange(64) for _ in range(rng.randint(1, 4))]
+        for d in metrics:
+            assert _hausdorff(a, b, d) == maximin(a, b, d), (a, b)
 
 
 def test_interior_validation():

@@ -144,7 +144,7 @@ def _interval_excludes_oracle(sw, points, p):
 
 
 def _cells(codec, points, p):
-    """The cells that hold a point, as induced_system gathers them."""
+    """The cells that hold a point, as InducedSystem gathers them."""
     return {c for pt in points for c in codec.point_cells(pt, p)}
 
 

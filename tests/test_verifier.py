@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import symchaos.graphs
 from symchaos import streams, verifier
-from symchaos.decomposition import induced_system, semiconjugacy_check
+from symchaos.decomposition import InducedSystem, semiconjugacy_check
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphSystem,
@@ -117,9 +119,8 @@ def test_dense_orbit_requires_symbolic_orbit():
 def test_generator_orbit_is_read_only_under_shift_or_complementing_shift():
     from symchaos.words import r_map
 
-    sys = induced_system("r", r_map, INTERVAL_CODEC, pinned_points=(F(1, 2),))
-    target = Target("r", tent_target().fmap, INTERVAL_CODEC, tent_target().branches,
-                    sys, tent_target().stream_step)
+    sys = InducedSystem("r", r_map, INTERVAL_CODEC, pinned_points=(F(1, 2),))
+    target = Target("r", tent_target().fmap, INTERVAL_CODEC, tent_target().branches, sys)
     with pytest.raises(ValueError, match="complementing shift"):
         dense_orbit_coverage(target, 100, 4)
     with pytest.raises(ValueError, match="complementing shift"):
@@ -303,10 +304,9 @@ def _collect_periodic(max_period):
 def _pinned_target(base, point):
     """`base` with one purely periodic expansion pinned, so that the
     pinned-fiber branch of the periodicity test has work to do."""
-    sys = induced_system(f"{base.name}-pinned", base.induced.symbolic_map,
-                         INTERVAL_CODEC, pinned_points=(point,))
-    return Target(f"{base.name}-pinned-{point}", base.fmap, base.space, base.branches,
-                  sys, base.stream_step)
+    sys = InducedSystem(f"{base.name}-pinned", base.induced.symbolic_map,
+                        INTERVAL_CODEC, pinned_points=(point,))
+    return Target(f"{base.name}-pinned-{point}", base.fmap, base.space, base.branches, sys)
 
 
 def _interval_targets():
@@ -445,7 +445,7 @@ def test_periodicity_needs_shift_or_complementing_shift():
     from symchaos.words import r_map
 
     target = Target("r", tent_target().fmap, INTERVAL_CODEC, tent_target().branches,
-                    induced_system("r", r_map, INTERVAL_CODEC))
+                    InducedSystem("r", r_map, INTERVAL_CODEC))
     with pytest.raises(ValueError, match="complementing shift"):
         periodic_density(target, 4, 2)
 
@@ -466,10 +466,9 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
         monkeypatch.setattr(words, name, wrapped[name])
         monkeypatch.setattr(verifier, name, wrapped[name])
     for base, name in ((tent_target(), "c_map"), (baker_target(), "shift_map")):
-        sys = induced_system(base.name, wrapped[name], INTERVAL_CODEC,
-                             pinned_points=base.induced.pinned_points)
-        target = Target(base.name, base.fmap, base.space, base.branches, sys,
-                        base.stream_step)
+        sys = InducedSystem(base.name, wrapped[name], INTERVAL_CODEC,
+                            pinned_points=base.induced.pinned_points)
+        target = Target(base.name, base.fmap, base.space, base.branches, sys)
         assert reports(target) == expected[base.name]
 
 
@@ -504,6 +503,25 @@ def test_periodic_density_at_the_max_period_bound(target, points):
 CONTROLS = {"identity": identity_target(),
             **{f"constant-{v}": constant_target(F(v)) for v in ("0", "1/2", "1/3", "1")},
             **{f"rotation-{v}": rotation_target(F(v)) for v in ("1/3", "1/5", "1/17", "2/3")}}
+
+
+def test_target_has_five_fields_and_derives_its_stream_step(monkeypatch):
+    assert [f.name for f in dataclasses.fields(Target)] == [
+        "name", "fmap", "space", "branches", "induced"]
+    assert tent_target().stream_step is streams.stream_c_step
+    for target in [baker_target(), *GRAPH_TARGETS]:
+        assert target.stream_step is streams.stream_shift
+    assert [t.fmap for t in GRAPH_TARGETS] == [None] * len(EXAMPLE_GRAPHS)
+    for target in CONTROLS.values():
+        assert target.stream_step is None
+    base = tent_target()
+    with pytest.raises(TypeError):
+        Target(base.name, base.fmap, base.space, base.branches, base.induced,
+               streams.stream_c_step)
+    # looked up on each access, so a rebound step (a tracer's wrapper) is seen
+    wrapper = lambda sw: streams.stream_c_step(sw)  # noqa: E731
+    monkeypatch.setattr(verifier, "stream_c_step", wrapper)
+    assert base.stream_step is wrapper
 
 
 def _enumerate_and_cover(target, max_period, resolutions):
@@ -667,10 +685,9 @@ def _copy_target(base, n, bits):
     window = _orbit_iterate(base, n).window_int(space.r - 1 + bits)
     arc, v = space.split_window(window, bits)
     point = Interior(arc, F(v, 1 << bits)) if space.r > 1 else F(v, 1 << bits)
-    sys = induced_system(f"{base.name}-copy", base.induced.symbolic_map, space,
-                         pinned_points=(point,))
-    return Target(f"{base.name}-copy{bits}@{n}", base.fmap, space, base.branches,
-                  sys, base.stream_step)
+    sys = InducedSystem(f"{base.name}-copy", base.induced.symbolic_map, space,
+                        pinned_points=(point,))
+    return Target(f"{base.name}-copy{bits}@{n}", base.fmap, space, base.branches, sys)
 
 
 # S on baker; C on the tent at a step whose flip is set; S on the triangle
@@ -708,8 +725,8 @@ def _node_a_target():
     """The triangle with only node a pinned: a pinned node lies on an arc
     only at the ends incident to it."""
     base = GRAPH_TARGETS[0]
-    sys = induced_system("k3-a", shift_map, base.space, pinned_points=(Node("a"),))
-    return Target("k3-node-a", base.fmap, base.space, None, sys, base.stream_step)
+    sys = InducedSystem("k3-a", shift_map, base.space, pinned_points=(Node("a"),))
+    return Target("k3-node-a", base.fmap, base.space, None, sys)
 
 
 LEMMA6_TARGETS = (_interval_targets() + GRAPH_TARGETS + COPY_TARGETS + [PATH24,
@@ -744,10 +761,10 @@ def test_lemma6_matches_the_per_step_oracle(target):
 
 def _redirect_target(base, designated, points):
     """`base` with the designated-redirect override on pinned `points`."""
-    sys = induced_system(f"{base.name}-redirect", base.induced.symbolic_map, base.space,
-                         designated=designated, pinned_points=points)
+    sys = InducedSystem(f"{base.name}-redirect", base.induced.symbolic_map, base.space,
+                        designated=designated, pinned_points=points)
     return Target(f"{base.name}-redirect-{designated}", base.fmap, base.space,
-                  base.branches, sys, base.stream_step)
+                  base.branches, sys)
 
 
 # 1/3 and 2/7 are purely periodic, as are 0 and 1 (the constant words)
@@ -1305,6 +1322,16 @@ def test_graph_sensitivity_orbits_reach_star_failures(monkeypatch):
             and lattice_step(system, key, q) == key}
     assert held == {(4, F(7, 8)), (5, F(7, 8)), (5, F(15, 16)), (6, F(15, 16)),
                     (6, F(31, 32))}
+
+
+def test_graph_sensitivity_rejects_an_fmap_before_stepping(monkeypatch, k3):
+    def stepped(*args):
+        raise AssertionError("a key was stepped")
+
+    monkeypatch.setattr(symchaos.graphs, "lattice_step", stepped)
+    target = Target("k3", stepped, k3, induced=k3.induced)
+    with pytest.raises(ValueError, match="takes no fmap"):
+        sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
 
 
 def test_k3_sensitivity_at_grid_4096():
