@@ -21,7 +21,6 @@ from .streams import (
 )
 from .decomposition import (
     Fiber,
-    SingleFiber,
     Violation,
     InducedSystem,
     star_check,

@@ -124,9 +124,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_steps(steps: int) -> None:
+    """An orbit holds every row until it prints, so --steps is capped."""
+    if steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {steps}")
+    if steps > 10 ** 6:
+        raise ValueError(f"--steps {steps} exceeds bound 10^6")
+
+
 def _cmd_orbit(args) -> int:
-    if args.steps < 0:
-        raise ValueError(f"--steps must be at least 0, got {args.steps}")
+    _check_steps(args.steps)
     fmap = EVAL_SYSTEMS[args.system]
     x = args.x
     rows = []
@@ -140,6 +147,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_graph_orbit(args) -> int:
+    _check_steps(args.steps)
     sys_ = _load_graph(args.file)
     start = _parse_start(sys_, args.start)
     rows = []

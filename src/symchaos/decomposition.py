@@ -11,16 +11,14 @@ either fixing the fiber or redirecting it to a designated point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Protocol, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Iterable, List, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
 from .words import Word
 
 __all__ = [
     "Fiber",
-    "SingleFiber",
     "Violation",
-    "StarOutcome",
     "InducedSystem",
     "star_check",
     "induced_apply",
@@ -73,11 +71,12 @@ class Codec(Protocol):
     and nothing between `encode` and `decode` names a point otherwise.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
     is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
-    addressed by the prefix bits prefixes[i-1] (the interval's is empty).
+    addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
+    exactly when its first s bits, packed, are c (the interval's is (0, 0)).
     """
 
     r: int
-    prefixes: Sequence[Tuple[int, ...]]
+    prefixes: Sequence[Tuple[int, int]]
 
     def encode(self, point) -> Fiber: ...
 
@@ -105,19 +104,11 @@ class Codec(Protocol):
 
 
 @dataclass(frozen=True)
-class SingleFiber:
-    target: Fiber
-
-
-@dataclass(frozen=True)
 class Violation:
     images: Tuple[Tuple[Word, Any], ...]
 
 
-StarOutcome = Union[SingleFiber, Violation]
-
-
-_STREAM_PRECISIONS = (64, 128, 256, 512)
+_STREAM_BITS = 512  # precision of the cells that tell a stream from a pinned point
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +117,9 @@ class InducedSystem:
 
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
-    fiber where the star condition fails.  The pinned points' fibers and,
-    for each stream precision, the cells that hold one (codec.point_cells)
-    are derived from the points once, here.
+    fiber where the star condition fails.  The pinned points' fibers and
+    the precision-_STREAM_BITS cells that hold one (codec.point_cells) are
+    derived from the points once, here.
     """
 
     name: str
@@ -137,38 +128,37 @@ class InducedSystem:
     designated: Any = None
     pinned_points: Tuple = ()
     pinned_fibers: frozenset = field(init=False)
-    pinned_cells: Dict[int, frozenset] = field(init=False)
+    pinned_cells: frozenset = field(init=False)
 
     def __post_init__(self):
         points, codec = tuple(self.pinned_points), self.codec
         object.__setattr__(self, "pinned_points", points)
         object.__setattr__(self, "pinned_fibers", frozenset(map(codec.encode, points)))
-        object.__setattr__(self, "pinned_cells", {
-            p: frozenset(c for pt in points for c in codec.point_cells(pt, p))
-            for p in _STREAM_PRECISIONS})
+        object.__setattr__(self, "pinned_cells", frozenset(
+            c for pt in points for c in codec.point_cells(pt, _STREAM_BITS)))
 
 
-def star_check(sys: InducedSystem, fib: Fiber) -> StarOutcome:
+def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
     """Apply the symbolic map memberwise and test the star condition.
 
     It holds when every image word lies in the fiber of the first (two
     expansions of one dyadic are one point, not a violation), and that fiber
-    is the result; otherwise returns every image with its point.
+    is returned; otherwise a Violation holds every image with its point.
     """
     codec = sys.codec
     images = [sys.symbolic_map(w) for w in fib]
     target = codec.fiber_of(images[0])
     if all(w in target for w in images):
-        return SingleFiber(target)
+        return target
     return Violation(tuple((w, codec.decode(w)) for w in images))
 
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
     if fib not in sys.pinned_fibers:
-        outcome = star_check(sys, fib)
-        if isinstance(outcome, SingleFiber):
-            return outcome.target
+        image = star_check(sys, fib)
+        if isinstance(image, Fiber):
+            return image
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
@@ -191,16 +181,12 @@ def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
 
     For a Word this is checked exactly on fibers.  For a StreamWord the
     point is irrational, so its fiber is a singleton and the two routes
-    agree automatically unless the fiber is exceptional; the check refines
-    the value enclosure until every pinned point is excluded (equality at
-    enclosure precision), failing if the precision cap cannot separate
-    them.
+    agree automatically unless the fiber is exceptional; the check passes
+    when the stream's precision-_STREAM_BITS cell holds no pinned point.
+    Cells nest, so no coarser cell separates what that one does not.
     """
     if isinstance(w, StreamWord):
-        for precision in _STREAM_PRECISIONS:
-            if sys.codec.stream_excludes_all(w, sys.pinned_cells[precision], precision):
-                return True
-        return False
+        return sys.codec.stream_excludes_all(w, sys.pinned_cells, _STREAM_BITS)
     fib = sys.codec.fiber_of(w)
     lhs = induced_apply(sys, fib)
     rhs = sys.codec.fiber_of(sys.symbolic_map(w))

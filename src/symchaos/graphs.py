@@ -19,7 +19,6 @@ from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
-    _pack,
     bits_of,
     drop_bits,
     prefix_int,
@@ -50,6 +49,9 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+# directive -> its usage, whose words fix the argument count
+_DIRECTIVES = {"node": "node <id>", "arc": "arc <id> <tail> <head>"}
 
 
 class GraphError(ValueError):
@@ -124,31 +126,24 @@ def parse_graph(text: str) -> GraphSpec:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "node":
-            if len(parts) != 2:
-                raise GraphError(f"line {ln}: expected 'node <id>'")
-            name = parts[1]
-            if not _ID_RE.match(name):
-                raise GraphError(f"line {ln}: bad identifier {name!r}")
-            if name in seen_ids:
-                raise GraphError(f"line {ln}: duplicate id {name!r}")
-            seen_ids.add(name)
-            nodes.append(name)
-        elif parts[0] == "arc":
-            if len(parts) != 4:
-                raise GraphError(f"line {ln}: expected 'arc <id> <tail> <head>'")
-            aid, tail, head = parts[1:]
-            if not _ID_RE.match(aid):
-                raise GraphError(f"line {ln}: bad identifier {aid!r}")
-            if aid in seen_ids:
-                raise GraphError(f"line {ln}: duplicate id {aid!r}")
-            for endpoint in (tail, head):
-                if endpoint not in nodes:
-                    raise GraphError(f"line {ln}: unknown node {endpoint!r}")
-            seen_ids.add(aid)
-            arcs.append(Arc(aid, tail, head))
-        else:
+        usage = _DIRECTIVES.get(parts[0])
+        if usage is None:
             raise GraphError(f"line {ln}: unknown directive {parts[0]!r}")
+        if len(parts) != len(usage.split()):
+            raise GraphError(f"line {ln}: expected '{usage}'")
+        name = parts[1]
+        if not _ID_RE.match(name):
+            raise GraphError(f"line {ln}: bad identifier {name!r}")
+        if name in seen_ids:
+            raise GraphError(f"line {ln}: duplicate id {name!r}")
+        for endpoint in parts[2:]:
+            if endpoint not in nodes:
+                raise GraphError(f"line {ln}: unknown node {endpoint!r}")
+        seen_ids.add(name)
+        if parts[0] == "node":
+            nodes.append(name)
+        else:
+            arcs.append(Arc(*parts[1:]))
     if not arcs:
         raise GraphError("empty graph: at least one arc is required")
     used = {a.tail for a in arcs} | {a.head for a in arcs}
@@ -164,13 +159,9 @@ class GraphSystem:
     def __init__(self, spec: GraphSpec):
         self.spec = spec
         self.r = r = spec.r
-        # prefix of arc i: 1^(i-1) 0 for i < r, 1^(r-1) for the last arc
-        self.prefixes: List[Tuple[int, ...]] = []
-        for i in range(1, r + 1):
-            if i < r:
-                self.prefixes.append((1,) * (i - 1) + (0,))
-            else:
-                self.prefixes.append((1,) * (r - 1))
+        # (length, bits) of arc i's prefix: 1^(i-1) 0 for i < r, 1^(r-1) last
+        self.prefixes: List[Tuple[int, int]] = (
+            [(i, (1 << i) - 2) for i in range(1, r)] + [(r - 1, (1 << (r - 1)) - 1)])
         self._arc_index: Dict[str, int] = {a.id: i + 1 for i, a in enumerate(spec.arcs)}
         # (arc, parameter 0 or 1) of every arc end at each node
         self._ends: Dict[str, List[Tuple[int, int]]] = {v: [] for v in spec.nodes}
@@ -202,11 +193,11 @@ class GraphSystem:
         if isinstance(point, Interior):
             self.spec.arc(point.arc)  # an index out of range raises
             prefix = self.prefixes[point.arc - 1]
-            return Fiber(prepend_bits(w, prefix) for w in bits_of(point.t))
+            return Fiber(prepend_bits(w, *prefix) for w in bits_of(point.t))
         if isinstance(point, Node):
             if point.id not in self.spec.nodes:
                 raise GraphError(f"unknown node {point.id!r}")
-            words = [prepend_bits(Word([], [t]), self.prefixes[i - 1])
+            words = [prepend_bits(Word([], [t]), *self.prefixes[i - 1])
                      for i, t in self._ends[point.id]]
             if not words:
                 raise GraphError(f"node {point.id!r} has no incident arcs")
@@ -226,7 +217,7 @@ class GraphSystem:
         if param.pre_len == 0 and param.period_len == 1:  # 0^inf or 1^inf
             return self.encode(self.point_at(i, param.period))
         prefix = self.prefixes[i - 1]
-        return Fiber(prepend_bits(w, prefix) for w in INTERVAL_CODEC.fiber_of(param))
+        return Fiber(prepend_bits(w, *prefix) for w in INTERVAL_CODEC.fiber_of(param))
 
     def _split_address(self, word: Word) -> Tuple[int, Word]:
         """The arc a word addresses and its parameter word (the word after
@@ -360,9 +351,11 @@ def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
 
 
 def graph_orbit(sys: GraphSystem, point: GraphPoint, n: int) -> List[GraphPoint]:
-    """[point, F(point), ..., F^n(point)]."""
+    """[point, F(point), ..., F^n(point)], for n at most 10^6."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > 10 ** 6:
+        raise ValueError(f"n {n} exceeds bound 10^6")
     orbit = [point]
     for _ in range(n):
         orbit.append(graph_map(sys, orbit[-1]))
@@ -395,8 +388,7 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key],
     bound, den = eta.numerator << (r + e), eta.denominator
     # per arc: its prefix shifted past the parameter bits, the shift that
     # leaves room for the tail, and the tail of 1s
-    frames = [(c << e, r - s, (1 << (r - s)) - 1)
-              for s, c in map(_pack, sys.prefixes)]
+    frames = [(c << e, r - s, (1 << (r - s)) - 1) for s, c in sys.prefixes]
 
     def words(key: Key) -> List[int]:
         if isinstance(key, Node):

@@ -66,7 +66,7 @@ class IntervalCodec:
     interval is the one-arc space with an empty prefix: its cells are (1, j)."""
 
     r = 1
-    prefixes = ((),)
+    prefixes = ((0, 0),)
     stream_excludes_all = stream_excludes_all
 
     def encode(self, point: Fraction) -> Fiber:

@@ -15,11 +15,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
-from .decomposition import _STREAM_PRECISIONS, Codec, InducedSystem, semiconjugacy_check
+from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
-from .words import MAX_BITS, Word, _factorize, _pack, c_map, shift_map
+from .words import MAX_BITS, Word, _factorize, c_map, shift_map
 
 __all__ = [
     "ChaosReport",
@@ -304,7 +304,7 @@ def _uncovered(space: Codec, kept: Callable[[int, int], bool], ends: list,
     end_cells = {c for b, pt in enumerate(ends) if kept(1, b)
                  for c in space.point_cells(pt, p)}
     missing = []
-    for i, (s, c) in enumerate(_arc_prefixes(space), start=1):
+    for i, (s, c) in enumerate(space.prefixes, start=1):
         for j in range(1 << p):
             if (i, j) not in end_cells and not _holds_kept(kept, s, c, j, p, max_period):
                 missing.append((i, j))
@@ -321,12 +321,6 @@ def _holds_kept(kept, s: int, c: int, j: int, p: int, max_period: int) -> bool:
             if kept(k, base | u):
                 return True
     return False
-
-
-def _arc_prefixes(space: Codec) -> List[Tuple[int, int]]:
-    """(s, c) for each arc: a word addresses the arc exactly when its first
-    s bits, packed, are c.  The interval is one arc with an empty prefix."""
-    return [_pack(bits) for bits in space.prefixes]
 
 
 def _point_returns(fmap, pt, horizon: int) -> bool:
@@ -355,16 +349,19 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     the step budget?  A step marks the cell addressed by the first
     r-1+resolution bits of its iterate (r = 1 on the interval): their value
     enclosure is that cell, so no mark is a guess.  The windows come from
-    one rolled integer (_orbit_windows), and only a window not seen before
-    is split into its cell."""
+    one rolled integer (streams.orbit_windows, under C when the induced map
+    is the complementing shift, else under S), and only a window not seen
+    before is split into its cell."""
     started = time.monotonic()
     _at_least(1, steps=steps, resolution=resolution)
     if steps > 10 ** 6:
         raise ValueError(f"steps {steps} exceeds bound 10^6")
     if resolution > 16:
         raise ValueError(f"resolution {resolution} exceeds bound 16")
+    if target.induced is None:
+        raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space = target.space
-    windows = _orbit_windows(target, space.r - 1 + resolution, steps)
+    windows = orbit_windows(space.r - 1 + resolution, steps, _complementing(target.induced))
     total = _all_cells(space, resolution)
     seen, covered, split = set(), set(), space.split_window
     full_at = None
@@ -381,14 +378,6 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
               "full_coverage_step": full_at}
     witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
-
-
-def _orbit_windows(target: Target, width: int, steps: int):
-    """streams.orbit_windows along the target's generator orbit: under C
-    when its induced map is the complementing shift, else under S."""
-    if target.induced is None:
-        raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
-    return orbit_windows(width, steps, _complementing(target.induced))
 
 
 # -- transitivity ------------------------------------------------------------
@@ -615,22 +604,20 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
 def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
     """The generator-orbit steps where semiconjugacy_check fails.
 
-    A step whose first r-1+64 bits address a precision-64 cell (arc, v)
-    that no pinned point lies in (codec.point_cells) passes at once, so only
-    a step in a pinned point's cell is checked, and the check refines to 512
-    bits.  Each rolled window is looked up by its first 64 bits: the arc
-    prefix and the leading bits of v, which its cell fixes.  So every such
-    step is found, and a step outside those cells may be checked needlessly."""
-    sys, p = target.induced, _STREAM_PRECISIONS[0]
+    Only a step whose stream lies in a pinned cell (sys.pinned_cells, at
+    _STREAM_BITS bits) can fail, and its first 64 bits are the top 64 bits
+    of that cell's arc prefix and v.  Each rolled window is looked up by its
+    first 64 bits among those keys, so every such step is found, and a step
+    outside those cells may be checked needlessly."""
+    sys = target.induced
     space = sys.codec
-    prefixes = _arc_prefixes(space)
     keys = set()
-    for i, v in sys.pinned_cells[p]:
-        s, c = prefixes[i - 1]
-        keys.add(((c << p) | v) >> s)
+    for i, v in sys.pinned_cells:
+        s, c = space.prefixes[i - 1]
+        keys.add(((c << _STREAM_BITS) | v) >> (s + _STREAM_BITS - 64))
     flips = _complementing(sys)
     failures = []
-    for n, window in enumerate(orbit_windows(space.r - 1 + p, steps, flips)):
+    for n, window in enumerate(orbit_windows(space.r - 1 + 64, steps, flips)):
         if window >> (space.r - 1) in keys:
             sw = StreamWord(n, dense_bit(n) if flips and n else 0)
             if not semiconjugacy_check(sys, sw):

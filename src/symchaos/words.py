@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = [
     "Word",
@@ -445,9 +445,9 @@ def periodic_words(n: int) -> List[Word]:
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
 
 
-def prepend_bits(w: Word, bits: Sequence[int]) -> Word:
-    """Word whose sequence is bits followed by w."""
-    n, b = _pack(bits)
+def prepend_bits(w: Word, n: int, b: int) -> Word:
+    """Word whose sequence is the n bits b (packed, first bit most
+    significant) followed by w."""
     return Word._from_packed(w.pre_len + n, (b << w.pre_len) | w.pre,
                              w.period_len, w.period, primitive=True)
 

@@ -105,6 +105,18 @@ def test_orbit_negative_steps_is_usage_error(capsys):
     assert err.startswith("error: ") and "--steps" in err
 
 
+@pytest.mark.parametrize("steps,message", [
+    (10 ** 6 + 1, "error: --steps 1000001 exceeds bound 10^6\n"),
+    (-2, "error: --steps must be at least 0, got -2\n"),
+])
+def test_orbit_steps_out_of_range_exit_two(capsys, k3_file, steps, message):
+    # every row is held until it prints, so the step count is capped
+    for argv in (("orbit", "--system", "tent", "--x", "1/3"),
+                 ("graph-orbit", "--file", k3_file, "--start", "E2:1/3")):
+        code, out, err = run(capsys, *argv, "--steps", str(steps))
+        assert (code, out, err) == (2, "", message)
+
+
 def test_orbit_json(capsys):
     code, out, _ = run(capsys, "orbit", "--system", "tent", "--x", "1/2",
                        "--steps", "2", "--format", "json")

@@ -25,7 +25,7 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
-from symchaos.words import Word, parse_word, prefix_int
+from symchaos.words import Word, _pack, parse_word, prefix_int
 
 W = parse_word
 F = Fraction
@@ -42,7 +42,16 @@ def test_parse_simple_arc():
 
 def test_parse_k3_prefixes(k3):
     assert k3.spec.r == 3
-    assert k3.prefixes == [(0,), (1, 0), (1, 1)]
+    assert k3.prefixes == [(1, 0), (2, 2), (2, 3)]  # 0, 10, 11
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_packed_prefixes_match_the_bit_tuples(r):
+    # arc i < r owns 1^(i-1) 0 and the last arc 1^(r-1), as (length, bits)
+    spec = parse_graph("node a\n" + "".join(f"arc E{i} a a\n" for i in range(1, r + 1)))
+    bits = [(1,) * (i - 1) + (0,) for i in range(1, r)] + [(1,) * (r - 1)]
+    assert graph_system(spec).prefixes == [_pack(b) for b in bits]
+    assert INTERVAL_CODEC.prefixes == (_pack(()),)
 
 
 def test_parse_loop_allowed():
@@ -72,6 +81,22 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("node\n", "line 1: expected 'node <id>'"),
+    ("node a b\n", "line 1: expected 'node <id>'"),
+    ("node a\narc E1 a\n", "line 2: expected 'arc <id> <tail> <head>'"),
+    ("node a\narc a a a\n", "line 2: duplicate id 'a'"),
+    ("node a\narc E1 a a\nnode E1\n", "line 3: duplicate id 'E1'"),
+    ("node a\narc E* a a\n", "line 2: bad identifier 'E*'"),
+    ("node a\narc E1 a z\n", "line 2: unknown node 'z'"),
+    ("node a\nedge E1 a a\n", "line 2: unknown directive 'edge'"),
+])
+def test_parse_error_messages_in_full(text, message):
+    with pytest.raises(GraphError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphError) as err:
         parse_graph("node a\nnode a\n")
@@ -80,7 +105,7 @@ def test_parse_errors_carry_line_numbers():
 
 def test_disconnected_graph_parses(two_segments):
     assert two_segments.spec.r == 2
-    assert two_segments.prefixes == [(0,), (1,)]
+    assert two_segments.prefixes == [(1, 0), (1, 1)]  # 0, 1
 
 
 # ------------------------------------------------------------------ codec
@@ -211,6 +236,8 @@ def test_graph_orbit_example(k3):
 def test_graph_orbit_validates(k3):
     with pytest.raises(ValueError):
         graph_orbit(k3, Node("a"), -1)
+    with pytest.raises(ValueError, match=r"^n 1000001 exceeds bound 10\^6$"):
+        graph_orbit(k3, Node("a"), 10 ** 6 + 1)
 
 
 def test_loop_graph_is_doubling(loop1):

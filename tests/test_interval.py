@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symchaos.decomposition import SingleFiber, Violation, star_check
+from symchaos.decomposition import Fiber, Violation, star_check
 from symchaos.interval import (
     as_unit,
     baker,
@@ -97,7 +97,7 @@ def test_star_dichotomy_on_grid():
     violations = []
     for num in range(0, 129):
         y = F(num, 128)
-        assert isinstance(star_check(tent_system(), interval_fiber(y)), SingleFiber)
+        assert isinstance(star_check(tent_system(), interval_fiber(y)), Fiber)
         if isinstance(star_check(baker_system(), interval_fiber(y)), Violation):
             violations.append(y)
     assert violations == [F(1, 2)]

@@ -703,14 +703,35 @@ def test_the_copy_steps_exercise_the_flip_and_a_short_prefix():
     assert COPY_TARGETS[4].induced.pinned_points[0].arc == 1
 
 
+def _cells_at(sys, p):
+    """The precision-p cells that hold a pinned point."""
+    return {c for pt in sys.pinned_points for c in sys.codec.point_cells(pt, p)}
+
+
+def _ladder_check(sys):
+    """The precision ladder semiconjugacy_check climbed on a stream, as a
+    predicate: the stream commutes once the pinned cells at 64, 128, 256
+    or 512 bits separate it from every pinned point."""
+    codec, cells = sys.codec, {p: _cells_at(sys, p) for p in (64, 128, 256, 512)}
+    return lambda sw: any(codec.stream_excludes_all(sw, cells[p], p) for p in cells)
+
+
 @pytest.mark.parametrize("target", COPY_TARGETS[::2], ids=lambda t: t.name)
 def test_lemma6_refines_where_64_bits_cannot_separate(target):
     # 100 copied bits: 64 cannot separate the iterate from the point, 128 can
     sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
-    cells, space = target.induced.pinned_cells, target.space
-    assert not space.stream_excludes_all(sw, cells[64], 64)
-    assert space.stream_excludes_all(sw, cells[128], 128)
+    sys, space = target.induced, target.space
+    assert not space.stream_excludes_all(sw, _cells_at(sys, 64), 64)
+    assert space.stream_excludes_all(sw, _cells_at(sys, 128), 128)
     assert lemma6_commute_check(target, 4, 20000).verdict == "pass"
+
+
+@pytest.mark.parametrize("target", COPY_TARGETS, ids=lambda t: t.name)
+def test_stream_check_matches_the_ladder_at_the_copy_step(target):
+    # 100 copied bits separate at 128, 600 at no precision up to 512
+    sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
+    commutes = semiconjugacy_check(target.induced, sw)
+    assert commutes == _ladder_check(target.induced)(sw) == ("copy100" in target.name)
 
 
 @pytest.mark.parametrize("target", COPY_TARGETS[1::2], ids=lambda t: t.name)
@@ -736,10 +757,13 @@ LEMMA6_STEPS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000)
 
 def _old_orbit_failures(target, steps):
     """The per-step loop the rolled window replaced: one StreamWord per
-    generator step and a semiconjugacy_check on each."""
-    failures, sw = [], StreamWord()
+    generator step, checked by the precision ladder, which
+    semiconjugacy_check must agree with at every step."""
+    failures, sw, ladder = [], StreamWord(), _ladder_check(target.induced)
     for n in range(steps):
-        if not semiconjugacy_check(target.induced, sw):
+        commutes = ladder(sw)
+        assert semiconjugacy_check(target.induced, sw) == commutes, n
+        if not commutes:
             failures.append({"orbit_step": n})
         sw = target.stream_step(sw)
     return failures
@@ -833,40 +857,61 @@ def test_lemma6_checks_only_the_constant_and_pinned_words(monkeypatch, target):
     assert set(checked) == {Word([], [0]), Word([], [1])} | pinned
 
 
-class _Window:
-    """A stream whose first bits are one given window."""
+@dataclasses.dataclass(frozen=True)
+class _Window(StreamWord):
+    """A stream whose first `width` bits are the window x."""
 
-    def __init__(self, x, width):
-        self.x, self.width = x, width
+    x: int = 0
+    width: int = 0
 
     def window_int(self, n):
-        assert n == self.width
-        return self.x
+        assert n <= self.width
+        return self.x >> (self.width - n)
 
 
 @pytest.mark.parametrize("target", [t for t in LEMMA6_TARGETS if t.induced.pinned_points],
                          ids=lambda t: t.name)
 def test_suspect_cells_are_where_64_bits_cannot_separate(target):
-    codec, points, p = target.induced.codec, target.induced.pinned_points, 64
+    sys, p, bits = target.induced, 64, 512
+    codec, points = sys.codec, sys.pinned_points
     r, top = codec.r, (1 << p) - 1
     suspects = {c for pt in points for c in codec.point_cells(pt, p)}
-    assert suspects and suspects == target.induced.pinned_cells[p]
+    # the cells nest: the pinned 512-bit cells' top 64 bits are the suspects
+    assert suspects and suspects == {(i, v >> (bits - p)) for i, v in sys.pinned_cells}
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
     for i in range(1, r + 1):
         near |= {(i, v + d) for _, v in suspects for d in range(-2, 3)}
         near |= {(i, 0), (i, top)}
+    streams = []  # (arc, prefix and 512 bits, unread bit count, unread bits)
     for i, v in sorted(near):
         if not 0 <= v <= top:
             continue
-        s, c = verifier._arc_prefixes(codec)[i - 1]
+        s, c = codec.prefixes[i - 1]
         free = r - 1 - s
         for tail in {0, (1 << free) - 1}:
             x = (c << (p + free)) | (v << free) | tail
             assert codec.split_window(x, p) == (i, v)
-            separated = codec.stream_excludes_all(_Window(x, r - 1 + p), suspects, p)
+            separated = codec.stream_excludes_all(_Window(x=x, width=r - 1 + p), suspects, p)
             assert ((i, v) in suspects) == (not separated), (i, v)
             inside = any(_in_enclosure(codec, pt, i, v, p) for pt in points)
             assert inside == (not separated), (i, v)
+            for fill in (0, (1 << (bits - p)) - 1):  # the 64-bit cell's two ends
+                streams.append((i, x >> free << (bits - p) | fill, free, tail))
+    for i, v in sys.pinned_cells:  # each pinned 512-bit cell and its neighbours
+        s, c = codec.prefixes[i - 1]
+        free = r - 1 - s
+        for d in range(-2, 3):
+            if 0 <= v + d < 1 << bits:
+                for tail in {0, (1 << free) - 1}:
+                    streams.append((i, (c << bits) | (v + d), free, tail))
+    # semiconjugacy_check at 512 bits agrees with the 64 -> 512 ladder
+    ladder, seen = _ladder_check(sys), set()
+    for i, head, free, tail in streams:
+        sw = _Window(x=(head << free) | tail, width=r - 1 + bits)
+        commutes = semiconjugacy_check(sys, sw)
+        assert commutes == ladder(sw), (i, head)
+        seen.add(commutes)
+    assert seen == {True, False}
 
 
 def _in_enclosure(codec, pt, i, v, p):

@@ -24,6 +24,7 @@ from symchaos.words import (
     parse_word,
     periodic_words,
     prefix_int,
+    prepend_bits,
     r_inverse,
     r_map,
     shift_map,
@@ -620,6 +621,13 @@ def test_periodic_words_bound():
 
 
 # ---------------------------------------------------------------- misc
+
+def test_prepend_bits_takes_a_packed_prefix():
+    # (n, b): the n bits of b, first bit most significant
+    assert prepend_bits(parse_word(":01"), 3, 0b110) == parse_word("110:01")
+    assert prepend_bits(parse_word("1:0"), 0, 0) == parse_word("1:0")
+    assert prepend_bits(parse_word(":1"), 2, 0b01) == parse_word("0:1")
+
 
 def test_complement_involution():
     w = W("0110:101")
