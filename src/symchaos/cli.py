@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
-from .words import MAX_BITS, Word, bits_of, c_map, r_map, shift_map
+from .words import MAX_BITS, Word, _within, bits_of, c_map, r_map, shift_map
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -24,8 +25,15 @@ EVAL_SYSTEMS = {
     "induced-baker": interval.induced_baker,
 }
 
-VERIFY_PROPERTIES = ("periodic-density", "dense-orbit", "transitivity",
-                     "sensitivity", "lemma6")
+# each check is looked up on the verifier module when it runs, so a
+# function rebound there (a tracer's wrapper, a test's stand-in) is called
+VERIFY_PROPERTIES = {
+    "periodic-density": lambda t, a: verifier.periodic_density(t, a.max_period, a.resolution),
+    "dense-orbit": lambda t, a: verifier.dense_orbit_coverage(t, a.steps, a.resolution),
+    "transitivity": lambda t, a: verifier.transitivity_witness(t, a.resolution, a.horizon),
+    "sensitivity": lambda t, a: verifier.sensitivity_probe(t, a.eta, a.delta, a.grid, a.horizon),
+    "lemma6": lambda t, a: verifier.lemma6_commute_check(t, a.max_period, a.steps),
+}
 
 
 def _fraction(text: str) -> Fraction:
@@ -108,15 +116,29 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
     return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))
 
 
-def _print_rows(rows: List[dict], fmt: str) -> None:
-    """Orbit rows as indented JSON, or as CSV with a header line (None is
-    an empty field)."""
+def _print_rows(rows: Iterable[dict], fmt: str) -> None:
+    """Orbit rows, each printed as it is made: indented JSON (the text of
+    json.dumps(list(rows), indent=2)), or CSV with a header line before the
+    first row (None is an empty field).  An error mid-orbit leaves the rows
+    before it printed."""
+    for n, row in enumerate(rows):
+        if fmt == "json":
+            print("," if n else "[", textwrap.indent(json.dumps(row, indent=2), "  "),
+                  sep="\n", end="")
+        else:
+            if n == 0:
+                print(",".join(row))
+            print(",".join("" if v is None else str(v) for v in row.values()))
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
-        return
-    print(",".join(rows[0]))
-    for row in rows:
-        print(",".join("" if v is None else str(v) for v in row.values()))
+        print("\n]")
+
+
+def _iterate(fmap, x, steps: int) -> Iterator:
+    """x, fmap(x), ..., fmap^steps(x), each made when it is asked for."""
+    yield x
+    for _ in range(steps):
+        x = fmap(x)
+        yield x
 
 
 def _cmd_eval(args) -> int:
@@ -124,42 +146,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _check_steps(steps: int) -> None:
-    """An orbit holds every row until it prints, so --steps is capped."""
-    if steps < 0:
-        raise ValueError(f"--steps must be at least 0, got {steps}")
-    if steps > 10 ** 6:
-        raise ValueError(f"--steps {steps} exceeds bound 10^6")
-
-
 def _cmd_orbit(args) -> int:
-    _check_steps(args.steps)
-    fmap = EVAL_SYSTEMS[args.system]
-    x = args.x
-    rows = []
-    for step in range(args.steps + 1):
-        rows.append({"step": step, "num": x.numerator, "den": x.denominator,
-                     "approx": float(x)})
-        if step < args.steps:
-            x = fmap(x)
-    _print_rows(rows, args.format)
+    _within(**{"--steps": (args.steps, 0, 10 ** 6)})
+    # a start outside [0, 1] is an input error before any row is printed
+    orbit = _iterate(EVAL_SYSTEMS[args.system], interval.as_unit(args.x), args.steps)
+    _print_rows(({"step": step, "num": x.numerator, "den": x.denominator,
+                  "approx": float(x)} for step, x in enumerate(orbit)), args.format)
     return 0
 
 
+def _graph_row(sys_: graphs.GraphSystem, step: int, pt: graphs.GraphPoint) -> dict:
+    if isinstance(pt, graphs.Interior):
+        return {"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
+                "t_num": pt.t.numerator, "t_den": pt.t.denominator, "approx": float(pt.t)}
+    return {"step": step, "arc_or_node": pt.id, "t_num": None, "t_den": None,
+            "approx": None}
+
+
 def _cmd_graph_orbit(args) -> int:
-    _check_steps(args.steps)
+    _within(**{"--steps": (args.steps, 0, 10 ** 6)})
     sys_ = _load_graph(args.file)
-    start = _parse_start(sys_, args.start)
-    rows = []
-    for step, pt in enumerate(graphs.graph_orbit(sys_, start, args.steps)):
-        if isinstance(pt, graphs.Interior):
-            rows.append({"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
-                         "t_num": pt.t.numerator, "t_den": pt.t.denominator,
-                         "approx": float(pt.t)})
-        else:
-            rows.append({"step": step, "arc_or_node": pt.id,
-                         "t_num": None, "t_den": None, "approx": None})
-    _print_rows(rows, args.format)
+    orbit = _iterate(lambda pt: graphs.graph_map(sys_, pt),
+                     _parse_start(sys_, args.start), args.steps)
+    _print_rows((_graph_row(sys_, step, pt) for step, pt in enumerate(orbit)), args.format)
     return 0
 
 
@@ -172,29 +181,16 @@ def _cmd_verify(args) -> int:
     else:
         target = verifier.tent_target() if args.system == "tent" else verifier.baker_target()
         default_eta = Fraction(1, 4)
-    eta = args.eta if args.eta is not None else default_eta
-    prop = args.property
-    if prop == "periodic-density":
-        report = verifier.periodic_density(target, args.max_period, args.resolution)
-    elif prop == "dense-orbit":
-        report = verifier.dense_orbit_coverage(target, args.steps, args.resolution)
-    elif prop == "transitivity":
-        report = verifier.transitivity_witness(target, args.resolution, args.horizon)
-    elif prop == "sensitivity":
-        report = verifier.sensitivity_probe(target, eta, args.delta, args.grid,
-                                            args.horizon)
-    else:
-        report = verifier.lemma6_commute_check(target, args.max_period, args.steps)
+    if args.eta is None:
+        args.eta = default_eta
+    report = VERIFY_PROPERTIES[args.property](target, args)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0 if report.passed() else 1
 
 
 def _cmd_conjugacy(args) -> int:
     length = args.length
-    if length < 2:
-        raise ValueError("--length must be at least 2")
-    if length > MAX_BITS:
-        raise ValueError(f"--length {length} exceeds bound {MAX_BITS}")
+    _within(**{"--length": (length, 2, MAX_BITS)})
     compare_bits = length - 1
     mismatches = 0
     for seed in range(1 << length):

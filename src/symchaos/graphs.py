@@ -19,6 +19,7 @@ from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
+    _within,
     bits_of,
     drop_bits,
     prefix_int,
@@ -352,10 +353,7 @@ def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
 
 def graph_orbit(sys: GraphSystem, point: GraphPoint, n: int) -> List[GraphPoint]:
     """[point, F(point), ..., F^n(point)], for n at most 10^6."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > 10 ** 6:
-        raise ValueError(f"n {n} exceeds bound 10^6")
+    _within(n=(n, 0, 10 ** 6))
     orbit = [point]
     for _ in range(n):
         orbit.append(graph_map(sys, orbit[-1]))

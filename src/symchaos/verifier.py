@@ -19,7 +19,7 @@ from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_che
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
-from .words import MAX_BITS, Word, _factorize, c_map, shift_map
+from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
 
 __all__ = [
     "ChaosReport",
@@ -59,11 +59,6 @@ class ChaosReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosReport":
-        return cls(data["system"], data["property"], data["params"],
-                   data["verdict"], data["witnesses"], data["elapsed_ms"])
 
 
 def _finish(system: str, prop: str, params: dict, witnesses: list,
@@ -131,13 +126,6 @@ def _all_cells(space: Codec, p: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(1, space.r + 1) for j in range(1 << p)]
 
 
-def _at_least(low: int, **params: int) -> None:
-    """Reject parameters below their least meaningful value (a usage error)."""
-    for name, value in params.items():
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
-
-
 _CONSTANTS = (Word([], [0]), Word([], [1]))
 
 
@@ -154,11 +142,7 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     and the kept test are closed forms (_kept_blocks); other maps decode
     every word and iterate its point (_returning_blocks)."""
     started = time.monotonic()
-    _at_least(1, max_period=max_period, resolution=resolution)
-    if max_period > MAX_BITS:
-        raise ValueError(f"max_period {max_period} exceeds bound {MAX_BITS}")
-    if resolution > 16:
-        raise ValueError(f"resolution {resolution} exceeds bound 16")
+    _within(max_period=(max_period, 1, MAX_BITS), resolution=(resolution, 1, 16))
     space = target.space
     if target.induced is None and max_period > 16:
         raise ValueError(f"max_period {max_period} exceeds bound 16 for a map "
@@ -353,11 +337,7 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     is the complementing shift, else under S), and only a window not seen
     before is split into its cell."""
     started = time.monotonic()
-    _at_least(1, steps=steps, resolution=resolution)
-    if steps > 10 ** 6:
-        raise ValueError(f"steps {steps} exceeds bound 10^6")
-    if resolution > 16:
-        raise ValueError(f"resolution {resolution} exceeds bound 16")
+    _within(steps=(steps, 1, 10 ** 6), resolution=(resolution, 1, 16))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space = target.space
@@ -401,11 +381,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     these spaces gives transitivity), and the report records that route.
     """
     started = time.monotonic()
-    _at_least(1, resolution=resolution, horizon=horizon)
-    if resolution > 8:
-        raise ValueError(f"resolution {resolution} exceeds bound 8")
-    if horizon > 10 ** 6:
-        raise ValueError(f"horizon {horizon} exceeds bound 10^6")
+    _within(resolution=(resolution, 1, 8), horizon=(horizon, 1, 10 ** 6))
     if target.branches is None:
         report = dense_orbit_coverage(target, horizon, resolution)
         params = dict(report.params, route="dense-orbit")
@@ -516,11 +492,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     points merge, so `image` (key -> F(key)) and `far` ((x, y) -> metric >
     eta) hold, for one call, what earlier points computed."""
     started = time.monotonic()
-    _at_least(1, grid=grid, horizon=horizon)
-    if grid > 1 << 12:
-        raise ValueError(f"grid {grid} exceeds bound 2^12")
-    if horizon > 10 ** 6:
-        raise ValueError(f"horizon {horizon} exceeds bound 10^6")
+    _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0 < delta < 1:
@@ -578,12 +550,7 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     with no pinned point every step commutes.
     """
     started = time.monotonic()
-    _at_least(1, max_period=max_period)
-    _at_least(0, orbit_steps=orbit_steps)
-    if max_period > 16:
-        raise ValueError(f"max_period {max_period} exceeds bound 16")
-    if orbit_steps > 10 ** 6:
-        raise ValueError(f"orbit_steps {orbit_steps} exceeds bound 10^6")
+    _within(max_period=(max_period, 1, 16), orbit_steps=(orbit_steps, 0, 10 ** 6))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced

@@ -40,6 +40,20 @@ _M64 = (1 << 64) - 1
 
 MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 
+_SHOWN_BOUNDS = {10 ** 6: "10^6", 1 << 12: "2^12"}
+
+
+def _within(**params: Tuple[int, int, int]) -> None:
+    """Reject each resource parameter name=(value, least, bound) outside
+    [least, bound], a usage error: every least is checked first, then every
+    bound, each in argument order."""
+    for name, (value, least, _) in params.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    for name, (value, _, bound) in params.items():
+        if value > bound:
+            raise ValueError(f"{name} {value} exceeds bound {_SHOWN_BOUNDS.get(bound, bound)}")
+
 
 def _pack(bits: Iterable[int]) -> Tuple[int, int]:
     length = 0
@@ -122,9 +136,6 @@ class Word:
 
     def period_bits(self) -> Tuple[int, ...]:
         return _unpack(self.period_len, self.period)
-
-    def is_purely_periodic(self) -> bool:
-        return self.pre_len == 0
 
     def __str__(self) -> str:
         pre = "".join(map(str, self.pre_bits()))
@@ -438,10 +449,7 @@ def dyadic_twin(w: Word) -> Word | None:
 
 def periodic_words(n: int) -> List[Word]:
     """All words fixed by the n-fold shift (period dividing n); 2^n of them."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > MAX_BITS:
-        raise ValueError(f"periodic_words bound exceeded: n={n} > {MAX_BITS}")
+    _within(n=(n, 1, MAX_BITS))
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
 
 

@@ -1,0 +1,140 @@
+"""Every resource bound declared through words._within, in the library and
+on the command line: one below the least value and one above the bound each
+give the exact usage error before any work starts, and an input that breaks
+both bounds reports its first value below a least, else its first value above
+a bound."""
+
+from fractions import Fraction
+
+import pytest
+
+from symchaos import cli, graphs, verifier, words
+from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, graph_orbit, graph_system, parse_graph
+from symchaos.interval import IntervalCodec
+from symchaos.verifier import (
+    dense_orbit_coverage,
+    lemma6_commute_check,
+    periodic_density,
+    sensitivity_probe,
+    tent_target,
+    transitivity_witness,
+)
+from symchaos.words import periodic_words
+
+F = Fraction
+TENT = tent_target()
+K3 = graph_system(parse_graph(EXAMPLE_GRAPHS["k3"]))
+ETA, DELTA = F(1, 4), F(1, 4096)
+
+LIBRARY = [
+    (lambda: periodic_density(TENT, 0, 4), "max_period must be at least 1, got 0"),
+    (lambda: periodic_density(TENT, 25, 4), "max_period 25 exceeds bound 24"),
+    (lambda: periodic_density(TENT, 4, 0), "resolution must be at least 1, got 0"),
+    (lambda: periodic_density(TENT, 4, 17), "resolution 17 exceeds bound 16"),
+    (lambda: dense_orbit_coverage(TENT, 0, 4), "steps must be at least 1, got 0"),
+    (lambda: dense_orbit_coverage(TENT, 10 ** 6 + 1, 4), "steps 1000001 exceeds bound 10^6"),
+    (lambda: dense_orbit_coverage(TENT, 100, 0), "resolution must be at least 1, got 0"),
+    (lambda: dense_orbit_coverage(TENT, 100, 17), "resolution 17 exceeds bound 16"),
+    (lambda: transitivity_witness(TENT, 0, 10), "resolution must be at least 1, got 0"),
+    (lambda: transitivity_witness(TENT, 9, 10), "resolution 9 exceeds bound 8"),
+    (lambda: transitivity_witness(TENT, 2, 0), "horizon must be at least 1, got 0"),
+    (lambda: transitivity_witness(TENT, 2, 10 ** 6 + 1), "horizon 1000001 exceeds bound 10^6"),
+    (lambda: sensitivity_probe(TENT, ETA, DELTA, 0, 10), "grid must be at least 1, got 0"),
+    (lambda: sensitivity_probe(TENT, ETA, DELTA, 4097, 10), "grid 4097 exceeds bound 2^12"),
+    (lambda: sensitivity_probe(TENT, ETA, DELTA, 8, 0), "horizon must be at least 1, got 0"),
+    (lambda: sensitivity_probe(TENT, ETA, DELTA, 8, 10 ** 6 + 1),
+     "horizon 1000001 exceeds bound 10^6"),
+    (lambda: lemma6_commute_check(TENT, 0, 10), "max_period must be at least 1, got 0"),
+    (lambda: lemma6_commute_check(TENT, 17, 10), "max_period 17 exceeds bound 16"),
+    (lambda: lemma6_commute_check(TENT, 4, -1), "orbit_steps must be at least 0, got -1"),
+    (lambda: lemma6_commute_check(TENT, 4, 10 ** 6 + 1),
+     "orbit_steps 1000001 exceeds bound 10^6"),
+    (lambda: graph_orbit(K3, graphs.Node("a"), -1), "n must be at least 0, got -1"),
+    (lambda: graph_orbit(K3, graphs.Node("a"), 10 ** 6 + 1), "n 1000001 exceeds bound 10^6"),
+    (lambda: periodic_words(0), "n must be at least 1, got 0"),
+    (lambda: periodic_words(25), "n 25 exceeds bound 24"),
+    # two bad values: every least comes before every bound, each in argument order
+    (lambda: periodic_density(TENT, 25, 0), "resolution must be at least 1, got 0"),
+    (lambda: periodic_density(TENT, 0, 0), "max_period must be at least 1, got 0"),
+    (lambda: sensitivity_probe(TENT, ETA, DELTA, 4097, 10 ** 6 + 1),
+     "grid 4097 exceeds bound 2^12"),
+    (lambda: lemma6_commute_check(TENT, 17, -1), "orbit_steps must be at least 0, got -1"),
+]
+
+VERIFY = ("verify", "--system", "tent", "--property")
+CLI = [
+    (("orbit", "--system", "tent", "--x", "1/3", "--steps", "-1"),
+     "--steps must be at least 0, got -1"),
+    (("orbit", "--system", "tent", "--x", "1/3", "--steps", "1000001"),
+     "--steps 1000001 exceeds bound 10^6"),
+    (("graph-orbit", "--file", "K3", "--start", "E2:1/3", "--steps", "-1"),
+     "--steps must be at least 0, got -1"),
+    (("graph-orbit", "--file", "K3", "--start", "E2:1/3", "--steps", "1000001"),
+     "--steps 1000001 exceeds bound 10^6"),
+    (("conjugacy", "--length", "1"), "--length must be at least 2, got 1"),
+    (("conjugacy", "--length", "25"), "--length 25 exceeds bound 24"),
+    ((*VERIFY, "periodic-density", "--max-period", "0"), "max_period must be at least 1, got 0"),
+    ((*VERIFY, "periodic-density", "--max-period", "25"), "max_period 25 exceeds bound 24"),
+    ((*VERIFY, "periodic-density", "--resolution", "0"), "resolution must be at least 1, got 0"),
+    ((*VERIFY, "periodic-density", "--resolution", "17"), "resolution 17 exceeds bound 16"),
+    ((*VERIFY, "dense-orbit", "--steps", "0"), "steps must be at least 1, got 0"),
+    ((*VERIFY, "dense-orbit", "--steps", "1000001"), "steps 1000001 exceeds bound 10^6"),
+    ((*VERIFY, "dense-orbit", "--resolution", "0"), "resolution must be at least 1, got 0"),
+    ((*VERIFY, "dense-orbit", "--resolution", "17"), "resolution 17 exceeds bound 16"),
+    ((*VERIFY, "transitivity", "--resolution", "0"), "resolution must be at least 1, got 0"),
+    ((*VERIFY, "transitivity", "--resolution", "9"), "resolution 9 exceeds bound 8"),
+    ((*VERIFY, "transitivity", "--horizon", "0"), "horizon must be at least 1, got 0"),
+    ((*VERIFY, "transitivity", "--horizon", "1000001"), "horizon 1000001 exceeds bound 10^6"),
+    ((*VERIFY, "sensitivity", "--grid", "0"), "grid must be at least 1, got 0"),
+    ((*VERIFY, "sensitivity", "--grid", "4097"), "grid 4097 exceeds bound 2^12"),
+    ((*VERIFY, "sensitivity", "--horizon", "0"), "horizon must be at least 1, got 0"),
+    ((*VERIFY, "sensitivity", "--horizon", "1000001"), "horizon 1000001 exceeds bound 10^6"),
+    ((*VERIFY, "lemma6", "--max-period", "0"), "max_period must be at least 1, got 0"),
+    ((*VERIFY, "lemma6", "--max-period", "17"), "max_period 17 exceeds bound 16"),
+    ((*VERIFY, "lemma6", "--steps", "-1"), "orbit_steps must be at least 0, got -1"),
+    ((*VERIFY, "lemma6", "--steps", "1000001"), "orbit_steps 1000001 exceeds bound 10^6"),
+    # two bad values
+    ((*VERIFY, "periodic-density", "--max-period", "25", "--resolution", "0"),
+     "resolution must be at least 1, got 0"),
+    ((*VERIFY, "lemma6", "--max-period", "17", "--steps", "1000001"),
+     "max_period 17 exceeds bound 16"),
+]
+
+
+def _work(*args, **kwargs):
+    raise AssertionError("work began before the bounds were checked")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every place a check, an orbit or an enumeration starts its work
+    raises instead."""
+    for codec in (IntervalCodec, GraphSystem):
+        for name in ("decode", "split_window", "point_cells", "lattice"):
+            monkeypatch.setattr(codec, name, _work)
+    for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
+                 "orbit_windows", "semiconjugacy_check"):
+        monkeypatch.setattr(verifier, name, _work)
+    monkeypatch.setattr(graphs, "graph_map", _work)
+    monkeypatch.setattr(cli, "r_map", _work)
+    for name in cli.EVAL_SYSTEMS:
+        monkeypatch.setitem(cli.EVAL_SYSTEMS, name, _work)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("call,message", LIBRARY, ids=[m for _, m in LIBRARY])
+def test_library_bounds(no_work, call, message):
+    no_work.setattr(words.Word, "_from_packed", _work)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv,message", CLI, ids=[" ".join(a) for a, _ in CLI])
+def test_cli_bounds(no_work, capsys, tmp_path, argv, message):
+    k3_file = tmp_path / "k3.graph"
+    k3_file.write_text(EXAMPLE_GRAPHS["k3"])
+    code = cli.main([str(k3_file) if a == "K3" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from symchaos import cli
+from symchaos import cli, graphs, verifier
 from symchaos.cli import main
-from symchaos.graphs import EXAMPLE_GRAPHS
+from symchaos.graphs import EXAMPLE_GRAPHS, graph_orbit
+from symchaos.verifier import ChaosReport
 
 
 @pytest.fixture
@@ -110,11 +111,18 @@ def test_orbit_negative_steps_is_usage_error(capsys):
     (-2, "error: --steps must be at least 0, got -2\n"),
 ])
 def test_orbit_steps_out_of_range_exit_two(capsys, k3_file, steps, message):
-    # every row is held until it prints, so the step count is capped
+    # the step count is capped at 10^6, and checked before any row is printed
     for argv in (("orbit", "--system", "tent", "--x", "1/3"),
                  ("graph-orbit", "--file", k3_file, "--start", "E2:1/3")):
         code, out, err = run(capsys, *argv, "--steps", str(steps))
         assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("steps", ["0", "2"])
+def test_orbit_start_outside_the_interval_prints_no_row(capsys, steps):
+    # the start is checked before any row is printed, at every step count
+    assert run(capsys, "orbit", "--system", "tent", "--x", "3/2", "--steps", steps) == (
+        2, "", "error: point 3/2 outside [0, 1]\n")
 
 
 def test_orbit_json(capsys):
@@ -127,6 +135,91 @@ def test_orbit_json(capsys):
         {"step": 1, "num": 1, "den": 1, "approx": 1.0},
         {"step": 2, "num": 0, "den": 1, "approx": 0.0},
     ]
+
+
+def _held_print_rows(rows, fmt):
+    """The orbit printer before rows streamed, kept as the oracle: every row
+    is held, then printed at once."""
+    if fmt == "json":
+        print(json.dumps(rows, indent=2))
+        return
+    print(",".join(rows[0]))
+    for row in rows:
+        print(",".join("" if v is None else str(v) for v in row.values()))
+
+
+def _held_orbit_rows(system, x, steps):
+    fmap = cli.EVAL_SYSTEMS[system]
+    rows = []
+    for step in range(steps + 1):
+        rows.append({"step": step, "num": x.numerator, "den": x.denominator,
+                     "approx": float(x)})
+        if step < steps:
+            x = fmap(x)
+    return rows
+
+
+def _held_graph_rows(sys_, start, steps):
+    rows = []
+    for step, pt in enumerate(graph_orbit(sys_, start, steps)):
+        if isinstance(pt, graphs.Interior):
+            rows.append({"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
+                         "t_num": pt.t.numerator, "t_den": pt.t.denominator,
+                         "approx": float(pt.t)})
+        else:
+            rows.append({"step": step, "arc_or_node": pt.id,
+                         "t_num": None, "t_den": None, "approx": None})
+    return rows
+
+
+def _held_text(capsys, rows, fmt):
+    _held_print_rows(rows, fmt)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("steps", [0, 1, 10, 1000])
+def test_streamed_orbit_rows_match_the_held_rows(capsys, k3_file, steps, fmt):
+    for system, x in (("tent", "3/11"), ("baker", "1/3"), ("induced-baker", "5/7")):
+        held = _held_text(capsys, _held_orbit_rows(system, Fraction(x), steps), fmt)
+        assert run(capsys, "orbit", "--system", system, "--x", x, "--steps", str(steps),
+                   "--format", fmt) == (0, held, "")
+    sys_ = cli._load_graph(k3_file)
+    for start in ("E2:1/3", "node:b", "E3:3/8", "E1:5/13"):
+        rows = _held_graph_rows(sys_, cli._parse_start(sys_, start), steps)
+        held = _held_text(capsys, rows, fmt)
+        assert run(capsys, "graph-orbit", "--file", k3_file, "--start", start,
+                   "--steps", str(steps), "--format", fmt) == (0, held, "")
+
+
+def _failing_at(call: int, fmap):
+    calls = []
+
+    def step(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise ArithmeticError(f"step {call} failed")
+        return fmap(*args)
+
+    return step
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failure_mid_orbit_keeps_the_rows_before_it(capsys, monkeypatch, k3_file, fmt):
+    # rows 0-4 are printed before step 5 fails; a JSON list is left open
+    sys_ = cli._load_graph(k3_file)
+    held = [_held_text(capsys, rows, fmt) for rows in (
+        _held_orbit_rows("tent", Fraction(3, 11), 4),
+        _held_graph_rows(sys_, graphs.Interior(1, Fraction(5, 13)), 4))]
+    if fmt == "json":
+        held = [text[:-len("\n]\n")] for text in held]
+    monkeypatch.setitem(cli.EVAL_SYSTEMS, "tent", _failing_at(5, cli.EVAL_SYSTEMS["tent"]))
+    monkeypatch.setattr(graphs, "graph_map", _failing_at(5, graphs.graph_map))
+    error = "error: internal invariant failed: step 5 failed\n"
+    assert run(capsys, "orbit", "--system", "tent", "--x", "3/11", "--steps", "10",
+               "--format", fmt) == (3, held[0], error)
+    assert run(capsys, "graph-orbit", "--file", k3_file, "--start", "E1:5/13",
+               "--steps", "10", "--format", fmt) == (3, held[1], error)
 
 
 # ----------------------------------------------------------- graph orbit
@@ -186,7 +279,9 @@ def test_graph_orbit_closed_form_mismatch_exits_three(capsys, monkeypatch, k3_fi
     monkeypatch.setattr(symchaos.graphs, "graph_step", lambda sys, point: point)
     code, out, err = run(capsys, "graph-orbit", "--file", k3_file,
                          "--start", "E2:1/3", "--steps", "2")
-    assert (code, out) == (3, "")
+    # the rows made before the failing step are already printed
+    assert (code, out) == (3, "step,arc_or_node,t_num,t_den,approx\n"
+                              "0,E2,1,3,0.3333333333333333\n")
     assert err == ("error: internal invariant failed: induced graph map at "
                    "Interior(2, 1/3) gave Interior(1, 1/3), closed form gives "
                    "Interior(2, 1/3)\n")
@@ -282,6 +377,42 @@ def test_verify_sensitivity_eta_delta_out_of_range_is_usage_error(capsys, name, 
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("prop,name,params", [
+    ("periodic-density", "periodic_density", (12, 7)),
+    ("dense-orbit", "dense_orbit_coverage", (25000, 7)),
+    ("transitivity", "transitivity_witness", (7, 40)),
+    ("sensitivity", "sensitivity_probe", (Fraction(1, 4), Fraction(1, 4096), 256, 40)),
+    ("lemma6", "lemma6_commute_check", (12, 25000)),
+])
+def test_verify_calls_the_check_bound_on_the_verifier_module(capsys, monkeypatch, prop,
+                                                              name, params):
+    # looked up when it runs, so a function rebound there (a tracer's
+    # wrapper) is the one called
+    calls = []
+
+    def stand_in(target, *args):
+        calls.append((target.name, args))
+        return ChaosReport(target.name, prop, {}, "fail", [{"stand-in": True}])
+
+    monkeypatch.setattr(verifier, name, stand_in)
+    code, out, _ = run(capsys, "verify", "--system", "tent", "--property", prop)
+    assert (code, calls) == (1, [("tent", params)])
+    assert json.loads(out)["witnesses"] == [{"stand-in": True}]
+
+
+def test_verify_property_text_is_that_of_a_tuple_of_choices(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for choices in (cli.VERIFY_PROPERTIES, tuple(cli.VERIFY_PROPERTIES)):
+        monkeypatch.setattr(cli, "VERIFY_PROPERTIES", choices)
+        for argv in (["verify", "--system", "tent", "--property", "bogus"], ["verify", "-h"]):
+            with pytest.raises(SystemExit):
+                cli._build_parser().parse_args(argv)
+            texts.append(capsys.readouterr())
+    assert texts[:2] == texts[2:]
+    assert "{periodic-density,dense-orbit,transitivity,sensitivity,lemma6}" in texts[0].err
 
 
 def test_verify_output_deterministic(capsys):

@@ -50,7 +50,7 @@ def test_report_json_round_trip():
     data = report.to_json()
     assert set(data) == {"system", "property", "params", "verdict",
                         "witnesses", "elapsed_ms"}
-    again = ChaosReport.from_json(json.loads(json.dumps(data)))
+    again = ChaosReport(**json.loads(json.dumps(data)))
     assert again.to_json() == data
 
 

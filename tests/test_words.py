@@ -602,7 +602,7 @@ def test_periodic_words_brute_force_oracle(n):
     assert len(words) == 1 << n
     assert len(set(words)) == 1 << n
     for w in words:
-        assert w.is_purely_periodic()
+        assert w.pre_len == 0
         cur = w
         for _ in range(n):
             cur = shift_map(cur)
