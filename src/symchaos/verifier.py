@@ -73,8 +73,10 @@ class Target:
     """An exact self-map under test on a decomposition space: [0, 1]
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
     (space the GraphSystem, no branches and no fmap: it steps by its
-    induced map's closed form).  The checks read the generator orbit
-    through streams.orbit_windows, under C or S as the induced map says."""
+    induced map's closed form).  fmap must be a deterministic function of
+    its argument: transitivity maps each point once and reuses the image.
+    The checks read the generator orbit through streams.orbit_windows,
+    under C or S as the induced map says."""
 
     name: str
     fmap: Optional[Callable]
@@ -369,8 +371,10 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 
     Targets with branches (interval maps) propagate the monotone-affine laps
     of the iterated map on integers and pull a witness back through the
-    covering lap; every witness is re-verified by n calls of the target's
-    own map on its Fraction before it counts.  The branch slopes must be
+    covering lap; a witness counts only when n steps of the target's own map
+    carry it into V, and each distinct point is mapped by fmap once (a memo
+    for the call, keyed by numerator and denominator, that starts over when
+    it holds _MAX_MAPPED points).  The branch slopes must be
     integers (else ValueError).  Image ends lie on 1/L for L = 2 lcm(2^p,
     the branch data's denominators), which also holds their midpoints, and
     a lap carries its cumulative slope, so its domain ends at step n lie on
@@ -389,6 +393,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     lattice, stretch, branches = _integer_branches(target, resolution)
     size, fmap = 1 << resolution, target.fmap
     width = lattice >> resolution
+    image = {}  # (numerator, denominator) -> that of its fmap image
     unwitnessed = []
     for uj in range(size):
         remaining = set(range(size))
@@ -410,10 +415,17 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                     x = d0 + (v - i0) * (scale // sigma)
                     if not ulo * scale <= x <= uhi * scale:
                         continue
-                    y = Fraction(x, lattice * scale)
+                    g = math.gcd(x, lattice * scale)
+                    y = x // g, lattice * scale // g
                     for _ in range(n):
-                        y = fmap(y)
-                    num, den = y.numerator << resolution, y.denominator
+                        z = image.get(y)
+                        if z is None:
+                            if len(image) >= _MAX_MAPPED:
+                                image.clear()
+                            z = fmap(Fraction(*y))
+                            z = image[y] = z.numerator, z.denominator
+                        y = z
+                    num, den = y[0] << resolution, y[1]
                     if vj * den <= num <= (vj + 1) * den:
                         remaining.discard(vj)
             if not remaining:
@@ -426,6 +438,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 
 
 _MAX_PIECES = 4096
+_MAX_MAPPED = 1 << 17  # fmap images held per call; a full memo starts over
 
 
 def _integer_branches(target: Target, p: int):

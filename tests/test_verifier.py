@@ -1077,10 +1077,14 @@ def test_control_transitivity_at_its_cap_matches_the_fraction_lap_route(target):
 @pytest.mark.parametrize("make", [tent_target, baker_target])
 def test_transitivity_at_its_cap(make):
     # both equalled the Fraction lap route when the integer laps came in;
-    # that route takes several seconds each here, so only the result is pinned
-    report = transitivity_witness(make(), 8, 40)
+    # that route takes about 4 s each here, so only the result and the work
+    # are pinned: fmap maps each of the 65,536 points once, where each
+    # witness walking its own n steps made 420,576 calls
+    target, calls = _recorded(make())
+    report = transitivity_witness(target, 8, 40)
     assert report.verdict == "pass" and report.witnesses == []
     assert report.params["witnessed"] == report.params["pairs"] == 65536
+    assert len(calls) == len(set(calls)) == 65536
 
 
 def _exchange_target():
@@ -1115,13 +1119,134 @@ def test_transitivity_reverifies_every_witness_through_fmap(fmap, reached):
     # the tent's laps with another map: the laps reach every cell, but a
     # witness counts only when the target's own map carries it into V, so
     # exactly the pairs that map links are witnessed, as on the Fraction route
-    lying = Target("lying", fmap, INTERVAL_CODEC, tent_target().branches)
+    lying = _lying_target(fmap)
     report = transitivity_witness(lying, 4, 8)
     assert (report.params, report.verdict, report.witnesses) == _fraction_transitivity(lying, 4, 8)
     unwitnessed = {(w["from"], w["to"]) for w in report.witnesses}
     assert ({(u, v) for u in range(16) for v in range(16)} - unwitnessed
             == {(u, v) for u in range(16) for v in reached(u)})
     assert transitivity_witness(tent_target(), 4, 8).verdict == "pass"
+
+
+def _lying_target(fmap):
+    return Target("lying", fmap, INTERVAL_CODEC, tent_target().branches)
+
+
+def _recorded(target):
+    """The target with its fmap wrapped to record each point it maps."""
+    calls = []
+
+    def fmap(y):
+        calls.append((y.numerator, y.denominator))
+        return target.fmap(y)
+
+    return dataclasses.replace(target, fmap=fmap), calls
+
+
+def _unmemoized_transitivity(target, resolution, horizon):
+    """(params, witnesses) from the integer laps before the fmap memo: every
+    witness walks its n steps through the target's own map."""
+    lattice, stretch, branches = verifier._integer_branches(target, resolution)
+    size = 1 << resolution
+    width = lattice >> resolution
+    unwitnessed = []
+    for uj in range(size):
+        remaining = set(range(size))
+        ulo, uhi = uj * width, (uj + 1) * width
+        pieces = [(ulo, ulo, uhi, 1)]
+        scale = 1
+        for n in range(1, horizon + 1):
+            pieces = verifier._advance_laps(branches, pieces, scale, stretch)
+            scale *= stretch
+            if not pieces:
+                break
+            for d0, i0, i1, sigma in pieces:
+                lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+                for vj in verifier._met_cells(lo, hi, width, size):
+                    if vj not in remaining:
+                        continue
+                    v = (max(lo, vj * width) + min(hi, (vj + 1) * width)) >> 1
+                    x = d0 + (v - i0) * (scale // sigma)
+                    if not ulo * scale <= x <= uhi * scale:
+                        continue
+                    y = F(x, lattice * scale)
+                    for _ in range(n):
+                        y = target.fmap(y)
+                    num, den = y.numerator << resolution, y.denominator
+                    if vj * den <= num <= (vj + 1) * den:
+                        remaining.discard(vj)
+            if not remaining:
+                break
+        unwitnessed.extend((uj, vj) for vj in sorted(remaining))
+    params = {"resolution": resolution, "horizon": horizon,
+              "pairs": size * size, "witnessed": size * size - len(unwitnessed)}
+    return params, [{"from": uj, "to": vj} for uj, vj in unwitnessed]
+
+
+FMAP_WORK_TARGETS = {
+    "tent": tent_target, "baker": baker_target, "identity": identity_target,
+    "constant": constant_target, "rotation": rotation_target,
+    "exchange": _exchange_target,
+    "lying-identity": lambda: _lying_target(lambda y: y),
+    "lying-constant": lambda: _lying_target(lambda y: F(1, 2)),
+}
+
+
+# the tent's laps with a map that witnesses nothing never empty a cell's
+# remaining set, so they sweep up to 8,192 laps a step; at horizon 40 the
+# unmemoized walk takes 15 s at resolution 2, so the lying maps stop at 8
+FMAP_WORK_CASES = [(name, horizon) for name in FMAP_WORK_TARGETS
+                   for horizon in (1, 5, 8 if name.startswith("lying") else 40)]
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap-2"])
+@pytest.mark.parametrize("name,horizon", FMAP_WORK_CASES,
+                         ids=[f"{name}-{horizon}" for name, horizon in FMAP_WORK_CASES])
+def test_transitivity_maps_each_point_the_walk_reaches_once(monkeypatch, name, horizon, cap):
+    if cap is not None:
+        monkeypatch.setattr(verifier, "_MAX_PIECES", cap)
+    for resolution in range(1, 7):
+        target, calls = _recorded(FMAP_WORK_TARGETS[name]())
+        report = transitivity_witness(target, resolution, horizon)
+        oracle, oracle_calls = _recorded(FMAP_WORK_TARGETS[name]())
+        assert ((report.params, report.witnesses)
+                == _unmemoized_transitivity(oracle, resolution, horizon))
+        assert len(calls) == len(set(calls)), resolution
+        assert set(calls) == set(oracle_calls), resolution
+
+
+@pytest.mark.parametrize("makes", [
+    (tent_target, FMAP_WORK_TARGETS["lying-identity"]),
+    (FMAP_WORK_TARGETS["lying-identity"], tent_target),
+], ids=["tent-then-lying", "lying-then-tent"])
+def test_no_transitivity_memo_outlives_its_call(makes):
+    # the two share every lap and every pulled-back point, so an image kept
+    # from the first call would carry the second's witnesses
+    for make in makes:
+        target, calls = _recorded(make())
+        report = transitivity_witness(target, 4, 8)
+        oracle, oracle_calls = _recorded(make())
+        assert (report.params, report.witnesses) == _unmemoized_transitivity(oracle, 4, 8)
+        assert sorted(calls) == sorted(set(oracle_calls))
+
+
+@pytest.mark.parametrize("make", [tent_target, FMAP_WORK_TARGETS["lying-identity"]])
+def test_transitivity_past_its_memo_bound_maps_points_again(monkeypatch, make):
+    # a full memo starts over, so its memory stays bounded: a dropped point is
+    # mapped again on its next visit, never more often than the walk maps it
+    oracle, oracle_calls = _recorded(make())
+    expected = _unmemoized_transitivity(oracle, 5, 8)
+    for bound in (0, 1, 100):
+        monkeypatch.setattr(verifier, "_MAX_MAPPED", bound)
+        target, calls = _recorded(make())
+        report = transitivity_witness(target, 5, 8)
+        assert (report.params, report.witnesses) == expected
+        assert set(calls) == set(oracle_calls) and len(calls) <= len(oracle_calls)
+        assert len(set(calls[:bound + 1])) == len(calls[:bound + 1])
+        if make is tent_target:  # the walks share points, and some were dropped
+            assert len(calls) > len(set(calls))
+        else:  # each walk stays on one point, which the memo still holds
+            assert len(calls) < len(oracle_calls)
 
 
 def test_transitivity_rejects_a_slope_that_is_not_an_integer():
