@@ -38,10 +38,11 @@ class Fiber:
     __slots__ = ("words",)
 
     def __init__(self, words: Iterable[Word]):
-        uniq = sorted(set(words))
-        if not uniq:
+        words = tuple(words)
+        if not words:
             raise ValueError("fiber must be nonempty")
-        self.words = tuple(uniq)
+        # one word needs no hash to be deduplicated, nor any order
+        self.words = words if len(words) == 1 else tuple(sorted(set(words)))
 
     def __iter__(self):
         return iter(self.words)
@@ -80,7 +81,7 @@ class Codec(Protocol):
 
     def encode(self, point) -> Fiber: ...
 
-    def decode(self, word: Word, den_hint=None): ...
+    def decode(self, word: Word): ...
 
     def fiber_of(self, word: Word) -> Fiber: ...
 
@@ -162,13 +163,12 @@ def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
-def induced_point(sys: InducedSystem, closed_form: Callable, point, den_hint=None,
-                  show: Callable = repr):
+def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
     """The induced map at a point by the fiber route (encode, induced_apply,
-    decode with den_hint), checked against its closed form; a mismatch is
-    an internal invariant failure and raises ArithmeticError."""
+    decode), checked against its closed form; a mismatch is an internal
+    invariant failure and raises ArithmeticError."""
     codec = sys.codec
-    image = codec.decode(induced_apply(sys, codec.encode(point)).words[0], den_hint)
+    image = codec.decode(induced_apply(sys, codec.encode(point)).words[0])
     expected = closed_form(point)
     if image != expected:
         raise ArithmeticError(f"induced {sys.name} map at {show(point)} gave "

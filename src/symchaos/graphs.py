@@ -19,6 +19,7 @@ from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
+    _tail_value,
     _within,
     bits_of,
     drop_bits,
@@ -205,26 +206,16 @@ class GraphSystem:
             return Fiber(words)
         raise TypeError(f"not a graph point: {point!r}")
 
-    def decode(self, word: Word, den_hint=None) -> GraphPoint:
+    def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word; endpoint parameters collapse to nodes."""
-        i, param = self._split_address(word)
-        return self.point_at(i, word_value(param, den_hint))
+        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
+        return self.point_at(i, word_value(drop_bits(word, skip)))
 
     def fiber_of(self, word: Word) -> Fiber:
-        """The fiber of a word's point, from the word: a node's fiber at a
-        constant parameter word, else the arc prefix before each word of the
-        parameter word's interval fiber."""
-        i, param = self._split_address(word)
-        if param.pre_len == 0 and param.period_len == 1:  # 0^inf or 1^inf
-            return self.encode(self.point_at(i, param.period))
-        prefix = self.prefixes[i - 1]
-        return Fiber(prepend_bits(w, *prefix) for w in INTERVAL_CODEC.fiber_of(param))
-
-    def _split_address(self, word: Word) -> Tuple[int, Word]:
-        """The arc a word addresses and its parameter word (the word after
-        the arc prefix)."""
-        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
-        return i, drop_bits(word, skip)
+        """The fiber of a word's point: a node's fiber at a node, else the word
+        and its dyadic twin, if any, which keeps the arc prefix."""
+        point = self.decode(word) if _tail_value(word)[1] == 1 else None
+        return self.encode(point) if isinstance(point, Node) else INTERVAL_CODEC.fiber_of(word)
 
     def point_json(self, point: GraphPoint):
         if isinstance(point, Node):

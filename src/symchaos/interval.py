@@ -72,8 +72,8 @@ class IntervalCodec:
     def encode(self, point: Fraction) -> Fiber:
         return Fiber(bits_of(as_unit(point)))
 
-    def decode(self, word: Word, den_hint=None) -> Fraction:
-        return word_value(word, den_hint)
+    def decode(self, word: Word) -> Fraction:
+        return word_value(word)
 
     def fiber_of(self, word: Word) -> Fiber:
         twin = dyadic_twin(word)
@@ -143,13 +143,13 @@ def induced_tent(y) -> Fraction:
     here and exercised exhaustively by the acceptance suite.
     """
     y = as_unit(y)
-    return induced_point(tent_system(), tent, y, y.denominator, _show)
+    return induced_point(tent_system(), tent, y, _show)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
     y = as_unit(y)
-    return induced_point(baker_system(), baker, y, y.denominator, _show)
+    return induced_point(baker_system(), baker, y, _show)
 
 
 def conjugate_via_r(y) -> Fraction:

@@ -3,8 +3,9 @@
 A :class:`Word` is an eventually periodic one-sided binary sequence
 w(1), w(2), ... stored in canonical form (primitive period, minimal
 preperiod), so equality of Words is equality of sequences.  Bit fields are
-packed into Python ints (first bit = most significant), which keeps the
-maps cheap even when a rational's expansion has a period of ~10^6 bits.
+packed into Python ints (first bit = most significant); a word made from a
+value (bits_of, and its images) keeps its tail as the fraction s/q it is
+worth, and the maps cost O(log q) on it even at periods of ~10^6 bits.
 
 Bit positions are 1-based throughout, matching the weight 2^-i of bit i in
 the valuation sum(w(i)/2^i).
@@ -37,6 +38,8 @@ __all__ = [
 _WORD_RE = re.compile(r"^([01]*):([01]+)$")
 
 _M64 = (1 << 64) - 1
+_MERSENNES = [(1 << k) - 1 for k in range(1, 65)]
+_MERSENNE_PRODUCT = math.prod(_MERSENNES)
 
 MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 
@@ -91,20 +94,22 @@ class Word:
     Canonical form: the period block is primitive (not a power of a shorter
     block) and the preperiod is minimal (its last bit differs from the last
     period bit, so no preperiod bit can be absorbed into the cycle).
+
+    A packed word has q None.  A tail word holds its tail's value s/q in
+    lowest terms, q odd (1 for 0/1 and 1/1), and works out its period_len k
+    (the order of 2 modulo q) and period ((s << k) - s) // q on first read.
     """
 
-    __slots__ = ("pre_len", "pre", "period_len", "period")
+    __slots__ = ("pre_len", "pre", "period_len", "period", "s", "q")
 
     def __init__(self, pre: Iterable[int] = (), period: Iterable[int] = ()):
         m, p = _pack(pre)
         k, q = _pack(period)
         if k == 0:
             raise ValueError("period must be nonempty")
-        m, p, k, q = _canonical(m, p, k, q, primitive=False)
-        self.pre_len = m
-        self.pre = p
-        self.period_len = k
-        self.period = q
+        self.pre_len, self.pre, self.period_len, self.period = _canonical(
+            m, p, k, q, primitive=False)
+        self.q = None
 
     @classmethod
     def _from_packed(cls, pre_len: int, pre: int, period_len: int, period: int,
@@ -112,12 +117,29 @@ class Word:
         # primitive=True: caller guarantees the period block is primitive
         # (true for rotations/complements of canonical periods).
         w = object.__new__(cls)
-        m, p, k, q = _canonical(pre_len, pre, period_len, period, primitive=primitive)
-        w.pre_len = m
-        w.pre = p
-        w.period_len = k
-        w.period = q
+        w.pre_len, w.pre, w.period_len, w.period = _canonical(
+            pre_len, pre, period_len, period, primitive=primitive)
+        w.q = None
         return w
+
+    @classmethod
+    def _tail(cls, pre_len: int, pre: int, s: int, q: int) -> "Word":
+        # absorb preperiod bits b equal to the last period bit, s & 1: s -> (bq + s)/2
+        w = object.__new__(cls)
+        while pre_len and (pre & 1) == (s & 1):
+            pre_len -= 1
+            s = (s + (pre & 1) * q) >> 1
+            pre >>= 1
+        w.pre_len, w.pre, w.s, w.q = pre_len, pre, s, q
+        return w
+
+    def __getattr__(self, name: str) -> int:
+        # reached only for an unset slot: a tail word's period, on first read
+        if name not in ("period_len", "period") or self.q is None:
+            raise AttributeError(name)
+        k = self.period_len = _short_order(self.q) or _order_of_two(self.q)
+        self.period = ((self.s << k) - self.s) // self.q
+        return object.__getattribute__(self, name)
 
     def bit(self, i: int) -> int:
         """The i-th bit, 1-based."""
@@ -125,6 +147,8 @@ class Word:
             raise IndexError("bit positions are 1-based")
         if i <= self.pre_len:
             return (self.pre >> (self.pre_len - i)) & 1
+        if i == self.pre_len + 1 and self.q is not None:
+            return int(2 * self.s > self.q)
         j = (i - self.pre_len - 1) % self.period_len
         return (self.period >> (self.period_len - 1 - j)) & 1
 
@@ -148,13 +172,24 @@ class Word:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return (self.pre_len == other.pre_len and self.pre == other.pre
-                and self.period_len == other.period_len and self.period == other.period)
+        if self.pre_len != other.pre_len or self.pre != other.pre:
+            return False
+        if self.q is None and other.q is None:
+            return self.period_len == other.period_len and self.period == other.period
+        # equal tails are worth the same, and a tail word's s/q keeps it short
+        (a, b), (c, d) = _tail_value(self), _tail_value(other)
+        return a * d == b * c
 
     def __hash__(self) -> int:
-        # the low 64 bits of each field: O(1) on periods of any length, and
-        # the plain field hash whenever both fields are below 2^64
-        return hash((self.pre_len, self.pre & _M64, self.period_len, self.period & _M64))
+        # the field hash on periods of at most 64 bits, else the first 64
+        # period bits: O(1) at any length, and a tail word reads no period
+        q = self.q
+        k = self.period_len if q is None else _short_order(q)
+        if k is not None and k <= 64:
+            period = self.period if q is None else ((self.s << k) - self.s) // q
+            return hash((self.pre_len, self.pre & _M64, k, period))
+        top = (self.s << 64) // q if k is None else self.period >> (k - 64)
+        return hash((self.pre_len, self.pre & _M64, top))
 
     def __lt__(self, other: "Word") -> bool:
         # (preperiod, period) lexicographic, bitstring order.
@@ -163,6 +198,14 @@ class Word:
             return c < 0
         return _cmp_bitstring(self.period_len, self.period,
                               other.period_len, other.period) < 0
+
+
+def _short_order(q: int) -> int | None:
+    """The order of 2 modulo odd q when it is at most 64, else None.  Some
+    2^k - 1 with k <= 64 is a multiple of q only when their product is."""
+    if _MERSENNE_PRODUCT % q:
+        return None
+    return next((k for k, mersenne in enumerate(_MERSENNES, 1) if mersenne % q == 0), None)
 
 
 def _cmp_bitstring(len_a: int, a: int, len_b: int, b: int) -> int:
@@ -209,6 +252,9 @@ def prefix_int(w: Word, n: int) -> int:
     if n <= w.pre_len:
         return w.pre >> (w.pre_len - n)
     tail = n - w.pre_len
+    if w.q is not None:
+        # the first bits of s/q; min turns the tail 1/1 into a run of 1s
+        return (w.pre << tail) | min((w.s << tail) // w.q, (1 << tail) - 1)
     reps = -(-tail // w.period_len)
     rep = _repeat_block(w.period, w.period_len, reps)
     rep >>= reps * w.period_len - tail
@@ -217,16 +263,13 @@ def prefix_int(w: Word, n: int) -> int:
 
 def shift_map(w: Word) -> Word:
     """Drop the first bit: result(i) = w(i+1)."""
-    if w.pre_len:
-        return Word._from_packed(w.pre_len - 1, w.pre & ((1 << (w.pre_len - 1)) - 1),
-                                 w.period_len, w.period, primitive=True)
-    k, q = w.period_len, w.period
-    top = q >> (k - 1)
-    return Word._from_packed(0, 0, k, ((q << 1) | top) - (top << k), primitive=True)
+    return drop_bits(w, 1)
 
 
 def complement(w: Word) -> Word:
     """Flip every bit."""
+    if w.q is not None:
+        return Word._tail(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1), w.q - w.s, w.q)
     return Word._from_packed(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1),
                              w.period_len, w.period ^ ((1 << w.period_len) - 1),
                              primitive=True)
@@ -272,29 +315,15 @@ def r_inverse(w: Word) -> Word:
     return Word(x[:m], x[m:m + period_len])
 
 
-def word_value(w: Word, den_hint: int | None = None) -> Fraction:
-    """Exact value of the binary expansion, in [0, 1].
+def _tail_value(w: Word) -> Tuple[int, int]:
+    """The periodic tail's value as (numerator, denominator)."""
+    return (w.s, w.q) if w.q is not None else (w.period, (1 << w.period_len) - 1)
 
-    den_hint, when given, is tried as a denominator before falling back to a
-    full gcd.  With k the period length, the periodic part period/(2^k - 1)
-    is c/den_hint exactly when period·den_hint == c·2^k - c; for
-    0 < c <= 2^k that forces c = floor(period·den_hint / 2^k) + 1, so one
-    candidate is tested, in a few linear passes over the period.  For huge
-    periods (orders of 2 near 10^6) the gcd reduction takes seconds.
-    """
-    m, k = w.pre_len, w.period_len
-    if den_hint:
-        pq = w.period * den_hint
-        c = (pq >> k) + 1 if pq else 0
-        if pq == (c << k) - c:
-            a = w.pre * den_hint + c
-            if a & ((1 << m) - 1) == 0:
-                return Fraction(a >> m, den_hint)
-    mask = (1 << k) - 1
-    num = w.pre * mask + w.period
-    den = mask << m
-    g = math.gcd(num, den)
-    return Fraction(num // g, den // g)
+
+def word_value(w: Word) -> Fraction:
+    """Exact value of the binary expansion, in [0, 1]."""
+    s, q = _tail_value(w)
+    return Fraction(w.pre * q + s, q << w.pre_len)
 
 
 MAX_PERIOD_BITS = 1 << 24  # the longest period bits_of and word_metric build
@@ -412,39 +441,32 @@ def bits_of(t: Fraction) -> List[Word]:
     """All binary expansions of t in [0, 1].
 
     Two expansions (ordered [...10^inf, ...01^inf]) exactly when t is a
-    dyadic l/2^n strictly inside (0, 1); otherwise one.  A period above
-    MAX_PERIOD_BITS raises ValueError before the block is built.
+    dyadic l/2^n strictly inside (0, 1); otherwise one, each a tail word.
+    A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
     if t < 0 or t > 1:
         raise ValueError(f"value {t} outside [0, 1]")
     p, q = t.numerator, t.denominator
     if p == q:
-        return [Word([], [1])]
+        return [Word._tail(0, 0, 1, 1)]
     a = (q & -q).bit_length() - 1  # power of 2 in q
     q_odd = q >> a
-    if q_odd == 1:
-        if p == 0:
-            return [Word([], [0])]
-        # terminating expansion: a bits of p, last bit 1 (p odd in lowest terms)
-        w = Word._from_packed(a, p, 1, 0)
-        return [w, dyadic_twin(w)]
-    head = p // q_odd
-    s = p % q_odd
-    k = _order_of_two(q_odd)
-    if k > MAX_PERIOD_BITS:
+    # the period, the order of 2 modulo q_odd, has at most q_odd - 1 bits
+    if q_odd - 1 > MAX_PERIOD_BITS and (k := _order_of_two(q_odd)) > MAX_PERIOD_BITS:
         raise ValueError(f"bits_of: the expansion's period is {k} bits, exceeds bound 2^24")
-    block = ((s << k) - s) // q_odd
-    return [Word._from_packed(a, head, k, block, primitive=True)]
+    w = Word._tail(a, p // q_odd, p % q_odd, q_odd)
+    return [w, dyadic_twin(w)] if q_odd == 1 and p else [w]
 
 
 def dyadic_twin(w: Word) -> Word | None:
     """The other binary expansion of w's value, if there is one: the
     expansions u10^inf and u01^inf of a dyadic pair up, and no other word
     shares its value with a second word."""
-    if w.pre_len == 0 or w.period_len != 1:
+    b, q = _tail_value(w)
+    if w.pre_len == 0 or q != 1:  # a tail worth b/1 is b^inf
         return None
     # canonical, the preperiod ends in the bit the period does not repeat
-    return Word._from_packed(w.pre_len, w.pre + (1 if w.period else -1), 1, 1 - w.period)
+    return Word._tail(w.pre_len, w.pre + (1 if b else -1), 1 - b, 1)
 
 
 def periodic_words(n: int) -> List[Word]:
@@ -453,18 +475,25 @@ def periodic_words(n: int) -> List[Word]:
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
 
 
+def _with_pre(w: Word, pre_len: int, pre: int) -> Word:
+    """The pre_len-bit preperiod pre, then w's periodic tail in w's form."""
+    if w.q is not None:
+        return Word._tail(pre_len, pre, w.s, w.q)
+    return Word._from_packed(pre_len, pre, w.period_len, w.period, primitive=True)
+
+
 def prepend_bits(w: Word, n: int, b: int) -> Word:
     """Word whose sequence is the n bits b (packed, first bit most
     significant) followed by w."""
-    return Word._from_packed(w.pre_len + n, (b << w.pre_len) | w.pre,
-                             w.period_len, w.period, primitive=True)
+    return _with_pre(w, w.pre_len + n, (b << w.pre_len) | w.pre)
 
 
 def drop_bits(w: Word, n: int) -> Word:
     """n-fold shift in one step."""
     if n <= w.pre_len:
-        return Word._from_packed(w.pre_len - n, w.pre & ((1 << (w.pre_len - n)) - 1),
-                                 w.period_len, w.period, primitive=True)
+        return _with_pre(w, w.pre_len - n, w.pre & ((1 << (w.pre_len - n)) - 1))
     d = n - w.pre_len
+    if w.q is not None:  # s/q shifted d times is s 2^d mod q
+        return Word._tail(0, 0, w.s * pow(2, d, w.q) % w.q if w.q > 1 else w.s, w.q)
     return Word._from_packed(0, 0, w.period_len,
                              _rot_left(w.period, w.period_len, d), primitive=True)

@@ -134,6 +134,8 @@ def test_star_check_by_membership_matches_point_keys(name):
     for w in _words_up_to(8):
         fib = codec.encode(codec.decode(w))
         assert codec.fiber_of(w) == fib
+        # the encoded words hold their tails as s/q
+        assert all(codec.fiber_of(v) == fib for v in fib)
         assert star_check(sys, fib) == _star_check_by_point_keys(sys, fib)
 
 

@@ -21,6 +21,8 @@ from symchaos.words import (
     bits_of,
     c_map,
     complement,
+    drop_bits,
+    dyadic_twin,
     parse_word,
     periodic_words,
     prefix_int,
@@ -366,13 +368,6 @@ def test_word_value_partial_sum_oracle(w):
     assert partial <= value <= partial + Fraction(1, 1 << 64)
 
 
-def test_word_value_den_hint_paths():
-    w = W("0110:101")
-    exact = word_value(w)
-    assert word_value(w, den_hint=exact.denominator) == exact
-    assert word_value(w, den_hint=7919) == exact  # wrong hint falls back
-
-
 def _old_word_value(w, den_hint=None):
     # word_value before the divisibility identity: a divmod exactness check
     mask = (1 << w.period_len) - 1
@@ -392,13 +387,12 @@ def test_word_value_hint_matches_divmod_and_gcd_paths(w, mult, other):
     assert word_value(w) == exact
     # hints that divide: the denominator and its multiples; and arbitrary ones
     for hint in (exact.denominator, mult * exact.denominator, other, other | 1):
-        assert word_value(w, hint) == exact
         assert _old_word_value(w, hint) == exact
 
 
 def test_word_value_hint_skips_the_gcd(monkeypatch):
-    # an odd denominator always satisfies the identity, so the hint path
-    # never reaches the gcd, even on periods of ~10^5 bits
+    # a word from bits_of holds its tail as s/q, so its value never reaches
+    # the gcd, even on periods of ~10^5 bits
     rng = random.Random(17)
     qs = [3, 7, 1022117, 999983] + [rng.randrange(3, 10 ** 6, 2) for _ in range(20)]
     points = [Fraction(rng.randrange(1, q), q) for q in qs]
@@ -409,7 +403,7 @@ def test_word_value_hint_skips_the_gcd(monkeypatch):
 
     monkeypatch.setattr(symchaos.words, "math", types.SimpleNamespace(gcd=no_gcd))
     for t, w in zip(points, words):
-        assert word_value(w, t.denominator) == t
+        assert word_value(w) == t
 
 
 # ---------------------------------------------------------------- metric
@@ -508,7 +502,7 @@ def test_bits_of_value_round_trip_random_rationals():
         p = rng.randrange(0, q + 1)
         t = Fraction(p, q)
         for w in bits_of(t):
-            assert word_value(w, den_hint=t.denominator) == t
+            assert word_value(w) == t
 
 
 # ------------------------------------------------- exact factorization
@@ -544,7 +538,7 @@ def test_bits_of_exact_for_composite_cofactors(q, prime_powers):
         [w] = bits_of(t)
         assert w.period_len == order  # the least period: the block is primitive
         assert prefix_int(w, 96) == (t.numerator << 96) // t.denominator
-        assert word_value(w, t.denominator) == t
+        assert word_value(w) == t
 
 
 @settings(max_examples=40, deadline=None)
@@ -640,3 +634,112 @@ def test_sort_order_is_pre_then_period_lex(w):
     key = (w.pre_bits(), w.period_bits())
     other_key = (other.pre_bits(), other.period_bits())
     assert (w < other) == (key < other_key)
+
+
+# ------------------------------------------------ tail form vs packed form
+
+def _packed(w):
+    """The packed form of w, from its materialized period block: the oracle
+    for every op on a tail word."""
+    return Word._from_packed(w.pre_len, w.pre, w.period_len, w.period, primitive=True)
+
+
+def _assert_tail_matches_packed(t, long_ops=True):
+    """Every word op on bits_of(t), a tail word, against the packed form of
+    the same word.  long_ops=False leaves out str, whose bit-by-bit unpack
+    is quadratic in the period, and the metric to a shifted word, whose
+    value is reduced by a gcd over the whole period."""
+    tails = bits_of(t)
+    packed = [_packed(w) for w in bits_of(t)]  # materializes separate copies
+    for w, p in zip(tails, packed):
+        assert w.q is not None and p.q is None
+        m = w.pre_len
+        assert w == p and p == w and not w != p
+        assert hash(w) == hash(p)
+        assert len({w, p}) == 1 and w in {p} and p in {w}
+        assert not w < p and not p < w
+        assert word_value(w) == word_value(p) == t
+        assert dyadic_twin(w) == dyadic_twin(p)
+        for i in sorted({1, m, m + 1, m + 2, m + 3, m + 40, m + 100}):
+            if i >= 1:
+                assert w.bit(i) == p.bit(i), i
+        for n in (0, 1, m, m + 1, m + 2, m + 64, m + 200):
+            assert prefix_int(w, n) == prefix_int(p, n), n
+        images = []
+        for f in (shift_map, c_map, complement):
+            image = f(w)
+            assert image.q is not None  # the tail form is kept
+            assert image == f(p) and hash(image) == hash(f(p))
+            images.append(image)
+        for n in (1, 2, m, m + 1, m + 5, m + 97):
+            assert drop_bits(w, n) == drop_bits(p, n), n
+            assert prepend_bits(w, 3, n & 7) == prepend_bits(p, 3, n & 7), n
+        for x in images + packed:
+            assert (w < x) == (p < x) and (x < w) == (x < p)
+            assert (w == x) == (p == x)
+        # same tail, another preperiod: the metric reads the whole period
+        # but its difference block is 0
+        other = prepend_bits(drop_bits(w, m), m + 2, 0b10)
+        assert word_metric(w, other) == word_metric(p, other)
+        assert r_map(w) == r_map(p)
+        if long_ops:
+            assert str(w) == str(p)
+            assert word_metric(w, images[0]) == word_metric(p, images[0])
+
+
+# odd parts 11, 1019 and 1000003: periods of 10, 1018 and 1000002 bits.
+# 641 and 2^61 - 1 have periods of 64 and 61 bits, on the field-hash side;
+# 127 * 8191 divides 2^7 - 1 times 2^13 - 1, but its period has 91 bits.
+TAIL_POINTS = [Fraction(0), Fraction(1), Fraction(3, 8), Fraction(3, 11),
+               Fraction(5, 11 * 8), Fraction(700, 1019), Fraction(1, 1019 * 2),
+               Fraction(999999, 1000003), Fraction(77, 1000003 * 16),
+               Fraction(3, 641), Fraction(12345, 2 ** 61 - 1), Fraction(5, 127 * 8191)]
+
+
+@pytest.mark.parametrize("t", TAIL_POINTS, ids=str)
+def test_tail_form_ops_match_packed_form(t):
+    _assert_tail_matches_packed(t, long_ops=t.denominator < 10 ** 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 19), st.integers(0, 6), st.data())
+def test_tail_form_ops_match_packed_form_on_random_rationals(half, a, data):
+    q = (2 * half + 1) << a  # odd part up to 2^20
+    p = data.draw(st.integers(0, q))
+    _assert_tail_matches_packed(Fraction(p, q), long_ops=half < 1 << 12)
+
+
+def test_tail_and_packed_words_share_set_members():
+    # one sequence in both forms is one member, across forms and lengths
+    for t in (Fraction(1, 3), Fraction(5, 88), Fraction(700, 1019)):
+        [w] = bits_of(t)
+        p = _packed(bits_of(t)[0])
+        assert len({w, p, shift_map(w), shift_map(p)}) == 2
+        assert w in {p: 1} and p in {w: 1}
+        assert len({w, complement(p)}) == 2
+        # the same numerator over another denominator is another tail
+        [other] = bits_of(Fraction(t.numerator, t.denominator + 2))
+        assert w != other and other != p and len({w, other, p}) == 2
+
+
+def test_induced_maps_on_rationals_never_read_the_period(monkeypatch):
+    # the tail s/q carries induced_tent and induced_baker: neither the order
+    # of 2 modulo q (the period length) nor the period block is worked out
+    from symchaos.interval import baker, induced_baker, induced_tent, tent
+
+    orders, reads = [], []
+    real_order, real_read = symchaos.words._order_of_two, Word.__getattr__
+    monkeypatch.setattr(symchaos.words, "_order_of_two",
+                        lambda q: orders.append(q) or real_order(q))
+    monkeypatch.setattr(Word, "__getattr__",
+                        lambda w, name: reads.append(name) or real_read(w, name))
+    rng = random.Random(200)
+    for _ in range(200):
+        q = rng.randrange(3, 2 * 10 ** 6 + 1, 2) << rng.randrange(4)
+        p = rng.randrange(1, q)
+        while math.gcd(p, q) != 1:
+            p = rng.randrange(1, q)
+        y = Fraction(p, q)
+        assert induced_tent(y) == tent(y)
+        assert induced_baker(y) == baker(y)
+    assert orders == [] and reads == []
