@@ -19,7 +19,6 @@ from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
-    _tail_value,
     _within,
     bits_of,
     drop_bits,
@@ -214,7 +213,7 @@ class GraphSystem:
     def fiber_of(self, word: Word) -> Fiber:
         """The fiber of a word's point: a node's fiber at a node, else the word
         and its dyadic twin, if any, which keeps the arc prefix."""
-        point = self.decode(word) if _tail_value(word)[1] == 1 else None
+        point = self.decode(word) if word.q == 1 else None
         return self.encode(point) if isinstance(point, Node) else INTERVAL_CODEC.fiber_of(word)
 
     def point_json(self, point: GraphPoint):

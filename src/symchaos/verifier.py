@@ -224,7 +224,7 @@ def _returning_blocks(target: Target, ends: list,
         repeats = {q for rep in _repunits(k) for q in range(0, 1 << k, rep)}
         for q in range(1 << k):
             if q not in repeats:
-                pt = space.decode(Word._from_packed(0, 0, k, q, primitive=True))
+                pt = space.decode(Word._tail(0, 0, q, (1 << k) - 1))
                 if _point_returns(fmap, pt, horizon):
                     kept.add((k, q))
     return len(kept), lambda k, q: (k, q) in kept

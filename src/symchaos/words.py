@@ -1,11 +1,10 @@
 """Exact elements of the binary sequence space and the basic symbolic maps.
 
 A :class:`Word` is an eventually periodic one-sided binary sequence
-w(1), w(2), ... stored in canonical form (primitive period, minimal
-preperiod), so equality of Words is equality of sequences.  Bit fields are
-packed into Python ints (first bit = most significant); a word made from a
-value (bits_of, and its images) keeps its tail as the fraction s/q it is
-worth, and the maps cost O(log q) on it even at periods of ~10^6 bits.
+w(1), w(2), ...: a minimal preperiod packed into a Python int (first bit =
+most significant), then the periodic tail as the fraction s/q it is worth,
+so equality of Words is equality of sequences and the maps cost O(log q)
+even at periods of ~10^6 bits.
 
 Bit positions are 1-based throughout, matching the weight 2^-i of bit i in
 the valuation sum(w(i)/2^i).
@@ -70,7 +69,7 @@ def _pack(bits: Iterable[int]) -> Tuple[int, int]:
 
 
 def _unpack(length: int, value: int) -> Tuple[int, ...]:
-    return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+    return tuple(map(int, format(value, f"0{length}b"))) if length else ()
 
 
 def _rot_left(value: int, length: int, n: int = 1) -> int:
@@ -91,36 +90,30 @@ def _repeat_block(block: int, width: int, times: int) -> int:
 class Word:
     """Canonical eventually periodic binary sequence.
 
-    Canonical form: the period block is primitive (not a power of a shorter
-    block) and the preperiod is minimal (its last bit differs from the last
-    period bit, so no preperiod bit can be absorbed into the cycle).
-
-    A packed word has q None.  A tail word holds its tail's value s/q in
-    lowest terms, q odd (1 for 0/1 and 1/1), and works out its period_len k
-    (the order of 2 modulo q) and period ((s << k) - s) // q on first read.
+    A word is pre_len preperiod bits, packed in pre, then a purely periodic
+    tail stored as the value s/q it is worth: q is odd and divides 2^k - 1
+    for the period length k.  A word made from bits has q = 2^k - 1 and s
+    its primitive period block; a word made from a value keeps s/q in lowest
+    terms (q = 1 for the tails 0/1 and 1/1).  The preperiod is minimal: its
+    last bit differs from the last period bit, s & 1, so no preperiod bit
+    can be absorbed into the cycle.  period_len k and the block period are
+    worked out on first read.
     """
 
-    __slots__ = ("pre_len", "pre", "period_len", "period", "s", "q")
+    __slots__ = ("pre_len", "pre", "s", "q", "period_len", "period")
 
     def __init__(self, pre: Iterable[int] = (), period: Iterable[int] = ()):
         m, p = _pack(pre)
-        k, q = _pack(period)
+        k, block = _pack(period)
         if k == 0:
             raise ValueError("period must be nonempty")
-        self.pre_len, self.pre, self.period_len, self.period = _canonical(
-            m, p, k, q, primitive=False)
-        self.q = None
+        w = Word._from_packed(m, p, k, block)
+        self.pre_len, self.pre, self.s, self.q = w.pre_len, w.pre, w.s, w.q
 
     @classmethod
-    def _from_packed(cls, pre_len: int, pre: int, period_len: int, period: int,
-                     *, primitive: bool = False) -> "Word":
-        # primitive=True: caller guarantees the period block is primitive
-        # (true for rotations/complements of canonical periods).
-        w = object.__new__(cls)
-        w.pre_len, w.pre, w.period_len, w.period = _canonical(
-            pre_len, pre, period_len, period, primitive=primitive)
-        w.q = None
-        return w
+    def _from_packed(cls, pre_len: int, pre: int, period_len: int, period: int) -> "Word":
+        k, block = _primitive(period_len, period)
+        return cls._tail(pre_len, pre, block, (1 << k) - 1)
 
     @classmethod
     def _tail(cls, pre_len: int, pre: int, s: int, q: int) -> "Word":
@@ -134,11 +127,16 @@ class Word:
         return w
 
     def __getattr__(self, name: str) -> int:
-        # reached only for an unset slot: a tail word's period, on first read
-        if name not in ("period_len", "period") or self.q is None:
+        # reached only for an unset slot: the period, on first read
+        if name not in ("period_len", "period"):
             raise AttributeError(name)
-        k = self.period_len = _short_order(self.q) or _order_of_two(self.q)
-        self.period = ((self.s << k) - self.s) // self.q
+        s, q = self.s, self.q
+        if q & (q + 1):  # else q = 2^k - 1, and the block is s itself
+            k = _short_order(q) or _order_of_two(q)
+            s = ((s << k) - s) // q
+        else:
+            k = q.bit_length()
+        self.period_len, self.period = k, s
         return object.__getattribute__(self, name)
 
     def bit(self, i: int) -> int:
@@ -147,7 +145,7 @@ class Word:
             raise IndexError("bit positions are 1-based")
         if i <= self.pre_len:
             return (self.pre >> (self.pre_len - i)) & 1
-        if i == self.pre_len + 1 and self.q is not None:
+        if i == self.pre_len + 1:
             return int(2 * self.s > self.q)
         j = (i - self.pre_len - 1) % self.period_len
         return (self.period >> (self.period_len - 1 - j)) & 1
@@ -174,22 +172,19 @@ class Word:
             return NotImplemented
         if self.pre_len != other.pre_len or self.pre != other.pre:
             return False
-        if self.q is None and other.q is None:
-            return self.period_len == other.period_len and self.period == other.period
-        # equal tails are worth the same, and a tail word's s/q keeps it short
-        (a, b), (c, d) = _tail_value(self), _tail_value(other)
-        return a * d == b * c
+        # equal tails are worth the same
+        if self.q == other.q:
+            return self.s == other.s
+        return self.s * other.q == other.s * self.q
 
     def __hash__(self) -> int:
         # the field hash on periods of at most 64 bits, else the first 64
-        # period bits: O(1) at any length, and a tail word reads no period
-        q = self.q
-        k = self.period_len if q is None else _short_order(q)
+        # period bits: O(1) at any length, and reads no period
+        s, q = self.s, self.q
+        k = q.bit_length() if q & (q + 1) == 0 else _short_order(q)
         if k is not None and k <= 64:
-            period = self.period if q is None else ((self.s << k) - self.s) // q
-            return hash((self.pre_len, self.pre & _M64, k, period))
-        top = (self.s << 64) // q if k is None else self.period >> (k - 64)
-        return hash((self.pre_len, self.pre & _M64, top))
+            return hash((self.pre_len, self.pre & _M64, k, ((s << k) - s) // q))
+        return hash((self.pre_len, self.pre & _M64, (s << 64) // q))
 
     def __lt__(self, other: "Word") -> bool:
         # (preperiod, period) lexicographic, bitstring order.
@@ -219,21 +214,16 @@ def _cmp_bitstring(len_a: int, a: int, len_b: int, b: int) -> int:
     return 0
 
 
-def _canonical(m: int, p: int, k: int, q: int, *, primitive: bool) -> Tuple[int, int, int, int]:
-    if not primitive:
-        # q repeats a block of length k/p exactly when rotating it by k/p
-        # leaves it unchanged; dropping each prime p of k while that holds
-        # ends at the primitive period
-        for prime in _factorize(k):
-            while k % prime == 0 and _rot_left(q, k, k // prime) == q:
-                k //= prime
-                q >>= k * (prime - 1)
-    # absorb preperiod bits that already match the cycle
-    while m and (p & 1) == (q & 1):
-        m -= 1
-        p >>= 1
-        q = ((q & 1) << (k - 1)) | (q >> 1)
-    return m, p, k, q
+def _primitive(k: int, block: int) -> Tuple[int, int]:
+    """The primitive block that the k-bit block repeats, with its length."""
+    # a block repeats one of length k/p exactly when rotating it by k/p
+    # leaves it unchanged; dropping each prime p of k while that holds ends
+    # at the primitive period
+    for prime in _factorize(k):
+        while k % prime == 0 and _rot_left(block, k, k // prime) == block:
+            k //= prime
+            block >>= k * (prime - 1)
+    return k, block
 
 
 def parse_word(text: str) -> Word:
@@ -252,13 +242,8 @@ def prefix_int(w: Word, n: int) -> int:
     if n <= w.pre_len:
         return w.pre >> (w.pre_len - n)
     tail = n - w.pre_len
-    if w.q is not None:
-        # the first bits of s/q; min turns the tail 1/1 into a run of 1s
-        return (w.pre << tail) | min((w.s << tail) // w.q, (1 << tail) - 1)
-    reps = -(-tail // w.period_len)
-    rep = _repeat_block(w.period, w.period_len, reps)
-    rep >>= reps * w.period_len - tail
-    return (w.pre << tail) | rep
+    # the first bits of s/q; min turns the tail 1/1 into a run of 1s
+    return (w.pre << tail) | min((w.s << tail) // w.q, (1 << tail) - 1)
 
 
 def shift_map(w: Word) -> Word:
@@ -268,11 +253,7 @@ def shift_map(w: Word) -> Word:
 
 def complement(w: Word) -> Word:
     """Flip every bit."""
-    if w.q is not None:
-        return Word._tail(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1), w.q - w.s, w.q)
-    return Word._from_packed(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1),
-                             w.period_len, w.period ^ ((1 << w.period_len) - 1),
-                             primitive=True)
+    return Word._tail(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1), w.q - w.s, w.q)
 
 
 def c_map(w: Word) -> Word:
@@ -290,10 +271,10 @@ def r_map(w: Word) -> Word:
     This closed form agrees with reading off the first bits of the iterated
     c_map; the test suite checks the two against each other.
     """
-    m, p, k, q = w.pre_len, w.pre, w.period_len, w.period
-    out_per = q ^ _rot_left(q, k)
+    m, p, k, block = w.pre_len, w.pre, w.period_len, w.period
+    out_per = block ^ _rot_left(block, k)
     if m:
-        shifted = ((p & ((1 << (m - 1)) - 1)) << 1) | (q >> (k - 1))
+        shifted = ((p & ((1 << (m - 1)) - 1)) << 1) | (block >> (k - 1))
         out_pre = p ^ shifted
     else:
         out_pre = 0
@@ -315,15 +296,9 @@ def r_inverse(w: Word) -> Word:
     return Word(x[:m], x[m:m + period_len])
 
 
-def _tail_value(w: Word) -> Tuple[int, int]:
-    """The periodic tail's value as (numerator, denominator)."""
-    return (w.s, w.q) if w.q is not None else (w.period, (1 << w.period_len) - 1)
-
-
 def word_value(w: Word) -> Fraction:
     """Exact value of the binary expansion, in [0, 1]."""
-    s, q = _tail_value(w)
-    return Fraction(w.pre * q + s, q << w.pre_len)
+    return Fraction(w.pre * w.q + w.s, w.q << w.pre_len)
 
 
 MAX_PERIOD_BITS = 1 << 24  # the longest period bits_of and word_metric build
@@ -342,8 +317,10 @@ def word_metric(a: Word, b: Word) -> Fraction:
         raise ValueError(f"word_metric: lcm of the period lengths is {k} bits, "
                          "exceeds bound 2^24")
     diff_pre = prefix_int(a, m) ^ prefix_int(b, m)
-    diff_per = _aligned_period(a, m, k) ^ _aligned_period(b, m, k)
-    return word_value(Word._from_packed(m, diff_pre, k, diff_per))
+    # on the primitive difference block, the gcd in Fraction is on fewer bits
+    k, diff_per = _primitive(k, _aligned_period(a, m, k) ^ _aligned_period(b, m, k))
+    mersenne = (1 << k) - 1
+    return Fraction(diff_pre * mersenne + diff_per, mersenne << m)
 
 
 def _aligned_period(w: Word, start: int, k: int) -> int:
@@ -441,7 +418,8 @@ def bits_of(t: Fraction) -> List[Word]:
     """All binary expansions of t in [0, 1].
 
     Two expansions (ordered [...10^inf, ...01^inf]) exactly when t is a
-    dyadic l/2^n strictly inside (0, 1); otherwise one, each a tail word.
+    dyadic l/2^n strictly inside (0, 1); otherwise one.  Each keeps its tail
+    as s/q in lowest terms.
     A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
     if t < 0 or t > 1:
@@ -462,11 +440,10 @@ def dyadic_twin(w: Word) -> Word | None:
     """The other binary expansion of w's value, if there is one: the
     expansions u10^inf and u01^inf of a dyadic pair up, and no other word
     shares its value with a second word."""
-    b, q = _tail_value(w)
-    if w.pre_len == 0 or q != 1:  # a tail worth b/1 is b^inf
+    if w.pre_len == 0 or w.q != 1:  # a tail worth b/1 is b^inf
         return None
     # canonical, the preperiod ends in the bit the period does not repeat
-    return Word._tail(w.pre_len, w.pre + (1 if b else -1), 1 - b, 1)
+    return Word._tail(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
 
 
 def periodic_words(n: int) -> List[Word]:
@@ -475,25 +452,16 @@ def periodic_words(n: int) -> List[Word]:
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
 
 
-def _with_pre(w: Word, pre_len: int, pre: int) -> Word:
-    """The pre_len-bit preperiod pre, then w's periodic tail in w's form."""
-    if w.q is not None:
-        return Word._tail(pre_len, pre, w.s, w.q)
-    return Word._from_packed(pre_len, pre, w.period_len, w.period, primitive=True)
-
-
 def prepend_bits(w: Word, n: int, b: int) -> Word:
     """Word whose sequence is the n bits b (packed, first bit most
     significant) followed by w."""
-    return _with_pre(w, w.pre_len + n, (b << w.pre_len) | w.pre)
+    return Word._tail(w.pre_len + n, (b << w.pre_len) | w.pre, w.s, w.q)
 
 
 def drop_bits(w: Word, n: int) -> Word:
     """n-fold shift in one step."""
+    s, q = w.s, w.q
     if n <= w.pre_len:
-        return _with_pre(w, w.pre_len - n, w.pre & ((1 << (w.pre_len - n)) - 1))
-    d = n - w.pre_len
-    if w.q is not None:  # s/q shifted d times is s 2^d mod q
-        return Word._tail(0, 0, w.s * pow(2, d, w.q) % w.q if w.q > 1 else w.s, w.q)
-    return Word._from_packed(0, 0, w.period_len,
-                             _rot_left(w.period, w.period_len, d), primitive=True)
+        return Word._tail(w.pre_len - n, w.pre & ((1 << (w.pre_len - n)) - 1), s, q)
+    # s/q shifted d times is s 2^d mod q; for q = 2^k - 1, the block rotated
+    return Word._tail(0, 0, s * pow(2, n - w.pre_len, q) % q if q > 1 else s, q)

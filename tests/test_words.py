@@ -205,9 +205,8 @@ def _old_shift_map(w):
     # shift_map before the one-pass rotation: the period rotated by _rot_left
     if w.pre_len:
         return Word._from_packed(w.pre_len - 1, w.pre & ((1 << (w.pre_len - 1)) - 1),
-                                 w.period_len, w.period, primitive=True)
-    return Word._from_packed(0, 0, w.period_len, _rot_left(w.period, w.period_len),
-                             primitive=True)
+                                 w.period_len, w.period)
+    return Word._from_packed(0, 0, w.period_len, _rot_left(w.period, w.period_len))
 
 
 def _old_c_map(w):
@@ -636,23 +635,142 @@ def test_sort_order_is_pre_then_period_lex(w):
     assert (w < other) == (key < other_key)
 
 
+# ------------------------------------------ the packed-block route, the oracle
+#
+# Every word holds its tail as the fraction s/q.  These pure functions on the
+# packed fields (pre_len, pre, k, block) are the former route: rotations,
+# XOR masks and repeated blocks, each result put in canonical form by
+# _old_canonical.
+
+def _fields(w):
+    return w.pre_len, w.pre, w.period_len, w.period
+
+
+def _old_canonical(m, p, k, q):
+    """The primitive period, then every preperiod bit that already matches
+    the cycle absorbed into it."""
+    for prime in _factorize(k):
+        while k % prime == 0 and _rot_left(q, k, k // prime) == q:
+            k //= prime
+            q >>= k * (prime - 1)
+    while m and (p & 1) == (q & 1):
+        m -= 1
+        p >>= 1
+        q = ((q & 1) << (k - 1)) | (q >> 1)
+    return m, p, k, q
+
+
+def _block_drop(f, n):
+    # drop preperiod bits, then rotate the block by what is left
+    m, p, k, q = f
+    if n <= m:
+        return _old_canonical(m - n, p & ((1 << (m - n)) - 1), k, q)
+    return _old_canonical(0, 0, k, _rot_left(q, k, n - m))
+
+
+def _block_complement(f):
+    m, p, k, q = f
+    return _old_canonical(m, p ^ ((1 << m) - 1), k, q ^ ((1 << k) - 1))
+
+
+def _block_bit(f, i):
+    m, p, k, q = f
+    if i <= m:
+        return (p >> (m - i)) & 1
+    return (q >> (k - 1 - (i - m - 1) % k)) & 1
+
+
+def _block_c(f):
+    shifted = _block_drop(f, 1)
+    return _block_complement(shifted) if _block_bit(f, 1) else shifted
+
+
+def _block_prefix(f, n):
+    m, p, k, q = f
+    if n <= m:
+        return p >> (m - n)
+    reps = -(-(n - m) // k)
+    return (p << (n - m)) | (_repeat_block(q, k, reps) >> (reps * k - (n - m)))
+
+
+def _assert_matches_block_route(w):
+    """bit, prefix_int, complement, shift_map, c_map, drop_bits and
+    prepend_bits on w against the packed-block route on w's fields."""
+    f = _fields(w)
+    m, p, k, q = f
+    assert _old_canonical(*f) == f
+    for i in sorted({1, m, m + 1, m + 2, m + 3, m + k, m + k + 1, m + 100} - {0}):
+        assert w.bit(i) == _block_bit(f, i), i
+    for n in (0, 1, m, m + 1, m + 2, m + 64, m + 200):
+        assert prefix_int(w, n) == _block_prefix(f, n), n
+    assert _fields(complement(w)) == _block_complement(f)
+    assert _fields(shift_map(w)) == _block_drop(f, 1)
+    assert _fields(c_map(w)) == _block_c(f)
+    for n in (0, 1, 2, m, m + 1, m + 5, m + 97, m + k + 1):
+        assert _fields(drop_bits(w, n)) == _block_drop(f, n), n
+        b = n & 7
+        assert _fields(prepend_bits(w, 3, b)) == _old_canonical(m + 3, (b << m) | p, k, q), n
+
+
+@given(bits_strategy(20), bits_strategy(20, min_len=1))
+def test_word_ops_match_the_block_route(pre, period):
+    m, p = len(pre), int("".join(map(str, pre)) or "0", 2)
+    k, q = len(period), int("".join(map(str, period)), 2)
+    w = Word(pre, period)
+    assert _fields(w) == _old_canonical(m, p, k, q)
+    assert w.q == (1 << w.period_len) - 1 and w.s == w.period
+    _assert_matches_block_route(w)
+
+
+def _expansion(t, n):
+    """The first n bits of t in [0, 1) by long division."""
+    return [(t.numerator << i) // t.denominator & 1 for i in range(1, n + 1)]
+
+
+# (value, preperiod length, period length) for periods of 1, 2, 64, 65 and
+# 1,018 bits; 2 has order 65 modulo 145295143558111, a factor of 2^65 - 1
+SAME_SEQUENCE_POINTS = [
+    (Fraction(0), 0, 1), (Fraction(5, 8), 3, 1), (Fraction(1, 3), 0, 2),
+    (Fraction(5, 12), 2, 2), (Fraction(3, 641), 0, 64), (Fraction(7, 641 * 4), 2, 64),
+    (Fraction(12345, 145295143558111), 0, 65), (Fraction(9, 145295143558111 * 2), 1, 65),
+    (Fraction(700, 1019), 0, 1018), (Fraction(1, 1019 * 2), 1, 1018)]
+
+
+@pytest.mark.parametrize("t,m,k", SAME_SEQUENCE_POINTS, ids=str)
+def test_a_word_from_bits_equals_the_same_sequence_from_a_value(t, m, k):
+    value_word = bits_of(t)[0]
+    bits = _expansion(t, m + 3 * k)
+    # the same sequence written three ways from its bits: as is, with the
+    # period unrolled, and with one period moved into the preperiod
+    for from_bits in (Word(bits[:m], bits[m:m + k]), Word(bits[:m], bits[m:m + 2 * k]),
+                      Word(bits[:m + k], bits[m + k:m + 2 * k])):
+        assert (from_bits.pre_len, from_bits.period_len) == (m, k)
+        assert from_bits.q == (1 << k) - 1
+        assert from_bits == value_word and value_word == from_bits
+        assert hash(from_bits) == hash(value_word)
+        assert len({from_bits, value_word}) == 1 and value_word in {from_bits}
+        assert word_value(from_bits) == t
+
+
 # ------------------------------------------------ tail form vs packed form
 
 def _packed(w):
-    """The packed form of w, from its materialized period block: the oracle
-    for every op on a tail word."""
-    return Word._from_packed(w.pre_len, w.pre, w.period_len, w.period, primitive=True)
+    """w rebuilt from its materialized period block: the same sequence as a
+    word made from bits, with q = 2^k - 1."""
+    return Word._from_packed(w.pre_len, w.pre, w.period_len, w.period)
 
 
 def _assert_tail_matches_packed(t, long_ops=True):
     """Every word op on bits_of(t), a tail word, against the packed form of
-    the same word.  long_ops=False leaves out str, whose bit-by-bit unpack
-    is quadratic in the period, and the metric to a shifted word, whose
-    value is reduced by a gcd over the whole period."""
+    the same word, and both against the packed-block route.  long_ops=False
+    leaves out the metric to a shifted word, whose value is reduced by a gcd
+    over the whole period."""
     tails = bits_of(t)
     packed = [_packed(w) for w in bits_of(t)]  # materializes separate copies
     for w, p in zip(tails, packed):
-        assert w.q is not None and p.q is None
+        assert p.q == (1 << p.period_len) - 1
+        _assert_matches_block_route(w)
+        _assert_matches_block_route(p)
         m = w.pre_len
         assert w == p and p == w and not w != p
         assert hash(w) == hash(p)
@@ -668,7 +786,7 @@ def _assert_tail_matches_packed(t, long_ops=True):
         images = []
         for f in (shift_map, c_map, complement):
             image = f(w)
-            assert image.q is not None  # the tail form is kept
+            assert image.q == w.q  # the tail's q is kept
             assert image == f(p) and hash(image) == hash(f(p))
             images.append(image)
         for n in (1, 2, m, m + 1, m + 5, m + 97):
@@ -682,8 +800,8 @@ def _assert_tail_matches_packed(t, long_ops=True):
         other = prepend_bits(drop_bits(w, m), m + 2, 0b10)
         assert word_metric(w, other) == word_metric(p, other)
         assert r_map(w) == r_map(p)
+        assert str(w) == str(p)
         if long_ops:
-            assert str(w) == str(p)
             assert word_metric(w, images[0]) == word_metric(p, images[0])
 
 
