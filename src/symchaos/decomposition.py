@@ -11,6 +11,7 @@ either fixing the fiber or redirecting it to a designated point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, List, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
@@ -56,7 +57,8 @@ class Fiber:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fiber):
             return NotImplemented
-        return self.words == other.words
+        # tuples of unequal length would still compare their first words
+        return len(self.words) == len(other.words) and self.words == other.words
 
     def __hash__(self) -> int:
         return hash(self.words)
@@ -156,21 +158,24 @@ def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
-    if fib not in sys.pinned_fibers:
+    pinned = sys.pinned_fibers  # scanned, since a set lookup hashes every word of fib
+    if not (pinned and any(map(fib.__eq__, pinned))):
         image = star_check(sys, fib)
         if isinstance(image, Fiber):
             return image
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
-def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
-    """The induced map at a point by the fiber route (encode, induced_apply,
-    decode), checked against its closed form; a mismatch is an internal
-    invariant failure and raises ArithmeticError."""
-    codec = sys.codec
-    image = codec.decode(induced_apply(sys, codec.encode(point)).words[0])
+def induced_point(sys: InducedSystem, closed_form: Callable, point, fib: Fiber,
+                  show: Callable = repr):
+    """The induced map at a point by the fiber route (fib, the point's fiber,
+    then induced_apply and decode), checked against its closed form; a
+    mismatch is an internal invariant failure and raises ArithmeticError."""
+    image = sys.codec.decode(induced_apply(sys, fib).words[0])
     expected = closed_form(point)
-    if image != expected:
+    # two Fractions by their parts: Fraction.__eq__ first makes a numbers-ABC check
+    if ((image.numerator, image.denominator) != (expected.numerator, expected.denominator)
+            if type(image) is Fraction is type(expected) else image != expected):
         raise ArithmeticError(f"induced {sys.name} map at {show(point)} gave "
                               f"{show(image)}, closed form gives {show(expected)}")
     return image

@@ -29,9 +29,6 @@ __all__ = [
     "INTERVAL_CODEC",
 ]
 
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
 
 def as_unit(y) -> Fraction:
     if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
@@ -117,12 +114,14 @@ def interval_fiber(y) -> Fiber:
 
 def tent(y) -> Fraction:
     y = as_unit(y)
-    return 2 * y if y <= HALF else 2 * (1 - y)
+    n, d = y.numerator, y.denominator
+    return Fraction(2 * min(n, d - n), d)
 
 
 def baker(y) -> Fraction:
     y = as_unit(y)
-    return 2 * y if y <= HALF else 2 * y - 1
+    n, d = y.numerator, y.denominator
+    return Fraction(2 * n if 2 * n <= d else 2 * n - d, d)
 
 
 @lru_cache(maxsize=1)
@@ -133,7 +132,7 @@ def tent_system() -> InducedSystem:
 @lru_cache(maxsize=1)
 def baker_system() -> InducedSystem:
     return InducedSystem("baker", shift_map, INTERVAL_CODEC,
-                         designated=ONE, pinned_points=(HALF,))
+                         designated=Fraction(1), pinned_points=(Fraction(1, 2),))
 
 
 def induced_tent(y) -> Fraction:
@@ -143,13 +142,13 @@ def induced_tent(y) -> Fraction:
     here and exercised exhaustively by the acceptance suite.
     """
     y = as_unit(y)
-    return induced_point(tent_system(), tent, y, _show)
+    return induced_point(tent_system(), tent, y, Fiber(bits_of(y)), _show)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
     y = as_unit(y)
-    return induced_point(baker_system(), baker, y, _show)
+    return induced_point(baker_system(), baker, y, Fiber(bits_of(y)), _show)
 
 
 def conjugate_via_r(y) -> Fraction:

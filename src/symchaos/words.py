@@ -181,9 +181,11 @@ class Word:
         # the field hash on periods of at most 64 bits, else the first 64
         # period bits: O(1) at any length, and reads no period
         s, q = self.s, self.q
-        k = q.bit_length() if q & (q + 1) == 0 else _short_order(q)
+        mersenne = q & (q + 1) == 0  # q = 2^k - 1, and the block is s itself
+        k = q.bit_length() if mersenne else _short_order(q)
         if k is not None and k <= 64:
-            return hash((self.pre_len, self.pre & _M64, k, ((s << k) - s) // q))
+            block = s if mersenne else ((s << k) - s) // q
+            return hash((self.pre_len, self.pre & _M64, k, block))
         return hash((self.pre_len, self.pre & _M64, (s << 64) // q))
 
     def __lt__(self, other: "Word") -> bool:
@@ -422,9 +424,9 @@ def bits_of(t: Fraction) -> List[Word]:
     as s/q in lowest terms.
     A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
-    if t < 0 or t > 1:
-        raise ValueError(f"value {t} outside [0, 1]")
     p, q = t.numerator, t.denominator
+    if not 0 <= p <= q:
+        raise ValueError(f"value {t} outside [0, 1]")
     if p == q:
         return [Word._tail(0, 0, 1, 1)]
     a = (q & -q).bit_length() - 1  # power of 2 in q

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symchaos.decomposition import Fiber, Violation, star_check
 from symchaos.interval import (
+    _show,
     as_unit,
     baker,
     baker_system,
@@ -16,7 +19,7 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift, value_enclosure
-from symchaos.words import parse_word, periodic_words, word_value
+from symchaos.words import bits_of, parse_word, periodic_words, word_value
 
 W = parse_word
 F = Fraction
@@ -55,6 +58,52 @@ def test_baker_formula():
     assert baker(F(3, 4)) == F(1, 2)
     assert baker(F(1, 2)) == 1
     assert baker(F(1)) == 1
+
+
+def _tent_by_fractions(y):
+    return 2 * y if y <= F(1, 2) else 2 * (1 - y)
+
+
+def _baker_by_fractions(y):
+    return 2 * y if y <= F(1, 2) else 2 * y - 1
+
+
+CLOSED_FORMS = ((tent, _tent_by_fractions), (baker, _baker_by_fractions))
+
+
+@given(st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), st.fractions(0, 1)))
+def test_integer_closed_forms_match_fraction_arithmetic(y):
+    for closed, oracle in CLOSED_FORMS:
+        image = closed(y)
+        assert type(image) is Fraction and image == oracle(y)
+        assert closed(str(y)) == image
+
+
+@pytest.mark.parametrize("y", [0, 1, "0", "1", "1/2", " 2/6 ", "0.25", "3e-1"])
+def test_closed_forms_take_every_input_as_unit_takes(y):
+    for closed, oracle in CLOSED_FORMS:
+        image = closed(y)
+        assert type(image) is Fraction and image == oracle(F(y))
+    assert induced_tent(y) == tent(y) and induced_baker(y) == baker(y)
+
+
+@given(st.one_of(st.fractions().filter(lambda y: not 0 <= y <= 1),
+                 st.integers().filter(lambda n: n not in (0, 1))))
+def test_points_outside_the_unit_interval_are_rejected_with_their_messages(y):
+    for f in (tent, baker, induced_tent, induced_baker):
+        with pytest.raises(ValueError) as exc:
+            f(y)
+        assert str(exc.value) == f"point {_show(F(y))} outside [0, 1]"
+    with pytest.raises(ValueError) as exc:
+        bits_of(y)
+    assert str(exc.value) == f"value {y} outside [0, 1]"
+
+
+@pytest.mark.parametrize("y", ["3/2", "-1/4", "2", "1.5"])
+def test_text_outside_the_unit_interval_is_rejected_with_its_message(y):
+    for f in (tent, baker, induced_tent, induced_baker):
+        with pytest.raises(ValueError, match=f"^point {F(y)} outside "):
+            f(y)
 
 
 def test_induced_tent_examples():

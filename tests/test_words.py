@@ -14,10 +14,12 @@ from symchaos.words import (
     MAX_PERIOD_BITS,
     MILLER_RABIN_BOUND,
     Word,
+    _M64,
     _factorize,
     _order_of_two,
     _repeat_block,
     _rot_left,
+    _short_order,
     bits_of,
     c_map,
     complement,
@@ -257,6 +259,34 @@ def test_equal_words_hash_equal(pre, period, reps):
     b = Word(pre + period, period * reps)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def _hash_dividing_out_the_block(w):
+    # the hash formula that also divides (2^k - 1) s / q when q = 2^k - 1
+    s, q = w.s, w.q
+    k = q.bit_length() if q & (q + 1) == 0 else _short_order(q)
+    if k is not None and k <= 64:
+        return hash((w.pre_len, w.pre & _M64, k, ((s << k) - s) // q))
+    return hash((w.pre_len, w.pre & _M64, (s << 64) // q))
+
+
+def test_hash_of_words_from_bits_reads_the_block_unchanged():
+    for w in periodic_words(12):
+        assert hash(w) == _hash_dividing_out_the_block(w)
+
+
+# odd parts 1, 641, 145295143558111 (a prime factor of 2^65 - 1) and 1019
+@pytest.mark.parametrize("q,period", [(1, 1), (641, 64), (145295143558111, 65), (1019, 1018)])
+def test_hash_of_tail_words_is_unchanged(q, period):
+    rng = random.Random(q)
+    for a in range(4):
+        for _ in range(8):
+            p = rng.randrange(q << a)
+            for w in bits_of(Fraction(p, q << a)):
+                for v in (w, complement(w), shift_map(w), prepend_bits(w, 3, 0b101)):
+                    assert hash(v) == _hash_dividing_out_the_block(v)
+                    assert v.period_len == (period if v.q > 1 else 1)
+                    assert hash(v) == hash(_packed(v))
 
 
 def test_words_differing_only_above_bit_64_are_distinct_members():
@@ -861,3 +891,32 @@ def test_induced_maps_on_rationals_never_read_the_period(monkeypatch):
         assert induced_tent(y) == tent(y)
         assert induced_baker(y) == baker(y)
     assert orders == [] and reads == []
+
+
+def test_fiber_route_hashes_no_word(monkeypatch):
+    # pinned fibers are found by Fiber equality, so a point with one
+    # expansion goes through the interval and graph maps without a word hash
+    from symchaos.graphs import EXAMPLE_GRAPHS, Interior, graph_map, graph_step
+    from symchaos.graphs import graph_system, parse_graph
+    from symchaos.interval import baker, baker_system, induced_baker, induced_tent
+    from symchaos.interval import tent, tent_system
+
+    graphs = [graph_system(parse_graph(EXAMPLE_GRAPHS[name])) for name in ("k3", "two_segments")]
+    tent_system(), baker_system()  # their pinned sets are hashed once, when built
+    hashed = []
+    real_hash = Word.__hash__
+    monkeypatch.setattr(Word, "__hash__", lambda w: hashed.append(w) or real_hash(w))
+    rng = random.Random(201)
+    for _ in range(200):
+        q = rng.randrange(3, 2 * 10 ** 6 + 1, 2) << rng.randrange(4)
+        p = rng.randrange(1, q)
+        while math.gcd(p, q) != 1:
+            p = rng.randrange(1, q)
+        y = Fraction(p, q)
+        assert induced_tent(y) == tent(y)
+        assert induced_baker(y) == baker(y)
+        q = rng.randrange(3, 10 ** 4, 2)
+        for sys in graphs:
+            point = Interior(rng.randint(1, sys.r), Fraction(rng.randrange(1, q), q))
+            assert graph_map(sys, point) == graph_step(sys, point)
+    assert hashed == []
