@@ -11,7 +11,6 @@ either fixing the fiber or redirecting it to a designated point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Iterable, List, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
@@ -57,8 +56,7 @@ class Fiber:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fiber):
             return NotImplemented
-        # tuples of unequal length would still compare their first words
-        return len(self.words) == len(other.words) and self.words == other.words
+        return self.words == other.words
 
     def __hash__(self) -> int:
         return hash(self.words)
@@ -120,9 +118,9 @@ class InducedSystem:
 
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
-    fiber where the star condition fails.  The pinned points' fibers and
-    the precision-_STREAM_BITS cells that hold one (codec.point_cells) are
-    derived from the points once, here.
+    fiber where the star condition fails.  The pinned points' fibers, their
+    keys (_pin_key) and the precision-_STREAM_BITS cells that hold one
+    (codec.point_cells) are derived from the points once, here.
     """
 
     name: str
@@ -131,14 +129,24 @@ class InducedSystem:
     designated: Any = None
     pinned_points: Tuple = ()
     pinned_fibers: frozenset = field(init=False)
+    pinned_keys: frozenset = field(init=False)
     pinned_cells: frozenset = field(init=False)
 
     def __post_init__(self):
         points, codec = tuple(self.pinned_points), self.codec
         object.__setattr__(self, "pinned_points", points)
         object.__setattr__(self, "pinned_fibers", frozenset(map(codec.encode, points)))
+        object.__setattr__(self, "pinned_keys", frozenset(map(_pin_key, self.pinned_fibers)))
         object.__setattr__(self, "pinned_cells", frozenset(
             c for pt in points for c in codec.point_cells(pt, _STREAM_BITS)))
+
+
+def _pin_key(fib: Fiber) -> Tuple[int, int, bool]:
+    """Word count, first word's preperiod length and whether its tail is
+    constant (q = 1): equal fibers share it, and it hashes no word, so only
+    a fiber with a pinned fiber's key is looked up in pinned_fibers."""
+    w = fib.words[0]
+    return len(fib.words), w.pre_len, w.q == 1
 
 
 def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
@@ -158,24 +166,21 @@ def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
-    pinned = sys.pinned_fibers  # scanned, since a set lookup hashes every word of fib
-    if not (pinned and any(map(fib.__eq__, pinned))):
+    if not (_pin_key(fib) in sys.pinned_keys and fib in sys.pinned_fibers):
         image = star_check(sys, fib)
         if isinstance(image, Fiber):
             return image
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
-def induced_point(sys: InducedSystem, closed_form: Callable, point, fib: Fiber,
-                  show: Callable = repr):
-    """The induced map at a point by the fiber route (fib, the point's fiber,
-    then induced_apply and decode), checked against its closed form; a
-    mismatch is an internal invariant failure and raises ArithmeticError."""
-    image = sys.codec.decode(induced_apply(sys, fib).words[0])
+def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
+    """The induced map at a point by the fiber route (encode, induced_apply,
+    decode), checked against its closed form; a mismatch is an internal
+    invariant failure and raises ArithmeticError."""
+    codec = sys.codec
+    image = codec.decode(induced_apply(sys, codec.encode(point)).words[0])
     expected = closed_form(point)
-    # two Fractions by their parts: Fraction.__eq__ first makes a numbers-ABC check
-    if ((image.numerator, image.denominator) != (expected.numerator, expected.denominator)
-            if type(image) is Fraction is type(expected) else image != expected):
+    if image != expected:
         raise ArithmeticError(f"induced {sys.name} map at {show(point)} gave "
                               f"{show(image)}, closed form gives {show(expected)}")
     return image

@@ -279,7 +279,7 @@ def exceptional_points(sys: GraphSystem) -> List[GraphPoint]:
 def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced chaotic map: shift through fibers, exceptional set fixed,
     checked against the closed form (graph_step) by induced_point."""
-    return induced_point(sys.induced, lambda pt: graph_step(sys, pt), point, sys.encode(point))
+    return induced_point(sys.induced, lambda pt: graph_step(sys, pt), point)
 
 
 def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:

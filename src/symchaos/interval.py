@@ -113,14 +113,12 @@ def interval_fiber(y) -> Fiber:
 
 
 def tent(y) -> Fraction:
-    y = as_unit(y)
-    n, d = y.numerator, y.denominator
+    n, d = as_unit(y).as_integer_ratio()
     return Fraction(2 * min(n, d - n), d)
 
 
 def baker(y) -> Fraction:
-    y = as_unit(y)
-    n, d = y.numerator, y.denominator
+    n, d = as_unit(y).as_integer_ratio()
     return Fraction(2 * n if 2 * n <= d else 2 * n - d, d)
 
 
@@ -142,13 +140,13 @@ def induced_tent(y) -> Fraction:
     here and exercised exhaustively by the acceptance suite.
     """
     y = as_unit(y)
-    return induced_point(tent_system(), tent, y, Fiber(bits_of(y)), _show)
+    return induced_point(tent_system(), tent, y, _show)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
     y = as_unit(y)
-    return induced_point(baker_system(), baker, y, Fiber(bits_of(y)), _show)
+    return induced_point(baker_system(), baker, y, _show)
 
 
 def conjugate_via_r(y) -> Fraction:

@@ -6,6 +6,7 @@ import pytest
 from symchaos.decomposition import (
     _STREAM_BITS,
     Fiber,
+    _pin_key,
     InducedSystem,
     Violation,
     induced_apply,
@@ -29,7 +30,7 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift
-from symchaos.words import Word, dyadic_twin, parse_word, periodic_words, shift_map
+from symchaos.words import Word, dyadic_twin, parse_word, periodic_words, shift_map, word_value
 
 W = parse_word
 F = Fraction
@@ -217,9 +218,23 @@ def test_pinned_data_is_derived_from_the_pinned_points(name):
     codec, points = sys.codec, sys.pinned_points
     assert type(points) is tuple
     assert sys.pinned_fibers == {codec.encode(pt) for pt in points}
+    assert sys.pinned_keys == {_pin_key(fib) for fib in sys.pinned_fibers}
     assert type(sys.pinned_cells) is frozenset
     assert sys.pinned_cells == {c for pt in points
                                 for c in codec.point_cells(pt, _STREAM_BITS)}
+
+
+def test_equal_fibers_share_a_pin_key():
+    # a word made from bits keeps q = 2^k - 1 and one made from its value
+    # keeps s/q in lowest terms (3/15 and 1/5): the key must not tell them apart
+    for k in range(1, 9):
+        for w in periodic_words(k):
+            for pre in ((), (0,), (1,), (1, 0, 1)):
+                word = Word(pre, w.period_bits())
+                by_bits = INTERVAL_CODEC.fiber_of(word)
+                by_value = INTERVAL_CODEC.encode(word_value(word))
+                assert by_bits == by_value
+                assert _pin_key(by_bits) == _pin_key(by_value)
 
 
 def test_induced_system_takes_no_derived_data():
@@ -227,7 +242,7 @@ def test_induced_system_takes_no_derived_data():
     sys = InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, [half])
     assert sys.pinned_points == (half,)
     assert sys.pinned_fibers == {interval_fiber(half)}
-    for derived in ("pinned_fibers", "pinned_cells"):
+    for derived in ("pinned_fibers", "pinned_keys", "pinned_cells"):
         with pytest.raises(TypeError):
             InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, (half,),
                           **{derived: sys.pinned_fibers})

@@ -894,18 +894,25 @@ def test_induced_maps_on_rationals_never_read_the_period(monkeypatch):
 
 
 def test_fiber_route_hashes_no_word(monkeypatch):
-    # pinned fibers are found by Fiber equality, so a point with one
-    # expansion goes through the interval and graph maps without a word hash
+    # a fiber is looked up among the pinned ones only when it shares a pinned
+    # fiber's key, so a point with one expansion goes through the interval
+    # and graph maps without a word hash or a Fiber comparison, however many
+    # nodes the graph has
+    from symchaos.decomposition import Fiber
     from symchaos.graphs import EXAMPLE_GRAPHS, Interior, graph_map, graph_step
     from symchaos.graphs import graph_system, parse_graph
     from symchaos.interval import baker, baker_system, induced_baker, induced_tent
     from symchaos.interval import tent, tent_system
 
-    graphs = [graph_system(parse_graph(EXAMPLE_GRAPHS[name])) for name in ("k3", "two_segments")]
+    cycle = ("".join(f"node n{i}\n" for i in range(200))
+             + "".join(f"arc E{i} n{i - 1} n{i % 200}\n" for i in range(1, 201)))
+    graphs = [graph_system(parse_graph(text))
+              for text in (EXAMPLE_GRAPHS["k3"], EXAMPLE_GRAPHS["two_segments"], cycle)]
     tent_system(), baker_system()  # their pinned sets are hashed once, when built
-    hashed = []
-    real_hash = Word.__hash__
+    hashed, compared = [], []
+    real_hash, real_eq = Word.__hash__, Fiber.__eq__
     monkeypatch.setattr(Word, "__hash__", lambda w: hashed.append(w) or real_hash(w))
+    monkeypatch.setattr(Fiber, "__eq__", lambda f, g: compared.append(f) or real_eq(f, g))
     rng = random.Random(201)
     for _ in range(200):
         q = rng.randrange(3, 2 * 10 ** 6 + 1, 2) << rng.randrange(4)
@@ -919,4 +926,4 @@ def test_fiber_route_hashes_no_word(monkeypatch):
         for sys in graphs:
             point = Interior(rng.randint(1, sys.r), Fraction(rng.randrange(1, q), q))
             assert graph_map(sys, point) == graph_step(sys, point)
-    assert hashed == []
+    assert hashed == [] and compared == []
