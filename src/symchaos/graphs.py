@@ -207,14 +207,32 @@ class GraphSystem:
 
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word; endpoint parameters collapse to nodes."""
-        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
-        return self.point_at(i, word_value(drop_bits(word, skip)))
+        i, t = self._locate(word)
+        return self.point_at(i, word_value(t))
+
+    def addresses(self, word: Word, point: GraphPoint) -> bool:
+        """decode(word) == point on integers: a node is the end that point_at
+        gives the parameter 0 or 1 (the words 0^inf and 1^inf), an interior
+        point the same arc and the parameter cross-multiplied."""
+        i, t = self._locate(word)
+        if isinstance(point, Node):
+            return t.pre_len == 0 and t.q == 1 and self.point_at(i, t.s) == point
+        return point.arc == i and INTERVAL_CODEC.addresses(t, point.t)
 
     def fiber_of(self, word: Word) -> Fiber:
-        """The fiber of a word's point: a node's fiber at a node, else the word
-        and its dyadic twin, if any, which keeps the arc prefix."""
-        point = self.decode(word) if word.q == 1 else None
-        return self.encode(point) if isinstance(point, Node) else INTERVAL_CODEC.fiber_of(word)
+        """The fiber of a word's point: a node's fiber at a node (the
+        parameter 0^inf or 1^inf), else the word and its dyadic twin, if any,
+        which keeps the arc prefix."""
+        if word.q == 1:
+            i, t = self._locate(word)
+            if t.pre_len == 0:
+                return self.encode(self.point_at(i, t.s))
+        return INTERVAL_CODEC.fiber_of(word)
+
+    def _locate(self, word: Word) -> Tuple[int, Word]:
+        """The arc a word addresses, and the word of its parameter."""
+        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
+        return i, drop_bits(word, skip)
 
     def point_json(self, point: GraphPoint):
         if isinstance(point, Node):

@@ -72,6 +72,11 @@ class IntervalCodec:
     def decode(self, word: Word) -> Fraction:
         return word_value(word)
 
+    def addresses(self, word: Word, y: Fraction) -> bool:
+        """word_value(word) == y, cross-multiplied."""
+        q = word.q
+        return (word.pre * q + word.s) * y.denominator == y.numerator * (q << word.pre_len)
+
     def fiber_of(self, word: Word) -> Fiber:
         twin = dyadic_twin(word)
         return Fiber([word] if twin is None else [word, twin])

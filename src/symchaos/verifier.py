@@ -563,7 +563,7 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     with no pinned point every step commutes.
     """
     started = time.monotonic()
-    _within(max_period=(max_period, 1, 16), orbit_steps=(orbit_steps, 0, 10 ** 6))
+    _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, 10 ** 6))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced

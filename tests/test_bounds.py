@@ -45,7 +45,7 @@ LIBRARY = [
     (lambda: sensitivity_probe(TENT, ETA, DELTA, 8, 10 ** 6 + 1),
      "horizon 1000001 exceeds bound 10^6"),
     (lambda: lemma6_commute_check(TENT, 0, 10), "max_period must be at least 1, got 0"),
-    (lambda: lemma6_commute_check(TENT, 17, 10), "max_period 17 exceeds bound 16"),
+    (lambda: lemma6_commute_check(TENT, 25, 10), "max_period 25 exceeds bound 24"),
     (lambda: lemma6_commute_check(TENT, 4, -1), "orbit_steps must be at least 0, got -1"),
     (lambda: lemma6_commute_check(TENT, 4, 10 ** 6 + 1),
      "orbit_steps 1000001 exceeds bound 10^6"),
@@ -58,7 +58,7 @@ LIBRARY = [
     (lambda: periodic_density(TENT, 0, 0), "max_period must be at least 1, got 0"),
     (lambda: sensitivity_probe(TENT, ETA, DELTA, 4097, 10 ** 6 + 1),
      "grid 4097 exceeds bound 2^12"),
-    (lambda: lemma6_commute_check(TENT, 17, -1), "orbit_steps must be at least 0, got -1"),
+    (lambda: lemma6_commute_check(TENT, 25, -1), "orbit_steps must be at least 0, got -1"),
 ]
 
 VERIFY = ("verify", "--system", "tent", "--property")
@@ -90,14 +90,14 @@ CLI = [
     ((*VERIFY, "sensitivity", "--horizon", "0"), "horizon must be at least 1, got 0"),
     ((*VERIFY, "sensitivity", "--horizon", "1000001"), "horizon 1000001 exceeds bound 10^6"),
     ((*VERIFY, "lemma6", "--max-period", "0"), "max_period must be at least 1, got 0"),
-    ((*VERIFY, "lemma6", "--max-period", "17"), "max_period 17 exceeds bound 16"),
+    ((*VERIFY, "lemma6", "--max-period", "25"), "max_period 25 exceeds bound 24"),
     ((*VERIFY, "lemma6", "--steps", "-1"), "orbit_steps must be at least 0, got -1"),
     ((*VERIFY, "lemma6", "--steps", "1000001"), "orbit_steps 1000001 exceeds bound 10^6"),
     # two bad values
     ((*VERIFY, "periodic-density", "--max-period", "25", "--resolution", "0"),
      "resolution must be at least 1, got 0"),
-    ((*VERIFY, "lemma6", "--max-period", "17", "--steps", "1000001"),
-     "max_period 17 exceeds bound 16"),
+    ((*VERIFY, "lemma6", "--max-period", "25", "--steps", "1000001"),
+     "max_period 25 exceeds bound 24"),
 ]
 
 

@@ -19,12 +19,18 @@ from symchaos.graphs import (
     Interior,
     Node,
     exceptional_points,
+    graph_map,
+    graph_step,
     graph_system,
     parse_graph,
 )
 from symchaos.interval import (
     INTERVAL_CODEC,
+    IntervalCodec,
+    baker,
     baker_system,
+    induced_baker,
+    induced_tent,
     interval_fiber,
     tent,
     tent_system,
@@ -83,6 +89,30 @@ def test_induced_identity_fixes_node_fiber(k3):
 
 def test_induced_tent_quarter_to_half():
     assert induced_apply(tent_system(), interval_fiber(F(1, 4))) == interval_fiber(F(1, 2))
+
+
+def test_induced_maps_decode_no_point(monkeypatch):
+    # induced_point checks the fiber route's word against the closed form by
+    # codec.addresses; a point is decoded only for a mismatch's message
+    decoded = []
+    for codec in (IntervalCodec, GraphSystem):
+        def counted(self, w, decode=codec.decode):
+            decoded.append(w)
+            return decode(self, w)
+        monkeypatch.setattr(codec, "decode", counted)
+    rng = random.Random(31)
+    dens = [rng.randrange(2, 10 ** 6) for _ in range(300)]
+    for y in [F(k, 1024) for k in range(1025)] + [F(rng.randrange(q + 1), q) for q in dens]:
+        assert induced_tent(y) == tent(y) and induced_baker(y) == baker(y)
+    for name, text in sorted(EXAMPLE_GRAPHS.items()):
+        sys = graph_system(parse_graph(text))
+        points = list(sys.exceptional)
+        for i in range(1, sys.r + 1):
+            points += [Interior(i, F(k, 64)) for k in range(1, 64)]
+            points += [Interior(i, F(rng.randrange(1, q), q)) for q in dens[:20]]
+        for point in points:
+            assert graph_map(sys, point) == graph_step(sys, point)
+    assert decoded == []
 
 
 # ------------------------------------------------------- semi conjugacy

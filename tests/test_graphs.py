@@ -329,6 +329,53 @@ def test_graph_step_matches_the_fiber_route_on_random_graphs():
     assert failures >= 20  # the example graphs have none outside the pinned set
 
 
+def _candidates(sys, point):
+    """The point, every node, the point's parameter on every arc, and on its
+    own arc the parameter with the numerator one off or over other
+    denominators; parameters 0 and 1 are arc ends, so nodes."""
+    i, t = (point.arc, point.t) if isinstance(point, Interior) else (1, F(1, 2 ** 40))
+    n, d = t.numerator, t.denominator
+    near = {F(m, e) for m in (n - 1, n, n + 1) for e in (d - 1, d, d + 1, 2 * d, 3 * d)
+            if 0 <= m <= e and e > 0}
+    return ({point} | {Node(v) for v in sys.spec.nodes}
+            | {sys.point_at(j, t) for j in range(1, sys.r + 1)}
+            | {sys.point_at(i, u) for u in near})
+
+
+def _assert_addresses_as_decode_compares(sys, w, point):
+    # the slow oracle: decode the word and compare the points
+    image = sys.decode(w)
+    matches = [c for c in _candidates(sys, point) if sys.addresses(w, c)]
+    assert matches == [image], (sys.spec, w, point)
+
+
+def _addressed_points(sys, rng):
+    points = list(sys.exceptional) + _star_failures(sys)
+    for i in range(1, sys.r + 1):
+        points += [Interior(i, F(k, 16)) for k in range(1, 16)]
+        points += [Interior(i, 1 - F(1, 2 ** j)) for j in range(1, sys.r + 1)]
+        points += [Interior(i, _non_dyadic(rng)) for _ in range(3)]
+    return points
+
+
+def test_addresses_agrees_with_decode_on_example_and_random_graphs():
+    rng = random.Random(23)
+    systems = [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
+    systems += [random_graph(rng) for _ in range(30)]
+    for sys in systems:
+        for point in _addressed_points(sys, rng):
+            for w in sys.encode(point):
+                assert sys.addresses(w, point)
+                _assert_addresses_as_decode_compares(sys, w, point)
+
+
+@given(st.sampled_from(sorted(EXAMPLE_GRAPHS)), st.builds(Word, bits, bits.filter(len)))
+def test_addresses_agrees_with_decode_on_words_made_from_bits(name, w):
+    # any sequence, its tail over 2^k - 1: arc ends and twins included
+    sys = SPACES[name]
+    _assert_addresses_as_decode_compares(sys, w, sys.decode(w))
+
+
 def test_a_star_failure_on_arc_one_is_held_fixed():
     # 3/4 on E1 expands as 110^inf and 101^inf; shifted, they address the
     # tail of E3 and the head of E2

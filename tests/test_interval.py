@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symchaos.decomposition import Fiber, Violation, star_check
 from symchaos.interval import (
+    INTERVAL_CODEC,
     _show,
     as_unit,
     baker,
@@ -19,7 +20,7 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift, value_enclosure
-from symchaos.words import bits_of, parse_word, periodic_words, word_value
+from symchaos.words import Word, bits_of, parse_word, periodic_words, word_value
 
 W = parse_word
 F = Fraction
@@ -206,6 +207,43 @@ def test_baker_orbit_tracks_stream_enclosures():
 
 
 # ------------------------------------------- the fiber route's invariant
+
+def _near_misses(y):
+    """y, its neighbours with the numerator one off, and the same numerators
+    over other denominators, all in [0, 1]."""
+    n, d = y.numerator, y.denominator
+    return {F(m, e) for m in (n - 1, n, n + 1) for e in (d - 1, d, d + 1, 2 * d, 3 * d)
+            if 0 <= m <= e and e > 0}
+
+
+def _assert_addresses_as_decode_compares(w, y):
+    # the slow oracle: decode the word and compare the points
+    image = INTERVAL_CODEC.decode(w)
+    for z in _near_misses(y):
+        assert INTERVAL_CODEC.addresses(w, z) == (image == z), (w, z)
+
+
+DYADICS = st.builds(lambda k, e: F(k % ((1 << e) + 1), 1 << e),
+                    st.integers(0, 1 << 40), st.integers(0, 40))
+UNIT_POINTS = st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), DYADICS,
+                        st.fractions(0, 1, max_denominator=10 ** 6))
+
+
+@given(UNIT_POINTS)
+def test_addresses_agrees_with_decode_on_every_word_of_a_fiber(y):
+    for w in interval_fiber(y):
+        assert INTERVAL_CODEC.addresses(w, y)
+        _assert_addresses_as_decode_compares(w, y)
+
+
+BITS = st.lists(st.integers(0, 1), max_size=12)
+
+
+@given(st.builds(Word, BITS, BITS.filter(len)))
+def test_addresses_agrees_with_decode_on_words_made_from_bits(w):
+    # a word made from bits keeps its tail over 2^k - 1, not in lowest terms
+    _assert_addresses_as_decode_compares(w, word_value(w))
+
 
 @pytest.mark.parametrize("name,induced", [("tent", induced_tent), ("baker", induced_baker)])
 def test_fiber_route_mismatch_raises_arithmetic_error(monkeypatch, name, induced):

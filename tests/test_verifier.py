@@ -663,11 +663,11 @@ def test_lemma6_at_the_step_bound():
 @pytest.mark.parametrize("target", [tent_target(), baker_target(), GRAPH_TARGETS[0]],
                          ids=lambda t: t.name)
 def test_lemma6_at_its_bounds(target):
-    # 130,486 words of period at most 16 (sum of the primitive blocks), of
+    # 33,545,716 words of period at most 24 (sum of the primitive blocks), of
     # which only the two constant words are checked
-    report = lemma6_commute_check(target, 16, 10 ** 6)
-    assert report.params == {"max_period": 16, "orbit_steps": 10 ** 6,
-                             "periodic_words": 130486, "periodic_in_redirected_fibers": 0}
+    report = lemma6_commute_check(target, 24, 10 ** 6)
+    assert report.params == {"max_period": 24, "orbit_steps": 10 ** 6,
+                             "periodic_words": 33545716, "periodic_in_redirected_fibers": 0}
     assert report.verdict == "pass" and report.witnesses == []
 
 
