@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import textwrap
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional
 
@@ -123,7 +122,7 @@ def _print_rows(rows: Iterable[dict], fmt: str) -> None:
     before it printed."""
     for n, row in enumerate(rows):
         if fmt == "json":
-            print("," if n else "[", textwrap.indent(json.dumps(row, indent=2), "  "),
+            print("," if n else "[", "  " + json.dumps(row, indent=2).replace("\n", "\n  "),
                   sep="\n", end="")
         else:
             if n == 0:
@@ -191,16 +190,10 @@ def _cmd_verify(args) -> int:
 def _cmd_conjugacy(args) -> int:
     length = args.length
     _within(**{"--length": (length, 2, MAX_BITS)})
-    compare_bits = length - 1
-    mismatches = 0
-    for seed in range(1 << length):
-        w = Word._from_packed(length, seed, 1, 0)
-        lhs = shift_map(r_map(w))
-        rhs = r_map(c_map(w))
-        if lhs != rhs:
-            mismatches += 1
+    words = (Word._from_packed(length, seed, 1, 0) for seed in range(1 << length))
+    mismatches = sum(shift_map(r_map(w)) != r_map(c_map(w)) for w in words)
     print(f"length {length}: {1 << length} prefixes checked, "
-          f"{(1 << length) - mismatches} agree on {compare_bits} bits, "
+          f"{(1 << length) - mismatches} agree on {length - 1} bits, "
           f"{mismatches} mismatches")
     return 0 if mismatches == 0 else 1
 
@@ -210,11 +203,11 @@ def _cmd_fiber(args) -> int:
         sys_ = _load_graph(args.file)
         if not args.arc:
             raise graphs.GraphError("--file requires --arc")
-        for w in sys_.encode(sys_.point_at(_resolve_arc(sys_, args.arc), args.x)):
-            print(w)
+        words = sys_.encode(sys_.point_at(_resolve_arc(sys_, args.arc), args.x))
     else:
-        for w in bits_of(args.x):
-            print(w)
+        words = bits_of(args.x)
+    for w in words:
+        print(w)
     return 0
 
 

@@ -10,8 +10,7 @@ either fixing the fiber or redirecting it to a designated point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Protocol, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Iterable, List, NamedTuple, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
 from .words import Word
@@ -107,15 +106,13 @@ class Codec(Protocol):
         be neighbours."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     images: Tuple[Tuple[Word, Any], ...]
 
 
 _STREAM_BITS = 512  # precision of the cells that tell a stream from a pinned point
 
 
-@dataclass(frozen=True, eq=False)
 class InducedSystem:
     """A symbolic map, a codec, and the override data for the induced map.
 
@@ -126,22 +123,21 @@ class InducedSystem:
     (codec.point_cells) are derived from the points once, here.
     """
 
-    name: str
-    symbolic_map: Callable[[Word], Word]
-    codec: Codec
-    designated: Any = None
-    pinned_points: Tuple = ()
-    pinned_fibers: frozenset = field(init=False)
-    pinned_keys: frozenset = field(init=False)
-    pinned_cells: frozenset = field(init=False)
+    def __init__(self, name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
+                 designated: Any = None, pinned_points: Tuple = ()):
+        points = tuple(pinned_points)
+        fibers = frozenset(map(codec.encode, points))
+        cells = frozenset(c for pt in points for c in codec.point_cells(pt, _STREAM_BITS))
+        vars(self).update(  # the fields, in order, set once past __setattr__
+            name=name, symbolic_map=symbolic_map, codec=codec, designated=designated,
+            pinned_points=points, pinned_fibers=fibers,
+            pinned_keys=frozenset(map(_pin_key, fibers)), pinned_cells=cells)
 
-    def __post_init__(self):
-        points, codec = tuple(self.pinned_points), self.codec
-        object.__setattr__(self, "pinned_points", points)
-        object.__setattr__(self, "pinned_fibers", frozenset(map(codec.encode, points)))
-        object.__setattr__(self, "pinned_keys", frozenset(map(_pin_key, self.pinned_fibers)))
-        object.__setattr__(self, "pinned_cells", frozenset(
-            c for pt in points for c in codec.point_cells(pt, _STREAM_BITS)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return "InducedSystem(%s)" % ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
 
 
 def _pin_key(fib: Fiber) -> Tuple[int, int, bool]:
@@ -159,18 +155,24 @@ def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
     expansions of one dyadic are one point, not a violation), and that fiber
     is returned; otherwise a Violation holds every image with its point.
     """
-    codec = sys.codec
+    image = _star_image(sys, fib)
+    if isinstance(image, Fiber):
+        return image
+    return Violation(tuple((w, sys.codec.decode(w)) for w in image))
+
+
+def _star_image(sys: InducedSystem, fib: Fiber) -> Union[Fiber, List[Word]]:
+    """The fiber of the first image word when the star condition holds,
+    else the image words, none of them decoded."""
     images = [sys.symbolic_map(w) for w in fib]
-    target = codec.fiber_of(images[0])
-    if all(w in target for w in images):
-        return target
-    return Violation(tuple((w, codec.decode(w)) for w in images))
+    target = sys.codec.fiber_of(images[0])
+    return target if all(w in target for w in images) else images
 
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
     if not (_pin_key(fib) in sys.pinned_keys and fib in sys.pinned_fibers):
-        image = star_check(sys, fib)
+        image = _star_image(sys, fib)
         if isinstance(image, Fiber):
             return image
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
@@ -179,14 +181,16 @@ def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
 def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
     """The induced map at a point by the fiber route (encode, induced_apply),
     whose image word must address the closed form's point; a mismatch is an
-    internal invariant failure and raises ArithmeticError, and only then is
-    the word decoded, for the message."""
+    internal invariant failure and raises ArithmeticError, and only then are
+    words decoded, for the message (the point as encode read it)."""
     codec = sys.codec
-    word = induced_apply(sys, codec.encode(point)).words[0]
+    source = codec.encode(point)
+    word = induced_apply(sys, source).words[0]
     expected = closed_form(point)
     if not codec.addresses(word, expected):
-        raise ArithmeticError(f"induced {sys.name} map at {show(point)} gave "
-                              f"{show(codec.decode(word))}, closed form gives {show(expected)}")
+        raise ArithmeticError(
+            f"induced {sys.name} map at {show(codec.decode(source.words[0]))} gave "
+            f"{show(codec.decode(word))}, closed form gives {show(expected)}")
     return expected
 
 

@@ -11,7 +11,6 @@ two midpoint fibers on arcs 1 and r form the exceptional set, held fixed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
@@ -65,8 +64,7 @@ class Arc(NamedTuple):
     head: str
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     """Parsed graph: ordered nodes and arcs; arc order fixes the prefixes."""
 
     nodes: Tuple[str, ...]
@@ -83,18 +81,25 @@ class GraphSpec:
         return self.arcs[i - 1]
 
 
-@dataclass(frozen=True)
 class Interior:
-    """A point strictly inside arc `arc` (1-based) at parameter t."""
+    """An immutable point strictly inside arc `arc` (1-based) at parameter t."""
 
-    arc: int
-    t: Fraction
+    __match_args__ = ("arc", "t")
 
-    def __post_init__(self):
-        t = self.t
+    def __init__(self, arc: int, t: Fraction):
         # a reduced Fraction compares by its parts in a third of the time
         if not 0 < t.numerator < t.denominator:
-            raise ValueError(f"interior parameter {self.t} not in (0, 1)")
+            raise ValueError(f"interior parameter {t} not in (0, 1)")
+        vars(self).update(arc=arc, t=t)  # set once, past __setattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (self.arc, self.t) == (other.arc, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.arc, self.t))
 
     def __repr__(self) -> str:
         return f"Interior({self.arc}, {_show(self.t)})"

@@ -144,13 +144,11 @@ def induced_tent(y) -> Fraction:
     The equality with the closed form is the whole point; it is checked
     here and exercised exhaustively by the acceptance suite.
     """
-    y = as_unit(y)
     return induced_point(tent_system(), tent, y, _show)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
-    y = as_unit(y)
     return induced_point(baker_system(), baker, y, _show)
 
 

@@ -20,9 +20,8 @@ or finds its place in the dense word again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "StreamWord",
@@ -64,8 +63,7 @@ def dense_bit(i: int) -> int:
     return _dense_window(i - 1, 1)
 
 
-@dataclass(frozen=True)
-class StreamWord:
+class StreamWord(NamedTuple):
     """The dense word shifted by `offset` bits, complemented when `flip`."""
 
     offset: int = 0

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem
@@ -42,8 +41,7 @@ ZERO, HALF, ONE, TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
 Branch = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, slope, intercept
 
 
-@dataclass
-class ChaosReport:
+class ChaosReport(NamedTuple):
     """Outcome of one property check; passes iff the witness list is empty
     of counterexamples (a failing report always carries at least one)."""
 
@@ -58,7 +56,9 @@ class ChaosReport:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, every list and dict in them a copy."""
+        from copy import deepcopy  # imported here: only a printed report needs it
+        return deepcopy(self._asdict())
 
 
 def _finish(system: str, prop: str, params: dict, witnesses: list,
@@ -68,8 +68,7 @@ def _finish(system: str, prop: str, params: dict, witnesses: list,
     return ChaosReport(system, prop, params, verdict, witnesses, elapsed)
 
 
-@dataclass(frozen=True, eq=False)
-class Target:
+class Target(NamedTuple):
     """An exact self-map under test on a decomposition space: [0, 1]
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
     (space the GraphSystem, no branches and no fmap: it steps by its

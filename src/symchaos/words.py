@@ -274,13 +274,9 @@ def r_map(w: Word) -> Word:
     c_map; the test suite checks the two against each other.
     """
     m, p, k, block = w.pre_len, w.pre, w.period_len, w.period
-    out_per = block ^ _rot_left(block, k)
-    if m:
-        shifted = ((p & ((1 << (m - 1)) - 1)) << 1) | (block >> (k - 1))
-        out_pre = p ^ shifted
-    else:
-        out_pre = 0
-    return Word._from_packed(m, out_pre, k, out_per)
+    # each preperiod bit XOR the bit after it, the last one the first period bit
+    out_pre = p ^ (((p << 1) | (block >> (k - 1))) & ((1 << m) - 1))
+    return Word._from_packed(m, out_pre, k, block ^ _rot_left(block, k))
 
 
 def r_inverse(w: Word) -> Word:
@@ -291,10 +287,8 @@ def r_inverse(w: Word) -> Word:
     x = [0]
     for b in bits[:-1]:
         x.append(x[-1] ^ b)
-    parity = 0
-    for b in w.period_bits():
-        parity ^= b
-    period_len = k if parity == 0 else 2 * k
+    # a period with an odd number of 1s flips the running XOR each time round
+    period_len = 2 * k if w.period.bit_count() & 1 else k
     return Word(x[:m], x[m:m + period_len])
 
 
@@ -332,9 +326,17 @@ def _aligned_period(w: Word, start: int, k: int) -> int:
     return _repeat_block(block, w.period_len, k // w.period_len)
 
 
+def _primes_below(n: int) -> List[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, math.isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, n, p))
+    return [p for p in range(2, n) if not composite[p]]
+
+
 _TRIAL_LIMIT = 1000  # trial division by the primes below this
-_SMALL_PRIMES = [p for p in range(2, _TRIAL_LIMIT)
-                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 # Miller-Rabin with the first 13 primes as bases is exact for every n below
 # this bound (Sorenson and Webster, 2015); a larger n that passes all 13

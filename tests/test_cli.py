@@ -473,3 +473,24 @@ def test_fiber_graph(capsys, k3_file):
                        "--arc", "E1")
     assert code == 0
     assert set(out.splitlines()) == {":0", ":1"}  # node a's fiber
+
+
+# ------------------------------------------------------------ cold start
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every symchaos run pays its import; dataclasses alone pulled in
+    # inspect, ast, dis and tokenize, about a third of it
+    import os
+    import subprocess
+    import sys
+
+    import symchaos
+
+    src = os.path.dirname(symchaos.__path__[0])
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import symchaos, symchaos.cli\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+            "               if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")

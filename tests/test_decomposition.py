@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -113,6 +115,14 @@ def test_induced_maps_decode_no_point(monkeypatch):
         for point in points:
             assert graph_map(sys, point) == graph_step(sys, point)
     assert decoded == []
+    # an unpinned star failure: the override holds the point, and no image
+    # word is decoded for a Violation nobody reads
+    sys = graph_system(parse_graph("node a\nnode b\narc E1 a b\narc E2 b a\narc E3 b b\n"))
+    point = Interior(1, F(3, 4))
+    assert graph_map(sys, point) == graph_step(sys, point) == point
+    assert decoded == []
+    assert isinstance(star_check(sys.induced, sys.encode(point)), Violation)
+    assert len(decoded) == 2  # star_check's callers still get decoded images
 
 
 # ------------------------------------------------------- semi conjugacy
@@ -265,6 +275,34 @@ def test_equal_fibers_share_a_pin_key():
                 by_value = INTERVAL_CODEC.encode(word_value(word))
                 assert by_bits == by_value
                 assert _pin_key(by_bits) == _pin_key(by_value)
+
+
+def test_induced_system_fields_are_set_once_and_compare_by_identity():
+    sys = baker_system()
+    fields = ("name", "symbolic_map", "codec", "designated", "pinned_points",
+              "pinned_fibers", "pinned_keys", "pinned_cells")
+    assert repr(sys) == "InducedSystem(%s)" % ", ".join(
+        f"{f}={getattr(sys, f)!r}" for f in fields)
+    for field in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(sys, field, None)
+    again = InducedSystem(sys.name, sys.symbolic_map, sys.codec, sys.designated,
+                          sys.pinned_points)
+    assert again != sys and again.pinned_fibers == sys.pinned_fibers
+    assert len({sys, again, sys}) == 2
+    for clone in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+        assert clone is not sys and clone.pinned_fibers == sys.pinned_fibers
+    # a graph system and its induced system refer to each other
+    k3 = copy.deepcopy(graph_system(parse_graph(EXAMPLE_GRAPHS["k3"])))
+    assert k3.induced.codec is k3 and graph_map(k3, Node("a")) == Node("a")
+
+
+def test_violations_are_immutable_values():
+    v = star_check(baker_system(), interval_fiber(Fraction(1, 2)))
+    again = Violation(v.images)
+    assert isinstance(v, Violation) and v == again and hash(v) == hash(again)
+    with pytest.raises(AttributeError):
+        v.images = ()
 
 
 def test_induced_system_takes_no_derived_data():

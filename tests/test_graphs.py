@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -468,6 +470,26 @@ def test_interior_validation():
         Interior(1, F(0))
     with pytest.raises(ValueError):
         Interior(1, F(3, 2))
+
+
+def test_interior_is_an_immutable_value_equal_only_to_an_interior():
+    a, b = Interior(1, F(1, 3)), Interior(arc=1, t=F(1, 3))
+    assert a == b and hash(a) == hash(b) == hash((1, F(1, 3))) and len({a, b}) == 1
+    assert a != Interior(2, F(1, 3)) and a != Interior(1, F(2, 3))
+    assert a != (1, F(1, 3)) and (1, F(1, 3)) != a and a != Node("a")
+    with pytest.raises(ValueError, match=r"^interior parameter 1 not in \(0, 1\)$"):
+        Interior(1, F(1))
+    for field in ("arc", "t", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 2)
+    assert (a.arc, a.t) == (1, F(1, 3))
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone == a and repr(clone) == repr(a)
+    match a:
+        case Interior(1, t):
+            assert t == F(1, 3)
+        case _:
+            raise AssertionError(a)
 
 
 def test_example_graphs_all_parse():

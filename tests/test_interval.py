@@ -257,6 +257,30 @@ def test_fiber_route_mismatch_raises_arithmetic_error(monkeypatch, name, induced
         induced(F(1, 3))
 
 
+@pytest.mark.parametrize("y", ["abc", "1/0", None, [0], float("nan"), float("inf"),
+                               1.5, 2, -1, F(3, 2)])
+def test_induced_maps_reject_what_as_unit_rejects_with_its_message(y):
+    # the induced maps check a point only in IntervalCodec.encode, by as_unit
+    with pytest.raises(Exception) as expected:
+        as_unit(y)
+    for induced in (induced_tent, induced_baker):
+        with pytest.raises(expected.type) as exc:
+            induced(y)
+        assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("y,shown", [("1/3", "1/3"), (0.25, "1/4"), (0, "0"), (1, "1")])
+@pytest.mark.parametrize("name,induced", [("tent", induced_tent), ("baker", induced_baker)])
+def test_fiber_route_mismatch_names_a_point_given_as_text_or_number(monkeypatch, name,
+                                                                    induced, y, shown):
+    import symchaos.interval
+
+    closed = getattr(symchaos.interval, name)
+    monkeypatch.setattr(symchaos.interval, name, lambda y: closed(y) + F(1, 1 << 40))
+    with pytest.raises(ArithmeticError, match=f"^induced {name} map at {shown} gave "):
+        induced(y)
+
+
 def test_fiber_route_invariant_survives_optimized_mode():
     # python -O strips assert statements; the check must not be one
     import os

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -52,6 +51,17 @@ def test_report_json_round_trip():
                         "witnesses", "elapsed_ms"}
     again = ChaosReport(**json.loads(json.dumps(data)))
     assert again.to_json() == data
+
+
+def test_report_json_is_a_copy():
+    report = periodic_density(tent_target(), 2, 7)
+    data = report.to_json()
+    assert data == dict(zip(ChaosReport._fields, report))
+    data["params"]["covered"] = -1
+    data["witnesses"][0]["cell"] = -1
+    data["witnesses"].clear()
+    assert report.params["covered"] == 2 and len(report.witnesses) == 126
+    assert report.witnesses[0]["cell"] != -1
 
 
 def test_pass_reports_have_no_witnesses():
@@ -506,8 +516,7 @@ CONTROLS = {"identity": identity_target(),
 
 
 def test_target_has_five_fields_and_derives_its_stream_step(monkeypatch):
-    assert [f.name for f in dataclasses.fields(Target)] == [
-        "name", "fmap", "space", "branches", "induced"]
+    assert Target._fields == ("name", "fmap", "space", "branches", "induced")
     assert tent_target().stream_step is streams.stream_c_step
     for target in [baker_target(), *GRAPH_TARGETS]:
         assert target.stream_step is streams.stream_shift
@@ -857,12 +866,13 @@ def test_lemma6_checks_only_the_constant_and_pinned_words(monkeypatch, target):
     assert set(checked) == {Word([], [0]), Word([], [1])} | pinned
 
 
-@dataclasses.dataclass(frozen=True)
 class _Window(StreamWord):
     """A stream whose first `width` bits are the window x."""
 
-    x: int = 0
-    width: int = 0
+    def __new__(cls, x, width):
+        sw = super().__new__(cls)
+        sw.x, sw.width = x, width
+        return sw
 
     def window_int(self, n):
         assert n <= self.width
@@ -1140,7 +1150,7 @@ def _recorded(target):
         calls.append((y.numerator, y.denominator))
         return target.fmap(y)
 
-    return dataclasses.replace(target, fmap=fmap), calls
+    return target._replace(fmap=fmap), calls
 
 
 def _unmemoized_transitivity(target, resolution, horizon):

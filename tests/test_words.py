@@ -15,8 +15,11 @@ from symchaos.words import (
     MILLER_RABIN_BOUND,
     Word,
     _M64,
+    _SMALL_PRIMES,
+    _TRIAL_LIMIT,
     _factorize,
     _order_of_two,
+    _primes_below,
     _repeat_block,
     _rot_left,
     _short_order,
@@ -583,6 +586,17 @@ def test_factorize_and_order_on_products_of_primes_above_1000(primes, e):
     assert _factorize(n) == expected
     if factorint is not None:
         assert _factorize(n) == factorint(n)
+
+
+def _primes_by_trial_division(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_small_primes_sieve_matches_trial_division():
+    assert _SMALL_PRIMES == _primes_by_trial_division(_TRIAL_LIMIT)
+    assert len(_SMALL_PRIMES) == 168 and _SMALL_PRIMES[-1] == 997
+    for n in range(0, 300):
+        assert _primes_below(n) == _primes_by_trial_division(n), n
 
 
 def test_factorize_splits_composites_above_the_miller_rabin_bound():
