@@ -57,15 +57,16 @@ def _within(**params: Tuple[int, int, int]) -> None:
             raise ValueError(f"{name} {value} exceeds bound {_SHOWN_BOUNDS.get(bound, bound)}")
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _pack(bits: Iterable[int]) -> Tuple[int, int]:
-    length = 0
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        value = (value << 1) | b
-        length += 1
-    return length, value
+    # the bits as binary digits, read by one int conversion
+    bits = list(bits)
+    if not set(bits) <= {0, 1}:
+        bad = next(b for b in bits if b not in (0, 1))
+        raise ValueError(f"bits must be 0 or 1, got {bad!r}")
+    return len(bits), int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
 
 
 def _unpack(length: int, value: int) -> Tuple[int, ...]:
@@ -132,7 +133,7 @@ class Word:
             raise AttributeError(name)
         s, q = self.s, self.q
         if q & (q + 1):  # else q = 2^k - 1, and the block is s itself
-            k = _short_order(q) or _order_of_two(q)
+            k = _order_of_two(q)
             s = ((s << k) - s) // q
         else:
             k = q.bit_length()
@@ -234,7 +235,7 @@ def parse_word(text: str) -> Word:
     if not match:
         raise ValueError(f"malformed word {text!r}; expected bits in the form pre:period")
     pre, per = match.groups()
-    return Word([int(c) for c in pre], [int(c) for c in per])
+    return Word._from_packed(len(pre), int(pre or "0", 2), len(per), int(per, 2))
 
 
 def prefix_int(w: Word, n: int) -> int:
@@ -281,15 +282,15 @@ def r_map(w: Word) -> Word:
 
 def r_inverse(w: Word) -> Word:
     """The r_map preimage whose first bit is 0 (cumulative XOR from 0)."""
-    m, k = w.pre_len, w.period_len
-    n = m + 2 * k
-    bits = w.prefix(n)
-    x = [0]
-    for b in bits[:-1]:
-        x.append(x[-1] ^ b)
+    m = w.pre_len
     # a period with an odd number of 1s flips the running XOR each time round
-    period_len = 2 * k if w.period.bit_count() & 1 else k
-    return Word(x[:m], x[m:m + period_len])
+    k = 2 * w.period_len if w.period.bit_count() & 1 else w.period_len
+    x, shift = prefix_int(w, m + k), 1
+    while shift < m + k:  # bit i becomes w(1) XOR ... XOR w(i), by doubling
+        x ^= x >> shift
+        shift <<= 1
+    x >>= 1  # the preimage: 0, then those running XORs
+    return Word._from_packed(m, x >> k, k, x & ((1 << k) - 1))
 
 
 def word_value(w: Word) -> Fraction:
@@ -326,96 +327,40 @@ def _aligned_period(w: Word, start: int, k: int) -> int:
     return _repeat_block(block, w.period_len, k // w.period_len)
 
 
-def _primes_below(n: int) -> List[int]:
-    """The primes below n, by the sieve of Eratosthenes."""
-    composite = bytearray(n)
-    for p in range(2, math.isqrt(n) + 1):
-        if not composite[p]:
-            composite[p * p::p] = b"\1" * len(range(p * p, n, p))
-    return [p for p in range(2, n) if not composite[p]]
-
-
-_TRIAL_LIMIT = 1000  # trial division by the primes below this
-_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
-
-# Miller-Rabin with the first 13 primes as bases is exact for every n below
-# this bound (Sorenson and Webster, 2015); a larger n that passes all 13
-# bases is not assumed prime.
-MILLER_RABIN_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on odd n > 41 with the bases _MR_BASES.  False is always
-    a proof; True needs n < MILLER_RABIN_BOUND, and past it ValueError."""
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= MILLER_RABIN_BOUND:
-        raise ValueError(f"cannot prove a {n.bit_length()}-bit factor prime: exact "
-                         f"factorization is limited to factors below {MILLER_RABIN_BOUND}")
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of the odd composite n (Pollard's rho, Floyd cycles)."""
-    for c in range(1, n):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"no factor found for composite {n}")
-
-
 def _factorize(n: int) -> dict:
-    """Exact prime factorization of n >= 1: trial division by the primes
-    below _TRIAL_LIMIT, then Miller-Rabin and Pollard's rho on the rest."""
+    """Prime factorization of n >= 1 by trial division; n is a period
+    length, so this takes at most sqrt(n) steps."""
     factors: dict = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        # m has no factor below _TRIAL_LIMIT, so below its square it is prime
-        if m < _TRIAL_LIMIT ** 2 or _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            d = _rho(m)
-            rest += [d, m // d]
+        p += 1
+    if n > 1:  # a prime above every p divided out
+        factors[n] = 1
     return factors
 
 
-def _order_of_two(q: int) -> int:
-    """Multiplicative order of 2 modulo odd q > 1."""
-    lam = 1
-    for p, e in _factorize(q).items():
-        lam = math.lcm(lam, (p - 1) * p ** (e - 1))
-    order = lam
-    for p in _factorize(lam):
-        while order % p == 0 and pow(2, order // p, q) == 1:
-            order //= p
-    if pow(2, order, q) != 1:
-        raise ArithmeticError(f"2^{order} is not 1 modulo {q}")
-    return order
+def _order_of_two(q: int) -> int | None:
+    """The order of 2 modulo odd q > 1 when it is at most MAX_PERIOD_BITS,
+    else None, by baby steps 2^j for j < m, then giant steps 2^(im): i*m - j
+    takes each value above m once, so the first meeting is the least order."""
+    bound = MAX_PERIOD_BITS
+    m = math.isqrt(min(bound, q)) + 1  # m^2 exceeds every order to look for
+    baby, x = {}, 1
+    for j in range(m):
+        baby[x] = j
+        x = 2 * x % q
+        if x == 1:  # 2 is invertible modulo q, so its powers first repeat at 1
+            return j + 1 if j < bound else None
+    giant = x
+    for i in range(1, m + 1):
+        if x in baby:
+            order = i * m - baby[x]
+            return order if order <= bound else None
+        x = x * giant % q
+    return None
 
 
 def bits_of(t: Fraction) -> List[Word]:
@@ -434,8 +379,8 @@ def bits_of(t: Fraction) -> List[Word]:
     a = (q & -q).bit_length() - 1  # power of 2 in q
     q_odd = q >> a
     # the period, the order of 2 modulo q_odd, has at most q_odd - 1 bits
-    if q_odd - 1 > MAX_PERIOD_BITS and (k := _order_of_two(q_odd)) > MAX_PERIOD_BITS:
-        raise ValueError(f"bits_of: the expansion's period is {k} bits, exceeds bound 2^24")
+    if q_odd - 1 > MAX_PERIOD_BITS and _order_of_two(q_odd) is None:
+        raise ValueError("bits_of: the expansion's period exceeds bound 2^24")
     w = Word._tail(a, p // q_odd, p % q_odd, q_odd)
     return [w, dyadic_twin(w)] if q_odd == 1 and p else [w]
 

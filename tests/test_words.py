@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 import symchaos.words
 from symchaos.words import (
     MAX_PERIOD_BITS,
-    MILLER_RABIN_BOUND,
     Word,
     _M64,
-    _SMALL_PRIMES,
-    _TRIAL_LIMIT,
     _factorize,
     _order_of_two,
-    _primes_below,
+    _pack,
     _repeat_block,
     _rot_left,
     _short_order,
@@ -73,6 +70,55 @@ def test_parse_rejects_malformed(bad):
 def test_word_requires_nonempty_period():
     with pytest.raises(ValueError):
         Word([1], [])
+
+
+def _pack_by_bits(bits):
+    """The former _pack, the oracle: one shift of the whole value per bit."""
+    length = 0
+    value = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {b!r}")
+        value = (value << 1) | b
+        length += 1
+    return length, value
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 1000, 10 ** 5])
+def test_pack_matches_the_per_bit_oracle(n):
+    rng = random.Random(n)
+    bits = [rng.randrange(2) for _ in range(n)]
+    assert _pack(bits) == _pack_by_bits(bits)
+    assert _pack(iter(bits)) == _pack_by_bits(bits)
+    assert _pack(bits + [0]) == _pack_by_bits(bits + [0])  # a trailing 0 counts
+
+
+@given(st.lists(st.sampled_from([0, 1, True, False, 2, -1, 48, 256, "1", None, 1.0]),
+                max_size=12))
+def test_pack_rejects_what_the_oracle_rejects_with_its_message(bits):
+    try:
+        expected = _pack_by_bits(bits)
+    except ValueError as error:  # names the first bit not in (0, 1)
+        with pytest.raises(ValueError) as raised:
+            _pack(bits)
+        assert str(raised.value) == str(error)
+    except TypeError:  # the float 1.0 before any such bit
+        with pytest.raises((TypeError, ValueError)):
+            _pack(bits)
+    else:
+        assert _pack(bits) == expected
+
+
+def test_a_half_million_bit_word_parses_and_inverts_r_in_under_a_second():
+    [w] = bits_of(Fraction(1, 999983))
+    text = str(w)
+    assert w.period_len == 499991
+    started = time.monotonic()
+    assert parse_word(text) == w
+    assert time.monotonic() - started < 1
+    started = time.monotonic()
+    assert r_map(r_inverse(w)) == w
+    assert time.monotonic() - started < 1
 
 
 # ------------------------------------------------------- canonical form
@@ -378,6 +424,33 @@ def test_r_inverse_is_section_with_zero_first_bit(w):
     assert r_map(inv) == w
 
 
+def _r_inverse_by_bits(w):
+    """The former r_inverse, the oracle: the running XOR one bit at a time."""
+    m, k = w.pre_len, w.period_len
+    n = m + 2 * k
+    bits = w.prefix(n)
+    x = [0]
+    for b in bits[:-1]:
+        x.append(x[-1] ^ b)
+    # a period with an odd number of 1s flips the running XOR each time round
+    period_len = 2 * k if w.period.bit_count() & 1 else k
+    return Word(x[:m], x[m:m + period_len])
+
+
+@given(words_strategy)
+def test_r_inverse_matches_the_running_xor_oracle(w):
+    assert r_inverse(w) == _r_inverse_by_bits(w)
+
+
+@pytest.mark.parametrize("t", [Fraction(5, 11), Fraction(3, 1000 * 1021),
+                               Fraction(77, 16 * 1000003)], ids=str)
+def test_r_inverse_matches_the_running_xor_oracle_on_long_periods(t):
+    # periods of 10, 1,700 and 1,000,002 bits, with preperiods of 0, 3 and 4
+    [w] = bits_of(t)
+    for v in (w, prepend_bits(complement(w), 5, 0b10110)):
+        assert r_inverse(v) == _r_inverse_by_bits(v)
+
+
 def test_conjugacy_on_words():
     for text in (":0", ":1", ":10", "1:0", "0110:101", "1:110"):
         w = W(text)
@@ -498,15 +571,38 @@ def test_bits_of_examples():
 
 
 def test_bits_of_rejects_a_period_above_its_bound():
-    # 2 has order 33,554,466 modulo the prime 33,554,467: the order is
-    # checked against the bound before the 2^25-bit block is built
-    assert _order_of_two(33554467) == 33554466 > MAX_PERIOD_BITS
+    # 2 has order 33,554,466 modulo the prime 33,554,467: the bounded search
+    # finds no order up to the bound before any block is built
+    assert _order_of_two(33554467) is None
     started = time.monotonic()
-    with pytest.raises(ValueError, match="period is 33554466 bits, exceeds bound 2\\^24"):
+    with pytest.raises(ValueError) as raised:
         bits_of(Fraction(1, 33554467))
+    assert str(raised.value) == "bits_of: the expansion's period exceeds bound 2^24"
     assert time.monotonic() - started < 1
     # the longest period the tests and the benchmark use stays below it
     assert bits_of(Fraction(1, 10007 * 10009))[0].period_len == 8345004
+
+
+def test_bits_of_on_a_prime_past_every_factoring_bound():
+    # 2^89 - 1 is prime and 2 has order 89 modulo it; it lies past the bound
+    # below which Miller-Rabin with the first 13 prime bases is proven exact
+    [w] = bits_of(Fraction(1, 2 ** 89 - 1))
+    assert (w.period_len, w.period) == (89, 1)
+    assert str(w) == ":" + "0" * 88 + "1"
+
+
+def test_induced_maps_on_a_product_of_two_mersenne_primes():
+    # q = (2^89 - 1)(2^61 - 1): period lcm(89, 61) = 5,429, where splitting
+    # q by Pollard's rho did not finish in 30 s
+    from symchaos.interval import baker, induced_baker, induced_tent, tent
+
+    q = (2 ** 89 - 1) * (2 ** 61 - 1)
+    started = time.monotonic()
+    assert bits_of(Fraction(1, q))[0].period_len == 5429
+    for y in (Fraction(1, q), Fraction(q - 2, q), Fraction(3, 4 * q)):
+        assert induced_tent(y) == tent(y)
+        assert induced_baker(y) == baker(y)
+    assert time.monotonic() - started < 1
 
 
 def test_bits_of_rejects_out_of_range():
@@ -537,7 +633,7 @@ def test_bits_of_value_round_trip_random_rationals():
             assert word_value(w) == t
 
 
-# ------------------------------------------------- exact factorization
+# ------------------------------------------------- the order of 2
 
 def _next_prime(n):
     while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
@@ -551,6 +647,105 @@ def _brute_order(q):
     while x != 1:
         k, x = k + 1, 2 * x % q
     return k
+
+
+# The former route to the order, the oracle: it factors q and lambda(q) by
+# trial division, Miller-Rabin and Pollard's rho.
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, math.isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, n, p))
+    return [p for p in range(2, n) if not composite[p]]
+
+
+_TRIAL_LIMIT = 1000  # trial division by the primes below this
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this bound (Sorenson and Webster, 2015); a larger n that passes all 13
+# bases is not assumed prime.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin on odd n > 41 with the bases _MR_BASES.  False is always
+    a proof; True needs n < MILLER_RABIN_BOUND, and past it ValueError."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot prove a {n.bit_length()}-bit factor prime: exact "
+                         f"factorization is limited to factors below {MILLER_RABIN_BOUND}")
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n (Pollard's rho, Floyd cycles)."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"no factor found for composite {n}")
+
+
+def _factorize_by_rho(n):
+    """Exact prime factorization of n >= 1: trial division by the primes
+    below _TRIAL_LIMIT, then Miller-Rabin and Pollard's rho on the rest."""
+    factors = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        # m has no factor below _TRIAL_LIMIT, so below its square it is prime
+        if m < _TRIAL_LIMIT ** 2 or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
+    return factors
+
+
+def _order_by_factoring(q):
+    """Multiplicative order of 2 modulo odd q > 1."""
+    lam = 1
+    for p, e in _factorize_by_rho(q).items():
+        lam = math.lcm(lam, (p - 1) * p ** (e - 1))
+    order = lam
+    for p in _factorize_by_rho(lam):
+        while order % p == 0 and pow(2, order // p, q) == 1:
+            order //= p
+    if pow(2, order, q) != 1:
+        raise ArithmeticError(f"2^{order} is not 1 modulo {q}")
+    return order
+
+
+def _capped(order, bound=MAX_PERIOD_BITS):
+    return order if order <= bound else None
 
 
 # denominators whose odd part keeps a composite cofactor above 1000, each
@@ -579,51 +774,52 @@ def test_bits_of_exact_for_composite_cofactors(q, prime_powers):
        st.integers(1, 3))
 def test_factorize_and_order_on_products_of_primes_above_1000(primes, e):
     q = math.prod(primes)
-    assert _factorize(q) == {p: 1 for p in primes}
-    assert _order_of_two(q) == math.lcm(*(_brute_order(p) for p in primes))
-    n = 2 ** e * 3 * primes[0] ** e * q
-    expected = Counter({2: e, 3: 1, primes[0]: e + 1, **{p: 1 for p in primes[1:]}})
-    assert _factorize(n) == expected
-    if factorint is not None:
-        assert _factorize(n) == factorint(n)
+    assert _factorize_by_rho(q) == {p: 1 for p in primes}
+    assert _order_by_factoring(q) == math.lcm(*(_brute_order(p) for p in primes))
+    for n in (q, q * primes[0] ** (e - 1), 3 * q):
+        assert _order_of_two(n) == _capped(_order_by_factoring(n)), n
 
 
-def _primes_by_trial_division(n):
-    return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+def test_order_of_two_matches_brute_force_below_2_14():
+    for q in range(3, 1 << 14, 2):
+        assert _order_of_two(q) == _brute_order(q), q
 
 
-def test_small_primes_sieve_matches_trial_division():
-    assert _SMALL_PRIMES == _primes_by_trial_division(_TRIAL_LIMIT)
-    assert len(_SMALL_PRIMES) == 168 and _SMALL_PRIMES[-1] == 997
-    for n in range(0, 300):
-        assert _primes_below(n) == _primes_by_trial_division(n), n
+_BRUTE_ORDERS = {q: _brute_order(q) for q in range(3, 2000, 2)}
 
 
-def test_factorize_splits_composites_above_the_miller_rabin_bound():
-    # a composite past the bound is proven composite by a witness and split;
-    # its factors are below the bound, so they are proven prime
-    a, b = 2 ** 61 - 1, 2 ** 31 - 1
-    assert a * b > MILLER_RABIN_BOUND
-    assert _factorize(a * b) == {a: 1, b: 1}
+@pytest.mark.parametrize("bound", range(1, 65))
+def test_order_of_two_is_none_exactly_above_its_bound(monkeypatch, bound):
+    # the bound is read at call time; both sides of it, and orders at it
+    monkeypatch.setattr(symchaos.words, "MAX_PERIOD_BITS", bound)
+    for q in range(3, 2000, 2):
+        assert _order_of_two(q) == _capped(_BRUTE_ORDERS[q], bound), q
 
 
-def test_unprovable_prime_factor_is_an_error():
-    # 2^89 - 1 is prime, but past the bound Miller-Rabin proves nothing
-    with pytest.raises(ValueError, match="cannot prove a 89-bit factor prime"):
-        _factorize(2 ** 89 - 1)
-    with pytest.raises(ValueError, match="cannot prove"):
-        bits_of(Fraction(1, 2 ** 89 - 1))
+def _factors_by_division(n):
+    factors = Counter()
+    d = 2
+    while n > 1:
+        while n % d == 0:
+            factors[d] += 1
+            n //= d
+        d += 1
+    return dict(factors)
 
 
-def test_order_of_two_rejects_a_wrong_factorization(monkeypatch):
-    # a composite passed off as prime gives a candidate order that is not a
-    # multiple of the true one; the final check catches it
-    q = 1009 * 1013
-    real = symchaos.words._factorize
-    monkeypatch.setattr(symchaos.words, "_factorize",
-                        lambda n: {n: 1} if n == q else real(n))
-    with pytest.raises(ArithmeticError, match=f"is not 1 modulo {q}"):
-        _order_of_two(q)
+def test_factorize_on_period_lengths():
+    # its callers pass period lengths: _primitive, the verifier's repunits
+    # and primitive-block counts (k <= 24)
+    for n in range(1, 3000):
+        assert _factorize(n) == _factors_by_division(n), n
+    rng = random.Random(23)
+    for n in [rng.randrange(1, MAX_PERIOD_BITS + 1) for _ in range(200)] + [
+            MAX_PERIOD_BITS, 8345004, 499991, 16777213]:
+        factors = _factorize(n)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+        assert all(_next_prime(p) == p for p in factors), n
+        if factorint is not None:
+            assert factors == factorint(n)
 
 
 # ------------------------------------------------------- periodic words
