@@ -40,8 +40,10 @@ class Fiber:
         words = tuple(words)
         if not words:
             raise ValueError("fiber must be nonempty")
-        # one word needs no hash to be deduplicated, nor any order
-        self.words = words if len(words) == 1 else tuple(sorted(set(words)))
+        if len(words) == 2:  # one == and one < dedupe and order a pair, with no hash
+            a, b = words
+            words = (a,) if a == b else (b, a) if b < a else words
+        self.words = words if len(words) < 3 else tuple(sorted(set(words)))
 
     def __iter__(self):
         return iter(self.words)
@@ -164,14 +166,15 @@ def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
 def _star_image(sys: InducedSystem, fib: Fiber) -> Union[Fiber, List[Word]]:
     """The fiber of the first image word when the star condition holds,
     else the image words, none of them decoded."""
-    images = [sys.symbolic_map(w) for w in fib]
+    images = list(map(sys.symbolic_map, fib.words))
     target = sys.codec.fiber_of(images[0])
-    return target if all(w in target for w in images) else images
+    return target if all(map(target.words.__contains__, images)) else images
 
 
 def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
     """The induced map on fibers, with the override policy applied."""
-    if not (_pin_key(fib) in sys.pinned_keys and fib in sys.pinned_fibers):
+    keys = sys.pinned_keys  # empty when nothing is pinned: no key to make
+    if not (keys and _pin_key(fib) in keys and fib in sys.pinned_fibers):
         image = _star_image(sys, fib)
         if isinstance(image, Fiber):
             return image

@@ -87,10 +87,13 @@ class Interior:
     __match_args__ = ("arc", "t")
 
     def __init__(self, arc: int, t: Fraction):
-        # a reduced Fraction compares by its parts in a third of the time
-        if not 0 < t.numerator < t.denominator:
+        if type(t) is not Fraction:  # a float or a str, read exactly as as_unit does
+            t = Fraction(t)
+        n, d = t.as_integer_ratio()  # by its parts: a third of the time of 0 < t < 1
+        if not 0 < n < d:
             raise ValueError(f"interior parameter {t} not in (0, 1)")
-        vars(self).update(arc=arc, t=t)  # set once, past __setattr__
+        fields = vars(self)  # set once, past __setattr__
+        fields["arc"], fields["t"] = arc, t
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -199,7 +202,7 @@ class GraphSystem:
         if isinstance(point, Interior):
             self.spec.arc(point.arc)  # an index out of range raises
             prefix = self.prefixes[point.arc - 1]
-            return Fiber(prepend_bits(w, *prefix) for w in bits_of(point.t))
+            return Fiber([prepend_bits(w, *prefix) for w in bits_of(point.t)])
         if isinstance(point, Node):
             if point.id not in self.spec.nodes:
                 raise GraphError(f"unknown node {point.id!r}")

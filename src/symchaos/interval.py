@@ -33,7 +33,8 @@ __all__ = [
 def as_unit(y) -> Fraction:
     if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
         y = Fraction(y)
-    if not 0 <= y.numerator <= y.denominator:
+    n, d = y.as_integer_ratio()
+    if not 0 <= n <= d:
         raise ValueError(f"point {_show(y)} outside [0, 1]")
     return y
 
@@ -74,8 +75,8 @@ class IntervalCodec:
 
     def addresses(self, word: Word, y: Fraction) -> bool:
         """word_value(word) == y, cross-multiplied."""
-        q = word.q
-        return (word.pre * q + word.s) * y.denominator == y.numerator * (q << word.pre_len)
+        q, (n, d) = word.q, y.as_integer_ratio()
+        return (word.pre * q + word.s) * d == n * (q << word.pre_len)
 
     def fiber_of(self, word: Word) -> Fiber:
         twin = dyadic_twin(word)

@@ -251,7 +251,10 @@ def prefix_int(w: Word, n: int) -> int:
 
 def shift_map(w: Word) -> Word:
     """Drop the first bit: result(i) = w(i+1)."""
-    return drop_bits(w, 1)
+    m, s, q = w.pre_len, w.s, w.q
+    if m:
+        return Word._tail(m - 1, w.pre & ((1 << (m - 1)) - 1), s, q)
+    return Word._tail(0, 0, 2 * s - q if 2 * s > q else 2 * s, q)  # s/q doubled mod 1
 
 
 def complement(w: Word) -> Word:
@@ -260,12 +263,12 @@ def complement(w: Word) -> Word:
 
 
 def c_map(w: Word) -> Word:
-    """Shift, complemented when the leading bit is 1.
-
-    Equivalently result(i) = w(i+1) XOR w(1).
-    """
-    s = shift_map(w)
-    return complement(s) if w.bit(1) else s
+    """Shift, complemented when the leading bit is 1: result(i) = w(i+1) XOR w(1)."""
+    m, s, q = w.pre_len, w.s, w.q
+    if m == 0:  # the tent on s/q: doubled, and reflected once past 1/2
+        return Word._tail(0, 0, 2 * (q - s) if 2 * s > q else 2 * s, q)
+    lead = w.pre >> (m - 1)  # -lead flips every bit of the rest when it is 1
+    return Word._tail(m - 1, (w.pre ^ -lead) & ((1 << (m - 1)) - 1), q - s if lead else s, q)
 
 
 def r_map(w: Word) -> Word:
@@ -371,7 +374,7 @@ def bits_of(t: Fraction) -> List[Word]:
     as s/q in lowest terms.
     A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
-    p, q = t.numerator, t.denominator
+    p, q = t.as_integer_ratio()
     if not 0 <= p <= q:
         raise ValueError(f"value {t} outside [0, 1]")
     if p == q:

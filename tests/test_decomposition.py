@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchaos.decomposition import (
     _STREAM_BITS,
@@ -38,7 +40,16 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift
-from symchaos.words import Word, dyadic_twin, parse_word, periodic_words, shift_map, word_value
+from symchaos.words import (
+    Word,
+    bits_of,
+    dyadic_twin,
+    parse_word,
+    periodic_words,
+    prepend_bits,
+    shift_map,
+    word_value,
+)
 
 W = parse_word
 F = Fraction
@@ -50,6 +61,47 @@ def test_fiber_normalization():
     assert fib.words == (W("0:1"), W("1:0"))  # (pre, period) lex order
     assert fib == Fiber([W("0:1"), W("1:0")])
     with pytest.raises(ValueError):
+        Fiber([])
+
+
+_bits = st.lists(st.integers(0, 1), max_size=12)
+_from_bits = st.builds(Word, _bits, _bits.filter(bool))
+
+
+@st.composite
+def _tail_words(draw):
+    """The expansions of p/(q 2^a) for odd q = 11, 1019 and 1000003 (periods
+    of 10, 1,018 and 1,000,002 bits) or q = 1 (the dyadics, with their
+    twins), behind a few prefixed bits."""
+    q = draw(st.sampled_from([1, 11, 1019, 1000003])) << draw(st.integers(0, 5))
+    words = bits_of(Fraction(draw(st.integers(0, q)), q))
+    n = draw(st.integers(0, 3))
+    return [prepend_bits(w, n, draw(st.integers(0, (1 << n) - 1))) for w in words]
+
+
+_words = st.one_of(_from_bits, _tail_words().map(lambda ws: ws[-1]))
+
+
+def _pairs(w):
+    # equal words (one object twice, and one sequence from its bits and from
+    # its value) and, on a dyadic, the word and its twin, in both orders
+    same = Word._from_packed(w.pre_len, w.pre, w.period_len, w.period)
+    twin = dyadic_twin(w)
+    return [[w, w], [w, same], [same, w]] + ([[w, twin], [twin, w]] if twin else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_words.map(_pairs), _tail_words().map(lambda ws: [ws, ws[::-1]]),
+                 st.lists(_words, min_size=2, max_size=6).map(lambda ws: [ws])))
+def test_fiber_words_are_the_sorted_set_of_its_words(cases):
+    # the oracle: a fiber is its words deduplicated, then sorted; a pair is
+    # ordered by one == and one <, so the kept members must be the very
+    # objects the set keeps
+    for words in cases:
+        got, expected = Fiber(words).words, tuple(sorted(set(words)))
+        assert got == expected and list(map(id, got)) == list(map(id, expected)), words
+        assert Fiber(iter(words)).words == expected
+    with pytest.raises(ValueError, match="^fiber must be nonempty$"):
         Fiber([])
 
 

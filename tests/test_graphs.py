@@ -472,6 +472,24 @@ def test_interior_validation():
         Interior(1, F(3, 2))
 
 
+def test_interior_reads_a_parameter_that_is_not_a_fraction_as_as_unit_does():
+    # a float or a str is the Fraction it reads as; an int is a node, not an
+    # interior point; None is no number: never an AttributeError
+    for t in (0.5, "1/2", "0.5"):
+        point = Interior(1, t)
+        assert point == Interior(1, F(1, 2)) and type(point.t) is F
+    assert Interior(2, 0.1).t == F(0.1)
+    for t in (0, 1):
+        with pytest.raises(ValueError, match=rf"^interior parameter {t} not in \(0, 1\)$"):
+            Interior(1, t)
+    for t in (1.5, "3/2", "x"):
+        with pytest.raises(ValueError):
+            Interior(1, t)
+    for t in (None, [F(1, 2)]):
+        with pytest.raises(TypeError):
+            Interior(1, t)
+
+
 def test_interior_is_an_immutable_value_equal_only_to_an_interior():
     a, b = Interior(1, F(1, 3)), Interior(arc=1, t=F(1, 3))
     assert a == b and hash(a) == hash(b) == hash((1, F(1, 3))) and len({a, b}) == 1

@@ -294,6 +294,49 @@ def test_shift_and_c_map_match_old_rotation(w):
     assert c_map(w) == _old_c_map(w)
 
 
+def _shift_map_by_drop(w):
+    """shift_map before its closed form, the oracle: drop_bits(w, 1)."""
+    return drop_bits(w, 1)
+
+
+def _c_map_by_composition(w):
+    """c_map before its closed form, the oracle: the shift, complemented
+    when the first bit is 1."""
+    s = _shift_map_by_drop(w)
+    return complement(s) if w.bit(1) else s
+
+
+def _tail_fields(w):
+    return w.pre_len, w.pre, w.s, w.q
+
+
+@st.composite
+def _shift_inputs(draw):
+    # words from bits (q = 2^k - 1) and from values (s/q in lowest terms,
+    # the tails 0/1 and 1/1 included), behind a preperiod of up to 4 bits
+    if draw(st.booleans()):
+        return draw(words_strategy)
+    q = draw(st.sampled_from([1, 3, 11, 641, 1019, 1000003])) << draw(st.integers(0, 4))
+    words = bits_of(Fraction(draw(st.integers(0, q)), q))
+    n = draw(st.integers(0, 4))
+    return prepend_bits(draw(st.sampled_from(words)), n, draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shift_inputs())
+def test_shift_and_c_map_match_their_compositions(w):
+    # the same fields, not only the same sequence: the tail's q is kept
+    assert _tail_fields(shift_map(w)) == _tail_fields(_shift_map_by_drop(w))
+    assert _tail_fields(c_map(w)) == _tail_fields(_c_map_by_composition(w))
+
+
+def test_shift_and_c_map_match_their_compositions_on_constant_tails():
+    for t in (":0", ":1", "1:0", "0:1", "10:1", "01:0", "0110:1"):
+        for w in (W(t), *bits_of(word_value(W(t)))):
+            assert _tail_fields(shift_map(w)) == _tail_fields(_shift_map_by_drop(w)), t
+            assert _tail_fields(c_map(w)) == _tail_fields(_c_map_by_composition(w)), t
+
+
 # ---------------------------------------------------------------- hash
 
 @given(words_strategy)
@@ -1107,7 +1150,8 @@ def test_fiber_route_hashes_no_word(monkeypatch):
     # a fiber is looked up among the pinned ones only when it shares a pinned
     # fiber's key, so a point with one expansion goes through the interval
     # and graph maps without a word hash or a Fiber comparison, however many
-    # nodes the graph has
+    # nodes the graph has; and a fiber orders its two words by comparing
+    # them, so neither does a dyadic, but the baker's pinned 1/2
     from symchaos.decomposition import Fiber
     from symchaos.graphs import EXAMPLE_GRAPHS, Interior, graph_map, graph_step
     from symchaos.graphs import graph_system, parse_graph
@@ -1136,4 +1180,10 @@ def test_fiber_route_hashes_no_word(monkeypatch):
         for sys in graphs:
             point = Interior(rng.randint(1, sys.r), Fraction(rng.randrange(1, q), q))
             assert graph_map(sys, point) == graph_step(sys, point)
+    for n in range(11):
+        for k in range((1 << n) + 1):
+            y = Fraction(k, 1 << n)
+            assert induced_tent(y) == tent(y)
+            if y != Fraction(1, 2):
+                assert induced_baker(y) == baker(y)
     assert hashed == [] and compared == []
