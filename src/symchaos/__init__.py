@@ -28,7 +28,6 @@ from .decomposition import (
     semiconjugacy_check,
 )
 from .interval import (
-    interval_fiber,
     tent,
     baker,
     induced_tent,
@@ -47,7 +46,6 @@ from .graphs import (
     graph_system,
     graph_map,
     graph_step,
-    exceptional_points,
     graph_orbit,
     graph_metric,
 )

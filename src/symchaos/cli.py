@@ -172,6 +172,8 @@ def _cmd_graph_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.file is not None and args.system != "graph":
+        raise graphs.GraphError("--file requires --system graph")
     if args.system == "graph":
         if not args.file:
             raise graphs.GraphError("--system graph requires --file")
@@ -199,6 +201,8 @@ def _cmd_conjugacy(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    if args.arc is not None and not args.file:
+        raise graphs.GraphError("--arc requires --file")
     if args.file:
         sys_ = _load_graph(args.file)
         if not args.arc:

@@ -40,7 +40,6 @@ __all__ = [
     "graph_system",
     "graph_map",
     "graph_step",
-    "exceptional_points",
     "graph_orbit",
     "graph_metric",
     "EXAMPLE_GRAPHS",
@@ -295,11 +294,6 @@ def _arc_address(lead: int, r: int) -> Tuple[int, int]:
 
 def graph_system(spec: GraphSpec) -> GraphSystem:
     return GraphSystem(spec)
-
-
-def exceptional_points(sys: GraphSystem) -> List[GraphPoint]:
-    """All nodes plus the midpoints of the first and last arcs."""
-    return list(sys.exceptional)
 
 
 def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:

@@ -18,7 +18,6 @@ from .words import Word, bits_of, c_map, dyadic_twin, r_map, shift_map, word_val
 
 __all__ = [
     "as_unit",
-    "interval_fiber",
     "tent",
     "baker",
     "induced_tent",
@@ -111,11 +110,6 @@ class IntervalCodec:
 
 
 INTERVAL_CODEC = IntervalCodec()
-
-
-def interval_fiber(y) -> Fiber:
-    """The fiber over y: all binary expansions, as a Fiber."""
-    return INTERVAL_CODEC.encode(y)
 
 
 def tent(y) -> Fraction:

@@ -37,8 +37,6 @@ __all__ = [
 _WORD_RE = re.compile(r"^([01]*):([01]+)$")
 
 _M64 = (1 << 64) - 1
-_MERSENNES = [(1 << k) - 1 for k in range(1, 65)]
-_MERSENNE_PRODUCT = math.prod(_MERSENNES)
 
 MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 
@@ -74,8 +72,6 @@ def _unpack(length: int, value: int) -> Tuple[int, ...]:
 
 
 def _rot_left(value: int, length: int, n: int = 1) -> int:
-    if length == 0:
-        return 0
     n %= length
     mask = (1 << length) - 1
     return ((value << n) | (value >> (length - n))) & mask
@@ -179,15 +175,9 @@ class Word:
         return self.s * other.q == other.s * self.q
 
     def __hash__(self) -> int:
-        # the field hash on periods of at most 64 bits, else the first 64
-        # period bits: O(1) at any length, and reads no period
-        s, q = self.s, self.q
-        mersenne = q & (q + 1) == 0  # q = 2^k - 1, and the block is s itself
-        k = q.bit_length() if mersenne else _short_order(q)
-        if k is not None and k <= 64:
-            block = s if mersenne else ((s << k) - s) // q
-            return hash((self.pre_len, self.pre & _M64, k, block))
-        return hash((self.pre_len, self.pre & _M64, (s << 64) // q))
+        # equal words share pre_len and pre, and their tails are worth the
+        # same s/q: O(1) at any length, and reads no period
+        return hash((self.pre_len, self.pre & _M64, (self.s << 64) // self.q))
 
     def __lt__(self, other: "Word") -> bool:
         # (preperiod, period) lexicographic, bitstring order.
@@ -196,14 +186,6 @@ class Word:
             return c < 0
         return _cmp_bitstring(self.period_len, self.period,
                               other.period_len, other.period) < 0
-
-
-def _short_order(q: int) -> int | None:
-    """The order of 2 modulo odd q when it is at most 64, else None.  Some
-    2^k - 1 with k <= 64 is a multiple of q only when their product is."""
-    if _MERSENNE_PRODUCT % q:
-        return None
-    return next((k for k, mersenne in enumerate(_MERSENNES, 1) if mersenne % q == 0), None)
 
 
 def _cmp_bitstring(len_a: int, a: int, len_b: int, b: int) -> int:
@@ -255,11 +237,6 @@ def shift_map(w: Word) -> Word:
     if m:
         return Word._tail(m - 1, w.pre & ((1 << (m - 1)) - 1), s, q)
     return Word._tail(0, 0, 2 * s - q if 2 * s > q else 2 * s, q)  # s/q doubled mod 1
-
-
-def complement(w: Word) -> Word:
-    """Flip every bit."""
-    return Word._tail(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1), w.q - w.s, w.q)
 
 
 def c_map(w: Word) -> Word:

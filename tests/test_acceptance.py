@@ -15,17 +15,16 @@ from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     Interior,
     Node,
-    exceptional_points,
     graph_map,
     graph_system,
     parse_graph,
 )
 from symchaos.interval import (
+    INTERVAL_CODEC,
     baker,
     baker_system,
     induced_baker,
     induced_tent,
-    interval_fiber,
     tent,
     tent_system,
 )
@@ -91,10 +90,10 @@ def test_criterion_02_baker_equality():
 def test_criterion_03_star_dichotomy():
     dyadics, randoms = sample_points()
     c_violations = sum(
-        isinstance(star_check(tent_system(), interval_fiber(y)), Violation)
+        isinstance(star_check(tent_system(), INTERVAL_CODEC.encode(y)), Violation)
         for y in dyadics + randoms)
     s_violations = [y for y in dyadics
-                    if isinstance(star_check(baker_system(), interval_fiber(y)),
+                    if isinstance(star_check(baker_system(), INTERVAL_CODEC.encode(y)),
                                   Violation)]
     ok = c_violations == 0 and s_violations == [HALF]
     _criterion(3, ok,
@@ -214,7 +213,7 @@ def test_criterion_08_k3_graph():
     # (a) exceptional set and fixedness
     expected = [Node("a"), Node("b"), Node("c"),
                 Interior(1, HALF), Interior(3, HALF)]
-    points = exceptional_points(sys)
+    points = list(sys.exceptional)
     ok_a = points == expected and all(graph_map(sys, pt) == pt for pt in points)
     # (b) parameter-preserving descent on the middle arc
     rng = random.Random(SEED)
@@ -262,7 +261,7 @@ def test_criterion_10_disconnected_graph():
     # (a) analogue
     expected = [Node("a"), Node("b"), Node("c"), Node("d"),
                 Interior(1, HALF), Interior(2, HALF)]
-    points = exceptional_points(sys)
+    points = list(sys.exceptional)
     ok = points == expected and all(graph_map(sys, pt) == pt for pt in points)
     # (b) analogue: r=2 has no middle arc; the last-arc split carries the
     # parameter exactly

@@ -327,6 +327,14 @@ def test_verify_graph_requires_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("system", ["tent", "baker"])
+def test_verify_file_requires_system_graph(capsys, k3_file, system):
+    code, out, err = run(capsys, "verify", "--system", system, "--file", k3_file,
+                         "--property", "sensitivity")
+    assert (code, out) == (2, "")
+    assert err == "error: --file requires --system graph\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--system", "tent", "--property", "sensitivity", "--grid", "0"),
     ("--system", "baker", "--property", "lemma6", "--max-period", "0", "--steps", "-1"),
@@ -473,6 +481,18 @@ def test_fiber_graph(capsys, k3_file):
                        "--arc", "E1")
     assert code == 0
     assert out == ":0\n:1\n"  # node a's fiber
+
+
+def test_fiber_arc_requires_file(capsys):
+    code, out, err = run(capsys, "fiber", "--x", "1/2", "--arc", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --arc requires --file\n"
+
+
+def test_fiber_file_requires_arc(capsys, k3_file):
+    code, out, err = run(capsys, "fiber", "--x", "1/2", "--file", k3_file)
+    assert (code, out) == (2, "")
+    assert err == "error: --file requires --arc\n"
 
 
 # ------------------------------------------------------------ cold start

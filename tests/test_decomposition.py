@@ -22,7 +22,6 @@ from symchaos.graphs import (
     GraphSystem,
     Interior,
     Node,
-    exceptional_points,
     graph_map,
     graph_step,
     graph_system,
@@ -35,7 +34,6 @@ from symchaos.interval import (
     baker_system,
     induced_baker,
     induced_tent,
-    interval_fiber,
     tent,
     tent_system,
 )
@@ -108,32 +106,33 @@ def test_fiber_words_are_the_sorted_set_of_its_words(cases):
 # ------------------------------------------------------------- star check
 
 def test_star_shift_on_third_gives_two_thirds():
-    out = star_check(baker_system(), interval_fiber(F(1, 3)))
-    assert out == interval_fiber(F(2, 3))
+    out = star_check(baker_system(), INTERVAL_CODEC.encode(F(1, 3)))
+    assert out == INTERVAL_CODEC.encode(F(2, 3))
 
 
 def test_star_shift_violates_at_half():
-    out = star_check(baker_system(), interval_fiber(F(1, 2)))
+    out = star_check(baker_system(), INTERVAL_CODEC.encode(F(1, 2)))
     assert isinstance(out, Violation)
     points = sorted(pt for _, pt in out.images)
     assert points == [F(0), F(1)]
 
 
 def test_star_c_single_at_half():
-    out = star_check(tent_system(), interval_fiber(F(1, 2)))
-    assert out == interval_fiber(F(1))
+    out = star_check(tent_system(), INTERVAL_CODEC.encode(F(1, 2)))
+    assert out == INTERVAL_CODEC.encode(F(1))
 
 
 def test_star_twin_images_are_not_a_violation():
     # both expansions of 1/4 shift to expansions of 1/2: same point
-    out = star_check(baker_system(), interval_fiber(F(1, 4)))
-    assert out == interval_fiber(F(1, 2))
+    out = star_check(baker_system(), INTERVAL_CODEC.encode(F(1, 4)))
+    assert out == INTERVAL_CODEC.encode(F(1, 2))
 
 
 # ---------------------------------------------------------- induced apply
 
 def test_induced_baker_redirects_half_to_one():
-    assert induced_apply(baker_system(), interval_fiber(F(1, 2))) == interval_fiber(F(1))
+    encode = INTERVAL_CODEC.encode
+    assert induced_apply(baker_system(), encode(F(1, 2))) == encode(F(1))
 
 
 def test_induced_identity_fixes_node_fiber(k3):
@@ -142,7 +141,8 @@ def test_induced_identity_fixes_node_fiber(k3):
 
 
 def test_induced_tent_quarter_to_half():
-    assert induced_apply(tent_system(), interval_fiber(F(1, 4))) == interval_fiber(F(1, 2))
+    encode = INTERVAL_CODEC.encode
+    assert induced_apply(tent_system(), encode(F(1, 4))) == encode(F(1, 2))
 
 
 def test_induced_maps_decode_no_point(monkeypatch):
@@ -245,7 +245,7 @@ def test_single_fiber_outcomes_commute():
     # fiber and every member commutes
     sys = baker_system()
     for num in range(0, 33):
-        fib = interval_fiber(F(num, 32))
+        fib = INTERVAL_CODEC.encode(F(num, 32))
         out = star_check(sys, fib)
         if isinstance(out, Fiber):
             assert induced_apply(sys, fib) == out
@@ -259,15 +259,15 @@ def test_tent_fibers_have_preimages():
     sys = tent_system()
     for num in range(0, 257):
         y = F(num, 256)
-        target = interval_fiber(y)
+        target = INTERVAL_CODEC.encode(y)
         pre = F(num, 512)  # tent(num/512) = num/256 on the left branch
-        assert induced_apply(sys, interval_fiber(pre)) == target
+        assert induced_apply(sys, INTERVAL_CODEC.encode(pre)) == target
     rng = random.Random(7)
     for _ in range(200):
         q = rng.randrange(2, 10 ** 4)
         y = F(rng.randrange(0, q + 1), q)
         candidates = [y / 2, 1 - y / 2]
-        assert any(induced_apply(sys, interval_fiber(c)) == interval_fiber(y)
+        assert any(induced_apply(sys, INTERVAL_CODEC.encode(c)) == INTERVAL_CODEC.encode(y)
                    for c in candidates)
 
 
@@ -288,7 +288,7 @@ def test_graph_violations_within_exceptional_set(k3, path2, loop1, figure8, two_
     # containment may be strict (some exceptional fibers shift into a
     # single fiber), which is reported, not failed
     for sys in (k3, path2, loop1, figure8, two_segments):
-        exceptional = set(exceptional_points(sys))
+        exceptional = set(sys.exceptional)
         points = list(exceptional)
         for i in range(1, sys.spec.r + 1):
             for num in range(1, 64):
@@ -350,7 +350,7 @@ def test_induced_system_fields_are_set_once_and_compare_by_identity():
 
 
 def test_violations_are_immutable_values():
-    v = star_check(baker_system(), interval_fiber(Fraction(1, 2)))
+    v = star_check(baker_system(), INTERVAL_CODEC.encode(Fraction(1, 2)))
     again = Violation(v.images)
     assert isinstance(v, Violation) and v == again and hash(v) == hash(again)
     with pytest.raises(AttributeError):
@@ -361,7 +361,7 @@ def test_induced_system_takes_no_derived_data():
     half = Fraction(1, 2)
     sys = InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, [half])
     assert sys.pinned_points == (half,)
-    assert sys.pinned_fibers == {interval_fiber(half)}
+    assert sys.pinned_fibers == {INTERVAL_CODEC.encode(half)}
     for derived in ("pinned_fibers", "pinned_keys", "pinned_cells"):
         with pytest.raises(TypeError):
             InducedSystem("baker", shift_map, INTERVAL_CODEC, 1, (half,),

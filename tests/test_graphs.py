@@ -14,7 +14,6 @@ from symchaos.graphs import (
     GraphError,
     Interior,
     Node,
-    exceptional_points,
     graph_map,
     graph_metric,
     graph_orbit,
@@ -191,16 +190,16 @@ def test_graph_map_examples(k3):
 
 
 def test_exceptional_points_examples(k3, loop1, path2):
-    assert exceptional_points(k3) == [Node("a"), Node("b"), Node("c"),
-                                      Interior(1, F(1, 2)), Interior(3, F(1, 2))]
-    assert exceptional_points(loop1) == [Node("a"), Interior(1, F(1, 2))]
-    assert exceptional_points(path2) == [Node("a"), Node("b"), Node("c"),
-                                         Interior(1, F(1, 2)), Interior(2, F(1, 2))]
+    assert list(k3.exceptional) == [Node("a"), Node("b"), Node("c"),
+                                    Interior(1, F(1, 2)), Interior(3, F(1, 2))]
+    assert list(loop1.exceptional) == [Node("a"), Interior(1, F(1, 2))]
+    assert list(path2.exceptional) == [Node("a"), Node("b"), Node("c"),
+                                       Interior(1, F(1, 2)), Interior(2, F(1, 2))]
 
 
 def test_exceptional_points_are_fixed(k3, path2, loop1, figure8, two_segments):
     for sys in (k3, path2, loop1, figure8, two_segments):
-        for pt in exceptional_points(sys):
+        for pt in sys.exceptional:
             assert graph_map(sys, pt) == pt
 
 

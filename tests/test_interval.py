@@ -15,7 +15,6 @@ from symchaos.interval import (
     conjugate_via_r,
     induced_baker,
     induced_tent,
-    interval_fiber,
     tent,
     tent_system,
 )
@@ -42,9 +41,9 @@ def test_as_unit_message_survives_huge_values():
 
 
 def test_interval_fiber_examples():
-    assert interval_fiber(F(0)).words == (W(":0"),)
-    assert set(interval_fiber(F(1, 2))) == {W("1:0"), W("0:1")}
-    assert interval_fiber(F(2, 3)).words == (W(":10"),)
+    assert INTERVAL_CODEC.encode(F(0)).words == (W(":0"),)
+    assert set(INTERVAL_CODEC.encode(F(1, 2))) == {W("1:0"), W("0:1")}
+    assert INTERVAL_CODEC.encode(F(2, 3)).words == (W(":10"),)
 
 
 def test_tent_formula():
@@ -147,8 +146,8 @@ def test_star_dichotomy_on_grid():
     violations = []
     for num in range(0, 129):
         y = F(num, 128)
-        assert isinstance(star_check(tent_system(), interval_fiber(y)), Fiber)
-        if isinstance(star_check(baker_system(), interval_fiber(y)), Violation):
+        assert isinstance(star_check(tent_system(), INTERVAL_CODEC.encode(y)), Fiber)
+        if isinstance(star_check(baker_system(), INTERVAL_CODEC.encode(y)), Violation):
             violations.append(y)
     assert violations == [F(1, 2)]
 
@@ -231,7 +230,7 @@ UNIT_POINTS = st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), DYADICS,
 
 @given(UNIT_POINTS)
 def test_addresses_agrees_with_decode_on_every_word_of_a_fiber(y):
-    for w in interval_fiber(y):
+    for w in INTERVAL_CODEC.encode(y):
         assert INTERVAL_CODEC.addresses(w, y)
         _assert_addresses_as_decode_compares(w, y)
 

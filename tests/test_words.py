@@ -13,16 +13,13 @@ import symchaos.words
 from symchaos.words import (
     MAX_PERIOD_BITS,
     Word,
-    _M64,
     _factorize,
     _order_of_two,
     _pack,
     _repeat_block,
     _rot_left,
-    _short_order,
     bits_of,
     c_map,
-    complement,
     drop_bits,
     dyadic_twin,
     parse_word,
@@ -42,6 +39,11 @@ except ImportError:  # the oracle is optional
     factorint = None
 
 W = parse_word
+
+
+def complement(w):
+    """Flip every bit: the oracle the closed-form c_map replaced."""
+    return Word._tail(w.pre_len, w.pre ^ ((1 << w.pre_len) - 1), w.q - w.s, w.q)
 
 
 def bits_strategy(max_len, min_len=0):
@@ -339,11 +341,6 @@ def test_shift_and_c_map_match_their_compositions_on_constant_tails():
 
 # ---------------------------------------------------------------- hash
 
-@given(words_strategy)
-def test_hash_below_2_64_is_the_field_hash(w):
-    assert hash(w) == hash((w.pre_len, w.pre, w.period_len, w.period))
-
-
 @given(bits_strategy(70), bits_strategy(70, min_len=1), st.integers(1, 3))
 def test_equal_words_hash_equal(pre, period, reps):
     # the same sequence written with an unrolled period and a longer preperiod
@@ -353,18 +350,35 @@ def test_equal_words_hash_equal(pre, period, reps):
     assert hash(a) == hash(b)
 
 
-def _hash_dividing_out_the_block(w):
-    # the hash formula that also divides (2^k - 1) s / q when q = 2^k - 1
-    s, q = w.s, w.q
-    k = q.bit_length() if q & (q + 1) == 0 else _short_order(q)
-    if k is not None and k <= 64:
-        return hash((w.pre_len, w.pre & _M64, k, ((s << k) - s) // q))
-    return hash((w.pre_len, w.pre & _M64, (s << 64) // q))
+# odd parts 1, 11, 641, 145295143558111 (a prime factor of 2^65 - 1), 1019
+# and 1000003: periods of 1, 10, 64, 65, 1,018 and 1,000,002 bits
+HASH_ODD_PARTS = [1, 11, 641, 145295143558111, 1019, 1000003]
 
 
-def test_hash_of_words_from_bits_reads_the_block_unchanged():
-    for w in periodic_words(12):
-        assert hash(w) == _hash_dividing_out_the_block(w)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(HASH_ODD_PARTS), st.integers(0, 4), st.integers(0, 6), st.data())
+def test_a_word_from_bits_hashes_as_the_same_sequence_from_its_value(q_odd, a, n, data):
+    q = q_odd << a
+    t = Fraction(data.draw(st.integers(0, q)), q)
+    b = data.draw(st.integers(0, (1 << n) - 1))
+    words = bits_of(t)  # a dyadic's twins among them
+    for w in words + [prepend_bits(w, n, b) for w in words]:
+        from_bits = _packed(w)
+        assert from_bits.q == (1 << from_bits.period_len) - 1
+        assert from_bits == w and hash(from_bits) == hash(w)
+        assert len({from_bits, w}) == 1
+    # twins share a value but are two sequences: two members in any form
+    assert len(set(words + [_packed(w) for w in words])) == len(words)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(3, 8), Fraction(1, 3),
+                               Fraction(5, 641), Fraction(7, 1019), Fraction(1, 999983)],
+                         ids=str)
+def test_hash_of_a_tail_word_reads_no_period(t):
+    for w in bits_of(t):
+        hash(w)
+        with pytest.raises(AttributeError):  # the slot is still unset
+            object.__getattribute__(w, "period_len")
 
 
 # odd parts 1, 641, 145295143558111 (a prime factor of 2^65 - 1) and 1019
@@ -376,15 +390,12 @@ def test_hash_of_tail_words_is_unchanged(q, period):
             p = rng.randrange(q << a)
             for w in bits_of(Fraction(p, q << a)):
                 for v in (w, complement(w), shift_map(w), prepend_bits(w, 3, 0b101)):
-                    assert hash(v) == _hash_dividing_out_the_block(v)
                     assert v.period_len == (period if v.q > 1 else 1)
                     assert hash(v) == hash(_packed(v))
 
 
 def test_words_differing_only_above_bit_64_are_distinct_members():
     for w in _long_periodic_words():
-        if w.period_len <= 64:
-            assert hash(w) == hash((w.pre_len, w.pre, w.period_len, w.period))
         if w.period_len <= 65:
             continue
         twin = Word._from_packed(0, 0, w.period_len, w.period ^ (1 << 100))
@@ -1089,8 +1100,8 @@ def _assert_tail_matches_packed(t, long_ops=True):
 
 
 # odd parts 11, 1019 and 1000003: periods of 10, 1018 and 1000002 bits.
-# 641 and 2^61 - 1 have periods of 64 and 61 bits, on the field-hash side;
-# 127 * 8191 divides 2^7 - 1 times 2^13 - 1, but its period has 91 bits.
+# 641 and 2^61 - 1 have periods of 64 and 61 bits; 127 * 8191 divides
+# 2^7 - 1 times 2^13 - 1, and its period has 91 bits.
 TAIL_POINTS = [Fraction(0), Fraction(1), Fraction(3, 8), Fraction(3, 11),
                Fraction(5, 11 * 8), Fraction(700, 1019), Fraction(1, 1019 * 2),
                Fraction(999999, 1000003), Fraction(77, 1000003 * 16),
