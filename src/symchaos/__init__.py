@@ -46,7 +46,6 @@ from .graphs import (
     graph_system,
     graph_map,
     graph_step,
-    graph_orbit,
     graph_metric,
 )
 from .verifier import (

@@ -18,7 +18,6 @@ from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_
 from .interval import INTERVAL_CODEC, _show, unit_cells
 from .words import (
     Word,
-    _within,
     bits_of,
     drop_bits,
     prefix_int,
@@ -40,7 +39,6 @@ __all__ = [
     "graph_system",
     "graph_map",
     "graph_step",
-    "graph_orbit",
     "graph_metric",
     "EXAMPLE_GRAPHS",
 ]
@@ -359,15 +357,6 @@ def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
         return j + 1, m
     tail, head = sys.spec.arcs[j].tail, sys.spec.arcs[j - 1].head
     return Node(tail) if tail == head else key
-
-
-def graph_orbit(sys: GraphSystem, point: GraphPoint, n: int) -> List[GraphPoint]:
-    """[point, F(point), ..., F^n(point)], for n at most 10^6."""
-    _within(n=(n, 0, 10 ** 6))
-    orbit = [point]
-    for _ in range(n):
-        orbit.append(graph_map(sys, orbit[-1]))
-    return orbit
 
 
 def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:

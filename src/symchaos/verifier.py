@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem
-from .interval import INTERVAL_CODEC, baker, baker_system, tent, tent_system
+from .interval import INTERVAL_CODEC, _show, baker, baker_system, tent, tent_system
 from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
 from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
 
@@ -73,9 +73,11 @@ class Target(NamedTuple):
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
     (space the GraphSystem, no branches and no fmap: it steps by its
     induced map's closed form).  fmap must be a deterministic function of
-    its argument: transitivity maps each point once and reuses the image.
-    The checks read the generator orbit through streams.orbit_windows,
-    under C or S as the induced map says."""
+    its argument that agrees with each branch inside it: transitivity maps
+    each point once and reuses the image, and pulls its witnesses back
+    through the branches, so a witness fmap takes elsewhere raises
+    ArithmeticError.  The checks read the generator orbit through
+    streams.orbit_windows, under C or S as the induced map says."""
 
     name: str
     fmap: Optional[Callable]
@@ -370,16 +372,18 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 
     Targets with branches (interval maps) propagate the monotone-affine laps
     of the iterated map on integers and pull a witness back through the
-    covering lap; a witness counts only when n steps of the target's own map
-    carry it into V, and each distinct point is mapped by fmap once (a memo
-    for the call, keyed by numerator and denominator, that starts over when
-    it holds _MAX_MAPPED points).  The branch slopes must be
-    integers (else ValueError).  Image ends lie on 1/L for L = 2 lcm(2^p,
-    the branch data's denominators), which also holds their midpoints, and
-    a lap carries its cumulative slope, so its domain ends at step n lie on
-    1/(L S^n) for S the lcm of the nonzero |slopes| (_integer_branches).
-    Each step sweeps the laps once, and a lap is tried only on the cells its
-    image overlaps.
+    covering lap, so every cell a lap's image meets is witnessed.  n steps
+    of the target's own map must carry that witness into V; a miss means
+    the branches describe another map than fmap, an internal invariant
+    failure that raises ArithmeticError at once.  Each distinct point is
+    mapped by fmap once (a memo for the call, keyed by numerator and
+    denominator, that starts over when it holds _MAX_MAPPED points).  The
+    branch slopes must be integers (else ValueError).  Image ends lie on
+    1/L for L = 2 lcm(2^p, the branch data's denominators), which also holds
+    their midpoints, and a lap carries its cumulative slope, so its domain
+    ends at step n lie on 1/(L S^n) for S the lcm of the nonzero |slopes|
+    (_integer_branches).  Each step sweeps the laps once, and a lap is tried
+    only on the cells its image overlaps.
     Targets without (graphs) use the dense-orbit route (a dense orbit on
     these spaces gives transitivity), and the report records that route.
     """
@@ -412,8 +416,6 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                     # the midpoint of the image within V, pulled back
                     v = (max(lo, vj * width) + min(hi, (vj + 1) * width)) >> 1
                     x = d0 + (v - i0) * (scale // sigma)
-                    if not ulo * scale <= x <= uhi * scale:
-                        continue
                     g = math.gcd(x, lattice * scale)
                     y = x // g, lattice * scale // g
                     for _ in range(n):
@@ -425,8 +427,13 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                             z = image[y] = z.numerator, z.denominator
                         y = z
                     num, den = y[0] << resolution, y[1]
-                    if vj * den <= num <= (vj + 1) * den:
-                        remaining.discard(vj)
+                    if not vj * den <= num <= (vj + 1) * den:
+                        raise ArithmeticError(
+                            f"transitivity of {target.name!r} at resolution {resolution}: "
+                            f"the laps carry {_show(Fraction(x, lattice * scale))} from U = cell "
+                            f"{uj} into V = cell {vj} at step {n}, but fmap takes it to "
+                            f"{_show(Fraction(*y))}")
+                    remaining.discard(vj)
             if not remaining:
                 break
         unwitnessed.extend((uj, vj) for vj in sorted(remaining))
@@ -437,6 +444,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 
 
 _MAX_PIECES = 4096
+# consistent targets fill it too: rotation by 1/4099 maps 523,200 points at 6/20000
 _MAX_MAPPED = 1 << 17  # fmap images held per call; a full memo starts over
 
 

@@ -136,17 +136,6 @@ class Word:
         self.period_len, self.period = k, s
         return object.__getattribute__(self, name)
 
-    def bit(self, i: int) -> int:
-        """The i-th bit, 1-based."""
-        if i < 1:
-            raise IndexError("bit positions are 1-based")
-        if i <= self.pre_len:
-            return (self.pre >> (self.pre_len - i)) & 1
-        if i == self.pre_len + 1:
-            return int(2 * self.s > self.q)
-        j = (i - self.pre_len - 1) % self.period_len
-        return (self.period >> (self.period_len - 1 - j)) & 1
-
     def prefix(self, n: int) -> Tuple[int, ...]:
         return _unpack(n, prefix_int(self, n))
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from symchaos import cli, graphs, verifier, words
-from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, graph_orbit, graph_system, parse_graph
+from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem
 from symchaos.interval import IntervalCodec
 from symchaos.verifier import (
     dense_orbit_coverage,
@@ -23,7 +23,6 @@ from symchaos.words import periodic_words
 
 F = Fraction
 TENT = tent_target()
-K3 = graph_system(parse_graph(EXAMPLE_GRAPHS["k3"]))
 ETA, DELTA = F(1, 4), F(1, 4096)
 
 LIBRARY = [
@@ -49,8 +48,6 @@ LIBRARY = [
     (lambda: lemma6_commute_check(TENT, 4, -1), "orbit_steps must be at least 0, got -1"),
     (lambda: lemma6_commute_check(TENT, 4, 10 ** 6 + 1),
      "orbit_steps 1000001 exceeds bound 10^6"),
-    (lambda: graph_orbit(K3, graphs.Node("a"), -1), "n must be at least 0, got -1"),
-    (lambda: graph_orbit(K3, graphs.Node("a"), 10 ** 6 + 1), "n 1000001 exceeds bound 10^6"),
     (lambda: periodic_words(0), "n must be at least 1, got 0"),
     (lambda: periodic_words(25), "n 25 exceeds bound 24"),
     # two bad values: every least comes before every bound, each in argument order

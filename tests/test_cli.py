@@ -5,7 +5,7 @@ import pytest
 
 from symchaos import cli, graphs, verifier
 from symchaos.cli import main
-from symchaos.graphs import EXAMPLE_GRAPHS, graph_orbit
+from symchaos.graphs import EXAMPLE_GRAPHS, graph_map
 from symchaos.verifier import ChaosReport
 
 
@@ -159,9 +159,9 @@ def _held_orbit_rows(system, x, steps):
     return rows
 
 
-def _held_graph_rows(sys_, start, steps):
+def _held_graph_rows(sys_, pt, steps):
     rows = []
-    for step, pt in enumerate(graph_orbit(sys_, start, steps)):
+    for step in range(steps + 1):
         if isinstance(pt, graphs.Interior):
             rows.append({"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
                          "t_num": pt.t.numerator, "t_den": pt.t.denominator,
@@ -169,6 +169,8 @@ def _held_graph_rows(sys_, start, steps):
         else:
             rows.append({"step": step, "arc_or_node": pt.id,
                          "t_num": None, "t_den": None, "approx": None})
+        if step < steps:
+            pt = graph_map(sys_, pt)
     return rows
 
 
@@ -311,6 +313,17 @@ def test_verify_fail_exit_one(capsys):
                        "--max-period", "2", "--resolution", "7")
     assert code == 1
     assert json.loads(out)["verdict"] == "fail"
+
+
+def test_verify_transitivity_witness_missed_by_the_map_exits_three(capsys, monkeypatch):
+    # the tent's branches with the identity as its map: the laps carry 3/512
+    # from cell 0 into cell 1, where the identity leaves it in cell 0
+    monkeypatch.setattr(verifier, "tent", lambda y: y)
+    code, out, err = run(capsys, "verify", "--system", "tent", "--property", "transitivity")
+    assert (code, out) == (3, "")
+    assert err == ("error: internal invariant failed: transitivity of 'tent' at resolution 7: "
+                   "the laps carry 3/512 from U = cell 0 into V = cell 1 at step 1, but fmap "
+                   "takes it to 3/512\n")
 
 
 def test_verify_graph_lemma6(capsys, k3_file):

@@ -16,7 +16,6 @@ from symchaos.graphs import (
     Node,
     graph_map,
     graph_metric,
-    graph_orbit,
     graph_step,
     graph_system,
     _hausdorff,
@@ -230,15 +229,10 @@ def test_last_arc_split(k3):
 
 
 def test_graph_orbit_example(k3):
-    orbit = graph_orbit(k3, Interior(2, F(1, 3)), 2)
+    orbit = [Interior(2, F(1, 3))]
+    for _ in range(2):
+        orbit.append(graph_map(k3, orbit[-1]))
     assert orbit == [Interior(2, F(1, 3)), Interior(1, F(1, 3)), Interior(1, F(2, 3))]
-
-
-def test_graph_orbit_validates(k3):
-    with pytest.raises(ValueError):
-        graph_orbit(k3, Node("a"), -1)
-    with pytest.raises(ValueError, match=r"^n 1000001 exceeds bound 10\^6$"):
-        graph_orbit(k3, Node("a"), 10 ** 6 + 1)
 
 
 def test_loop_graph_is_doubling(loop1):

@@ -180,7 +180,7 @@ def test_tent_periodic_projections():
             returns = cur == y
             # the word returns under the symbol map iff its k-th bit is 0
             # (else the orbit lands on the complement value)
-            if w.bit(k) == 0:
+            if w.prefix(k)[-1] == 0:
                 assert returns
 
 

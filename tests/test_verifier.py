@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symchaos.graphs
 from symchaos import streams, verifier
@@ -1121,20 +1123,19 @@ def test_transitivity_truncates_laps_as_the_fraction_route(monkeypatch, make, re
         assert report.params["witnessed"] == uncapped - 1 == 11
 
 
-@pytest.mark.parametrize("fmap,reached", [
-    (lambda y: y, lambda u: {u}),
-    (lambda y: F(1, 2), lambda u: {7, 8}),  # 1/2 ends cell 7 and starts cell 8
+@pytest.mark.parametrize("fmap,x,v,image", [
+    (lambda y: y, "3/64", 1, "3/64"),
+    (lambda y: F(1, 2), "1/64", 0, "1/2"),
 ], ids=["identity", "constant-1/2"])
-def test_transitivity_reverifies_every_witness_through_fmap(fmap, reached):
-    # the tent's laps with another map: the laps reach every cell, but a
-    # witness counts only when the target's own map carries it into V, so
-    # exactly the pairs that map links are witnessed, as on the Fraction route
-    lying = _lying_target(fmap)
-    report = transitivity_witness(lying, 4, 8)
-    assert (report.params, report.verdict, report.witnesses) == _fraction_transitivity(lying, 4, 8)
-    unwitnessed = {(w["from"], w["to"]) for w in report.witnesses}
-    assert ({(u, v) for u in range(16) for v in range(16)} - unwitnessed
-            == {(u, v) for u in range(16) for v in reached(u)})
+def test_transitivity_reverifies_every_witness_through_fmap(fmap, x, v, image):
+    # the tent's laps with another map: the first witness that the target's
+    # own map does not carry into V is an internal invariant failure, never
+    # an unwitnessed pair (the identity does carry 1/64 from cell 0 into 0)
+    with pytest.raises(ArithmeticError) as exc:
+        transitivity_witness(_lying_target(fmap), 4, 8)
+    assert str(exc.value) == ("transitivity of 'lying' at resolution 4: the laps carry "
+                              f"{x} from U = cell 0 into V = cell {v} at step 1, but fmap "
+                              f"takes it to {image}")
     assert transitivity_witness(tent_target(), 4, 8).verdict == "pass"
 
 
@@ -1197,16 +1198,8 @@ FMAP_WORK_TARGETS = {
     "tent": tent_target, "baker": baker_target, "identity": identity_target,
     "constant": constant_target, "rotation": rotation_target,
     "exchange": _exchange_target,
-    "lying-identity": lambda: _lying_target(lambda y: y),
-    "lying-constant": lambda: _lying_target(lambda y: F(1, 2)),
 }
-
-
-# the tent's laps with a map that witnesses nothing never empty a cell's
-# remaining set, so they sweep up to 8,192 laps a step; at horizon 40 the
-# unmemoized walk takes 15 s at resolution 2, so the lying maps stop at 8
-FMAP_WORK_CASES = [(name, horizon) for name in FMAP_WORK_TARGETS
-                   for horizon in (1, 5, 8 if name.startswith("lying") else 40)]
+FMAP_WORK_CASES = [(name, horizon) for name in FMAP_WORK_TARGETS for horizon in (1, 5, 40)]
 
 
 @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap-2"])
@@ -1225,25 +1218,59 @@ def test_transitivity_maps_each_point_the_walk_reaches_once(monkeypatch, name, h
         assert set(calls) == set(oracle_calls), resolution
 
 
+LYING_TARGETS = {
+    "lying-identity": lambda: _lying_target(lambda y: y),
+    "lying-constant": lambda: _lying_target(lambda y: F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap-2"])
+@pytest.mark.parametrize("name", LYING_TARGETS)
+def test_transitivity_stops_a_lying_target_at_its_first_miss(monkeypatch, name, cap):
+    # the tent's laps with another map: the first miss raises, so the work
+    # does not grow with the horizon (a walk that swept up to 8,192 laps a
+    # step to 10^6 would take hours)
+    if cap is not None:
+        monkeypatch.setattr(verifier, "_MAX_PIECES", cap)
+    for resolution in range(1, 7):
+        counts = []
+        for horizon in (40, 10 ** 6):
+            target, calls = _recorded(LYING_TARGETS[name]())
+            if name == "lying-constant" and resolution == 1:
+                # 1/2 ends cell 0 and starts cell 1: every witness lands in V
+                assert transitivity_witness(target, resolution, horizon).passed()
+            else:
+                with pytest.raises(ArithmeticError, match="^transitivity of 'lying' at "):
+                    transitivity_witness(target, resolution, horizon)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], resolution
+
+
 @pytest.mark.parametrize("makes", [
-    (tent_target, FMAP_WORK_TARGETS["lying-identity"]),
-    (FMAP_WORK_TARGETS["lying-identity"], tent_target),
+    (tent_target, LYING_TARGETS["lying-identity"]),
+    (LYING_TARGETS["lying-identity"], tent_target),
 ], ids=["tent-then-lying", "lying-then-tent"])
 def test_no_transitivity_memo_outlives_its_call(makes):
-    # the two share every lap and every pulled-back point, so an image kept
-    # from the first call would carry the second's witnesses
+    # the two share every lap and every pulled-back point, so the tent's
+    # images kept into the lying map's call would witness every pair there,
+    # and the lying map's images kept into the tent's would make it miss
     for make in makes:
         target, calls = _recorded(make())
+        if make is not tent_target:
+            with pytest.raises(ArithmeticError):
+                transitivity_witness(target, 4, 8)
+            continue
         report = transitivity_witness(target, 4, 8)
         oracle, oracle_calls = _recorded(make())
         assert (report.params, report.witnesses) == _unmemoized_transitivity(oracle, 4, 8)
         assert sorted(calls) == sorted(set(oracle_calls))
 
 
-@pytest.mark.parametrize("make", [tent_target, FMAP_WORK_TARGETS["lying-identity"]])
+@pytest.mark.parametrize("make", [tent_target, lambda: rotation_target(F(1, 5))])
 def test_transitivity_past_its_memo_bound_maps_points_again(monkeypatch, make):
     # a full memo starts over, so its memory stays bounded: a dropped point is
     # mapped again on its next visit, never more often than the walk maps it
+    # (the tent passes at 5/8, and rotation by 1/5 witnesses 288 of 1,024 pairs)
     oracle, oracle_calls = _recorded(make())
     expected = _unmemoized_transitivity(oracle, 5, 8)
     for bound in (0, 1, 100):
@@ -1253,10 +1280,42 @@ def test_transitivity_past_its_memo_bound_maps_points_again(monkeypatch, make):
         assert (report.params, report.witnesses) == expected
         assert set(calls) == set(oracle_calls) and len(calls) <= len(oracle_calls)
         assert len(set(calls[:bound + 1])) == len(calls[:bound + 1])
-        if make is tent_target:  # the walks share points, and some were dropped
-            assert len(calls) > len(set(calls))
-        else:  # each walk stays on one point, which the memo still holds
-            assert len(calls) < len(oracle_calls)
+        # the walks share points, and some were dropped
+        assert len(calls) > len(set(calls)), bound
+
+
+@st.composite
+def consistent_targets(draw):
+    """A self-map of [0, 1] from a random branch table: two to five
+    branches with breakpoints on 1/d, integer slopes from -3 to 3, images
+    inside [0, 1] with their low ends on 1/e, and fmap read from the same
+    table (at a breakpoint, the first or the last branch there)."""
+    d, e = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1, max_size=4)))
+    ends = [F(0), *(F(k, d) for k in cuts), F(1)]
+    branches = []
+    for lo, hi in zip(ends, ends[1:]):
+        most = min(3, int(1 / (hi - lo)))
+        slope = draw(st.integers(-most, most))
+        low = F(draw(st.integers(0, int((1 - abs(slope) * (hi - lo)) * e))), e)
+        branches.append((lo, hi, F(slope), low - slope * (lo if slope >= 0 else hi)))
+    table = branches if draw(st.booleans()) else branches[::-1]
+
+    def fmap(y):
+        return next(s * y + c for lo, hi, s, c in table if lo <= y <= hi)
+
+    return Target("random", fmap, INTERVAL_CODEC, tuple(branches))
+
+
+@settings(max_examples=100, deadline=None)
+@given(consistent_targets(), st.integers(1, 4), st.integers(1, 12))
+def test_transitivity_of_a_consistent_target_never_misses(target, resolution, horizon):
+    # each witness lies inside its lap's domain, so inside U, and the
+    # target's own map carries it into V: the report is the Fraction lap
+    # route's, and no ArithmeticError is raised
+    report = transitivity_witness(target, resolution, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _fraction_transitivity(target, resolution, horizon))
 
 
 def test_transitivity_rejects_a_slope_that_is_not_an_integer():
