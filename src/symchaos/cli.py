@@ -95,7 +95,7 @@ def _load_graph(path: str) -> graphs.GraphSystem:
             text = fh.read()
     except OSError as exc:
         raise graphs.GraphError(f"cannot read {path}: {exc}") from exc
-    return graphs.graph_system(graphs.parse_graph(text))
+    return graphs.GraphSystem(graphs.parse_graph(text))
 
 
 def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:

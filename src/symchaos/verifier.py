@@ -145,11 +145,10 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     and the kept test are closed forms (_kept_blocks); other maps decode
     every word and iterate its point (_returning_blocks)."""
     started = time.monotonic()
-    _within(max_period=(max_period, 1, MAX_BITS), resolution=(resolution, 1, 16))
+    # a map without an induced symbolic system decodes every block: at most 16 bits
+    cap = MAX_BITS if target.induced is not None else 16
+    _within(max_period=(max_period, 1, cap), resolution=(resolution, 1, 16))
     space = target.space
-    if target.induced is None and max_period > 16:
-        raise ValueError(f"max_period {max_period} exceeds bound 16 for a map "
-                         "without an induced symbolic system")
     ends = [space.decode(w) for w in _CONSTANTS]
     if target.induced is not None:
         points_kept, kept = _kept_blocks(target.induced, max_period)
@@ -179,13 +178,13 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
     (exceptional, held fixed) purely periodic word is kept, and every other
     word on its cycle meets it before coming back and is dropped."""
     complementing = _complementing(sys)
-    pinned = {(w.period_len, w.period) for w in _pinned_periodic(sys, horizon)}
     count = sum(map(_primitive_blocks, range(1, horizon + 1)))
     if complementing:
         count //= 2
-    blocked = set()
-    for k, q in pinned:
-        cycle = _cycle(k, q, complementing, horizon)
+    pinned, blocked = set(), set()
+    for w in _pinned_periodic(sys, horizon):
+        pinned.add((w.period_len, w.period))
+        cycle = _cycle(sys.symbolic_map, w, horizon)
         if cycle is None:  # not counted above: it never comes back
             count += 1
         else:
@@ -199,10 +198,7 @@ def _kept_blocks(sys: InducedSystem, horizon: int) -> Tuple[int, Callable[[int, 
             return True
         if complementing and q & 1:
             return False
-        for rep in repunits[k]:
-            if q % rep == 0:
-                return False
-        return (k, q) not in blocked
+        return all(q % rep for rep in repunits[k]) and (k, q) not in blocked
 
     return count, kept
 
@@ -222,9 +218,9 @@ def _returning_blocks(target: Target, ends: list,
     space, fmap = target.space, target.fmap
     kept = {(1, b) for b, pt in enumerate(ends) if _point_returns(fmap, pt, horizon)}
     for k in range(2, horizon + 1):
-        repeats = {q for rep in _repunits(k) for q in range(0, 1 << k, rep)}
+        repunits = _repunits(k)
         for q in range(1 << k):
-            if q not in repeats:
+            if all(q % rep for rep in repunits):
                 pt = space.decode(Word._tail(0, 0, q, (1 << k) - 1))
                 if _point_returns(fmap, pt, horizon):
                     kept.add((k, q))
@@ -259,18 +255,16 @@ def _pinned_periodic(sys: InducedSystem, horizon: int) -> List[Word]:
                   key=lambda w: (w.period_len, w.period))
 
 
-def _cycle(k: int, q: int, complementing: bool, horizon: int):
-    """The blocks (k, q) meets on its way back to itself within `horizon`
-    steps, q included, or None when it does not come back."""
-    mask, cur, seen = (1 << k) - 1, q, {(k, q)}
+def _cycle(step, w: Word, horizon: int):
+    """The blocks (period length, block) of the words that `step` takes w
+    through on its way back to itself within `horizon` steps, w's
+    included, or None when it does not come back."""
+    cur, seen = w, {(w.period_len, w.period)}
     for _ in range(horizon):
-        lead = cur >> (k - 1)
-        cur = ((cur << 1) & mask) | lead
-        if complementing and lead:
-            cur ^= mask
-        if cur == q:
+        cur = step(cur)
+        if cur == w:
             return seen
-        seen.add((k, cur))
+        seen.add((cur.period_len, cur.period))
     return None
 
 
@@ -421,10 +415,8 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                     for _ in range(n):
                         z = image.get(y)
                         if z is None:
-                            if len(image) >= _MAX_MAPPED:
-                                image.clear()
                             z = fmap(Fraction(*y))
-                            z = image[y] = z.numerator, z.denominator
+                            z = _bounded(image)[y] = z.numerator, z.denominator
                         y = z
                     num, den = y[0] << resolution, y[1]
                     if not vj * den <= num <= (vj + 1) * den:
@@ -445,7 +437,15 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
 
 _MAX_PIECES = 4096
 # consistent targets fill it too: rotation by 1/4099 maps 523,200 points at 6/20000
-_MAX_MAPPED = 1 << 17  # fmap images held per call; a full memo starts over
+_MAX_MAPPED = 1 << 17  # entries a memo holds in one call
+
+
+def _bounded(memo: dict) -> dict:
+    """memo, emptied first when it holds _MAX_MAPPED entries: a full memo
+    starts over, so a long walk's memory stays bounded."""
+    if len(memo) >= _MAX_MAPPED:
+        memo.clear()
+    return memo
 
 
 def _integer_branches(target: Target, p: int):
@@ -510,7 +510,8 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     denominators): a point is the key (arc, n) of parameter n/q, which the
     codec steps and measures (Codec.lattice).  Orbits of neighbouring grid
     points merge, so `image` (key -> F(key)) and `far` ((x, y) -> metric >
-    eta) hold, for one call, what earlier points computed."""
+    eta) hold, for one call, what earlier points computed; each starts over
+    when it holds _MAX_MAPPED entries."""
     started = time.monotonic()
     _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
     if eta <= 0:
@@ -539,14 +540,14 @@ def _separates(step, apart, fx, fy, horizon: int, image: dict, far: dict) -> boo
             return False
         separated = far.get((fx, fy))
         if separated is None:
-            separated = far[fx, fy] = apart(fx, fy)
+            separated = _bounded(far)[fx, fy] = apart(fx, fy)
         if separated:
             return True
         gx, gy = image.get(fx), image.get(fy)
         if gx is None:
-            gx = image[fx] = step(fx)
+            gx = _bounded(image)[fx] = step(fx)
         if gy is None:
-            gy = image[fy] = step(fy)
+            gy = _bounded(image)[fy] = step(fy)
         fx, fy = gx, gy
     return False
 

@@ -67,10 +67,6 @@ def _pack(bits: Iterable[int]) -> Tuple[int, int]:
     return len(bits), int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
 
 
-def _unpack(length: int, value: int) -> Tuple[int, ...]:
-    return tuple(map(int, format(value, f"0{length}b"))) if length else ()
-
-
 def _rot_left(value: int, length: int, n: int = 1) -> int:
     n %= length
     mask = (1 << length) - 1
@@ -136,19 +132,9 @@ class Word:
         self.period_len, self.period = k, s
         return object.__getattribute__(self, name)
 
-    def prefix(self, n: int) -> Tuple[int, ...]:
-        return _unpack(n, prefix_int(self, n))
-
-    def pre_bits(self) -> Tuple[int, ...]:
-        return _unpack(self.pre_len, self.pre)
-
-    def period_bits(self) -> Tuple[int, ...]:
-        return _unpack(self.period_len, self.period)
-
     def __str__(self) -> str:
-        pre = "".join(map(str, self.pre_bits()))
-        per = "".join(map(str, self.period_bits()))
-        return f"{pre}:{per}"
+        pre = format(self.pre, f"0{self.pre_len}b") if self.pre_len else ""
+        return f"{pre}:{self.period:0{self.period_len}b}"
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

@@ -15,6 +15,7 @@ from symchaos.verifier import (
     dense_orbit_coverage,
     lemma6_commute_check,
     periodic_density,
+    rotation_target,
     sensitivity_probe,
     tent_target,
     transitivity_witness,
@@ -30,6 +31,8 @@ LIBRARY = [
     (lambda: periodic_density(TENT, 25, 4), "max_period 25 exceeds bound 24"),
     (lambda: periodic_density(TENT, 4, 0), "resolution must be at least 1, got 0"),
     (lambda: periodic_density(TENT, 4, 17), "resolution 17 exceeds bound 16"),
+    # a control decodes every block of at most max_period bits
+    (lambda: periodic_density(rotation_target(), 17, 4), "max_period 17 exceeds bound 16"),
     (lambda: dense_orbit_coverage(TENT, 0, 4), "steps must be at least 1, got 0"),
     (lambda: dense_orbit_coverage(TENT, 10 ** 6 + 1, 4), "steps 1000001 exceeds bound 10^6"),
     (lambda: dense_orbit_coverage(TENT, 100, 0), "resolution must be at least 1, got 0"),
@@ -53,6 +56,7 @@ LIBRARY = [
     # two bad values: every least comes before every bound, each in argument order
     (lambda: periodic_density(TENT, 25, 0), "resolution must be at least 1, got 0"),
     (lambda: periodic_density(TENT, 0, 0), "max_period must be at least 1, got 0"),
+    (lambda: periodic_density(rotation_target(), 17, 17), "max_period 17 exceeds bound 16"),
     (lambda: sensitivity_probe(TENT, ETA, DELTA, 4097, 10 ** 6 + 1),
      "grid 4097 exceeds bound 2^12"),
     (lambda: lemma6_commute_check(TENT, 25, -1), "orbit_steps must be at least 0, got -1"),

@@ -322,7 +322,7 @@ def test_equal_fibers_share_a_pin_key():
     for k in range(1, 9):
         for w in periodic_words(k):
             for pre in ((), (0,), (1,), (1, 0, 1)):
-                word = Word(pre, w.period_bits())
+                word = Word(pre, map(int, format(w.period, f"0{w.period_len}b")))
                 by_bits = INTERVAL_CODEC.fiber_of(word)
                 by_value = INTERVAL_CODEC.encode(word_value(word))
                 assert by_bits == by_value

@@ -19,7 +19,7 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift, value_enclosure
-from symchaos.words import Word, bits_of, parse_word, periodic_words, word_value
+from symchaos.words import Word, bits_of, parse_word, periodic_words, prefix_int, word_value
 
 W = parse_word
 F = Fraction
@@ -180,7 +180,7 @@ def test_tent_periodic_projections():
             returns = cur == y
             # the word returns under the symbol map iff its k-th bit is 0
             # (else the orbit lands on the complement value)
-            if w.prefix(k)[-1] == 0:
+            if prefix_int(w, k) & 1 == 0:
                 assert returns
 
 

@@ -484,6 +484,35 @@ def test_periodicity_dispatch_follows_rebound_maps(monkeypatch):
         assert reports(target) == expected[base.name]
 
 
+@pytest.mark.parametrize("base,point", [(tent_target(), F(1, 3)), (tent_target(), F(2, 5)),
+                                        (baker_target(), F(1, 3))],
+                         ids=["tent-1/3", "tent-2/5", "baker-1/3"])
+def test_pinned_cycles_follow_the_systems_own_map(monkeypatch, base, point):
+    # the pinned word's cycle is walked by the system's symbolic map, so a
+    # wrapper rebound for it sees each step, from the pinned word on, until
+    # the word comes back or the horizon ends (:01 never comes back under C)
+    from symchaos import words
+
+    unwrapped = _pinned_target(base, point)
+    expected = periodic_density(unwrapped, 8, 5)
+    original = {name: getattr(words, name) for name in ("shift_map", "c_map")}
+    calls, wrapped = [], {}
+    for name, f in original.items():
+        wrapped[name] = lambda w, name=name, f=f: calls.append((name, w)) or f(w)
+        monkeypatch.setattr(words, name, wrapped[name])
+        monkeypatch.setattr(verifier, name, wrapped[name])
+    name = base.induced.symbolic_map.__name__
+    sys = InducedSystem(unwrapped.induced.name, wrapped[name], INTERVAL_CODEC,
+                        pinned_points=(point,))
+    report = periodic_density(unwrapped._replace(induced=sys), 8, 5)
+    assert (report.params, report.witnesses) == (expected.params, expected.witnesses)
+    [pinned] = verifier._pinned_periodic(sys, 8)
+    cycle, step = [pinned], original[name]
+    while len(cycle) < 8 and step(cycle[-1]) != pinned:
+        cycle.append(step(cycle[-1]))
+    assert calls == [(name, w) for w in cycle]
+
+
 @pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS
                          + [rotation_target()], ids=lambda t: t.name)
 def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
@@ -1579,3 +1608,37 @@ def test_k3_sensitivity_at_grid_4096():
     assert len(wide.witnesses) == 3075
     assert wide.witnesses[0] == {"arc": "E1", "t": "1/8192"}
     assert wide.witnesses[-1] == {"arc": "E3", "t": "8187/8192"}
+
+
+MEMO_TARGETS = {"tent": tent_target(), "baker": baker_target(), "k3": GRAPH_TARGETS[0],
+                "constant": constant_target(), "identity": identity_target(),
+                "rotation": rotation_target(F(1, 5))}
+
+
+@pytest.mark.parametrize("name", MEMO_TARGETS)
+def test_sensitivity_past_its_memo_bound_gives_the_same_report(monkeypatch, name):
+    # a full image or pair memo starts over, which only recomputes entries
+    target = MEMO_TARGETS[name]
+    expected = sensitivity_probe(target, F(1, 4), F(1, 4096), 64, 40)
+    for bound in (0, 1, 100):
+        monkeypatch.setattr(verifier, "_MAX_MAPPED", bound)
+        report = sensitivity_probe(target, F(1, 4), F(1, 4096), 64, 40)
+        assert (report.params, report.witnesses) == (expected.params, expected.witnesses)
+
+
+def test_sensitivity_memos_stay_within_their_bound(monkeypatch):
+    # rotation by 1/4099 never merges two orbits, so each step adds a key
+    # and a pair: unbounded, the memos of this call peak near 3.5 MB
+    import tracemalloc
+
+    monkeypatch.setattr(verifier, "_MAX_MAPPED", 1024)
+    target = rotation_target(F(1, 4099))
+    tracemalloc.start()
+    try:
+        report = sensitivity_probe(target, F(1, 8), F(1, 4096), 8, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the grid points with no wrap past 1 within the horizon
+    assert report.verdict == "fail" and len(report.witnesses) == 6

@@ -57,6 +57,24 @@ def _bit(w, i):
     return (w.period >> (w.period_len - 1 - j)) & 1
 
 
+def _unpack(length, value):
+    """The `length` bits of value, first bit most significant, as a tuple."""
+    return tuple(map(int, format(value, f"0{length}b"))) if length else ()
+
+
+def _prefix(w, n):
+    """The first n bits of w, from the packed prefix_int."""
+    return _unpack(n, prefix_int(w, n))
+
+
+def _pre_bits(w):
+    return _unpack(w.pre_len, w.pre)
+
+
+def _period_bits(w):
+    return _unpack(w.period_len, w.period)
+
+
 def bits_strategy(max_len, min_len=0):
     return st.lists(st.integers(0, 1), min_size=min_len, max_size=max_len)
 
@@ -69,9 +87,37 @@ words_strategy = st.builds(
 
 def test_parse_and_str_round_trip():
     for text in ("1:0", "0:1", ":10", ":0", "0110:101"):
-        assert str(W(text)) == str(Word(W(text).pre_bits(), W(text).period_bits()))
+        assert str(W(text)) == str(Word(_pre_bits(W(text)), _period_bits(W(text))))
     assert str(W(":10")) == ":10"
     assert W("1:0") == Word([1], [0])
+
+
+def _text_oracle(w):
+    """pre:period from the first pre_len + period_len bits, read by prefix_int
+    behind a leading 1 that keeps their leading zeros."""
+    m, n = w.pre_len, w.pre_len + w.period_len
+    bits = bin((1 << n) | prefix_int(w, n))[3:]
+    return f"{bits[:m]}:{bits[m:]}"
+
+
+@given(words_strategy)
+def test_str_matches_the_prefix_oracle(w):
+    assert str(w) == _text_oracle(w)
+    assert parse_word(str(w)) == w
+
+
+def test_str_of_a_million_bit_period_is_one_pass():
+    # the word fiber --x 999999/1000003 prints; unpacking its period into a
+    # tuple of bits first took about 0.5 s
+    [w] = bits_of(Fraction(999999, 1000003))
+    assert (w.pre_len, w.period_len) == (0, 1000002)
+    started = time.monotonic()
+    text = str(w)
+    assert time.monotonic() - started < 0.25
+    assert text == _text_oracle(w)
+    for t in (Fraction(1, 3), Fraction(5, 88), Fraction(77, 16 * 1000003)):
+        [w] = bits_of(t)
+        assert str(w) == _text_oracle(w)
 
 
 @pytest.mark.parametrize("bad", ["", ":", "1:", "12:0", "1.0", "0"])
@@ -139,7 +185,7 @@ def test_a_half_million_bit_word_parses_and_inverts_r_in_under_a_second():
 def test_canonical_primitive_period():
     assert Word([], [1, 0, 1, 0]) == W(":10")
     assert Word([], [1, 1, 1]) == W(":1")
-    assert Word([], [0, 1, 0, 1, 0, 1]).period_bits() == (0, 1)
+    assert _period_bits(Word([], [0, 1, 0, 1, 0, 1])) == (0, 1)
 
 
 def test_canonical_minimal_preperiod():
@@ -192,10 +238,10 @@ def test_canonical_form_of_a_multi_million_bit_period():
 
 @given(words_strategy)
 def test_canonicalization_idempotent(w):
-    again = Word(w.pre_bits(), w.period_bits())
+    again = Word(_pre_bits(w), _period_bits(w))
     assert again == w
-    assert again.pre_bits() == w.pre_bits()
-    assert again.period_bits() == w.period_bits()
+    assert _pre_bits(again) == _pre_bits(w)
+    assert _period_bits(again) == _period_bits(w)
 
 
 @given(st.data())
@@ -203,7 +249,7 @@ def test_equality_matches_sequences(data):
     a = data.draw(words_strategy)
     b = data.draw(words_strategy)
     horizon = a.pre_len + b.pre_len + 2 * a.period_len * b.period_len + 4
-    same = a.prefix(horizon) == b.prefix(horizon)
+    same = _prefix(a, horizon) == _prefix(b, horizon)
     assert (a == b) == same
 
 
@@ -211,13 +257,13 @@ def test_equality_matches_sequences(data):
 def test_canonical_invariants(w):
     # period primitive: no proper divisor block reproduces it
     k = w.period_len
-    per = w.period_bits()
+    per = _period_bits(w)
     for d in range(1, k):
         if k % d == 0:
             assert per != per[:d] * (k // d)
     # preperiod minimal: last bits differ under alignment
     if w.pre_len:
-        assert w.pre_bits()[-1] != per[-1]
+        assert _pre_bits(w)[-1] != per[-1]
 
 
 # ---------------------------------------------------------------- shift
@@ -231,7 +277,7 @@ def test_shift_examples():
 @given(words_strategy)
 def test_shift_oracle_index_shift(w):
     # oracle: result(i) = w(i+1) on an explicit 20-bit prefix
-    assert shift_map(w).prefix(20) == w.prefix(21)[1:]
+    assert _prefix(shift_map(w), 20) == _prefix(w, 21)[1:]
 
 
 # ---------------------------------------------------------------- c map
@@ -244,7 +290,7 @@ def test_c_map_examples():
 
 def _c_oracle_bits(w, n):
     # literal definition on a finite prefix
-    bits = w.prefix(n + 1)
+    bits = _prefix(w, n + 1)
     if bits[0] == 0:
         return tuple(bits[1:])
     return tuple(1 - b for b in bits[1:])
@@ -252,7 +298,7 @@ def _c_oracle_bits(w, n):
 
 @given(words_strategy)
 def test_c_map_oracle_bitwise(w):
-    assert c_map(w).prefix(20) == _c_oracle_bits(w, 20)
+    assert _prefix(c_map(w), 20) == _c_oracle_bits(w, 20)
 
 
 def test_c_map_decomposition_all_short_prefixes():
@@ -297,8 +343,8 @@ def test_shift_and_c_map_match_old_rotation_exhaustively():
         horizon = 2 * w.period_len + 3
         assert shift_map(w) == _old_shift_map(w)
         assert c_map(w) == _old_c_map(w)
-        assert shift_map(w).prefix(horizon) == w.prefix(horizon + 1)[1:]
-        assert c_map(w).prefix(horizon) == _c_oracle_bits(w, horizon)
+        assert _prefix(shift_map(w), horizon) == _prefix(w, horizon + 1)[1:]
+        assert _prefix(c_map(w), horizon) == _c_oracle_bits(w, horizon)
 
 
 @given(words_strategy)
@@ -458,8 +504,8 @@ def test_r_map_closed_form_vs_literal_composition():
 @given(words_strategy)
 def test_r_map_word_level_matches_adjacent_xor(w):
     out = r_map(w)
-    bits = w.prefix(21)
-    assert out.prefix(20) == tuple(bits[i] ^ bits[i + 1] for i in range(20))
+    bits = _prefix(w, 21)
+    assert _prefix(out, 20) == tuple(bits[i] ^ bits[i + 1] for i in range(20))
 
 
 def test_r_two_to_one_on_prefixes():
@@ -493,7 +539,7 @@ def _r_inverse_by_bits(w):
     """The former r_inverse, the oracle: the running XOR one bit at a time."""
     m, k = w.pre_len, w.period_len
     n = m + 2 * k
-    bits = w.prefix(n)
+    bits = _prefix(w, n)
     x = [0]
     for b in bits[:-1]:
         x.append(x[-1] ^ b)
@@ -590,7 +636,7 @@ def test_word_metric_partial_sum_oracle(data):
     a = data.draw(st.builds(Word, bits_strategy(8), bits_strategy(6, min_len=1)))
     b = data.draw(st.builds(Word, bits_strategy(8), bits_strategy(6, min_len=1)))
     d = word_metric(a, b)
-    pa, pb = a.prefix(64), b.prefix(64)
+    pa, pb = _prefix(a, 64), _prefix(b, 64)
     partial = sum(Fraction(abs(x - y), 1 << (i + 1))
                   for i, (x, y) in enumerate(zip(pa, pb)))
     assert partial <= d <= partial + Fraction(1, 1 << 64)
@@ -934,9 +980,9 @@ def test_complement_involution():
 
 @given(words_strategy)
 def test_sort_order_is_pre_then_period_lex(w):
-    other = Word([0] + list(w.pre_bits()), w.period_bits())
-    key = (w.pre_bits(), w.period_bits())
-    other_key = (other.pre_bits(), other.period_bits())
+    other = Word([0] + list(_pre_bits(w)), _period_bits(w))
+    key = (_pre_bits(w), _period_bits(w))
+    other_key = (_pre_bits(other), _period_bits(other))
     assert (w < other) == (key < other_key)
 
 
