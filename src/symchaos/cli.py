@@ -147,7 +147,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_orbit(args) -> int:
     _within(**{"--steps": (args.steps, 0, 10 ** 6)})
-    # a start outside [0, 1] is an input error before any row is printed
+    # a start off the unit interval is an input error before any row is printed
     orbit = _iterate(EVAL_SYSTEMS[args.system], interval.as_unit(args.x), args.steps)
     _print_rows(({"step": step, "num": x.numerator, "den": x.denominator,
                   "approx": float(x)} for step, x in enumerate(orbit)), args.format)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .interval import INTERVAL_CODEC, _show, unit_cells
+from .interval import INTERVAL_CODEC, _show, as_unit, unit_cells
 from .words import (
     Word,
     bits_of,
@@ -74,7 +74,7 @@ class GraphSpec(NamedTuple):
     def arc(self, i: int) -> Arc:
         """1-based arc lookup."""
         if not 1 <= i <= len(self.arcs):
-            raise GraphError(f"arc index {i} out of range 1..{len(self.arcs)}")
+            raise GraphError(f"arc index {_show(i)} out of range 1..{len(self.arcs)}")
         return self.arcs[i - 1]
 
 
@@ -84,8 +84,7 @@ class Interior:
     __match_args__ = ("arc", "t")
 
     def __init__(self, arc: int, t: Fraction):
-        if type(t) is not Fraction:  # a float or a str, read exactly as as_unit does
-            t = Fraction(t)
+        t = as_unit(t)
         n, d = t.as_integer_ratio()  # by its parts: a third of the time of 0 < t < 1
         if not 0 < n < d:
             raise ValueError(f"interior parameter {t} not in (0, 1)")
@@ -246,8 +245,9 @@ class GraphSystem:
 
     def point_at(self, i: int, t: Fraction) -> GraphPoint:
         """The point at parameter t of arc i: the arc's tail node at 0, its
-        head node at 1."""
+        head node at 1; t is read by as_unit."""
         arc = self.spec.arc(i)
+        t = as_unit(t)
         if t == 0:
             return Node(arc.tail)
         if t == 1:

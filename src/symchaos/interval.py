@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .words import Word, bits_of, c_map, dyadic_twin, r_map, shift_map, word_value
+from .words import (Word, _show, as_unit, bits_of, c_map, dyadic_twin, r_map, shift_map,
+                    word_value)
 
 __all__ = [
     "as_unit",
@@ -27,27 +28,6 @@ __all__ = [
     "baker_system",
     "INTERVAL_CODEC",
 ]
-
-
-def as_unit(y) -> Fraction:
-    if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
-        y = Fraction(y)
-    n, d = y.as_integer_ratio()
-    if not 0 <= n <= d:
-        raise ValueError(f"point {_show(y)} outside [0, 1]")
-    return y
-
-
-_SHOWN_BITS = 256
-
-
-def _show(x: Fraction) -> str:
-    """x as text for a message, or only its size once a part passes
-    _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError)."""
-    num, den = x.numerator.bit_length(), x.denominator.bit_length()
-    if max(num, den) <= _SHOWN_BITS:
-        return str(x)
-    return f"a fraction with a {num}-bit numerator and a {den}-bit denominator"
 
 
 def unit_cells(y: Fraction, p: int) -> List[int]:
@@ -67,7 +47,7 @@ class IntervalCodec:
     stream_excludes_all = stream_excludes_all
 
     def encode(self, point: Fraction) -> Fiber:
-        return Fiber(bits_of(as_unit(point)))
+        return Fiber(bits_of(point))
 
     def decode(self, word: Word) -> Fraction:
         return word_value(word)
@@ -154,5 +134,4 @@ def conjugate_via_r(y) -> Fraction:
     the two expansions transport to different words, so the choice matters
     and is fixed here.
     """
-    y = as_unit(y)
     return word_value(r_map(bits_of(y)[0]))

@@ -456,7 +456,7 @@ def _integer_branches(target: Target, p: int):
     for _, _, slope, _ in target.branches:
         if slope.denominator != 1:
             raise ValueError(f"system {target.name!r}: the lap route needs integer "
-                             f"branch slopes, got {slope}")
+                             f"branch slopes, got {_show(slope)}")
     lattice = 2 * math.lcm(1 << p, *(v.denominator for b in target.branches for v in b))
     stretch = math.lcm(*(abs(b[2].numerator) for b in target.branches if b[2]))
     branches = [(int(lo * lattice), int(hi * lattice), int(slope), int(c * lattice))
@@ -515,9 +515,9 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     started = time.monotonic()
     _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
     if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+        raise ValueError(f"eta must be positive, got {_show(eta)}")
     if not 0 < delta < 1:
-        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {_show(delta)}")
     space = target.space
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))

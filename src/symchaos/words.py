@@ -42,6 +42,27 @@ MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 
 _SHOWN_BOUNDS = {10 ** 6: "10^6", 1 << 12: "2^12"}
 
+_SHOWN_BITS = 256
+
+
+def _show(x) -> str:
+    """A number as text for a message, or only its size once a part passes
+    _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError)."""
+    num, den = (part.bit_length() for part in x.as_integer_ratio())
+    if max(num, den) <= _SHOWN_BITS:
+        return str(x)
+    return f"a fraction with a {num}-bit numerator and a {den}-bit denominator"
+
+
+def as_unit(y) -> Fraction:
+    """y (a Fraction, an int, a float or a numeric str) as a Fraction in [0, 1]."""
+    if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
+        y = Fraction(y)
+    n, d = y.as_integer_ratio()
+    if not 0 <= n <= d:
+        raise ValueError(f"point {_show(y)} outside [0, 1]")
+    return y
+
 
 def _within(**params: Tuple[int, int, int]) -> None:
     """Reject each resource parameter name=(value, least, bound) outside
@@ -49,10 +70,11 @@ def _within(**params: Tuple[int, int, int]) -> None:
     bound, each in argument order."""
     for name, (value, least, _) in params.items():
         if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+            raise ValueError(f"{name} must be at least {least}, got {_show(value)}")
     for name, (value, _, bound) in params.items():
         if value > bound:
-            raise ValueError(f"{name} {value} exceeds bound {_SHOWN_BOUNDS.get(bound, bound)}")
+            raise ValueError(f"{name} {_show(value)} exceeds bound "
+                             f"{_SHOWN_BOUNDS.get(bound, bound)}")
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -319,16 +341,14 @@ def _order_of_two(q: int) -> int | None:
 
 
 def bits_of(t: Fraction) -> List[Word]:
-    """All binary expansions of t in [0, 1].
+    """All binary expansions of t, read by as_unit.
 
     Two expansions (ordered [...10^inf, ...01^inf]) exactly when t is a
     dyadic l/2^n strictly inside (0, 1); otherwise one.  Each keeps its tail
     as s/q in lowest terms.
     A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
-    p, q = t.as_integer_ratio()
-    if not 0 <= p <= q:
-        raise ValueError(f"value {t} outside [0, 1]")
+    p, q = as_unit(t).as_integer_ratio()
     if p == q:
         return [Word._tail(0, 0, 1, 1)]
     a = (q & -q).bit_length() - 1  # power of 2 in q

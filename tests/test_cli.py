@@ -261,6 +261,14 @@ def test_graph_orbit_numeric_arc_and_json(capsys, k3_file):
     ]
 
 
+@pytest.mark.parametrize("start", ["E1:3/2", "2:-1/4"])
+def test_graph_orbit_start_outside_the_arc_names_the_point(capsys, k3_file, start):
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file, "--start", start,
+                         "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: point {start.split(':')[1]} outside [0, 1]\n"
+
+
 def test_graph_orbit_bad_start(capsys, k3_file):
     code, _, err = run(capsys, "graph-orbit", "--file", k3_file,
                        "--start", "nope", "--steps", "1")
@@ -479,6 +487,12 @@ def test_fiber_non_dyadic(capsys):
     assert out == ":01\n"
 
 
+def test_fiber_outside_the_interval_names_the_point(capsys):
+    code, out, err = run(capsys, "fiber", "--x", "3/2")
+    assert (code, out) == (2, "")
+    assert err == "error: point 3/2 outside [0, 1]\n"
+
+
 def test_fiber_period_above_its_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "fiber", "--x", "1/33554467")
     assert (code, out) == (2, "")
@@ -506,6 +520,27 @@ def test_fiber_file_requires_arc(capsys, k3_file):
     code, out, err = run(capsys, "fiber", "--x", "1/2", "--file", k3_file)
     assert (code, out) == (2, "")
     assert err == "error: --file requires --arc\n"
+
+
+# ------------------------------------------------------------ huge values
+
+SIZED = "a fraction with a 16607-bit numerator and a 1-bit denominator"  # 10^4999
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fiber", "--x", "1e4999"], f"point {SIZED} outside [0, 1]"),
+    (["fiber", "--file", "K3", "--arc", "1", "--x", "1e4999"], f"point {SIZED} outside [0, 1]"),
+    (["graph-orbit", "--file", "K3", "--start", "E1:1e4999", "--steps", "1"],
+     f"point {SIZED} outside [0, 1]"),
+    (["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e4999"],
+     f"eta must be positive, got {SIZED}"),
+    (["verify", "--system", "tent", "--property", "sensitivity", "--delta=1e4999"],
+     f"delta must lie strictly between 0 and 1, got {SIZED}"),
+], ids=["fiber", "graph-fiber", "graph-orbit", "eta", "delta"])
+def test_a_huge_number_is_named_by_its_size(capsys, k3_file, argv, message):
+    code, out, err = run(capsys, *(k3_file if a == "K3" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------ cold start

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symchaos.decomposition import Fiber, Violation, star_check
+from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, Interior, Node, parse_graph
 from symchaos.interval import (
     INTERVAL_CODEC,
     _show,
@@ -19,6 +20,13 @@ from symchaos.interval import (
     tent_system,
 )
 from symchaos.streams import StreamWord, stream_shift, value_enclosure
+from symchaos.verifier import (
+    Target,
+    dense_orbit_coverage,
+    sensitivity_probe,
+    tent_target,
+    transitivity_witness,
+)
 from symchaos.words import Word, bits_of, parse_word, periodic_words, prefix_int, word_value
 
 W = parse_word
@@ -96,7 +104,7 @@ def test_points_outside_the_unit_interval_are_rejected_with_their_messages(y):
         assert str(exc.value) == f"point {_show(F(y))} outside [0, 1]"
     with pytest.raises(ValueError) as exc:
         bits_of(y)
-    assert str(exc.value) == f"value {y} outside [0, 1]"
+    assert str(exc.value) == f"point {_show(F(y))} outside [0, 1]"
 
 
 @pytest.mark.parametrize("y", ["3/2", "-1/4", "2", "1.5"])
@@ -297,3 +305,92 @@ def test_fiber_route_invariant_survives_optimized_mode():
     src = os.path.dirname(symchaos.__path__[0])
     done = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src})
     assert done.returncode == 7
+
+
+# -- one reader: every entry reads a point by as_unit -------------------------
+
+K3 = GraphSystem(parse_graph(EXAMPLE_GRAPHS["k3"]))
+
+READERS = {
+    "as_unit": as_unit,
+    "bits_of": bits_of,
+    "encode": INTERVAL_CODEC.encode,
+    "tent": tent,
+    "baker": baker,
+    "induced_tent": induced_tent,
+    "induced_baker": induced_baker,
+    "point_at": lambda y: K3.point_at(1, y),
+}
+
+
+@pytest.mark.parametrize("y", [F(2, 5), 1, 0.375, " 2/6 ", "3e-1", "0.25"])
+def test_every_entry_reads_a_point_as_its_fraction(y):
+    exact = F(y)
+    for name, read in READERS.items():
+        assert read(y) == read(exact), name
+    assert type(as_unit(y)) is Fraction
+    if 0 < exact < 1:
+        point = Interior(2, y)
+        assert point == Interior(2, exact) and type(point.t) is Fraction
+
+
+@pytest.mark.parametrize("y", [F(3, 2), -1, 1.5, "-1/4", "2", F(-10 ** 4999), None, "x", "1/0",
+                               [0], float("nan"), float("inf")])
+def test_every_entry_rejects_a_point_with_the_error_of_as_unit(y):
+    with pytest.raises(Exception) as expected:
+        as_unit(y)
+    for name, read in dict(READERS, Interior=lambda y: Interior(1, y)).items():
+        with pytest.raises(expected.type) as exc:
+            read(y)
+        assert str(exc.value) == str(expected.value), name
+
+
+def test_point_at_reads_its_parameter_before_it_tests_for_the_ends():
+    for t in (0, 0.0, "0", F(0)):
+        assert K3.point_at(1, t) == Node("a")
+    for t in (1, 1.0, "1", " 2/2 "):
+        assert K3.point_at(1, t) == Node("b")
+
+
+# -- one printer: a number past _SHOWN_BITS is named by its size --------------
+
+HUGE = 10 ** 4999  # a 5,000-digit numerator
+SIZED = "a fraction with a 16607-bit numerator and a 1-bit denominator"
+TENT = tent_target()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: as_unit(F(HUGE)), f"point {SIZED} outside [0, 1]"),
+    (lambda: bits_of(F(HUGE)), f"point {SIZED} outside [0, 1]"),
+    (lambda: Interior(1, F(HUGE)), f"point {SIZED} outside [0, 1]"),
+    (lambda: K3.point_at(1, F(HUGE)), f"point {SIZED} outside [0, 1]"),
+    (lambda: K3.spec.arc(HUGE), f"arc index {SIZED} out of range 1..3"),
+    (lambda: sensitivity_probe(TENT, F(-HUGE), F(1, 8), 4, 10),
+     f"eta must be positive, got {SIZED}"),
+    (lambda: sensitivity_probe(TENT, F(1, 4), F(HUGE), 4, 10),
+     f"delta must lie strictly between 0 and 1, got {SIZED}"),
+    (lambda: periodic_words(-HUGE), f"n must be at least 1, got {SIZED}"),
+    (lambda: dense_orbit_coverage(TENT, HUGE, 4), f"steps {SIZED} exceeds bound 10^6"),
+    (lambda: transitivity_witness(Target("steep", tent, INTERVAL_CODEC,
+                                         ((F(0), F(1), F(HUGE, 3), F(0)),)), 2, 2),
+     "system 'steep': the lap route needs integer branch slopes, got "
+     "a fraction with a 16607-bit numerator and a 2-bit denominator"),
+], ids=["as_unit", "bits_of", "Interior", "point_at", "arc", "eta", "delta", "least", "bound",
+        "slope"])
+def test_a_huge_number_is_named_by_its_size(call, message):
+    assert _show(HUGE) == SIZED
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x", [3, -3, 0.1, 2.5e70, F(-7, 3), F((1 << 256) - 1, 3), F(1, 1 << 255)])
+def test_show_prints_a_number_of_at_most_256_bits_as_str_does(x):
+    assert _show(x) == str(x)
+
+
+@pytest.mark.parametrize("x,sized", [(1 << 256, "257-bit numerator and a 1-bit"),
+                                     (F(-1, 1 << 256), "1-bit numerator and a 257-bit"),
+                                     (1e300, "997-bit numerator and a 1-bit")])
+def test_show_names_a_number_past_256_bits_by_its_size(x, sized):
+    assert _show(x) == f"a fraction with a {sized} denominator"
