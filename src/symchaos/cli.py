@@ -35,11 +35,22 @@ VERIFY_PROPERTIES = {
 }
 
 
+_QUOTED_CHARS = 256  # the most characters of a text that a message quotes
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit
+            message = (f"a {len(text)}-character number exceeds the "
+                       f"{sys.get_int_max_str_digits():,}-digit limit")
+        elif len(text) > _QUOTED_CHARS:
+            message = (f"not a rational: {text[:_QUOTED_CHARS]!r}... "
+                       f"({len(text)} characters)")
+        else:
+            message = f"not a rational: {text!r}"
+        raise argparse.ArgumentTypeError(message) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,12 @@ iterate of a sequence w is the n-fold shift of w XOR w(n), a global flip.
 Along the generator orbit that flip is dense bit n, the bit just before
 the iterate's first bit (and 0 at step 0).
 
-orbit_windows reads the first bits of every iterate along the orbit for
-the verifier: it takes the dense word a chunk of bits at a time and rolls
-one integer through it, one bit per step, so no step builds a StreamWord
-or finds its place in the dense word again.
+The verifier reads the orbit as text: _dense_text writes the dense word
+as '0'/'1' characters, a chunk of bits per _dense_window call.  The
+dense-orbit check rolls one integer through that text, one bit per step
+(orbit_windows), so no step builds a StreamWord or finds its place in the
+dense word again; the Lemma 6 check searches it for the 64-bit keys of
+the pinned cells with str.find.
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ def stream_c_step(sw: StreamWord) -> StreamWord:
 _CHUNK_BITS = 4096
 
 
+def _dense_text(start: int, n: int) -> Iterator[str]:
+    """Dense-word bits start+1 .. start+n as '0'/'1' text, in chunks of at
+    most _CHUNK_BITS bits, each read by one _dense_window call (one call
+    over n bits shifts its whole value once per listed word: about n^2/64
+    word operations)."""
+    while n > 0:
+        k = min(_CHUNK_BITS, n)
+        yield format(_dense_window(start, k), f"0{k}b")
+        start, n = start + k, n - k
+
+
 def orbit_windows(width: int, steps: int, complementing: bool) -> Iterator[int]:
     """The first `width` bits (packed, first bit most significant) of each of
     the first `steps` iterates of the dense word under the shift, or under
@@ -100,16 +113,12 @@ def orbit_windows(width: int, steps: int, complementing: bool) -> Iterator[int]:
     holds dense bits n .. n+width (bit 0 reads as 0).  Under the shift the
     window is its low width bits; under the complementing shift those bits
     are complemented when the top bit, the flip of stream_c_step, is set.
-    The dense word is read _CHUNK_BITS bits per _dense_window call."""
+    The dense word is read as _dense_text."""
     mask = (1 << width) - 1
     full = (mask << 1) | 1
-    x = _dense_window(0, width)
-    start = width  # dense bits 1..start are in x
-    while steps > 0:
-        n = min(_CHUNK_BITS, steps)
-        # ASCII '0' and '1' differ in their low bit
-        chunk = format(_dense_window(start, n), f"0{n}b").encode()
-        start, steps = start + n, steps - n
+    x = _dense_window(0, width)  # dense bits 1..width
+    for text in _dense_text(width, steps):
+        chunk = text.encode()  # ASCII '0' and '1' differ in their low bit
         if complementing:
             for b in chunk:
                 yield x ^ full if x > mask else x

@@ -17,7 +17,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _show, baker, baker_system, tent, tent_system
-from .streams import StreamWord, dense_bit, orbit_windows, stream_c_step, stream_shift
+from .streams import StreamWord, _dense_text, orbit_windows, stream_c_step, stream_shift
 from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
 
 __all__ = [
@@ -76,8 +76,8 @@ class Target(NamedTuple):
     its argument that agrees with each branch inside it: transitivity maps
     each point once and reuses the image, and pulls its witnesses back
     through the branches, so a witness fmap takes elsewhere raises
-    ArithmeticError.  The checks read the generator orbit through
-    streams.orbit_windows, under C or S as the induced map says."""
+    ArithmeticError.  The checks read the generator orbit as the dense
+    word's text (streams._dense_text), under C or S as the induced map says."""
 
     name: str
     fmap: Optional[Callable]
@@ -514,7 +514,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     when it holds _MAX_MAPPED entries."""
     started = time.monotonic()
     _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
-    if eta <= 0:
+    if not eta > 0:  # NaN too
         raise ValueError(f"eta must be positive, got {_show(eta)}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {_show(delta)}")
@@ -589,25 +589,40 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     return _finish(target.name, "lemma6", params, witnesses, started)
 
 
+_FLIPPED = str.maketrans("01", "10")
+
+
 def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
     """The generator-orbit steps where semiconjugacy_check fails.
 
     Only a step whose stream lies in a pinned cell (sys.pinned_cells, at
     _STREAM_BITS bits) can fail, and its first 64 bits are the top 64 bits
-    of that cell's arc prefix and v.  Each rolled window is looked up by its
-    first 64 bits among those keys, so every such step is found, and a step
+    of that cell's arc prefix and v: a key.  The text is "0" and then dense
+    bits 1 .. steps+63, so index n holds step n's flip (dense bit n, 0 at
+    step 0) and the next 64 characters the first 64 bits of iterate n
+    before any flip.  Under S a step is found as a key at n+1; under C as
+    "0" and the key, or "1" and the key complemented, at n.  The text ends
+    with iterate steps-1, so every hit is a step before `steps`; each is
+    checked, overlapping ones too, so every such step is found, and a step
     outside those cells may be checked needlessly."""
     sys = target.induced
     space = sys.codec
-    keys = set()
+    flips = _complementing(sys)
+    patterns = set()
     for i, v in sys.pinned_cells:
         s, c = space.prefixes[i - 1]
-        keys.add(((c << _STREAM_BITS) | v) >> (s + _STREAM_BITS - 64))
-    flips = _complementing(sys)
+        key = format(((c << _STREAM_BITS) | v) >> (s + _STREAM_BITS - 64), "064b")
+        patterns |= {"0" + key, "1" + key.translate(_FLIPPED)} if flips else {key}
+    lead = 0 if flips else 1  # where step 0's pattern starts
+    text = "0" + "".join(_dense_text(0, steps + 63))
+    hits = set()
+    for pattern in patterns:
+        i = text.find(pattern, lead)
+        while i >= 0:
+            hits.add(i - lead)
+            i = text.find(pattern, i + 1)
     failures = []
-    for n, window in enumerate(orbit_windows(space.r - 1 + 64, steps, flips)):
-        if window >> (space.r - 1) in keys:
-            sw = StreamWord(n, dense_bit(n) if flips and n else 0)
-            if not semiconjugacy_check(sys, sw):
-                failures.append({"orbit_step": n})
+    for n in sorted(hits):
+        if not semiconjugacy_check(sys, StreamWord(n, int(text[n]) if flips else 0)):
+            failures.append({"orbit_step": n})
     return failures

@@ -47,7 +47,10 @@ _SHOWN_BITS = 256
 
 def _show(x) -> str:
     """A number as text for a message, or only its size once a part passes
-    _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError)."""
+    _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError).
+    A float NaN or infinity, which has no integer ratio, prints as str."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     num, den = (part.bit_length() for part in x.as_integer_ratio())
     if max(num, den) <= _SHOWN_BITS:
         return str(x)
@@ -67,9 +70,10 @@ def as_unit(y) -> Fraction:
 def _within(**params: Tuple[int, int, int]) -> None:
     """Reject each resource parameter name=(value, least, bound) outside
     [least, bound], a usage error: every least is checked first, then every
-    bound, each in argument order."""
+    bound, each in argument order.  A value that does not compare (NaN)
+    fails its least."""
     for name, (value, least, _) in params.items():
-        if value < least:
+        if not least <= value:
             raise ValueError(f"{name} must be at least {least}, got {_show(value)}")
     for name, (value, _, bound) in params.items():
         if value > bound:

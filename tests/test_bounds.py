@@ -102,6 +102,42 @@ CLI = [
 ]
 
 
+# each bounded parameter of each check: (check and parameter, the call with
+# that parameter set to v, least, bound as printed)
+BOUNDED = [
+    ("periodic_density max_period", lambda v: periodic_density(TENT, v, 4), 1, "24"),
+    ("periodic_density resolution", lambda v: periodic_density(TENT, 4, v), 1, "16"),
+    ("dense_orbit_coverage steps", lambda v: dense_orbit_coverage(TENT, v, 4), 1, "10^6"),
+    ("dense_orbit_coverage resolution", lambda v: dense_orbit_coverage(TENT, 100, v), 1, "16"),
+    ("transitivity_witness resolution", lambda v: transitivity_witness(TENT, v, 10), 1, "8"),
+    ("transitivity_witness horizon", lambda v: transitivity_witness(TENT, 2, v), 1, "10^6"),
+    ("sensitivity_probe grid", lambda v: sensitivity_probe(TENT, ETA, DELTA, v, 10), 1, "2^12"),
+    ("sensitivity_probe horizon", lambda v: sensitivity_probe(TENT, ETA, DELTA, 8, v), 1,
+     "10^6"),
+    ("lemma6_commute_check max_period", lambda v: lemma6_commute_check(TENT, v, 10), 1, "24"),
+    ("lemma6_commute_check orbit_steps", lambda v: lemma6_commute_check(TENT, 4, v), 0,
+     "10^6"),
+    ("periodic_words n", periodic_words, 1, "24"),
+]
+NAN, INF = float("nan"), float("inf")
+# NaN compares false with everything, so it fails its least; inf breaks the
+# bound and -inf the least, each printed as str
+NON_FINITE = [(f"{where}={value}", call, value,
+               f"{where.split()[1]} inf exceeds bound {bound}" if value == INF
+               else f"{where.split()[1]} must be at least {least}, got {value}")
+              for where, call, least, bound in BOUNDED for value in (NAN, INF, -INF)]
+NON_FINITE += [
+    ("sensitivity_probe eta=nan", lambda v: sensitivity_probe(TENT, v, DELTA, 8, 10), NAN,
+     "eta must be positive, got nan"),
+    ("sensitivity_probe eta=-inf", lambda v: sensitivity_probe(TENT, v, DELTA, 8, 10), -INF,
+     "eta must be positive, got -inf"),
+    ("sensitivity_probe delta=nan", lambda v: sensitivity_probe(TENT, ETA, v, 8, 10), NAN,
+     "delta must lie strictly between 0 and 1, got nan"),
+    ("sensitivity_probe delta=inf", lambda v: sensitivity_probe(TENT, ETA, v, 8, 10), INF,
+     "delta must lie strictly between 0 and 1, got inf"),
+]
+
+
 def _work(*args, **kwargs):
     raise AssertionError("work began before the bounds were checked")
 
@@ -114,7 +150,7 @@ def no_work(monkeypatch):
         for name in ("decode", "split_window", "point_cells", "lattice"):
             monkeypatch.setattr(codec, name, _work)
     for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
-                 "orbit_windows", "semiconjugacy_check"):
+                 "orbit_windows", "_dense_text", "semiconjugacy_check"):
         monkeypatch.setattr(verifier, name, _work)
     monkeypatch.setattr(graphs, "graph_map", _work)
     monkeypatch.setattr(cli, "r_map", _work)
@@ -128,6 +164,15 @@ def test_library_bounds(no_work, call, message):
     no_work.setattr(words.Word, "_from_packed", _work)
     with pytest.raises(ValueError) as exc:
         call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call,value,message", [c[1:] for c in NON_FINITE],
+                         ids=[c[0] for c in NON_FINITE])
+def test_library_bounds_reject_nan_and_infinity(no_work, call, value, message):
+    no_work.setattr(words.Word, "_from_packed", _work)
+    with pytest.raises(ValueError) as exc:
+        call(value)
     assert str(exc.value) == message
 
 

@@ -543,6 +543,28 @@ def test_a_huge_number_is_named_by_its_size(capsys, k3_file, argv, message):
     assert err == f"error: {message}\n"
 
 
+LONG = "1" + "0" * 5000  # an integer past int()'s 4300-digit limit
+PAST_LIMIT = "a 5001-character number exceeds the 4,300-digit limit"
+
+
+@pytest.mark.parametrize("text,message", [
+    (LONG, PAST_LIMIT),
+    ("x" * 300, f"not a rational: {'x' * 256!r}... (300 characters)"),
+], ids=["past-the-digit-limit", "long-text"])
+def test_a_long_text_is_named_by_its_length(capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber", "--x", text])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"\nsymchaos fiber: error: argument --x: {message}\n")
+
+
+def test_a_start_past_the_digit_limit_is_named_by_its_length(capsys, k3_file):
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file, "--start", f"E1:{LONG}",
+                         "--steps", "1")
+    assert (code, out, err) == (2, "", f"error: {PAST_LIMIT}\n")
+
+
 # ------------------------------------------------------------ cold start
 
 def test_import_loads_no_dataclasses_or_inspect():

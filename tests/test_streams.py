@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from symchaos.graphs import EXAMPLE_GRAPHS, Interior, Node, graph_system, parse_graph
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import (
+    _CHUNK_BITS,
     StreamWord,
+    _dense_text,
     dense_bit,
     dense_prefix,
     orbit_windows,
@@ -222,6 +224,14 @@ def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
     assert k3.stream_excludes_all(head, _cells(k3, [Node("a")], p), p)
     assert not k3.stream_excludes_all(tail, _cells(k3, [Node("a")], p), p)
     assert not k3.stream_excludes_all(head, _cells(k3, [Node("b")], p), p)
+
+
+@pytest.mark.parametrize("start", [0, 1, 63, 4094])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_dense_text_is_the_dense_word_in_chunks(start, n):
+    chunks = list(_dense_text(start, n))
+    assert all(0 < len(c) <= _CHUNK_BITS for c in chunks)
+    assert "".join(chunks) == "".join(map(str, dense_prefix(start + n)[start:]))
 
 
 @pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])

@@ -792,7 +792,10 @@ def _node_a_target():
 
 LEMMA6_TARGETS = (_interval_targets() + GRAPH_TARGETS + COPY_TARGETS + [PATH24,
                                                                       _node_a_target()])
-LEMMA6_STEPS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000)
+# a copy target's hit is its copy step: an orbit of that many steps ends just
+# before it, one more step takes it in
+LEMMA6_STEPS = tuple(sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000,
+                             *COPY_STEPS.values(), *(n + 1 for n in COPY_STEPS.values())}))
 
 
 def _old_orbit_failures(target, steps):
@@ -967,8 +970,45 @@ def _in_enclosure(codec, pt, i, v, p):
 
 
 def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
+    monkeypatch.setattr(verifier, "_dense_text", None)
     monkeypatch.setattr(verifier, "orbit_windows", None)
     assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
+
+
+def _no_windows(*args):
+    raise AssertionError("lemma6 rolled a window through the orbit")
+
+
+@pytest.mark.parametrize("target", [baker_target(), GRAPH_TARGETS[0]], ids=lambda t: t.name)
+def test_lemma6_searches_the_orbit_without_rolling_a_window(monkeypatch, target):
+    monkeypatch.setattr(verifier, "orbit_windows", _no_windows)
+    report = lemma6_commute_check(target, 24, 10 ** 6)
+    assert report.verdict == "pass" and report.witnesses == []
+
+
+# lemma6 at 100 steps reads 163 dense bits, here a given text; a text of one
+# repeated bit puts a key of 64 equal bits at every step, each hit
+# overlapping the next
+SYNTHETIC_TEXTS = [
+    # C on the tent with 0 pinned: the key, 64 zeros, is "1" and 64 ones at
+    # every step but 0, whose flip is 0
+    (_pinned_target(tent_target(), F(0)), "1" * 163, [StreamWord(n, 1) for n in range(1, 100)]),
+    # S on the triangle: the arc-1 key, 64 zeros, at every step
+    (GRAPH_TARGETS[0], "0" * 163, [StreamWord(n, 0) for n in range(100)]),
+    # C on the tent with 1/2 pinned: "0" and the key 1 0^63 at step 0 only,
+    # whose flip is 0 though the bit after it is 1
+    (_pinned_target(tent_target(), F(1, 2)), "1" + "0" * 162, [StreamWord(0, 0)]),
+]
+
+
+@pytest.mark.parametrize("target,text,checked", SYNTHETIC_TEXTS,
+                         ids=["tent-pinned-0", "k3", "tent-pinned-1/2"])
+def test_lemma6_checks_exactly_the_hits_in_the_text(monkeypatch, target, text, checked):
+    monkeypatch.setattr(verifier, "_dense_text", lambda start, n: iter([text[start:start + n]]))
+    seen = []
+    monkeypatch.setattr(verifier, "semiconjugacy_check", lambda sys, w: seen.append(w) or True)
+    assert lemma6_commute_check(target, 1, 100).verdict == "pass"
+    assert [w for w in seen if isinstance(w, StreamWord)] == checked
 
 
 def _advance_pieces(branches, pieces):
