@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
-from .words import MAX_BITS, Word, _within, bits_of, c_map, r_map, shift_map
+from .words import MAX_BITS, Word, _quote, _within, bits_of, c_map, r_map, shift_map
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -35,9 +35,6 @@ VERIFY_PROPERTIES = {
 }
 
 
-_QUOTED_CHARS = 256  # the most characters of a text that a message quotes
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -45,11 +42,8 @@ def _fraction(text: str) -> Fraction:
         if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit
             message = (f"a {len(text)}-character number exceeds the "
                        f"{sys.get_int_max_str_digits():,}-digit limit")
-        elif len(text) > _QUOTED_CHARS:
-            message = (f"not a rational: {text[:_QUOTED_CHARS]!r}... "
-                       f"({len(text)} characters)")
         else:
-            message = f"not a rational: {text!r}"
+            message = f"not a rational: {_quote(text)}"
         raise argparse.ArgumentTypeError(message) from exc
 
 
@@ -119,10 +113,10 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
     kind, _, rest = text.partition(":")
     if kind == "node":
         if rest not in sys.spec.nodes:
-            raise graphs.GraphError(f"unknown node {rest!r}")
+            raise graphs.GraphError(f"unknown node {_quote(rest)}")
         return graphs.Node(rest)
     if not rest:
-        raise graphs.GraphError(f"malformed start {text!r}; expected ARC:p/q or node:ID")
+        raise graphs.GraphError(f"malformed start {_quote(text)}; expected ARC:p/q or node:ID")
     return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))
 
 

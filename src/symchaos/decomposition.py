@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, List, NamedTuple, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
-from .words import Word
+from .words import Word, prefix_int
 
 __all__ = [
     "Fiber",
@@ -24,6 +24,7 @@ __all__ = [
     "induced_point",
     "semiconjugacy_check",
     "stream_excludes_all",
+    "word_cells",
 ]
 
 
@@ -75,6 +76,7 @@ class Codec(Protocol):
     is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
     addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
     exactly when its first s bits, packed, are c (the interval's is (0, 0)).
+    split_window is the one cell rule, for a point too (word_cells).
     """
 
     r: int
@@ -95,9 +97,6 @@ class Codec(Protocol):
 
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         """Cell (arc, window) addressed by the packed first r-1+precision bits."""
-
-    def point_cells(self, point, p: int) -> List[Tuple[int, int]]:
-        """Every resolution-p cell that contains the point."""
 
     def cell_json(self, cell: Tuple[int, int]) -> dict: ...
 
@@ -121,15 +120,15 @@ class InducedSystem:
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
     fiber where the star condition fails.  The pinned points' fibers, their
-    keys (_pin_key) and the precision-_STREAM_BITS cells that hold one
-    (codec.point_cells) are derived from the points once, here.
+    keys (_pin_key) and the precision-_STREAM_BITS cells that their words
+    address (word_cells) are derived from the points once, here.
     """
 
     def __init__(self, name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
                  designated: Any = None, pinned_points: Tuple = ()):
         points = tuple(pinned_points)
         fibers = frozenset(map(codec.encode, points))
-        cells = frozenset(c for pt in points for c in codec.point_cells(pt, _STREAM_BITS))
+        cells = frozenset(word_cells(codec, (w for fib in fibers for w in fib), _STREAM_BITS))
         vars(self).update(  # the fields, in order, set once past __setattr__
             name=name, symbolic_map=symbolic_map, codec=codec, designated=designated,
             pinned_points=points, pinned_fibers=fibers,
@@ -218,6 +217,13 @@ def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int
     """Is the precision-p cell that sw's first r-1+precision bits address
     outside `cells`?  The cell is the value enclosure of the stream's
     parameter, and it fails to separate a point exactly when it is one of
-    the point's point_cells.  Each codec binds this as its method."""
+    the cells of the point's fiber words (word_cells).  Each codec binds
+    this as its method."""
     return codec.split_window(sw.window_int(codec.r - 1 + precision), precision) not in cells
+
+
+def word_cells(codec: Codec, words: Iterable[Word], p: int) -> Set[Tuple[int, int]]:
+    """The resolution-p cells that the words' first r-1+p bits address: for
+    a fiber's words, every cell that holds its point."""
+    return {codec.split_window(prefix_int(w, codec.r - 1 + p), p) for w in words}
 

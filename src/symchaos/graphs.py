@@ -15,17 +15,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .interval import INTERVAL_CODEC, _show, as_unit, unit_cells
-from .words import (
-    Word,
-    bits_of,
-    drop_bits,
-    prefix_int,
-    prepend_bits,
-    shift_map,
-    word_metric,
-    word_value,
-)
+from .interval import INTERVAL_CODEC
+from .words import (Word, _quote, _show, as_unit, bits_of, drop_bits, prefix_int, prepend_bits,
+                    shift_map, word_metric, word_value)
 
 __all__ = [
     "GraphError",
@@ -133,17 +125,17 @@ def parse_graph(text: str) -> GraphSpec:
         parts = line.split()
         usage = _DIRECTIVES.get(parts[0])
         if usage is None:
-            raise GraphError(f"line {ln}: unknown directive {parts[0]!r}")
+            raise GraphError(f"line {ln}: unknown directive {_quote(parts[0])}")
         if len(parts) != len(usage.split()):
             raise GraphError(f"line {ln}: expected '{usage}'")
         name = parts[1]
         if not _ID_RE.match(name):
-            raise GraphError(f"line {ln}: bad identifier {name!r}")
+            raise GraphError(f"line {ln}: bad identifier {_quote(name)}")
         if name in seen_ids:
-            raise GraphError(f"line {ln}: duplicate id {name!r}")
+            raise GraphError(f"line {ln}: duplicate id {_quote(name)}")
         for endpoint in parts[2:]:
             if endpoint not in nodes:
-                raise GraphError(f"line {ln}: unknown node {endpoint!r}")
+                raise GraphError(f"line {ln}: unknown node {_quote(endpoint)}")
         seen_ids.add(name)
         if parts[0] == "node":
             nodes.append(name)
@@ -154,7 +146,7 @@ def parse_graph(text: str) -> GraphSpec:
     used = {a.tail for a in arcs} | {a.head for a in arcs}
     for name in nodes:
         if name not in used:
-            raise GraphError(f"node {name!r} is not an endpoint of any arc")
+            raise GraphError(f"node {_quote(name)} is not an endpoint of any arc")
     return GraphSpec(tuple(nodes), tuple(arcs))
 
 
@@ -188,7 +180,7 @@ class GraphSystem:
         try:
             return self._arc_index[arc_id]
         except KeyError:
-            raise GraphError(f"unknown arc {arc_id!r}") from None
+            raise GraphError(f"unknown arc {_quote(arc_id)}") from None
 
     # -- codec protocol -------------------------------------------------
 
@@ -201,11 +193,11 @@ class GraphSystem:
             return Fiber([prepend_bits(w, *prefix) for w in bits_of(point.t)])
         if isinstance(point, Node):
             if point.id not in self.spec.nodes:
-                raise GraphError(f"unknown node {point.id!r}")
+                raise GraphError(f"unknown node {_quote(point.id)}")
             words = [prepend_bits(Word([], [t]), *self.prefixes[i - 1])
                      for i, t in self._ends[point.id]]
             if not words:
-                raise GraphError(f"node {point.id!r} has no incident arcs")
+                raise GraphError(f"node {_quote(point.id)} has no incident arcs")
             return Fiber(words)
         raise TypeError(f"not a graph point: {point!r}")
 
@@ -261,11 +253,6 @@ class GraphSystem:
         arc, skip = _arc_address(x >> precision, r)
         return arc, (x >> (r - 1 - skip)) & ((1 << precision) - 1)
 
-    def point_cells(self, point: GraphPoint, p: int) -> List[Tuple[int, int]]:
-        if isinstance(point, Interior):
-            return [(point.arc, j) for j in unit_cells(point.t, p)]
-        return [(i, t * ((1 << p) - 1)) for i, t in self._ends[point.id]]
-
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
@@ -305,7 +292,7 @@ def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     parameter's own denominator."""
     if isinstance(point, Node):
         if point.id not in sys._ends:
-            raise GraphError(f"unknown node {point.id!r}")
+            raise GraphError(f"unknown node {_quote(point.id)}")
         return point
     sys.spec.arc(point.arc)  # an index out of range raises
     q = point.t.denominator

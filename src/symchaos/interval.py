@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
 from .words import (Word, _show, as_unit, bits_of, c_map, dyadic_twin, r_map, shift_map,
@@ -28,14 +28,6 @@ __all__ = [
     "baker_system",
     "INTERVAL_CODEC",
 ]
-
-
-def unit_cells(y: Fraction, p: int) -> List[int]:
-    """Indices j of the cells [j/2^p, (j+1)/2^p] of [0, 1] that contain y."""
-    j, rest = divmod(y.numerator << p, y.denominator)
-    if j == 1 << p:
-        return [j - 1]
-    return [j, j - 1] if rest == 0 and j > 0 else [j]
 
 
 class IntervalCodec:
@@ -66,9 +58,6 @@ class IntervalCodec:
 
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         return 1, x
-
-    def point_cells(self, point: Fraction, p: int) -> List[Tuple[int, int]]:
-        return [(1, j) for j in unit_cells(point, p)]
 
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"cell": cell[1]}

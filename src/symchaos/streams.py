@@ -16,8 +16,8 @@ The verifier reads the orbit as text: _dense_text writes the dense word
 as '0'/'1' characters, a chunk of bits per _dense_window call.  The
 dense-orbit check rolls one integer through that text, one bit per step
 (orbit_windows), so no step builds a StreamWord or finds its place in the
-dense word again; the Lemma 6 check searches it for the 64-bit keys of
-the pinned cells with str.find.
+dense word again; the Lemma 6 check searches it with str.find for the
+pinned cells' patterns, each an arc prefix and 512 window bits.
 """
 
 from __future__ import annotations

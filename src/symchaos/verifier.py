@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check
+from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _show, baker, baker_system, tent, tent_system
 from .streams import StreamWord, _dense_text, orbit_windows, stream_c_step, stream_shift
@@ -149,12 +149,11 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     cap = MAX_BITS if target.induced is not None else 16
     _within(max_period=(max_period, 1, cap), resolution=(resolution, 1, 16))
     space = target.space
-    ends = [space.decode(w) for w in _CONSTANTS]
     if target.induced is not None:
         points_kept, kept = _kept_blocks(target.induced, max_period)
     else:
-        points_kept, kept = _returning_blocks(target, ends, max_period)
-    missing = _uncovered(space, kept, ends, max_period, resolution)
+        points_kept, kept = _returning_blocks(target, max_period)
+    missing = _uncovered(space, kept, max_period, resolution)
     cells = space.r << resolution
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
@@ -209,15 +208,14 @@ def _repunits(k: int) -> List[int]:
     return [((1 << k) - 1) // ((1 << k // p) - 1) for p in _factorize(k)]
 
 
-def _returning_blocks(target: Target, ends: list,
-                      horizon: int) -> Tuple[int, Callable[[int, int], bool]]:
+def _returning_blocks(target: Target, horizon: int) -> Tuple[int, Callable[[int, int], bool]]:
     """_kept_blocks for a map without an induced symbolic system: the word
     q^inf of each primitive block q of length at most `horizon` is decoded
-    once (the constant words' points are `ends`), and it is kept when its
-    point returns within `horizon` steps."""
+    once (the blocks of length 1 are the constant words), and it is kept
+    when its point returns within `horizon` steps."""
     space, fmap = target.space, target.fmap
-    kept = {(1, b) for b, pt in enumerate(ends) if _point_returns(fmap, pt, horizon)}
-    for k in range(2, horizon + 1):
+    kept = set()
+    for k in range(1, horizon + 1):
         repunits = _repunits(k)
         for q in range(1 << k):
             if all(q % rep for rep in repunits):
@@ -268,22 +266,22 @@ def _cycle(step, w: Word, horizon: int):
     return None
 
 
-def _uncovered(space: Codec, kept: Callable[[int, int], bool], ends: list,
+def _uncovered(space: Codec, kept: Callable[[int, int], bool],
                max_period: int, p: int) -> List[Tuple[int, int]]:
     """Every resolution-p cell that holds no kept word's point.
 
-    `ends` are the points of the two constant words (on a graph, nodes at
-    arc ends), and each one kept marks its cells.  Any other purely
-    periodic word has its point in exactly one cell, since its value is
-    never dyadic.  On an arc whose address prefix is the s bits c, such a
-    word q^inf has q = c followed by k-s bits u (s <= k, because c has no 0
-    before its last bit), and its parameter word (u c)^inf has the
-    value (u 2^s + c)/(2^k - 1).  That lies in cell j exactly when
-    j(2^k - 1) <= (u 2^s + c) 2^p <= (j+1)(2^k - 1): one range of u per
-    length k.  A cell's search tries k from max_period down, where ranges
-    are widest, and stops at its first kept block."""
-    end_cells = {c for b, pt in enumerate(ends) if kept(1, b)
-                 for c in space.point_cells(pt, p)}
+    A kept constant word marks the cells its fiber's words address
+    (word_cells; a graph node has a word at each arc end), and no word is
+    decoded.  Any other purely periodic word has its point in exactly one
+    cell, since its value is never dyadic.  On an arc whose address prefix
+    is the s bits c, such a word q^inf has q = c followed by k-s bits u
+    (s <= k, because c has no 0 before its last bit), and its parameter
+    word (u c)^inf has the value (u 2^s + c)/(2^k - 1).  That lies in cell
+    j exactly when j(2^k - 1) <= (u 2^s + c) 2^p <= (j+1)(2^k - 1): one
+    range of u per length k.  A cell's search tries k from max_period down,
+    where ranges are widest, and stops at its first kept block."""
+    end_cells = word_cells(space, (v for b, w in enumerate(_CONSTANTS) if kept(1, b)
+                                   for v in space.fiber_of(w)), p)
     missing = []
     for i, (s, c) in enumerate(space.prefixes, start=1):
         for j in range(1 << p):
@@ -502,8 +500,8 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
                       grid: int, horizon: int) -> ChaosReport:
     """From each grid point, does some delta-close neighbour separate beyond
     eta within the horizon?  Distances are exact (interval metric, or the
-    fiber Hausdorff metric on graphs).  eta must be positive and delta in
-    (0, 1); neighbours outside the space are skipped.
+    fiber Hausdorff metric on graphs).  eta must be positive and finite and
+    delta in (0, 1), both read exactly; neighbours off the space are skipped.
 
     Grid points, their neighbours and their orbits lie on the lattice of
     denominator q = lcm(2 grid, delta's denominator, the branch data's
@@ -518,6 +516,9 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
         raise ValueError(f"eta must be positive, got {_show(eta)}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {_show(delta)}")
+    if eta == math.inf:
+        raise ValueError("eta must be finite, got inf")
+    eta, delta = Fraction(eta), Fraction(delta)  # exact, as as_unit reads a point
     space = target.space
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))
@@ -566,9 +567,9 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     words of period at most max_period, only the two constant words and the
     pinned ones are checked.  With a designated-redirect override this also
     confirms the redirected fiber holds no periodic word (its members are
-    all eventually constant, never purely periodic).  Along the orbit only
-    a step in a pinned point's cell is checked (see _orbit_commute_failures);
-    with no pinned point every step commutes.
+    all eventually constant, never purely periodic).  Along the orbit the
+    steps in a pinned point's cell fail, found by a substring search
+    (_orbit_commute_failures); with no pinned point every step commutes.
     """
     started = time.monotonic()
     _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, 10 ** 6))
@@ -593,36 +594,29 @@ _FLIPPED = str.maketrans("01", "10")
 
 
 def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
-    """The generator-orbit steps where semiconjugacy_check fails.
-
-    Only a step whose stream lies in a pinned cell (sys.pinned_cells, at
-    _STREAM_BITS bits) can fail, and its first 64 bits are the top 64 bits
-    of that cell's arc prefix and v: a key.  The text is "0" and then dense
-    bits 1 .. steps+63, so index n holds step n's flip (dense bit n, 0 at
-    step 0) and the next 64 characters the first 64 bits of iterate n
-    before any flip.  Under S a step is found as a key at n+1; under C as
-    "0" and the key, or "1" and the key complemented, at n.  The text ends
-    with iterate steps-1, so every hit is a step before `steps`; each is
-    checked, overlapping ones too, so every such step is found, and a step
-    outside those cells may be checked needlessly."""
+    """The generator-orbit steps where semiconjugacy_check fails: those
+    whose first s+_STREAM_BITS bits are a pinned cell's pattern, its arc
+    prefix c (s bits) and v.  The text is "0" and dense bits 1 .. steps +
+    r-2 + _STREAM_BITS: index n holds step n's flip (dense bit n, 0 at step
+    0), and iterate n's bits before any flip follow it.  Under S a step is
+    its pattern at index n+1; under C "0" and the pattern, or "1" and the
+    pattern complemented, at index n.  Each search ends where step steps-1's
+    pattern would, and resumes one character on past a hit."""
     sys = target.induced
     space = sys.codec
     flips = _complementing(sys)
     patterns = set()
     for i, v in sys.pinned_cells:
         s, c = space.prefixes[i - 1]
-        key = format(((c << _STREAM_BITS) | v) >> (s + _STREAM_BITS - 64), "064b")
-        patterns |= {"0" + key, "1" + key.translate(_FLIPPED)} if flips else {key}
+        pattern = format((c << _STREAM_BITS) | v, f"0{s + _STREAM_BITS}b")
+        patterns |= {"0" + pattern, "1" + pattern.translate(_FLIPPED)} if flips else {pattern}
     lead = 0 if flips else 1  # where step 0's pattern starts
-    text = "0" + "".join(_dense_text(0, steps + 63))
+    text = "0" + "".join(_dense_text(0, steps + space.r - 2 + _STREAM_BITS))
     hits = set()
     for pattern in patterns:
-        i = text.find(pattern, lead)
+        end = steps + lead - 1 + len(pattern)
+        i = text.find(pattern, lead, end)
         while i >= 0:
             hits.add(i - lead)
-            i = text.find(pattern, i + 1)
-    failures = []
-    for n in sorted(hits):
-        if not semiconjugacy_check(sys, StreamWord(n, int(text[n]) if flips else 0)):
-            failures.append({"orbit_step": n})
-    return failures
+            i = text.find(pattern, i + 1, end)
+    return [{"orbit_step": n} for n in sorted(hits)]

@@ -43,6 +43,7 @@ MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 _SHOWN_BOUNDS = {10 ** 6: "10^6", 1 << 12: "2^12"}
 
 _SHOWN_BITS = 256
+_QUOTED_CHARS = 256
 
 
 def _show(x) -> str:
@@ -55,6 +56,14 @@ def _show(x) -> str:
     if max(num, den) <= _SHOWN_BITS:
         return str(x)
     return f"a fraction with a {num}-bit numerator and a {den}-bit denominator"
+
+
+def _quote(text: str) -> str:
+    """A caller's text for a message: its repr, or once it is longer than
+    _QUOTED_CHARS characters, the repr of those and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def as_unit(y) -> Fraction:
@@ -216,7 +225,7 @@ def parse_word(text: str) -> Word:
     """Parse the `pre:period` text syntax, e.g. '1:0' for 10^inf."""
     match = _WORD_RE.match(text.strip())
     if not match:
-        raise ValueError(f"malformed word {text!r}; expected bits in the form pre:period")
+        raise ValueError(f"malformed word {_quote(text)}; expected bits in the form pre:period")
     pre, per = match.groups()
     return Word._from_packed(len(pre), int(pre or "0", 2), len(per), int(per, 2))
 

@@ -147,7 +147,7 @@ def no_work(monkeypatch):
     """Every place a check, an orbit or an enumeration starts its work
     raises instead."""
     for codec in (IntervalCodec, GraphSystem):
-        for name in ("decode", "split_window", "point_cells", "lattice"):
+        for name in ("decode", "split_window", "lattice"):
             monkeypatch.setattr(codec, name, _work)
     for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
                  "orbit_windows", "_dense_text", "semiconjugacy_check"):

@@ -565,6 +565,21 @@ def test_a_start_past_the_digit_limit_is_named_by_its_length(capsys, k3_file):
     assert (code, out, err) == (2, "", f"error: {PAST_LIMIT}\n")
 
 
+LONG_START = f"{'x' * 256!r}... (5000 characters)"
+
+
+@pytest.mark.parametrize("start,message", [
+    ("x" * 5000, f"malformed start {LONG_START}; expected ARC:p/q or node:ID"),
+    ("node:" + "x" * 5000, f"unknown node {LONG_START}"),
+    ("x" * 5000 + ":1/2", f"unknown arc {LONG_START}"),
+], ids=["malformed", "node", "arc"])
+def test_a_long_start_is_quoted_by_its_length(capsys, k3_file, start, message):
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file, "--start", start,
+                         "--steps", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 400
+
+
 # ------------------------------------------------------------ cold start
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -16,6 +16,7 @@ from symchaos.decomposition import (
     induced_apply,
     semiconjugacy_check,
     star_check,
+    word_cells,
 )
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
@@ -48,6 +49,8 @@ from symchaos.words import (
     shift_map,
     word_value,
 )
+
+from value_cells import point_cells
 
 W = parse_word
 F = Fraction
@@ -313,7 +316,39 @@ def test_pinned_data_is_derived_from_the_pinned_points(name):
     assert sys.pinned_keys == {_pin_key(fib) for fib in sys.pinned_fibers}
     assert type(sys.pinned_cells) is frozenset
     assert sys.pinned_cells == {c for pt in points
-                                for c in codec.point_cells(pt, _STREAM_BITS)}
+                                for c in point_cells(codec, pt, _STREAM_BITS)}
+
+
+CELL_SPACES = {"interval": INTERVAL_CODEC,
+               **{name: graph_system(parse_graph(text)) for name, text in EXAMPLE_GRAPHS.items()},
+               "cycle9": graph_system(parse_graph(
+                   "".join(f"node n{i}\n" for i in range(9))
+                   + "".join(f"arc E{i + 1} n{i} n{(i + 1) % 9}\n" for i in range(9))))}
+# dyadic parameters on both sides of a cell end at p <= 16 and at 512, and
+# parameters with a preperiod, a period or both
+CELL_PARAMETERS = [F(1, 2), F(1, 4), F(3, 4), F(3, 8), F(5, 16), F(1, 1 << 16),
+                   F((1 << 16) - 1, 1 << 16), F(1, 1 << 17), F(3, 1 << 17), F(1, 1 << 512),
+                   F((1 << 512) - 1, 1 << 512), F(1, 1 << 513), F((1 << 513) - 1, 1 << 513),
+                   F(1, 3), F(2, 3), F(2, 7), F(5, 12), F(1, 10), F(7, 9), F(1, 2 ** 61 - 1)]
+
+
+def _cell_points(codec):
+    if codec.r == 1 and not isinstance(codec, GraphSystem):
+        return [F(0), F(1), *CELL_PARAMETERS]
+    return ([Node(v) for v in codec.spec.nodes]
+            + [Interior(i, t) for i in range(1, codec.r + 1) for t in CELL_PARAMETERS])
+
+
+@pytest.mark.parametrize("name", CELL_SPACES)
+def test_word_cells_of_a_fiber_are_the_cells_that_hold_its_point(name):
+    # the cells a point's fiber words address are those its value lies in
+    codec = CELL_SPACES[name]
+    for pt in _cell_points(codec):
+        fib = codec.encode(pt)
+        for p in (*range(1, 17), 512):
+            expected = point_cells(codec, pt, p)
+            assert word_cells(codec, fib, p) == set(expected), (pt, p)
+            assert len(set(expected)) == len(expected)
 
 
 def test_equal_fibers_share_a_pin_key():

@@ -27,6 +27,8 @@ from symchaos.graphs import (
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.words import Word, _pack, parse_word, prefix_int
 
+from value_cells import point_cells
+
 W = parse_word
 F = Fraction
 
@@ -95,6 +97,37 @@ def test_parse_error_messages_in_full(text, message):
     with pytest.raises(GraphError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+def _quoted(text):
+    """A 5,000-character text as a message quotes it."""
+    return f"{text[:256]!r}... ({len(text)} characters)"
+
+
+LONG_ID, LONG_BAD = "x" * 5000, "*" * 5000
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"node a\n{LONG_ID} E1 a a\n", f"line 2: unknown directive {_quoted(LONG_ID)}"),
+    (f"node {LONG_BAD}\n", f"line 1: bad identifier {_quoted(LONG_BAD)}"),
+    (f"node {LONG_ID}\nnode {LONG_ID}\n", f"line 2: duplicate id {_quoted(LONG_ID)}"),
+    (f"node a\narc E1 a {LONG_ID}\n", f"line 2: unknown node {_quoted(LONG_ID)}"),
+    (f"node {LONG_ID}\nnode a\narc E1 a a\n",
+     f"node {_quoted(LONG_ID)} is not an endpoint of any arc"),
+], ids=["directive", "identifier", "duplicate", "node", "endpoint"])
+def test_parse_errors_quote_a_long_text_by_its_length(text, message):
+    with pytest.raises(GraphError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_graph_errors_quote_a_long_id_by_its_length(k3):
+    for call, message in [(lambda: k3.arc_index(LONG_ID), "unknown arc"),
+                          (lambda: k3.encode(Node(LONG_ID)), "unknown node"),
+                          (lambda: graph_step(k3, Node(LONG_ID)), "unknown node")]:
+        with pytest.raises(GraphError) as err:
+            call()
+        assert str(err.value) == f"{message} {_quoted(LONG_ID)}"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -177,7 +210,7 @@ def test_window_and_word_addressing_agree(name, w, p):
     point = space.decode(w)
     cell = space.split_window(prefix_int(w, space.r - 1 + p), p)
     assert cell[0] in _arcs_of(space, point)
-    assert cell in space.point_cells(point, p)
+    assert cell in point_cells(space, point, p)
 
 
 # ------------------------------------------------------------------- map

@@ -18,6 +18,8 @@ from symchaos.streams import (
     value_enclosure,
 )
 
+from value_cells import point_cells
+
 
 def test_dense_word_listing():
     # 0 1 | 00 01 10 11 | 000 ...
@@ -147,7 +149,7 @@ def _interval_excludes_oracle(sw, points, p):
 
 def _cells(codec, points, p):
     """The cells that hold a point, as InducedSystem gathers them."""
-    return {c for pt in points for c in codec.point_cells(pt, p)}
+    return {c for pt in points for c in point_cells(codec, pt, p)}
 
 
 def _graph_excludes_oracle(system, sw, points, p):

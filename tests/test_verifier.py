@@ -41,6 +41,8 @@ from symchaos.verifier import (
     transitivity_witness,
 )
 
+from value_cells import point_cells
+
 F = Fraction
 
 
@@ -297,6 +299,22 @@ def test_sensitivity_rejects_eta_and_delta_out_of_range(k3, eta, delta):
             sensitivity_probe(target, eta, delta, 4, 10)
 
 
+@pytest.mark.parametrize("eta,delta", [(0.25, 0.5), (0.25, F(1, 2)), (F(1, 4), 0.5), (1, 0.5)],
+                         ids=["floats", "float-eta", "float-delta", "int-eta"])
+def test_sensitivity_reads_eta_and_delta_as_fractions(k3, eta, delta):
+    # a finite float is read exactly, as as_unit reads a point
+    for target in (tent_target(), graph_target(k3, "k3")):
+        report = sensitivity_probe(target, eta, delta, 4, 4)
+        expected = sensitivity_probe(target, F(eta), F(delta), 4, 4)
+        assert report._replace(elapsed_ms=0) == expected._replace(elapsed_ms=0)
+        assert (report.params["eta"], report.params["delta"]) == (str(F(eta)), "1/2")
+
+
+def test_sensitivity_rejects_an_infinite_eta():
+    with pytest.raises(ValueError, match="^eta must be finite, got inf$"):
+        sensitivity_probe(tent_target(), float("inf"), F(1, 2), 4, 4)
+
+
 def test_lemma6_accepts_empty_orbit():
     assert lemma6_commute_check(baker_target(), 4, 0).verdict == "pass"
 
@@ -397,7 +415,7 @@ def _old_periodic_density(target, max_period, resolution):
         pt = target.space.decode(w)
         if _old_is_f_periodic(target, w, pt, max_period, pinned):
             kept.add(w)
-            covered.update(target.space.point_cells(pt, resolution))
+            covered.update(point_cells(target.space, pt, resolution))
     cells = verifier._all_cells(target.space, resolution)
     missing = [c for c in cells if c not in covered]
     params = {"max_period": max_period, "resolution": resolution,
@@ -517,16 +535,16 @@ def test_pinned_cycles_follow_the_systems_own_map(monkeypatch, base, point):
                          + [rotation_target()], ids=lambda t: t.name)
 def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
     # a deterministic work guard: per-iterate decoding would decode words
-    # many times over; under S and C only the two constant words (a graph
-    # node, or an end of [0, 1]) are decoded
+    # many times over; under S and C no word is decoded (the constant
+    # words' cells come from their fibers' words)
     enumerated = set(_collect_periodic(12))
     decoded = _count_decodes(monkeypatch, target)
     periodic_density(target, 12, 6)
-    assert decoded and max(decoded.values()) == 1
     if target.induced is None:
+        assert decoded and max(decoded.values()) == 1
         assert set(decoded) <= enumerated
     else:
-        assert set(decoded) <= {Word([], [0]), Word([], [1])}
+        assert not decoded
 
 
 @pytest.mark.parametrize("target,points", [
@@ -578,7 +596,7 @@ def _enumerate_and_cover(target, max_period, resolutions):
                 break
     reports = {}
     for p in resolutions:
-        covered = {c for pt in points for c in space.point_cells(pt, p)}
+        covered = {c for pt in points for c in point_cells(space, pt, p)}
         cells = verifier._all_cells(space, p)
         missing = [c for c in cells if c not in covered]
         params = {"max_period": max_period, "resolution": p,
@@ -745,7 +763,7 @@ def test_the_copy_steps_exercise_the_flip_and_a_short_prefix():
 
 def _cells_at(sys, p):
     """The precision-p cells that hold a pinned point."""
-    return {c for pt in sys.pinned_points for c in sys.codec.point_cells(pt, p)}
+    return {c for pt in sys.pinned_points for c in point_cells(sys.codec, pt, p)}
 
 
 def _ladder_check(sys):
@@ -756,14 +774,67 @@ def _ladder_check(sys):
     return lambda sw: any(codec.stream_excludes_all(sw, cells[p], p) for p in cells)
 
 
+def _plant(target, steps, n, head):
+    """The text lemma6 reads for `steps` steps ("0", then dense bits 1 ..
+    steps+r-2+512) as alternating bits, except that iterate n's first bits
+    are `head`: from index n+1, complemented under C, where the flip at
+    index n is set to 1 (but at step 0, whose flip is the leading "0")."""
+    text = list(("01" * (steps + 512))[:steps + target.space.r + 511])
+    flip = n > 0 and target.stream_step is streams.stream_c_step
+    if flip:
+        text[n], head = "1", head.translate(str.maketrans("01", "10"))
+    assert n + 1 + len(head) <= len(text)
+    text[n + 1:n + 1 + len(head)] = head
+    return "".join(text)
+
+
+def _search(monkeypatch, target, text, steps):
+    """lemma6's orbit_step witnesses when the dense word's text is `text`."""
+    monkeypatch.setattr(verifier, "_dense_text", lambda start, k: iter([text[start + 1:][:k]]))
+    report = lemma6_commute_check(target, 1, steps)
+    return [w["orbit_step"] for w in report.witnesses if "orbit_step" in w]
+
+
+def _stream_failures(target, text, steps):
+    """The steps before `steps` at which semiconjugacy_check fails on the
+    stream that `text` makes iterate m: its first r-1+512 bits, complemented
+    under C when the flip at index m is 1."""
+    sys, width = target.induced, target.space.r - 1 + 512
+    complementing = target.stream_step is streams.stream_c_step
+    failures = []
+    for m in range(steps):
+        x = int(text[m + 1:m + 1 + width], 2)
+        if complementing and text[m] == "1":
+            x ^= (1 << width) - 1
+        if not semiconjugacy_check(sys, _Window(x=x, width=width)):
+            failures.append(m)
+    return failures
+
+
 @pytest.mark.parametrize("target", COPY_TARGETS[::2], ids=lambda t: t.name)
-def test_lemma6_refines_where_64_bits_cannot_separate(target):
-    # 100 copied bits: 64 cannot separate the iterate from the point, 128 can
+def test_lemma6_refines_where_64_bits_cannot_separate(monkeypatch, target):
+    # 100 copied bits: 64 cannot separate the iterate from the point, 128
+    # can, and the search compares a pinned cell's whole pattern
     sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
     sys, space = target.induced, target.space
     assert not space.stream_excludes_all(sw, _cells_at(sys, 64), 64)
     assert space.stream_excludes_all(sw, _cells_at(sys, 128), 128)
     assert lemma6_commute_check(target, 4, 20000).verdict == "pass"
+    # planted in the text, a copy of a pinned cell's first s+511 bits is no
+    # hit and a copy of all s+512 is exactly its step, the first or the last
+    steps = 40
+    for i, v in sorted(sys.pinned_cells):
+        s, c = space.prefixes[i - 1]
+        pattern = format((c << 512) | v, f"0{s + 512}b")
+        short = pattern[:-1] + "10"[int(pattern[-1])]
+        for n in (0, steps - 1):
+            for head, found in ((pattern, [n]), (short, [])):
+                text = _plant(target, steps, n, head)
+                assert _search(monkeypatch, target, text, steps) == found, (i, n, head == short)
+                assert _stream_failures(target, text, steps) == found
+        if s < space.r - 1:  # the text also holds a copy at step `steps`, past the orbit
+            text = _plant(target, steps, steps, pattern)
+            assert _search(monkeypatch, target, text, steps) == []
 
 
 @pytest.mark.parametrize("target", COPY_TARGETS, ids=lambda t: t.name)
@@ -915,11 +986,11 @@ class _Window(StreamWord):
 
 @pytest.mark.parametrize("target", [t for t in LEMMA6_TARGETS if t.induced.pinned_points],
                          ids=lambda t: t.name)
-def test_suspect_cells_are_where_64_bits_cannot_separate(target):
+def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
     sys, p, bits = target.induced, 64, 512
     codec, points = sys.codec, sys.pinned_points
     r, top = codec.r, (1 << p) - 1
-    suspects = {c for pt in points for c in codec.point_cells(pt, p)}
+    suspects = {c for pt in points for c in point_cells(codec, pt, p)}
     # the cells nest: the pinned 512-bit cells' top 64 bits are the suspects
     assert suspects and suspects == {(i, v >> (bits - p)) for i, v in sys.pinned_cells}
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
@@ -941,13 +1012,15 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(target):
             assert inside == (not separated), (i, v)
             for fill in (0, (1 << (bits - p)) - 1):  # the 64-bit cell's two ends
                 streams.append((i, x >> free << (bits - p) | fill, free, tail))
-    for i, v in sys.pinned_cells:  # each pinned 512-bit cell and its neighbours
+    pinned = []  # each pinned 512-bit cell and its neighbours
+    for i, v in sys.pinned_cells:
         s, c = codec.prefixes[i - 1]
         free = r - 1 - s
         for d in range(-2, 3):
             if 0 <= v + d < 1 << bits:
                 for tail in {0, (1 << free) - 1}:
-                    streams.append((i, (c << bits) | (v + d), free, tail))
+                    pinned.append((i, (c << bits) | (v + d), free, tail))
+    streams += pinned
     # semiconjugacy_check at 512 bits agrees with the 64 -> 512 ladder
     ladder, seen = _ladder_check(sys), set()
     for i, head, free, tail in streams:
@@ -956,6 +1029,17 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(target):
         assert commutes == ladder(sw), (i, head)
         seen.add(commutes)
     assert seen == {True, False}
+    # lemma6 searches for the pinned 512-bit cells alone: planted in the
+    # text at the last step, each stream at or next to one is a hit exactly
+    # when semiconjugacy_check fails on it, and the steps the search finds
+    # are the steps at which it fails
+    steps, width = 8, r - 1 + bits
+    for i, head, free, tail in pinned:
+        x = (head << free) | tail
+        text = _plant(target, steps, steps - 1, format(x, f"0{width}b"))
+        found = _search(monkeypatch, target, text, steps)
+        assert found == _stream_failures(target, text, steps), (i, head)
+        assert (steps - 1 in found) == (not semiconjugacy_check(sys, _Window(x=x, width=width)))
 
 
 def _in_enclosure(codec, pt, i, v, p):
@@ -986,29 +1070,40 @@ def test_lemma6_searches_the_orbit_without_rolling_a_window(monkeypatch, target)
     assert report.verdict == "pass" and report.witnesses == []
 
 
-# lemma6 at 100 steps reads 163 dense bits, here a given text; a text of one
-# repeated bit puts a key of 64 equal bits at every step, each hit
-# overlapping the next
+# lemma6 at 100 steps reads dense bits 1 .. 98+r+512, here a given text; a
+# text of one repeated bit puts a pattern of equal bits at every step, each
+# hit overlapping the next
 SYNTHETIC_TEXTS = [
-    # C on the tent with 0 pinned: the key, 64 zeros, is "1" and 64 ones at
-    # every step but 0, whose flip is 0
-    (_pinned_target(tent_target(), F(0)), "1" * 163, [StreamWord(n, 1) for n in range(1, 100)]),
-    # S on the triangle: the arc-1 key, 64 zeros, at every step
-    (GRAPH_TARGETS[0], "0" * 163, [StreamWord(n, 0) for n in range(100)]),
-    # C on the tent with 1/2 pinned: "0" and the key 1 0^63 at step 0 only,
-    # whose flip is 0 though the bit after it is 1
-    (_pinned_target(tent_target(), F(1, 2)), "1" + "0" * 162, [StreamWord(0, 0)]),
+    # C on the tent with 0 pinned: the pattern, 512 zeros, is "1" and 512
+    # ones at every step but 0, whose flip is 0
+    (_pinned_target(tent_target(), F(0)), "1" * 611, list(range(1, 100))),
+    # S on the triangle: the arc-1 pattern, 513 zeros, at every step; the
+    # text holds it at step 100 too, one past the orbit
+    (GRAPH_TARGETS[0], "0" * 613, list(range(100))),
+    # C on the tent with 1/2 pinned: "0" and the pattern 1 0^511 at step 0
+    # only, whose flip is 0 though the bit after it is 1
+    (_pinned_target(tent_target(), F(1, 2)), "1" + "0" * 610, [0]),
 ]
 
 
-@pytest.mark.parametrize("target,text,checked", SYNTHETIC_TEXTS,
+@pytest.mark.parametrize("target,text,hits", SYNTHETIC_TEXTS,
                          ids=["tent-pinned-0", "k3", "tent-pinned-1/2"])
-def test_lemma6_checks_exactly_the_hits_in_the_text(monkeypatch, target, text, checked):
-    monkeypatch.setattr(verifier, "_dense_text", lambda start, n: iter([text[start:start + n]]))
-    seen = []
-    monkeypatch.setattr(verifier, "semiconjugacy_check", lambda sys, w: seen.append(w) or True)
-    assert lemma6_commute_check(target, 1, 100).verdict == "pass"
-    assert [w for w in seen if isinstance(w, StreamWord)] == checked
+def test_lemma6_checks_exactly_the_hits_in_the_text(monkeypatch, target, text, hits):
+    # every hit is a witness as it stands: semiconjugacy_check, which reads
+    # the real dense word, is never called on a stream
+    read = []
+
+    def dense_text(start, n):
+        read.append((start, n))
+        return iter([text[start:start + n]])
+
+    monkeypatch.setattr(verifier, "_dense_text", dense_text)
+    checked = []
+    monkeypatch.setattr(verifier, "semiconjugacy_check", lambda sys, w: checked.append(w) or True)
+    report = lemma6_commute_check(target, 1, 100)
+    assert read == [(0, len(text))]
+    assert report.witnesses == [{"orbit_step": n} for n in hits]
+    assert not any(isinstance(w, StreamWord) for w in checked)
 
 
 def _advance_pieces(branches, pieces):

@@ -126,6 +126,15 @@ def test_parse_rejects_malformed(bad):
         W(bad)
 
 
+def test_parse_quotes_a_long_text_by_its_length():
+    with pytest.raises(ValueError) as err:
+        W("2" * 5000)
+    assert str(err.value) == (f"malformed word {'2' * 256!r}... (5000 characters); "
+                              "expected bits in the form pre:period")
+    with pytest.raises(ValueError, match="^malformed word '2:'; expected"):
+        W("2:")
+
+
 def test_word_requires_nonempty_period():
     with pytest.raises(ValueError):
         Word([1], [])
