@@ -104,9 +104,19 @@ def _load_graph(path: str) -> graphs.GraphSystem:
 
 
 def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:
-    i = int(token) if token.isdigit() else sys.arc_index(token)
+    """An arc id, or a 1-based index in ASCII digits."""
+    i = _digits(token) if token.isascii() and token.isdigit() else sys.arc_index(token)
     sys.spec.arc(i)  # an index out of range raises before the parameter is read
     return i
+
+
+def _digits(token: str) -> int:
+    # 512 digits at a time: int() reads that many under any digit limit (the least is 640)
+    n = 0
+    for k in range(0, len(token), 512):
+        piece = token[k:k + 512]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
 
 
 def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Tuple
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
@@ -63,13 +64,15 @@ class IntervalCodec:
         return {"cell": cell[1]}
 
     def lattice(self, fmap, q: int, eta: Fraction):
-        """The key (1, n) is n/q, ends included.  A step is fmap, and an
-        image off the lattice raises ArithmeticError."""
+        """The key (1, n) is n/q, ends included.  A step is fmap on n/q in
+        lowest terms, multiplied back by q, and an image off the lattice
+        raises ArithmeticError."""
         def step(key):
-            y = fmap(Fraction(key[1], q))
-            n, rest = divmod(y.numerator * q, y.denominator)
+            g = gcd(key[1], q)
+            a, b = fmap(key[1] // g, q // g)
+            n, rest = divmod(a * q, b)
             if rest:
-                raise ArithmeticError(f"the map takes {key[1]}/{q} to {_show(y)}, "
+                raise ArithmeticError(f"the map takes {key[1]}/{q} to {_show(Fraction(a, b))}, "
                                       f"off the lattice of denominator {q}")
             return 1, n
 
@@ -81,14 +84,22 @@ class IntervalCodec:
 INTERVAL_CODEC = IntervalCodec()
 
 
+def _tent(n: int, d: int) -> Tuple[int, int]:
+    """The tent map on the point n/d, as a pair that need not be in lowest terms."""
+    return 2 * min(n, d - n), d
+
+
+def _baker(n: int, d: int) -> Tuple[int, int]:
+    """The baker map on the point n/d, as _tent gives it."""
+    return 2 * n if 2 * n <= d else 2 * n - d, d
+
+
 def tent(y) -> Fraction:
-    n, d = as_unit(y).as_integer_ratio()
-    return Fraction(2 * min(n, d - n), d)
+    return Fraction(*_tent(*as_unit(y).as_integer_ratio()))
 
 
 def baker(y) -> Fraction:
-    n, d = as_unit(y).as_integer_ratio()
-    return Fraction(2 * n if 2 * n <= d else 2 * n - d, d)
+    return Fraction(*_baker(*as_unit(y).as_integer_ratio()))
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
-from .interval import INTERVAL_CODEC, _show, baker, baker_system, tent, tent_system
+from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
 from .streams import StreamWord, _dense_text, orbit_windows, stream_c_step, stream_shift
 from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
 
@@ -72,12 +72,15 @@ class Target(NamedTuple):
     """An exact self-map under test on a decomposition space: [0, 1]
     (space INTERVAL_CODEC, with the map's branch structure) or a graph
     (space the GraphSystem, no branches and no fmap: it steps by its
-    induced map's closed form).  fmap must be a deterministic function of
-    its argument that agrees with each branch inside it: transitivity maps
-    each point once and reuses the image, and pulls its witnesses back
-    through the branches, so a witness fmap takes elsewhere raises
-    ArithmeticError.  The checks read the generator orbit as the dense
-    word's text (streams._dense_text), under C or S as the induced map says."""
+    induced map's closed form).  fmap takes a point of [0, 1] as its
+    lowest-terms pair (n, d), 0 <= n <= d, and returns its image as any pair
+    (a, b) with b > 0, which the checks reduce where they key or compare on
+    it.  It must be a deterministic function of its argument that agrees
+    with each branch inside it: transitivity maps each point once and reuses
+    the image, and pulls its witnesses back through the branches, so a
+    witness fmap takes elsewhere raises ArithmeticError.  The checks read
+    the generator orbit as the dense word's text (streams._dense_text),
+    under C or S as the induced map says."""
 
     name: str
     fmap: Optional[Callable]
@@ -96,12 +99,12 @@ class Target(NamedTuple):
 
 def tent_target() -> Target:
     branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, -TWO, TWO))
-    return Target("tent", tent, INTERVAL_CODEC, branches, tent_system())
+    return Target("tent", _tent, INTERVAL_CODEC, branches, tent_system())
 
 
 def baker_target() -> Target:
     branches = ((ZERO, HALF, TWO, ZERO), (HALF, ONE, TWO, -ONE))
-    return Target("baker", baker, INTERVAL_CODEC, branches, baker_system())
+    return Target("baker", _baker, INTERVAL_CODEC, branches, baker_system())
 
 
 def graph_target(system: GraphSystem, name: str = "graph") -> Target:
@@ -109,17 +112,20 @@ def graph_target(system: GraphSystem, name: str = "graph") -> Target:
 
 
 def identity_target() -> Target:
-    return Target("identity", lambda y: y, INTERVAL_CODEC, ((ZERO, ONE, ONE, ZERO),))
+    return Target("identity", lambda n, d: (n, d), INTERVAL_CODEC, ((ZERO, ONE, ONE, ZERO),))
 
 
 def constant_target(value: Fraction = HALF) -> Target:
-    return Target("constant", lambda y: value, INTERVAL_CODEC, ((ZERO, ONE, ZERO, value),))
+    image = value.as_integer_ratio()
+    return Target("constant", lambda n, d: image, INTERVAL_CODEC, ((ZERO, ONE, ZERO, value),))
 
 
 def rotation_target(step: Fraction = Fraction(1, 3)) -> Target:
-    def rot(y: Fraction) -> Fraction:
-        y = y + step
-        return y - 1 if y >= 1 else y
+    a, b = step.as_integer_ratio()
+
+    def rot(n: int, d: int) -> Tuple[int, int]:
+        n, d = n * b + a * d, d * b
+        return (n - d if n >= d else n), d
 
     return Target("rotation", rot, INTERVAL_CODEC,
                   ((ZERO, 1 - step, ONE, step), (1 - step, ONE, ONE, step - 1)))
@@ -220,7 +226,7 @@ def _returning_blocks(target: Target, horizon: int) -> Tuple[int, Callable[[int,
         for q in range(1 << k):
             if all(q % rep for rep in repunits):
                 pt = space.decode(Word._tail(0, 0, q, (1 << k) - 1))
-                if _point_returns(fmap, pt, horizon):
+                if _point_returns(fmap, pt.as_integer_ratio(), horizon):
                     kept.add((k, q))
     return len(kept), lambda k, q: (k, q) in kept
 
@@ -302,21 +308,20 @@ def _holds_kept(kept, s: int, c: int, j: int, p: int, max_period: int) -> bool:
     return False
 
 
-def _point_returns(fmap, pt, horizon: int) -> bool:
-    """Does pt come back within `horizon` steps?  An orbit that stops at
-    another point (an iterate equal to the one before) never does.  Points
-    are compared by (numerator, denominator), which skips the numbers-ABC
-    check of Fraction.__eq__."""
-    cur, start = pt, (pt.numerator, pt.denominator)
+def _point_returns(fmap, start: Tuple[int, int], horizon: int) -> bool:
+    """Does the point with the lowest-terms pair `start` come back within
+    `horizon` steps?  An orbit that stops at another point (an iterate equal
+    to the one before) never does."""
     last = start
     for _ in range(horizon):
-        cur = fmap(cur)
-        key = (cur.numerator, cur.denominator)
-        if key == start:
+        a, b = fmap(*last)
+        g = math.gcd(a, b)
+        cur = a // g, b // g
+        if cur == start:
             return True
-        if key == last:
+        if cur == last:
             return False
-        last = key
+        last = cur
     return False
 
 
@@ -368,8 +373,8 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     of the target's own map must carry that witness into V; a miss means
     the branches describe another map than fmap, an internal invariant
     failure that raises ArithmeticError at once.  Each distinct point is
-    mapped by fmap once (a memo for the call, keyed by numerator and
-    denominator, that starts over when it holds _MAX_MAPPED points).  The
+    mapped by fmap once (a memo for the call from a lowest-terms pair to
+    its image's, that starts over when it holds _MAX_MAPPED points).  The
     branch slopes must be integers (else ValueError).  Image ends lie on
     1/L for L = 2 lcm(2^p, the branch data's denominators), which also holds
     their midpoints, and a lap carries its cumulative slope, so its domain
@@ -388,7 +393,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     lattice, stretch, branches = _integer_branches(target, resolution)
     size, fmap = 1 << resolution, target.fmap
     width = lattice >> resolution
-    image = {}  # (numerator, denominator) -> that of its fmap image
+    image = {}  # lowest-terms pair -> that of its fmap image
     unwitnessed = []
     for uj in range(size):
         remaining = set(range(size))
@@ -413,8 +418,9 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                     for _ in range(n):
                         z = image.get(y)
                         if z is None:
-                            z = fmap(Fraction(*y))
-                            z = _bounded(image)[y] = z.numerator, z.denominator
+                            a, b = fmap(*y)
+                            g = math.gcd(a, b)
+                            z = _bounded(image)[y] = a // g, b // g
                         y = z
                     num, den = y[0] << resolution, y[1]
                     if not vj * den <= num <= (vj + 1) * den:
@@ -520,6 +526,8 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
         raise ValueError("eta must be finite, got inf")
     eta, delta = Fraction(eta), Fraction(delta)  # exact, as as_unit reads a point
     space = target.space
+    params = {"eta": _printed("eta", eta), "delta": _printed("delta", delta), "grid": grid,
+              "horizon": horizon, "points": space.r * grid}
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))
     step, apart, point, ends = space.lattice(target.fmap, q, eta)
@@ -530,9 +538,16 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
                 for i in range(1, space.r + 1) for n in range(unit, q, 2 * unit)
                 if not any(_separates(step, apart, (i, n), (i, m), horizon, image, far)
                            for m in (n - width, n + width) if lo <= m <= hi)]
-    params = {"eta": str(eta), "delta": str(delta), "grid": grid,
-              "horizon": horizon, "points": space.r * grid}
     return _finish(target.name, "sensitivity", params, failures, started)
+
+
+def _printed(name: str, x: Fraction) -> str:
+    """str(x) for a report, read before any walk: past int()'s digit limit
+    str() raises, and then x is named by its size."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"{name} {_show(x)} is too long to print in the report") from None
 
 
 def _separates(step, apart, fx, fy, horizon: int, image: dict, far: dict) -> bool:

@@ -69,7 +69,10 @@ def _quote(text: str) -> str:
 def as_unit(y) -> Fraction:
     """y (a Fraction, an int, a float or a numeric str) as a Fraction in [0, 1]."""
     if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
-        y = Fraction(y)
+        try:
+            y = Fraction(y)
+        except OverflowError:  # an infinity: no integer ratio, and outside [0, 1]
+            raise ValueError(f"point {y} outside [0, 1]") from None
     n, d = y.as_integer_ratio()
     if not 0 <= n <= d:
         raise ValueError(f"point {_show(y)} outside [0, 1]")

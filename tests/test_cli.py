@@ -326,7 +326,7 @@ def test_verify_fail_exit_one(capsys):
 def test_verify_transitivity_witness_missed_by_the_map_exits_three(capsys, monkeypatch):
     # the tent's branches with the identity as its map: the laps carry 3/512
     # from cell 0 into cell 1, where the identity leaves it in cell 0
-    monkeypatch.setattr(verifier, "tent", lambda y: y)
+    monkeypatch.setattr(verifier, "_tent", lambda n, d: (n, d))
     code, out, err = run(capsys, "verify", "--system", "tent", "--property", "transitivity")
     assert (code, out) == (3, "")
     assert err == ("error: internal invariant failed: transitivity of 'tent' at resolution 7: "
@@ -541,6 +541,42 @@ def test_a_huge_number_is_named_by_its_size(capsys, k3_file, argv, message):
     code, out, err = run(capsys, *(k3_file if a == "K3" else a for a in argv))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option,value,sized", [
+    ("--eta", "1e4999", SIZED),
+    ("--delta", "1e-4999", "a fraction with a 1-bit numerator and a 16607-bit denominator"),
+], ids=["eta", "delta"])
+def test_sensitivity_rejects_a_value_too_long_to_print_before_any_walk(
+        capsys, monkeypatch, option, value, sized):
+    def walked(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(verifier, "_separates", walked)
+    code, out, err = run(capsys, "verify", "--system", "tent", "--property", "sensitivity",
+                         f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option[2:]} {sized} is too long to print in the report\n"
+    assert "int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["graph-orbit", "--steps", "1", "--start", "{}:1/2"],
+    ["fiber", "--x", "1/2", "--arc", "{}"],
+], ids=["graph-orbit", "fiber"])
+@pytest.mark.parametrize("index,message", [
+    ("\u00b2", "unknown arc '\u00b2'"),  # a superscript two: str.isdigit, but no ASCII digit
+    ("1" + "0" * 4999, f"arc index {SIZED} out of range 1..3"),
+], ids=["superscript", "past-the-digit-limit"])
+def test_an_arc_index_is_read_from_ascii_digits_of_any_length(capsys, k3_file, command,
+                                                              index, message):
+    argv = [a.format(index) for a in command]
+    code, out, err = run(capsys, *argv, "--file", k3_file)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_arc_index_with_leading_zeros_is_read(capsys, k3_file):
+    assert cli._resolve_arc(cli._load_graph(k3_file), "0" * 600 + "2") == 2
 
 
 LONG = "1" + "0" * 5000  # an integer past int()'s 4300-digit limit

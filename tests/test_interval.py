@@ -10,6 +10,7 @@ from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, Interior, Node, parse_g
 from symchaos.interval import (
     INTERVAL_CODEC,
     _show,
+    _tent,
     as_unit,
     baker,
     baker_system,
@@ -371,7 +372,7 @@ TENT = tent_target()
      f"delta must lie strictly between 0 and 1, got {SIZED}"),
     (lambda: periodic_words(-HUGE), f"n must be at least 1, got {SIZED}"),
     (lambda: dense_orbit_coverage(TENT, HUGE, 4), f"steps {SIZED} exceeds bound 10^6"),
-    (lambda: transitivity_witness(Target("steep", tent, INTERVAL_CODEC,
+    (lambda: transitivity_witness(Target("steep", _tent, INTERVAL_CODEC,
                                          ((F(0), F(1), F(HUGE, 3), F(0)),)), 2, 2),
      "system 'steep': the lap route needs integer branch slopes, got "
      "a fraction with a 16607-bit numerator and a 2-bit denominator"),
@@ -382,6 +383,18 @@ def test_a_huge_number_is_named_by_its_size(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("call", [tent, baker, induced_tent, induced_baker,
+                                  lambda t: Interior(1, t), lambda t: K3.point_at(1, t)],
+                         ids=["tent", "baker", "induced_tent", "induced_baker", "Interior",
+                              "point_at"])
+def test_an_infinity_or_nan_is_a_value_error(call, x):
+    # an infinity has no integer ratio: Fraction raises OverflowError, an
+    # ArithmeticError that the CLI would report as an internal failure
+    with pytest.raises(ValueError):
+        call(x)
 
 
 @pytest.mark.parametrize("x", [3, -3, 0.1, 2.5e70, F(-7, 3), F((1 << 256) - 1, 3), F(1, 1 << 255)])

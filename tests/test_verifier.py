@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,7 @@ from symchaos.graphs import (
     lattice_step,
     parse_graph,
 )
-from symchaos.interval import INTERVAL_CODEC
+from symchaos.interval import INTERVAL_CODEC, _baker, _tent, baker, tent
 from symchaos.streams import StreamWord
 from symchaos.words import Word, periodic_words, shift_map
 from symchaos.verifier import (
@@ -44,6 +45,14 @@ from symchaos.verifier import (
 from value_cells import point_cells
 
 F = Fraction
+
+
+def _on_fractions(fmap):
+    """A Target.fmap, a map on lowest-terms pairs, as a map on Fractions for
+    the Fraction oracles: the tent's and the baker's are the public tent and
+    baker, and any other pair map is read on a Fraction's own pair."""
+    public = {_tent: tent, _baker: baker}.get(fmap)
+    return public or (lambda y: F(*fmap(*y.as_integer_ratio())))
 
 
 # ------------------------------------------------------------- reports
@@ -564,6 +573,69 @@ CONTROLS = {"identity": identity_target(),
             **{f"rotation-{v}": rotation_target(F(v)) for v in ("1/3", "1/5", "1/17", "2/3")}}
 
 
+# the map of each interval target on pairs, and the same rule on Fractions
+PAIR_MAPS = {"tent": (_tent, lambda y: 1 - abs(1 - 2 * y)),
+             "baker": (_baker, lambda y: 2 * y if 2 * y <= 1 else 2 * y - 1),
+             "identity": (CONTROLS["identity"].fmap, lambda y: y),
+             **{f"constant-{v}": (CONTROLS[f"constant-{v}"].fmap, lambda y, v=F(v): v)
+                for v in ("0", "1/2", "1/3", "1")},
+             **{f"rotation-{v}": (CONTROLS[f"rotation-{v}"].fmap, lambda y, v=F(v): (y + v) % 1)
+                for v in ("1/3", "1/5", "1/17", "2/3")}}
+PUBLIC = {"tent": tent, "baker": baker}
+
+
+def _agrees_on(pair_map, form, n, d):
+    a, b = pair_map(n, d)
+    image = form(F(n, d))
+    return type(a) is type(b) is int and b > 0 and a * image.denominator == image.numerator * b
+
+
+@pytest.mark.parametrize("name", PAIR_MAPS)
+def test_pair_maps_equal_their_fraction_forms_on_small_denominators(name):
+    pair_map, form = PAIR_MAPS[name]
+    pairs = [(n, d) for d in range(1, 513) for n in range(d + 1) if math.gcd(n, d) == 1]
+    assert len(pairs) == 79_853
+    assert all(_agrees_on(pair_map, form, n, d) for n, d in pairs)
+    public = PUBLIC.get(name)
+    if public is not None:
+        assert all(public(F(n, d)) == form(F(n, d)) for n, d in pairs[::7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 256).flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d))))
+def test_pair_maps_equal_their_fraction_forms_at_large_denominators(pair):
+    g = math.gcd(*pair)
+    n, d = pair[0] // g, pair[1] // g
+    for name, (pair_map, form) in PAIR_MAPS.items():
+        assert _agrees_on(pair_map, form, n, d), name
+    for name, public in PUBLIC.items():
+        assert public(F(n, d)) == PAIR_MAPS[name][1](F(n, d)), name
+
+
+def _lowest_terms_only(target):
+    """target, its fmap wrapped to assert the pair contract on each call:
+    two ints in lowest terms with 0 <= n <= d."""
+    def fmap(n, d):
+        assert type(n) is type(d) is int and 0 <= n <= d and math.gcd(n, d) == 1, (n, d)
+        return target.fmap(n, d)
+
+    return target._replace(fmap=fmap)
+
+
+@pytest.mark.parametrize("name", ["tent", "baker", *CONTROLS])
+def test_every_check_hands_fmap_a_lowest_terms_pair(name):
+    base = {"tent": tent_target(), "baker": baker_target()}.get(name) or CONTROLS[name]
+    target = _lowest_terms_only(base)
+    checks = [lambda t: transitivity_witness(t, 4, 12),
+              lambda t: sensitivity_probe(t, F(1, 4), F(1, 4096), 64, 40),
+              lambda t: sensitivity_probe(t, F(1, 8), F(1, 3), 16, 40)]
+    if base.induced is None:
+        checks.append(lambda t: periodic_density(t, 10, 5))
+    for check in checks:
+        report, expected = check(target), check(base)
+        assert (report.params, report.witnesses) == (expected.params, expected.witnesses)
+
+
 def test_target_has_five_fields_and_derives_its_stream_step(monkeypatch):
     assert Target._fields == ("name", "fmap", "space", "branches", "induced")
     assert tent_target().stream_step is streams.stream_c_step
@@ -586,11 +658,11 @@ def _enumerate_and_cover(target, max_period, resolutions):
     """{p: (params, witnesses)} for each resolution p, from the loop the cell
     search replaced for maps without an induced system: every word is
     decoded, its point iterated, and the cells of each returning point marked."""
-    space, points = target.space, []
+    space, points, fmap = target.space, [], _on_fractions(target.fmap)
     for w in _collect_periodic(max_period):
         pt = cur = space.decode(w)
         for _ in range(max_period):
-            cur = target.fmap(cur)
+            cur = fmap(cur)
             if cur == pt:
                 points.append(pt)
                 break
@@ -628,9 +700,9 @@ def test_constant_control_maps_each_decoded_point_at_most_twice(monkeypatch, val
     # its iteration stops at the second step
     base, calls = constant_target(F(value)), []
 
-    def fmap(y):
+    def fmap(*y):
         calls.append(y)
-        return base.fmap(y)
+        return base.fmap(*y)
 
     expected = periodic_density(base, 12, 6)
     decoded = _count_decodes(monkeypatch, base)
@@ -1148,9 +1220,9 @@ def _witnessed_by(target, piece, n, vlo, vhi, ulo, uhi):
     x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
     if not ulo <= x <= uhi:
         return False
-    y = x
+    y, fmap = x, _on_fractions(target.fmap)
     for _ in range(n):
-        y = target.fmap(y)
+        y = fmap(y)
     return vlo <= y <= vhi
 
 
@@ -1191,9 +1263,9 @@ def _old_find_witness(target, pieces, n, vlo, vhi, ulo, uhi):
         x = d0 + (v - i0) * (d1 - d0) / (i1 - i0)
         if not ulo <= x <= uhi:
             continue
-        y = x
+        y, fmap = x, _on_fractions(target.fmap)
         for _ in range(n):
-            y = target.fmap(y)
+            y = fmap(y)
         if vlo <= y <= vhi:
             return (x, n)
     return None
@@ -1268,10 +1340,10 @@ def _exchange_target():
     2 -> 12 -> 8 -> 2 and 3 -> 13 -> 9 -> 3.  A quarter cell splits into four
     laps, so a cap of 2 drops laps that reach cells no kept lap reaches."""
     perm = {0: 4, 4: 0, 1: 5, 5: 1, 2: 12, 12: 8, 8: 2, 3: 13, 13: 9, 9: 3}
-    shift = [F(perm.get(k, k) - k, 16) for k in range(16)]
-    branches = tuple((F(k, 16), F(k + 1, 16), F(1), shift[k]) for k in range(16))
-    return Target("exchange", lambda y: y + shift[min(int(y * 16), 15)], INTERVAL_CODEC,
-                  branches)
+    shift = [perm.get(k, k) - k for k in range(16)]  # in sixteenths
+    branches = tuple((F(k, 16), F(k + 1, 16), F(1), F(shift[k], 16)) for k in range(16))
+    return Target("exchange", lambda n, d: (16 * n + shift[min(16 * n // d, 15)] * d, 16 * d),
+                  INTERVAL_CODEC, branches)
 
 
 @pytest.mark.parametrize("make,resolution", [(tent_target, 4), (baker_target, 4),
@@ -1288,8 +1360,8 @@ def test_transitivity_truncates_laps_as_the_fraction_route(monkeypatch, make, re
 
 
 @pytest.mark.parametrize("fmap,x,v,image", [
-    (lambda y: y, "3/64", 1, "3/64"),
-    (lambda y: F(1, 2), "1/64", 0, "1/2"),
+    (lambda n, d: (n, d), "3/64", 1, "3/64"),
+    (lambda n, d: (1, 2), "1/64", 0, "1/2"),
 ], ids=["identity", "constant-1/2"])
 def test_transitivity_reverifies_every_witness_through_fmap(fmap, x, v, image):
     # the tent's laps with another map: the first witness that the target's
@@ -1303,6 +1375,30 @@ def test_transitivity_reverifies_every_witness_through_fmap(fmap, x, v, image):
     assert transitivity_witness(tent_target(), 4, 8).verdict == "pass"
 
 
+def test_transitivity_stops_at_the_first_witness_its_map_misses():
+    # the CI step of this name, in a fresh interpreter under its 10 s timeout:
+    # at 8/10^6 the first miss must stop the run, not walk to the horizon
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(verifier.__file__))
+    code = ("from symchaos.interval import INTERVAL_CODEC\n"
+            "from symchaos.verifier import Target, tent_target, transitivity_witness\n"
+            "lying = Target('lying', lambda n, d: (n, d), INTERVAL_CODEC, "
+            "tent_target().branches)\n"
+            "try:\n"
+            "    transitivity_witness(lying, 8, 10 ** 6)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no ArithmeticError')\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("transitivity of 'lying' at resolution 8: the laps carry ")
+
+
 def _lying_target(fmap):
     return Target("lying", fmap, INTERVAL_CODEC, tent_target().branches)
 
@@ -1311,9 +1407,9 @@ def _recorded(target):
     """The target with its fmap wrapped to record each point it maps."""
     calls = []
 
-    def fmap(y):
-        calls.append((y.numerator, y.denominator))
-        return target.fmap(y)
+    def fmap(*y):
+        calls.append(y)
+        return target.fmap(*y)
 
     return target._replace(fmap=fmap), calls
 
@@ -1344,9 +1440,9 @@ def _unmemoized_transitivity(target, resolution, horizon):
                     x = d0 + (v - i0) * (scale // sigma)
                     if not ulo * scale <= x <= uhi * scale:
                         continue
-                    y = F(x, lattice * scale)
+                    y, fmap = F(x, lattice * scale), _on_fractions(target.fmap)
                     for _ in range(n):
-                        y = target.fmap(y)
+                        y = fmap(y)
                     num, den = y.numerator << resolution, y.denominator
                     if vj * den <= num <= (vj + 1) * den:
                         remaining.discard(vj)
@@ -1359,8 +1455,8 @@ def _unmemoized_transitivity(target, resolution, horizon):
 
 
 LYING_TARGETS = {
-    "lying-identity": lambda: _lying_target(lambda y: y),
-    "lying-constant": lambda: _lying_target(lambda y: F(1, 2)),
+    "lying-identity": lambda: _lying_target(lambda n, d: (n, d)),
+    "lying-constant": lambda: _lying_target(lambda n, d: (1, 2)),
 }
 FMAP_WORK_TARGETS = {
     "tent": tent_target, "baker": baker_target, "identity": identity_target,
@@ -1461,8 +1557,9 @@ def consistent_targets(draw):
         branches.append((lo, hi, F(slope), low - slope * (lo if slope >= 0 else hi)))
     table = branches if draw(st.booleans()) else branches[::-1]
 
-    def fmap(y):
-        return next(s * y + c for lo, hi, s, c in table if lo <= y <= hi)
+    def fmap(n, d):
+        y = F(n, d)
+        return next(s * y + c for lo, hi, s, c in table if lo <= y <= hi).as_integer_ratio()
 
     return Target("random", fmap, INTERVAL_CODEC, tuple(branches))
 
@@ -1481,9 +1578,9 @@ def test_transitivity_of_a_consistent_target_never_misses(target, resolution, ho
 def test_transitivity_rejects_a_slope_that_is_not_an_integer():
     calls = []
 
-    def fmap(y):
-        calls.append(y)
-        return y / 2
+    def fmap(n, d):
+        calls.append((n, d))
+        return n, 2 * d
 
     target = Target("half", fmap, INTERVAL_CODEC, ((F(0), F(1), F(1, 2), F(0)),))
     with pytest.raises(ValueError, match="integer branch slopes"):
@@ -1567,11 +1664,11 @@ def _old_separates_interval(target, x, eta, delta, horizon):
     for y in (x - delta, x + delta):
         if not 0 <= y <= 1:
             continue
-        fx, fy = x, y
+        fx, fy, fmap = x, y, _on_fractions(target.fmap)
         for _ in range(horizon + 1):
             if abs(fx - fy) > eta:
                 return True
-            fx, fy = target.fmap(fx), target.fmap(fy)
+            fx, fy = fmap(fx), fmap(fy)
     return False
 
 
@@ -1641,7 +1738,8 @@ def test_interval_sensitivity_at_grid_4096(make, eta, verdict, failures, digest)
 def test_interval_sensitivity_raises_when_the_map_leaves_the_lattice():
     # q = lcm(8, 4096, 3) holds the branch data, but a third of a grid
     # point's image is off the lattice within two steps
-    third = Target("third", lambda y: y / 3, INTERVAL_CODEC, ((F(0), F(1), F(1, 3), F(0)),))
+    third = Target("third", lambda n, d: (n, 3 * d), INTERVAL_CODEC,
+                   ((F(0), F(1), F(1, 3), F(0)),))
     with pytest.raises(ArithmeticError, match="off the lattice of denominator 12288"):
         sensitivity_probe(third, F(1), F(1, 4096), 4, 10)
 
@@ -1691,9 +1789,9 @@ def test_interval_sensitivity_maps_each_point_and_measures_each_pair_once(
     base = make()
     calls, mapped, measured = Counter(), Counter(), Counter()
 
-    def counting_fmap(y):
+    def counting_fmap(*y):
         calls[y] += 1
-        return base.fmap(y)
+        return base.fmap(*y)
 
     _count_lattice(monkeypatch, type(INTERVAL_CODEC), mapped, measured)
     target = Target(base.name, counting_fmap, base.space, base.branches)
