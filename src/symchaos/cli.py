@@ -100,6 +100,8 @@ def _load_graph(path: str) -> graphs.GraphSystem:
             text = fh.read()
     except OSError as exc:
         raise graphs.GraphError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise graphs.GraphError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
     return graphs.GraphSystem(graphs.parse_graph(text))
 
 
@@ -147,6 +149,17 @@ def _print_rows(rows: Iterable[dict], fmt: str) -> None:
         print("\n]")
 
 
+def _exactly(show, *args) -> None:
+    """show(*args) with int()'s digit limit, this process's own setting,
+    lifted: an exact result may have more digits than the limit allows."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        show(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _iterate(fmap, x, steps: int) -> Iterator:
     """x, fmap(x), ..., fmap^steps(x), each made when it is asked for."""
     yield x
@@ -156,7 +169,7 @@ def _iterate(fmap, x, steps: int) -> Iterator:
 
 
 def _cmd_eval(args) -> int:
-    print(EVAL_SYSTEMS[args.system](args.x))
+    _exactly(print, EVAL_SYSTEMS[args.system](args.x))
     return 0
 
 
@@ -164,8 +177,8 @@ def _cmd_orbit(args) -> int:
     _within(**{"--steps": (args.steps, 0, 10 ** 6)})
     # a start off the unit interval is an input error before any row is printed
     orbit = _iterate(EVAL_SYSTEMS[args.system], interval.as_unit(args.x), args.steps)
-    _print_rows(({"step": step, "num": x.numerator, "den": x.denominator,
-                  "approx": float(x)} for step, x in enumerate(orbit)), args.format)
+    _exactly(_print_rows, ({"step": step, "num": x.numerator, "den": x.denominator,
+                            "approx": float(x)} for step, x in enumerate(orbit)), args.format)
     return 0
 
 
@@ -182,7 +195,8 @@ def _cmd_graph_orbit(args) -> int:
     sys_ = _load_graph(args.file)
     orbit = _iterate(lambda pt: graphs.graph_map(sys_, pt),
                      _parse_start(sys_, args.start), args.steps)
-    _print_rows((_graph_row(sys_, step, pt) for step, pt in enumerate(orbit)), args.format)
+    _exactly(_print_rows, (_graph_row(sys_, step, pt) for step, pt in enumerate(orbit)),
+             args.format)
     return 0
 
 

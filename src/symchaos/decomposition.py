@@ -111,28 +111,23 @@ class Violation(NamedTuple):
     images: Tuple[Tuple[Word, Any], ...]
 
 
-_STREAM_BITS = 512  # precision of the cells that tell a stream from a pinned point
-
-
 class InducedSystem:
     """A symbolic map, a codec, and the override data for the induced map.
 
     The override policy (identity when `designated` is None, otherwise the
     fiber of the designated point) applies on every pinned fiber and on any
-    fiber where the star condition fails.  The pinned points' fibers, their
-    keys (_pin_key) and the precision-_STREAM_BITS cells that their words
-    address (word_cells) are derived from the points once, here.
+    fiber where the star condition fails.  The pinned points' fibers and
+    their keys (_pin_key) are derived from the points once, here.
     """
 
     def __init__(self, name: str, symbolic_map: Callable[[Word], Word], codec: Codec,
                  designated: Any = None, pinned_points: Tuple = ()):
         points = tuple(pinned_points)
         fibers = frozenset(map(codec.encode, points))
-        cells = frozenset(word_cells(codec, (w for fib in fibers for w in fib), _STREAM_BITS))
         vars(self).update(  # the fields, in order, set once past __setattr__
             name=name, symbolic_map=symbolic_map, codec=codec, designated=designated,
             pinned_points=points, pinned_fibers=fibers,
-            pinned_keys=frozenset(map(_pin_key, fibers)), pinned_cells=cells)
+            pinned_keys=frozenset(map(_pin_key, fibers)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -196,17 +191,11 @@ def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callab
     return expected
 
 
-def semiconjugacy_check(sys: InducedSystem, w: Union[Word, StreamWord]) -> bool:
-    """Does the induced map commute with projection at w?
-
-    For a Word this is checked exactly on fibers.  For a StreamWord the
-    point is irrational, so its fiber is a singleton and the two routes
-    agree automatically unless the fiber is exceptional; the check passes
-    when the stream's precision-_STREAM_BITS cell holds no pinned point.
-    Cells nest, so no coarser cell separates what that one does not.
-    """
-    if isinstance(w, StreamWord):
-        return sys.codec.stream_excludes_all(w, sys.pinned_cells, _STREAM_BITS)
+def semiconjugacy_check(sys: InducedSystem, w: Word) -> bool:
+    """Does the induced map commute with projection at w?  Checked exactly
+    on fibers.  (At a word that is not eventually periodic, such as an
+    iterate of the dense word, it holds by construction: its point is
+    irrational, alone in its fiber and never pinned.)"""
     fib = sys.codec.fiber_of(w)
     lhs = induced_apply(sys, fib)
     rhs = sys.codec.fiber_of(sys.symbolic_map(w))

@@ -12,12 +12,12 @@ iterate of a sequence w is the n-fold shift of w XOR w(n), a global flip.
 Along the generator orbit that flip is dense bit n, the bit just before
 the iterate's first bit (and 0 at step 0).
 
-The verifier reads the orbit as text: _dense_text writes the dense word
-as '0'/'1' characters, a chunk of bits per _dense_window call.  The
-dense-orbit check rolls one integer through that text, one bit per step
-(orbit_windows), so no step builds a StreamWord or finds its place in the
-dense word again; the Lemma 6 check searches it with str.find for the
-pinned cells' patterns, each an arc prefix and 512 window bits.
+The dense-orbit check reads the orbit as text: _dense_text writes the
+dense word as '0'/'1' characters, a chunk of bits per _dense_window call,
+and orbit_windows rolls one integer through that text, one bit per step,
+so no step builds a StreamWord or finds its place in the dense word again.
+The Lemma 6 check reads no bit of it: every iterate is not eventually
+periodic, so projection commutes there by construction.
 """
 
 from __future__ import annotations

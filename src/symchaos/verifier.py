@@ -14,10 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .decomposition import _STREAM_BITS, Codec, InducedSystem, semiconjugacy_check, word_cells
+from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
-from .streams import StreamWord, _dense_text, orbit_windows, stream_c_step, stream_shift
+from .streams import StreamWord, orbit_windows, stream_c_step, stream_shift
 from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
 
 __all__ = [
@@ -78,9 +78,8 @@ class Target(NamedTuple):
     it.  It must be a deterministic function of its argument that agrees
     with each branch inside it: transitivity maps each point once and reuses
     the image, and pulls its witnesses back through the branches, so a
-    witness fmap takes elsewhere raises ArithmeticError.  The checks read
-    the generator orbit as the dense word's text (streams._dense_text),
-    under C or S as the induced map says."""
+    witness fmap takes elsewhere raises ArithmeticError.  The generator
+    orbit is the dense word's, under C or S as the induced map says."""
 
     name: str
     fmap: Optional[Callable]
@@ -215,18 +214,18 @@ def _repunits(k: int) -> List[int]:
 
 
 def _returning_blocks(target: Target, horizon: int) -> Tuple[int, Callable[[int, int], bool]]:
-    """_kept_blocks for a map without an induced symbolic system: the word
-    q^inf of each primitive block q of length at most `horizon` is decoded
-    once (the blocks of length 1 are the constant words), and it is kept
-    when its point returns within `horizon` steps."""
-    space, fmap = target.space, target.fmap
-    kept = set()
+    """_kept_blocks for a map without an induced symbolic system (a map of
+    [0, 1]): the word q^inf of each primitive block q of length k at most
+    `horizon` (the blocks of length 1 are the constant words) is the point
+    q/(2^k - 1), and it is kept when that point returns within `horizon`
+    steps.  No word is built or decoded."""
+    fmap, kept = target.fmap, set()
     for k in range(1, horizon + 1):
-        repunits = _repunits(k)
+        repunits, top = _repunits(k), (1 << k) - 1
         for q in range(1 << k):
             if all(q % rep for rep in repunits):
-                pt = space.decode(Word._tail(0, 0, q, (1 << k) - 1))
-                if _point_returns(fmap, pt.as_integer_ratio(), horizon):
+                g = math.gcd(q, top)
+                if _point_returns(fmap, (q // g, top // g), horizon):
                     kept.add((k, q))
     return len(kept), lambda k, q: (k, q) in kept
 
@@ -583,55 +582,24 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     pinned ones are checked.  With a designated-redirect override this also
     confirms the redirected fiber holds no periodic word (its members are
     all eventually constant, never purely periodic).  Along the orbit the
-    steps in a pinned point's cell fail, found by a substring search
-    (_orbit_commute_failures); with no pinned point every step commutes.
+    commute holds by construction too, under S or C (else ValueError): each
+    iterate of the dense word is not eventually periodic, so its point is
+    irrational and alone in its fiber, and every pinned point is rational.
+    So no step is checked, and orbit_steps is only validated and reported.
     """
     started = time.monotonic()
     _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, 10 ** 6))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced
+    _complementing(sys)  # the orbit argument holds under S and C only: else ValueError
     pinned = _pinned_periodic(sys, max_period)
     # a periodic word inside a redirected fiber would break the commute
     redirected = pinned if sys.designated is not None else []
     witnesses = [{"periodic_in_redirected_fiber": str(w)} for w in redirected]
     checked = list(_CONSTANTS) + [w for w in pinned if w.period_len > 1]
     witnesses += [{"word": str(w)} for w in checked if not semiconjugacy_check(sys, w)]
-    if sys.pinned_points:
-        witnesses += _orbit_commute_failures(target, orbit_steps)
     params = {"max_period": max_period, "orbit_steps": orbit_steps,
               "periodic_words": sum(map(_primitive_blocks, range(1, max_period + 1))),
               "periodic_in_redirected_fibers": len(redirected)}
     return _finish(target.name, "lemma6", params, witnesses, started)
-
-
-_FLIPPED = str.maketrans("01", "10")
-
-
-def _orbit_commute_failures(target: Target, steps: int) -> List[dict]:
-    """The generator-orbit steps where semiconjugacy_check fails: those
-    whose first s+_STREAM_BITS bits are a pinned cell's pattern, its arc
-    prefix c (s bits) and v.  The text is "0" and dense bits 1 .. steps +
-    r-2 + _STREAM_BITS: index n holds step n's flip (dense bit n, 0 at step
-    0), and iterate n's bits before any flip follow it.  Under S a step is
-    its pattern at index n+1; under C "0" and the pattern, or "1" and the
-    pattern complemented, at index n.  Each search ends where step steps-1's
-    pattern would, and resumes one character on past a hit."""
-    sys = target.induced
-    space = sys.codec
-    flips = _complementing(sys)
-    patterns = set()
-    for i, v in sys.pinned_cells:
-        s, c = space.prefixes[i - 1]
-        pattern = format((c << _STREAM_BITS) | v, f"0{s + _STREAM_BITS}b")
-        patterns |= {"0" + pattern, "1" + pattern.translate(_FLIPPED)} if flips else {pattern}
-    lead = 0 if flips else 1  # where step 0's pattern starts
-    text = "0" + "".join(_dense_text(0, steps + space.r - 2 + _STREAM_BITS))
-    hits = set()
-    for pattern in patterns:
-        end = steps + lead - 1 + len(pattern)
-        i = text.find(pattern, lead, end)
-        while i >= 0:
-            hits.add(i - lead)
-            i = text.find(pattern, i + 1, end)
-    return [{"orbit_step": n} for n in sorted(hits)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symchaos import cli, graphs, verifier, words
+from symchaos import cli, graphs, streams, verifier, words
 from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem
 from symchaos.interval import IntervalCodec
 from symchaos.verifier import (
@@ -150,8 +150,9 @@ def no_work(monkeypatch):
         for name in ("decode", "split_window", "lattice"):
             monkeypatch.setattr(codec, name, _work)
     for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
-                 "orbit_windows", "_dense_text", "semiconjugacy_check"):
+                 "orbit_windows", "semiconjugacy_check"):
         monkeypatch.setattr(verifier, name, _work)
+    monkeypatch.setattr(streams, "_dense_text", _work)
     monkeypatch.setattr(graphs, "graph_map", _work)
     monkeypatch.setattr(cli, "r_map", _work)
     for name in cli.EVAL_SYSTEMS:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,14 @@ def test_graph_orbit_missing_file(capsys):
     assert code == 2
 
 
+def test_a_graph_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"node a\n\xff")
+    code, out, err = run(capsys, "graph-orbit", "--file", str(path), "--start", "node:a",
+                         "--steps", "1")
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 at byte 7\n")
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_pass_exit_zero(capsys):
@@ -560,6 +569,20 @@ def test_sensitivity_rejects_a_value_too_long_to_print_before_any_walk(
     assert "int_max_str_digits" not in err
 
 
+def test_eval_and_orbit_print_a_result_past_the_digit_limit_exactly(capsys):
+    # 1/10^5000 maps exactly; printing the image takes more digits than
+    # int() prints by default, so the limit is lifted around the print
+    # alone and restored afterwards
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", "--system", "tent", "--x", "1e-5000")
+    assert (code, out, err) == (0, "1/5" + "0" * 4999 + "\n", "")
+    code, out, err = run(capsys, "orbit", "--system", "tent", "--x", "1e-5000", "--steps", "2")
+    assert (code, err) == (0, "")
+    assert out.split("\n") == ["step,num,den,approx", "0,1,1" + "0" * 5000 + ",0.0",
+                               "1,1,5" + "0" * 4999 + ",0.0", "2,1,25" + "0" * 4998 + ",0.0", ""]
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("command", [
     ["graph-orbit", "--steps", "1", "--start", "{}:1/2"],
     ["fiber", "--x", "1/2", "--arc", "{}"],
@@ -616,6 +639,26 @@ def test_a_long_start_is_quoted_by_its_length(capsys, k3_file, start, message):
     assert len(err.encode()) < 400
 
 
+# ------------------------------------------------------------ CI twins
+
+@pytest.mark.parametrize("system", [["graph", "--file", "K3"], ["baker"]], ids=["k3", "baker"])
+def test_lemma6_at_its_caps_in_a_fresh_interpreter(k3_file, system):
+    # from the command line in a fresh interpreter, within 10 s: only the
+    # constant and pinned words are checked, and the orbit reads no bit of
+    # the dense word
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "symchaos.cli", "verify", "--system",
+            *(k3_file if a == "K3" else a for a in system),
+            "--property", "lemma6", "--max-period", "24", "--steps", "1000000"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"periodic_words": 33545716\n' in done.stdout
+
+
 # ------------------------------------------------------------ cold start
 
 def test_import_loads_no_dataclasses_or_inspect():
@@ -623,7 +666,6 @@ def test_import_loads_no_dataclasses_or_inspect():
     # inspect, ast, dis and tokenize, about a third of it
     import os
     import subprocess
-    import sys
 
     import symchaos
 

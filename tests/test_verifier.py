@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import symchaos.graphs
 from symchaos import streams, verifier
-from symchaos.decomposition import InducedSystem, semiconjugacy_check
+from symchaos.decomposition import InducedSystem, semiconjugacy_check, word_cells
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphSystem,
@@ -148,6 +149,11 @@ def test_generator_orbit_is_read_only_under_shift_or_complementing_shift():
         dense_orbit_coverage(target, 100, 4)
     with pytest.raises(ValueError, match="complementing shift"):
         lemma6_commute_check(target, 1, 100)
+    # lemma6 decides the orbit by an argument that needs S or C, so it
+    # rejects another map with no pinned point too, even at 0 steps
+    no_pins = target._replace(induced=InducedSystem("r", r_map, INTERVAL_CODEC))
+    with pytest.raises(ValueError, match="complementing shift"):
+        lemma6_commute_check(no_pins, 1, 0)
 
 
 def test_dense_orbit_tent_uses_complementing_iterates():
@@ -544,16 +550,12 @@ def test_pinned_cycles_follow_the_systems_own_map(monkeypatch, base, point):
                          + [rotation_target()], ids=lambda t: t.name)
 def test_periodic_density_decodes_each_word_at_most_once(monkeypatch, target):
     # a deterministic work guard: per-iterate decoding would decode words
-    # many times over; under S and C no word is decoded (the constant
-    # words' cells come from their fibers' words)
-    enumerated = set(_collect_periodic(12))
+    # many times over; no word is decoded at all (under S and C the constant
+    # words' cells come from their fibers' words, and a map of [0, 1] reads
+    # the point of q^inf as q/(2^k - 1))
     decoded = _count_decodes(monkeypatch, target)
     periodic_density(target, 12, 6)
-    if target.induced is None:
-        assert decoded and max(decoded.values()) == 1
-        assert set(decoded) <= enumerated
-    else:
-        assert not decoded
+    assert not decoded
 
 
 @pytest.mark.parametrize("target,points", [
@@ -695,9 +697,9 @@ def test_control_periodic_density_at_its_cap(name):
 
 
 @pytest.mark.parametrize("value", ["0", "1/2", "1/3", "1"])
-def test_constant_control_maps_each_decoded_point_at_most_twice(monkeypatch, value):
+def test_constant_control_maps_each_decoded_point_at_most_twice(value):
     # an orbit fixed at a point other than its start never comes back, so
-    # its iteration stops at the second step
+    # its iteration stops at the second step: at most two calls per block
     base, calls = constant_target(F(value)), []
 
     def fmap(*y):
@@ -705,10 +707,10 @@ def test_constant_control_maps_each_decoded_point_at_most_twice(monkeypatch, val
         return base.fmap(*y)
 
     expected = periodic_density(base, 12, 6)
-    decoded = _count_decodes(monkeypatch, base)
     report = periodic_density(Target(base.name, fmap, base.space, base.branches), 12, 6)
     assert (report.params, report.witnesses) == (expected.params, expected.witnesses)
-    assert 0 < len(calls) <= 2 * sum(decoded.values())
+    blocks = sum(map(verifier._primitive_blocks, range(1, 13)))
+    assert 0 < len(calls) <= 2 * blocks
 
 
 def _orbit_oracle(target, steps, resolution):
@@ -838,39 +840,86 @@ def _cells_at(sys, p):
     return {c for pt in sys.pinned_points for c in point_cells(sys.codec, pt, p)}
 
 
+@functools.lru_cache(maxsize=None)
+def _pinned_cells(sys, p=512):
+    """The precision-p cells that the pinned points' fiber words address."""
+    return frozenset(word_cells(sys.codec, (w for fib in sys.pinned_fibers for w in fib), p))
+
+
+def _separated(sys, sw, p=512):
+    """Do sw's first r-1+p bits tell it apart from every pinned point?  They
+    do when the cell they address holds none (the numeric test lemma6 once
+    made along the orbit; cells nest, so no coarser cell separates more)."""
+    codec = sys.codec
+    return codec.split_window(sw.window_int(codec.r - 1 + p), p) not in _pinned_cells(sys, p)
+
+
 def _ladder_check(sys):
-    """The precision ladder semiconjugacy_check climbed on a stream, as a
-    predicate: the stream commutes once the pinned cells at 64, 128, 256
-    or 512 bits separate it from every pinned point."""
+    """The precision ladder the 512-bit test replaced, as a predicate: the
+    stream is separated once the pinned cells at 64, 128, 256 or 512 bits
+    separate it from every pinned point."""
     codec, cells = sys.codec, {p: _cells_at(sys, p) for p in (64, 128, 256, 512)}
     return lambda sw: any(codec.stream_excludes_all(sw, cells[p], p) for p in cells)
 
 
+_FLIPPED = str.maketrans("01", "10")
+
+
+def _orbit_commute_failures(target, steps):
+    """The generator-orbit steps before `steps` that 512 bits cannot tell
+    from a pinned point, found by the substring search lemma6 made before it
+    decided the orbit by the argument: the steps whose first s+512 bits are
+    a pinned cell's pattern, its arc prefix c (s bits) and v.  The text is
+    "0" and dense bits 1 .. steps+r-2+512 (streams._dense_text, looked up
+    on each call so that a test can plant a text): index n holds step n's
+    flip (dense bit n, 0 at step 0), and iterate n's bits before any flip
+    follow it.  Under S a step is its pattern at index n+1; under C "0" and
+    the pattern, or "1" and the pattern complemented, at index n.  Each
+    search ends where step steps-1's pattern would, and resumes one
+    character on past a hit."""
+    space = target.space
+    flips = target.stream_step is streams.stream_c_step
+    patterns = set()
+    for i, v in _pinned_cells(target.induced):
+        s, c = space.prefixes[i - 1]
+        pattern = format((c << 512) | v, f"0{s + 512}b")
+        patterns |= {"0" + pattern, "1" + pattern.translate(_FLIPPED)} if flips else {pattern}
+    lead = 0 if flips else 1  # where step 0's pattern starts
+    text = "0" + "".join(streams._dense_text(0, steps + space.r - 2 + 512))
+    hits = set()
+    for pattern in patterns:
+        end = steps + lead - 1 + len(pattern)
+        i = text.find(pattern, lead, end)
+        while i >= 0:
+            hits.add(i - lead)
+            i = text.find(pattern, i + 1, end)
+    return sorted(hits)
+
+
 def _plant(target, steps, n, head):
-    """The text lemma6 reads for `steps` steps ("0", then dense bits 1 ..
-    steps+r-2+512) as alternating bits, except that iterate n's first bits
-    are `head`: from index n+1, complemented under C, where the flip at
-    index n is set to 1 (but at step 0, whose flip is the leading "0")."""
+    """The text the orbit oracle reads for `steps` steps ("0", then dense
+    bits 1 .. steps+r-2+512) as alternating bits, except that iterate n's
+    first bits are `head`: from index n+1, complemented under C, where the
+    flip at index n is set to 1 (but at step 0, whose flip is the leading "0")."""
     text = list(("01" * (steps + 512))[:steps + target.space.r + 511])
     flip = n > 0 and target.stream_step is streams.stream_c_step
     if flip:
-        text[n], head = "1", head.translate(str.maketrans("01", "10"))
+        text[n], head = "1", head.translate(_FLIPPED)
     assert n + 1 + len(head) <= len(text)
     text[n + 1:n + 1 + len(head)] = head
     return "".join(text)
 
 
 def _search(monkeypatch, target, text, steps):
-    """lemma6's orbit_step witnesses when the dense word's text is `text`."""
-    monkeypatch.setattr(verifier, "_dense_text", lambda start, k: iter([text[start + 1:][:k]]))
-    report = lemma6_commute_check(target, 1, steps)
-    return [w["orbit_step"] for w in report.witnesses if "orbit_step" in w]
+    """The orbit oracle's steps when the dense word's text is `text`."""
+    monkeypatch.setattr(streams, "_dense_text", lambda start, k: iter([text[start + 1:][:k]]))
+    return _orbit_commute_failures(target, steps)
 
 
 def _stream_failures(target, text, steps):
-    """The steps before `steps` at which semiconjugacy_check fails on the
-    stream that `text` makes iterate m: its first r-1+512 bits, complemented
-    under C when the flip at index m is 1."""
+    """The steps before `steps` at which 512 bits do not separate the stream
+    that `text` makes iterate m: its first r-1+512 bits, complemented under
+    C when the flip at index m is 1."""
     sys, width = target.induced, target.space.r - 1 + 512
     complementing = target.stream_step is streams.stream_c_step
     failures = []
@@ -878,7 +927,7 @@ def _stream_failures(target, text, steps):
         x = int(text[m + 1:m + 1 + width], 2)
         if complementing and text[m] == "1":
             x ^= (1 << width) - 1
-        if not semiconjugacy_check(sys, _Window(x=x, width=width)):
+        if not _separated(sys, _Window(x=x, width=width)):
             failures.append(m)
     return failures
 
@@ -886,7 +935,7 @@ def _stream_failures(target, text, steps):
 @pytest.mark.parametrize("target", COPY_TARGETS[::2], ids=lambda t: t.name)
 def test_lemma6_refines_where_64_bits_cannot_separate(monkeypatch, target):
     # 100 copied bits: 64 cannot separate the iterate from the point, 128
-    # can, and the search compares a pinned cell's whole pattern
+    # can, and the orbit oracle compares a pinned cell's whole pattern
     sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
     sys, space = target.induced, target.space
     assert not space.stream_excludes_all(sw, _cells_at(sys, 64), 64)
@@ -895,7 +944,7 @@ def test_lemma6_refines_where_64_bits_cannot_separate(monkeypatch, target):
     # planted in the text, a copy of a pinned cell's first s+511 bits is no
     # hit and a copy of all s+512 is exactly its step, the first or the last
     steps = 40
-    for i, v in sorted(sys.pinned_cells):
+    for i, v in sorted(_pinned_cells(sys)):
         s, c = space.prefixes[i - 1]
         pattern = format((c << 512) | v, f"0{s + 512}b")
         short = pattern[:-1] + "10"[int(pattern[-1])]
@@ -913,16 +962,19 @@ def test_lemma6_refines_where_64_bits_cannot_separate(monkeypatch, target):
 def test_stream_check_matches_the_ladder_at_the_copy_step(target):
     # 100 copied bits separate at 128, 600 at no precision up to 512
     sw = _orbit_iterate(target, COPY_STEPS[target.name.split("-")[0]])
-    commutes = semiconjugacy_check(target.induced, sw)
-    assert commutes == _ladder_check(target.induced)(sw) == ("copy100" in target.name)
+    separated = _separated(target.induced, sw)
+    assert separated == _ladder_check(target.induced)(sw) == ("copy100" in target.name)
 
 
 @pytest.mark.parametrize("target", COPY_TARGETS[1::2], ids=lambda t: t.name)
-def test_lemma6_reports_the_step_512_bits_cannot_separate(target):
+def test_lemma6_passes_where_512_bits_cannot_separate(target):
+    # the iterate at the copy step shares its first 600 bits with the pinned
+    # point, so the 512-bit search reported that step as a failure; but the
+    # iterate is irrational and the point dyadic, so projection commutes there
     n = COPY_STEPS[target.name.split("-")[0]]
+    assert _orbit_commute_failures(target, 20000) == [n]
     report = lemma6_commute_check(target, 4, 20000)
-    assert report.verdict == "fail"
-    assert report.witnesses == [{"orbit_step": n}]
+    assert report.verdict == "pass" and report.witnesses == []
 
 
 def _node_a_target():
@@ -942,15 +994,16 @@ LEMMA6_STEPS = tuple(sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 20000,
 
 
 def _old_orbit_failures(target, steps):
-    """The per-step loop the rolled window replaced: one StreamWord per
-    generator step, checked by the precision ladder, which
-    semiconjugacy_check must agree with at every step."""
+    """The per-step loop the search replaced: one StreamWord per generator
+    step, checked by the precision ladder, which the 512-bit test must agree
+    with at every step: the steps where no precision up to 512 bits tells
+    the iterate from a pinned point."""
     failures, sw, ladder = [], StreamWord(), _ladder_check(target.induced)
     for n in range(steps):
-        commutes = ladder(sw)
-        assert semiconjugacy_check(target.induced, sw) == commutes, n
-        if not commutes:
-            failures.append({"orbit_step": n})
+        separated = ladder(sw)
+        assert _separated(target.induced, sw) == separated, n
+        if not separated:
+            failures.append(n)
         sw = target.stream_step(sw)
     return failures
 
@@ -958,15 +1011,26 @@ def _old_orbit_failures(target, steps):
 @pytest.mark.parametrize("target", LEMMA6_TARGETS, ids=lambda t: t.name)
 def test_lemma6_matches_the_per_step_oracle(target):
     # the oracle runs once to the largest step count; a shorter orbit's
-    # failures are the ones before its end
+    # steps are the ones before its end.  The search finds exactly them
+    # (a copy600 target's copy step, and no other), and lemma6 reports none:
+    # projection commutes at every orbit step
     periodic = lemma6_commute_check(target, 4, 0)
     orbit = _old_orbit_failures(target, max(LEMMA6_STEPS))
+    assert bool(orbit) == ("copy600" in target.name)
     for steps in LEMMA6_STEPS:
-        witnesses = periodic.witnesses + [w for w in orbit if w["orbit_step"] < steps]
+        assert _orbit_commute_failures(target, steps) == [n for n in orbit if n < steps]
         report = lemma6_commute_check(target, 4, steps)
         assert report.params == dict(periodic.params, orbit_steps=steps)
-        assert report.witnesses == witnesses
-        assert report.verdict == ("fail" if witnesses else "pass")
+        assert (report.verdict, report.witnesses) == (periodic.verdict, periodic.witnesses)
+
+
+@pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS, ids=lambda t: t.name)
+def test_the_orbit_oracle_finds_no_step_on_the_built_in_targets(target):
+    # no iterate within the caps shares its first 512 bits with a pinned
+    # point: the built-in reports read the same with or without the search
+    assert _orbit_commute_failures(target, 10 ** 6) == []
+    report = lemma6_commute_check(target, 24, 10 ** 6)
+    assert report.verdict == "pass" and report.witnesses == []
 
 
 def _redirect_target(base, designated, points):
@@ -1064,7 +1128,7 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
     r, top = codec.r, (1 << p) - 1
     suspects = {c for pt in points for c in point_cells(codec, pt, p)}
     # the cells nest: the pinned 512-bit cells' top 64 bits are the suspects
-    assert suspects and suspects == {(i, v >> (bits - p)) for i, v in sys.pinned_cells}
+    assert suspects and suspects == {(i, v >> (bits - p)) for i, v in _pinned_cells(sys)}
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
     for i in range(1, r + 1):
         near |= {(i, v + d) for _, v in suspects for d in range(-2, 3)}
@@ -1085,7 +1149,7 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
             for fill in (0, (1 << (bits - p)) - 1):  # the 64-bit cell's two ends
                 streams.append((i, x >> free << (bits - p) | fill, free, tail))
     pinned = []  # each pinned 512-bit cell and its neighbours
-    for i, v in sys.pinned_cells:
+    for i, v in _pinned_cells(sys):
         s, c = codec.prefixes[i - 1]
         free = r - 1 - s
         for d in range(-2, 3):
@@ -1093,25 +1157,25 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
                 for tail in {0, (1 << free) - 1}:
                     pinned.append((i, (c << bits) | (v + d), free, tail))
     streams += pinned
-    # semiconjugacy_check at 512 bits agrees with the 64 -> 512 ladder
+    # the 512-bit test agrees with the 64 -> 512 ladder
     ladder, seen = _ladder_check(sys), set()
     for i, head, free, tail in streams:
         sw = _Window(x=(head << free) | tail, width=r - 1 + bits)
-        commutes = semiconjugacy_check(sys, sw)
-        assert commutes == ladder(sw), (i, head)
-        seen.add(commutes)
+        separated = _separated(sys, sw)
+        assert separated == ladder(sw), (i, head)
+        seen.add(separated)
     assert seen == {True, False}
-    # lemma6 searches for the pinned 512-bit cells alone: planted in the
-    # text at the last step, each stream at or next to one is a hit exactly
-    # when semiconjugacy_check fails on it, and the steps the search finds
-    # are the steps at which it fails
+    # the orbit oracle searches for the pinned 512-bit cells alone: planted
+    # in the text at the last step, each stream at or next to one is a hit
+    # exactly when 512 bits do not separate it, and the steps the search
+    # finds are the steps at which they do not
     steps, width = 8, r - 1 + bits
     for i, head, free, tail in pinned:
         x = (head << free) | tail
         text = _plant(target, steps, steps - 1, format(x, f"0{width}b"))
         found = _search(monkeypatch, target, text, steps)
         assert found == _stream_failures(target, text, steps), (i, head)
-        assert (steps - 1 in found) == (not semiconjugacy_check(sys, _Window(x=x, width=width)))
+        assert (steps - 1 in found) == (not _separated(sys, _Window(x=x, width=width)))
 
 
 def _in_enclosure(codec, pt, i, v, p):
@@ -1126,25 +1190,27 @@ def _in_enclosure(codec, pt, i, v, p):
 
 
 def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
-    monkeypatch.setattr(verifier, "_dense_text", None)
+    monkeypatch.setattr(streams, "_dense_text", None)
     monkeypatch.setattr(verifier, "orbit_windows", None)
     assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
 
 
-def _no_windows(*args):
-    raise AssertionError("lemma6 rolled a window through the orbit")
+def _no_text(*args):
+    raise AssertionError("lemma6 read the dense word")
 
 
 @pytest.mark.parametrize("target", [baker_target(), GRAPH_TARGETS[0]], ids=lambda t: t.name)
-def test_lemma6_searches_the_orbit_without_rolling_a_window(monkeypatch, target):
-    monkeypatch.setattr(verifier, "orbit_windows", _no_windows)
+def test_lemma6_reads_no_dense_text_at_its_caps(monkeypatch, target):
+    # both have pinned points, and the orbit is still decided by the argument
+    monkeypatch.setattr(streams, "_dense_text", _no_text)
+    monkeypatch.setattr(verifier, "orbit_windows", _no_text)
     report = lemma6_commute_check(target, 24, 10 ** 6)
     assert report.verdict == "pass" and report.witnesses == []
 
 
-# lemma6 at 100 steps reads dense bits 1 .. 98+r+512, here a given text; a
-# text of one repeated bit puts a pattern of equal bits at every step, each
-# hit overlapping the next
+# the orbit oracle at 100 steps reads dense bits 1 .. 98+r+512, here a given
+# text; a text of one repeated bit puts a pattern of equal bits at every
+# step, each hit overlapping the next
 SYNTHETIC_TEXTS = [
     # C on the tent with 0 pinned: the pattern, 512 zeros, is "1" and 512
     # ones at every step but 0, whose flip is 0
@@ -1160,22 +1226,20 @@ SYNTHETIC_TEXTS = [
 
 @pytest.mark.parametrize("target,text,hits", SYNTHETIC_TEXTS,
                          ids=["tent-pinned-0", "k3", "tent-pinned-1/2"])
-def test_lemma6_checks_exactly_the_hits_in_the_text(monkeypatch, target, text, hits):
-    # every hit is a witness as it stands: semiconjugacy_check, which reads
-    # the real dense word, is never called on a stream
+def test_orbit_oracle_finds_exactly_the_hits_in_the_text(monkeypatch, target, text, hits):
+    # the oracle reads the text once and finds every hit; lemma6 reads none
+    # of it and passes, since no hit is a failure of the commute
     read = []
 
     def dense_text(start, n):
         read.append((start, n))
         return iter([text[start:start + n]])
 
-    monkeypatch.setattr(verifier, "_dense_text", dense_text)
-    checked = []
-    monkeypatch.setattr(verifier, "semiconjugacy_check", lambda sys, w: checked.append(w) or True)
-    report = lemma6_commute_check(target, 1, 100)
+    monkeypatch.setattr(streams, "_dense_text", dense_text)
+    assert _orbit_commute_failures(target, 100) == hits
     assert read == [(0, len(text))]
-    assert report.witnesses == [{"orbit_step": n} for n in hits]
-    assert not any(isinstance(w, StreamWord) for w in checked)
+    report = lemma6_commute_check(target, 1, 100)
+    assert (report.verdict, report.witnesses, len(read)) == ("pass", [], 1)
 
 
 def _advance_pieces(branches, pieces):
