@@ -47,6 +47,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(message) from exc
 
 
+def _integer(text: str) -> int:
+    """An integer option or arc index: ASCII digits after an optional '-',
+    of any length, read 512 digits at a time (int() reads that many under
+    any digit limit; the least is 640).  Other text is an invalid int value."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}")
+    n = 0
+    for k in range(0, len(digits), 512):
+        piece = digits[k:k + 512]
+        n = n * 10 ** len(piece) + int(piece)
+    return -n if text.startswith("-") else n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symchaos",
@@ -60,31 +74,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", help="exact orbit on [0,1]")
     p_orbit.add_argument("--system", required=True, choices=sorted(EVAL_SYSTEMS))
     p_orbit.add_argument("--x", required=True, type=_fraction)
-    p_orbit.add_argument("--steps", required=True, type=int)
+    p_orbit.add_argument("--steps", required=True, type=_integer)
     p_orbit.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p_gorbit = sub.add_parser("graph-orbit", help="exact orbit on a graph")
     p_gorbit.add_argument("--file", required=True)
     p_gorbit.add_argument("--start", required=True,
                           help="ARC:p/q (arc id or 1-based index) or node:ID")
-    p_gorbit.add_argument("--steps", required=True, type=int)
+    p_gorbit.add_argument("--steps", required=True, type=_integer)
     p_gorbit.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p_verify = sub.add_parser("verify", help="run a chaos property check")
     p_verify.add_argument("--system", required=True, choices=("tent", "baker", "graph"))
     p_verify.add_argument("--file", help="graph DSL file (for --system graph)")
     p_verify.add_argument("--property", required=True, choices=VERIFY_PROPERTIES)
-    p_verify.add_argument("--max-period", type=int, default=12)
-    p_verify.add_argument("--resolution", type=int, default=7)
-    p_verify.add_argument("--steps", type=int, default=25000)
-    p_verify.add_argument("--horizon", type=int, default=40)
+    p_verify.add_argument("--max-period", type=_integer, default=12)
+    p_verify.add_argument("--resolution", type=_integer, default=7)
+    p_verify.add_argument("--steps", type=_integer, default=25000)
+    p_verify.add_argument("--horizon", type=_integer, default=40)
     p_verify.add_argument("--eta", type=_fraction, default=None)
     p_verify.add_argument("--delta", type=_fraction, default=Fraction(1, 4096))
-    p_verify.add_argument("--grid", type=int, default=256)
+    p_verify.add_argument("--grid", type=_integer, default=256)
 
     p_conj = sub.add_parser("conjugacy",
                             help="check shift∘R = R∘C on all prefixes of a length")
-    p_conj.add_argument("--length", required=True, type=int)
+    p_conj.add_argument("--length", required=True, type=_integer)
 
     p_fiber = sub.add_parser("fiber", help="print the fiber words of a point")
     p_fiber.add_argument("--x", required=True, type=_fraction)
@@ -107,18 +121,9 @@ def _load_graph(path: str) -> graphs.GraphSystem:
 
 def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:
     """An arc id, or a 1-based index in ASCII digits."""
-    i = _digits(token) if token.isascii() and token.isdigit() else sys.arc_index(token)
+    i = _integer(token) if token.isascii() and token.isdigit() else sys.arc_index(token)
     sys.spec.arc(i)  # an index out of range raises before the parameter is read
     return i
-
-
-def _digits(token: str) -> int:
-    # 512 digits at a time: int() reads that many under any digit limit (the least is 640)
-    n = 0
-    for k in range(0, len(token), 512):
-        piece = token[k:k + 512]
-        n = n * 10 ** len(piece) + int(piece)
-    return n
 
 
 def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:

@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
 from .interval import INTERVAL_CODEC
-from .words import (Word, _quote, _show, as_unit, bits_of, drop_bits, prefix_int, prepend_bits,
-                    shift_map, word_metric, word_value)
+from .words import (Word, _order_of_two, _quote, _show, as_unit, bits_of, drop_bits, prefix_int,
+                    prepend_bits, shift_map, word_metric, word_value)
 
 __all__ = [
     "GraphError",
@@ -165,16 +165,11 @@ class GraphSystem:
         for i, arc in enumerate(spec.arcs, start=1):
             self._ends[arc.tail].append((i, 0))
             self._ends[arc.head].append((i, 1))
-        self.exceptional: Tuple[GraphPoint, ...] = self._exceptional()
+        # the nodes, then the midpoints of arcs 1 and r
+        self.exceptional: Tuple[GraphPoint, ...] = (
+            *map(Node, spec.nodes), *(Interior(i, HALF) for i in sorted({1, r})))
         self.induced = InducedSystem("graph", shift_map, self,
                                      pinned_points=self.exceptional)
-
-    def _exceptional(self) -> Tuple[GraphPoint, ...]:
-        points: List[GraphPoint] = [Node(v) for v in self.spec.nodes]
-        points.append(Interior(1, HALF))
-        if self.r > 1:
-            points.append(Interior(self.r, HALF))
-        return tuple(points)
 
     def arc_index(self, arc_id: str) -> int:
         try:
@@ -361,41 +356,38 @@ def _hausdorff(a, b, d):
 def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key], bool]:
     """The test graph_metric > eta on keys of the lattice of denominator q.
 
-    When q = 2^e every fiber word is an arc prefix of s <= r-1 bits, e
-    parameter bits, then a constant tail.  Packed as its first r+e bits
-    (the last one a tail bit), two words a, b lie d(a, b) 2^(r+e) =
-    (a XOR b) + (its last bit) apart.  Other lattices take the word route."""
-    if q & (q - 1):
-        return lambda x, y: graph_metric(sys, lattice_point(x, q), lattice_point(y, q)) > eta
-    e = q.bit_length() - 1
-    r = sys.r
-    bound, den = eta.numerator << (r + e), eta.denominator
-    # per arc: its prefix shifted past the parameter bits, the shift that
-    # leaves room for the tail, and the tail of 1s
-    frames = [(c << e, r - s, (1 << (r - s)) - 1) for s, c in sys.prefixes]
+    With q = 2^e q' (q' odd), every fiber word repeats with period k, the
+    order of 2 modulo q', after at most M = r-1+e bits.  Packed as its first
+    M+k bits, a word is the arc prefix (s bits), then (n << (M+k-s)) // q,
+    or that - 1 for a dyadic twin; a node's word, the prefix, then 0s or 1s.
+    Two words lie (x - (x >> k)) / ((2^k - 1) 2^M) apart, x = a XOR b."""
+    e = (q & -q).bit_length() - 1
+    q_odd = q >> e
+    k = _order_of_two(q_odd) if q_odd > 1 else 1
+    if k is None:  # raised before any pair is measured, as bits_of raises for a point
+        raise ValueError("bits_of: the expansion's period exceeds bound 2^24")
+    lead = sys.r - 1 + e  # M, the longest preperiod
+    bound, den = (eta.numerator * ((1 << k) - 1)) << lead, eta.denominator
+    # per arc: its prefix, and the count of bits that follow it
+    frames = [(c, lead + k - s) for s, c in sys.prefixes]
 
     def words(key: Key) -> List[int]:
-        if isinstance(key, Node):
-            return [_tail_word(frames[i - 1], (q - 1) * end, end)
+        if isinstance(key, Node):  # the prefix, then 0s at end 0 and 1s at end 1
+            return [((frames[i - 1][0] + end) << frames[i - 1][1]) - end
                     for i, end in sys._ends[key.id]]
         i, n = key
-        frame = frames[i - 1]
-        return [_tail_word(frame, n, 0), _tail_word(frame, n - 1, 1)]
+        c, rest = frames[i - 1]
+        m = (c << rest) | (n << rest) // q
+        return [m, m - 1] if n % q_odd == 0 else [m]
+
+    def distance(a: int, b: int) -> int:
+        x = a ^ b
+        return x - (x >> k)
 
     def far(x: Key, y: Key) -> bool:
-        return _hausdorff(words(x), words(y), _xor_distance) * den > bound
+        return _hausdorff(words(x), words(y), distance) * den > bound
 
     return far
-
-
-def _tail_word(frame, m: int, tail: int) -> int:
-    head, shift, ones = frame
-    return ((head | m) << shift) | (ones if tail else 0)
-
-
-def _xor_distance(a: int, b: int) -> int:
-    x = a ^ b
-    return x + (x & 1)
 
 
 EXAMPLE_GRAPHS: Dict[str, str] = {

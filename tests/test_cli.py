@@ -508,6 +508,13 @@ def test_fiber_period_above_its_bound_is_usage_error(capsys):
     assert err == "error: bits_of: the expansion's period exceeds bound 2^24\n"
 
 
+def test_sensitivity_on_a_lattice_past_the_period_bound_prints_no_report(capsys, k3_file):
+    code, out, err = run(capsys, "verify", "--system", "graph", "--file", k3_file,
+                         "--property", "sensitivity", "--delta", "1/67108879", "--grid", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: bits_of: the expansion's period exceeds bound 2^24\n"
+
+
 def test_fiber_graph(capsys, k3_file):
     code, out, _ = run(capsys, "fiber", "--x", "1/2", "--file", k3_file,
                        "--arc", "3")
@@ -637,6 +644,38 @@ def test_a_long_start_is_quoted_by_its_length(capsys, k3_file, start, message):
                          "--steps", "1")
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) < 400
+
+
+# each integer option with a command that reads it, and the name its bound check gives it
+INTEGER_OPTIONS = [
+    (("orbit", "--system", "tent", "--x", "1/3", "--steps"), "--steps"),
+    (("graph-orbit", "--file", "K3", "--start", "E1:1/3", "--steps"), "--steps"),
+    (("verify", "--system", "tent", "--property", "lemma6", "--max-period"), "max_period"),
+    (("verify", "--system", "tent", "--property", "dense-orbit", "--resolution"), "resolution"),
+    (("verify", "--system", "tent", "--property", "dense-orbit", "--steps"), "steps"),
+    (("verify", "--system", "tent", "--property", "transitivity", "--horizon"), "horizon"),
+    (("verify", "--system", "tent", "--property", "sensitivity", "--grid"), "grid"),
+    (("conjugacy", "--length"), "--length"),
+]
+
+
+@pytest.mark.parametrize("argv,name", INTEGER_OPTIONS,
+                         ids=[f"{argv[0]}{argv[-1]}" for argv, _ in INTEGER_OPTIONS])
+def test_an_integer_option_is_read_from_ascii_digits_of_any_length(capsys, k3_file, argv, name):
+    # a value past int()'s digit limit reaches its bound check, named by its size
+    argv = [k3_file if a == "K3" else a for a in argv]
+    code, out, err = run(capsys, *argv, "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} a fraction with a 16610-bit numerator")
+    assert err.count("\n") == 1 and len(err.encode()) < 400
+    # a sign, a space, an underscore or a digit outside ASCII is no integer
+    for text in ("\u0663", "+5", " 8", "1_0", "x" * 300):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, text])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f": error: argument {argv[-1]}: invalid int value: "
+                            f"{cli._quote(text)}\n")
 
 
 # ------------------------------------------------------------ CI twins

@@ -19,7 +19,6 @@ from symchaos.graphs import (
     graph_step,
     graph_system,
     _hausdorff,
-    _xor_distance,
     lattice_far,
     lattice_point,
     parse_graph,
@@ -444,19 +443,21 @@ def test_graph_metric_axioms(k3):
                 assert graph_metric(k3, p, s) <= graph_metric(k3, p, q) + graph_metric(k3, q, s)
 
 
-def _dyadic_keys(sys, q):
+def _lattice_keys(sys, q):
     return [Node(v) for v in sys.spec.nodes] + [(i, n) for i in range(1, sys.r + 1)
                                                  for n in range(1, q)]
 
 
-def test_lattice_far_decides_as_graph_metric_on_dyadic_pairs():
-    # eta at the exact distance of some pairs checks the strict inequality
+def test_lattice_far_decides_as_graph_metric():
+    # dyadic and other lattices: q' = 3, 125 and 4099 put the word's period
+    # at 2, 100 and 4098 bits; eta at the exact distance of some pairs
+    # checks the strict inequality
     rng = random.Random(23)
     systems = [graph_system(parse_graph(t)) for t in EXAMPLE_GRAPHS.values()]
     systems += [random_graph(rng) for _ in range(20)]
     for sys in systems:
-        for q in (2, 8, 32):
-            keys = _dyadic_keys(sys, q)
+        for q in (2, 8, 32, 6, 12, 96, 1000, 3 * 4096, 2 * 4099):
+            keys = _lattice_keys(sys, q)
             pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(40)]
             distances = {graph_metric(sys, lattice_point(x, q), lattice_point(y, q))
                          for x, y in pairs}
@@ -467,10 +468,12 @@ def test_lattice_far_decides_as_graph_metric_on_dyadic_pairs():
                     assert far(x, y) == (d > eta), (sys.spec, q, eta, x, y)
 
 
-def test_lattice_far_takes_the_word_route_off_dyadic_lattices(k3):
+def test_lattice_far_on_every_key_against_nodes_and_twins(k3):
+    # every key of the triangle's lattice 6 against an interior point, the
+    # dyadic 1/2 (two words) and a node (two arc ends)
     far = lattice_far(k3, 6, F(1, 8))
-    for x in _dyadic_keys(k3, 6):
-        for y in ((1, 1), (3, 5), Node("c")):
+    for x in _lattice_keys(k3, 6):
+        for y in ((1, 1), (3, 3), (3, 5), Node("c")):
             d = graph_metric(k3, lattice_point(x, 6), lattice_point(y, 6))
             assert far(x, y) == (d > F(1, 8))
 
@@ -483,7 +486,8 @@ def test_hausdorff_matches_the_two_maximins():
         return max(forward, backward)
 
     rng = random.Random(31)
-    metrics = (lambda u, v: abs(u - v), _xor_distance, lambda u, v: (3 * u + v) % 11)
+    metrics = (lambda u, v: abs(u - v), lambda u, v: (u ^ v) - ((u ^ v) >> 1),
+               lambda u, v: (3 * u + v) % 11)
     for _ in range(300):
         a = [rng.randrange(64) for _ in range(rng.randint(1, 4))]
         b = [rng.randrange(64) for _ in range(rng.randint(1, 4))]

@@ -228,6 +228,16 @@ def test_sensitivity_skips_graph_neighbours_outside_the_arc(k3):
     assert report.verdict == "pass" and report.params["points"] == 6
 
 
+@pytest.mark.parametrize("delta,grid", [(F(1, 67108879), 8), (F(33554440, 67108879), 1)],
+                         ids=["pairs", "no-pair"])
+def test_graph_sensitivity_rejects_a_lattice_past_the_period_bound(k3, delta, grid):
+    # 2 has order above 2^24 modulo 67108879: the lattice is refused when
+    # it is built, even where no neighbour lies on the arc (grid 1, delta
+    # above 1/2) and no pair would be measured
+    with pytest.raises(ValueError, match=r"^bits_of: the expansion's period exceeds bound 2\^24$"):
+        sensitivity_probe(graph_target(k3, "k3"), F(1, 8), delta, grid, 40)
+
+
 # -------------------------------------------------------------- lemma 6
 
 def test_lemma6_baker():
@@ -1440,8 +1450,8 @@ def test_transitivity_reverifies_every_witness_through_fmap(fmap, x, v, image):
 
 
 def test_transitivity_stops_at_the_first_witness_its_map_misses():
-    # the CI step of this name, in a fresh interpreter under its 10 s timeout:
-    # at 8/10^6 the first miss must stop the run, not walk to the horizon
+    # in a fresh interpreter under a 10 s timeout: at 8/10^6 the first miss
+    # must stop the run, not walk to the horizon
     import os
     import subprocess
     import sys
@@ -1711,7 +1721,9 @@ SENSITIVITY_CASES = [(t, eta, delta, grid, horizon) for t in GRAPH_TARGETS + STA
                          (F(1, 8), F(1, 4096), 16, 3),
                          (F(1, 8), F(3, 64), 16, 40),
                          (F(1, 2), F(1, 4), 2, 3),  # neighbours at both arc ends
-                         (F(1, 8), F(1, 3), 16, 40))]
+                         (F(1, 8), F(1, 3), 16, 40),
+                         (F(1, 8), F(1, 1000), 16, 40),  # q = 2^5 125: a 100-bit period
+                         (F(1, 8), F(1, 4096), 15, 40))]  # q = 2^12 15: a 4-bit period
 
 
 @pytest.mark.parametrize(
