@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
@@ -259,9 +260,15 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: built by the first main call, not at
+    import, and reused by every call after it."""
+    return _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, argparse.ArgumentTypeError) as exc:

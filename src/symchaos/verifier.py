@@ -9,16 +9,17 @@ elapsed_ms is the only nondeterministic report field.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
 from .streams import StreamWord, orbit_windows, stream_c_step, stream_shift
-from .words import MAX_BITS, Word, _factorize, _within, c_map, shift_map
+from .words import MAX_BITS, Word, _factorize, _within, as_unit, c_map, shift_map
 
 __all__ = [
     "ChaosReport",
@@ -115,11 +116,17 @@ def identity_target() -> Target:
 
 
 def constant_target(value: Fraction = HALF) -> Target:
+    """The map to `value`, a point of [0, 1] read by as_unit."""
+    value = as_unit(value)
     image = value.as_integer_ratio()
     return Target("constant", lambda n, d: image, INTERVAL_CODEC, ((ZERO, ONE, ZERO, value),))
 
 
 def rotation_target(step: Fraction = Fraction(1, 3)) -> Target:
+    """The rotation of [0, 1) by `step`, a point of [0, 1) read by as_unit."""
+    step = as_unit(step)
+    if step == 1:
+        raise ValueError("rotation step 1 outside [0, 1)")
     a, b = step.as_integer_ratio()
 
     def rot(n: int, d: int) -> Tuple[int, int]:
@@ -379,7 +386,9 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     their midpoints, and a lap carries its cumulative slope, so its domain
     ends at step n lie on 1/(L S^n) for S the lcm of the nonzero |slopes|
     (_integer_branches).  Each step sweeps the laps once, and a lap is tried
-    only on the cells its image overlaps.
+    only on the cells its image overlaps.  A row ends at its horizon, when
+    every cell is met, or when its lap images repeat (_same_images), which
+    Brent's test finds with one saved lap list.
     Targets without (graphs) use the dense-orbit route (a dense orbit on
     these spaces gives transitivity), and the report records that route.
     """
@@ -399,11 +408,14 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
         ulo, uhi = uj * width, (uj + 1) * width
         pieces = [(ulo, ulo, uhi, 1)]
         scale = 1  # S^n: the domain ends' lattice is 1/(lattice scale)
+        saved, save_at = [], 1  # Brent's test: the laps of step 2^k, and 2^(k+1)
         for n in range(1, horizon + 1):
             pieces = _advance_laps(branches, pieces, scale, stretch)
             scale *= stretch
-            if not pieces:
+            if not pieces or len(pieces) == len(saved) and _same_images(pieces, saved):
                 break
+            if n == save_at:
+                saved, save_at = pieces, 2 * save_at
             for d0, i0, i1, sigma in pieces:
                 lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
                 for vj in _met_cells(lo, hi, width, size):
@@ -490,6 +502,14 @@ def _advance_laps(branches, pieces, scale: int, stretch: int):
     return out
 
 
+def _same_images(pieces, saved) -> bool:
+    """Do two lap lists of one length have the same images (i0, i1), in
+    order?  The images after a step are a function of those before it
+    (_advance_laps, with its cut), so a row whose images repeat meets no
+    cell it has not met."""
+    return all(a[1] == b[1] and a[2] == b[2] for a, b in zip(pieces, saved))
+
+
 def _met_cells(lo: int, hi: int, width: int, size: int) -> range:
     """The cells j whose interval [j width, (j+1) width] meets [lo, hi] in
     more than a point: floor(lo/width) .. ceil(hi/width) - 1."""
@@ -512,9 +532,9 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     denominator q = lcm(2 grid, delta's denominator, the branch data's
     denominators): a point is the key (arc, n) of parameter n/q, which the
     codec steps and measures (Codec.lattice).  Orbits of neighbouring grid
-    points merge, so `image` (key -> F(key)) and `far` ((x, y) -> metric >
-    eta) hold, for one call, what earlier points computed; each starts over
-    when it holds _MAX_MAPPED entries."""
+    points merge, so `image` (key -> F(key)) and `outcome` (see _separates)
+    hold, for one call, what earlier walks computed; each starts over when
+    it holds _MAX_MAPPED entries."""
     started = time.monotonic()
     _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
     if not eta > 0:  # NaN too
@@ -532,11 +552,16 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     step, apart, point, ends = space.lattice(target.fmap, q, eta)
     unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
     lo, hi = (0, q) if ends else (1, q - 1)
-    image, far = {}, {}
-    failures = [space.point_json(point((i, n)))
-                for i in range(1, space.r + 1) for n in range(unit, q, 2 * unit)
-                if not any(_separates(step, apart, (i, n), (i, m), horizon, image, far)
-                           for m in (n - width, n + width) if lo <= m <= hi)]
+    image, outcome, marks = {}, {}, count(-1, -1)
+    failures = []
+    for i in range(1, space.r + 1):
+        for n in range(unit, q, 2 * unit):
+            for m in (n - width, n + width):
+                if lo <= m <= hi and _separates(step, apart, (i, n), (i, m), horizon,
+                                                image, outcome, next(marks)):
+                    break
+            else:
+                failures.append(space.point_json(point((i, n))))
     return _finish(target.name, "sensitivity", params, failures, started)
 
 
@@ -549,21 +574,47 @@ def _printed(name: str, x: Fraction) -> str:
         raise ValueError(f"{name} {_show(x)} is too long to print in the report") from None
 
 
-def _separates(step, apart, fx, fy, horizon: int, image: dict, far: dict) -> bool:
-    for _ in range(horizon + 1):
-        if fx == fy:  # one orbit from here on
-            return False
-        separated = far.get((fx, fy))
-        if separated is None:
-            separated = _bounded(far)[fx, fy] = apart(fx, fy)
-        if separated:
-            return True
-        gx, gy = image.get(fx), image.get(fy)
+def _separates(step, apart, x, y, horizon: int, image: dict, outcome: dict,
+               mark: int) -> bool:
+    """Does the walk of the key pair (x, y) come apart within `horizon` steps?
+
+    outcome maps a pair to the steps from it to the first pair that comes
+    apart, or inf when its two orbits merge or cycle first.  A pair measured
+    not apart whose walk is undecided holds the mark of the walk that
+    measured it, a negative number no other walk of the call uses.  The
+    walk is deterministic on a finite set of pairs, so it ends at its
+    horizon, at a decided pair, or at its first repeated pair (its own
+    mark), whose cycle holds no pair that comes apart.  A decided walk
+    writes its outcome back along the first _MAX_MAPPED pairs of its path;
+    a walk cut at the horizon decides nothing and leaves its marks."""
+    path, keep = [], _MAX_MAPPED  # the path pairs a decided walk writes back
+    for t in range(horizon + 1):
+        if x == y:  # one orbit from here on
+            break
+        pair = x, y
+        s = outcome.get(pair)
+        if s is None:
+            s = _bounded(outcome)[pair] = 0 if apart(x, y) else mark
+        elif s == mark:  # a repeated pair
+            break
+        if s >= 0:
+            end = t + s
+            for p in path:
+                outcome[p] = end
+                end -= 1
+            return t + s <= horizon
+        if t < keep:
+            path.append(pair)
+        gx, gy = image.get(x), image.get(y)
         if gx is None:
-            gx = _bounded(image)[fx] = step(fx)
+            gx = _bounded(image)[x] = step(x)
         if gy is None:
-            gy = _bounded(image)[fy] = step(fy)
-        fx, fy = gx, gy
+            gy = _bounded(image)[y] = step(y)
+        x, y = gx, gy
+    else:
+        return False  # cut at the horizon
+    for p in path:
+        outcome[p] = math.inf
     return False
 
 
@@ -589,6 +640,7 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     """
     started = time.monotonic()
     _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, 10 ** 6))
+    orbit_steps = operator.index(orbit_steps)  # no step is taken: refuse a non-integer here
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")
     sys = target.induced

@@ -678,7 +678,63 @@ def test_an_integer_option_is_read_from_ascii_digits_of_any_length(capsys, k3_fi
                             f"{cli._quote(text)}\n")
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # every in-process call used to build the seven parsers again
+    built = []
+
+    def build():
+        built.append(None)
+        return parser()
+
+    parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as first:
+            main(["eval", "--system", "tent", "--x", "five"])
+        usage = capsys.readouterr()
+        for _ in range(3):
+            assert run(capsys, "eval", "--system", "tent", "--x", "1/4") == (0, "1/2\n", "")
+        with pytest.raises(SystemExit) as again:
+            main(["eval", "--system", "tent", "--x", "five"])
+        assert (first.value.code, again.value.code) == (2, 2)
+        assert capsys.readouterr() == usage
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 # ------------------------------------------------------------ CI twins
+
+def test_graph_sensitivity_at_grid_4096_exits_one(capsys, k3_file):
+    # fails at the three grid points next to the arc tails
+    code, out, err = run(capsys, "verify", "--system", "graph", "--file", k3_file,
+                         "--property", "sensitivity", "--grid", "4096", "--horizon", "40",
+                         "--eta", "1/2")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witnesses"] == [{"arc": a, "t": "1/8192"} for a in ("E1", "E2", "E3")]
+
+
+def test_interval_transitivity_at_its_resolution_cap_in_bounded_memory():
+    # the CLI in a fresh interpreter, measured by a parent of its own so no
+    # other child of this process counts: each distinct point is mapped once
+    # as a lowest-terms pair, and the memo of the 65,536 points peaked at
+    # 29-38 MB
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'symchaos.cli', 'verify', '--system', 'tent',\n"
+            "        '--property', 'transitivity', '--resolution', '8', '--horizon', '40']\n"
+            "out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout\n"
+            "assert '\"witnessed\": 65536' in out, out\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert float(done.stdout) < 64, done.stdout
+
 
 @pytest.mark.parametrize("system", [["graph", "--file", "K3"], ["baker"]], ids=["k3", "baker"])
 def test_lemma6_at_its_caps_in_a_fresh_interpreter(k3_file, system):

@@ -1843,25 +1843,35 @@ def _count_lattice(monkeypatch, codec_class, mapped, measured):
 def test_graph_sensitivity_maps_each_point_and_measures_each_pair_once(
         monkeypatch, k3):
     # a deterministic work guard: the per-step loop maps and measures the
-    # merged orbits of neighbouring grid points many times over
+    # merged orbits of neighbouring grid points many times over; at eta 3/4
+    # and horizon 3 the triangle fails, some walks are cut, and later walks
+    # pass their pairs
     mapped, measured = Counter(), Counter()
     _count_lattice(monkeypatch, GraphSystem, mapped, measured)
     target = graph_target(k3, "k3")
-    first = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
-    assert max(mapped.values()) == 1 and max(measured.values()) == 1
-    keys, pairs = set(mapped), set(measured)
-    second = sensitivity_probe(target, F(1, 8), F(1, 4096), 64, 40)
-    # nothing survives a call: the second one recomputes every entry
-    assert set(mapped.values()) == {2} and set(mapped) == keys
-    assert set(measured.values()) == {2} and set(measured) == pairs
-    assert (first.params, first.witnesses) == (second.params, second.witnesses)
+    for eta, delta, horizon, verdict in ((F(1, 8), F(1, 4096), 40, "pass"),
+                                         (F(3, 4), F(1, 64), 3, "fail")):
+        mapped.clear()
+        measured.clear()
+        first = sensitivity_probe(target, eta, delta, 64, horizon)
+        assert first.verdict == verdict
+        assert max(mapped.values()) == 1 and max(measured.values()) == 1
+        keys, pairs = set(mapped), set(measured)
+        second = sensitivity_probe(target, eta, delta, 64, horizon)
+        # nothing survives a call: the second one recomputes every entry
+        assert set(mapped.values()) == {2} and set(mapped) == keys
+        assert set(measured.values()) == {2} and set(measured) == pairs
+        assert (first.params, first.witnesses) == (second.params, second.witnesses)
 
 
-@pytest.mark.parametrize("make", [tent_target, baker_target, constant_target],
-                         ids=lambda make: make.__name__)
+@pytest.mark.parametrize("make", [tent_target, baker_target, constant_target, identity_target,
+                                  lambda: rotation_target(F(1, 5))],
+                         ids=["tent_target", "baker_target", "constant_target",
+                              "identity_target", "rotation_target-1/5"])
 def test_interval_sensitivity_maps_each_point_and_measures_each_pair_once(
         monkeypatch, make):
-    # the interval's step is the target's own fmap, called once per key
+    # the interval's step is the target's own fmap, called once per key; every
+    # target here fails at eta 1/2, and the identity's walks end on a cycle
     base = make()
     calls, mapped, measured = Counter(), Counter(), Counter()
 
@@ -1951,3 +1961,182 @@ def test_sensitivity_memos_stay_within_their_bound(monkeypatch):
     assert peak < 1 << 20, peak
     # the grid points with no wrap past 1 within the horizon
     assert report.verdict == "fail" and len(report.witnesses) == 6
+
+
+def _far_separates(step, apart, fx, fy, horizon, image, far):
+    """The walk before the outcome memo: every step up to the horizon, with
+    an `image` memo (key -> F(key)) and a `far` memo ((x, y) -> metric > eta)
+    for the call."""
+    for _ in range(horizon + 1):
+        if fx == fy:  # one orbit from here on
+            return False
+        separated = far.get((fx, fy))
+        if separated is None:
+            separated = far[fx, fy] = apart(fx, fy)
+        if separated:
+            return True
+        gx, gy = image.get(fx), image.get(fy)
+        if gx is None:
+            gx = image[fx] = step(fx)
+        if gy is None:
+            gy = image[fy] = step(fy)
+        fx, fy = gx, gy
+    return False
+
+
+def _far_sensitivity(target, eta, delta, grid, horizon):
+    """(params, verdict, witnesses) of sensitivity_probe's lattice, walked by
+    _far_separates."""
+    space = target.space
+    q = math.lcm(2 * grid, delta.denominator,
+                 *(c.denominator for branch in target.branches or () for c in branch))
+    step, apart, point, ends = space.lattice(target.fmap, q, eta)
+    unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
+    lo, hi = (0, q) if ends else (1, q - 1)
+    image, far = {}, {}
+    witnesses = [space.point_json(point((i, n)))
+                 for i in range(1, space.r + 1) for n in range(unit, q, 2 * unit)
+                 if not any(_far_separates(step, apart, (i, n), (i, m), horizon, image, far)
+                            for m in (n - width, n + width) if lo <= m <= hi)]
+    params = {"eta": str(eta), "delta": str(delta), "grid": grid, "horizon": horizon,
+              "points": space.r * grid}
+    return params, "fail" if witnesses else "pass", witnesses
+
+
+# K3 at eta 3/4 and rotation by 1/5 cut walks at horizon 3: a cut walk
+# decides nothing, and a later walk that meets its pairs walks on past them
+FAR_CASES = [(name, eta, delta, grid, horizon) for name in MEMO_TARGETS
+             for eta, delta, grid, horizon in (
+                 (F(1, 4), F(1, 4096), 32, 40),
+                 (F(3, 4), F(1, 64), 32, 40),
+                 (F(3, 4), F(1, 64), 32, 3),
+                 (F(1, 8), F(3, 64), 16, 3),
+                 (F(1, 8), F(1, 3), 12, 1),
+                 (F(3, 4), F(1, 64), 64, 1000),
+                 (F(1, 8), F(3, 64), 16, 1000))]
+
+
+@pytest.mark.parametrize("name,eta,delta,grid,horizon", FAR_CASES,
+                         ids=[f"{n}-{e}/{d}/{g}/{h}" for n, e, d, g, h in FAR_CASES])
+def test_sensitivity_matches_the_per_step_walk(name, eta, delta, grid, horizon):
+    report = sensitivity_probe(MEMO_TARGETS[name], eta, delta, grid, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _far_sensitivity(MEMO_TARGETS[name], eta, delta, grid, horizon))
+
+
+@pytest.mark.parametrize("name,eta,delta,grid", [
+    ("k3", F(3, 4), F(1, 64), 32), ("rotation", F(1, 8), F(3, 64), 16)])
+def test_sensitivity_cases_include_walks_cut_at_the_horizon(name, eta, delta, grid):
+    # so the comparison above sees cut walks: at horizon 3 some grid points
+    # fail that come apart by horizon 40
+    target = MEMO_TARGETS[name]
+    cut = _far_sensitivity(target, eta, delta, grid, 3)[2]
+    decided = _far_sensitivity(target, eta, delta, grid, 40)[2]
+    assert len(cut) > len(decided) > 0
+
+
+# recorded with the per-step walk at horizon 10^3: the failures, and the
+# first 16 hex digits of the sha256 of the JSON witness list
+@pytest.mark.parametrize("target,eta,failures,digest", [
+    (GRAPH_TARGETS[0], F(3, 4), 3075, "12b0e521e44a0597"),
+    (GRAPH_TARGETS[0], F(1, 2), 3, "b7aec5143a1549ff"),
+    (identity_target(), F(1, 8), 4096, "ad17139517ca49dc"),
+    (rotation_target(), F(1, 8), 4092, "da54bd9c73a4a6ad"),
+], ids=["k3-3/4", "k3-1/2", "identity", "rotation-1/3"])
+def test_sensitivity_at_grid_4096_and_its_horizon_cap(target, eta, failures, digest):
+    # every walk ends at a decided or a repeated pair long before 10^6 steps
+    report = sensitivity_probe(target, eta, F(1, 4096), 4096, 10 ** 6)
+    text = json.dumps(report.witnesses)
+    assert report.verdict == "fail" and len(report.witnesses) == failures
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert report.params["horizon"] == 10 ** 6
+
+
+@pytest.mark.parametrize("make", [identity_target, rotation_target])
+def test_control_transitivity_at_its_horizon_cap(monkeypatch, make):
+    # each row ends where its lap images repeat, within 8 steps (Brent's
+    # test: a cycle of 1 or 3 steps), so 10^6 steps give the report and the
+    # work of 10^3; the integer laps without the memo give the same
+    # witnesses where they are fast
+    steps, advance = [], verifier._advance_laps
+
+    def counted(*args):
+        steps.append(None)
+        return advance(*args)
+
+    monkeypatch.setattr(verifier, "_advance_laps", counted)
+    reports, work = {}, set()
+    for horizon in (100, 1000, 10 ** 6):
+        steps.clear()
+        reports[horizon] = transitivity_witness(make(), 8, horizon)
+        work.add(len(steps))
+    assert len(work) == 1 and work.pop() <= 8 * 256
+    expected = _unmemoized_transitivity(make(), 8, 100)
+    for horizon, report in reports.items():
+        assert report.params == dict(expected[0], horizon=horizon)
+        assert report.witnesses == expected[1] and report.verdict == "fail"
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: rotation_target(F(-1, 3)), ValueError, "point -1/3 outside [0, 1]"),
+    (lambda: rotation_target(F(1)), ValueError, "rotation step 1 outside [0, 1)"),
+    (lambda: rotation_target(float("inf")), ValueError, "point inf outside [0, 1]"),
+    (lambda: constant_target(float("inf")), ValueError, "point inf outside [0, 1]"),
+    (lambda: constant_target(F(2)), ValueError, "point 2 outside [0, 1]"),
+    (lambda: lemma6_commute_check(tent_target(), 5, 10.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+], ids=["rotation-negative", "rotation-one", "rotation-inf", "constant-inf",
+        "constant-above-1", "lemma6-half-step"])
+def test_a_control_parameter_off_its_range_is_refused(make, error, message):
+    # rotation by -1/3 once witnessed 16 of 64 pairs at 3/4 where rotation by
+    # 2/3, the same map, witnesses 40; an infinity raised OverflowError
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_a_control_parameter_is_read_as_a_point():
+    # a float is read exactly, as every point is (it raised AttributeError
+    # inside transitivity)
+    for check in (lambda t: transitivity_witness(t, 3, 4),
+                  lambda t: sensitivity_probe(t, F(3, 4), F(1, 64), 8, 10)):
+        for floated, exact in ((rotation_target(0.25), rotation_target(F(1, 4))),
+                               (constant_target(0.75), constant_target(F(3, 4)))):
+            assert check(floated)[2:] == check(exact)[2:]
+    assert (transitivity_witness(rotation_target(F(2, 3)), 3, 4).witnesses
+            == transitivity_witness(rotation_target("2/3"), 3, 4).witnesses)
+
+
+def _table_target(branches):
+    """A self-map of [0, 1] from its branch table, fmap taking the first
+    branch that holds the point."""
+    def fmap(n, d):
+        y = F(n, d)
+        return next(s * y + c for lo, hi, s, c in branches if lo <= y <= hi).as_integer_ratio()
+
+    return Target("table", fmap, INTERVAL_CODEC, tuple(branches))
+
+
+def test_a_walk_that_meets_a_cut_walk_sooner_walks_on():
+    # grid 4, horizon 3: the walk from 1/8 and 7/64 reaches 5/8 and 39/64 at
+    # its step 1 and is cut at step 3; the walk from 5/8 and 39/64 starts
+    # there and comes apart at its step 3, within its horizon, so a cut
+    # walk's pairs must stay undecided
+    target = _table_target([(F(0), F(1, 6), F(1), F(1, 2)), (F(1, 6), F(1, 3), F(3), F(-1, 2)),
+                            (F(1, 3), F(2, 3), F(1), F(-1, 3)), (F(2, 3), F(1), F(0), F(0))])
+    report = sensitivity_probe(target, F(1, 8), F(1, 64), 4, 3)
+    expected = _far_sensitivity(target, F(1, 8), F(1, 64), 4, 3)
+    assert (report.params, report.verdict, report.witnesses) == expected
+    assert report.witnesses == ["1/8", "3/8", "7/8"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_targets(), st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]),
+       st.sampled_from([F(1, 64), F(3, 64), F(1, 6)]), st.integers(1, 12), st.integers(1, 8))
+def test_sensitivity_of_a_consistent_target_matches_the_per_step_walk(target, eta, delta,
+                                                                     grid, horizon):
+    # walks of a random branch table merge, cycle and meet one another's
+    # pairs at other steps than their own
+    report = sensitivity_probe(target, eta, delta, grid, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _far_sensitivity(target, eta, delta, grid, horizon))
