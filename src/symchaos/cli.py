@@ -62,51 +62,46 @@ def _integer(text: str) -> int:
     return -n if text.startswith("-") else n
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symchaos",
-        description="Exact symbolic dynamics: tent/baker/graph maps and chaos checks")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", required=True, choices=sorted(EVAL_SYSTEMS))
+    p.add_argument("--x", required=True, type=_fraction)
 
-    p_eval = sub.add_parser("eval", help="evaluate a map at a rational point")
-    p_eval.add_argument("--system", required=True, choices=sorted(EVAL_SYSTEMS))
-    p_eval.add_argument("--x", required=True, type=_fraction)
 
-    p_orbit = sub.add_parser("orbit", help="exact orbit on [0,1]")
-    p_orbit.add_argument("--system", required=True, choices=sorted(EVAL_SYSTEMS))
-    p_orbit.add_argument("--x", required=True, type=_fraction)
-    p_orbit.add_argument("--steps", required=True, type=_integer)
-    p_orbit.add_argument("--format", default="csv", choices=("csv", "json"))
+def _orbit_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", required=True, choices=sorted(EVAL_SYSTEMS))
+    p.add_argument("--x", required=True, type=_fraction)
+    p.add_argument("--steps", required=True, type=_integer)
+    p.add_argument("--format", default="csv", choices=("csv", "json"))
 
-    p_gorbit = sub.add_parser("graph-orbit", help="exact orbit on a graph")
-    p_gorbit.add_argument("--file", required=True)
-    p_gorbit.add_argument("--start", required=True,
-                          help="ARC:p/q (arc id or 1-based index) or node:ID")
-    p_gorbit.add_argument("--steps", required=True, type=_integer)
-    p_gorbit.add_argument("--format", default="csv", choices=("csv", "json"))
 
-    p_verify = sub.add_parser("verify", help="run a chaos property check")
-    p_verify.add_argument("--system", required=True, choices=("tent", "baker", "graph"))
-    p_verify.add_argument("--file", help="graph DSL file (for --system graph)")
-    p_verify.add_argument("--property", required=True, choices=VERIFY_PROPERTIES)
-    p_verify.add_argument("--max-period", type=_integer, default=12)
-    p_verify.add_argument("--resolution", type=_integer, default=7)
-    p_verify.add_argument("--steps", type=_integer, default=25000)
-    p_verify.add_argument("--horizon", type=_integer, default=40)
-    p_verify.add_argument("--eta", type=_fraction, default=None)
-    p_verify.add_argument("--delta", type=_fraction, default=Fraction(1, 4096))
-    p_verify.add_argument("--grid", type=_integer, default=256)
+def _graph_orbit_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--file", required=True)
+    p.add_argument("--start", required=True, help="ARC:p/q (arc id or 1-based index) or node:ID")
+    p.add_argument("--steps", required=True, type=_integer)
+    p.add_argument("--format", default="csv", choices=("csv", "json"))
 
-    p_conj = sub.add_parser("conjugacy",
-                            help="check shift∘R = R∘C on all prefixes of a length")
-    p_conj.add_argument("--length", required=True, type=_integer)
 
-    p_fiber = sub.add_parser("fiber", help="print the fiber words of a point")
-    p_fiber.add_argument("--x", required=True, type=_fraction)
-    p_fiber.add_argument("--file", help="graph DSL file")
-    p_fiber.add_argument("--arc", help="arc id or 1-based index (with --file)")
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", required=True, choices=("tent", "baker", "graph"))
+    p.add_argument("--file", help="graph DSL file (for --system graph)")
+    p.add_argument("--property", required=True, choices=VERIFY_PROPERTIES)
+    p.add_argument("--max-period", type=_integer, default=12)
+    p.add_argument("--resolution", type=_integer, default=7)
+    p.add_argument("--steps", type=_integer, default=25000)
+    p.add_argument("--horizon", type=_integer, default=40)
+    p.add_argument("--eta", type=_fraction, default=None)
+    p.add_argument("--delta", type=_fraction, default=Fraction(1, 4096))
+    p.add_argument("--grid", type=_integer, default=256)
 
-    return parser
+
+def _conjugacy_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", required=True, type=_integer)
+
+
+def _fiber_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x", required=True, type=_fraction)
+    p.add_argument("--file", help="graph DSL file")
+    p.add_argument("--arc", help="arc id or 1-based index (with --file)")
 
 
 def _load_graph(path: str) -> graphs.GraphSystem:
@@ -250,27 +245,64 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
+# command word: (its help line, the function that adds its options, its runner)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "orbit": _cmd_orbit,
-    "graph-orbit": _cmd_graph_orbit,
-    "verify": _cmd_verify,
-    "conjugacy": _cmd_conjugacy,
-    "fiber": _cmd_fiber,
+    "eval": ("evaluate a map at a rational point", _eval_arguments, _cmd_eval),
+    "orbit": ("exact orbit on [0,1]", _orbit_arguments, _cmd_orbit),
+    "graph-orbit": ("exact orbit on a graph", _graph_orbit_arguments, _cmd_graph_orbit),
+    "verify": ("run a chaos property check", _verify_arguments, _cmd_verify),
+    "conjugacy": ("check shift∘R = R∘C on all prefixes of a length", _conjugacy_arguments,
+                  _cmd_conjugacy),
+    "fiber": ("print the fiber words of a point", _fiber_arguments, _cmd_fiber),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="symchaos",
+        description="Exact symbolic dynamics: tent/baker/graph maps and chaos checks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, arguments, _) in _COMMANDS.items():
+        arguments(sub.add_parser(command, help=help_line))
+    return parser
 
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser of this process: built by the first main call, not at
-    import, and reused by every call after it."""
+    """The full parser of this process, built only on the usage path, and
+    reused by every call after it."""
     return _build_parser()
 
 
+@lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, the subparser _build_parser makes for it,
+    built by the first call that runs the command and reused after it."""
+    _, arguments, _ = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"symchaos {command}")
+    arguments(parser)
+    return parser
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.  A command word first is
+    parsed by its own parser alone; anything else (no argument, -h, an
+    unknown command, or arguments the command leaves over) goes to the full
+    parser, whose messages name the top level."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

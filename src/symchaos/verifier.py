@@ -58,8 +58,17 @@ class ChaosReport(NamedTuple):
 
     def to_json(self) -> dict:
         """The fields as a dict, every list and dict in them a copy."""
-        from copy import deepcopy  # imported here: only a printed report needs it
-        return deepcopy(self._asdict())
+        return _copied(self._asdict())
+
+
+def _copied(value):
+    """value with every dict and list in it copied; a report holds no other
+    mutable value."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
 
 
 def _finish(system: str, prop: str, params: dict, witnesses: list,

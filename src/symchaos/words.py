@@ -71,7 +71,9 @@ def as_unit(y) -> Fraction:
     if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
         try:
             y = Fraction(y)
-        except OverflowError:  # an infinity: no integer ratio, and outside [0, 1]
+        except (OverflowError, ValueError):  # an infinity or a NaN: no integer ratio
+            if isinstance(y, str):  # text that is no number keeps Fraction's message
+                raise
             raise ValueError(f"point {y} outside [0, 1]") from None
     n, d = y.as_integer_ratio()
     if not 0 <= n <= d:

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchaos import cli, graphs, verifier
 from symchaos.cli import main
@@ -541,18 +543,22 @@ def test_fiber_file_requires_arc(capsys, k3_file):
 # ------------------------------------------------------------ huge values
 
 SIZED = "a fraction with a 16607-bit numerator and a 1-bit denominator"  # 10^4999
+SIZED_5000 = "a fraction with a 16610-bit numerator and a 1-bit denominator"  # 10^5000
 
 
 @pytest.mark.parametrize("argv,message", [
     (["fiber", "--x", "1e4999"], f"point {SIZED} outside [0, 1]"),
+    (["fiber", "--x", "1e5000"], f"point {SIZED_5000} outside [0, 1]"),
     (["fiber", "--file", "K3", "--arc", "1", "--x", "1e4999"], f"point {SIZED} outside [0, 1]"),
     (["graph-orbit", "--file", "K3", "--start", "E1:1e4999", "--steps", "1"],
      f"point {SIZED} outside [0, 1]"),
     (["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e4999"],
      f"eta must be positive, got {SIZED}"),
+    (["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e5000"],
+     f"eta must be positive, got {SIZED_5000}"),
     (["verify", "--system", "tent", "--property", "sensitivity", "--delta=1e4999"],
      f"delta must lie strictly between 0 and 1, got {SIZED}"),
-], ids=["fiber", "graph-fiber", "graph-orbit", "eta", "delta"])
+], ids=["fiber", "fiber-1e5000", "graph-fiber", "graph-orbit", "eta", "eta-1e5000", "delta"])
 def test_a_huge_number_is_named_by_its_size(capsys, k3_file, argv, message):
     code, out, err = run(capsys, *(k3_file if a == "K3" else a for a in argv))
     assert (code, out) == (2, "")
@@ -679,29 +685,172 @@ def test_an_integer_option_is_read_from_ascii_digits_of_any_length(capsys, k3_fi
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
-    # every in-process call used to build the seven parsers again
-    built = []
+    # every in-process call used to build the seven parsers again; then the
+    # first call built all seven to run one command
+    import argparse
+
+    built, full = [], []
+    init, parser = argparse.ArgumentParser.__init__, cli._build_parser
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
 
     def build():
-        built.append(None)
+        full.append(None)
         return parser()
 
-    parser = cli._build_parser
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     monkeypatch.setattr(cli, "_build_parser", build)
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     try:
         with pytest.raises(SystemExit) as first:
             main(["eval", "--system", "tent", "--x", "five"])
         usage = capsys.readouterr()
         for _ in range(3):
             assert run(capsys, "eval", "--system", "tent", "--x", "1/4") == (0, "1/2\n", "")
+            assert run(capsys, "conjugacy", "--length", "2") == (
+                0, "length 2: 4 prefixes checked, 4 agree on 1 bits, 0 mismatches\n", "")
         with pytest.raises(SystemExit) as again:
             main(["eval", "--system", "tent", "--x", "five"])
         assert (first.value.code, again.value.code) == (2, 2)
         assert capsys.readouterr() == usage
-        assert len(built) == 1
+        assert usage.err.startswith("usage: symchaos eval [-h]")
+        # a well-formed command builds its own parser alone, once
+        assert (built, full) == (["symchaos eval", "symchaos conjugacy"], [])
+        # arguments left over are named by the full parser, built once
+        for _ in range(2):
+            with pytest.raises(SystemExit) as leftover:
+                main(["eval", "--system", "tent", "--x", "1/4", "--bogus"])
+            out, err = capsys.readouterr()
+            assert (leftover.value.code, out) == (2, "")
+            assert err.startswith("usage: symchaos [-h] {eval,orbit,")
+            assert err.endswith("\nsymchaos: error: unrecognized arguments: --bogus\n")
+        assert len(full) == 1
+        assert built[2:] == ["symchaos", *(f"symchaos {c}" for c in cli._COMMANDS)]
     finally:
         cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
+
+
+def test_a_verify_call_builds_one_parser_and_imports_no_copy():
+    # in a fresh interpreter: the verify parser alone is built, and printing
+    # the report deep-copies it without the copy module
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import argparse, contextlib, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(kwargs['prog'])\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from symchaos import cli\n"
+            "argv = ['verify', '--system', 'tent', '--property', 'periodic-density',\n"
+            "        '--max-period', '6', '--resolution', '3']\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(argv)\n"
+            "assert '\"verdict\": \"pass\"' in out.getvalue(), out.getvalue()\n"
+            "print(code, built, 'copy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 ['symchaos verify'] False\n"
+
+
+# ------------------------------------------------------------ parse path
+
+# option values that most options refuse: huge, Unicode, non-finite or no number
+ODD = st.sampled_from(["1e5000", "-1e5000", "1e-5000", "9" * 5000, "1" + "0" * 5000, "\u0663",
+                       "\u00b2", "nan", "inf", "-inf", "1/0", "+5", " 8", "1_0", "0.25", "abc",
+                       "", "x" * 300, "-", "--", "-h", "--x", "bogus", "E1:1/3"])
+# unknown, abbreviated and ambiguous options, help, the end of options, and
+# extra positionals
+NOISE = st.sampled_from(["--bogus", "--sys", "--s", "--e", "--f", "--st", "--max", "-x", "-h",
+                         "--help", "--", "extra", "--x", "--steps=3", "--eta=-1e5000"]) | ODD
+ODD_COMMAND = st.sampled_from(["evl", "Eval", "", "-h", "--help", "--", "--bogus", "--system"])
+INTEGER = st.integers(-10 ** 6, 10 ** 6).map(str)
+RATIONAL = st.fractions(max_denominator=10 ** 6).map(str)
+TEXT = st.sampled_from(["k3.graph", "E1:1/3", "node:a", "2", "E2"])
+EVAL_SYSTEM = st.sampled_from(sorted(cli.EVAL_SYSTEMS))
+FORMAT = st.sampled_from(["csv", "json"])
+# each command's options: (a value it takes, whether it is required)
+PARSE_OPTIONS = {
+    "eval": {"--system": (EVAL_SYSTEM, True), "--x": (RATIONAL, True)},
+    "orbit": {"--system": (EVAL_SYSTEM, True), "--x": (RATIONAL, True),
+              "--steps": (INTEGER, True), "--format": (FORMAT, False)},
+    "graph-orbit": {"--file": (TEXT, True), "--start": (TEXT, True),
+                    "--steps": (INTEGER, True), "--format": (FORMAT, False)},
+    "verify": {"--system": (st.sampled_from(["tent", "baker", "graph"]), True),
+               "--file": (TEXT, False),
+               "--property": (st.sampled_from(list(cli.VERIFY_PROPERTIES)), True),
+               **{name: (INTEGER, False) for name in ("--max-period", "--resolution",
+                                                      "--steps", "--horizon", "--grid")},
+               "--eta": (RATIONAL, False), "--delta": (RATIONAL, False)},
+    "conjugacy": {"--length": (INTEGER, True)},
+    "fiber": {"--x": (RATIONAL, True), "--file": (TEXT, False), "--arc": (TEXT, False)},
+}
+
+
+@st.composite
+def argvs(draw):
+    """argv for a command: its required options and some others, in any
+    order, each as two words or joined by '='.  Half the time it is also
+    odd: an unknown command, a value the option refuses, a required option
+    left out, or noise words anywhere."""
+    odd = draw(st.booleans())
+
+    def sometimes() -> bool:  # true at one draw in four when odd
+        return odd and draw(st.integers(0, 3)) == 0
+
+    command = draw(ODD_COMMAND if sometimes() else st.sampled_from(list(cli._COMMANDS)))
+    options = PARSE_OPTIONS.get(command, PARSE_OPTIONS["verify"])
+    names = [name for name, (_, required) in options.items()
+             if (required and not sometimes()) or (not required and draw(st.booleans()))]
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        value = draw(ODD if sometimes() else options[name][0])
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.integers(0, 2)) if odd else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv
+
+
+def _parsed(parse, argv):
+    """What parse(argv) returns or its exit code, with its stdout and stderr."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+FULL_PARSER = cli._build_parser()
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_the_one_command_parse_is_that_of_the_full_parser(argv):
+    # parse only: no command runs
+    assert _parsed(cli._parse, argv) == _parsed(FULL_PARSER.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["evl"], ["--", "eval"], ["eval", "-h"], ["verify", "--s", "3"],
+    ["eval", "--system", "tent", "--x", "1/3", "extra"], ["eval", "--sys", "tent", "--x=1/3"],
+    ["eval", "--system", "tent", "--", "--x", "1/3"], ["conjugacy", "--length", "\u0663"],
+    ["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e5000"],
+], ids=repr)
+def test_the_one_command_parse_on_the_usage_paths(argv):
+    assert _parsed(cli._parse, argv) == _parsed(FULL_PARSER.parse_args, argv)
 
 
 # ------------------------------------------------------------ CI twins

@@ -2095,6 +2095,22 @@ def test_a_control_parameter_off_its_range_is_refused(make, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value,message", [
+    (float("nan"), "point nan outside [0, 1]"),
+    (float("-inf"), "point -inf outside [0, 1]"),
+    ("nan", "Invalid literal for Fraction: 'nan'"),  # text that is no number keeps its message
+], ids=["nan", "-inf", "nan-text"])
+@pytest.mark.parametrize("entry", [constant_target, rotation_target, tent, baker,
+                                   lambda t: Interior(1, t)],
+                         ids=["constant_target", "rotation_target", "tent", "baker", "Interior"])
+def test_a_nan_point_is_named_with_its_range(entry, value, message):
+    # a NaN float raised "cannot convert NaN to integer ratio", which named
+    # neither the value nor the range
+    with pytest.raises(ValueError) as exc:
+        entry(value)
+    assert str(exc.value) == message
+
+
 def test_a_control_parameter_is_read_as_a_point():
     # a float is read exactly, as every point is (it raised AttributeError
     # inside transitivity)
