@@ -1,7 +1,8 @@
 """Fibers, the star condition, and induced maps with exceptional overrides.
 
-A Fiber is one element of the decomposition of sequence space attached to a
-codec: the full set of words encoding a single space point.  A symbolic map
+A fiber is one element of the decomposition of sequence space attached to a
+codec: the full set of words encoding a single space point, held as the
+tuple of its words in (preperiod, period) order.  A symbolic map
 descends to the decomposition exactly when it sends each fiber inside a
 single fiber (the star condition); where that fails -- or on an explicitly
 pinned exceptional set -- an override policy patches the induced map,
@@ -10,7 +11,7 @@ either fixing the fiber or redirecting it to a designated point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, NamedTuple, Protocol, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Iterable, NamedTuple, Protocol, Sequence, Set, Tuple, Union
 
 from .streams import StreamWord
 from .words import Word, prefix_int
@@ -28,50 +29,26 @@ __all__ = [
 ]
 
 
-class Fiber:
-    """Nonempty finite set of Words encoding one space point.
-
-    Members are stored deduplicated and sorted by (preperiod, period)
-    lexicographic order, so Fibers compare and hash as sets.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: Iterable[Word]):
-        words = tuple(words)
-        if not words:
-            raise ValueError("fiber must be nonempty")
-        if len(words) == 2:  # one == and one < dedupe and order a pair, with no hash
-            a, b = words
-            words = (a,) if a == b else (b, a) if b < a else words
-        self.words = words if len(words) < 3 else tuple(sorted(set(words)))
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.words
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Fiber):
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
-
-    def __repr__(self) -> str:
-        return "Fiber({%s})" % ", ".join(str(w) for w in self.words)
+def Fiber(words: Iterable[Word]) -> Tuple[Word, ...]:
+    """The fiber of a nonempty finite set of Words encoding one space point:
+    the tuple of its words deduplicated and in (preperiod, period)
+    lexicographic order, so fibers compare and hash as sets.  A codec that
+    knows its words' order builds the tuple itself."""
+    words = tuple(words)
+    if not words:
+        raise ValueError("fiber must be nonempty")
+    if len(words) == 2:  # one == and one < dedupe and order a pair, with no hash
+        a, b = words
+        words = (a,) if a == b else (b, a) if b < a else words
+    return words if len(words) < 3 else tuple(sorted(set(words)))
 
 
 class Codec(Protocol):
     """Bridge between words and points of a concrete space.
 
     Fibers are the points: `fiber_of` gives a word's fiber from the word,
-    and nothing between `encode` and `decode` names a point otherwise.  The
+    and nothing between `encode` and `decode` names a point otherwise.
+    Both give a fiber as the tuple Fiber would make of its words.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
     is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
     addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
@@ -82,14 +59,14 @@ class Codec(Protocol):
     r: int
     prefixes: Sequence[Tuple[int, int]]
 
-    def encode(self, point) -> Fiber: ...
+    def encode(self, point) -> Tuple[Word, ...]: ...
 
     def decode(self, word: Word): ...
 
     def addresses(self, word: Word, point) -> bool:
         """decode(word) == point, on integers: no point is built."""
 
-    def fiber_of(self, word: Word) -> Fiber: ...
+    def fiber_of(self, word: Word) -> Tuple[Word, ...]: ...
 
     def point_json(self, point): ...
 
@@ -136,15 +113,15 @@ class InducedSystem:
         return "InducedSystem(%s)" % ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
 
 
-def _pin_key(fib: Fiber) -> Tuple[int, int, bool]:
+def _pin_key(fib: Tuple[Word, ...]) -> Tuple[int, int, bool]:
     """Word count, first word's preperiod length and whether its tail is
     constant (q = 1): equal fibers share it, and it hashes no word, so only
     a fiber with a pinned fiber's key is looked up in pinned_fibers."""
-    w = fib.words[0]
-    return len(fib.words), w.pre_len, w.q == 1
+    w = fib[0]
+    return len(fib), w.pre_len, w.q == 1
 
 
-def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
+def star_check(sys: InducedSystem, fib: Tuple[Word, ...]) -> Union[Tuple[Word, ...], Violation]:
     """Apply the symbolic map memberwise and test the star condition.
 
     It holds when every image word lies in the fiber of the first (two
@@ -152,25 +129,25 @@ def star_check(sys: InducedSystem, fib: Fiber) -> Union[Fiber, Violation]:
     is returned; otherwise a Violation holds every image with its point.
     """
     image = _star_image(sys, fib)
-    if isinstance(image, Fiber):
+    if image is not None:
         return image
-    return Violation(tuple((w, sys.codec.decode(w)) for w in image))
+    return Violation(tuple((w, sys.codec.decode(w)) for w in map(sys.symbolic_map, fib)))
 
 
-def _star_image(sys: InducedSystem, fib: Fiber) -> Union[Fiber, List[Word]]:
+def _star_image(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...] | None:
     """The fiber of the first image word when the star condition holds,
-    else the image words, none of them decoded."""
-    images = list(map(sys.symbolic_map, fib.words))
+    else None; no image word is decoded."""
+    images = list(map(sys.symbolic_map, fib))
     target = sys.codec.fiber_of(images[0])
-    return target if all(map(target.words.__contains__, images)) else images
+    return target if all(map(target.__contains__, images)) else None
 
 
-def induced_apply(sys: InducedSystem, fib: Fiber) -> Fiber:
+def induced_apply(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...]:
     """The induced map on fibers, with the override policy applied."""
     keys = sys.pinned_keys  # empty when nothing is pinned: no key to make
     if not (keys and _pin_key(fib) in keys and fib in sys.pinned_fibers):
         image = _star_image(sys, fib)
-        if isinstance(image, Fiber):
+        if image is not None:
             return image
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
@@ -182,11 +159,11 @@ def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callab
     words decoded, for the message (the point as encode read it)."""
     codec = sys.codec
     source = codec.encode(point)
-    word = induced_apply(sys, source).words[0]
+    word = induced_apply(sys, source)[0]
     expected = closed_form(point)
     if not codec.addresses(word, expected):
         raise ArithmeticError(
-            f"induced {sys.name} map at {show(codec.decode(source.words[0]))} gave "
+            f"induced {sys.name} map at {show(codec.decode(source[0]))} gave "
             f"{show(codec.decode(word))}, closed form gives {show(expected)}")
     return expected
 

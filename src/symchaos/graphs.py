@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .interval import INTERVAL_CODEC
-from .words import (Word, _order_of_two, _quote, _show, as_unit, bits_of, drop_bits, prefix_int,
-                    prepend_bits, shift_map, word_metric, word_value)
+from .words import (Word, _expansions, _order_of_two, _quote, _show, as_unit, drop_bits,
+                    prefix_int, shift_map, with_twin, word_metric, word_value)
 
 __all__ = [
     "GraphError",
@@ -82,6 +81,14 @@ class Interior:
             raise ValueError(f"interior parameter {t} not in (0, 1)")
         fields = vars(self)  # set once, past __setattr__
         fields["arc"], fields["t"] = arc, t
+
+    @classmethod
+    def _at(cls, arc: int, t: Fraction) -> "Interior":
+        """The point at a parameter t already known to lie in (0, 1)."""
+        point = object.__new__(cls)
+        fields = vars(point)
+        fields["arc"], fields["t"] = arc, t
+        return point
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -179,18 +186,16 @@ class GraphSystem:
 
     # -- codec protocol -------------------------------------------------
 
-    def encode(self, point: GraphPoint) -> Fiber:
+    def encode(self, point: GraphPoint) -> Tuple[Word, ...]:
         """All address words of a point: prefixed expansions for an interior
         point, one eventually constant word per incident arc end for a node."""
         if isinstance(point, Interior):
             self.spec.arc(point.arc)  # an index out of range raises
-            prefix = self.prefixes[point.arc - 1]
-            return Fiber([prepend_bits(w, *prefix) for w in bits_of(point.t)])
+            return _expansions(*point.t.as_integer_ratio(), *self.prefixes[point.arc - 1])
         if isinstance(point, Node):
             if point.id not in self.spec.nodes:
                 raise GraphError(f"unknown node {_quote(point.id)}")
-            words = [prepend_bits(Word([], [t]), *self.prefixes[i - 1])
-                     for i, t in self._ends[point.id]]
+            words = [Word._tail(*self.prefixes[i - 1], t, 1) for i, t in self._ends[point.id]]
             if not words:
                 raise GraphError(f"node {_quote(point.id)} has no incident arcs")
             return Fiber(words)
@@ -203,14 +208,22 @@ class GraphSystem:
 
     def addresses(self, word: Word, point: GraphPoint) -> bool:
         """decode(word) == point on integers: a node is the end that point_at
-        gives the parameter 0 or 1 (the words 0^inf and 1^inf), an interior
-        point the same arc and the parameter cross-multiplied."""
-        i, t = self._locate(word)
+        gives the parameter 0 or 1 (the words 0^inf and 1^inf).  An interior
+        point (i, t) is the value (c + t) / 2^s, for arc i's prefix (s, c),
+        cross-multiplied: t lies strictly inside the prefix's cylinder, and
+        the cylinders partition sequence space, so the value decides the arc
+        too."""
         if isinstance(point, Node):
+            i, t = self._locate(word)
             return t.pre_len == 0 and t.q == 1 and self.point_at(i, t.s) == point
-        return point.arc == i and INTERVAL_CODEC.addresses(t, point.t)
+        if not 0 < point.arc <= self.r:
+            return False
+        s, c = self.prefixes[point.arc - 1]
+        n, d = point.t.as_integer_ratio()
+        q = word.q
+        return (word.pre * q + word.s) * d << s == (c * d + n) * q << word.pre_len
 
-    def fiber_of(self, word: Word) -> Fiber:
+    def fiber_of(self, word: Word) -> Tuple[Word, ...]:
         """The fiber of a word's point: a node's fiber at a node (the
         parameter 0^inf or 1^inf), else the word and its dyadic twin, if any,
         which keeps the arc prefix."""
@@ -218,7 +231,7 @@ class GraphSystem:
             i, t = self._locate(word)
             if t.pre_len == 0:
                 return self.encode(self.point_at(i, t.s))
-        return INTERVAL_CODEC.fiber_of(word)
+        return with_twin(word)
 
     def _locate(self, word: Word) -> Tuple[int, Word]:
         """The arc a word addresses, and the word of its parameter."""
@@ -300,9 +313,13 @@ Key = Union[Tuple[int, int], Node]
 
 
 def lattice_point(key: Key, q: int) -> GraphPoint:
+    """The point of a key, its parameter read from the integers n and q."""
     if isinstance(key, Node):
         return key
-    return Interior(key[0], Fraction(key[1], q))
+    i, n = key
+    if not 0 < n < q:  # off the open arc: Interior raises its own error
+        return Interior(i, Fraction(n, q))
+    return Interior._at(i, Fraction(n, q))
 
 
 def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
@@ -343,7 +360,7 @@ def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
 
 def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Hausdorff distance between the two fibers under the word metric."""
-    return _hausdorff(sys.encode(p).words, sys.encode(q).words, word_metric)
+    return _hausdorff(sys.encode(p), sys.encode(q), word_metric)
 
 
 def _hausdorff(a, b, d):

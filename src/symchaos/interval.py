@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .words import (Word, _show, as_unit, bits_of, c_map, dyadic_twin, r_map, shift_map,
-                    word_value)
+from .decomposition import InducedSystem, induced_point, stream_excludes_all
+from .words import (Word, _expansions, _show, as_unit, bits_of, c_map, r_map, shift_map,
+                    with_twin, word_value)
 
 __all__ = [
     "as_unit",
@@ -39,8 +39,8 @@ class IntervalCodec:
     prefixes = ((0, 0),)
     stream_excludes_all = stream_excludes_all
 
-    def encode(self, point: Fraction) -> Fiber:
-        return Fiber(bits_of(point))
+    def encode(self, point: Fraction) -> Tuple[Word, ...]:
+        return _expansions(*as_unit(point).as_integer_ratio())
 
     def decode(self, word: Word) -> Fraction:
         return word_value(word)
@@ -50,9 +50,8 @@ class IntervalCodec:
         q, (n, d) = word.q, y.as_integer_ratio()
         return (word.pre * q + word.s) * d == n * (q << word.pre_len)
 
-    def fiber_of(self, word: Word) -> Fiber:
-        twin = dyadic_twin(word)
-        return Fiber([word] if twin is None else [word, twin])
+    def fiber_of(self, word: Word) -> Tuple[Word, ...]:
+        return with_twin(word)
 
     def point_json(self, point: Fraction) -> str:
         return str(point)

@@ -28,6 +28,7 @@ __all__ = [
     "word_metric",
     "bits_of",
     "dyadic_twin",
+    "with_twin",
     "periodic_words",
     "prefix_int",
     "prepend_bits",
@@ -366,16 +367,24 @@ def bits_of(t: Fraction) -> List[Word]:
     as s/q in lowest terms.
     A period above MAX_PERIOD_BITS raises ValueError before it is built.
     """
-    p, q = as_unit(t).as_integer_ratio()
-    if p == q:
-        return [Word._tail(0, 0, 1, 1)]
-    a = (q & -q).bit_length() - 1  # power of 2 in q
-    q_odd = q >> a
-    # the period, the order of 2 modulo q_odd, has at most q_odd - 1 bits
-    if q_odd - 1 > MAX_PERIOD_BITS and _order_of_two(q_odd) is None:
+    return [*reversed(_expansions(*as_unit(t).as_integer_ratio()))]
+
+
+def _expansions(n: int, d: int, m: int = 0, c: int = 0) -> Tuple[Word, ...]:
+    """The words that are the m bits c (packed, first bit most significant)
+    followed by a binary expansion of n/d (in lowest terms, in [0, 1]), in
+    fiber order (with_twin): two for a dyadic strictly inside (0, 1), else
+    one.  Each is one Word._tail; a period above MAX_PERIOD_BITS raises
+    ValueError before it is built."""
+    if n == d:
+        return (Word._tail(m, c, 1, 1),)
+    a = (d & -d).bit_length() - 1  # power of 2 in d
+    d_odd = d >> a
+    # the period, the order of 2 modulo d_odd, has at most d_odd - 1 bits
+    if d_odd - 1 > MAX_PERIOD_BITS and _order_of_two(d_odd) is None:
         raise ValueError("bits_of: the expansion's period exceeds bound 2^24")
-    w = Word._tail(a, p // q_odd, p % q_odd, q_odd)
-    return [w, dyadic_twin(w)] if q_odd == 1 and p else [w]
+    w = Word._tail(m + a, (c << a) | n // d_odd, n % d_odd, d_odd)
+    return with_twin(w) if d_odd == 1 and n else (w,)
 
 
 def dyadic_twin(w: Word) -> Word | None:
@@ -386,6 +395,16 @@ def dyadic_twin(w: Word) -> Word | None:
         return None
     # canonical, the preperiod ends in the bit the period does not repeat
     return Word._tail(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
+
+
+def with_twin(w: Word) -> Tuple[Word, ...]:
+    """w's fiber of expansions as a tuple in (preperiod, period) order: w
+    alone, or a dyadic pair (u01^inf, u10^inf), whose preperiods u0 and u1
+    differ in their last bit only."""
+    twin = dyadic_twin(w)
+    if twin is None:
+        return (w,)
+    return (w, twin) if w.s else (twin, w)
 
 
 def periodic_words(n: int) -> List[Word]:

@@ -903,6 +903,65 @@ def test_lemma6_at_its_caps_in_a_fresh_interpreter(k3_file, system):
     assert '"periodic_words": 33545716\n' in done.stdout
 
 
+def _fresh_cli(*argv, timeout, stdin=None):
+    """One symchaos command in a fresh interpreter: its exit code, stdout
+    and stderr."""
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "symchaos.cli", *argv], input=stdin,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_fiber_of_a_million_bit_period_prints_and_reads_back():
+    # the one printed word is ':' and the period block of 999999/1000003,
+    # written out in one pass; unpacking it bit by bit took 15-24 s
+    import os
+    import subprocess
+
+    code, out, err = _fresh_cli("fiber", "--x", "999999/1000003", timeout=10)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert out[0] == ":" and len(out) == 1000004
+    assert set(out[1:-1]) <= {"0", "1"}
+    # and read back by parse_word in one int conversion; the word from bits
+    # (q = 2^1000002 - 1) and the word from the value (q = 1000003) are one
+    # set member under the one hash rule
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from symchaos.words import bits_of, parse_word\n"
+            "a = parse_word(sys.stdin.read())\n"
+            "b = bits_of(Fraction(999999, 1000003))[0]\n"
+            "assert (a.q, b.q) == ((1 << 1000002) - 1, 1000003)\n"
+            "assert a == b and hash(a) == hash(b) and len({a, b}) == 1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code], input=out, capture_output=True,
+                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_periods_past_any_factoring_bound():
+    # the order of 2 is one search bounded by 2^24: 2^89 - 1 is a prime that
+    # Miller-Rabin with fixed bases cannot prove, and the period of
+    # 1/((2^89 - 1)(2^61 - 1)) is 5,429 bits
+    assert _fresh_cli("fiber", "--x", "1/618970019642690137449562111", timeout=10) == (
+        0, ":" + "0" * 88 + "1\n", "")
+    den = "1427247692705959880439315947500961989719490561"
+    assert _fresh_cli("eval", "--system", "induced-tent", "--x", f"1/{den}", timeout=10) == (
+        0, f"2/{den}\n", "")
+
+
+def test_graph_orbit_into_a_two_word_node_fiber(capsys, k3_file):
+    # E1:3/4 shifts to 110^inf on E3 and 101^inf on E2, both node c
+    code, out, err = run(capsys, "graph-orbit", "--file", k3_file, "--start", "E3:3/8",
+                         "--steps", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "4,c,,,"
+
+
 # ------------------------------------------------------------ cold start
 
 def test_import_loads_no_dataclasses_or_inspect():

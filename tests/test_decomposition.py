@@ -57,8 +57,8 @@ F = Fraction
 
 def test_fiber_normalization():
     fib = Fiber([W("1:0"), W("0:1"), W("1:0")])
-    assert len(fib) == 2
-    assert fib.words == (W("0:1"), W("1:0"))  # (pre, period) lex order
+    assert type(fib) is tuple and len(fib) == 2
+    assert fib == (W("0:1"), W("1:0"))  # (pre, period) lex order
     assert fib == Fiber([W("0:1"), W("1:0")])
     with pytest.raises(ValueError):
         Fiber([])
@@ -98,9 +98,9 @@ def test_fiber_words_are_the_sorted_set_of_its_words(cases):
     # ordered by one == and one <, so the kept members must be the very
     # objects the set keeps
     for words in cases:
-        got, expected = Fiber(words).words, tuple(sorted(set(words)))
+        got, expected = Fiber(words), tuple(sorted(set(words)))
         assert got == expected and list(map(id, got)) == list(map(id, expected)), words
-        assert Fiber(iter(words)).words == expected
+        assert Fiber(iter(words)) == expected
     with pytest.raises(ValueError, match="^fiber must be nonempty$"):
         Fiber([])
 
@@ -255,7 +255,7 @@ def test_single_fiber_outcomes_commute():
     for num in range(0, 33):
         fib = INTERVAL_CODEC.encode(F(num, 32))
         out = star_check(sys, fib)
-        if isinstance(out, Fiber):
+        if not isinstance(out, Violation):
             assert induced_apply(sys, fib) == out
             for w in fib:
                 assert semiconjugacy_check(sys, w)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symchaos.graphs
-from symchaos.decomposition import induced_apply
+from symchaos.decomposition import Fiber, induced_apply
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphError,
@@ -24,7 +24,7 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
-from symchaos.words import Word, _pack, parse_word, prefix_int
+from symchaos.words import Word, _pack, c_map, parse_word, prefix_int, shift_map
 
 from value_cells import point_cells
 
@@ -170,7 +170,7 @@ def test_codec_round_trip_sampled(k3, loop1, figure8, two_segments):
             for w in fib:
                 assert sys.decode(w) == pt
             # decode is constant on the fiber and encode recovers it
-            assert sys.encode(sys.decode(fib.words[0])) == fib
+            assert sys.encode(sys.decode(fib[0])) == fib
 
 
 def test_cylinder_partition(k3, path2, loop1, figure8, two_segments):
@@ -296,7 +296,7 @@ def test_disconnected_graph_map_crosses_components(two_segments):
 # ------------------------------------------- the closed form and its oracle
 
 def _fiber_route(sys, point):
-    return sys.decode(induced_apply(sys.induced, sys.encode(point)).words[0])
+    return sys.decode(induced_apply(sys.induced, sys.encode(point))[0])
 
 
 def random_graph(rng):
@@ -401,6 +401,84 @@ def test_addresses_agrees_with_decode_on_words_made_from_bits(name, w):
     # any sequence, its tail over 2^k - 1: arc ends and twins included
     sys = SPACES[name]
     _assert_addresses_as_decode_compares(sys, w, sys.decode(w))
+
+
+# parameters with a preperiod, with periods of 10, 1,018 and 1,000,002 bits,
+# and dyadics, the pinned 1/2 among them
+FIBER_PARAMETERS = [F(1, 2), F(1, 4), F(3, 4), F(5, 32), F(1023, 1024), F(1, 3), F(5, 12),
+                    F(3, 11), F(7, 22), F(500, 1019), F(1, 4076), F(999999, 1000003),
+                    F(1, 8000024)]
+
+
+_rng = random.Random(29)
+FIBER_SPACES = {"interval": INTERVAL_CODEC,
+                **{name: graph_system(parse_graph(text)) for name, text in EXAMPLE_GRAPHS.items()},
+                **{f"random{k}": random_graph(_rng) for k in range(12)}}
+
+
+def _fiber_points(codec):
+    if codec is INTERVAL_CODEC:
+        return [F(0), F(1), *FIBER_PARAMETERS]
+    return ([Node(v) for v in codec.spec.nodes] + list(codec.exceptional)
+            + [Interior(i, t) for i in range(1, codec.r + 1) for t in FIBER_PARAMETERS])
+
+
+@pytest.mark.parametrize("name", FIBER_SPACES)
+def test_codec_fibers_are_the_canonical_tuples_of_their_words(name):
+    # the oracle Fiber dedupes and orders any words: every fiber a codec
+    # builds, by encode or by fiber_of (of its words and of their images), is
+    # already that tuple
+    codec = FIBER_SPACES[name]
+    for point in _fiber_points(codec):
+        fib = codec.encode(point)
+        assert type(fib) is tuple and fib == Fiber(fib) == Fiber(fib[::-1]), (name, point)
+        for w in fib:
+            for v in (w, shift_map(w), c_map(w)):
+                image = codec.fiber_of(v)
+                assert type(image) is tuple and v in image, (name, point, v)
+                assert image == Fiber(image) == Fiber(image[::-1]), (name, point, v)
+            assert codec.fiber_of(w) == fib
+
+
+@pytest.mark.parametrize("name", [name for name in FIBER_SPACES if name != "interval"])
+def test_addresses_of_every_word_at_every_point_is_decode(name):
+    # every fiber word against every point, by one cross-multiplication:
+    # twins, words on other arcs, node words against interior points and
+    # parameters one lattice step off, at periods of up to 10^6 bits
+    sys = FIBER_SPACES[name]
+    points = _fiber_points(sys)
+    for i in range(1, sys.r + 1):
+        points += [Interior(i, t + d) for t in FIBER_PARAMETERS
+                   for d in (F(1, t.denominator), -F(1, t.denominator)) if 0 < t + d < 1]
+    words = {w for point in points for w in sys.encode(point)}
+    for w in words:
+        image = sys.decode(w)
+        for point in points:
+            assert sys.addresses(w, point) == (image == point), (name, w, point)
+        # an arc index that no word addresses
+        assert not any(sys.addresses(w, Interior(i, F(1, 3))) for i in (0, -1, sys.r + 1))
+
+
+def test_lattice_point_builds_the_interior_point_of_a_key():
+    for q in (2, 3, 12, 1000003):
+        for n in (1, q // 2, q - 1):
+            point = lattice_point((2, n), q)
+            assert point == Interior(2, F(n, q)) and hash(point) == hash(Interior(2, F(n, q)))
+            assert type(point.t) is F and repr(point) == f"Interior(2, {F(n, q)})"
+            with pytest.raises(AttributeError):
+                point.t = F(1, 2)
+        # off the open arc, lattice_point raises as Interior does
+        for n in (0, q, -1, q + 1):
+            with pytest.raises(ValueError) as got:
+                lattice_point((1, n), q)
+            with pytest.raises(ValueError) as expected:
+                Interior(1, F(n, q))
+            assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match=r"^interior parameter 0 not in \(0, 1\)$"):
+        lattice_point((1, 0), 7)
+    with pytest.raises(ValueError, match=r"^interior parameter 1 not in \(0, 1\)$"):
+        lattice_point((1, 7), 7)
+    assert lattice_point(Node("a"), 7) == Node("a")
 
 
 def test_a_star_failure_on_arc_one_is_held_fixed():

@@ -1225,11 +1225,12 @@ def test_induced_maps_on_rationals_never_read_the_period(monkeypatch):
 
 def test_fiber_route_hashes_no_word(monkeypatch):
     # a fiber is looked up among the pinned ones only when it shares a pinned
-    # fiber's key, so a point with one expansion goes through the interval
-    # and graph maps without a word hash or a Fiber comparison, however many
-    # nodes the graph has; and a fiber orders its two words by comparing
-    # them, so neither does a dyadic, but the baker's pinned 1/2
-    from symchaos.decomposition import Fiber
+    # fiber's key, so no point goes through the interval and graph maps with
+    # a word hash, however many nodes the graph has, but the baker's pinned
+    # 1/2.  Nor does a point with one expansion compare two words: its image
+    # word is the member of its own fiber, found by identity.  A dyadic's
+    # star test compares its second image word with the words of the target
+    # fiber, at most two
     from symchaos.graphs import EXAMPLE_GRAPHS, Interior, graph_map, graph_step
     from symchaos.graphs import graph_system, parse_graph
     from symchaos.interval import baker, baker_system, induced_baker, induced_tent
@@ -1241,9 +1242,9 @@ def test_fiber_route_hashes_no_word(monkeypatch):
               for text in (EXAMPLE_GRAPHS["k3"], EXAMPLE_GRAPHS["two_segments"], cycle)]
     tent_system(), baker_system()  # their pinned sets are hashed once, when built
     hashed, compared = [], []
-    real_hash, real_eq = Word.__hash__, Fiber.__eq__
+    real_hash, real_eq = Word.__hash__, Word.__eq__
     monkeypatch.setattr(Word, "__hash__", lambda w: hashed.append(w) or real_hash(w))
-    monkeypatch.setattr(Fiber, "__eq__", lambda f, g: compared.append(f) or real_eq(f, g))
+    monkeypatch.setattr(Word, "__eq__", lambda w, v: compared.append(w) or real_eq(w, v))
     rng = random.Random(201)
     for _ in range(200):
         q = rng.randrange(3, 2 * 10 ** 6 + 1, 2) << rng.randrange(4)
@@ -1257,10 +1258,15 @@ def test_fiber_route_hashes_no_word(monkeypatch):
         for sys in graphs:
             point = Interior(rng.randint(1, sys.r), Fraction(rng.randrange(1, q), q))
             assert graph_map(sys, point) == graph_step(sys, point)
+    assert compared == []
+    dyadic_compares = 0
     for n in range(11):
         for k in range((1 << n) + 1):
             y = Fraction(k, 1 << n)
-            assert induced_tent(y) == tent(y)
-            if y != Fraction(1, 2):
-                assert induced_baker(y) == baker(y)
-    assert hashed == [] and compared == []
+            maps = [(induced_tent, tent)] + [(induced_baker, baker)] * (y != Fraction(1, 2))
+            for induced, closed in maps:
+                assert induced(y) == closed(y)
+                assert len(compared) <= (2 if 0 < k < 1 << n else 0), (induced, y)
+                dyadic_compares += len(compared)
+                compared.clear()
+    assert hashed == [] and dyadic_compares > 0
