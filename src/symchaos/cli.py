@@ -298,8 +298,30 @@ def _parse(argv: List[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
+def _signed(argv: List[str]) -> List[str]:
+    """argv with each negative value of a command's rational option joined
+    to it ('--x -1/3' as '--x=-1/3'): argparse reads a lone word that starts
+    '-' and a digit or '.' as an option unless it is a plain integer or
+    decimal.  Words after '--', and argv of no command, are left as they
+    are."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    options = _command_parser(argv[0])._option_string_actions
+    joined = argv[:1]
+    for k, word in enumerate(argv[1:], start=1):
+        if joined[-1] == "--":
+            return joined + argv[k:]
+        action = options.get(joined[-1])
+        if (action is not None and action.type is _fraction and len(word) > 1
+                and word[0] == "-" and word[1] in "0123456789."):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    args = _parse(_signed(sys.argv[1:] if argv is None else argv))
     _, _, run = _COMMANDS[args.command]
     try:
         return run(args)

@@ -16,6 +16,10 @@ The dense-orbit check reads the orbit as text: _dense_text writes the
 dense word as '0'/'1' characters, a chunk of bits per _dense_window call,
 and orbit_windows rolls one integer through that text, one bit per step,
 so no step builds a StreamWord or finds its place in the dense word again.
+When only a few cells are left unmarked, the check stops rolling and finds
+each one's first step with str.find on the rest of that text: a cell is
+marked exactly when the window starts with one bit pattern (the arc's
+prefix, then the cell's bits), after the flip bit under C.
 The Lemma 6 check reads no bit of it: every iterate is not eventually
 periodic, so projection commutes there by construction.
 """

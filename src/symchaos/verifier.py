@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from . import streams
 from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
@@ -350,22 +351,31 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     enclosure is that cell, so no mark is a guess.  The windows come from
     one rolled integer (streams.orbit_windows, under C when the induced map
     is the complementing shift, else under S), and only a window not seen
-    before is split into its cell."""
+    before is split into its cell.  The last cells come long after the
+    others (on K3 at resolution 10, 99 % of them by step 24,057 and the
+    last at 65,527), so once at most _SEARCH_PATTERNS text patterns are
+    left (one per cell under S, two under C) the rolling stops, and
+    _first_steps finds the rest by searching the dense word's text."""
     started = time.monotonic()
     _within(steps=(steps, 1, 10 ** 6), resolution=(resolution, 1, 16))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
-    space = target.space
-    windows = orbit_windows(space.r - 1 + resolution, steps, _complementing(target.induced))
+    space, complementing = target.space, _complementing(target.induced)
+    windows = orbit_windows(space.r - 1 + resolution, steps, complementing)
     total = _all_cells(space, resolution)
     seen, covered, split = set(), set(), space.split_window
+    switch = len(total) - _SEARCH_PATTERNS // (2 if complementing else 1)
     full_at = None
     for n, window in enumerate(windows):
         if window not in seen:
             seen.add(window)
             covered.add(split(window, resolution))
-            if len(covered) == len(total):
-                full_at = n
+            if len(covered) >= switch:
+                left = [c for c in total if c not in covered]
+                first = _first_steps(space, resolution, complementing, left, n, steps)
+                if len(first) == len(left):
+                    full_at = max(first.values(), default=n)
+                covered.update(first)
                 break
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
@@ -373,6 +383,43 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
               "full_coverage_step": full_at}
     witnesses = [space.cell_json(c) for c in missing]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
+
+
+# searching the rest of the dense word for an absent pattern reads 1-1.5 ns
+# a character, and writing that text 30 ns a bit, against about 300 ns a
+# rolled step (2-core x86-64 VM, Python 3.11), so 32 patterns never cost
+# much more than rolling on; 32 was among the fastest of 0 to 128 on K3,
+# tent and baker at 40,000-70,000 steps
+_SEARCH_PATTERNS = 32
+
+_FLIPPED = str.maketrans("01", "10")
+
+
+def _first_steps(space: Codec, p: int, complementing: bool, cells: List[Tuple[int, int]],
+                 n: int, steps: int) -> dict:
+    """The first step after n and below `steps` at which the generator orbit
+    marks each of `cells`, for those it marks.  split_window marks cell
+    (i, j) exactly when the window starts with arc i's prefix (s, c) and
+    then the p bits of j: one pattern `head`, whatever the other bits.  So
+    under S step t marks it iff dense bits t+1 .. read `head`, and under C
+    iff dense bits t .. read '0' + head or '1' + head complemented (dense
+    bit t is the iterate's flip).  The text is dense bits n+1 ..
+    steps-1+width; each search starts at step n+1's index and ends where
+    step steps-1's pattern does."""
+    if not cells:
+        return {}
+    text = "".join(streams._dense_text(n, steps + space.r - 2 + p - n))
+    lead = 0 if complementing else 1  # the text index of step n+1's pattern
+    first = {}
+    for cell in cells:
+        s, c = space.prefixes[cell[0] - 1]
+        head = format((c << p) | cell[1], f"0{s + p}b")
+        patterns = ("0" + head, "1" + head.translate(_FLIPPED)) if complementing else (head,)
+        end = steps - 1 - n + len(head)
+        hits = [k for k in (text.find(q, lead, end) for q in patterns) if k >= 0]
+        if hits:
+            first[cell] = min(hits) + n + 1 - lead
+    return first
 
 
 # -- transitivity ------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "with_twin",
     "periodic_words",
     "prefix_int",
-    "prepend_bits",
     "drop_bits",
 ]
 
@@ -411,12 +410,6 @@ def periodic_words(n: int) -> List[Word]:
     """All words fixed by the n-fold shift (period dividing n); 2^n of them."""
     _within(n=(n, 1, MAX_BITS))
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
-
-
-def prepend_bits(w: Word, n: int, b: int) -> Word:
-    """Word whose sequence is the n bits b (packed, first bit most
-    significant) followed by w."""
-    return Word._tail(w.pre_len + n, (b << w.pre_len) | w.pre, w.s, w.q)
 
 
 def drop_bits(w: Word, n: int) -> Word:

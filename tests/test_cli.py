@@ -839,8 +839,9 @@ FULL_PARSER = cli._build_parser()
 @settings(max_examples=200, deadline=None)
 @given(argvs())
 def test_the_one_command_parse_is_that_of_the_full_parser(argv):
-    # parse only: no command runs
-    assert _parsed(cli._parse, argv) == _parsed(FULL_PARSER.parse_args, argv)
+    # parse only: no command runs; main parses argv as cli._signed leaves it
+    for words in (argv, cli._signed(argv)):
+        assert _parsed(cli._parse, words) == _parsed(FULL_PARSER.parse_args, words)
 
 
 @pytest.mark.parametrize("argv", [
@@ -851,6 +852,35 @@ def test_the_one_command_parse_is_that_of_the_full_parser(argv):
 ], ids=repr)
 def test_the_one_command_parse_on_the_usage_paths(argv):
     assert _parsed(cli._parse, argv) == _parsed(FULL_PARSER.parse_args, argv)
+
+
+NEGATIVE_VALUES = [
+    ("eval", "--system", "tent", "--x", "-1/3"),
+    ("orbit", "--system", "tent", "--steps", "2", "--x", "-0.5"),
+    ("fiber", "--x", "-1e3"),
+    ("verify", "--system", "tent", "--property", "sensitivity", "--eta", "-1/3"),
+    ("verify", "--system", "tent", "--property", "sensitivity", "--delta", "-1/3"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=" ".join)
+def test_a_negative_rational_value_reads_as_its_joined_form(capsys, argv):
+    # argparse takes a lone '-1/3' for an option ("expected one argument");
+    # '--x=-1/3' was always read as a value, and refused by the command
+    joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert joined[0] == 2 and joined[1] == "" and joined[2].startswith("error: ")
+    assert run(capsys, *argv) == joined
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--x", "-1/3"], ["evl", "--x", "-1/3"], ["eval", "--x", "-h"],
+    ["eval", "--x", "--system"], ["eval", "--x", "-"], ["eval", "--x", "-x"],
+    ["eval", "--system", "tent", "--", "--x", "-1/3"], ["orbit", "--eta", "-1/3"],
+    ["verify", "--steps", "-5"], ["verify", "--x", "-1/3"],
+    ["eval", "--system", "-1/3"], ["fiber", "--x=-1/3", "-1/3"],
+], ids=repr)
+def test_only_a_rational_option_takes_a_negative_value_joined(argv):
+    assert cli._signed(argv) == argv
 
 
 # ------------------------------------------------------------ CI twins
@@ -952,6 +982,15 @@ def test_periods_past_any_factoring_bound():
     den = "1427247692705959880439315947500961989719490561"
     assert _fresh_cli("eval", "--system", "induced-tent", "--x", f"1/{den}", timeout=10) == (
         0, f"2/{den}\n", "")
+
+
+def test_dense_orbit_at_the_step_bound_in_a_fresh_interpreter():
+    # one rolled window over the dense word, read in chunks, and a search of
+    # the rest of it for the last cells
+    code, out, err = _fresh_cli("verify", "--system", "tent", "--property", "dense-orbit",
+                                "--steps", "1000000", "--resolution", "16", timeout=60)
+    assert (code, err) == (0, "")
+    assert '"full_coverage_step": 794612,' in out
 
 
 def test_graph_orbit_into_a_two_word_node_fiber(capsys, k3_file):

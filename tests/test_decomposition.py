@@ -44,11 +44,11 @@ from symchaos.words import (
     dyadic_twin,
     parse_word,
     periodic_words,
-    prepend_bits,
     shift_map,
     word_value,
 )
 
+from prefixed import prepend_bits
 from value_cells import point_cells
 
 W = parse_word

@@ -723,24 +723,34 @@ def test_constant_control_maps_each_decoded_point_at_most_twice(value):
     assert 0 < len(calls) <= 2 * blocks
 
 
-def _orbit_oracle(target, steps, resolution):
-    """(params, witnesses) from one window_int read per generator step."""
+def _oracle_marks(target, resolution):
+    """The cell, (arc, j) on a graph and j on the interval, that each
+    generator step marks, from one window_int read per step."""
     system = target.space if isinstance(target.space, GraphSystem) else None
     r = system.spec.r if system else 1
     width = r - 1 + resolution + 2
-    cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
-             if system else list(range(1 << resolution)))
-    covered, full_at, sw = set(), None, StreamWord()
-    for n in range(steps):
+    sw = StreamWord()
+    while True:
         bits = format(sw.window_int(width), f"0{width}b")
         ones = len(bits[:r - 1]) - len(bits[:r - 1].lstrip("1"))
         arc, skip = (ones + 1, ones + 1) if ones < r - 1 else (r, r - 1)
         j = int(bits[skip:skip + resolution], 2)
-        covered.add((arc, j) if system else j)
+        yield (arc, j) if system else j
+        sw = target.stream_step(sw)
+
+
+def _orbit_oracle(target, steps, resolution):
+    """(params, witnesses) from one window_int read per generator step."""
+    system = target.space if isinstance(target.space, GraphSystem) else None
+    r = system.spec.r if system else 1
+    cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
+             if system else list(range(1 << resolution)))
+    covered, full_at = set(), None
+    for n, cell in zip(range(steps), _oracle_marks(target, resolution)):
+        covered.add(cell)
         if len(covered) == len(cells):
             full_at = n
             break
-        sw = target.stream_step(sw)
     missing = [c for c in cells if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(cells) - len(missing), "cells": len(cells),
@@ -793,6 +803,94 @@ def test_dense_orbit_at_the_step_bound(target, steps, resolution, params, witnes
     report = dense_orbit_coverage(target, steps, resolution)
     assert report.params == {"steps": steps, "resolution": resolution, **params}
     assert report.witnesses == witnesses
+
+
+def _switched(monkeypatch, target, steps, resolution):
+    """(params, witnesses) of the dense orbit rolled to its end (no search),
+    with the real switch, and searched from the first marked cell on."""
+    reports = []
+    for patterns in (0, verifier._SEARCH_PATTERNS, 1 << 40):
+        monkeypatch.setattr(verifier, "_SEARCH_PATTERNS", patterns)
+        report = dense_orbit_coverage(target, steps, resolution)
+        reports.append((report.params, report.witnesses))
+    return reports
+
+
+@pytest.mark.parametrize("target,steps,resolution", ORBIT_CASES,
+                         ids=[f"{t.name}-{s}/{res}" for t, s, res in ORBIT_CASES])
+def test_dense_orbit_search_matches_rolling(monkeypatch, target, steps, resolution):
+    rolled, real, searched = _switched(monkeypatch, target, steps, resolution)
+    assert rolled == real == searched
+
+
+def _arcs(rng, r):
+    """A graph of r arcs between 1-4 nodes drawn with replacement."""
+    nodes = [f"v{k}" for k in range(rng.randint(1, 4))]
+    arcs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(r)]
+    lines = [f"node {v}" for v in sorted({v for arc in arcs for v in arc})]
+    lines += [f"arc E{i} {tail} {head}" for i, (tail, head) in enumerate(arcs, start=1)]
+    return graph_target(graph_system(parse_graph("\n".join(lines))), f"r{r}")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dense_orbit_search_matches_rolling_on_random_graphs(monkeypatch, seed):
+    import random
+
+    rng = random.Random(seed)
+    target, resolution = _arcs(rng, rng.randint(2, 8)), rng.randint(1, 10)
+    steps = rng.choice([rng.randint(1, 300), rng.randint(300, 30000)])
+    rolled, real, searched = _switched(monkeypatch, target, steps, resolution)
+    assert rolled == real == searched
+    assert rolled == _orbit_oracle(target, steps, resolution)
+
+
+PATH5 = graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(6))
+    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, 6)))), "path5")
+
+
+@pytest.mark.parametrize("target,resolution,full_at", [
+    (tent_target(), 8, 1308), (tent_target(), 5, 79), (baker_target(), 8, 2555),
+    (GRAPH_TARGETS[0], 6, 2555), (PATH5, 4, 2555),
+], ids=["tent-8", "tent-5", "baker-8", "k3-6", "path5-4"])
+@pytest.mark.parametrize("patterns", [0, None, 1 << 40], ids=["rolled", "real", "searched"])
+def test_dense_orbit_end_bound(monkeypatch, target, resolution, full_at, patterns):
+    # f steps (0 .. f-1) miss exactly the cells that step f marks first; one
+    # more step covers them, and the report says f
+    if patterns is not None:
+        monkeypatch.setattr(verifier, "_SEARCH_PATTERNS", patterns)
+    short = dense_orbit_coverage(target, full_at, resolution)
+    params = _orbit_oracle(target, full_at + 1, resolution)[0]
+    assert params["full_coverage_step"] == full_at
+    last = _orbit_oracle(target, full_at, resolution)[1]
+    assert short.verdict == "fail" and short.witnesses == last
+    window = _orbit_iterate(target, full_at).window_int(target.space.r - 1 + resolution)
+    assert [target.space.cell_json(target.space.split_window(window, resolution))] == last
+    done = dense_orbit_coverage(target, full_at + 1, resolution)
+    assert done.verdict == "pass"
+    assert done.params == params and done.params["full_coverage_step"] == full_at
+
+
+@pytest.mark.parametrize("target,resolution", [
+    (tent_target(), 5), (baker_target(), 5), (GRAPH_TARGETS[0], 4), (PATH5, 3),
+], ids=["tent-5", "baker-5", "k3-4", "path5-3"])
+@pytest.mark.parametrize("patterns", [None, 1 << 40], ids=["real", "searched"])
+def test_dense_orbit_end_bound_of_each_cell(monkeypatch, target, resolution, patterns):
+    # a cell that step f marks first is missing in f steps and covered in
+    # f + 1, on every arc: the last cell's pattern fills the whole window,
+    # so only a shorter one tests the search's end bound
+    if patterns is not None:
+        monkeypatch.setattr(verifier, "_SEARCH_PATTERNS", patterns)
+    space, first = target.space, {}
+    for n, cell in zip(range(10 ** 4), _oracle_marks(target, resolution)):
+        first.setdefault(cell, n)
+    cells = verifier._all_cells(space, resolution)
+    assert len(first) == len(cells)
+    for cell, f in first.items():
+        shown = space.cell_json(cell if isinstance(cell, tuple) else (1, cell))
+        if f:  # at least one step is taken
+            assert shown in dense_orbit_coverage(target, f, resolution).witnesses
+        assert shown not in dense_orbit_coverage(target, f + 1, resolution).witnesses
 
 
 def test_lemma6_at_the_step_bound():

@@ -25,13 +25,14 @@ from symchaos.words import (
     parse_word,
     periodic_words,
     prefix_int,
-    prepend_bits,
     r_inverse,
     r_map,
     shift_map,
     word_metric,
     word_value,
 )
+
+from prefixed import prepend_bits
 
 try:
     from sympy import factorint
