@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
-from .words import MAX_BITS, Word, _quote, _within, bits_of, c_map, r_map, shift_map
+from .words import MAX_BITS, MAX_STEPS, Word, _quote, _within, bits_of, c_map, r_map, shift_map
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    _within(**{"--steps": (args.steps, 0, 10 ** 6)})
+    _within(**{"--steps": (args.steps, 0, MAX_STEPS)})
     # a start off the unit interval is an input error before any row is printed
     orbit = _iterate(EVAL_SYSTEMS[args.system], interval.as_unit(args.x), args.steps)
     _exactly(_print_rows, ({"step": step, "num": x.numerator, "den": x.denominator,
@@ -192,7 +192,7 @@ def _graph_row(sys_: graphs.GraphSystem, step: int, pt: graphs.GraphPoint) -> di
 
 
 def _cmd_graph_orbit(args) -> int:
-    _within(**{"--steps": (args.steps, 0, 10 ** 6)})
+    _within(**{"--steps": (args.steps, 0, MAX_STEPS)})
     sys_ = _load_graph(args.file)
     orbit = _iterate(lambda pt: graphs.graph_map(sys_, pt),
                      _parse_start(sys_, args.start), args.steps)
@@ -302,8 +302,9 @@ def _signed(argv: List[str]) -> List[str]:
     """argv with each negative value of a command's rational option joined
     to it ('--x -1/3' as '--x=-1/3'): argparse reads a lone word that starts
     '-' and a digit or '.' as an option unless it is a plain integer or
-    decimal.  Words after '--', and argv of no command, are left as they
-    are."""
+    decimal.  An option may be named, as argparse reads it, by a '--' prefix
+    of one option name alone ('--e' for '--eta').  Words after '--', and
+    argv of no command, are left as they are."""
     if not argv or argv[0] not in _COMMANDS:
         return argv
     options = _command_parser(argv[0])._option_string_actions
@@ -311,7 +312,11 @@ def _signed(argv: List[str]) -> List[str]:
     for k, word in enumerate(argv[1:], start=1):
         if joined[-1] == "--":
             return joined + argv[k:]
-        action = options.get(joined[-1])
+        name = joined[-1]
+        if name not in options and name.startswith("--"):
+            found = [option for option in options if option.startswith(name)]
+            name = found[0] if len(found) == 1 else name
+        action = options.get(name)
         if (action is not None and action.type is _fraction and len(word) > 1
                 and word[0] == "-" and word[1] in "0123456789."):
             joined[-1] += "=" + word

@@ -31,16 +31,13 @@ __all__ = [
 
 def Fiber(words: Iterable[Word]) -> Tuple[Word, ...]:
     """The fiber of a nonempty finite set of Words encoding one space point:
-    the tuple of its words deduplicated and in (preperiod, period)
-    lexicographic order, so fibers compare and hash as sets.  A codec that
-    knows its words' order builds the tuple itself."""
-    words = tuple(words)
+    the tuple of its words deduplicated (the first of equal words kept) and
+    in (preperiod, period) lexicographic order, so fibers compare and hash
+    as sets.  A codec that knows its words' order builds the tuple itself."""
+    words = set(words)
     if not words:
         raise ValueError("fiber must be nonempty")
-    if len(words) == 2:  # one == and one < dedupe and order a pair, with no hash
-        a, b = words
-        words = (a,) if a == b else (b, a) if b < a else words
-    return words if len(words) < 3 else tuple(sorted(set(words)))
+    return tuple(sorted(words))
 
 
 class Codec(Protocol):
@@ -69,8 +66,6 @@ class Codec(Protocol):
     def fiber_of(self, word: Word) -> Tuple[Word, ...]: ...
 
     def point_json(self, point): ...
-
-    def stream_excludes_all(self, sw: StreamWord, cells: Set, precision: int) -> bool: ...
 
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         """Cell (arc, window) addressed by the packed first r-1+precision bits."""

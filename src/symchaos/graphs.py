@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
-from .words import (Word, _expansions, _order_of_two, _quote, _show, as_unit, drop_bits,
-                    prefix_int, shift_map, with_twin, word_metric, word_value)
+from .words import (Word, _expansions, _order_of_two, _quote, _show, as_unit, prefix_int,
+                    shift_map, with_twin, word_metric, word_value)
 
 __all__ = [
     "GraphError",
@@ -202,20 +202,21 @@ class GraphSystem:
         raise TypeError(f"not a graph point: {point!r}")
 
     def decode(self, word: Word) -> GraphPoint:
-        """Point addressed by a word; endpoint parameters collapse to nodes."""
-        i, t = self._locate(word)
-        return self.point_at(i, word_value(t))
+        """Point addressed by a word, the value (c + t) / 2^s for its arc's
+        prefix (s, c) read back as t; endpoint parameters collapse to nodes."""
+        i, s, c = self._arc(word)
+        return self.point_at(i, word_value(word) * 2 ** s - c)
 
     def addresses(self, word: Word, point: GraphPoint) -> bool:
-        """decode(word) == point on integers: a node is the end that point_at
-        gives the parameter 0 or 1 (the words 0^inf and 1^inf).  An interior
-        point (i, t) is the value (c + t) / 2^s, for arc i's prefix (s, c),
-        cross-multiplied: t lies strictly inside the prefix's cylinder, and
-        the cylinders partition sequence space, so the value decides the arc
-        too."""
+        """decode(word) == point on integers: a node is the arc end that
+        point_at gives the constant tail (0 or 1) after at most the prefix's
+        bits.  An interior point (i, t) is the value (c + t) / 2^s, for arc i's
+        prefix (s, c), cross-multiplied: t lies strictly inside the prefix's
+        cylinder, and the cylinders partition sequence space, so the value
+        decides the arc too."""
         if isinstance(point, Node):
-            i, t = self._locate(word)
-            return t.pre_len == 0 and t.q == 1 and self.point_at(i, t.s) == point
+            i, s, _ = self._arc(word)
+            return word.q == 1 and word.pre_len <= s and self.point_at(i, word.s) == point
         if not 0 < point.arc <= self.r:
             return False
         s, c = self.prefixes[point.arc - 1]
@@ -224,19 +225,19 @@ class GraphSystem:
         return (word.pre * q + word.s) * d << s == (c * d + n) * q << word.pre_len
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]:
-        """The fiber of a word's point: a node's fiber at a node (the
-        parameter 0^inf or 1^inf), else the word and its dyadic twin, if any,
-        which keeps the arc prefix."""
+        """The fiber of a word's point: a node's fiber at an arc end (a
+        constant tail after at most the prefix's bits), else the word and its
+        dyadic twin, if any, which keeps the arc prefix."""
         if word.q == 1:
-            i, t = self._locate(word)
-            if t.pre_len == 0:
-                return self.encode(self.point_at(i, t.s))
+            i, s, _ = self._arc(word)
+            if word.pre_len <= s:
+                return self.encode(self.point_at(i, word.s))
         return with_twin(word)
 
-    def _locate(self, word: Word) -> Tuple[int, Word]:
-        """The arc a word addresses, and the word of its parameter."""
-        i, skip = _arc_address(prefix_int(word, self.r - 1), self.r)
-        return i, drop_bits(word, skip)
+    def _arc(self, word: Word) -> Tuple[int, int, int]:
+        """The arc a word addresses, and that arc's prefix (s, c)."""
+        i = _arc_address(prefix_int(word, self.r - 1), self.r)
+        return (i, *self.prefixes[i - 1])
 
     def point_json(self, point: GraphPoint):
         if isinstance(point, Node):
@@ -252,14 +253,14 @@ class GraphSystem:
             return Node(arc.tail)
         if t == 1:
             return Node(arc.head)
-        return Interior(i, t)
+        return Interior._at(i, t)
 
     def split_window(self, x: int, precision: int) -> Tuple[int, int]:
         """Arc index and parameter window addressed by the packed first
         r-1+precision bits of a sequence (first bit most significant)."""
         r = self.r
-        arc, skip = _arc_address(x >> precision, r)
-        return arc, (x >> (r - 1 - skip)) & ((1 << precision) - 1)
+        arc = _arc_address(x >> precision, r)
+        return arc, (x >> (r - 1 - self.prefixes[arc - 1][0])) & ((1 << precision) - 1)
 
     def cell_json(self, cell: Tuple[int, int]) -> dict:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
@@ -276,13 +277,10 @@ class GraphSystem:
     stream_excludes_all = stream_excludes_all
 
 
-def _arc_address(lead: int, r: int) -> Tuple[int, int]:
+def _arc_address(lead: int, r: int) -> int:
     """Arc index addressed by the first r-1 bits of a sequence (packed, first
-    bit most significant), and how many of those bits its prefix takes: one
-    more than the leading 1s, and all r-1 bits on the last arc."""
-    zeros = ~lead & ((1 << (r - 1)) - 1)  # 0s among the r-1 lead bits
-    arc = r - zeros.bit_length()
-    return arc, min(arc, r - 1)
+    bit most significant): one more than the leading 1s."""
+    return r - (~lead & ((1 << (r - 1)) - 1)).bit_length()
 
 
 def graph_system(spec: GraphSpec) -> GraphSystem:

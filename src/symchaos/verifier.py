@@ -20,7 +20,7 @@ from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
 from .streams import StreamWord, orbit_windows, stream_c_step, stream_shift
-from .words import MAX_BITS, Word, _factorize, _within, as_unit, c_map, shift_map
+from .words import MAX_BITS, MAX_STEPS, Word, _factorize, _within, as_unit, c_map, shift_map
 
 __all__ = [
     "ChaosReport",
@@ -357,7 +357,7 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     left (one per cell under S, two under C) the rolling stops, and
     _first_steps finds the rest by searching the dense word's text."""
     started = time.monotonic()
-    _within(steps=(steps, 1, 10 ** 6), resolution=(resolution, 1, 16))
+    _within(steps=(steps, 1, MAX_STEPS), resolution=(resolution, 1, 16))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space, complementing = target.space, _complementing(target.induced)
@@ -449,7 +449,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     these spaces gives transitivity), and the report records that route.
     """
     started = time.monotonic()
-    _within(resolution=(resolution, 1, 8), horizon=(horizon, 1, 10 ** 6))
+    _within(resolution=(resolution, 1, 8), horizon=(horizon, 1, MAX_STEPS))
     if target.branches is None:
         report = dense_orbit_coverage(target, horizon, resolution)
         params = dict(report.params, route="dense-orbit")
@@ -592,7 +592,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     hold, for one call, what earlier walks computed; each starts over when
     it holds _MAX_MAPPED entries."""
     started = time.monotonic()
-    _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, 10 ** 6))
+    _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, MAX_STEPS))
     if not eta > 0:  # NaN too
         raise ValueError(f"eta must be positive, got {_show(eta)}")
     if not 0 < delta < 1:
@@ -695,7 +695,7 @@ def lemma6_commute_check(target: Target, max_period: int, orbit_steps: int) -> C
     So no step is checked, and orbit_steps is only validated and reported.
     """
     started = time.monotonic()
-    _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, 10 ** 6))
+    _within(max_period=(max_period, 1, MAX_BITS), orbit_steps=(orbit_steps, 0, MAX_STEPS))
     orbit_steps = operator.index(orbit_steps)  # no step is taken: refuse a non-integer here
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no induced symbolic system")

@@ -31,7 +31,6 @@ __all__ = [
     "with_twin",
     "periodic_words",
     "prefix_int",
-    "drop_bits",
 ]
 
 _WORD_RE = re.compile(r"^([01]*):([01]+)$")
@@ -39,8 +38,9 @@ _WORD_RE = re.compile(r"^([01]*):([01]+)$")
 _M64 = (1 << 64) - 1
 
 MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
+MAX_STEPS = 10 ** 6  # step cap: orbit and graph-orbit --steps, steps, horizon, orbit_steps
 
-_SHOWN_BOUNDS = {10 ** 6: "10^6", 1 << 12: "2^12"}
+_SHOWN_BOUNDS = {MAX_STEPS: "10^6", 1 << 12: "2^12"}
 
 _SHOWN_BITS = 256
 _QUOTED_CHARS = 256
@@ -410,12 +410,3 @@ def periodic_words(n: int) -> List[Word]:
     """All words fixed by the n-fold shift (period dividing n); 2^n of them."""
     _within(n=(n, 1, MAX_BITS))
     return [Word._from_packed(0, 0, n, seed) for seed in range(1 << n)]
-
-
-def drop_bits(w: Word, n: int) -> Word:
-    """n-fold shift in one step."""
-    s, q = w.s, w.q
-    if n <= w.pre_len:
-        return Word._tail(w.pre_len - n, w.pre & ((1 << (w.pre_len - n)) - 1), s, q)
-    # s/q shifted d times is s 2^d mod q; for q = 2^k - 1, the block rotated
-    return Word._tail(0, 0, s * pow(2, n - w.pre_len, q) % q if q > 1 else s, q)

@@ -860,6 +860,9 @@ NEGATIVE_VALUES = [
     ("fiber", "--x", "-1e3"),
     ("verify", "--system", "tent", "--property", "sensitivity", "--eta", "-1/3"),
     ("verify", "--system", "tent", "--property", "sensitivity", "--delta", "-1/3"),
+    # a unique '--' abbreviation names its option, as argparse reads it
+    ("verify", "--system", "tent", "--property", "sensitivity", "--e", "-1/3"),
+    ("verify", "--system", "tent", "--property", "sensitivity", "--del", "-1/3"),
 ]
 
 
@@ -877,7 +880,7 @@ def test_a_negative_rational_value_reads_as_its_joined_form(capsys, argv):
     ["eval", "--x", "--system"], ["eval", "--x", "-"], ["eval", "--x", "-x"],
     ["eval", "--system", "tent", "--", "--x", "-1/3"], ["orbit", "--eta", "-1/3"],
     ["verify", "--steps", "-5"], ["verify", "--x", "-1/3"],
-    ["eval", "--system", "-1/3"], ["fiber", "--x=-1/3", "-1/3"],
+    ["eval", "--system", "-1/3"], ["fiber", "--x=-1/3", "-1/3"], ["verify", "--s", "-1/3"],
 ], ids=repr)
 def test_only_a_rational_option_takes_a_negative_value_joined(argv):
     assert cli._signed(argv) == argv
@@ -933,17 +936,65 @@ def test_lemma6_at_its_caps_in_a_fresh_interpreter(k3_file, system):
     assert '"periodic_words": 33545716\n' in done.stdout
 
 
-def _fresh_cli(*argv, timeout, stdin=None):
-    """One symchaos command in a fresh interpreter: its exit code, stdout
-    and stderr."""
+def _fresh_python(*argv, timeout, stdin=None):
+    """python with these arguments in a fresh interpreter that imports this
+    symchaos: its exit code, stdout and stderr."""
     import os
     import subprocess
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run([sys.executable, "-m", "symchaos.cli", *argv], input=stdin,
+    done = subprocess.run([sys.executable, *argv], input=stdin,
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=src))
     return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_cli(*argv, timeout, stdin=None):
+    """One symchaos command in a fresh interpreter: its exit code, stdout
+    and stderr."""
+    return _fresh_python("-m", "symchaos.cli", *argv, timeout=timeout, stdin=stdin)
+
+
+def test_graph_periodic_density_at_the_max_period_bound(k3_file):
+    # counted, not enumerated: 2^25 words would not finish in a minute
+    code, out, err = _fresh_cli("verify", "--system", "graph", "--file", k3_file,
+                                "--property", "periodic-density", "--max-period", "24",
+                                "--resolution", "16", timeout=60)
+    assert (code, err) == (0, "")
+    assert '"periodic_points": 33545716,' in out
+
+
+def test_control_periodic_density_at_its_cap_in_a_fresh_interpreter():
+    # the rotation decodes each primitive block once, and its cells are
+    # searched as the induced systems' are
+    code = ("from symchaos.verifier import periodic_density, rotation_target\n"
+            "report = periodic_density(rotation_target(), 16, 8)\n"
+            "assert report.params['periodic_points'] == 130485 and report.passed(), "
+            "report.params\n")
+    assert _fresh_python("-c", code, timeout=60) == (0, "", "")
+
+
+def test_conjugacy_at_length_16():
+    # every prefix of twice the golden's length, with the exact summary
+    assert _fresh_cli("conjugacy", "--length", "16", timeout=60) == (
+        0, "length 16: 65536 prefixes checked, 65536 agree on 15 bits, 0 mismatches\n", "")
+
+
+def test_graph_orbit_at_scale_ends_where_the_closed_form_does(k3_file):
+    # every step goes through the fibers; the last row must be that of the
+    # closed form graph_step, iterated as many times
+    code, out, err = _fresh_cli("graph-orbit", "--file", k3_file, "--start", "E1:5/13",
+                                "--steps", "100000", timeout=60)
+    assert (code, err) == (0, "")
+    closed = ("from fractions import Fraction\n"
+              "from symchaos.graphs import Interior, graph_step, graph_system, parse_graph\n"
+              f"sys = graph_system(parse_graph(open({k3_file!r}).read()))\n"
+              "pt = Interior(1, Fraction(5, 13))\n"
+              "for _ in range(100000):\n"
+              "    pt = graph_step(sys, pt)\n"
+              "print(f'100000,{sys.spec.arc(pt.arc).id},{pt.t.numerator},{pt.t.denominator},"
+              "{float(pt.t)}')\n")
+    assert _fresh_python("-c", closed, timeout=60) == (0, out.splitlines()[-1] + "\n", "")
 
 
 def test_fiber_of_a_million_bit_period_prints_and_reads_back():

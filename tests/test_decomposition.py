@@ -60,6 +60,10 @@ def test_fiber_normalization():
     assert type(fib) is tuple and len(fib) == 2
     assert fib == (W("0:1"), W("1:0"))  # (pre, period) lex order
     assert fib == Fiber([W("0:1"), W("1:0")])
+    # of two equal words, the first is kept: 1/3 as 01^inf and as its value
+    first, same = W(":01"), Word._tail(0, 0, 3, 9)
+    assert first == same and Fiber([first, same])[0] is first
+    assert Fiber([same, first])[0] is same
     with pytest.raises(ValueError):
         Fiber([])
 

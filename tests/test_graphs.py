@@ -18,14 +18,17 @@ from symchaos.graphs import (
     graph_metric,
     graph_step,
     graph_system,
+    _arc_address,
     _hausdorff,
     lattice_far,
     lattice_point,
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
-from symchaos.words import Word, _pack, c_map, parse_word, prefix_int, shift_map
+from symchaos.words import (Word, _pack, bits_of, c_map, parse_word, prefix_int, shift_map,
+                            with_twin, word_value)
 
+from prefixed import drop_bits, prepend_bits
 from value_cells import point_cells
 
 W = parse_word
@@ -457,6 +460,61 @@ def test_addresses_of_every_word_at_every_point_is_decode(name):
             assert sys.addresses(w, point) == (image == point), (name, w, point)
         # an arc index that no word addresses
         assert not any(sys.addresses(w, Interior(i, F(1, 3))) for i in (0, -1, sys.r + 1))
+
+
+def _cycle(r):
+    """The cycle of r arcs (the loop when r = 1)."""
+    lines = [f"node v{k}" for k in range(r)]
+    lines += [f"arc E{k + 1} v{k} v{(k + 1) % r}" for k in range(r)]
+    return graph_system(parse_graph("\n".join(lines)))
+
+
+def _dropped_route(sys, w):
+    """A word's point, whether it is an arc end, and its fiber, by the rule
+    that copies the word with its prefix dropped: the arc i of its first r-1
+    bits, then the parameter word after the prefix's min(i, r-1) bits, an
+    arc end when that word is 0^inf or 1^inf."""
+    i = _arc_address(prefix_int(w, sys.r - 1), sys.r)
+    t = drop_bits(w, min(i, sys.r - 1))
+    point = sys.point_at(i, word_value(t))
+    end = t.pre_len == 0 and t.q == 1
+    return point, end, sys.encode(point) if end else with_twin(w)
+
+
+def _route_words(sys, rng):
+    """Eventually periodic words, on a drawn arc's prefix or on none;
+    eventually constant words with preperiods of up to r+5 bits, drawn and
+    led by each arc's prefix; and the prefixed expansions of a few
+    parameters, ends and dyadics among them, on every arc."""
+    words = []
+    for _ in range(200):
+        pre, per = rng.randrange(9), rng.randrange(1, 9)
+        w = Word._from_packed(pre, rng.getrandbits(pre), per, rng.getrandbits(per))
+        words.append(prepend_bits(w, *rng.choice(sys.prefixes)) if rng.random() < 0.5 else w)
+    for m in range(sys.r + 6):
+        for b in (0, 1):
+            pres = [rng.getrandbits(m) for _ in range(4)]
+            pres += [c << (m - s) | rng.getrandbits(m - s) if m >= s else c >> (s - m)
+                     for s, c in sys.prefixes]
+            words += [Word._from_packed(m, pre, 1, b) for pre in pres]
+    for t in (F(0), F(1), F(1, 2), F(3, 8), F(1, 3), F(5, 7)):
+        words += [prepend_bits(w, s, c) for s, c in sys.prefixes for w in bits_of(t)]
+    return words
+
+
+@pytest.mark.parametrize("sys", [graph_system(parse_graph(text)) for _, text in
+                                 sorted(EXAMPLE_GRAPHS.items())]
+                         + [_cycle(r) for r in (1, 2, 5, 9, 17)],
+                         ids=sorted(EXAMPLE_GRAPHS) + [f"cycle{r}" for r in (1, 2, 5, 9, 17)])
+def test_the_prefix_rule_reads_every_word_as_the_dropped_prefix_route(sys):
+    # decode, fiber_of and addresses at a node read a word through its arc's
+    # prefix (s, c) alone; the oracle copies the word with the prefix dropped
+    nodes = [Node(v) for v in sys.spec.nodes]
+    for w in _route_words(sys, random.Random(sys.r)):
+        point, end, fiber = _dropped_route(sys, w)
+        assert sys.decode(w) == point, (sys.spec, w)
+        assert sys.fiber_of(w) == fiber, (sys.spec, w)
+        assert [sys.addresses(w, v) for v in nodes] == [end and v == point for v in nodes]
 
 
 def test_lattice_point_builds_the_interior_point_of_a_key():

@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1741,10 +1742,14 @@ def consistent_targets(draw):
 def test_transitivity_of_a_consistent_target_never_misses(target, resolution, horizon):
     # each witness lies inside its lap's domain, so inside U, and the
     # target's own map carries it into V: the report is the Fraction lap
-    # route's, and no ArithmeticError is raised
-    report = transitivity_witness(target, resolution, horizon)
-    assert ((report.params, report.verdict, report.witnesses)
-            == _fraction_transitivity(target, resolution, horizon))
+    # route's, and no ArithmeticError is raised.  Both routes read the lap
+    # cap, held at 64: five branches of slope 3 or -3 at resolution 4 and
+    # horizon 12 fill any cap, and the Fraction route's time on such a draw
+    # grows with it; a cut then comes on more draws, not fewer
+    with mock.patch.object(verifier, "_MAX_PIECES", 64):
+        report = transitivity_witness(target, resolution, horizon)
+        assert ((report.params, report.verdict, report.witnesses)
+                == _fraction_transitivity(target, resolution, horizon))
 
 
 def test_transitivity_rejects_a_slope_that_is_not_an_integer():

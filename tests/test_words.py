@@ -20,7 +20,6 @@ from symchaos.words import (
     _rot_left,
     bits_of,
     c_map,
-    drop_bits,
     dyadic_twin,
     parse_word,
     periodic_words,
@@ -32,7 +31,7 @@ from symchaos.words import (
     word_value,
 )
 
-from prefixed import prepend_bits
+from prefixed import drop_bits, prepend_bits
 
 try:
     from sympy import factorint
