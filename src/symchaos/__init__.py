@@ -13,17 +13,9 @@ from .words import (
     bits_of,
     periodic_words,
 )
-from .streams import (
-    StreamWord,
-    stream_shift,
-    stream_c_step,
-    value_enclosure,
-)
 from .decomposition import (
     Fiber,
-    Violation,
     InducedSystem,
-    star_check,
     induced_apply,
     semiconjugacy_check,
 )
@@ -43,7 +35,6 @@ from .graphs import (
     Interior,
     Node,
     parse_graph,
-    graph_system,
     graph_map,
     graph_step,
     graph_metric,

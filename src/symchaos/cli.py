@@ -16,7 +16,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
-from .words import MAX_BITS, MAX_STEPS, Word, _quote, _within, bits_of, c_map, r_map, shift_map
+from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _show, _within, bits_of, c_map, r_map,
+                    shift_map)
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -36,8 +37,18 @@ VERIFY_PROPERTIES = {
 }
 
 
+# the largest decimal exponent a rational reads, checked before Fraction
+# builds 10^exponent (and before fiber searches a period of its 5s)
+MAX_EXPONENT = 10 ** 4
+
+
 def _fraction(text: str) -> Fraction:
+    head, e, exponent = text.replace("E", "e").rpartition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            Fraction(head + "e0")  # a text that is no rational is named as one first
+            raise argparse.ArgumentTypeError(
+                f"exponent {_show(int(exponent))} outside [-10^4, 10^4]")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit
@@ -125,9 +136,7 @@ def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:
 def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
     kind, _, rest = text.partition(":")
     if kind == "node":
-        if rest not in sys.spec.nodes:
-            raise graphs.GraphError(f"unknown node {_quote(rest)}")
-        return graphs.Node(rest)
+        return sys.node(rest)
     if not rest:
         raise graphs.GraphError(f"malformed start {_quote(text)}; expected ARC:p/q or node:ID")
     return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))

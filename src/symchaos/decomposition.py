@@ -18,13 +18,10 @@ from .words import Word, prefix_int
 
 __all__ = [
     "Fiber",
-    "Violation",
     "InducedSystem",
-    "star_check",
     "induced_apply",
     "induced_point",
     "semiconjugacy_check",
-    "stream_excludes_all",
     "word_cells",
 ]
 

@@ -27,7 +27,6 @@ __all__ = [
     "Node",
     "GraphSystem",
     "parse_graph",
-    "graph_system",
     "graph_map",
     "graph_step",
     "graph_metric",
@@ -158,7 +157,8 @@ def parse_graph(text: str) -> GraphSpec:
 
 
 class GraphSystem:
-    """A graph together with its address codec and induced shift map."""
+    """A graph together with its address codec and induced shift map.  Each
+    node's fiber, one eventually constant word per arc end at it, is built once."""
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
@@ -167,11 +167,16 @@ class GraphSystem:
         self.prefixes: List[Tuple[int, int]] = (
             [(i, (1 << i) - 2) for i in range(1, r)] + [(r - 1, (1 << (r - 1)) - 1)])
         self._arc_index: Dict[str, int] = {a.id: i + 1 for i, a in enumerate(spec.arcs)}
-        # (arc, parameter 0 or 1) of every arc end at each node
-        self._ends: Dict[str, List[Tuple[int, int]]] = {v: [] for v in spec.nodes}
-        for i, arc in enumerate(spec.arcs, start=1):
-            self._ends[arc.tail].append((i, 0))
-            self._ends[arc.head].append((i, 1))
+        # a node's words: each arc's prefix, then 0s at its tail and 1s at its head
+        ends: Dict[str, List[Word]] = {v: [] for v in spec.nodes}
+        for (s, c), arc in zip(self.prefixes, spec.arcs):
+            ends[arc.tail].append(Word._tail(s, c, 0, 1))
+            ends[arc.head].append(Word._tail(s, c, 1, 1))
+        for v, words in ends.items():
+            if not words:
+                raise GraphError(f"node {_quote(v)} has no incident arcs")
+        self._node_fibers = {v: Fiber(words) for v, words in ends.items()}
+        self._end_fibers = {w: fib for fib in self._node_fibers.values() for w in fib}
         # the nodes, then the midpoints of arcs 1 and r
         self.exceptional: Tuple[GraphPoint, ...] = (
             *map(Node, spec.nodes), *(Interior(i, HALF) for i in sorted({1, r})))
@@ -184,39 +189,39 @@ class GraphSystem:
         except KeyError:
             raise GraphError(f"unknown arc {_quote(arc_id)}") from None
 
+    def node(self, node_id: str) -> Node:
+        if node_id not in self._node_fibers:
+            raise GraphError(f"unknown node {_quote(node_id)}")
+        return Node(node_id)
+
     # -- codec protocol -------------------------------------------------
 
     def encode(self, point: GraphPoint) -> Tuple[Word, ...]:
         """All address words of a point: prefixed expansions for an interior
-        point, one eventually constant word per incident arc end for a node."""
+        point; for a node, its fiber, built once with the graph."""
         if isinstance(point, Interior):
             self.spec.arc(point.arc)  # an index out of range raises
             return _expansions(*point.t.as_integer_ratio(), *self.prefixes[point.arc - 1])
         if isinstance(point, Node):
-            if point.id not in self.spec.nodes:
-                raise GraphError(f"unknown node {_quote(point.id)}")
-            words = [Word._tail(*self.prefixes[i - 1], t, 1) for i, t in self._ends[point.id]]
-            if not words:
-                raise GraphError(f"node {_quote(point.id)} has no incident arcs")
-            return Fiber(words)
+            self.node(point.id)  # an unknown id raises
+            return self._node_fibers[point.id]
         raise TypeError(f"not a graph point: {point!r}")
 
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word, the value (c + t) / 2^s for its arc's
         prefix (s, c) read back as t; endpoint parameters collapse to nodes."""
-        i, s, c = self._arc(word)
+        i = _arc_address(prefix_int(word, self.r - 1), self.r)
+        s, c = self.prefixes[i - 1]
         return self.point_at(i, word_value(word) * 2 ** s - c)
 
     def addresses(self, word: Word, point: GraphPoint) -> bool:
-        """decode(word) == point on integers: a node is the arc end that
-        point_at gives the constant tail (0 or 1) after at most the prefix's
-        bits.  An interior point (i, t) is the value (c + t) / 2^s, for arc i's
-        prefix (s, c), cross-multiplied: t lies strictly inside the prefix's
-        cylinder, and the cylinders partition sequence space, so the value
-        decides the arc too."""
+        """decode(word) == point on integers: a node is addressed by the words
+        of its fiber.  An interior point (i, t) is the value (c + t) / 2^s, for
+        arc i's prefix (s, c), cross-multiplied: t lies strictly inside the
+        prefix's cylinder, and the cylinders partition sequence space, so the
+        value decides the arc too."""
         if isinstance(point, Node):
-            i, s, _ = self._arc(word)
-            return word.q == 1 and word.pre_len <= s and self.point_at(i, word.s) == point
+            return word in self._node_fibers.get(point.id, ())
         if not 0 < point.arc <= self.r:
             return False
         s, c = self.prefixes[point.arc - 1]
@@ -225,19 +230,10 @@ class GraphSystem:
         return (word.pre * q + word.s) * d << s == (c * d + n) * q << word.pre_len
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]:
-        """The fiber of a word's point: a node's fiber at an arc end (a
-        constant tail after at most the prefix's bits), else the word and its
+        """The fiber of a word's point: a node's fiber at an arc end (a word
+        of constant tail is looked up among them), else the word and its
         dyadic twin, if any, which keeps the arc prefix."""
-        if word.q == 1:
-            i, s, _ = self._arc(word)
-            if word.pre_len <= s:
-                return self.encode(self.point_at(i, word.s))
-        return with_twin(word)
-
-    def _arc(self, word: Word) -> Tuple[int, int, int]:
-        """The arc a word addresses, and that arc's prefix (s, c)."""
-        i = _arc_address(prefix_int(word, self.r - 1), self.r)
-        return (i, *self.prefixes[i - 1])
+        return (word.q == 1 and self._end_fibers.get(word)) or with_twin(word)
 
     def point_json(self, point: GraphPoint):
         if isinstance(point, Node):
@@ -297,9 +293,7 @@ def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced map in closed form: lattice_step on the lattice of the
     parameter's own denominator."""
     if isinstance(point, Node):
-        if point.id not in sys._ends:
-            raise GraphError(f"unknown node {_quote(point.id)}")
-        return point
+        return sys.node(point.id)
     sys.spec.arc(point.arc)  # an index out of range raises
     q = point.t.denominator
     return lattice_point(lattice_step(sys, (point.arc, point.t.numerator), q), q)
@@ -387,9 +381,8 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key],
     frames = [(c, lead + k - s) for s, c in sys.prefixes]
 
     def words(key: Key) -> List[int]:
-        if isinstance(key, Node):  # the prefix, then 0s at end 0 and 1s at end 1
-            return [((frames[i - 1][0] + end) << frames[i - 1][1]) - end
-                    for i, end in sys._ends[key.id]]
+        if isinstance(key, Node):
+            return [prefix_int(w, lead + k) for w in sys._node_fibers[key.id]]
         i, n = key
         c, rest = frames[i - 1]
         m = (c << rest) | (n << rest) // q

@@ -30,13 +30,8 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Tuple
 
 __all__ = [
-    "StreamWord",
     "orbit_windows",
-    "dense_prefix",
     "dense_bit",
-    "stream_shift",
-    "stream_c_step",
-    "value_enclosure",
 ]
 
 

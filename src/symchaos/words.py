@@ -59,11 +59,13 @@ def _show(x) -> str:
 
 
 def _quote(text: str) -> str:
-    """A caller's text for a message: its repr, or once it is longer than
-    _QUOTED_CHARS characters, the repr of those and its length."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+    """A caller's text for a message: its repr, or once the text passes
+    _QUOTED_CHARS characters or its repr passes as many UTF-8 bytes (and
+    its quotes), the repr of the longest head that does not, and its length."""
+    head = text[:_QUOTED_CHARS]
+    while len(repr(head).encode()) > _QUOTED_CHARS + 2:
+        head = head[:-1]
+    return repr(text) if head == text else f"{head!r}... ({len(text)} characters)"
 
 
 def as_unit(y) -> Fraction:
@@ -172,9 +174,13 @@ class Word:
         self.period_len, self.period = k, s
         return object.__getattribute__(self, name)
 
-    def __str__(self) -> str:
+    def _texts(self) -> Tuple[str, str]:
+        """The preperiod and the period as bit text, first bit first."""
         pre = format(self.pre, f"0{self.pre_len}b") if self.pre_len else ""
-        return f"{pre}:{self.period:0{self.period_len}b}"
+        return pre, format(self.period, f"0{self.period_len}b")
+
+    def __str__(self) -> str:
+        return ":".join(self._texts())
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -195,23 +201,10 @@ class Word:
         return hash((self.pre_len, self.pre & _M64, (self.s << 64) // self.q))
 
     def __lt__(self, other: "Word") -> bool:
-        # (preperiod, period) lexicographic, bitstring order.
-        c = _cmp_bitstring(self.pre_len, self.pre, other.pre_len, other.pre)
-        if c != 0:
-            return c < 0
-        return _cmp_bitstring(self.period_len, self.period,
-                              other.period_len, other.period) < 0
-
-
-def _cmp_bitstring(len_a: int, a: int, len_b: int, b: int) -> int:
-    c = min(len_a, len_b)
-    head_a = a >> (len_a - c) if c else 0
-    head_b = b >> (len_b - c) if c else 0
-    if head_a != head_b:
-        return -1 if head_a < head_b else 1
-    if len_a != len_b:
-        return -1 if len_a < len_b else 1
-    return 0
+        # the order of the printed text: preperiod, then period
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self._texts() < other._texts()
 
 
 def _primitive(k: int, block: int) -> Tuple[int, int]:

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -10,6 +14,7 @@ from symchaos import cli, graphs, verifier
 from symchaos.cli import main
 from symchaos.graphs import EXAMPLE_GRAPHS, graph_map
 from symchaos.verifier import ChaosReport
+from symchaos.words import parse_word
 
 
 @pytest.fixture
@@ -687,8 +692,6 @@ def test_an_integer_option_is_read_from_ascii_digits_of_any_length(capsys, k3_fi
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     # every in-process call used to build the seven parsers again; then the
     # first call built all seven to run one command
-    import argparse
-
     built, full = [], []
     init, parser = argparse.ArgumentParser.__init__, cli._build_parser
 
@@ -821,9 +824,6 @@ def argvs(draw):
 
 def _parsed(parse, argv):
     """What parse(argv) returns or its exit code, with its stdout and stderr."""
-    import contextlib
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1070,3 +1070,183 @@ def test_import_loads_no_dataclasses_or_inspect():
             "               if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+# ------------------------------------------------- commands run on drawn input
+
+# ASCII digits and other Unicode decimal digits, which Fraction reads too
+DIGIT = st.sampled_from("0123456789٣٧३１")
+# exponents inside the bound, at it, past it, and past int()'s digit limit
+# (a point at 10^-10000 takes fiber about a second to refuse, and
+# test_a_decimal_exponent_is_read_up_to_its_bound reads it)
+EXPONENT = st.sampled_from(["0", "1", "-1", "+7", "-30", "-300", "5000", "10000", "10001",
+                            "-10001", "-999999999", "1" + "0" * 40, "-" + "9" * 5000, "1_0", ""])
+SPECIAL_NUMBERS = st.sampled_from(["nan", "-inf", "inf", "Infinity", "1/0", "0/0", " 1/2 ", "",
+                                   "e5", ".", "/", "½", "1/-2", "0x10", "1__0", "-0"])
+# text a message quotes, with no whitespace to split it: printable, escaped
+# and multi-byte characters, mixed or in runs up to past the quoted length
+QUOTED_CHAR = st.sampled_from("a_1\x00\x01é€😀\U000e0001'\"\\")
+QUOTED_TEXT = st.text(QUOTED_CHAR, max_size=300) | st.builds(
+    str.__mul__, QUOTED_CHAR, st.sampled_from([60, 120, 256, 257, 300]))
+POINT_TEXT = st.fractions(0, 1, max_denominator=10 ** 4).map(str)
+
+
+@st.composite
+def number_texts(draw):
+    """A rational as text in every form: p/q, a decimal, with an exponent
+    or both, signed or not, of short or long digit runs (at and past
+    int()'s digit limit), a special word, any text, or a point of [0, 1]."""
+    def digits():
+        if draw(st.integers(0, 5)) == 0:
+            return draw(DIGIT) * draw(st.sampled_from([300, 4301, 5000]))
+        return draw(st.text(DIGIT, min_size=1, max_size=6))
+
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    form = draw(st.integers(0, 6))
+    if form == 0:
+        return f"{sign}{digits()}/{digits()}"
+    if form == 1:
+        return f"{sign}{digits()}.{digits()}"
+    if form in (2, 3):
+        mantissa = digits() if form == 2 else f"{digits()}.{digits()}"
+        return f"{sign}{mantissa}{draw(st.sampled_from('eE'))}{draw(EXPONENT)}"
+    return draw([SPECIAL_NUMBERS, st.text(max_size=12) | QUOTED_TEXT, POINT_TEXT][form - 4])
+
+
+GRAPH_LINE = st.one_of(
+    st.sampled_from(["node a", "node b", "node c", "arc E1 a b", "arc E2 b c", "arc E3 c a",
+                     "arc E4 a a", "arc E5 b a", "# a comment", "", "node", "arc E1 a",
+                     "node a b", "nod a", "node a # b", "arc E6 a z"]),
+    st.builds("{} {}".format, st.sampled_from(["node", "arc E9 a", "#", ""]), QUOTED_TEXT),
+    st.text(max_size=20))
+
+
+@st.composite
+def graph_files(draw):
+    """A graph file: an example graph with a few drawn lines put in, or
+    drawn lines alone, mostly well formed, joined by a line break; or any
+    bytes."""
+    form = draw(st.integers(0, 3))
+    if form == 0:
+        return draw(st.binary(max_size=64))
+    lines = draw(st.lists(GRAPH_LINE, max_size=10 if form == 1 else 1))
+    if form > 1:
+        example = EXAMPLE_GRAPHS[draw(st.sampled_from(sorted(EXAMPLE_GRAPHS)))].splitlines()
+        lines = example + lines if form == 2 else lines + example
+    return draw(st.sampled_from(["\n", "\r\n", "\x85"])).join(lines).encode()
+
+
+STEPS = st.sampled_from(["0", "1", "2", "3"])
+ARC = st.sampled_from(["E1", "E2", "E5", "E9", "1", "2", "3", "0", ""])
+# settings whose names a message must not pass on to a user
+INTERPRETER_SETTINGS = ("int_max_str_digits", "INTMAXSTRDIGITS", "sys.set_", "recursion")
+
+
+def _run_command(argv, graph=None, path=None):
+    """main(argv) in-process, after writing the graph file: its exit code
+    (argparse's SystemExit too), stdout and stderr."""
+    if graph is not None:
+        with open(path, "wb") as fh:
+            fh.write(graph)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_run(argv, code, out, err):
+    """Exit 0, 1 or 2; stderr empty, or one line of under 400 bytes that
+    names no interpreter setting, after argparse's usage when it reports."""
+    assert code in (0, 1, 2), (argv, code, err)
+    usage = cli._command_parser(argv[0]).format_usage()
+    message = err[len(usage):] if err.startswith(usage) else err
+    assert message == "" or (message.endswith("\n") and message.count("\n") == 1), (argv, err)
+    assert len(message.encode()) < 400, (argv, message)
+    assert not any(name in message for name in INTERPRETER_SETTINGS), (argv, message)
+    assert (code == 0) == (err == ""), (argv, code, err)
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """int()'s digit limit lifted: the CLI prints an exact result of any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _rows(out, fmt):
+    """Orbit rows as the format reads them back."""
+    return json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(cli.EVAL_SYSTEMS)), number_texts(), st.booleans(), STEPS, FORMAT)
+def test_eval_and_orbit_on_drawn_numbers_exit_as_documented(system, x, orbit, steps, fmt):
+    argv = (["orbit", "--system", system, "--x", x, "--steps", steps, "--format", fmt] if orbit
+            else ["eval", "--system", system, "--x", x])
+    code, out, err = _run_command(argv)
+    _check_run(argv, code, out, err)
+    with _no_digit_limit():
+        if code == 0 and orbit:
+            rows = _rows(out, fmt)
+            assert [int(row["step"]) for row in rows] == list(range(int(steps) + 1))
+            assert all(0 <= Fraction(int(row["num"]), int(row["den"])) <= 1 for row in rows)
+        elif code == 0:
+            assert 0 <= Fraction(out.strip()) <= 1 and out.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def drawn_graph_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("drawn") / "drawn.graph")
+
+
+@settings(max_examples=150, deadline=None)
+@given(number_texts() | POINT_TEXT, st.one_of(st.none(), graph_files()), ARC)
+def test_fiber_on_drawn_numbers_and_graph_files_exits_as_documented(drawn_graph_path, x,
+                                                                     graph, arc):
+    argv = ["fiber", "--x", x]
+    if graph is not None:
+        argv += ["--file", drawn_graph_path, "--arc", arc]
+    code, out, err = _run_command(argv, graph, drawn_graph_path)
+    _check_run(argv, code, out, err)
+    if code == 0:
+        words = [parse_word(line) for line in out.splitlines()]
+        assert words and len(set(words)) == len(words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_files(), st.one_of(st.builds("{}:{}".format, ARC, number_texts() | POINT_TEXT),
+                                st.sampled_from(["node:a", "node:c", "node:z", "node:", "a"])),
+       STEPS, FORMAT)
+def test_graph_orbit_on_drawn_graph_files_exits_as_documented(drawn_graph_path, graph, start,
+                                                               steps, fmt):
+    argv = ["graph-orbit", "--file", drawn_graph_path, "--start", start, "--steps", steps,
+            "--format", fmt]
+    code, out, err = _run_command(argv, graph, drawn_graph_path)
+    _check_run(argv, code, out, err)
+    if code == 0:
+        with _no_digit_limit():
+            rows = _rows(out, fmt)
+        assert [int(row["step"]) for row in rows] == list(range(int(steps) + 1))
+
+
+@pytest.mark.parametrize("exponent,read", [("10000", True), ("-10000", True), ("+1_0000", True),
+                                           ("10001", False), ("-10001", False),
+                                           ("-999999999", False)])
+def test_a_decimal_exponent_is_read_up_to_its_bound(exponent, read):
+    text = f"0.5e{exponent}"
+    if read:
+        assert cli._fraction(text) == Fraction(1, 2) * Fraction(10) ** int(exponent)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError) as err:
+            cli._fraction(text)
+        assert str(err.value) == f"exponent {int(exponent)} outside [-10^4, 10^4]"
+    # a text that is no rational is named as one, whatever its exponent
+    with pytest.raises(argparse.ArgumentTypeError, match="^not a rational: "):
+        cli._fraction(f"0.5x{text}")

@@ -25,8 +25,8 @@ from symchaos.graphs import (
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
-from symchaos.words import (Word, _pack, bits_of, c_map, parse_word, prefix_int, shift_map,
-                            with_twin, word_value)
+from symchaos.words import (Word, _order_of_two, _pack, bits_of, c_map, parse_word, prefix_int,
+                            shift_map, with_twin, word_value)
 
 from prefixed import drop_bits, prepend_bits
 from value_cells import point_cells
@@ -515,6 +515,85 @@ def test_the_prefix_rule_reads_every_word_as_the_dropped_prefix_route(sys):
         assert sys.decode(w) == point, (sys.spec, w)
         assert sys.fiber_of(w) == fiber, (sys.spec, w)
         assert [sys.addresses(w, v) for v in nodes] == [end and v == point for v in nodes]
+
+
+def _ends(sys):
+    """(arc, parameter 0 or 1) of every arc end at each node, in arc order:
+    what the graph codec kept before it built the node fibers once."""
+    ends = {v: [] for v in sys.spec.nodes}
+    for i, arc in enumerate(sys.spec.arcs, start=1):
+        ends[arc.tail].append((i, 0))
+        ends[arc.head].append((i, 1))
+    return ends
+
+
+def _per_call_node_fiber(sys, v):
+    """A node's fiber as encode built it on every call: each arc end's
+    prefix, then its constant tail, sorted by Fiber."""
+    return Fiber([Word._tail(*sys.prefixes[i - 1], t, 1) for i, t in _ends(sys)[v]])
+
+
+def _prefix_length_end(sys, w):
+    """The node a word addresses by the prefix-length rule, else None: its
+    tail is constant after at most its arc prefix's bits."""
+    i = _arc_address(prefix_int(w, sys.r - 1), sys.r)
+    if w.q == 1 and w.pre_len <= sys.prefixes[i - 1][0]:
+        return sys.point_at(i, w.s)
+    return None
+
+
+def _lattice_frame(sys, q):
+    """k, the period of every word of the lattice of denominator q, and M,
+    its longest preperiod, as lattice_far works them out."""
+    e = (q & -q).bit_length() - 1
+    return (_order_of_two(q >> e) if q >> e > 1 else 1), sys.r - 1 + e
+
+
+def _packed_node_words(sys, q, v):
+    """lattice_far's words of node v, packed as their first M+k bits, by
+    the arithmetic it had: the arc prefix (s, c), then 0s at end 0 or 1s at
+    end 1, as ((c + end) << (M + k - s)) - end."""
+    k, lead = _lattice_frame(sys, q)
+    return [((sys.prefixes[i - 1][1] + end) << (lead + k - sys.prefixes[i - 1][0])) - end
+            for i, end in _ends(sys)[v]]
+
+
+# a loop, two parallel arcs and a second component
+MULTIGRAPH = ("node a\nnode b\nnode c\nnode d\n"
+              "arc E1 a b\narc E2 b a\narc E3 a a\narc E4 c d\narc E5 a b\n")
+
+
+@pytest.mark.parametrize(
+    "sys", [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
+    + [_cycle(r) for r in (1, 2, 5, 9, 17)] + [graph_system(parse_graph(MULTIGRAPH))]
+    + [random_graph(random.Random(seed)) for seed in range(12)],
+    ids=sorted(EXAMPLE_GRAPHS) + [f"cycle{r}" for r in (1, 2, 5, 9, 17)] + ["multigraph"]
+    + [f"random{seed}" for seed in range(12)])
+def test_the_node_tables_give_what_the_per_call_node_rules_gave(sys):
+    # encode, fiber_of, addresses and lattice_far read the node fibers built
+    # once; the oracles are the rules they replaced
+    nodes = [Node(v) for v in sys.spec.nodes]
+    for v in sys.spec.nodes:
+        assert sys.encode(Node(v)) == _per_call_node_fiber(sys, v), (sys.spec, v)
+    for w in _route_words(sys, random.Random(sys.r)):
+        end = _prefix_length_end(sys, w)
+        fiber = _per_call_node_fiber(sys, end.id) if end else with_twin(w)
+        assert sys.fiber_of(w) == fiber, (sys.spec, w)
+        assert [sys.addresses(w, v) for v in nodes] == [v == end for v in nodes], (sys.spec, w)
+    # lattice_far on two node keys, against the packed words' distance
+    # (x - (x >> k)) / ((2^k - 1) 2^M), x = a XOR b
+    for q in (2, 8, 6, 12, 1000, 3 * 4096):
+        k, lead = _lattice_frame(sys, q)
+        packed = {v.id: _packed_node_words(sys, q, v.id) for v in nodes}
+        for v in nodes:
+            assert sorted(packed[v.id]) == sorted(prefix_int(w, lead + k) for w in sys.encode(v))
+        for eta in (F(1, 8), F(1, 3)):
+            far = lattice_far(sys, q, eta)
+            for u in nodes:
+                for v in nodes:
+                    d = _hausdorff(packed[u.id], packed[v.id], lambda a, b: F(
+                        (a ^ b) - ((a ^ b) >> k), ((1 << k) - 1) << lead))
+                    assert far(u, v) == (d > eta), (sys.spec, q, eta, u, v)
 
 
 def test_lattice_point_builds_the_interior_point_of_a_key():

@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 import time
@@ -16,6 +17,7 @@ from symchaos.words import (
     _factorize,
     _order_of_two,
     _pack,
+    _quote,
     _repeat_block,
     _rot_left,
     bits_of,
@@ -133,6 +135,24 @@ def test_parse_quotes_a_long_text_by_its_length():
                               "expected bits in the form pre:period")
     with pytest.raises(ValueError, match="^malformed word '2:'; expected"):
         W("2:")
+
+
+@pytest.mark.parametrize("char", ["x", "\x00", "é", "€", "😀", "\U000e0001", "\\", "'"])
+@pytest.mark.parametrize("n", [1, 64, 256, 257, 5000])
+def test_a_quoted_text_is_at_most_256_characters_or_bytes(char, n):
+    # a message stays one short line: the repr of the longest head of at
+    # most 256 characters whose repr is at most 256 UTF-8 bytes in its quotes
+    text = char * n
+    shown = _quote(text)
+    suffix = f"... ({n} characters)"
+    quoted = shown[:-len(suffix)] if shown.endswith(suffix) else shown
+    head = ast.literal_eval(quoted)
+    assert text.startswith(head) and len(quoted.encode()) <= 258 and len(head) <= 256
+    assert (head == text) == (quoted == shown)
+    if head != text:  # one more character would pass a bound
+        assert len(head) == 256 or len(repr(text[:len(head) + 1]).encode()) > 258
+    if char == "x":  # plain text is quoted as before: 256 characters
+        assert shown == (repr(text) if n <= 256 else f"{text[:256]!r}{suffix}")
 
 
 def test_word_requires_nonempty_period():
@@ -473,6 +493,51 @@ def test_words_differing_only_above_bit_64_are_distinct_members():
             assert hash(a) == hash(b)
             assert a != b
             assert len({a, b}) == 2
+
+
+# ---------------------------------------------------------------- order
+
+def _order_key(w):
+    """The preperiod bits and the period bits, each a list read bit by bit:
+    lists compare as the printed text does, and a list that is a prefix of
+    the other sorts first."""
+    m = w.pre_len
+    return ([_bit(w, i) for i in range(1, m + 1)],
+            [_bit(w, m + j) for j in range(1, w.period_len + 1)])
+
+
+@given(bits_strategy(70), bits_strategy(70, min_len=1),
+       bits_strategy(70), bits_strategy(70, min_len=1))
+def test_words_order_as_their_bit_lists(pre_a, period_a, pre_b, period_b):
+    a, b = Word(pre_a, period_a), Word(pre_b, period_b)
+    assert (a < b) == (_order_key(a) < _order_key(b))
+    assert (b < a) == (_order_key(b) < _order_key(a))
+    assert sorted([a, b]) == sorted([a, b], key=_order_key)
+
+
+@pytest.mark.parametrize("short,long", [
+    ("1:0", "10:1"), ("0:1", "01:0"), (":01", ":011"), ("0:01", "0:011"),
+    ("0110:1", "01101:0"), ("1" * 69 + "0:1", "1" * 69 + "01:0"),
+    (":" + "0" * 68 + "1", ":" + "0" * 68 + "11"),
+], ids=repr)
+def test_a_bit_string_sorts_before_its_extensions(short, long):
+    a, b = W(short), W(long)
+    assert (str(a), str(b)) == (short, long)  # both texts are canonical
+    assert a < b and not b < a
+    assert _order_key(a) < _order_key(b)
+    assert sorted([b, a]) == [a, b]
+
+
+def test_a_word_does_not_order_against_a_non_word():
+    w = W("1:0")
+    assert w.__lt__(5) is NotImplemented
+    with pytest.raises(TypeError):
+        w < 5
+    with pytest.raises(TypeError):
+        5 < w
+    for mixed in ([w, 5], [5, w]):
+        with pytest.raises(TypeError):
+            sorted(mixed)
 
 
 # ---------------------------------------------------------------- r map
