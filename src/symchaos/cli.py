@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional
 
 from . import graphs, interval, verifier
-from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _show, _within, bits_of, c_map, r_map,
+from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _rational, _within, bits_of, c_map, r_map,
                     shift_map)
 
 EVAL_SYSTEMS = {
@@ -37,24 +37,15 @@ VERIFY_PROPERTIES = {
 }
 
 
-# the largest decimal exponent a rational reads, checked before Fraction
-# builds 10^exponent (and before fiber searches a period of its 5s)
-MAX_EXPONENT = 10 ** 4
-
-
 def _fraction(text: str) -> Fraction:
-    head, e, exponent = text.replace("E", "e").rpartition("e")
     try:
-        if e and abs(int(exponent)) > MAX_EXPONENT:
-            Fraction(head + "e0")  # a text that is no rational is named as one first
-            raise argparse.ArgumentTypeError(
-                f"exponent {_show(int(exponent))} outside [-10^4, 10^4]")
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit
+        message = str(exc)
+        if message.startswith("Exceeds the limit"):  # int()'s digit limit
             message = (f"a {len(text)}-character number exceeds the "
                        f"{sys.get_int_max_str_digits():,}-digit limit")
-        else:
+        elif not message.startswith("exponent "):  # past MAX_EXPONENT, named as it is
             message = f"not a rational: {_quote(text)}"
         raise argparse.ArgumentTypeError(message) from exc
 
@@ -120,9 +111,10 @@ def _load_graph(path: str) -> graphs.GraphSystem:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise graphs.GraphError(f"cannot read {path}: {exc}") from exc
+        raise graphs.GraphError(f"cannot read {_quote(path)}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise graphs.GraphError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+        raise graphs.GraphError(
+            f"cannot read {_quote(path)}: not UTF-8 at byte {exc.start}") from None
     return graphs.GraphSystem(graphs.parse_graph(text))
 
 

@@ -70,10 +70,11 @@ class Codec(Protocol):
     def cell_json(self, cell: Tuple[int, int]) -> dict: ...
 
     def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, Callable, bool]:
-        """The space on the parameters n/q of each arc, keyed (arc, n): one
-        step of fmap (None on a graph) on a key, the test metric > eta on
-        two keys, the point of a key, and whether arc ends (n = 0 or q) may
-        be neighbours."""
+        """The space on the parameters n/q of each arc, each point keyed by
+        one int: (i - 1)(q + 1) + n for n/q on arc i (n on the interval), ~k
+        for node k of a graph.  One step of fmap (None on a graph) on a key,
+        the test metric > eta on two keys, the point of a key, and whether
+        arc ends (n = 0 or q) may be neighbours."""
 
 
 class Violation(NamedTuple):

@@ -268,7 +268,7 @@ class GraphSystem:
         if fmap is not None:
             raise ValueError("a graph steps by its induced map; it takes no fmap")
         return (lambda key: lattice_step(self, key, q), lattice_far(self, q, eta),
-                lambda key: lattice_point(key, q), False)
+                lambda key: lattice_point(self, key, q), False)
 
     stream_excludes_all = stream_excludes_all
 
@@ -295,47 +295,44 @@ def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     if isinstance(point, Node):
         return sys.node(point.id)
     sys.spec.arc(point.arc)  # an index out of range raises
-    q = point.t.denominator
-    return lattice_point(lattice_step(sys, (point.arc, point.t.numerator), q), q)
+    n, q = point.t.as_integer_ratio()
+    return lattice_point(sys, lattice_step(sys, (point.arc - 1) * (q + 1) + n, q), q)
 
 
-# A lattice key names a point whose parameter is a multiple of 1/q: (i, n)
-# for the interior point n/q of arc i (0 < n < q), else the node itself.
-Key = Union[Tuple[int, int], Node]
+# A lattice key is one int: (i - 1)(q + 1) + n for the point n/q of arc i
+# (0 < n < q), and ~k, a negative int, for node k of spec.nodes.
 
 
-def lattice_point(key: Key, q: int) -> GraphPoint:
+def lattice_point(sys: GraphSystem, key: int, q: int) -> GraphPoint:
     """The point of a key, its parameter read from the integers n and q."""
-    if isinstance(key, Node):
-        return key
-    i, n = key
-    if not 0 < n < q:  # off the open arc: Interior raises its own error
-        return Interior(i, Fraction(n, q))
-    return Interior._at(i, Fraction(n, q))
+    if key < 0:
+        return Node(sys.spec.nodes[~key])
+    i, n = divmod(key, q + 1)  # off the open arc, Interior raises its own error
+    return (Interior._at if 0 < n < q else Interior)(i + 1, Fraction(n, q))
 
 
-def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
+def lattice_step(sys: GraphSystem, key: int, q: int) -> int:
     """The arc-ladder map on a key of the lattice of denominator q: it only
-    doubles or shifts parameters, so the image is on the same lattice.  Nodes and the midpoints of arcs 1 and r
-    are pinned.  On the loop (r = 1) it doubles mod 1; arc i (1 < i < r)
-    steps down to arc i-1; the last arc doubles into arc r-1 below 1/2 and
-    into itself above.  On arc 1 (r > 1), with j the leading 1s of the
-    parameter's larger expansion (at most r-1), the point moves to arc j+1
-    and drops j+1 bits (r-1 when j = r-1).  At t = 1 - 2^-j the two
-    expansions land on head(arc j) and tail(arc j+1): one node, or a star
-    failure, which the identity override holds fixed."""
-    if isinstance(key, Node):
+    doubles or shifts parameters, so the image is on the same lattice.  Nodes
+    and the midpoints of arcs 1 and r are pinned.  On the loop (r = 1) it
+    doubles mod 1; arc i (1 < i < r) steps down to arc i-1; the last arc
+    doubles into arc r-1 below 1/2 and into itself above.  On arc 1 (r > 1),
+    with j the leading 1s of the parameter's larger expansion (at most r-1),
+    the point moves to arc j+1 and drops j+1 bits (r-1 when j = r-1).  At
+    t = 1 - 2^-j the two expansions land on head(arc j) and tail(arc j+1):
+    one node, or a star failure, which the identity override holds fixed."""
+    if key < 0:
         return key
-    i, n = key
-    r = sys.r
-    if 2 * n == q and (i == 1 or i == r):
+    r, stride = sys.r, q + 1
+    i, n = divmod(key, stride)  # on arc i + 1
+    if 2 * n == q and (i == 0 or i == r - 1):
         return key
     if r == 1:
-        return 1, 2 * n % q
-    if i == r:
-        return (r - 1, 2 * n) if 2 * n < q else (r, 2 * n - q)
-    if i > 1:
-        return i - 1, n
+        return 2 * n % q
+    if i == r - 1:
+        return (i - 1) * stride + 2 * n if 2 * n < q else key + n - q
+    if i:
+        return key - stride
     # j is the largest j <= r-1 with t >= 1 - 2^-j, that is (q - n) 2^j <= q
     gap = q - n
     j = q.bit_length() - gap.bit_length()
@@ -345,9 +342,9 @@ def lattice_step(sys: GraphSystem, key: Key, q: int) -> Key:
     d = min(j + 1, r - 1)
     m = (n << d) - q * ((1 << d) - (1 << d - j))
     if m:
-        return j + 1, m
+        return j * stride + m
     tail, head = sys.spec.arcs[j].tail, sys.spec.arcs[j - 1].head
-    return Node(tail) if tail == head else key
+    return ~sys.spec.nodes.index(tail) if tail == head else key
 
 
 def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
@@ -362,7 +359,7 @@ def _hausdorff(a, b, d):
     return max(max(map(min, rows)), max(map(min, zip(*rows))))
 
 
-def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key], bool]:
+def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[int, int], bool]:
     """The test graph_metric > eta on keys of the lattice of denominator q.
 
     With q = 2^e q' (q' odd), every fiber word repeats with period k, the
@@ -380,11 +377,11 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key],
     # per arc: its prefix, and the count of bits that follow it
     frames = [(c, lead + k - s) for s, c in sys.prefixes]
 
-    def words(key: Key) -> List[int]:
-        if isinstance(key, Node):
-            return [prefix_int(w, lead + k) for w in sys._node_fibers[key.id]]
-        i, n = key
-        c, rest = frames[i - 1]
+    def words(key: int) -> List[int]:
+        if key < 0:
+            return [prefix_int(w, lead + k) for w in sys._node_fibers[sys.spec.nodes[~key]]]
+        i, n = divmod(key, q + 1)
+        c, rest = frames[i]
         m = (c << rest) | (n << rest) // q
         return [m, m - 1] if n % q_odd == 0 else [m]
 
@@ -392,7 +389,7 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[Key, Key],
         x = a ^ b
         return x - (x >> k)
 
-    def far(x: Key, y: Key) -> bool:
+    def far(x: int, y: int) -> bool:
         return _hausdorff(words(x), words(y), distance) * den > bound
 
     return far

@@ -63,21 +63,20 @@ class IntervalCodec:
         return {"cell": cell[1]}
 
     def lattice(self, fmap, q: int, eta: Fraction):
-        """The key (1, n) is n/q, ends included.  A step is fmap on n/q in
+        """The key n is n/q, ends included.  A step is fmap on n/q in
         lowest terms, multiplied back by q, and an image off the lattice
         raises ArithmeticError."""
-        def step(key):
-            g = gcd(key[1], q)
-            a, b = fmap(key[1] // g, q // g)
-            n, rest = divmod(a * q, b)
+        def step(n):
+            g = gcd(n, q)
+            a, b = fmap(n // g, q // g)
+            m, rest = divmod(a * q, b)
             if rest:
-                raise ArithmeticError(f"the map takes {key[1]}/{q} to {_show(Fraction(a, b))}, "
+                raise ArithmeticError(f"the map takes {n}/{q} to {_show(Fraction(a, b))}, "
                                       f"off the lattice of denominator {q}")
-            return 1, n
+            return m
 
         bound, den = eta.numerator * q, eta.denominator
-        return (step, lambda x, y: abs(x[1] - y[1]) * den > bound,
-                lambda key: Fraction(key[1], q), True)
+        return (step, lambda x, y: abs(x - y) * den > bound, lambda n: Fraction(n, q), True)
 
 
 INTERVAL_CODEC = IntervalCodec()

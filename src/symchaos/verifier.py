@@ -586,11 +586,11 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
 
     Grid points, their neighbours and their orbits lie on the lattice of
     denominator q = lcm(2 grid, delta's denominator, the branch data's
-    denominators): a point is the key (arc, n) of parameter n/q, which the
-    codec steps and measures (Codec.lattice).  Orbits of neighbouring grid
-    points merge, so `image` (key -> F(key)) and `outcome` (see _separates)
-    hold, for one call, what earlier walks computed; each starts over when
-    it holds _MAX_MAPPED entries."""
+    denominators): the point n/q of arc i is the int key (i - 1)(q + 1) + n,
+    which the codec steps and measures (Codec.lattice).  Orbits of
+    neighbouring grid points merge, so `image` (key -> F(key)) and
+    `outcome` (see _separates) hold, for one call, what earlier walks
+    computed; each starts over when it holds _MAX_MAPPED entries."""
     started = time.monotonic()
     _within(grid=(grid, 1, 1 << 12), horizon=(horizon, 1, MAX_STEPS))
     if not eta > 0:  # NaN too
@@ -610,14 +610,14 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
     lo, hi = (0, q) if ends else (1, q - 1)
     image, outcome, marks = {}, {}, count(-1, -1)
     failures = []
-    for i in range(1, space.r + 1):
+    for base in range(0, space.r * (q + 1), q + 1):
         for n in range(unit, q, 2 * unit):
             for m in (n - width, n + width):
-                if lo <= m <= hi and _separates(step, apart, (i, n), (i, m), horizon,
+                if lo <= m <= hi and _separates(step, apart, base + n, base + m, horizon,
                                                 image, outcome, next(marks)):
                     break
             else:
-                failures.append(space.point_json(point((i, n))))
+                failures.append(space.point_json(point(base + n)))
     return _finish(target.name, "sensitivity", params, failures, started)
 
 

@@ -39,6 +39,7 @@ _M64 = (1 << 64) - 1
 
 MAX_BITS = 24  # enumeration cap: periodic_words, conjugacy --length, max_period
 MAX_STEPS = 10 ** 6  # step cap: orbit and graph-orbit --steps, steps, horizon, orbit_steps
+MAX_EXPONENT = 10 ** 4  # decimal exponent cap of a rational's text, in as_unit and the CLI
 
 _SHOWN_BOUNDS = {MAX_STEPS: "10^6", 1 << 12: "2^12"}
 
@@ -68,11 +69,21 @@ def _quote(text: str) -> str:
     return repr(text) if head == text else f"{head!r}... ({len(text)} characters)"
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), an exponent past MAX_EXPONENT refused before Fraction
+    builds 10^exponent (a text that is no rational is named as one first)."""
+    exponent = re.search(r"[eE]\s*([-+]?\d+(?:_\d+)*)\s*$", text)  # as int() reads it
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        Fraction(text[:exponent.start()] + "e0")
+        raise ValueError(f"exponent {_show(int(exponent[1]))} outside [-10^4, 10^4]")
+    return Fraction(text)
+
+
 def as_unit(y) -> Fraction:
     """y (a Fraction, an int, a float or a numeric str) as a Fraction in [0, 1]."""
     if type(y) is not Fraction:  # Fraction(y) would go through the ABC check
         try:
-            y = Fraction(y)
+            y = _rational(y) if isinstance(y, str) else Fraction(y)
         except (OverflowError, ValueError):  # an infinity or a NaN: no integer ratio
             if isinstance(y, str):  # text that is no number keeps Fraction's message
                 raise

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from symchaos import cli, graphs, verifier
 from symchaos.cli import main
 from symchaos.graphs import EXAMPLE_GRAPHS, graph_map
 from symchaos.verifier import ChaosReport
-from symchaos.words import parse_word
+from symchaos.words import _quote, parse_word
 
 
 @pytest.fixture
@@ -306,9 +307,10 @@ def test_graph_orbit_closed_form_mismatch_exits_three(capsys, monkeypatch, k3_fi
 
 
 def test_graph_orbit_missing_file(capsys):
-    code, _, err = run(capsys, "graph-orbit", "--file", "/nonexistent.graph",
-                       "--start", "node:a", "--steps", "1")
-    assert code == 2
+    code, out, err = run(capsys, "graph-orbit", "--file", "/nonexistent.graph",
+                         "--start", "node:a", "--steps", "1")
+    assert (code, out, err) == (
+        2, "", "error: cannot read '/nonexistent.graph': No such file or directory\n")
 
 
 def test_a_graph_file_that_is_not_utf8_is_named(capsys, tmp_path):
@@ -316,7 +318,24 @@ def test_a_graph_file_that_is_not_utf8_is_named(capsys, tmp_path):
     path.write_bytes(b"node a\n\xff")
     code, out, err = run(capsys, "graph-orbit", "--file", str(path), "--start", "node:a",
                          "--steps", "1")
-    assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 at byte 7\n")
+    assert (code, out, err) == (2, "", f"error: cannot read {str(path)!r}: not UTF-8 at byte 7\n")
+
+
+@pytest.mark.parametrize("name,strerror", [
+    ("no\nsuch.graph", "No such file or directory"),
+    ("x" * 300, "File name too long"),
+    ("é" * 200, "File name too long"),  # 400 UTF-8 bytes
+    (".", "Is a directory")], ids=["line-break", "300-characters", "non-ascii", "directory"])
+def test_a_graph_file_that_cannot_be_read_is_named_on_one_line(capsys, tmp_path, name,
+                                                               strerror):
+    # the path is quoted, and only the error's own text follows it: the
+    # OSError's text, which repeats the path, made a 300-character path's
+    # message 665 bytes, and a line break in the path broke it in two
+    path = os.path.join(tmp_path, name)
+    code, out, err = run(capsys, "graph-orbit", "--file", path, "--start", "node:a",
+                         "--steps", "1")
+    assert (code, out, err) == (2, "", f"error: cannot read {_quote(path)}: {strerror}\n")
+    assert len(err.encode()) < 400
 
 
 # ---------------------------------------------------------------- verify
@@ -1143,10 +1162,11 @@ INTERPRETER_SETTINGS = ("int_max_str_digits", "INTMAXSTRDIGITS", "sys.set_", "re
 
 
 def _run_command(argv, graph=None, path=None):
-    """main(argv) in-process, after writing the graph file: its exit code
-    (argparse's SystemExit too), stdout and stderr."""
+    """main(argv) in-process, after writing the graph file where its path
+    can hold one: its exit code (argparse's SystemExit too), stdout and
+    stderr."""
     if graph is not None:
-        with open(path, "wb") as fh:
+        with contextlib.suppress(OSError), open(path, "wb") as fh:
             fh.write(graph)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1206,14 +1226,27 @@ def drawn_graph_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("drawn") / "drawn.graph")
 
 
+# a graph file's name, drawn beside drawn.graph: line breaks, escaped and
+# multi-byte characters, a directory, and runs past the 255-byte name limit
+PATH_CHAR = st.sampled_from("a_.\n\x01 é😀'\\/")
+FILE_NAME = st.none() | st.text(PATH_CHAR, min_size=1, max_size=12) | st.builds(
+    str.__mul__, PATH_CHAR, st.sampled_from([120, 300]))
+
+
+def _drawn_path(drawn_graph_path, name):
+    return drawn_graph_path if name is None else os.path.join(
+        os.path.dirname(drawn_graph_path), name)
+
+
 @settings(max_examples=150, deadline=None)
-@given(number_texts() | POINT_TEXT, st.one_of(st.none(), graph_files()), ARC)
+@given(number_texts() | POINT_TEXT, st.one_of(st.none(), graph_files()), ARC, FILE_NAME)
 def test_fiber_on_drawn_numbers_and_graph_files_exits_as_documented(drawn_graph_path, x,
-                                                                     graph, arc):
+                                                                     graph, arc, name):
+    path = _drawn_path(drawn_graph_path, name)
     argv = ["fiber", "--x", x]
     if graph is not None:
-        argv += ["--file", drawn_graph_path, "--arc", arc]
-    code, out, err = _run_command(argv, graph, drawn_graph_path)
+        argv += ["--file", path, "--arc", arc]
+    code, out, err = _run_command(argv, graph, path)
     _check_run(argv, code, out, err)
     if code == 0:
         words = [parse_word(line) for line in out.splitlines()]
@@ -1223,12 +1256,12 @@ def test_fiber_on_drawn_numbers_and_graph_files_exits_as_documented(drawn_graph_
 @settings(max_examples=150, deadline=None)
 @given(graph_files(), st.one_of(st.builds("{}:{}".format, ARC, number_texts() | POINT_TEXT),
                                 st.sampled_from(["node:a", "node:c", "node:z", "node:", "a"])),
-       STEPS, FORMAT)
+       STEPS, FORMAT, FILE_NAME)
 def test_graph_orbit_on_drawn_graph_files_exits_as_documented(drawn_graph_path, graph, start,
-                                                               steps, fmt):
-    argv = ["graph-orbit", "--file", drawn_graph_path, "--start", start, "--steps", steps,
-            "--format", fmt]
-    code, out, err = _run_command(argv, graph, drawn_graph_path)
+                                                               steps, fmt, name):
+    path = _drawn_path(drawn_graph_path, name)
+    argv = ["graph-orbit", "--file", path, "--start", start, "--steps", steps, "--format", fmt]
+    code, out, err = _run_command(argv, graph, path)
     _check_run(argv, code, out, err)
     if code == 0:
         with _no_digit_limit():

@@ -28,7 +28,9 @@ from symchaos.interval import INTERVAL_CODEC
 from symchaos.words import (Word, _order_of_two, _pack, bits_of, c_map, parse_word, prefix_int,
                             shift_map, with_twin, word_value)
 
+import tuple_lattice
 from prefixed import drop_bits, prepend_bits
+from tuple_lattice import int_key
 from value_cells import point_cells
 
 W = parse_word
@@ -589,33 +591,67 @@ def test_the_node_tables_give_what_the_per_call_node_rules_gave(sys):
             assert sorted(packed[v.id]) == sorted(prefix_int(w, lead + k) for w in sys.encode(v))
         for eta in (F(1, 8), F(1, 3)):
             far = lattice_far(sys, q, eta)
-            for u in nodes:
-                for v in nodes:
+            for x, u in enumerate(nodes):  # node x's key is ~x
+                for y, v in enumerate(nodes):
                     d = _hausdorff(packed[u.id], packed[v.id], lambda a, b: F(
                         (a ^ b) - ((a ^ b) >> k), ((1 << k) - 1) << lead))
-                    assert far(u, v) == (d > eta), (sys.spec, q, eta, u, v)
+                    assert far(~x, ~y) == (d > eta), (sys.spec, q, eta, u, v)
 
 
-def test_lattice_point_builds_the_interior_point_of_a_key():
+@pytest.mark.parametrize(
+    "sys", [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
+    + [_cycle(r) for r in (1, 2, 5, 9, 17)]
+    + [random_graph(random.Random(seed)) for seed in [*range(12), 26]],
+    ids=sorted(EXAMPLE_GRAPHS) + [f"cycle{r}" for r in (1, 2, 5, 9, 17)]
+    + [f"random{seed}" for seed in [*range(12), 26]])
+def test_the_int_keys_step_point_and_measure_as_the_tuple_keys(sys):
+    # the lattice keyed by (arc, n) tuples and nodes is the oracle, node
+    # outcomes and star failures among its images: the int key of n/q on
+    # arc i is (i - 1)(q + 1) + n, and node k's is ~k (random0, random9 and
+    # random26 are the star-failure graphs of the sensitivity tests).  On
+    # the lattices of 8, 32, 6 and 24 every key is checked; q' = 125 and
+    # 4099 put the word's period at 100 and 4098 bits, and there 300 drawn
+    # keys and every node are (every key took 20 s)
+    rng = random.Random(sys.r)
+    nodes = [Node(v) for v in sys.spec.nodes]
+    for q in (8, 32, 6, 24, 1000, 2 * 4099):
+        keys = [(i, n) for i in range(1, sys.r + 1) for n in range(1, q)]
+        keys = nodes + (keys if q < 1000 else rng.sample(keys, min(300, len(keys))))
+        xs = [int_key(sys, key, q) for key in keys]
+        images = [tuple_lattice.lattice_step(sys, key, q) for key in keys]
+        step, _, point, ends = sys.lattice(None, q, F(1, 8))
+        assert not ends
+        assert list(map(step, xs)) == [int_key(sys, y, q) for y in images], (sys.spec, q)
+        assert list(map(point, xs)) == [tuple_lattice.lattice_point(key, q) for key in keys]
+        # each key against its image and the first and the last node
+        pairs = [(j, y) for j, image in enumerate(images) for y in (image, nodes[0], nodes[-1])]
+        for eta in (F(1, 8), F(1, 3)):
+            far, oracle = sys.lattice(None, q, eta)[1], tuple_lattice.lattice_far(sys, q, eta)
+            assert ([far(xs[j], int_key(sys, y, q)) for j, y in pairs]
+                    == [oracle(keys[j], y) for j, y in pairs]), (sys.spec, q, eta)
+
+
+def test_lattice_point_builds_the_interior_point_of_a_key(k3):
+    # the key of n/q on arc i is (i - 1)(q + 1) + n, and node k's is ~k
     for q in (2, 3, 12, 1000003):
         for n in (1, q // 2, q - 1):
-            point = lattice_point((2, n), q)
+            point = lattice_point(k3, q + 1 + n, q)
             assert point == Interior(2, F(n, q)) and hash(point) == hash(Interior(2, F(n, q)))
             assert type(point.t) is F and repr(point) == f"Interior(2, {F(n, q)})"
             with pytest.raises(AttributeError):
                 point.t = F(1, 2)
-        # off the open arc, lattice_point raises as Interior does
-        for n in (0, q, -1, q + 1):
+        # at an arc end, lattice_point raises as Interior does
+        for key, i, n in ((0, 1, 0), (q, 1, q), (q + 1, 2, 0), (2 * q + 1, 2, q)):
             with pytest.raises(ValueError) as got:
-                lattice_point((1, n), q)
+                lattice_point(k3, key, q)
             with pytest.raises(ValueError) as expected:
-                Interior(1, F(n, q))
+                Interior(i, F(n, q))
             assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match=r"^interior parameter 0 not in \(0, 1\)$"):
-        lattice_point((1, 0), 7)
+        lattice_point(k3, 0, 7)
     with pytest.raises(ValueError, match=r"^interior parameter 1 not in \(0, 1\)$"):
-        lattice_point((1, 7), 7)
-    assert lattice_point(Node("a"), 7) == Node("a")
+        lattice_point(k3, 7, 7)
+    assert [lattice_point(k3, key, 7) for key in (~0, ~1, ~2)] == [Node("a"), Node("b"), Node("c")]
 
 
 def test_a_star_failure_on_arc_one_is_held_fixed():
@@ -659,8 +695,8 @@ def test_graph_metric_axioms(k3):
 
 
 def _lattice_keys(sys, q):
-    return [Node(v) for v in sys.spec.nodes] + [(i, n) for i in range(1, sys.r + 1)
-                                                 for n in range(1, q)]
+    return [~k for k in range(len(sys.spec.nodes))] + [
+        base + n for base in range(0, sys.r * (q + 1), q + 1) for n in range(1, q)]
 
 
 def test_lattice_far_decides_as_graph_metric():
@@ -674,12 +710,12 @@ def test_lattice_far_decides_as_graph_metric():
         for q in (2, 8, 32, 6, 12, 96, 1000, 3 * 4096, 2 * 4099):
             keys = _lattice_keys(sys, q)
             pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(40)]
-            distances = {graph_metric(sys, lattice_point(x, q), lattice_point(y, q))
+            distances = {graph_metric(sys, lattice_point(sys, x, q), lattice_point(sys, y, q))
                          for x, y in pairs}
             for eta in sorted(distances - {0})[:4] + [F(1, 4), F(1, 3), F(7, 8)]:
                 far = lattice_far(sys, q, eta)
                 for x, y in pairs:
-                    d = graph_metric(sys, lattice_point(x, q), lattice_point(y, q))
+                    d = graph_metric(sys, lattice_point(sys, x, q), lattice_point(sys, y, q))
                     assert far(x, y) == (d > eta), (sys.spec, q, eta, x, y)
 
 
@@ -688,8 +724,8 @@ def test_lattice_far_on_every_key_against_nodes_and_twins(k3):
     # dyadic 1/2 (two words) and a node (two arc ends)
     far = lattice_far(k3, 6, F(1, 8))
     for x in _lattice_keys(k3, 6):
-        for y in ((1, 1), (3, 3), (3, 5), Node("c")):
-            d = graph_metric(k3, lattice_point(x, 6), lattice_point(y, 6))
+        for y in (1, 17, 19, ~2):  # 1/6 on E1, 3/6 and 5/6 on E3, node c
+            d = graph_metric(k3, lattice_point(k3, x, 6), lattice_point(k3, y, 6))
             assert far(x, y) == (d > F(1, 8))
 
 

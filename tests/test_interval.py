@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from symchaos.interval import (
 from symchaos.streams import StreamWord, stream_shift, value_enclosure
 from symchaos.verifier import (
     Target,
+    constant_target,
     dense_orbit_coverage,
+    rotation_target,
     sensitivity_probe,
     tent_target,
     transitivity_witness,
@@ -351,6 +354,30 @@ def test_point_at_reads_its_parameter_before_it_tests_for_the_ends():
         assert K3.point_at(1, t) == Node("a")
     for t in (1, 1.0, "1", " 2/2 "):
         assert K3.point_at(1, t) == Node("b")
+
+
+@pytest.mark.parametrize("exponent", ["10001", "-10001", "+1_0001", "-99999", "-100000000"])
+def test_a_decimal_exponent_past_its_bound_is_refused_by_every_entry(exponent):
+    # read as it is written, 1e-100000000 ran past 5 s while Fraction built
+    # the power of ten; the bound is words.MAX_EXPONENT, as on the CLI
+    entries = dict(READERS, constant_target=constant_target, rotation_target=rotation_target)
+    for name, read in entries.items():
+        started = time.monotonic()
+        with pytest.raises(ValueError) as exc:
+            read(f"1e{exponent}")
+        assert time.monotonic() - started < 1, name
+        assert str(exc.value) == f"exponent {int(exponent)} outside [-10^4, 10^4]", name
+
+
+def test_a_decimal_exponent_within_its_bound_reads():
+    assert tent("1e-4") == F(1, 5000) and tent("1E-10000") == F(2, 10 ** 10000)
+    assert tent("1e-5000") == F(2, 10 ** 5000)  # the README's two examples
+    with pytest.raises(ValueError, match=r"^point a fraction with a 16610-bit numerator "):
+        tent("1e5000")
+    # text that is no rational keeps Fraction's message, whatever its exponent
+    for text in ("x1e99999", "1e5x", "1e+-5"):
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: "):
+            tent(text)
 
 
 # -- one printer: a number past _SHOWN_BITS is named by its size --------------

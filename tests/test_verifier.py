@@ -44,6 +44,7 @@ from symchaos.verifier import (
     transitivity_witness,
 )
 
+from tuple_lattice import tuple_lattice
 from value_cells import point_cells
 
 F = Fraction
@@ -2003,9 +2004,9 @@ def test_graph_sensitivity_orbits_reach_star_failures(monkeypatch):
     _count_lattice(monkeypatch, GraphSystem, mapped, Counter())
     for target in STAR_TARGETS:
         sensitivity_probe(target, F(1, 8), F(1, 4096), 16, 40)
-    held = {(system.r, F(key[1], q)) for system, q, key in mapped
-            if isinstance(key, tuple) and key[0] == 1 and 2 * key[1] != q
-            and lattice_step(system, key, q) == key}
+    # an arc-1 key is its parameter's numerator, 0 < key < q
+    held = {(system.r, F(key, q)) for system, q, key in mapped
+            if 0 < key < q and 2 * key != q and lattice_step(system, key, q) == key}
     assert held == {(4, F(7, 8)), (5, F(7, 8)), (5, F(15, 16)), (6, F(15, 16)),
                     (6, F(31, 32))}
 
@@ -2066,6 +2067,32 @@ def test_sensitivity_memos_stay_within_their_bound(monkeypatch):
     assert report.verdict == "fail" and len(report.witnesses) == 6
 
 
+def test_sensitivity_of_a_long_failing_walk_in_bounded_memory():
+    # in a fresh interpreter under a 120 s timeout: rotation by 1/4099
+    # merges no orbits and its walks are cut at the horizon, so every step
+    # adds a key and a measured pair; the image and outcome memos start over
+    # at 2^17 entries, and a walk writes back along at most 2^17 pairs of its
+    # path (11-12 s and 48 MB on a 2-core x86-64 VM)
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(verifier.__file__))
+    code = ("import resource\n"
+            "from fractions import Fraction\n"
+            "from symchaos.verifier import rotation_target, sensitivity_probe\n"
+            "report = sensitivity_probe(rotation_target(Fraction(1, 4099)), Fraction(1, 8),\n"
+            "                           Fraction(1, 4096), 4096, 1000)\n"
+            "print(report.verdict, len(report.witnesses))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    outcome, peak_mb = done.stdout.splitlines()
+    assert outcome == "fail 3096"
+    assert float(peak_mb) < 200, peak_mb
+
+
 def _far_separates(step, apart, fx, fy, horizon, image, far):
     """The walk before the outcome memo: every step up to the horizon, with
     an `image` memo (key -> F(key)) and a `far` memo ((x, y) -> metric > eta)
@@ -2087,19 +2114,25 @@ def _far_separates(step, apart, fx, fy, horizon, image, far):
     return False
 
 
-def _far_sensitivity(target, eta, delta, grid, horizon):
+def _far_sensitivity(target, eta, delta, grid, horizon, tuples=False):
     """(params, verdict, witnesses) of sensitivity_probe's lattice, walked by
-    _far_separates."""
+    _far_separates: the codec's lattice on int keys, or with `tuples` the
+    lattice keyed by (arc, n) tuples and nodes that it replaced."""
     space = target.space
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))
-    step, apart, point, ends = space.lattice(target.fmap, q, eta)
+    lattice = tuple_lattice if tuples else type(space).lattice
+    step, apart, point, ends = lattice(space, target.fmap, q, eta)
+
+    def key(i, n):
+        return (i, n) if tuples else (i - 1) * (q + 1) + n
+
     unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
     lo, hi = (0, q) if ends else (1, q - 1)
     image, far = {}, {}
-    witnesses = [space.point_json(point((i, n)))
+    witnesses = [space.point_json(point(key(i, n)))
                  for i in range(1, space.r + 1) for n in range(unit, q, 2 * unit)
-                 if not any(_far_separates(step, apart, (i, n), (i, m), horizon, image, far)
+                 if not any(_far_separates(step, apart, key(i, n), key(i, m), horizon, image, far)
                             for m in (n - width, n + width) if lo <= m <= hi)]
     params = {"eta": str(eta), "delta": str(delta), "grid": grid, "horizon": horizon,
               "points": space.r * grid}
@@ -2125,6 +2158,26 @@ def test_sensitivity_matches_the_per_step_walk(name, eta, delta, grid, horizon):
     report = sensitivity_probe(MEMO_TARGETS[name], eta, delta, grid, horizon)
     assert ((report.params, report.verdict, report.witnesses)
             == _far_sensitivity(MEMO_TARGETS[name], eta, delta, grid, horizon))
+
+
+# every example graph, the star-failure graphs and the interval targets, on
+# dyadic lattices and on those of q' = 3 and 125, with walks cut at horizon 3
+TUPLE_CASES = [(target, eta, delta, grid, horizon)
+               for target in [*MEMO_TARGETS.values(), *GRAPH_TARGETS[1:], *STAR_TARGETS]
+               for eta, delta, grid, horizon in ((F(1, 8), F(1, 4096), 16, 40),
+                                                 (F(3, 4), F(1, 64), 32, 3),
+                                                 (F(1, 8), F(1, 1000), 16, 40),
+                                                 (F(1, 2), F(1, 3), 12, 40))]
+
+
+@pytest.mark.parametrize("target,eta,delta,grid,horizon", TUPLE_CASES,
+                         ids=[f"{t.name}-{e}/{d}/{g}/{h}" for t, e, d, g, h in TUPLE_CASES])
+def test_sensitivity_matches_the_tuple_key_walk(target, eta, delta, grid, horizon):
+    # the lattice keyed by (arc, n) tuples and nodes, as the codecs keyed it
+    # before a key became one int, gives every report
+    report = sensitivity_probe(target, eta, delta, grid, horizon)
+    assert ((report.params, report.verdict, report.witnesses)
+            == _far_sensitivity(target, eta, delta, grid, horizon, tuples=True))
 
 
 @pytest.mark.parametrize("name,eta,delta,grid", [
