@@ -13,11 +13,14 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional
+from math import gcd
+from operator import itemgetter
+from typing import Iterator, List, Optional, Tuple
 
 from . import graphs, interval, verifier
-from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _rational, _within, bits_of, c_map, r_map,
-                    shift_map)
+from .decomposition import induced_orbit
+from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _rational, _show, _within, bits_of, c_map,
+                    r_map, shift_map)
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -25,6 +28,8 @@ EVAL_SYSTEMS = {
     "induced-tent": interval.induced_tent,
     "induced-baker": interval.induced_baker,
 }
+
+_ROWS_PER_WRITE = 1024
 
 # each check is looked up on the verifier module when it runs, so a
 # function rebound there (a tracer's wrapper, a test's stand-in) is called
@@ -134,21 +139,30 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
     return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))
 
 
-def _print_rows(rows: Iterable[dict], fmt: str) -> None:
-    """Orbit rows, each printed as it is made: indented JSON (the text of
-    json.dumps(list(rows), indent=2)), or CSV with a header line before the
-    first row (None is an empty field).  An error mid-orbit leaves the rows
-    before it printed."""
-    for n, row in enumerate(rows):
-        if fmt == "json":
-            print("," if n else "[", "  " + json.dumps(row, indent=2).replace("\n", "\n  "),
-                  sep="\n", end="")
-        else:
-            if n == 0:
-                print(",".join(row))
-            print(",".join("" if v is None else str(v) for v in row.values()))
+def _print_rows(header: str, rows: Iterator[tuple], fmt: str) -> None:
+    """Orbit rows, printed as they are made: indented JSON (the text of
+    json.dumps of the list of dicts of header's keys, indent=2), or CSV, the
+    header line before the first row and each row by one format string.
+    Rows go out _ROWS_PER_WRITE at a time, one write each however stdout is
+    buffered; an error mid-orbit writes the rows before it, then raises."""
+    keys = header.split(",")
     if fmt == "json":
-        print("\n]")
+        texts = (json.dumps(dict(zip(keys, row)), indent=2).replace("\n", "\n  ") for row in rows)
+        first, between, last = "[\n  ", ",\n  ", "\n]\n"
+    else:
+        texts = map((",".join(["%s"] * len(keys)) + "\n").__mod__, rows)
+        first, between, last = header + "\n", "", ""
+    pending = []
+    try:
+        for text in texts:
+            pending.append(first + text)
+            first = between
+            if len(pending) == _ROWS_PER_WRITE:
+                sys.stdout.write("".join(pending))
+                pending.clear()
+        pending.append(last)
+    finally:
+        sys.stdout.write("".join(pending))
 
 
 def _exactly(show, *args) -> None:
@@ -162,12 +176,12 @@ def _exactly(show, *args) -> None:
         sys.set_int_max_str_digits(limit)
 
 
-def _iterate(fmap, x, steps: int) -> Iterator:
-    """x, fmap(x), ..., fmap^steps(x), each made when it is asked for."""
-    yield x
-    for _ in range(steps):
-        x = fmap(x)
-        yield x
+def _pairs(step, n: int, d: int) -> Iterator[Tuple[int, int]]:
+    """(n, d), step(n, d), ...: a closed form iterated on pairs, each made
+    when it is asked for."""
+    while True:
+        yield n, d
+        n, d = step(n, d)
 
 
 def _cmd_eval(args) -> int:
@@ -176,29 +190,46 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    """The closed form steps the pair (n, d) of the start's n/d, whose d it
+    keeps; an induced-* orbit steps the fibers beside it, checked at each step."""
     _within(**{"--steps": (args.steps, 0, MAX_STEPS)})
     # a start off the unit interval is an input error before any row is printed
-    orbit = _iterate(EVAL_SYSTEMS[args.system], interval.as_unit(args.x), args.steps)
-    _exactly(_print_rows, ({"step": step, "num": x.numerator, "den": x.denominator,
-                            "approx": float(x)} for step, x in enumerate(orbit)), args.format)
+    y = interval.as_unit(args.x)
+    tent = args.system.endswith("tent")
+    step = interval._tent if tent else interval._baker
+    if args.system.startswith("induced-"):
+        system = interval.tent_system() if tent else interval.baker_system()
+        pairs = map(itemgetter(0), induced_orbit(system, step, y, _show))
+    else:
+        pairs = _pairs(step, *y.as_integer_ratio())
+
+    def rows():
+        for k, (n, d) in zip(range(args.steps + 1), pairs):
+            g = gcd(n, d)
+            yield k, n // g, d // g, n / d
+
+    _exactly(_print_rows, "step,num,den,approx", rows(), args.format)
     return 0
 
 
-def _graph_row(sys_: graphs.GraphSystem, step: int, pt: graphs.GraphPoint) -> dict:
-    if isinstance(pt, graphs.Interior):
-        return {"step": step, "arc_or_node": sys_.spec.arc(pt.arc).id,
-                "t_num": pt.t.numerator, "t_den": pt.t.denominator, "approx": float(pt.t)}
-    return {"step": step, "arc_or_node": pt.id, "t_num": None, "t_den": None,
-            "approx": None}
-
-
 def _cmd_graph_orbit(args) -> int:
+    """The induced orbit on the start's integer form (key, q), q kept."""
     _within(**{"--steps": (args.steps, 0, MAX_STEPS)})
     sys_ = _load_graph(args.file)
-    orbit = _iterate(lambda pt: graphs.graph_map(sys_, pt),
-                     _parse_start(sys_, args.start), args.steps)
-    _exactly(_print_rows, (_graph_row(sys_, step, pt) for step, pt in enumerate(orbit)),
-             args.format)
+    orbit = induced_orbit(sys_.induced, sys_.closed_form, _parse_start(sys_, args.start))
+    arcs, nodes = [arc.id for arc in sys_.spec.arcs], sys_.spec.nodes
+    blank = None if args.format == "json" else ""  # a node's parameter fields
+
+    def rows():
+        for k, ((key, q), _) in zip(range(args.steps + 1), orbit):
+            if key < 0:
+                yield k, nodes[~key], blank, blank, blank
+            else:
+                i, n = divmod(key, q + 1)
+                g = gcd(n, q)
+                yield k, arcs[i], n // g, q // g, n / q
+
+    _exactly(_print_rows, "step,arc_or_node,t_num,t_den,approx", rows(), args.format)
     return 0
 
 

@@ -11,7 +11,8 @@ either fixing the fiber or redirecting it to a designated point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Protocol, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Set, Tuple,
+                    Union)
 
 from .streams import StreamWord
 from .words import Word, prefix_int
@@ -20,6 +21,7 @@ __all__ = [
     "Fiber",
     "InducedSystem",
     "induced_apply",
+    "induced_orbit",
     "induced_point",
     "semiconjugacy_check",
     "word_cells",
@@ -42,7 +44,11 @@ class Codec(Protocol):
 
     Fibers are the points: `fiber_of` gives a word's fiber from the word,
     and nothing between `encode` and `decode` names a point otherwise.
-    Both give a fiber as the tuple Fiber would make of its words.  The
+    Both give a fiber as the tuple Fiber would make of its words.  A point
+    also has an integer form, a pair (a, b) that `read` gives with its
+    fiber and `point` reads back: (n, d) for n/d on the interval, (key, q)
+    on a graph, with key as in `lattice`, q the parameter's own denominator
+    and 1 at a node.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
     is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
     addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
@@ -53,12 +59,19 @@ class Codec(Protocol):
     r: int
     prefixes: Sequence[Tuple[int, int]]
 
-    def encode(self, point) -> Tuple[Word, ...]: ...
+    def read(self, point) -> Tuple[Tuple[int, int], Tuple[Word, ...]]:
+        """The point's integer form and its fiber, the point read once."""
+
+    def encode(self, point) -> Tuple[Word, ...]:
+        """read(point)[1]."""
 
     def decode(self, word: Word): ...
 
-    def addresses(self, word: Word, point) -> bool:
-        """decode(word) == point, on integers: no point is built."""
+    def point(self, a: int, b: int):
+        """The point of the integer form (a, b)."""
+
+    def addresses(self, word: Word, a: int, b: int) -> bool:
+        """decode(word) == point(a, b), on integers: no point is built."""
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]: ...
 
@@ -121,44 +134,68 @@ def star_check(sys: InducedSystem, fib: Tuple[Word, ...]) -> Union[Tuple[Word, .
     expansions of one dyadic are one point, not a violation), and that fiber
     is returned; otherwise a Violation holds every image with its point.
     """
-    image = _star_image(sys, fib)
-    if image is not None:
-        return image
-    return Violation(tuple((w, sys.codec.decode(w)) for w in map(sys.symbolic_map, fib)))
-
-
-def _star_image(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...] | None:
-    """The fiber of the first image word when the star condition holds,
-    else None; no image word is decoded."""
     images = list(map(sys.symbolic_map, fib))
     target = sys.codec.fiber_of(images[0])
-    return target if all(map(target.__contains__, images)) else None
+    if all(map(target.__contains__, images)):
+        return target
+    return Violation(tuple((w, sys.codec.decode(w)) for w in images))
 
 
 def induced_apply(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...]:
-    """The induced map on fibers, with the override policy applied."""
+    """The induced map on fibers, with the override policy applied: the
+    fiber of the first image word when the star condition holds (star_check;
+    no image word is decoded) and the fiber is not pinned."""
     keys = sys.pinned_keys  # empty when nothing is pinned: no key to make
     if not (keys and _pin_key(fib) in keys and fib in sys.pinned_fibers):
-        image = _star_image(sys, fib)
-        if image is not None:
-            return image
+        step = sys.symbolic_map
+        target = sys.codec.fiber_of(step(fib[0]))  # which holds the first image
+        if len(fib) == 1 or all(map(target.__contains__, map(step, fib[1:]))):
+            return target
     return fib if sys.designated is None else sys.codec.encode(sys.designated)
 
 
-def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
-    """The induced map at a point by the fiber route (encode, induced_apply),
-    whose image word must address the closed form's point; a mismatch is an
-    internal invariant failure and raises ArithmeticError, and only then are
-    words decoded, for the message (the point as encode read it)."""
+def _mismatch(sys: InducedSystem, fib: Tuple[Word, ...], image: Tuple[Word, ...],
+              expected: Tuple[int, int], show: Callable) -> ArithmeticError:
+    """The internal invariant failure of a step from fib whose image fiber
+    does not address the closed form's integer form; the points are built
+    here only, for the message (the source as its fiber's first word reads)."""
     codec = sys.codec
-    source = codec.encode(point)
-    word = induced_apply(sys, source)[0]
-    expected = closed_form(point)
-    if not codec.addresses(word, expected):
-        raise ArithmeticError(
-            f"induced {sys.name} map at {show(codec.decode(source[0]))} gave "
-            f"{show(codec.decode(word))}, closed form gives {show(expected)}")
-    return expected
+    return ArithmeticError(
+        f"induced {sys.name} map at {show(codec.decode(fib[0]))} gave "
+        f"{show(codec.decode(image[0]))}, closed form gives {show(codec.point(*expected))}")
+
+
+def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
+    """The induced map at a point by the fiber route: the point is read once
+    (codec.read), its fiber goes through induced_apply, and the closed form
+    steps its integer form, a pair to a pair, which the image's first word
+    must address; the image point is built once, from the closed form's
+    pair.  A mismatch is an internal invariant failure and raises
+    ArithmeticError."""
+    codec = sys.codec
+    (a, b), fib = codec.read(point)
+    image = induced_apply(sys, fib)
+    a, b = closed_form(a, b)
+    if not codec.addresses(image[0], a, b):
+        raise _mismatch(sys, fib, image, (a, b), show)
+    return codec.point(a, b)
+
+
+def induced_orbit(sys: InducedSystem, closed_form: Callable, point,
+                  show: Callable = repr) -> Iterator[tuple]:
+    """The orbit of a point under the induced map, stepped and checked as
+    induced_point steps it: each point's integer form and fiber, made when
+    asked for.  The start is read once, before the first is given; each
+    step's image fiber is the next step's source, and no point is built."""
+    codec = sys.codec
+    form, fib = codec.read(point)
+    while True:
+        yield form, fib
+        image = induced_apply(sys, fib)
+        form = closed_form(*form)
+        if not codec.addresses(image[0], *form):
+            raise _mismatch(sys, fib, image, form, show)
+        fib = image
 
 
 def semiconjugacy_check(sys: InducedSystem, w: Word) -> bool:

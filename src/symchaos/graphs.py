@@ -196,16 +196,18 @@ class GraphSystem:
 
     # -- codec protocol -------------------------------------------------
 
+    def read(self, point: GraphPoint) -> Tuple[Tuple[int, int], Tuple[Word, ...]]:
+        """A point's integer form (_form) and all its address words:
+        prefixed expansions for an interior point; for a node, its fiber,
+        built once with the graph."""
+        key, q = form = _form(self, point)
+        if key < 0:
+            return form, self._node_fibers[self.spec.nodes[~key]]
+        i, n = divmod(key, q + 1)
+        return form, _expansions(n, q, *self.prefixes[i])
+
     def encode(self, point: GraphPoint) -> Tuple[Word, ...]:
-        """All address words of a point: prefixed expansions for an interior
-        point; for a node, its fiber, built once with the graph."""
-        if isinstance(point, Interior):
-            self.spec.arc(point.arc)  # an index out of range raises
-            return _expansions(*point.t.as_integer_ratio(), *self.prefixes[point.arc - 1])
-        if isinstance(point, Node):
-            self.node(point.id)  # an unknown id raises
-            return self._node_fibers[point.id]
-        raise TypeError(f"not a graph point: {point!r}")
+        return self.read(point)[1]
 
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word, the value (c + t) / 2^s for its arc's
@@ -214,20 +216,25 @@ class GraphSystem:
         s, c = self.prefixes[i - 1]
         return self.point_at(i, word_value(word) * 2 ** s - c)
 
-    def addresses(self, word: Word, point: GraphPoint) -> bool:
-        """decode(word) == point on integers: a node is addressed by the words
-        of its fiber.  An interior point (i, t) is the value (c + t) / 2^s, for
-        arc i's prefix (s, c), cross-multiplied: t lies strictly inside the
-        prefix's cylinder, and the cylinders partition sequence space, so the
-        value decides the arc too."""
-        if isinstance(point, Node):
-            return word in self._node_fibers.get(point.id, ())
-        if not 0 < point.arc <= self.r:
-            return False
-        s, c = self.prefixes[point.arc - 1]
-        n, d = point.t.as_integer_ratio()
-        q = word.q
-        return (word.pre * q + word.s) * d << s == (c * d + n) * q << word.pre_len
+    def point(self, key: int, q: int) -> GraphPoint:
+        return lattice_point(self, key, q)
+
+    def addresses(self, word: Word, key: int, q: int) -> bool:
+        """decode(word) == point(key, q) on integers: a node is addressed by
+        the words of its fiber.  The point n/q of arc i is the value
+        (c + n/q) / 2^s, for arc i's prefix (s, c), cross-multiplied: n/q lies
+        strictly inside the prefix's cylinder, and the cylinders partition
+        sequence space, so the value decides the arc too."""
+        if key < 0:
+            return word in self._node_fibers[self.spec.nodes[~key]]
+        i, n = divmod(key, q + 1)
+        s, c = self.prefixes[i]
+        wq = word.q
+        return (word.pre * wq + word.s) * q << s == (c * q + n) * wq << word.pre_len
+
+    def closed_form(self, key: int, q: int) -> Tuple[int, int]:
+        """The induced map on an integer form: lattice_step, q kept."""
+        return lattice_step(self, key, q), q
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]:
         """The fiber of a word's point: a node's fiber at an arc end (a word
@@ -285,18 +292,29 @@ def graph_system(spec: GraphSpec) -> GraphSystem:
 
 def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced chaotic map: shift through fibers, exceptional set fixed,
-    checked against the closed form (graph_step) by induced_point."""
-    return induced_point(sys.induced, lambda pt: graph_step(sys, pt), point)
+    checked against the closed form (lattice_step) by induced_point."""
+    return induced_point(sys.induced, sys.closed_form, point)
 
 
 def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced map in closed form: lattice_step on the lattice of the
     parameter's own denominator."""
+    key, q = _form(sys, point)
+    return lattice_point(sys, lattice_step(sys, key, q), q)
+
+
+def _form(sys: GraphSystem, point: GraphPoint) -> Tuple[int, int]:
+    """A point's integer form (key, q): its lattice key on its parameter's
+    own denominator q, or (~k, 1) at node k.  An arc index out of range or
+    an unknown node raises."""
+    if isinstance(point, Interior):
+        sys.spec.arc(point.arc)  # an index out of range raises
+        n, q = point.t.as_integer_ratio()
+        return (point.arc - 1) * (q + 1) + n, q
     if isinstance(point, Node):
-        return sys.node(point.id)
-    sys.spec.arc(point.arc)  # an index out of range raises
-    n, q = point.t.as_integer_ratio()
-    return lattice_point(sys, lattice_step(sys, (point.arc - 1) * (q + 1) + n, q), q)
+        sys.node(point.id)  # an unknown id raises
+        return ~sys.spec.nodes.index(point.id), 1
+    raise TypeError(f"not a graph point: {point!r}")
 
 
 # A lattice key is one int: (i - 1)(q + 1) + n for the point n/q of arc i

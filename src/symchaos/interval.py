@@ -39,15 +39,23 @@ class IntervalCodec:
     prefixes = ((0, 0),)
     stream_excludes_all = stream_excludes_all
 
+    def read(self, point: Fraction) -> Tuple[Tuple[int, int], Tuple[Word, ...]]:
+        """The pair (n, d) of the point n/d in lowest terms, read by as_unit,
+        and its expansions."""
+        n, d = form = as_unit(point).as_integer_ratio()
+        return form, _expansions(n, d)
+
     def encode(self, point: Fraction) -> Tuple[Word, ...]:
-        return _expansions(*as_unit(point).as_integer_ratio())
+        return self.read(point)[1]
 
     def decode(self, word: Word) -> Fraction:
         return word_value(word)
 
-    def addresses(self, word: Word, y: Fraction) -> bool:
-        """word_value(word) == y, cross-multiplied."""
-        q, (n, d) = word.q, y.as_integer_ratio()
+    point = staticmethod(Fraction)  # the point n/d of the pair (n, d)
+
+    def addresses(self, word: Word, n: int, d: int) -> bool:
+        """word_value(word) == n/d, cross-multiplied."""
+        q = word.q
         return (word.pre * q + word.s) * d == n * (q << word.pre_len)
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]:
@@ -83,7 +91,8 @@ INTERVAL_CODEC = IntervalCodec()
 
 
 def _tent(n: int, d: int) -> Tuple[int, int]:
-    """The tent map on the point n/d, as a pair that need not be in lowest terms."""
+    """The tent map on the point n/d, as a pair that need not be in lowest
+    terms: its d is d, so an orbit stays on the lattice of its start."""
     return 2 * min(n, d - n), d
 
 
@@ -114,15 +123,16 @@ def baker_system() -> InducedSystem:
 def induced_tent(y) -> Fraction:
     """Tent map computed through the fiber route.
 
-    The equality with the closed form is the whole point; it is checked
-    here and exercised exhaustively by the acceptance suite.
+    The equality with the closed form (_tent on the point's pair) is the
+    whole point; it is checked here and exercised exhaustively by the
+    acceptance suite.
     """
-    return induced_point(tent_system(), tent, y, _show)
+    return induced_point(tent_system(), _tent, y, _show)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
-    return induced_point(baker_system(), baker, y, _show)
+    return induced_point(baker_system(), _baker, y, _show)
 
 
 def conjugate_via_r(y) -> Fraction:

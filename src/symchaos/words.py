@@ -341,7 +341,35 @@ def _factorize(n: int) -> dict:
     return factors
 
 
+_TRIAL_PRIMES_BELOW = 1 << 12  # the primes whose powers _order_of_two splits off
+
+
 def _order_of_two(q: int) -> int | None:
+    """The order of 2 modulo odd q > 1 when it is at most MAX_PERIOD_BITS,
+    else None: the lcm of the orders modulo q's prime powers.  Each power
+    p^a of a prime below _TRIAL_PRIMES_BELOW is split off by trial division
+    and its order lifted from p's, ord(p^a) = ord(p) p^(a - t) past the t
+    with p^t dividing 2^ord(p) - 1 (t > 1 for 1093 and 3511, so t is
+    counted); the cofactor's order is found by _stepped_order."""
+    order, p = 1, 3
+    while p < _TRIAL_PRIMES_BELOW and p * p <= q:
+        a = 0
+        while q % p == 0:
+            q //= p
+            a += 1
+        if a:
+            k, t = _stepped_order(p), 1
+            if k is None:
+                return None
+            while t < a and pow(2, k, p ** (t + 1)) == 1:
+                t += 1
+            order = math.lcm(order, k * p ** (a - t))
+        p += 2
+    k = _stepped_order(q) if q > 1 else 1
+    return None if k is None or math.lcm(order, k) > MAX_PERIOD_BITS else math.lcm(order, k)
+
+
+def _stepped_order(q: int) -> int | None:
     """The order of 2 modulo odd q > 1 when it is at most MAX_PERIOD_BITS,
     else None, by baby steps 2^j for j < m, then giant steps 2^(im): i*m - j
     takes each value above m once, so the first meeting is the least order."""
@@ -391,22 +419,20 @@ def _expansions(n: int, d: int, m: int = 0, c: int = 0) -> Tuple[Word, ...]:
 
 
 def dyadic_twin(w: Word) -> Word | None:
-    """The other binary expansion of w's value, if there is one: the
-    expansions u10^inf and u01^inf of a dyadic pair up, and no other word
-    shares its value with a second word."""
-    if w.pre_len == 0 or w.q != 1:  # a tail worth b/1 is b^inf
-        return None
-    # canonical, the preperiod ends in the bit the period does not repeat
-    return Word._tail(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
+    """The other binary expansion of w's value, if there is one (with_twin)."""
+    fib = with_twin(w)
+    return fib[w.s] if len(fib) == 2 else None
 
 
 def with_twin(w: Word) -> Tuple[Word, ...]:
     """w's fiber of expansions as a tuple in (preperiod, period) order: w
     alone, or a dyadic pair (u01^inf, u10^inf), whose preperiods u0 and u1
-    differ in their last bit only."""
-    twin = dyadic_twin(w)
-    if twin is None:
+    differ in their last bit only.  The expansions u10^inf and u01^inf of a
+    dyadic pair up, and no other word shares its value with a second word."""
+    if w.pre_len == 0 or w.q != 1:  # a tail worth b/1 is b^inf
         return (w,)
+    # canonical, the preperiod ends in the bit the period does not repeat
+    twin = Word._tail(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
     return (w, twin) if w.s else (twin, w)
 
 

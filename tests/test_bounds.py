@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symchaos import cli, graphs, streams, verifier, words
+from symchaos import cli, graphs, interval, streams, verifier, words
 from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem
 from symchaos.interval import IntervalCodec
 from symchaos.verifier import (
@@ -153,7 +153,9 @@ def no_work(monkeypatch):
                  "orbit_windows", "semiconjugacy_check"):
         monkeypatch.setattr(verifier, name, _work)
     monkeypatch.setattr(streams, "_dense_text", _work)
-    monkeypatch.setattr(graphs, "graph_map", _work)
+    for name in ("_tent", "_baker"):
+        monkeypatch.setattr(interval, name, _work)
+    monkeypatch.setattr(graphs, "lattice_step", _work)
     monkeypatch.setattr(cli, "r_map", _work)
     for name in cli.EVAL_SYSTEMS:
         monkeypatch.setitem(cli.EVAL_SYSTEMS, name, _work)

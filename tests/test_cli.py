@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchaos import cli, graphs, verifier
+from symchaos import cli, graphs, interval, verifier
 from symchaos.cli import main
 from symchaos.graphs import EXAMPLE_GRAPHS, graph_map
 from symchaos.verifier import ChaosReport
 from symchaos.words import _quote, parse_word
+
+import measured
 
 
 @pytest.fixture
@@ -61,7 +63,7 @@ def test_eval_out_of_range_is_error(capsys):
 def test_eval_internal_invariant_failure_exits_three(capsys, monkeypatch):
     import symchaos.interval
 
-    monkeypatch.setattr(symchaos.interval, "tent", lambda y: Fraction(0))
+    monkeypatch.setattr(symchaos.interval, "_tent", lambda n, d: (0, 1))
     code, out, err = run(capsys, "eval", "--system", "induced-tent", "--x", "1/3")
     assert code == 3
     assert out == ""
@@ -75,7 +77,7 @@ def test_eval_invariant_failure_with_a_huge_value_exits_three(capsys, monkeypatc
     import symchaos.interval
 
     huge = Fraction(1, 10 ** 4400)
-    monkeypatch.setattr(symchaos.interval, "tent", lambda y: huge)
+    monkeypatch.setattr(symchaos.interval, "_tent", lambda n, d: huge.as_integer_ratio())
     code, out, err = run(capsys, "eval", "--system", "induced-tent", "--x", "1/3")
     assert code == 3
     assert out == ""
@@ -203,6 +205,29 @@ def test_streamed_orbit_rows_match_the_held_rows(capsys, k3_file, steps, fmt):
                    "--steps", str(steps), "--format", fmt) == (0, held, "")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_orbit_of_no_steps_prints_its_start_alone(capsys, k3_file, fmt):
+    for system in sorted(cli.EVAL_SYSTEMS):
+        held = _held_text(capsys, _held_orbit_rows(system, Fraction(3, 8), 0), fmt)
+        assert run(capsys, "orbit", "--system", system, "--x", "3/8", "--steps", "0",
+                   "--format", fmt) == (0, held, "")
+    sys_ = cli._load_graph(k3_file)
+    for start in ("E2:1/3", "node:b"):
+        held = _held_text(capsys, _held_graph_rows(sys_, cli._parse_start(sys_, start), 0), fmt)
+        assert run(capsys, "graph-orbit", "--file", k3_file, "--start", start, "--steps", "0",
+                   "--format", fmt) == (0, held, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("steps", ["0", "2"])
+def test_an_orbit_from_off_its_space_exits_two_before_any_row(capsys, k3_file, fmt, steps):
+    for system in sorted(cli.EVAL_SYSTEMS):
+        assert run(capsys, "orbit", "--system", system, "--x", "3/2", "--steps", steps,
+                   "--format", fmt) == (2, "", "error: point 3/2 outside [0, 1]\n")
+    assert run(capsys, "graph-orbit", "--file", k3_file, "--start", "E1:3/2", "--steps", steps,
+               "--format", fmt) == (2, "", "error: point 3/2 outside [0, 1]\n")
+
+
 def _failing_at(call: int, fmap):
     calls = []
 
@@ -224,8 +249,8 @@ def test_failure_mid_orbit_keeps_the_rows_before_it(capsys, monkeypatch, k3_file
         _held_graph_rows(sys_, graphs.Interior(1, Fraction(5, 13)), 4))]
     if fmt == "json":
         held = [text[:-len("\n]\n")] for text in held]
-    monkeypatch.setitem(cli.EVAL_SYSTEMS, "tent", _failing_at(5, cli.EVAL_SYSTEMS["tent"]))
-    monkeypatch.setattr(graphs, "graph_map", _failing_at(5, graphs.graph_map))
+    monkeypatch.setattr(interval, "_tent", _failing_at(5, interval._tent))
+    monkeypatch.setattr(graphs, "lattice_step", _failing_at(5, graphs.lattice_step))
     error = "error: internal invariant failed: step 5 failed\n"
     assert run(capsys, "orbit", "--system", "tent", "--x", "3/11", "--steps", "10",
                "--format", fmt) == (3, held[0], error)
@@ -295,7 +320,7 @@ def test_graph_orbit_start_with_a_zero_denominator_is_usage_error(capsys, k3_fil
 def test_graph_orbit_closed_form_mismatch_exits_three(capsys, monkeypatch, k3_file):
     import symchaos.graphs
 
-    monkeypatch.setattr(symchaos.graphs, "graph_step", lambda sys, point: point)
+    monkeypatch.setattr(symchaos.graphs, "lattice_step", lambda sys, key, q: key)
     code, out, err = run(capsys, "graph-orbit", "--file", k3_file,
                          "--start", "E2:1/3", "--steps", "2")
     # the rows made before the failing step are already printed
@@ -530,6 +555,15 @@ def test_fiber_outside_the_interval_names_the_point(capsys):
 
 def test_fiber_period_above_its_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "fiber", "--x", "1/33554467")
+    assert (code, out) == (2, "")
+    assert err == "error: bits_of: the expansion's period exceeds bound 2^24\n"
+
+
+@pytest.mark.parametrize("argv", [["fiber"], ["eval", "--system", "induced-tent"],
+                                  ["orbit", "--system", "induced-baker", "--steps", "1"]])
+def test_a_power_of_5_period_past_its_bound_is_refused_before_any_output(capsys, argv):
+    # the period of 10^-10000 is 4 * 5^9999, refused from the order of 5
+    code, out, err = run(capsys, *argv, "--x", "1e-10000")
     assert (code, out) == (2, "")
     assert err == "error: bits_of: the expansion's period exceeds bound 2^24\n"
 
@@ -1000,20 +1034,39 @@ def test_conjugacy_at_length_16():
 
 
 def test_graph_orbit_at_scale_ends_where_the_closed_form_does(k3_file):
-    # every step goes through the fibers; the last row must be that of the
-    # closed form graph_step, iterated as many times
-    code, out, err = _fresh_cli("graph-orbit", "--file", k3_file, "--start", "E1:5/13",
-                                "--steps", "100000", timeout=60)
-    assert (code, err) == (0, "")
-    closed = ("from fractions import Fraction\n"
-              "from symchaos.graphs import Interior, graph_step, graph_system, parse_graph\n"
-              f"sys = graph_system(parse_graph(open({k3_file!r}).read()))\n"
-              "pt = Interior(1, Fraction(5, 13))\n"
-              "for _ in range(100000):\n"
-              "    pt = graph_step(sys, pt)\n"
-              "print(f'100000,{sys.spec.arc(pt.arc).id},{pt.t.numerator},{pt.t.denominator},"
-              "{float(pt.t)}')\n")
-    assert _fresh_python("-c", closed, timeout=60) == (0, out.splitlines()[-1] + "\n", "")
+    # at the step cap within 120 s and in flat memory: every step goes
+    # through the fibers, and the last row must be that of the closed form
+    # graph_step, iterated as many times
+    line, peak_mb = measured.last_line_and_peak(measured.cli(
+        "graph-orbit", "--file", k3_file, "--start", "E1:5/13", "--steps", "1000000"), 120)
+    assert line == "1000000,E1,2,13,0.15384615384615385"
+    sys_, pt = cli._load_graph(k3_file), graphs.Interior(1, Fraction(5, 13))
+    for _ in range(1000000):
+        pt = graphs.graph_step(sys_, pt)
+    assert line == (f"1000000,{sys_.spec.arc(pt.arc).id},{pt.t.numerator},{pt.t.denominator},"
+                    f"{float(pt.t)}")
+    assert peak_mb < 64, peak_mb
+
+
+@pytest.mark.parametrize("system", ["tent", "baker"])
+def test_induced_orbit_on_a_499991_bit_period_ends_on_the_closed_form_row(system):
+    # each step maps the tail s/999983 in closed form and never builds the
+    # period block (baker's tests for its pinned fiber at each step); the
+    # last row must equal the closed form's, each run within 60 s
+    rows = [measured.last_line_and_peak(
+        measured.cli("orbit", "--system", name, "--x", "1/999983", "--steps", "200000"), 60)
+        for name in (f"induced-{system}", system)]
+    assert [line for line, _ in rows] == ["200000,7568,999983,0.007568128658187189"] * 2
+    assert max(peak_mb for _, peak_mb in rows) < 64, rows
+
+
+def test_orbit_at_its_step_cap_in_flat_memory():
+    # each row is printed as it is made, within 60 s; holding every row took
+    # 269 MB
+    line, peak_mb = measured.last_line_and_peak(measured.cli(
+        "orbit", "--system", "tent", "--x", "1/3", "--steps", "1000000"), 60)
+    assert line == "1000000,2,3,0.6666666666666666"
+    assert peak_mb < 64, peak_mb
 
 
 def test_fiber_of_a_million_bit_period_prints_and_reads_back():

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import point_route
 import symchaos.graphs
-from symchaos.decomposition import Fiber, induced_apply
+from symchaos.decomposition import Fiber, induced_apply, induced_orbit
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphError,
@@ -19,6 +20,7 @@ from symchaos.graphs import (
     graph_step,
     graph_system,
     _arc_address,
+    _form,
     _hausdorff,
     lattice_far,
     lattice_point,
@@ -324,6 +326,39 @@ def _star_failures(sys):
             if arcs[j - 1].head != arcs[j].tail]
 
 
+_orbit_rng = random.Random(41)
+ORBIT_SPACES = [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
+ORBIT_SPACES += [random_graph(_orbit_rng) for _ in range(8)]
+PARAMETERS = st.one_of(st.integers(1, 63).map(lambda k: F(k, 64)),
+                       st.fractions(0, 1, max_denominator=1 << 12).filter(lambda t: 0 < t < 1))
+
+
+@st.composite
+def _orbit_starts(draw):
+    """A graph and a point on it: a node, a pinned midpoint, an arc-1 point
+    1 - 2^-j (a star failure where head(arc j) is not tail(arc j+1)), or an
+    interior point, dyadic or not."""
+    sys = draw(st.sampled_from(ORBIT_SPACES))
+    special = [Node(v) for v in sys.spec.nodes] + list(sys.exceptional)
+    special += [Interior(1, 1 - F(1, 2 ** j)) for j in range(1, sys.r + 1)]
+    interior = st.builds(Interior, st.integers(1, sys.r), PARAMETERS)
+    return sys, draw(st.sampled_from(special) | interior)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_orbit_starts(), st.integers(1, 50))
+def test_induced_orbit_steps_as_the_point_route_does(start, steps):
+    # every integer form the generator gives is the point the point route
+    # reaches, step by step, and every fiber is that point's encoding, in
+    # order; a single step is the closed form
+    sys, point = start
+    assert graph_map(sys, point) == graph_step(sys, point) == point_route.graph_map(sys, point)
+    orbit = induced_orbit(sys.induced, sys.closed_form, point)
+    for k, ((key, q), fib) in zip(range(steps + 1), orbit):
+        assert sys.point(key, q) == point and fib == sys.encode(point), (sys.spec, k, point)
+        point = point_route.graph_map(sys, point)
+
+
 def _non_dyadic(rng):
     while True:
         q = rng.randrange(3, 10 ** 4)
@@ -374,10 +409,25 @@ def _candidates(sys, point):
             | {sys.point_at(i, u) for u in near})
 
 
+def _addresses(sys, w, point):
+    """sys.addresses at the point's integer form, and at the form on thrice
+    its denominator, which an orbit's fixed q can give: the two agree.  No
+    word addresses a point that the graph refuses to read."""
+    try:
+        key, q = _form(sys, point)
+    except GraphError:
+        return False
+    found = sys.addresses(w, key, q)
+    if key >= 0:
+        i, n = divmod(key, q + 1)
+        assert sys.addresses(w, i * (3 * q + 1) + 3 * n, 3 * q) == found, (sys.spec, w, point)
+    return found
+
+
 def _assert_addresses_as_decode_compares(sys, w, point):
     # the slow oracle: decode the word and compare the points
     image = sys.decode(w)
-    matches = [c for c in _candidates(sys, point) if sys.addresses(w, c)]
+    matches = [c for c in _candidates(sys, point) if _addresses(sys, w, c)]
     assert matches == [image], (sys.spec, w, point)
 
 
@@ -397,7 +447,7 @@ def test_addresses_agrees_with_decode_on_example_and_random_graphs():
     for sys in systems:
         for point in _addressed_points(sys, rng):
             for w in sys.encode(point):
-                assert sys.addresses(w, point)
+                assert _addresses(sys, w, point)
                 _assert_addresses_as_decode_compares(sys, w, point)
 
 
@@ -459,9 +509,9 @@ def test_addresses_of_every_word_at_every_point_is_decode(name):
     for w in words:
         image = sys.decode(w)
         for point in points:
-            assert sys.addresses(w, point) == (image == point), (name, w, point)
+            assert _addresses(sys, w, point) == (image == point), (name, w, point)
         # an arc index that no word addresses
-        assert not any(sys.addresses(w, Interior(i, F(1, 3))) for i in (0, -1, sys.r + 1))
+        assert not any(_addresses(sys, w, Interior(i, F(1, 3))) for i in (0, -1, sys.r + 1))
 
 
 def _cycle(r):
@@ -516,7 +566,7 @@ def test_the_prefix_rule_reads_every_word_as_the_dropped_prefix_route(sys):
         point, end, fiber = _dropped_route(sys, w)
         assert sys.decode(w) == point, (sys.spec, w)
         assert sys.fiber_of(w) == fiber, (sys.spec, w)
-        assert [sys.addresses(w, v) for v in nodes] == [end and v == point for v in nodes]
+        assert [_addresses(sys, w, v) for v in nodes] == [end and v == point for v in nodes]
 
 
 def _ends(sys):
@@ -581,7 +631,7 @@ def test_the_node_tables_give_what_the_per_call_node_rules_gave(sys):
         end = _prefix_length_end(sys, w)
         fiber = _per_call_node_fiber(sys, end.id) if end else with_twin(w)
         assert sys.fiber_of(w) == fiber, (sys.spec, w)
-        assert [sys.addresses(w, v) for v in nodes] == [v == end for v in nodes], (sys.spec, w)
+        assert [_addresses(sys, w, v) for v in nodes] == [v == end for v in nodes], (sys.spec, w)
     # lattice_far on two node keys, against the packed words' distance
     # (x - (x >> k)) / ((2^k - 1) 2^M), x = a XOR b
     for q in (2, 8, 6, 12, 1000, 3 * 4096):
@@ -665,7 +715,7 @@ def test_a_star_failure_on_arc_one_is_held_fixed():
 
 
 def test_graph_map_raises_when_the_closed_form_disagrees(monkeypatch, k3):
-    monkeypatch.setattr(symchaos.graphs, "graph_step", lambda sys, point: point)
+    monkeypatch.setattr(symchaos.graphs, "lattice_step", lambda sys, key, q: key)
     with pytest.raises(ArithmeticError, match=r"induced graph map at Interior\(2, 1/3\) "
                        r"gave Interior\(1, 1/3\), closed form gives Interior\(2, 1/3\)"):
         graph_map(k3, Interior(2, F(1, 3)))

@@ -3,13 +3,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchaos.decomposition import Violation, star_check
+import point_route
+from symchaos.decomposition import Violation, induced_orbit, star_check
 from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, Interior, Node, parse_graph
 from symchaos.interval import (
     INTERVAL_CODEC,
+    _baker,
     _show,
     _tent,
     as_unit,
@@ -231,7 +233,10 @@ def _assert_addresses_as_decode_compares(w, y):
     # the slow oracle: decode the word and compare the points
     image = INTERVAL_CODEC.decode(w)
     for z in _near_misses(y):
-        assert INTERVAL_CODEC.addresses(w, z) == (image == z), (w, z)
+        # the pair in lowest terms, and thrice it, as an orbit's fixed d gives it
+        n, d = z.as_integer_ratio()
+        assert INTERVAL_CODEC.addresses(w, n, d) == (image == z), (w, z)
+        assert INTERVAL_CODEC.addresses(w, 3 * n, 3 * d) == (image == z), (w, z)
 
 
 DYADICS = st.builds(lambda k, e: F(k % ((1 << e) + 1), 1 << e),
@@ -243,8 +248,28 @@ UNIT_POINTS = st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), DYADICS,
 @given(UNIT_POINTS)
 def test_addresses_agrees_with_decode_on_every_word_of_a_fiber(y):
     for w in INTERVAL_CODEC.encode(y):
-        assert INTERVAL_CODEC.addresses(w, y)
+        assert INTERVAL_CODEC.addresses(w, *y.as_integer_ratio())
         _assert_addresses_as_decode_compares(w, y)
+
+
+# system: (the induced system, the closed form on pairs and on points, the
+# library's induced map, the point route's)
+INDUCED = {"tent": (tent_system, _tent, tent, induced_tent, point_route.induced_tent),
+           "baker": (baker_system, _baker, baker, induced_baker, point_route.induced_baker)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(INDUCED)), UNIT_POINTS, st.integers(1, 50))
+def test_induced_orbit_steps_as_the_point_route_does(name, y, steps):
+    # every pair the generator gives is the point the point route reaches,
+    # step by step, and every fiber is that point's encoding, in order; a
+    # single step is the closed form
+    system, pairs, closed, induced, oracle = INDUCED[name]
+    assert induced(y) == closed(y) == oracle(y)
+    point = y
+    for k, ((n, d), fib) in zip(range(steps + 1), induced_orbit(system(), pairs, y, _show)):
+        assert F(n, d) == point and fib == INTERVAL_CODEC.encode(point), (k, point)
+        point = oracle(point)
 
 
 BITS = st.lists(st.integers(0, 1), max_size=12)
@@ -262,8 +287,9 @@ def test_fiber_route_mismatch_raises_arithmetic_error(monkeypatch, name, induced
     # two disagree, and the induced map must not return a value
     import symchaos.interval
 
-    closed = getattr(symchaos.interval, name)
-    monkeypatch.setattr(symchaos.interval, name, lambda y: closed(y) + F(1, 1 << 40))
+    closed = getattr(symchaos.interval, "_" + name)  # the closed form, 2^-40 off
+    monkeypatch.setattr(symchaos.interval, "_" + name,
+                        lambda n, d: ((closed(n, d)[0] << 40) + d, d << 40))
     with pytest.raises(ArithmeticError, match=f"induced {name} map at 1/3 gave"):
         induced(F(1, 3))
 
@@ -271,7 +297,7 @@ def test_fiber_route_mismatch_raises_arithmetic_error(monkeypatch, name, induced
 @pytest.mark.parametrize("y", ["abc", "1/0", None, [0], float("nan"), float("inf"),
                                1.5, 2, -1, F(3, 2)])
 def test_induced_maps_reject_what_as_unit_rejects_with_its_message(y):
-    # the induced maps check a point only in IntervalCodec.encode, by as_unit
+    # the induced maps read a point only in IntervalCodec.read, by as_unit
     with pytest.raises(Exception) as expected:
         as_unit(y)
     for induced in (induced_tent, induced_baker):
@@ -286,8 +312,9 @@ def test_fiber_route_mismatch_names_a_point_given_as_text_or_number(monkeypatch,
                                                                     induced, y, shown):
     import symchaos.interval
 
-    closed = getattr(symchaos.interval, name)
-    monkeypatch.setattr(symchaos.interval, name, lambda y: closed(y) + F(1, 1 << 40))
+    closed = getattr(symchaos.interval, "_" + name)  # the closed form, 2^-40 off
+    monkeypatch.setattr(symchaos.interval, "_" + name,
+                        lambda n, d: ((closed(n, d)[0] << 40) + d, d << 40))
     with pytest.raises(ArithmeticError, match=f"^induced {name} map at {shown} gave "):
         induced(y)
 
@@ -301,7 +328,7 @@ def test_fiber_route_invariant_survives_optimized_mode():
     import symchaos
 
     code = ("import symchaos.interval as m\n"
-            "m.tent = lambda y: 0\n"
+            "m._tent = lambda n, d: (0, 1)\n"
             "try:\n"
             "    m.induced_tent(m.Fraction(1, 3))\n"
             "except ArithmeticError:\n"

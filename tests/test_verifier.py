@@ -44,6 +44,7 @@ from symchaos.verifier import (
     transitivity_witness,
 )
 
+from measured import last_line_and_peak
 from tuple_lattice import tuple_lattice
 from value_cells import point_cells
 
@@ -2068,29 +2069,22 @@ def test_sensitivity_memos_stay_within_their_bound(monkeypatch):
 
 
 def test_sensitivity_of_a_long_failing_walk_in_bounded_memory():
-    # in a fresh interpreter under a 120 s timeout: rotation by 1/4099
-    # merges no orbits and its walks are cut at the horizon, so every step
-    # adds a key and a measured pair; the image and outcome memos start over
-    # at 2^17 entries, and a walk writes back along at most 2^17 pairs of its
-    # path (11-12 s and 48 MB on a 2-core x86-64 VM)
-    import os
-    import subprocess
+    # in a fresh interpreter under a 120 s timeout, measured by a parent of
+    # its own (measured.py): rotation by 1/4099 merges no orbits and its
+    # walks are cut at the horizon, so every step adds a key and a measured
+    # pair; the image and outcome memos start over at 2^17 entries, and a
+    # walk writes back along at most 2^17 pairs of its path (11-12 s and
+    # 48 MB on a 2-core x86-64 VM)
     import sys
 
-    src = os.path.dirname(os.path.dirname(verifier.__file__))
-    code = ("import resource\n"
-            "from fractions import Fraction\n"
+    code = ("from fractions import Fraction\n"
             "from symchaos.verifier import rotation_target, sensitivity_probe\n"
             "report = sensitivity_probe(rotation_target(Fraction(1, 4099)), Fraction(1, 8),\n"
             "                           Fraction(1, 4096), 4096, 1000)\n"
-            "print(report.verdict, len(report.witnesses))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert (done.returncode, done.stderr) == (0, "")
-    outcome, peak_mb = done.stdout.splitlines()
+            "print(report.verdict, len(report.witnesses))\n")
+    outcome, peak_mb = last_line_and_peak([sys.executable, "-c", code], timeout=120)
     assert outcome == "fail 3096"
-    assert float(peak_mb) < 200, peak_mb
+    assert peak_mb < 200, peak_mb
 
 
 def _far_separates(step, apart, fx, fy, horizon, image, far):

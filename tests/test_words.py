@@ -970,6 +970,32 @@ def test_order_of_two_matches_brute_force_below_2_14():
         assert _order_of_two(q) == _brute_order(q), q
 
 
+@pytest.mark.parametrize("a", range(1, 13))
+def test_order_of_two_on_a_power_of_5_is_lifted_from_5s(a):
+    # ord(5) = 4 and 5 exactly divides 2^4 - 1, so ord(5^a) = 4 * 5^(a-1)
+    assert _order_of_two(5 ** a) == _capped(4 * 5 ** (a - 1))
+
+
+@pytest.mark.parametrize("p", [1093, 3511])
+def test_order_of_two_at_the_square_of_a_wieferich_prime(p):
+    # p^2 divides 2^(p-1) - 1, so p^2 divides 2^ord(p) - 1: the lift stops at
+    # t = 2, and the order of p^2 is that of p
+    assert _order_of_two(p * p) == _brute_order(p * p) == _brute_order(p)
+    assert _order_of_two(3 * p * p) == math.lcm(2, _brute_order(p))
+
+
+def test_a_power_of_5_past_the_bound_is_refused_without_stepping_it(monkeypatch):
+    # 10^-10000 has the period 4 * 5^9999: refused from 5's order, with no
+    # baby or giant step modulo the 23,000-bit 5^10000
+    stepped = []
+    real = symchaos.words._stepped_order
+    monkeypatch.setattr(symchaos.words, "_stepped_order", lambda q: stepped.append(q) or real(q))
+    with pytest.raises(ValueError) as exc:
+        bits_of(Fraction(1, 10 ** 10000))
+    assert str(exc.value) == "bits_of: the expansion's period exceeds bound 2^24"
+    assert stepped == [5]
+
+
 _BRUTE_ORDERS = {q: _brute_order(q) for q in range(3, 2000, 2)}
 
 
