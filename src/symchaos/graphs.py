@@ -217,7 +217,12 @@ class GraphSystem:
         return self.point_at(i, word_value(word) * 2 ** s - c)
 
     def point(self, key: int, q: int) -> GraphPoint:
-        return lattice_point(self, key, q)
+        """The point of a lattice key, its parameter read from the integers
+        n and q."""
+        if key < 0:
+            return Node(self.spec.nodes[~key])
+        i, n = divmod(key, q + 1)  # off the open arc, Interior raises its own error
+        return (Interior._at if 0 < n < q else Interior)(i + 1, Fraction(n, q))
 
     def addresses(self, word: Word, key: int, q: int) -> bool:
         """decode(word) == point(key, q) on integers: a node is addressed by
@@ -270,12 +275,12 @@ class GraphSystem:
 
     def lattice(self, fmap, q: int, eta: Fraction):
         """lattice_step (graph_step's closed form), lattice_far and
-        lattice_point; arc ends are nodes, never neighbours.  A graph steps
+        point; arc ends are nodes, never neighbours.  A graph steps
         by its own map, so an fmap raises ValueError."""
         if fmap is not None:
             raise ValueError("a graph steps by its induced map; it takes no fmap")
         return (lambda key: lattice_step(self, key, q), lattice_far(self, q, eta),
-                lambda key: lattice_point(self, key, q), False)
+                lambda key: self.point(key, q), False)
 
     stream_excludes_all = stream_excludes_all
 
@@ -300,7 +305,7 @@ def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced map in closed form: lattice_step on the lattice of the
     parameter's own denominator."""
     key, q = _form(sys, point)
-    return lattice_point(sys, lattice_step(sys, key, q), q)
+    return sys.point(lattice_step(sys, key, q), q)
 
 
 def _form(sys: GraphSystem, point: GraphPoint) -> Tuple[int, int]:
@@ -319,14 +324,6 @@ def _form(sys: GraphSystem, point: GraphPoint) -> Tuple[int, int]:
 
 # A lattice key is one int: (i - 1)(q + 1) + n for the point n/q of arc i
 # (0 < n < q), and ~k, a negative int, for node k of spec.nodes.
-
-
-def lattice_point(sys: GraphSystem, key: int, q: int) -> GraphPoint:
-    """The point of a key, its parameter read from the integers n and q."""
-    if key < 0:
-        return Node(sys.spec.nodes[~key])
-    i, n = divmod(key, q + 1)  # off the open arc, Interior raises its own error
-    return (Interior._at if 0 < n < q else Interior)(i + 1, Fraction(n, q))
 
 
 def lattice_step(sys: GraphSystem, key: int, q: int) -> int:

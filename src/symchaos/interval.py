@@ -59,6 +59,8 @@ class IntervalCodec:
         return (word.pre * q + word.s) * d == n * (q << word.pre_len)
 
     def fiber_of(self, word: Word) -> Tuple[Word, ...]:
+        # a method, not staticmethod(with_twin): perfbench's tracer wraps the
+        # class attribute as a plain function, which is then called with self
         return with_twin(word)
 
     def point_json(self, point: Fraction) -> str:

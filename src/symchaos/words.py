@@ -143,10 +143,11 @@ class Word:
     terms (q = 1 for the tails 0/1 and 1/1).  The preperiod is minimal: its
     last bit differs from the last period bit, s & 1, so no preperiod bit
     can be absorbed into the cycle.  period_len k and the block period are
-    worked out on first read.
+    worked out on first read (_read_period); the class has no __getattr__,
+    which would slow every attribute read.
     """
 
-    __slots__ = ("pre_len", "pre", "s", "q", "period_len", "period")
+    __slots__ = ("pre_len", "pre", "s", "q", "_period")
 
     def __init__(self, pre: Iterable[int] = (), period: Iterable[int] = ()):
         m, p = _pack(pre)
@@ -161,34 +162,45 @@ class Word:
         k, block = _primitive(period_len, period)
         return cls._tail(pre_len, pre, block, (1 << k) - 1)
 
-    @classmethod
-    def _tail(cls, pre_len: int, pre: int, s: int, q: int) -> "Word":
+    @staticmethod
+    def _tail(pre_len: int, pre: int, s: int, q: int) -> "Word":
         # absorb preperiod bits b equal to the last period bit, s & 1: s -> (bq + s)/2
-        w = object.__new__(cls)
         while pre_len and (pre & 1) == (s & 1):
             pre_len -= 1
             s = (s + (pre & 1) * q) >> 1
             pre >>= 1
-        w.pre_len, w.pre, w.s, w.q = pre_len, pre, s, q
-        return w
+        return _word(pre_len, pre, s, q)
 
-    def __getattr__(self, name: str) -> int:
-        # reached only for an unset slot: the period, on first read
-        if name not in ("period_len", "period"):
-            raise AttributeError(name)
+    def _read_period(self) -> Tuple[int, int]:
+        """(period_len, period), worked out on the first read and kept in
+        the _period slot: the order of 2 modulo q and the block it makes of
+        s/q, or q's bit length and s itself when q = 2^k - 1."""
+        try:
+            return self._period
+        except AttributeError:  # not read yet
+            pass
         s, q = self.s, self.q
         if q & (q + 1):  # else q = 2^k - 1, and the block is s itself
             k = _order_of_two(q)
             s = ((s << k) - s) // q
         else:
             k = q.bit_length()
-        self.period_len, self.period = k, s
-        return object.__getattribute__(self, name)
+        self._period = k, s
+        return k, s
+
+    @property
+    def period_len(self) -> int:
+        return self._read_period()[0]
+
+    @property
+    def period(self) -> int:
+        return self._read_period()[1]
 
     def _texts(self) -> Tuple[str, str]:
         """The preperiod and the period as bit text, first bit first."""
         pre = format(self.pre, f"0{self.pre_len}b") if self.pre_len else ""
-        return pre, format(self.period, f"0{self.period_len}b")
+        k, block = self._read_period()
+        return pre, format(block, f"0{k}b")
 
     def __str__(self) -> str:
         return ":".join(self._texts())
@@ -216,6 +228,14 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         return self._texts() < other._texts()
+
+
+def _word(pre_len: int, pre: int, s: int, q: int) -> Word:
+    """The Word of fields already canonical: Word._tail's absorption would
+    leave them as they are."""
+    w = object.__new__(Word)
+    w.pre_len, w.pre, w.s, w.q = pre_len, pre, s, q
+    return w
 
 
 def _primitive(k: int, block: int) -> Tuple[int, int]:
@@ -251,20 +271,23 @@ def prefix_int(w: Word, n: int) -> int:
 
 
 def shift_map(w: Word) -> Word:
-    """Drop the first bit: result(i) = w(i+1)."""
+    """Drop the first bit: result(i) = w(i+1).  The result keeps the last
+    preperiod bit and the tail, so it is canonical as w is."""
     m, s, q = w.pre_len, w.s, w.q
     if m:
-        return Word._tail(m - 1, w.pre & ((1 << (m - 1)) - 1), s, q)
-    return Word._tail(0, 0, 2 * s - q if 2 * s > q else 2 * s, q)  # s/q doubled mod 1
+        return _word(m - 1, w.pre & ((1 << (m - 1)) - 1), s, q)
+    return _word(0, 0, 2 * s - q if 2 * s > q else 2 * s, q)  # s/q doubled mod 1
 
 
 def c_map(w: Word) -> Word:
-    """Shift, complemented when the leading bit is 1: result(i) = w(i+1) XOR w(1)."""
+    """Shift, complemented when the leading bit is 1: result(i) = w(i+1) XOR w(1).
+    A complement flips the last preperiod bit and the tail's last bit,
+    (q - s) & 1 for odd q, so the result is canonical as w is."""
     m, s, q = w.pre_len, w.s, w.q
     if m == 0:  # the tent on s/q: doubled, and reflected once past 1/2
-        return Word._tail(0, 0, 2 * (q - s) if 2 * s > q else 2 * s, q)
+        return _word(0, 0, 2 * (q - s) if 2 * s > q else 2 * s, q)
     lead = w.pre >> (m - 1)  # -lead flips every bit of the rest when it is 1
-    return Word._tail(m - 1, (w.pre ^ -lead) & ((1 << (m - 1)) - 1), q - s if lead else s, q)
+    return _word(m - 1, (w.pre ^ -lead) & ((1 << (m - 1)) - 1), q - s if lead else s, q)
 
 
 def r_map(w: Word) -> Word:
@@ -273,7 +296,8 @@ def r_map(w: Word) -> Word:
     This closed form agrees with reading off the first bits of the iterated
     c_map; the test suite checks the two against each other.
     """
-    m, p, k, block = w.pre_len, w.pre, w.period_len, w.period
+    m, p = w.pre_len, w.pre
+    k, block = w._read_period()
     # each preperiod bit XOR the bit after it, the last one the first period bit
     out_pre = p ^ (((p << 1) | (block >> (k - 1))) & ((1 << m) - 1))
     return Word._from_packed(m, out_pre, k, block ^ _rot_left(block, k))
@@ -282,8 +306,9 @@ def r_map(w: Word) -> Word:
 def r_inverse(w: Word) -> Word:
     """The r_map preimage whose first bit is 0 (cumulative XOR from 0)."""
     m = w.pre_len
-    # a period with an odd number of 1s flips the running XOR each time round
-    k = 2 * w.period_len if w.period.bit_count() & 1 else w.period_len
+    k, block = w._read_period()
+    if block.bit_count() & 1:  # an odd number of 1s flips the running XOR each time round
+        k *= 2
     x, shift = prefix_int(w, m + k), 1
     while shift < m + k:  # bit i becomes w(1) XOR ... XOR w(i), by doubling
         x ^= x >> shift
@@ -308,7 +333,7 @@ def word_metric(a: Word, b: Word) -> Fraction:
     building anything.
     """
     m = max(a.pre_len, b.pre_len)
-    k = math.lcm(a.period_len, b.period_len)
+    k = math.lcm(a._read_period()[0], b._read_period()[0])
     if k > MAX_PERIOD_BITS:
         raise ValueError(f"word_metric: lcm of the period lengths is {k} bits, "
                          "exceeds bound 2^24")
@@ -321,9 +346,9 @@ def word_metric(a: Word, b: Word) -> Fraction:
 
 def _aligned_period(w: Word, start: int, k: int) -> int:
     # period block of length k describing w from position start+1 onwards
-    rot = (start - w.pre_len) % w.period_len
-    block = _rot_left(w.period, w.period_len, rot)
-    return _repeat_block(block, w.period_len, k // w.period_len)
+    n, block = w._read_period()
+    block = _rot_left(block, n, (start - w.pre_len) % n)
+    return _repeat_block(block, n, k // n)
 
 
 def _factorize(n: int) -> dict:
@@ -431,8 +456,8 @@ def with_twin(w: Word) -> Tuple[Word, ...]:
     dyadic pair up, and no other word shares its value with a second word."""
     if w.pre_len == 0 or w.q != 1:  # a tail worth b/1 is b^inf
         return (w,)
-    # canonical, the preperiod ends in the bit the period does not repeat
-    twin = Word._tail(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
+    # canonical: the preperiod ends in the bit its constant tail does not repeat
+    twin = _word(w.pre_len, w.pre + (1 if w.s else -1), 1 - w.s, 1)
     return (w, twin) if w.s else (twin, w)
 
 

@@ -1322,6 +1322,30 @@ def test_graph_orbit_on_drawn_graph_files_exits_as_documented(drawn_graph_path, 
         assert [int(row["step"]) for row in rows] == list(range(int(steps) + 1))
 
 
+def _a_slow_length(text):
+    """Does text read as a length past 12, whose run takes seconds or more?"""
+    try:
+        return cli._integer(text) > 12
+    except argparse.ArgumentTypeError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-3, 12).map(str), number_texts(),
+                 st.sampled_from(["25", "1" + "0" * 40, "9" * 5000, "-" + "9" * 5000, "1_0",
+                                  "+5", " 5", "5 ", "0x5", "٣", "１２", "-", "--", "5.0"]))
+       .filter(lambda text: not _a_slow_length(text)))
+def test_conjugacy_on_drawn_lengths_exits_as_documented(length):
+    argv = ["conjugacy", "--length", length]
+    code, out, err = _run_command(argv)
+    _check_run(argv, code, out, err)
+    assert "Traceback" not in out + err
+    if code == 0:
+        n = int(length)
+        assert out == (f"length {n}: {1 << n} prefixes checked, {1 << n} agree on {n - 1} bits, "
+                       "0 mismatches\n")
+
+
 @pytest.mark.parametrize("exponent,read", [("10000", True), ("-10000", True), ("+1_0000", True),
                                            ("10001", False), ("-10001", False),
                                            ("-999999999", False)])

@@ -23,7 +23,6 @@ from symchaos.graphs import (
     _form,
     _hausdorff,
     lattice_far,
-    lattice_point,
     parse_graph,
 )
 from symchaos.interval import INTERVAL_CODEC
@@ -685,23 +684,23 @@ def test_lattice_point_builds_the_interior_point_of_a_key(k3):
     # the key of n/q on arc i is (i - 1)(q + 1) + n, and node k's is ~k
     for q in (2, 3, 12, 1000003):
         for n in (1, q // 2, q - 1):
-            point = lattice_point(k3, q + 1 + n, q)
+            point = k3.point(q + 1 + n, q)
             assert point == Interior(2, F(n, q)) and hash(point) == hash(Interior(2, F(n, q)))
             assert type(point.t) is F and repr(point) == f"Interior(2, {F(n, q)})"
             with pytest.raises(AttributeError):
                 point.t = F(1, 2)
-        # at an arc end, lattice_point raises as Interior does
+        # at an arc end, point raises as Interior does
         for key, i, n in ((0, 1, 0), (q, 1, q), (q + 1, 2, 0), (2 * q + 1, 2, q)):
             with pytest.raises(ValueError) as got:
-                lattice_point(k3, key, q)
+                k3.point(key, q)
             with pytest.raises(ValueError) as expected:
                 Interior(i, F(n, q))
             assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match=r"^interior parameter 0 not in \(0, 1\)$"):
-        lattice_point(k3, 0, 7)
+        k3.point(0, 7)
     with pytest.raises(ValueError, match=r"^interior parameter 1 not in \(0, 1\)$"):
-        lattice_point(k3, 7, 7)
-    assert [lattice_point(k3, key, 7) for key in (~0, ~1, ~2)] == [Node("a"), Node("b"), Node("c")]
+        k3.point(7, 7)
+    assert [k3.point(key, 7) for key in (~0, ~1, ~2)] == [Node("a"), Node("b"), Node("c")]
 
 
 def test_a_star_failure_on_arc_one_is_held_fixed():
@@ -760,12 +759,12 @@ def test_lattice_far_decides_as_graph_metric():
         for q in (2, 8, 32, 6, 12, 96, 1000, 3 * 4096, 2 * 4099):
             keys = _lattice_keys(sys, q)
             pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(40)]
-            distances = {graph_metric(sys, lattice_point(sys, x, q), lattice_point(sys, y, q))
+            distances = {graph_metric(sys, sys.point(x, q), sys.point(y, q))
                          for x, y in pairs}
             for eta in sorted(distances - {0})[:4] + [F(1, 4), F(1, 3), F(7, 8)]:
                 far = lattice_far(sys, q, eta)
                 for x, y in pairs:
-                    d = graph_metric(sys, lattice_point(sys, x, q), lattice_point(sys, y, q))
+                    d = graph_metric(sys, sys.point(x, q), sys.point(y, q))
                     assert far(x, y) == (d > eta), (sys.spec, q, eta, x, y)
 
 
@@ -775,7 +774,7 @@ def test_lattice_far_on_every_key_against_nodes_and_twins(k3):
     far = lattice_far(k3, 6, F(1, 8))
     for x in _lattice_keys(k3, 6):
         for y in (1, 17, 19, ~2):  # 1/6 on E1, 3/6 and 5/6 on E3, node c
-            d = graph_metric(k3, lattice_point(k3, x, 6), lattice_point(k3, y, 6))
+            d = graph_metric(k3, k3.point(x, 6), k3.point(y, 6))
             assert far(x, y) == (d > F(1, 8))
 
 

@@ -4,6 +4,7 @@ README's library quick tour runs."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -11,6 +12,9 @@ import pytest
 
 import symchaos
 from symchaos import graphs, streams, words
+from symchaos.decomposition import InducedSystem
+from symchaos.graphs import GraphSystem, Interior
+from symchaos.interval import IntervalCodec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = ("words", "streams", "decomposition", "interval", "graphs", "verifier")
@@ -60,7 +64,10 @@ def test_every_traced_name_resolves_where_the_tracer_wraps_it(tracer):
         for name in names:
             if "." in name:  # wrapped on its class, from the class's own dict
                 cls_name, method = name.split(".")
-                assert method in vars(getattr(module, cls_name)), f"{module_name}.{name}"
+                # a plain function: the wrapper is called with the instance
+                # and passes it on (a staticmethod would be given it too)
+                assert inspect.isfunction(vars(getattr(module, cls_name)).get(method)), \
+                    f"{module_name}.{name}"
             else:
                 assert callable(getattr(module, name)), f"{module_name}.{name}"
 
@@ -111,3 +118,11 @@ def test_the_readme_quick_tour_runs():
     exec(compile(_quick_tour(), "README.md quick tour", "exec"), namespace)
     sc = namespace["sc"]
     assert namespace["k3"].exceptional[:3] == tuple(map(sc.Node, "abc"))
+
+
+@pytest.mark.parametrize("cls", [words.Word, Interior, InducedSystem, IntervalCodec, GraphSystem],
+                         ids=lambda cls: cls.__name__)
+def test_a_hot_class_hooks_no_attribute_read(cls):
+    # such a hook slows every attribute read on the class
+    assert cls.__getattribute__ is object.__getattribute__
+    assert not hasattr(cls, "__getattr__")

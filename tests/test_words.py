@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symchaos.words
+from symchaos.graphs import EXAMPLE_GRAPHS, GraphSystem, parse_graph
 from symchaos.words import (
     MAX_PERIOD_BITS,
     Word,
+    _expansions,
     _factorize,
     _order_of_two,
     _pack,
@@ -29,6 +31,7 @@ from symchaos.words import (
     r_inverse,
     r_map,
     shift_map,
+    with_twin,
     word_metric,
     word_value,
 )
@@ -425,6 +428,68 @@ def test_shift_and_c_map_match_their_compositions_on_constant_tails():
             assert _tail_fields(c_map(w)) == _tail_fields(_c_map_by_composition(w)), t
 
 
+# every arc prefix of the example graphs, as GraphSystem builds them
+_ARC_PREFIXES = sorted({prefix for text in EXAMPLE_GRAPHS.values()
+                        for prefix in GraphSystem(parse_graph(text)).prefixes})
+
+
+@st.composite
+def _canonical_words(draw):
+    """A word as the library builds it: from bits (_from_packed) or from a
+    value (_expansions, a dyadic's twins among them), with or without a
+    preperiod, or behind a graph's arc prefix."""
+    if draw(st.booleans()):
+        m, k = draw(st.integers(0, 8)), draw(st.integers(1, 12))
+        return Word._from_packed(m, draw(st.integers(0, (1 << m) - 1)),
+                                 k, draw(st.integers(0, (1 << k) - 1)))
+    q = draw(st.sampled_from([1, 3, 11, 641, 1019, 1000003])) << draw(st.integers(0, 5))
+    n, d = Fraction(draw(st.integers(0, q)), q).as_integer_ratio()
+    m, c = draw(st.sampled_from([(0, 0), *_ARC_PREFIXES]))
+    return draw(st.sampled_from(_expansions(n, d, m, c)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_canonical_words())
+def test_shift_c_map_and_twin_build_the_fields_word_tail_builds(w):
+    # they build their words directly, without the absorption of
+    # Word._tail: its fields must be ones the absorption leaves as they are
+    assert _tail_fields(Word._tail(*_tail_fields(w))) == _tail_fields(w)
+    for v in (shift_map(w), c_map(w), *with_twin(w)):
+        assert type(v) is Word
+        assert _tail_fields(v) == _tail_fields(Word._tail(*_tail_fields(v))), (w, v)
+
+
+def _period_by_steps(q, s):
+    """The period of the tail s/q by brute force: the least k with 2^k = 1
+    modulo q, stepped one doubling at a time, and the k-bit block
+    s (2^k - 1) / q."""
+    k, x = 1, 2 % q
+    while x != 1 % q:
+        k, x = k + 1, 2 * x % q
+    return k, s * ((1 << k) - 1) // q
+
+
+@pytest.mark.parametrize("t", [":0", ":1", "1:0", "01:1", ":01", "110:011", ":0010111",
+                               "1:" + "01" * 40 + "1"])
+def test_the_period_of_a_word_from_bits_is_its_block(t):
+    w = W(t)
+    assert w.q == (1 << w.period_len) - 1
+    assert (w.period_len, w.period) == _period_by_steps(w.q, w.s) == w._read_period()
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8),
+                               Fraction(1, 3), Fraction(2, 11), Fraction(5, 641 << 2),
+                               Fraction(700, 1019), Fraction(1, 999983)], ids=str)
+def test_the_period_of_a_word_from_a_value_is_the_order_of_two(t):
+    for w in bits_of(t):
+        assert (w.period_len, w.period) == _period_by_steps(w.q, w.s) == w._read_period()
+        assert w._period == w._read_period()  # kept after the first read
+        with pytest.raises(AttributeError):  # read-only
+            w.period_len = 1
+        with pytest.raises(AttributeError):
+            w.period = 0
+
+
 # ---------------------------------------------------------------- hash
 
 @given(bits_strategy(70), bits_strategy(70, min_len=1), st.integers(1, 3))
@@ -463,8 +528,8 @@ def test_a_word_from_bits_hashes_as_the_same_sequence_from_its_value(q_odd, a, n
 def test_hash_of_a_tail_word_reads_no_period(t):
     for w in bits_of(t):
         hash(w)
-        with pytest.raises(AttributeError):  # the slot is still unset
-            object.__getattribute__(w, "period_len")
+        with pytest.raises(AttributeError):  # the period's slot is still unset
+            w._period
 
 
 # odd parts 1, 641, 145295143558111 (a prime factor of 2^65 - 1) and 1019
@@ -1297,11 +1362,10 @@ def test_induced_maps_on_rationals_never_read_the_period(monkeypatch):
     from symchaos.interval import baker, induced_baker, induced_tent, tent
 
     orders, reads = [], []
-    real_order, real_read = symchaos.words._order_of_two, Word.__getattr__
+    real_order, real_read = symchaos.words._order_of_two, Word._read_period
     monkeypatch.setattr(symchaos.words, "_order_of_two",
                         lambda q: orders.append(q) or real_order(q))
-    monkeypatch.setattr(Word, "__getattr__",
-                        lambda w, name: reads.append(name) or real_read(w, name))
+    monkeypatch.setattr(Word, "_read_period", lambda w: reads.append(w) or real_read(w))
     rng = random.Random(200)
     for _ in range(200):
         q = rng.randrange(3, 2 * 10 ** 6 + 1, 2) << rng.randrange(4)
