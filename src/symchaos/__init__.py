@@ -14,7 +14,6 @@ from .words import (
     periodic_words,
 )
 from .decomposition import (
-    Fiber,
     InducedSystem,
     induced_apply,
     semiconjugacy_check,

@@ -19,8 +19,8 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import graphs, interval, verifier
 from .decomposition import induced_orbit
-from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _rational, _show, _within, bits_of, c_map,
-                    r_map, shift_map)
+from .words import (MAX_BITS, MAX_STEPS, Word, _quote, _rational, _within, bits_of, c_map, r_map,
+                    shift_map)
 
 EVAL_SYSTEMS = {
     "tent": interval.tent,
@@ -199,7 +199,7 @@ def _cmd_orbit(args) -> int:
     step = interval._tent if tent else interval._baker
     if args.system.startswith("induced-"):
         system = interval.tent_system() if tent else interval.baker_system()
-        pairs = map(itemgetter(0), induced_orbit(system, step, y, _show))
+        pairs = map(itemgetter(0), induced_orbit(system, step, y))
     else:
         pairs = _pairs(step, *y.as_integer_ratio())
 
@@ -289,8 +289,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full parser: the top level and one subparser per command."""
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The full parser, the top level and one subparser per command: built
+    only on the usage path, and reused by every call after it."""
     parser = argparse.ArgumentParser(
         prog="symchaos",
         description="Exact symbolic dynamics: tent/baker/graph maps and chaos checks")
@@ -300,16 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The full parser of this process, built only on the usage path, and
-    reused by every call after it."""
-    return _build_parser()
-
-
 @lru_cache(maxsize=None)
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, the subparser _build_parser makes for it,
+    """The parser of one command, the subparser _parser makes for it,
     built by the first call that runs the command and reused after it."""
     _, arguments, _ = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"symchaos {command}")

@@ -15,10 +15,9 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Seq
                     Union)
 
 from .streams import StreamWord
-from .words import Word, prefix_int
+from .words import Word, _show, prefix_int
 
 __all__ = [
-    "Fiber",
     "InducedSystem",
     "induced_apply",
     "induced_orbit",
@@ -28,27 +27,16 @@ __all__ = [
 ]
 
 
-def Fiber(words: Iterable[Word]) -> Tuple[Word, ...]:
-    """The fiber of a nonempty finite set of Words encoding one space point:
-    the tuple of its words deduplicated (the first of equal words kept) and
-    in (preperiod, period) lexicographic order, so fibers compare and hash
-    as sets.  A codec that knows its words' order builds the tuple itself."""
-    words = set(words)
-    if not words:
-        raise ValueError("fiber must be nonempty")
-    return tuple(sorted(words))
-
-
 class Codec(Protocol):
     """Bridge between words and points of a concrete space.
 
-    Fibers are the points: `fiber_of` gives a word's fiber from the word,
-    and nothing between `encode` and `decode` names a point otherwise.
-    Both give a fiber as the tuple Fiber would make of its words.  A point
-    also has an integer form, a pair (a, b) that `read` gives with its
-    fiber and `point` reads back: (n, d) for n/d on the interval, (key, q)
-    on a graph, with key as in `lattice`, q the parameter's own denominator
-    and 1 at a node.  The
+    Fibers are the points: a fiber is the tuple of the point's words,
+    distinct and in the order of their printed text (preperiod, then
+    period), so fibers compare and hash as sets; `read`, `encode` and
+    `fiber_of` all give it so.  A point also has an integer form, a pair
+    (a, b) that `read` gives with its fiber and `point` reads back: (n, d)
+    for n/d on the interval, (key, q) on a graph, with key as in `lattice`,
+    q the parameter's own denominator and 1 at a node.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
     is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
     addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
@@ -82,12 +70,12 @@ class Codec(Protocol):
 
     def cell_json(self, cell: Tuple[int, int]) -> dict: ...
 
-    def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, Callable, bool]:
+    def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, bool]:
         """The space on the parameters n/q of each arc, each point keyed by
         one int: (i - 1)(q + 1) + n for n/q on arc i (n on the interval), ~k
-        for node k of a graph.  One step of fmap (None on a graph) on a key,
-        the test metric > eta on two keys, the point of a key, and whether
-        arc ends (n = 0 or q) may be neighbours."""
+        for node k of a graph, its point point(key, q).  One step of fmap
+        (None on a graph) on a key, the test metric > eta on two keys, and
+        whether arc ends (n = 0 or q) may be neighbours."""
 
 
 class Violation(NamedTuple):
@@ -143,8 +131,8 @@ def star_check(sys: InducedSystem, fib: Tuple[Word, ...]) -> Union[Tuple[Word, .
 
 def induced_apply(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...]:
     """The induced map on fibers, with the override policy applied: the
-    fiber of the first image word when the star condition holds (star_check;
-    no image word is decoded) and the fiber is not pinned."""
+    fiber of the first image word when the star condition holds (every image
+    word lies in it; no image word is decoded) and the fiber is not pinned."""
     keys = sys.pinned_keys  # empty when nothing is pinned: no key to make
     if not (keys and _pin_key(fib) in keys and fib in sys.pinned_fibers):
         step = sys.symbolic_map
@@ -155,34 +143,34 @@ def induced_apply(sys: InducedSystem, fib: Tuple[Word, ...]) -> Tuple[Word, ...]
 
 
 def _mismatch(sys: InducedSystem, fib: Tuple[Word, ...], image: Tuple[Word, ...],
-              expected: Tuple[int, int], show: Callable) -> ArithmeticError:
+              expected: Tuple[int, int]) -> ArithmeticError:
     """The internal invariant failure of a step from fib whose image fiber
     does not address the closed form's integer form; the points are built
     here only, for the message (the source as its fiber's first word reads)."""
     codec = sys.codec
     return ArithmeticError(
-        f"induced {sys.name} map at {show(codec.decode(fib[0]))} gave "
-        f"{show(codec.decode(image[0]))}, closed form gives {show(codec.point(*expected))}")
+        f"induced {sys.name} map at {_show(codec.decode(fib[0]))} gave "
+        f"{_show(codec.decode(image[0]))}, closed form gives {_show(codec.point(*expected))}")
 
 
-def induced_point(sys: InducedSystem, closed_form: Callable, point, show: Callable = repr):
+def induced_point(sys: InducedSystem, closed_form: Callable, point):
     """The induced map at a point by the fiber route: the point is read once
     (codec.read), its fiber goes through induced_apply, and the closed form
     steps its integer form, a pair to a pair, which the image's first word
     must address; the image point is built once, from the closed form's
     pair.  A mismatch is an internal invariant failure and raises
     ArithmeticError."""
+    # induced_orbit's step written out: a generator per call took +24 % on `points`
     codec = sys.codec
     (a, b), fib = codec.read(point)
     image = induced_apply(sys, fib)
     a, b = closed_form(a, b)
     if not codec.addresses(image[0], a, b):
-        raise _mismatch(sys, fib, image, (a, b), show)
+        raise _mismatch(sys, fib, image, (a, b))
     return codec.point(a, b)
 
 
-def induced_orbit(sys: InducedSystem, closed_form: Callable, point,
-                  show: Callable = repr) -> Iterator[tuple]:
+def induced_orbit(sys: InducedSystem, closed_form: Callable, point) -> Iterator[tuple]:
     """The orbit of a point under the induced map, stepped and checked as
     induced_point steps it: each point's integer form and fiber, made when
     asked for.  The start is read once, before the first is given; each
@@ -194,7 +182,7 @@ def induced_orbit(sys: InducedSystem, closed_form: Callable, point,
         image = induced_apply(sys, fib)
         form = closed_form(*form)
         if not codec.addresses(image[0], *form):
-            raise _mismatch(sys, fib, image, form, show)
+            raise _mismatch(sys, fib, image, form)
         fib = image
 
 

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
-from .decomposition import Fiber, InducedSystem, induced_point, stream_excludes_all
+from .decomposition import InducedSystem, induced_point, stream_excludes_all
 from .words import (Word, _expansions, _order_of_two, _quote, _show, as_unit, prefix_int,
                     shift_map, with_twin, word_metric, word_value)
 
@@ -167,7 +167,8 @@ class GraphSystem:
         self.prefixes: List[Tuple[int, int]] = (
             [(i, (1 << i) - 2) for i in range(1, r)] + [(r - 1, (1 << (r - 1)) - 1)])
         self._arc_index: Dict[str, int] = {a.id: i + 1 for i, a in enumerate(spec.arcs)}
-        # a node's words: each arc's prefix, then 0s at its tail and 1s at its head
+        # a node's words: each arc's prefix, then 0s at its tail and 1s at its
+        # head; distinct, as the prefixes are prefix-free
         ends: Dict[str, List[Word]] = {v: [] for v in spec.nodes}
         for (s, c), arc in zip(self.prefixes, spec.arcs):
             ends[arc.tail].append(Word._tail(s, c, 0, 1))
@@ -175,7 +176,7 @@ class GraphSystem:
         for v, words in ends.items():
             if not words:
                 raise GraphError(f"node {_quote(v)} has no incident arcs")
-        self._node_fibers = {v: Fiber(words) for v, words in ends.items()}
+        self._node_fibers = {v: tuple(sorted(words)) for v, words in ends.items()}
         self._end_fibers = {w: fib for fib in self._node_fibers.values() for w in fib}
         # the nodes, then the midpoints of arcs 1 and r
         self.exceptional: Tuple[GraphPoint, ...] = (
@@ -274,13 +275,12 @@ class GraphSystem:
         return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
 
     def lattice(self, fmap, q: int, eta: Fraction):
-        """lattice_step (graph_step's closed form), lattice_far and
-        point; arc ends are nodes, never neighbours.  A graph steps
-        by its own map, so an fmap raises ValueError."""
+        """lattice_step (graph_step's closed form) and lattice_far; arc
+        ends are nodes, never neighbours.  A graph steps by its own map, so
+        an fmap raises ValueError."""
         if fmap is not None:
             raise ValueError("a graph steps by its induced map; it takes no fmap")
-        return (lambda key: lattice_step(self, key, q), lattice_far(self, q, eta),
-                lambda key: self.point(key, q), False)
+        return lambda key: lattice_step(self, key, q), lattice_far(self, q, eta), False
 
     stream_excludes_all = stream_excludes_all
 
@@ -304,8 +304,7 @@ def graph_map(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
 def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
     """The induced map in closed form: lattice_step on the lattice of the
     parameter's own denominator."""
-    key, q = _form(sys, point)
-    return sys.point(lattice_step(sys, key, q), q)
+    return sys.point(*sys.closed_form(*_form(sys, point)))
 
 
 def _form(sys: GraphSystem, point: GraphPoint) -> Tuple[int, int]:

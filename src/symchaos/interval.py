@@ -86,7 +86,7 @@ class IntervalCodec:
             return m
 
         bound, den = eta.numerator * q, eta.denominator
-        return (step, lambda x, y: abs(x - y) * den > bound, lambda n: Fraction(n, q), True)
+        return step, lambda x, y: abs(x - y) * den > bound, True
 
 
 INTERVAL_CODEC = IntervalCodec()
@@ -129,12 +129,12 @@ def induced_tent(y) -> Fraction:
     whole point; it is checked here and exercised exhaustively by the
     acceptance suite.
     """
-    return induced_point(tent_system(), _tent, y, _show)
+    return induced_point(tent_system(), _tent, y)
 
 
 def induced_baker(y) -> Fraction:
     """Baker map through the fiber route, with the override over 1/2."""
-    return induced_point(baker_system(), _baker, y, _show)
+    return induced_point(baker_system(), _baker, y)
 
 
 def conjugate_via_r(y) -> Fraction:

@@ -605,7 +605,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
               "horizon": horizon, "points": space.r * grid}
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))
-    step, apart, point, ends = space.lattice(target.fmap, q, eta)
+    step, apart, ends = space.lattice(target.fmap, q, eta)
     unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
     lo, hi = (0, q) if ends else (1, q - 1)
     image, outcome, marks = {}, {}, count(-1, -1)
@@ -617,7 +617,7 @@ def sensitivity_probe(target: Target, eta: Fraction, delta: Fraction,
                                                 image, outcome, next(marks)):
                     break
             else:
-                failures.append(space.point_json(point(base + n)))
+                failures.append(space.point_json(space.point(base + n, q)))
     return _finish(target.name, "sensitivity", params, failures, started)
 
 

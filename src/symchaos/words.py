@@ -50,9 +50,10 @@ _QUOTED_CHARS = 256
 def _show(x) -> str:
     """A number as text for a message, or only its size once a part passes
     _SHOWN_BITS bits (str() of an int over 4300 digits raises ValueError).
-    A float NaN or infinity, which has no integer ratio, prints as str."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
+    A value with no integer ratio (a float NaN or infinity, a graph point)
+    prints as its repr."""
+    if not hasattr(x, "as_integer_ratio") or isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
     num, den = (part.bit_length() for part in x.as_integer_ratio())
     if max(num, den) <= _SHOWN_BITS:
         return str(x)

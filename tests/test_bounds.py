@@ -138,6 +138,30 @@ NON_FINITE += [
 ]
 
 
+# past 256 bits a value is named by its size: a huge int, float or
+# non-integer breaks the bound of every bounded parameter, its negative the
+# least; and eta or delta too long to print in the report is named so
+SIZED = "a fraction with a {}-bit numerator and a {}-bit denominator"
+HUGE = [("10^100", 10 ** 100, 333, 1), ("1e300", 1e300, 997, 1),
+        ("10^100/3", F(10 ** 100, 3), 333, 2)]
+HUGE_VALUES = [(f"{where}={name}", call, value,
+                f"{where.split()[1]} {SIZED.format(n, d)} exceeds bound {bound}")
+               for where, call, least, bound in BOUNDED for name, value, n, d in HUGE]
+HUGE_VALUES += [(f"{where}=-10^100", call, -10 ** 100,
+                 f"{where.split()[1]} must be at least {least}, got {SIZED.format(333, 1)}")
+                for where, call, least, bound in BOUNDED]
+HUGE_VALUES += [
+    ("sensitivity_probe eta=-10^100", lambda v: sensitivity_probe(TENT, v, DELTA, 8, 10),
+     -10 ** 100, f"eta must be positive, got {SIZED.format(333, 1)}"),
+    ("sensitivity_probe eta=10^-5000", lambda v: sensitivity_probe(TENT, v, DELTA, 8, 10),
+     F(1, 10 ** 5000), f"eta {SIZED.format(1, 16610)} is too long to print in the report"),
+    ("sensitivity_probe delta=10^100", lambda v: sensitivity_probe(TENT, ETA, v, 8, 10),
+     10 ** 100, f"delta must lie strictly between 0 and 1, got {SIZED.format(333, 1)}"),
+    ("sensitivity_probe delta=10^-5000", lambda v: sensitivity_probe(TENT, ETA, v, 8, 10),
+     F(1, 10 ** 5000), f"delta {SIZED.format(1, 16610)} is too long to print in the report"),
+]
+
+
 def _work(*args, **kwargs):
     raise AssertionError("work began before the bounds were checked")
 
@@ -173,6 +197,16 @@ def test_library_bounds(no_work, call, message):
 @pytest.mark.parametrize("call,value,message", [c[1:] for c in NON_FINITE],
                          ids=[c[0] for c in NON_FINITE])
 def test_library_bounds_reject_nan_and_infinity(no_work, call, value, message):
+    no_work.setattr(words.Word, "_from_packed", _work)
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call,value,message", [c[1:] for c in HUGE_VALUES],
+                         ids=[c[0] for c in HUGE_VALUES])
+def test_library_bounds_reject_huge_values(no_work, call, value, message):
+    # a usage error, never an OverflowError, before any work starts
     no_work.setattr(words.Word, "_from_packed", _work)
     with pytest.raises(ValueError) as exc:
         call(value)

@@ -498,7 +498,7 @@ def test_verify_property_text_is_that_of_a_tuple_of_choices(capsys, monkeypatch)
         monkeypatch.setattr(cli, "VERIFY_PROPERTIES", choices)
         for argv in (["verify", "--system", "tent", "--property", "bogus"], ["verify", "-h"]):
             with pytest.raises(SystemExit):
-                cli._build_parser().parse_args(argv)
+                cli._parser.__wrapped__().parse_args(argv)
             texts.append(capsys.readouterr())
     assert texts[:2] == texts[2:]
     assert "{periodic-density,dense-orbit,transitivity,sensitivity,lemma6}" in texts[0].err
@@ -745,19 +745,14 @@ def test_an_integer_option_is_read_from_ascii_digits_of_any_length(capsys, k3_fi
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     # every in-process call used to build the seven parsers again; then the
     # first call built all seven to run one command
-    built, full = [], []
-    init, parser = argparse.ArgumentParser.__init__, cli._build_parser
+    # (the full parser is the one whose prog is "symchaos")
+    built, init = [], argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
         built.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
-    def build():
-        full.append(None)
-        return parser()
-
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    monkeypatch.setattr(cli, "_build_parser", build)
     cli._parser.cache_clear()
     cli._command_parser.cache_clear()
     try:
@@ -774,7 +769,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         assert capsys.readouterr() == usage
         assert usage.err.startswith("usage: symchaos eval [-h]")
         # a well-formed command builds its own parser alone, once
-        assert (built, full) == (["symchaos eval", "symchaos conjugacy"], [])
+        assert built == ["symchaos eval", "symchaos conjugacy"]
         # arguments left over are named by the full parser, built once
         for _ in range(2):
             with pytest.raises(SystemExit) as leftover:
@@ -783,7 +778,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
             assert (leftover.value.code, out) == (2, "")
             assert err.startswith("usage: symchaos [-h] {eval,orbit,")
             assert err.endswith("\nsymchaos: error: unrecognized arguments: --bogus\n")
-        assert len(full) == 1
+        assert built.count("symchaos") == 1
         assert built[2:] == ["symchaos", *(f"symchaos {c}" for c in cli._COMMANDS)]
     finally:
         cli._parser.cache_clear()
@@ -886,7 +881,7 @@ def _parsed(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-FULL_PARSER = cli._build_parser()
+FULL_PARSER = cli._parser.__wrapped__()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1230,15 +1225,21 @@ def _run_command(argv, graph=None, path=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_run(argv, code, out, err):
-    """Exit 0, 1 or 2; stderr empty, or one line of under 400 bytes that
-    names no interpreter setting, after argparse's usage when it reports."""
-    assert code in (0, 1, 2), (argv, code, err)
+def _check_message(argv, err):
+    """stderr empty, or one line of under 400 bytes that names no
+    interpreter setting, after argparse's usage when it reports."""
     usage = cli._command_parser(argv[0]).format_usage()
     message = err[len(usage):] if err.startswith(usage) else err
     assert message == "" or (message.endswith("\n") and message.count("\n") == 1), (argv, err)
     assert len(message.encode()) < 400, (argv, message)
     assert not any(name in message for name in INTERPRETER_SETTINGS), (argv, message)
+
+
+def _check_run(argv, code, out, err):
+    """Exit 0, 1 or 2, stderr as _check_message reads it, and empty exactly
+    on exit 0."""
+    assert code in (0, 1, 2), (argv, code, err)
+    _check_message(argv, err)
     assert (code == 0) == (err == ""), (argv, code, err)
 
 
@@ -1344,6 +1345,57 @@ def test_conjugacy_on_drawn_lengths_exits_as_documented(length):
         n = int(length)
         assert out == (f"length {n}: {1 << n} prefixes checked, {1 << n} agree on {n - 1} bits, "
                        "0 mismatches\n")
+
+
+# an integer option's text: small values, values past a bound, runs of
+# digits past int()'s digit limit, Unicode digits, and the texts of rationals
+INT_TEXT = st.one_of(
+    st.integers(-2, 12).map(str), number_texts(),
+    st.sampled_from(["17", "25", "1000001", "1" + "0" * 40, "9" * 5000, "-" + "9" * 5000,
+                     "٣", "１２", "+5", " 5", "5.0", "1_0", ""]))
+# an integer option: (the largest value drawn runs take, the largest any check takes)
+QUICK_AND_BOUND = {"--max-period": (8, 24), "--resolution": (5, 16), "--steps": (2000, 10 ** 6)}
+
+
+def _a_slow_value(option, text):
+    """Does text read as a value of option that a check takes, but which
+    takes it a second or more?"""
+    if option not in QUICK_AND_BOUND:
+        return False
+    quick, bound = QUICK_AND_BOUND[option]
+    try:
+        return quick < cli._integer(text) <= bound
+    except argparse.ArgumentTypeError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["tent", "baker", "graph"]), graph_files(),
+       st.sampled_from(sorted(cli.VERIFY_PROPERTIES)),
+       st.fixed_dictionaries({}, optional={
+           "--eta": number_texts(), "--delta": number_texts(), "--max-period": INT_TEXT,
+           "--resolution": INT_TEXT, "--steps": INT_TEXT}).filter(
+           lambda options: not any(map(_a_slow_value, options, options.values()))),
+       st.sampled_from(["1", "2", "4", "16"]), st.sampled_from(["1", "3", "40"]))
+def test_verify_on_drawn_values_and_graph_files_exits_as_documented(
+        drawn_graph_path, system, graph, prop, options, grid, horizon):
+    # a failing check exits 1 with stderr empty, so _check_run's rule that
+    # stderr is empty exactly on exit 0 is here: empty exactly below exit 2
+    argv = ["verify", "--system", system, "--property", prop, "--grid", grid,
+            "--horizon", horizon, *(f"{option}={text}" for option, text in options.items())]
+    if system == "graph":
+        argv += ["--file", drawn_graph_path]
+    code, out, err = _run_command(argv, graph if system == "graph" else None, drawn_graph_path)
+    assert code in (0, 1, 2), (argv, code, err)
+    _check_message(argv, err)
+    assert (code == 2) == (err != ""), (argv, code, err)
+    if code == 2:
+        assert out == "", (argv, out)
+    else:
+        report = json.loads(out)
+        assert sorted(report) == ["elapsed_ms", "params", "property", "system", "verdict",
+                                  "witnesses"], (argv, out)
+        assert (report["property"], report["verdict"]) == (prop, ("pass", "fail")[code]), argv
 
 
 @pytest.mark.parametrize("exponent,read", [("10000", True), ("-10000", True), ("+1_0000", True),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchaos.decomposition import (
-    Fiber,
     _pin_key,
     InducedSystem,
     Violation,
@@ -55,19 +54,6 @@ W = parse_word
 F = Fraction
 
 
-def test_fiber_normalization():
-    fib = Fiber([W("1:0"), W("0:1"), W("1:0")])
-    assert type(fib) is tuple and len(fib) == 2
-    assert fib == (W("0:1"), W("1:0"))  # (pre, period) lex order
-    assert fib == Fiber([W("0:1"), W("1:0")])
-    # of two equal words, the first is kept: 1/3 as 01^inf and as its value
-    first, same = W(":01"), Word._tail(0, 0, 3, 9)
-    assert first == same and Fiber([first, same])[0] is first
-    assert Fiber([same, first])[0] is same
-    with pytest.raises(ValueError):
-        Fiber([])
-
-
 _bits = st.lists(st.integers(0, 1), max_size=12)
 _from_bits = st.builds(Word, _bits, _bits.filter(bool))
 
@@ -98,15 +84,18 @@ def _pairs(w):
 @given(st.one_of(_words.map(_pairs), _tail_words().map(lambda ws: [ws, ws[::-1]]),
                  st.lists(_words, min_size=2, max_size=6).map(lambda ws: [ws])))
 def test_fiber_words_are_the_sorted_set_of_its_words(cases):
-    # the oracle: a fiber is its words deduplicated, then sorted; a pair is
-    # ordered by one == and one <, so the kept members must be the very
-    # objects the set keeps
+    # a fiber is its words deduplicated, then sorted: equal words (one
+    # sequence from its bits and from its value) hash alike and print alike,
+    # and words order as their printed (preperiod, period) texts, so the
+    # words in any order give one tuple, strictly increasing
+    def texts(w):
+        return tuple(str(w).split(":"))
+
     for words in cases:
-        got, expected = Fiber(words), tuple(sorted(set(words)))
-        assert got == expected and list(map(id, got)) == list(map(id, expected)), words
-        assert Fiber(iter(words)) == expected
-    with pytest.raises(ValueError, match="^fiber must be nonempty$"):
-        Fiber([])
+        fib = tuple(sorted(set(words)))
+        assert fib == tuple(sorted(set(words[::-1]))), words
+        assert all(a < b for a, b in zip(fib, fib[1:])), words
+        assert list(map(texts, fib)) == sorted(set(map(texts, words))), words
 
 
 # ------------------------------------------------------------- star check

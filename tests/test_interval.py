@@ -267,7 +267,7 @@ def test_induced_orbit_steps_as_the_point_route_does(name, y, steps):
     system, pairs, closed, induced, oracle = INDUCED[name]
     assert induced(y) == closed(y) == oracle(y)
     point = y
-    for k, ((n, d), fib) in zip(range(steps + 1), induced_orbit(system(), pairs, y, _show)):
+    for k, ((n, d), fib) in zip(range(steps + 1), induced_orbit(system(), pairs, y)):
         assert F(n, d) == point and fib == INTERVAL_CODEC.encode(point), (k, point)
         point = oracle(point)
 

@@ -1931,7 +1931,7 @@ def _count_lattice(monkeypatch, codec_class, mapped, measured):
     original = codec_class.lattice
 
     def counting(codec, fmap, q, eta):
-        step, far, point, ends = original(codec, fmap, q, eta)
+        step, far, ends = original(codec, fmap, q, eta)
 
         def counted_step(key):
             mapped[codec, q, key] += 1
@@ -1940,7 +1940,7 @@ def _count_lattice(monkeypatch, codec_class, mapped, measured):
         def counted_far(x, y):
             measured[x, y] += 1
             return far(x, y)
-        return counted_step, counted_far, point, ends
+        return counted_step, counted_far, ends
 
     monkeypatch.setattr(codec_class, "lattice", counting)
 
@@ -2115,8 +2115,13 @@ def _far_sensitivity(target, eta, delta, grid, horizon, tuples=False):
     space = target.space
     q = math.lcm(2 * grid, delta.denominator,
                  *(c.denominator for branch in target.branches or () for c in branch))
-    lattice = tuple_lattice if tuples else type(space).lattice
-    step, apart, point, ends = lattice(space, target.fmap, q, eta)
+    if tuples:
+        step, apart, point, ends = tuple_lattice(space, target.fmap, q, eta)
+    else:
+        step, apart, ends = space.lattice(target.fmap, q, eta)
+
+        def point(key):
+            return space.point(key, q)
 
     def key(i, n):
         return (i, n) if tuples else (i - 1) * (q + 1) + n

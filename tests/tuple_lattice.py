@@ -116,7 +116,9 @@ def interval_lattice(fmap, q: int, eta: Fraction):
 
 
 def tuple_lattice(space, fmap, q: int, eta: Fraction):
-    """Codec.lattice of the space, keyed by tuples and nodes."""
+    """Codec.lattice of the space, keyed by tuples and nodes, as it was
+    before a key's point was Codec.point: step, far, the point of a key,
+    and whether arc ends may be neighbours."""
     if isinstance(space, GraphSystem):
         return (lambda key: lattice_step(space, key, q), lattice_far(space, q, eta),
                 lambda key: lattice_point(key, q), False)
