@@ -368,9 +368,27 @@ def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
 
 def _hausdorff(a, b, d):
     """Hausdorff distance between the finite sets a and b under d: each
-    pair's distance once, in rows, then the row and column minima."""
-    rows = [[d(u, v) for v in b] for u in a]
-    return max(max(map(min, rows)), max(map(min, zip(*rows))))
+    pair's distance once, row by row (u in a), keeping the largest row
+    minimum and each column's minimum as it goes, then the larger of those
+    (plain loops: a comprehension frame costs more than a pair)."""
+    far, cols = None, []
+    for u in a:
+        row, j = None, 0
+        for v in b:
+            x = d(u, v)
+            if row is None or x < row:
+                row = x
+            if j == len(cols):
+                cols.append(x)
+            elif x < cols[j]:
+                cols[j] = x
+            j += 1
+        if far is None or row > far:
+            far = row
+    for x in cols:
+        if x > far:
+            far = x
+    return far
 
 
 def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[int, int], bool]:

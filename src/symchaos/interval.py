@@ -95,7 +95,7 @@ INTERVAL_CODEC = IntervalCodec()
 def _tent(n: int, d: int) -> Tuple[int, int]:
     """The tent map on the point n/d, as a pair that need not be in lowest
     terms: its d is d, so an orbit stays on the lattice of its start."""
-    return 2 * min(n, d - n), d
+    return (2 * n if 2 * n <= d else 2 * (d - n)), d
 
 
 def _baker(n: int, d: int) -> Tuple[int, int]:

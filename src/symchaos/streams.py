@@ -14,23 +14,27 @@ the iterate's first bit (and 0 at step 0).
 
 The dense-orbit check reads the orbit as text: _dense_text writes the
 dense word as '0'/'1' characters, a chunk of bits per _dense_window call,
-and orbit_windows rolls one integer through that text, one bit per step,
-so no step builds a StreamWord or finds its place in the dense word again.
-When only a few cells are left unmarked, the check stops rolling and finds
-each one's first step with str.find on the rest of that text: a cell is
-marked exactly when the window starts with one bit pattern (the arc's
-prefix, then the cell's bits), after the flip bit under C.
+and window_arrays turns each chunk into the windows of its steps at once:
+one big integer holds one dense bit per fixed-size field, a few shifts of
+it put each step's window in its own field, and the fields are read back
+as an array, so no step builds a StreamWord or runs a line of Python.
+When only a few cells are left unmarked, the check stops reading windows
+and finds each one's first step with str.find on the rest of that text: a
+cell is marked exactly when the window starts with one bit pattern (the
+arc's prefix, then the cell's bits), after the flip bit under C.
 The Lemma 6 check reads no bit of it: every iterate is not eventually
 periodic, so projection commutes there by construction.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
-    "orbit_windows",
+    "window_arrays",
     "dense_bit",
 ]
 
@@ -103,29 +107,60 @@ def _dense_text(start: int, n: int) -> Iterator[str]:
         start, n = start + k, n - k
 
 
-def orbit_windows(width: int, steps: int, complementing: bool) -> Iterator[int]:
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_FIELD_CODES = {array(code).itemsize: code for code in "QLIHB"}  # unsigned, by item size
+
+
+def window_arrays(width: int, steps: int,
+                  complementing: bool) -> Iterator[Tuple[int, Sequence[int]]]:
     """The first `width` bits (packed, first bit most significant) of each of
     the first `steps` iterates of the dense word under the shift, or under
-    the complementing shift when `complementing`.
+    the complementing shift when `complementing`: one pair (n0, windows)
+    per _dense_text chunk, windows[t] being iterate n0 + t's.
 
-    One integer x of width+1 bits rolls along the dense word: at step n it
-    holds dense bits n .. n+width (bit 0 reads as 0).  Under the shift the
-    window is its low width bits; under the complementing shift those bits
-    are complemented when the top bit, the flip of stream_c_step, is set.
-    The dense word is read as _dense_text."""
+    Iterate n's window is dense bits n+1 .. n+width, complemented under C
+    when its flip, dense bit n, is 1 (bit 0 reads as 0).  A chunk's dense
+    bits n0 .. go one to a field of F bytes of one integer x, little end
+    first (F = 1, 2, 4 or 8 up to 8, 16, 32 or 64 bits, else width/8
+    rounded up), so field t holds bit n0 + t.  Doubling shifts, with one
+    one-bit step per 1 digit of width, give y, whose field t holds bits
+    n0+t+1 .. n0+t+width; under C, x times 2^width - 1 flips each field
+    by its own flip bit.  The fields are read as one array of F-byte items,
+    or past 64 bits one int each."""
+    size = -(-width // 8)
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    field, code = 8 * size, _FIELD_CODES.get(size)
     mask = (1 << width) - 1
-    full = (mask << 1) | 1
-    x = _dense_window(0, width)  # dense bits 1..width
+    carry = b"\0" + format(_dense_window(0, width), f"0{width}b").encode().translate(_BIT_BYTES)
+    n0 = 0
     for text in _dense_text(width, steps):
-        chunk = text.encode()  # ASCII '0' and '1' differ in their low bit
+        bits = carry + text.encode().translate(_BIT_BYTES)  # dense bits n0 .. n0+width+k
+        carry, k = bits[-width - 1:], len(text)
+        if size > 1:
+            spread = bytearray(len(bits) * size)
+            spread[::size] = bits
+            bits = spread
+        x = int.from_bytes(bits, "little")
+        y, m = x >> field, 1  # field t of y holds bits n0+t+1 .. n0+t+m
+        for digit in bin(width)[3:]:
+            y = (y << m) | (y >> field * m)
+            m *= 2
+            if digit == "1":
+                y = (y << 1) | (x >> field * (m + 1))
+                m += 1
         if complementing:
-            for b in chunk:
-                yield x ^ full if x > mask else x
-                x = ((x << 1) & full) | (b & 1)
+            y ^= x * mask
+        data = y.to_bytes(len(bits), "little")[:k * size]
+        if code is None:
+            windows = [int.from_bytes(data[i:i + size], "little")
+                       for i in range(0, len(data), size)]
         else:
-            for b in chunk:
-                yield x & mask
-                x = ((x << 1) & full) | (b & 1)
+            windows = array(code, data)
+            if sys.byteorder == "big":
+                windows.byteswap()
+        yield n0, windows
+        n0 += k
 
 
 def value_enclosure(sw: StreamWord, p: int) -> Tuple[Fraction, Fraction]:

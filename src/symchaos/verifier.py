@@ -19,7 +19,7 @@ from . import streams
 from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
 from .graphs import GraphSystem
 from .interval import INTERVAL_CODEC, _baker, _show, _tent, baker_system, tent_system
-from .streams import StreamWord, orbit_windows, stream_c_step, stream_shift
+from .streams import StreamWord, stream_c_step, stream_shift
 from .words import MAX_BITS, MAX_STEPS, Word, _factorize, _within, as_unit, c_map, shift_map
 
 __all__ = [
@@ -348,35 +348,45 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     """Does the projected generator orbit visit every resolution cell within
     the step budget?  A step marks the cell addressed by the first
     r-1+resolution bits of its iterate (r = 1 on the interval): their value
-    enclosure is that cell, so no mark is a guess.  The windows come from
-    one rolled integer (streams.orbit_windows, under C when the induced map
-    is the complementing shift, else under S), and only a window not seen
-    before is split into its cell.  The last cells come long after the
+    enclosure is that cell, so no mark is a guess.  The windows come a
+    text chunk at a time (streams.window_arrays, under C when the induced
+    map is the complementing shift, else under S), and only a window not
+    seen before is split into its cell.  The last cells come long after the
     others (on K3 at resolution 10, 99 % of them by step 24,057 and the
     last at 65,527), so once at most _SEARCH_PATTERNS text patterns are
-    left (one per cell under S, two under C) the rolling stops, and
-    _first_steps finds the rest by searching the dense word's text."""
+    left (one per cell under S, two under C) the reading stops, and
+    _first_steps finds the rest by searching the dense word's text.  A
+    chunk that cannot reach that switch is taken whole; the one where the
+    switch falls is stepped through in order, to find its step n."""
     started = time.monotonic()
     _within(steps=(steps, 1, MAX_STEPS), resolution=(resolution, 1, 16))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space, complementing = target.space, _complementing(target.induced)
-    windows = orbit_windows(space.r - 1 + resolution, steps, complementing)
     total = _all_cells(space, resolution)
     seen, covered, split = set(), set(), space.split_window
     switch = len(total) - _SEARCH_PATTERNS // (2 if complementing else 1)
     full_at = None
-    for n, window in enumerate(windows):
-        if window not in seen:
-            seen.add(window)
-            covered.add(split(window, resolution))
-            if len(covered) >= switch:
-                left = [c for c in total if c not in covered]
-                first = _first_steps(space, resolution, complementing, left, n, steps)
-                if len(first) == len(left):
-                    full_at = max(first.values(), default=n)
-                covered.update(first)
-                break
+    for n0, windows in streams.window_arrays(space.r - 1 + resolution, steps, complementing):
+        new = set(windows) - seen  # that walks the chunk; -= would walk seen
+        cells = {split(window, resolution) for window in new}
+        cells -= covered
+        if len(covered) + len(cells) < switch:
+            seen |= new
+            covered |= cells
+            continue
+        for n, window in enumerate(windows, n0):
+            if window not in seen:
+                seen.add(window)
+                covered.add(split(window, resolution))
+                if len(covered) >= switch:
+                    break
+        left = [c for c in total if c not in covered]
+        first = _first_steps(space, resolution, complementing, left, n, steps)
+        if len(first) == len(left):
+            full_at = max(first.values(), default=n)
+        covered.update(first)
+        break
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(total) - len(missing), "cells": len(total),
@@ -385,11 +395,12 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     return _finish(target.name, "dense-orbit", params, witnesses, started)
 
 
-# searching the rest of the dense word for an absent pattern reads 1-1.5 ns
-# a character, and writing that text 30 ns a bit, against about 300 ns a
-# rolled step (2-core x86-64 VM, Python 3.11), so 32 patterns never cost
-# much more than rolling on; 32 was among the fastest of 0 to 128 on K3,
-# tent and baker at 40,000-70,000 steps
+# searching the rest of the dense word for an absent pattern reads about
+# 1.2 ns a character, and writing that text 23 ns a bit, against about 75 ns
+# a step read a chunk at a time (29 ns for window_arrays, text included, and
+# 47 ns for the chunk's set; 2-core x86-64 VM, Python 3.11), so 32 patterns
+# never cost much more than reading on; 32 was among the fastest of 0 to 128
+# on K3, tent and baker at 40,000-70,000 steps and on the tent at 10^6/16
 _SEARCH_PATTERNS = 32
 
 _FLIPPED = str.maketrans("01", "10")
@@ -458,7 +469,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     size, fmap = 1 << resolution, target.fmap
     width = lattice >> resolution
     image = {}  # lowest-terms pair -> that of its fmap image
-    unwitnessed = []
+    get, gcd, unwitnessed = image.get, math.gcd, []
     for uj in range(size):
         remaining = set(range(size))
         ulo, uhi = uj * width, (uj + 1) * width
@@ -472,28 +483,34 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
                 break
             if n == save_at:
                 saved, save_at = pieces, 2 * save_at
+            denom = lattice * scale  # of step n's domain ends
             for d0, i0, i1, sigma in pieces:
                 lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
+                if lo == hi:  # a collapsed lap meets no cell (and may have slope 0)
+                    continue
+                per = scale // sigma
                 for vj in _met_cells(lo, hi, width, size):
                     if vj not in remaining:
                         continue
                     # the midpoint of the image within V, pulled back
-                    v = (max(lo, vj * width) + min(hi, (vj + 1) * width)) >> 1
-                    x = d0 + (v - i0) * (scale // sigma)
-                    g = math.gcd(x, lattice * scale)
-                    y = x // g, lattice * scale // g
+                    v0 = vj * width
+                    v1 = v0 + width
+                    v = ((lo if lo > v0 else v0) + (hi if hi < v1 else v1)) >> 1
+                    x = d0 + (v - i0) * per
+                    g = gcd(x, denom)
+                    y = x // g, denom // g
                     for _ in range(n):
-                        z = image.get(y)
+                        z = get(y)
                         if z is None:
                             a, b = fmap(*y)
-                            g = math.gcd(a, b)
+                            g = gcd(a, b)
                             z = _bounded(image)[y] = a // g, b // g
                         y = z
                     num, den = y[0] << resolution, y[1]
                     if not vj * den <= num <= (vj + 1) * den:
                         raise ArithmeticError(
                             f"transitivity of {target.name!r} at resolution {resolution}: "
-                            f"the laps carry {_show(Fraction(x, lattice * scale))} from U = cell "
+                            f"the laps carry {_show(Fraction(x, denom))} from U = cell "
                             f"{uj} into V = cell {vj} at step {n}, but fmap takes it to "
                             f"{_show(Fraction(*y))}")
                     remaining.discard(vj)
@@ -549,8 +566,8 @@ def _advance_laps(branches, pieces, scale: int, stretch: int):
             continue
         per = scale // sigma
         for blo, bhi, s, c in branches:
-            seg_lo = max(img_lo, blo)
-            seg_hi = min(img_hi, bhi)
+            seg_lo = img_lo if img_lo > blo else blo
+            seg_hi = img_hi if img_hi < bhi else bhi
             if seg_lo >= seg_hi:
                 continue
             a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)

@@ -54,10 +54,12 @@ def _show(x) -> str:
     prints as its repr."""
     if not hasattr(x, "as_integer_ratio") or isinstance(x, float) and not math.isfinite(x):
         return repr(x)
-    num, den = (part.bit_length() for part in x.as_integer_ratio())
-    if max(num, den) <= _SHOWN_BITS:
+    n, d = x.as_integer_ratio()
+    if max(n.bit_length(), d.bit_length()) <= _SHOWN_BITS:
         return str(x)
-    return f"a fraction with a {num}-bit numerator and a {den}-bit denominator"
+    sign = "negative " if n < 0 else ""
+    return (f"a {sign}fraction with a {n.bit_length()}-bit numerator and a "
+            f"{d.bit_length()}-bit denominator")
 
 
 def _quote(text: str) -> str:

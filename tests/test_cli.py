@@ -602,6 +602,7 @@ def test_fiber_file_requires_arc(capsys, k3_file):
 
 SIZED = "a fraction with a 16607-bit numerator and a 1-bit denominator"  # 10^4999
 SIZED_5000 = "a fraction with a 16610-bit numerator and a 1-bit denominator"  # 10^5000
+NEGATIVE, NEGATIVE_5000 = ("a negative " + sized[2:] for sized in (SIZED, SIZED_5000))
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -611,9 +612,9 @@ SIZED_5000 = "a fraction with a 16610-bit numerator and a 1-bit denominator"  # 
     (["graph-orbit", "--file", "K3", "--start", "E1:1e4999", "--steps", "1"],
      f"point {SIZED} outside [0, 1]"),
     (["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e4999"],
-     f"eta must be positive, got {SIZED}"),
+     f"eta must be positive, got {NEGATIVE}"),
     (["verify", "--system", "tent", "--property", "sensitivity", "--eta=-1e5000"],
-     f"eta must be positive, got {SIZED_5000}"),
+     f"eta must be positive, got {NEGATIVE_5000}"),
     (["verify", "--system", "tent", "--property", "sensitivity", "--delta=1e4999"],
      f"delta must lie strictly between 0 and 1, got {SIZED}"),
 ], ids=["fiber", "fiber-1e5000", "graph-fiber", "graph-orbit", "eta", "eta-1e5000", "delta"])
@@ -1103,7 +1104,7 @@ def test_periods_past_any_factoring_bound():
 
 
 def test_dense_orbit_at_the_step_bound_in_a_fresh_interpreter():
-    # one rolled window over the dense word, read in chunks, and a search of
+    # the windows of each chunk of the dense word at once, and a search of
     # the rest of it for the last cells
     code, out, err = _fresh_cli("verify", "--system", "tent", "--property", "dense-orbit",
                                 "--steps", "1000000", "--resolution", "16", timeout=60)

@@ -27,7 +27,7 @@ from symchaos.graphs import (
 )
 from symchaos.interval import INTERVAL_CODEC
 from symchaos.words import (Word, _order_of_two, _pack, bits_of, c_map, parse_word, prefix_int,
-                            shift_map, with_twin, word_value)
+                            shift_map, with_twin, word_metric, word_value)
 
 import tuple_lattice
 from prefixed import drop_bits, prepend_bits
@@ -785,13 +785,16 @@ def test_lattice_far_on_every_key_against_nodes_and_twins(k3):
             assert far(x, y) == (d > F(1, 8))
 
 
-def test_hausdorff_matches_the_two_maximins():
-    # the maximins the row matrix replaced, on symmetric and asymmetric d
-    def maximin(a, b, d):
-        forward = max(min(d(u, v) for v in b) for u in a)
-        backward = max(min(d(u, v) for u in a) for v in b)
-        return max(forward, backward)
+def _maximin(a, b, d):
+    # the Hausdorff distance by its definition: the larger of the two maximins
+    forward = max(min(d(u, v) for v in b) for u in a)
+    backward = max(min(d(u, v) for u in a) for v in b)
+    return max(forward, backward)
 
+
+def test_hausdorff_matches_the_two_maximins():
+    # on packed ints, under symmetric and asymmetric d
+    maximin = _maximin
     rng = random.Random(31)
     metrics = (lambda u, v: abs(u - v), lambda u, v: (u ^ v) - ((u ^ v) >> 1),
                lambda u, v: (3 * u + v) % 11)
@@ -800,6 +803,20 @@ def test_hausdorff_matches_the_two_maximins():
         b = [rng.randrange(64) for _ in range(rng.randint(1, 4))]
         for d in metrics:
             assert _hausdorff(a, b, d) == maximin(a, b, d), (a, b)
+
+
+def test_hausdorff_on_word_fibers_matches_the_two_maximins(k3):
+    # node fibers (two arc ends), dyadic twins and single words, under word_metric
+    pts = [Node("a"), Node("c"), Interior(1, F(1, 2)), Interior(2, F(1, 4)),
+           Interior(3, F(3, 7)), Interior(1, F(1, 3))]
+    for p in pts:
+        for q in pts:
+            a, b = k3.encode(p), k3.encode(q)
+            d = _hausdorff(a, b, word_metric)
+            assert d == _maximin(a, b, word_metric) and type(d) is Fraction, (p, q)
+            metric = graph_metric(k3, p, q)
+            assert metric == d and type(metric) is Fraction, (p, q)
+    assert type(graph_metric(k3, Node("b"), Node("b"))) is Fraction
 
 
 def test_interior_validation():

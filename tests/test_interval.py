@@ -411,6 +411,7 @@ def test_a_decimal_exponent_within_its_bound_reads():
 
 HUGE = 10 ** 4999  # a 5,000-digit numerator
 SIZED = "a fraction with a 16607-bit numerator and a 1-bit denominator"
+NEGATIVE = "a negative " + SIZED[2:]
 TENT = tent_target()
 
 
@@ -421,10 +422,10 @@ TENT = tent_target()
     (lambda: K3.point_at(1, F(HUGE)), f"point {SIZED} outside [0, 1]"),
     (lambda: K3.spec.arc(HUGE), f"arc index {SIZED} out of range 1..3"),
     (lambda: sensitivity_probe(TENT, F(-HUGE), F(1, 8), 4, 10),
-     f"eta must be positive, got {SIZED}"),
+     f"eta must be positive, got {NEGATIVE}"),
     (lambda: sensitivity_probe(TENT, F(1, 4), F(HUGE), 4, 10),
      f"delta must lie strictly between 0 and 1, got {SIZED}"),
-    (lambda: periodic_words(-HUGE), f"n must be at least 1, got {SIZED}"),
+    (lambda: periodic_words(-HUGE), f"n must be at least 1, got {NEGATIVE}"),
     (lambda: dense_orbit_coverage(TENT, HUGE, 4), f"steps {SIZED} exceeds bound 10^6"),
     (lambda: transitivity_witness(Target("steep", _tent, INTERVAL_CODEC,
                                          ((F(0), F(1), F(HUGE, 3), F(0)),)), 2, 2),
@@ -458,6 +459,9 @@ def test_show_prints_a_number_of_at_most_256_bits_as_str_does(x):
 
 @pytest.mark.parametrize("x,sized", [(1 << 256, "257-bit numerator and a 1-bit"),
                                      (F(-1, 1 << 256), "1-bit numerator and a 257-bit"),
-                                     (1e300, "997-bit numerator and a 1-bit")])
+                                     (1e300, "997-bit numerator and a 1-bit"),
+                                     (-(10 ** 100), "333-bit numerator and a 1-bit")])
 def test_show_names_a_number_past_256_bits_by_its_size(x, sized):
-    assert _show(x) == f"a fraction with a {sized} denominator"
+    # a negative value says so; the sizes are of the parts' magnitudes
+    sign = "negative " if x < 0 else ""
+    assert _show(x) == f"a {sign}fraction with a {sized} denominator"

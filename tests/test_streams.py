@@ -10,12 +10,13 @@ from symchaos.streams import (
     _CHUNK_BITS,
     StreamWord,
     _dense_text,
+    _dense_window,
     dense_bit,
     dense_prefix,
-    orbit_windows,
     stream_c_step,
     stream_shift,
     value_enclosure,
+    window_arrays,
 )
 
 from value_cells import point_cells
@@ -236,6 +237,23 @@ def test_dense_text_is_the_dense_word_in_chunks(start, n):
     assert "".join(chunks) == "".join(map(str, dense_prefix(start + n)[start:]))
 
 
+def orbit_windows(width, steps, complementing):
+    """window_arrays one window a step: one integer x of width+1 bits rolls
+    along the dense word, holding dense bits n .. n+width at step n (bit 0
+    reads as 0).  Under S the window is its low width bits; under C those
+    bits are complemented when the top bit, stream_c_step's flip, is set."""
+    mask = (1 << width) - 1
+    full = (mask << 1) | 1
+    x = _dense_window(0, width)  # dense bits 1..width
+    for text in _dense_text(width, steps):
+        for b in text.encode():  # ASCII '0' and '1' differ in their low bit
+            if complementing:
+                yield x ^ full if x > mask else x
+            else:
+                yield x & mask
+            x = ((x << 1) & full) | (b & 1)
+
+
 @pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])
 @pytest.mark.parametrize("width", [1, 5, 17, 66])
 @pytest.mark.parametrize("steps", [0, 1, 2, 4095, 4096, 4097, 8193])
@@ -247,6 +265,20 @@ def test_orbit_windows_match_per_step_stream_words(complementing, width, steps):
         expected.append(sw.window_int(width))
         sw = step(sw)
     assert list(orbit_windows(width, steps, complementing)) == expected
+
+
+@pytest.mark.parametrize("complementing", [False, True], ids=["S", "C"])
+@pytest.mark.parametrize("width", range(1, 73))
+@pytest.mark.parametrize("steps", [1, _CHUNK_BITS - 1, _CHUNK_BITS, _CHUNK_BITS + 1,
+                                   2 * _CHUNK_BITS + 1])
+def test_window_arrays_hold_the_rolled_windows_chunk_by_chunk(complementing, width, steps):
+    # widths 1-72 cross each field size: 1, 2, 4 and 8 bytes, then one int a field
+    starts, flat = [], []
+    for n0, windows in window_arrays(width, steps, complementing):
+        starts.append(n0)
+        flat.extend(windows)
+    assert flat == list(orbit_windows(width, steps, complementing))
+    assert starts == list(range(0, steps, _CHUNK_BITS))
 
 
 def test_the_complementing_flip_is_the_previous_dense_bit():

@@ -792,6 +792,18 @@ def test_dense_orbit_on_a_24_arc_graph_matches_the_oracle_quickly():
     assert (report.params, report.witnesses) == _orbit_oracle(PATH24, 2000, 8)
 
 
+PATH60 = graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(61))
+    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, 61)))), "path60")
+
+
+@pytest.mark.parametrize("steps", [2000, 2 * CHUNK + 1])
+def test_dense_orbit_past_a_64_bit_window_matches_the_oracle(steps):
+    # the window is 59 + 8 = 67 bits, past the widest array item: one int a field
+    report = dense_orbit_coverage(PATH60, steps, 8)
+    assert (report.params, report.witnesses) == _orbit_oracle(PATH60, steps, 8)
+
+
 @pytest.mark.parametrize("target,steps,resolution,params,witnesses", [
     (tent_target(), 10 ** 6, 16, {"covered": 65536, "cells": 65536,
                                   "full_coverage_step": 794612}, []),
@@ -809,7 +821,7 @@ def test_dense_orbit_at_the_step_bound(target, steps, resolution, params, witnes
 
 
 def _switched(monkeypatch, target, steps, resolution):
-    """(params, witnesses) of the dense orbit rolled to its end (no search),
+    """(params, witnesses) of the dense orbit read to its end (no search),
     with the real switch, and searched from the first marked cell on."""
     reports = []
     for patterns in (0, verifier._SEARCH_PATTERNS, 1 << 40):
@@ -1302,7 +1314,7 @@ def _in_enclosure(codec, pt, i, v, p):
 
 def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
     monkeypatch.setattr(streams, "_dense_text", None)
-    monkeypatch.setattr(verifier, "orbit_windows", None)
+    monkeypatch.setattr(streams, "window_arrays", None)
     assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
 
 
@@ -1314,7 +1326,7 @@ def _no_text(*args):
 def test_lemma6_reads_no_dense_text_at_its_caps(monkeypatch, target):
     # both have pinned points, and the orbit is still decided by the argument
     monkeypatch.setattr(streams, "_dense_text", _no_text)
-    monkeypatch.setattr(verifier, "orbit_windows", _no_text)
+    monkeypatch.setattr(streams, "window_arrays", _no_text)
     report = lemma6_commute_check(target, 24, 10 ** 6)
     assert report.verdict == "pass" and report.witnesses == []
 
