@@ -12,16 +12,17 @@ iterate of a sequence w is the n-fold shift of w XOR w(n), a global flip.
 Along the generator orbit that flip is dense bit n, the bit just before
 the iterate's first bit (and 0 at step 0).
 
-The dense-orbit check reads the orbit as text: _dense_text writes the
-dense word as '0'/'1' characters, a chunk of bits per _dense_window call,
-and window_arrays turns each chunk into the windows of its steps at once:
-one big integer holds one dense bit per fixed-size field, a few shifts of
-it put each step's window in its own field, and the fields are read back
-as an array, so no step builds a StreamWord or runs a line of Python.
-When only a few cells are left unmarked, the check stops reading windows
-and finds each one's first step with str.find on the rest of that text: a
-cell is marked exactly when the window starts with one bit pattern (the
-arc's prefix, then the cell's bits), after the flip bit under C.
+The dense-orbit check reads the orbit once, as text: orbit_text writes the
+dense word as '0'/'1' characters in overlapping chunks, each holding the
+flip and the whole window of each of its steps, and window_array turns a
+chunk into the windows of its steps at once: one big integer holds one
+bit per fixed-size field, a few shifts of it put each step's window in its
+own field, and the fields are read back as an array, so no step builds a
+StreamWord or runs a line of Python.  When only a few cells are left
+unmarked, the check stops taking windows and finds each one with str.find
+on the chunks' text: a cell is marked exactly when the window starts with
+one bit pattern (the arc's prefix, then the cell's bits), after the flip
+bit under C.
 The Lemma 6 check reads no bit of it: every iterate is not eventually
 periodic, so projection commutes there by construction.
 """
@@ -34,7 +35,8 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
-    "window_arrays",
+    "orbit_text",
+    "window_array",
     "dense_bit",
 ]
 
@@ -96,71 +98,65 @@ def stream_c_step(sw: StreamWord) -> StreamWord:
 _CHUNK_BITS = 4096
 
 
-def _dense_text(start: int, n: int) -> Iterator[str]:
-    """Dense-word bits start+1 .. start+n as '0'/'1' text, in chunks of at
-    most _CHUNK_BITS bits, each read by one _dense_window call (one call
+def orbit_text(width: int, steps: int) -> Iterator[Tuple[int, str]]:
+    """The text of the first `steps` iterates of the generator orbit whose
+    windows are `width` bits: one pair (n0, text) per chunk of at most
+    _CHUNK_BITS steps, text being dense bits n0 .. n0+k+width of its k
+    steps as '0'/'1' (bit 0 reads as 0), so that text[t] is iterate n0+t's
+    flip and text[t+1:t+1+width] its window before any flip.  Consecutive
+    chunks overlap by width+1 bits.  Each is one _dense_window read (one read
     over n bits shifts its whole value once per listed word: about n^2/64
     word operations)."""
-    while n > 0:
-        k = min(_CHUNK_BITS, n)
-        yield format(_dense_window(start, k), f"0{k}b")
-        start, n = start + k, n - k
+    for n0 in range(0, steps, _CHUNK_BITS):
+        k = min(_CHUNK_BITS, steps - n0) + width + 1
+        start = max(n0 - 1, 0)  # at n0 = 0 the padding to k digits writes bit 0
+        yield n0, format(_dense_window(start, n0 + k - 1 - start), f"0{k}b")
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _FIELD_CODES = {array(code).itemsize: code for code in "QLIHB"}  # unsigned, by item size
 
 
-def window_arrays(width: int, steps: int,
-                  complementing: bool) -> Iterator[Tuple[int, Sequence[int]]]:
-    """The first `width` bits (packed, first bit most significant) of each of
-    the first `steps` iterates of the dense word under the shift, or under
-    the complementing shift when `complementing`: one pair (n0, windows)
-    per _dense_text chunk, windows[t] being iterate n0 + t's.
+def window_array(text: str, width: int, complementing: bool) -> Sequence[int]:
+    """The `width`-bit windows (packed, first bit most significant) of the
+    steps of an orbit_text chunk, under the shift, or under the
+    complementing shift when `complementing`: windows[t] is text[t+1 ..
+    t+width], complemented under C when its flip, text[t], is 1.
 
-    Iterate n's window is dense bits n+1 .. n+width, complemented under C
-    when its flip, dense bit n, is 1 (bit 0 reads as 0).  A chunk's dense
-    bits n0 .. go one to a field of F bytes of one integer x, little end
-    first (F = 1, 2, 4 or 8 up to 8, 16, 32 or 64 bits, else width/8
-    rounded up), so field t holds bit n0 + t.  Doubling shifts, with one
-    one-bit step per 1 digit of width, give y, whose field t holds bits
-    n0+t+1 .. n0+t+width; under C, x times 2^width - 1 flips each field
-    by its own flip bit.  The fields are read as one array of F-byte items,
-    or past 64 bits one int each."""
+    The text's bits go one to a field of F bytes of one integer x, little end
+    first (F = 1, 2, 4 or 8 up to 8, 16, 32 or 64 bits, else width/8 rounded
+    up), so field t holds text[t].  Doubling shifts, with one one-bit step
+    per 1 digit of width, give y, whose field t holds text[t+1 .. t+width];
+    under C, x times 2^width - 1 flips each field by its own flip bit.  The
+    fields are read as one array of F-byte items, or past 64 bits one int
+    each."""
     size = -(-width // 8)
     if size <= 8:
         size = 1 << (size - 1).bit_length()
     field, code = 8 * size, _FIELD_CODES.get(size)
-    mask = (1 << width) - 1
-    carry = b"\0" + format(_dense_window(0, width), f"0{width}b").encode().translate(_BIT_BYTES)
-    n0 = 0
-    for text in _dense_text(width, steps):
-        bits = carry + text.encode().translate(_BIT_BYTES)  # dense bits n0 .. n0+width+k
-        carry, k = bits[-width - 1:], len(text)
-        if size > 1:
-            spread = bytearray(len(bits) * size)
-            spread[::size] = bits
-            bits = spread
-        x = int.from_bytes(bits, "little")
-        y, m = x >> field, 1  # field t of y holds bits n0+t+1 .. n0+t+m
-        for digit in bin(width)[3:]:
-            y = (y << m) | (y >> field * m)
-            m *= 2
-            if digit == "1":
-                y = (y << 1) | (x >> field * (m + 1))
-                m += 1
-        if complementing:
-            y ^= x * mask
-        data = y.to_bytes(len(bits), "little")[:k * size]
-        if code is None:
-            windows = [int.from_bytes(data[i:i + size], "little")
-                       for i in range(0, len(data), size)]
-        else:
-            windows = array(code, data)
-            if sys.byteorder == "big":
-                windows.byteswap()
-        yield n0, windows
-        n0 += k
+    bits = text.encode().translate(_BIT_BYTES)
+    k = len(bits) - width - 1
+    if size > 1:
+        spread = bytearray(len(bits) * size)
+        spread[::size] = bits
+        bits = spread
+    x = int.from_bytes(bits, "little")
+    y, m = x >> field, 1  # field t of y holds text[t+1 .. t+m]
+    for digit in bin(width)[3:]:
+        y = (y << m) | (y >> field * m)
+        m *= 2
+        if digit == "1":
+            y = (y << 1) | (x >> field * (m + 1))
+            m += 1
+    if complementing:
+        y ^= x * ((1 << width) - 1)
+    data = y.to_bytes(len(bits), "little")[:k * size]
+    if code is None:
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    windows = array(code, data)
+    if sys.byteorder == "big":
+        windows.byteswap()
+    return windows
 
 
 def value_enclosure(sw: StreamWord, p: int) -> Tuple[Fraction, Fraction]:

@@ -13,7 +13,7 @@ import operator
 import time
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import streams
 from .decomposition import Codec, InducedSystem, semiconjugacy_check, word_cells
@@ -348,45 +348,55 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     """Does the projected generator orbit visit every resolution cell within
     the step budget?  A step marks the cell addressed by the first
     r-1+resolution bits of its iterate (r = 1 on the interval): their value
-    enclosure is that cell, so no mark is a guess.  The windows come a
-    text chunk at a time (streams.window_arrays, under C when the induced
-    map is the complementing shift, else under S), and only a window not
-    seen before is split into its cell.  The last cells come long after the
-    others (on K3 at resolution 10, 99 % of them by step 24,057 and the
-    last at 65,527), so once at most _SEARCH_PATTERNS text patterns are
-    left (one per cell under S, two under C) the reading stops, and
-    _first_steps finds the rest by searching the dense word's text.  A
-    chunk that cannot reach that switch is taken whole; the one where the
-    switch falls is stepped through in order, to find its step n."""
+    enclosure is that cell, so no mark is a guess.  The orbit is read once, a
+    text chunk at a time (streams.orbit_text, under C when the induced map is
+    the complementing shift, else under S).  While more than _SEARCH_PATTERNS
+    text patterns are left (one per unmarked cell under S, two under C), a
+    chunk's windows (streams.window_array) are taken as one set, and only a
+    window not seen before is split into its cell.  The last cells come long
+    after the others (on K3 at resolution 10, 99 % of them by step 24,057 and
+    the last at 65,527), so the later chunks' text is searched for the cells
+    left instead (_patterns): a cell's first hit is the step that marks it
+    first.  The chunk that marks the last cell is searched for each cell it
+    marks, and the latest of their first steps is full_coverage_step."""
     started = time.monotonic()
     _within(steps=(steps, 1, MAX_STEPS), resolution=(resolution, 1, 16))
     if target.induced is None:
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space, complementing = target.space, _complementing(target.induced)
+    width, lead = space.r - 1 + resolution, 0 if complementing else 1
     total = _all_cells(space, resolution)
     seen, covered, split = set(), set(), space.split_window
     switch = len(total) - _SEARCH_PATTERNS // (2 if complementing else 1)
-    full_at = None
-    for n0, windows in streams.window_arrays(space.r - 1 + resolution, steps, complementing):
-        new = set(windows) - seen  # that walks the chunk; -= would walk seen
-        cells = {split(window, resolution) for window in new}
-        cells -= covered
-        if len(covered) + len(cells) < switch:
+    left, full_at = None, None  # once searching: each unmarked cell's patterns
+    for n0, text in streams.orbit_text(width, steps):
+        if left is None and len(covered) < switch:
+            # set(...) - seen walks the chunk; -= would walk seen
+            new = set(streams.window_array(text, width, complementing)) - seen
             seen |= new
+            cells = {split(window, resolution) for window in new}
+            cells -= covered
             covered |= cells
-            continue
-        for n, window in enumerate(windows, n0):
-            if window not in seen:
-                seen.add(window)
-                covered.add(split(window, resolution))
-                if len(covered) >= switch:
-                    break
-        left = [c for c in total if c not in covered]
-        first = _first_steps(space, resolution, complementing, left, n, steps)
-        if len(first) == len(left):
-            full_at = max(first.values(), default=n)
+            if len(covered) < len(total):
+                continue
+            left = _patterns(space, resolution, complementing, cells)
+        elif left is None:
+            left = _patterns(space, resolution, complementing,
+                             [c for c in total if c not in covered])
+        stop = len(text) - width - 2 + lead  # where the chunk's last step's pattern starts
+        first = {}
+        for cell, patterns in left.items():
+            hit = stop + 1  # past the chunk's last step
+            for q in patterns:  # a later pattern need only start before the hit so far
+                i = text.find(q, lead, hit - 1 + len(q))
+                hit = hit if i < 0 else i
+            if hit <= stop:
+                first[cell] = hit
         covered.update(first)
-        break
+        if len(covered) == len(total):
+            full_at = n0 + max(first.values()) - lead
+            break
+        left = {c: q for c, q in left.items() if c not in first}
     missing = [c for c in total if c not in covered]
     params = {"steps": steps, "resolution": resolution,
               "covered": len(total) - len(missing), "cells": len(total),
@@ -395,42 +405,30 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     return _finish(target.name, "dense-orbit", params, witnesses, started)
 
 
-# searching the rest of the dense word for an absent pattern reads about
-# 1.2 ns a character, and writing that text 23 ns a bit, against about 75 ns
-# a step read a chunk at a time (29 ns for window_arrays, text included, and
-# 47 ns for the chunk's set; 2-core x86-64 VM, Python 3.11), so 32 patterns
-# never cost much more than reading on; 32 was among the fastest of 0 to 128
-# on K3, tent and baker at 40,000-70,000 steps and on the tent at 10^6/16
+# searching a chunk's text for one pattern costs about 3.4 ns a character,
+# and reading a step's window into the chunk's set about 70 ns (x86-64 VM,
+# Python 3.11); the patterns dwindle as their cells are found, and 32 was
+# among the fastest of 0 to 128 on the tent at 40,000/12 and K3 at
+# 70,000/10, all within noise on the tent at 10^6/16
 _SEARCH_PATTERNS = 32
 
 _FLIPPED = str.maketrans("01", "10")
 
 
-def _first_steps(space: Codec, p: int, complementing: bool, cells: List[Tuple[int, int]],
-                 n: int, steps: int) -> dict:
-    """The first step after n and below `steps` at which the generator orbit
-    marks each of `cells`, for those it marks.  split_window marks cell
-    (i, j) exactly when the window starts with arc i's prefix (s, c) and
-    then the p bits of j: one pattern `head`, whatever the other bits.  So
-    under S step t marks it iff dense bits t+1 .. read `head`, and under C
-    iff dense bits t .. read '0' + head or '1' + head complemented (dense
-    bit t is the iterate's flip).  The text is dense bits n+1 ..
-    steps-1+width; each search starts at step n+1's index and ends where
-    step steps-1's pattern does."""
-    if not cells:
-        return {}
-    text = "".join(streams._dense_text(n, steps + space.r - 2 + p - n))
-    lead = 0 if complementing else 1  # the text index of step n+1's pattern
-    first = {}
+def _patterns(space: Codec, p: int, complementing: bool,
+              cells: Iterable[Tuple[int, int]]) -> dict:
+    """The texts whose hit at a step's index marks each of `cells`:
+    split_window marks cell (i, j) exactly when the window starts with arc
+    i's prefix (s, c) and then the p bits of j, one pattern `head` whatever
+    the other bits.  So under S step t marks it iff text[t+1:] starts with
+    head, and under C iff text[t:] starts with '0' + head or '1' + head
+    complemented (text[t] is the iterate's flip)."""
+    out = {}
     for cell in cells:
         s, c = space.prefixes[cell[0] - 1]
         head = format((c << p) | cell[1], f"0{s + p}b")
-        patterns = ("0" + head, "1" + head.translate(_FLIPPED)) if complementing else (head,)
-        end = steps - 1 - n + len(head)
-        hits = [k for k in (text.find(q, lead, end) for q in patterns) if k >= 0]
-        if hits:
-            first[cell] = min(hits) + n + 1 - lead
-    return first
+        out[cell] = ("0" + head, "1" + head.translate(_FLIPPED)) if complementing else (head,)
+    return out
 
 
 # -- transitivity ------------------------------------------------------------

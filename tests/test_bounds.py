@@ -177,8 +177,7 @@ def no_work(monkeypatch):
     for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
                  "semiconjugacy_check"):
         monkeypatch.setattr(verifier, name, _work)
-    for name in ("_dense_text", "window_arrays"):
-        monkeypatch.setattr(streams, name, _work)
+    monkeypatch.setattr(streams, "orbit_text", _work)
     for name in ("_tent", "_baker"):
         monkeypatch.setattr(interval, name, _work)
     monkeypatch.setattr(graphs, "lattice_step", _work)

@@ -9,16 +9,17 @@ from symchaos.interval import INTERVAL_CODEC
 from symchaos.streams import (
     _CHUNK_BITS,
     StreamWord,
-    _dense_text,
     _dense_window,
     dense_bit,
     dense_prefix,
+    orbit_text,
     stream_c_step,
     stream_shift,
     value_enclosure,
-    window_arrays,
+    window_array,
 )
 
+from text_reader import dense_text
 from value_cells import point_cells
 
 
@@ -229,23 +230,30 @@ def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
     assert not k3.stream_excludes_all(head, _cells(k3, [Node("b")], p), p)
 
 
-@pytest.mark.parametrize("start", [0, 1, 63, 4094])
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
-def test_dense_text_is_the_dense_word_in_chunks(start, n):
-    chunks = list(_dense_text(start, n))
-    assert all(0 < len(c) <= _CHUNK_BITS for c in chunks)
-    assert "".join(chunks) == "".join(map(str, dense_prefix(start + n)[start:]))
+@pytest.mark.parametrize("width", [0, 1, 63, 4094])
+@pytest.mark.parametrize("steps", [0, 1, 4095, 4096, 4097, 8193])
+def test_dense_text_is_the_dense_word_in_chunks(width, steps):
+    # chunk n0 of k steps is dense bits n0 .. n0+k+width, bit 0 read as '0'
+    chunks = list(orbit_text(width, steps))
+    assert [n0 for n0, _ in chunks] == list(range(0, steps, _CHUNK_BITS))
+    word = "0" + "".join(map(str, dense_prefix(steps + width)))
+    for n0, text in chunks:
+        assert text == word[n0:n0 + min(_CHUNK_BITS, steps - n0) + width + 1]
+    if chunks:
+        assert chunks[0][1].startswith("0")
+    for (_, before), (_, text) in zip(chunks, chunks[1:]):
+        assert before[-width - 1:] == text[:width + 1]
 
 
 def orbit_windows(width, steps, complementing):
-    """window_arrays one window a step: one integer x of width+1 bits rolls
+    """window_array one window a step: one integer x of width+1 bits rolls
     along the dense word, holding dense bits n .. n+width at step n (bit 0
     reads as 0).  Under S the window is its low width bits; under C those
     bits are complemented when the top bit, stream_c_step's flip, is set."""
     mask = (1 << width) - 1
     full = (mask << 1) | 1
     x = _dense_window(0, width)  # dense bits 1..width
-    for text in _dense_text(width, steps):
+    for text in dense_text(width, steps):
         for b in text.encode():  # ASCII '0' and '1' differ in their low bit
             if complementing:
                 yield x ^ full if x > mask else x
@@ -273,12 +281,12 @@ def test_orbit_windows_match_per_step_stream_words(complementing, width, steps):
                                    2 * _CHUNK_BITS + 1])
 def test_window_arrays_hold_the_rolled_windows_chunk_by_chunk(complementing, width, steps):
     # widths 1-72 cross each field size: 1, 2, 4 and 8 bytes, then one int a field
-    starts, flat = [], []
-    for n0, windows in window_arrays(width, steps, complementing):
-        starts.append(n0)
+    flat = []
+    for n0, text in orbit_text(width, steps):
+        windows = window_array(text, width, complementing)
+        assert len(windows) == min(_CHUNK_BITS, steps - n0)
         flat.extend(windows)
     assert flat == list(orbit_windows(width, steps, complementing))
-    assert starts == list(range(0, steps, _CHUNK_BITS))
 
 
 def test_the_complementing_flip_is_the_previous_dense_bit():

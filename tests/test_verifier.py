@@ -44,6 +44,7 @@ from symchaos.verifier import (
     transitivity_witness,
 )
 
+import text_reader
 from measured import last_line_and_peak
 from tuple_lattice import tuple_lattice
 from value_cells import point_cells
@@ -765,10 +766,30 @@ def _orbit_oracle(target, steps, resolution):
 
 CHUNK = streams._CHUNK_BITS
 
+PATH60 = graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(61))
+    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, 61)))), "path60")
+
+
 ORBIT_CASES = [(t, steps, res) for t in _interval_targets()[:2] + GRAPH_TARGETS
                for steps, res in ((1, 1), (300, 3), (4000, 6), (20000, 4),
                                   (CHUNK - 1, 10), (CHUNK, 10), (CHUNK + 1, 10),
                                   (2 * CHUNK + 1, 11))]
+# budgets at a chunk's edge, at resolutions whose last cells come just
+# before step 4,096 or after it (tent 3,067 and 7,034; baker and K3 2,555
+# and 5,882) or never (PATH60, whose 65- and 67-bit windows take one int a
+# field), and budgets whose first chunk covers every cell
+ORBIT_CASES += [case for case in
+                [(t, steps, res) for t, resolutions in ((tent_target(), (9, 10)),
+                                                       (baker_target(), (8, 9)),
+                                                       (GRAPH_TARGETS[0], (6, 7)),
+                                                       (PATH60, (6, 8)))
+                 for res in resolutions
+                 for steps in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)]
+                + [(t, 10 ** 5, res)
+                   for t in (tent_target(), baker_target(), GRAPH_TARGETS[0], PATH60)
+                   for res in range(1, 5)]
+                if case not in ORBIT_CASES]
 
 
 @pytest.mark.parametrize("target,steps,resolution", ORBIT_CASES,
@@ -790,11 +811,6 @@ def test_dense_orbit_on_a_24_arc_graph_matches_the_oracle_quickly():
     report = dense_orbit_coverage(PATH24, 2000, 8)
     assert time.monotonic() - started < 1
     assert (report.params, report.witnesses) == _orbit_oracle(PATH24, 2000, 8)
-
-
-PATH60 = graph_target(graph_system(parse_graph(
-    "".join(f"node n{i}\n" for i in range(61))
-    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, 61)))), "path60")
 
 
 @pytest.mark.parametrize("steps", [2000, 2 * CHUNK + 1])
@@ -821,8 +837,9 @@ def test_dense_orbit_at_the_step_bound(target, steps, resolution, params, witnes
 
 
 def _switched(monkeypatch, target, steps, resolution):
-    """(params, witnesses) of the dense orbit read to its end (no search),
-    with the real switch, and searched from the first marked cell on."""
+    """(params, witnesses) of the dense orbit read window by window to its
+    end (only the chunk that marks the last cell is searched), with the real
+    switch, and searched from the first chunk on."""
     reports = []
     for patterns in (0, verifier._SEARCH_PATTERNS, 1 << 40):
         monkeypatch.setattr(verifier, "_SEARCH_PATTERNS", patterns)
@@ -857,6 +874,26 @@ def test_dense_orbit_search_matches_rolling_on_random_graphs(monkeypatch, seed):
     rolled, real, searched = _switched(monkeypatch, target, steps, resolution)
     assert rolled == real == searched
     assert rolled == _orbit_oracle(target, steps, resolution)
+
+
+@pytest.mark.parametrize("target,resolution,transitivity", [
+    (tent_target(), 4, False), (GRAPH_TARGETS[0], 6, False), (GRAPH_TARGETS[0], 2, True),
+], ids=["tent-10^6/4", "k3-10^6/6", "k3-transitivity-2/10^6"])
+def test_dense_orbit_reads_no_text_past_its_last_cell(monkeypatch, target, resolution,
+                                                     transitivity):
+    # each check covers every cell in the first chunk of a 10^6-step budget;
+    # the dense word is read up to one chunk and one window past that chunk
+    read, real = [], streams._dense_window
+    monkeypatch.setattr(streams, "_dense_window",
+                        lambda start, n: read.append(n) or real(start, n))
+    if transitivity:
+        report = transitivity_witness(target, resolution, 10 ** 6)
+    else:
+        report = dense_orbit_coverage(target, 10 ** 6, resolution)
+    last = report.params["full_coverage_step"]
+    assert report.verdict == "pass" and last < CHUNK
+    width = target.space.r - 1 + resolution
+    assert 0 < sum(read) <= (last // CHUNK + 2) * CHUNK + width
 
 
 PATH5 = graph_target(graph_system(parse_graph(
@@ -993,8 +1030,8 @@ def _orbit_commute_failures(target, steps):
     from a pinned point, found by the substring search lemma6 made before it
     decided the orbit by the argument: the steps whose first s+512 bits are
     a pinned cell's pattern, its arc prefix c (s bits) and v.  The text is
-    "0" and dense bits 1 .. steps+r-2+512 (streams._dense_text, looked up
-    on each call so that a test can plant a text): index n holds step n's
+    "0" and dense bits 1 .. steps+r-2+512 (text_reader.dense_text, looked
+    up on each call so that a test can plant a text): index n holds step n's
     flip (dense bit n, 0 at step 0), and iterate n's bits before any flip
     follow it.  Under S a step is its pattern at index n+1; under C "0" and
     the pattern, or "1" and the pattern complemented, at index n.  Each
@@ -1008,7 +1045,7 @@ def _orbit_commute_failures(target, steps):
         pattern = format((c << 512) | v, f"0{s + 512}b")
         patterns |= {"0" + pattern, "1" + pattern.translate(_FLIPPED)} if flips else {pattern}
     lead = 0 if flips else 1  # where step 0's pattern starts
-    text = "0" + "".join(streams._dense_text(0, steps + space.r - 2 + 512))
+    text = "0" + "".join(text_reader.dense_text(0, steps + space.r - 2 + 512))
     hits = set()
     for pattern in patterns:
         end = steps + lead - 1 + len(pattern)
@@ -1035,7 +1072,7 @@ def _plant(target, steps, n, head):
 
 def _search(monkeypatch, target, text, steps):
     """The orbit oracle's steps when the dense word's text is `text`."""
-    monkeypatch.setattr(streams, "_dense_text", lambda start, k: iter([text[start + 1:][:k]]))
+    monkeypatch.setattr(text_reader, "dense_text", lambda start, k: iter([text[start + 1:][:k]]))
     return _orbit_commute_failures(target, steps)
 
 
@@ -1313,8 +1350,7 @@ def _in_enclosure(codec, pt, i, v, p):
 
 
 def test_lemma6_without_pinned_points_skips_the_orbit(monkeypatch):
-    monkeypatch.setattr(streams, "_dense_text", None)
-    monkeypatch.setattr(streams, "window_arrays", None)
+    monkeypatch.setattr(streams, "orbit_text", None)
     assert lemma6_commute_check(tent_target(), 4, 10 ** 6).verdict == "pass"
 
 
@@ -1325,8 +1361,7 @@ def _no_text(*args):
 @pytest.mark.parametrize("target", [baker_target(), GRAPH_TARGETS[0]], ids=lambda t: t.name)
 def test_lemma6_reads_no_dense_text_at_its_caps(monkeypatch, target):
     # both have pinned points, and the orbit is still decided by the argument
-    monkeypatch.setattr(streams, "_dense_text", _no_text)
-    monkeypatch.setattr(streams, "window_arrays", _no_text)
+    monkeypatch.setattr(streams, "orbit_text", _no_text)
     report = lemma6_commute_check(target, 24, 10 ** 6)
     assert report.verdict == "pass" and report.witnesses == []
 
@@ -1358,11 +1393,12 @@ def test_orbit_oracle_finds_exactly_the_hits_in_the_text(monkeypatch, target, te
         read.append((start, n))
         return iter([text[start:start + n]])
 
-    monkeypatch.setattr(streams, "_dense_text", dense_text)
+    monkeypatch.setattr(text_reader, "dense_text", dense_text)
     assert _orbit_commute_failures(target, 100) == hits
     assert read == [(0, len(text))]
+    monkeypatch.setattr(streams, "orbit_text", _no_text)
     report = lemma6_commute_check(target, 1, 100)
-    assert (report.verdict, report.witnesses, len(read)) == ("pass", [], 1)
+    assert (report.verdict, report.witnesses) == ("pass", [])
 
 
 def _advance_pieces(branches, pieces):
