@@ -1,15 +1,16 @@
 """Command-line surface: exact evaluation, orbits, fibers, and verification.
 
 All data output is exact rationals (a float column is appended for
-plotting).  Exit codes: 0 success/pass, 1 failed verification, 2 usage or
-input errors, 3 an internal invariant failed (a wrong answer was caught
-before it was printed).
+plotting).  Exit codes: 0 success/pass, 1 failed verification, 2 usage,
+input or output errors (stdout closed early), 3 an internal invariant
+failed (a wrong answer was caught before it was printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -247,7 +248,7 @@ def _cmd_verify(args) -> int:
     if args.eta is None:
         args.eta = default_eta
     report = VERIFY_PROPERTIES[args.property](target, args)
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(report._asdict(), indent=2, sort_keys=True))  # dumps only reads: no copy
     return 0 if report.passed() else 1
 
 
@@ -356,9 +357,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parse(_signed(sys.argv[1:] if argv is None else argv))
     _, _, run = _COMMANDS[args.command]
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at the exit flush
+        return code
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: what is left in stdout's buffer goes to devnull
+        # at exit, not to the pipe (the signal docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)

@@ -38,8 +38,8 @@ class Codec(Protocol):
     for n/d on the interval, (key, q) on a graph, with key as in `lattice`,
     q the parameter's own denominator and 1 at a node.  The
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
-    is a pair (arc, j), the parameter window [j/2^p, (j+1)/2^p].  Arc i is
-    addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
+    is the int (i - 1) 2^p + j, the window [j/2^p, (j+1)/2^p] of arc i.  Arc
+    i is addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
     exactly when its first s bits, packed, are c (the interval's is (0, 0)).
     split_window is the one cell rule, for a point too (word_cells).
     """
@@ -65,10 +65,10 @@ class Codec(Protocol):
 
     def point_json(self, point): ...
 
-    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
-        """Cell (arc, window) addressed by the packed first r-1+precision bits."""
+    def split_window(self, x: int, precision: int) -> int:
+        """The cell addressed by the packed first r-1+precision bits."""
 
-    def cell_json(self, cell: Tuple[int, int]) -> dict: ...
+    def cell_json(self, cell: int, precision: int) -> dict: ...
 
     def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, bool]:
         """The space on the parameters n/q of each arc, each point keyed by
@@ -206,7 +206,7 @@ def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int
     return codec.split_window(sw.window_int(codec.r - 1 + precision), precision) not in cells
 
 
-def word_cells(codec: Codec, words: Iterable[Word], p: int) -> Set[Tuple[int, int]]:
+def word_cells(codec: Codec, words: Iterable[Word], p: int) -> Set[int]:
     """The resolution-p cells that the words' first r-1+p bits address: for
     a fiber's words, every cell that holds its point."""
     return {codec.split_window(prefix_int(w, codec.r - 1 + p), p) for w in words}

@@ -264,15 +264,16 @@ class GraphSystem:
             return Node(arc.head)
         return Interior._at(i, t)
 
-    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
-        """Arc index and parameter window addressed by the packed first
-        r-1+precision bits of a sequence (first bit most significant)."""
+    def split_window(self, x: int, precision: int) -> int:
+        """The cell addressed by the packed first r-1+precision bits of a
+        sequence (first bit most significant)."""
         r = self.r
-        arc = _arc_address(x >> precision, r)
-        return arc, (x >> (r - 1 - self.prefixes[arc - 1][0])) & ((1 << precision) - 1)
+        i = _arc_address(x >> precision, r) - 1
+        return i << precision | (x >> (r - 1 - self.prefixes[i][0])) & ((1 << precision) - 1)
 
-    def cell_json(self, cell: Tuple[int, int]) -> dict:
-        return {"arc": self.spec.arc(cell[0]).id, "cell": cell[1]}
+    def cell_json(self, cell: int, precision: int) -> dict:
+        i, j = divmod(cell, 1 << precision)
+        return {"arc": self.spec.arc(i + 1).id, "cell": j}
 
     def lattice(self, fmap, q: int, eta: Fraction):
         """lattice_step (graph_step's closed form) and lattice_far; arc

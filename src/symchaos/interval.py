@@ -33,7 +33,7 @@ __all__ = [
 
 class IntervalCodec:
     """Word/point bridge for [0, 1]; all comparisons stay word-level.  The
-    interval is the one-arc space with an empty prefix: its cells are (1, j)."""
+    interval is the one-arc space with an empty prefix: a cell is its window j."""
 
     r = 1
     prefixes = ((0, 0),)
@@ -66,11 +66,11 @@ class IntervalCodec:
     def point_json(self, point: Fraction) -> str:
         return str(point)
 
-    def split_window(self, x: int, precision: int) -> Tuple[int, int]:
-        return 1, x
+    def split_window(self, x: int, precision: int) -> int:
+        return x
 
-    def cell_json(self, cell: Tuple[int, int]) -> dict:
-        return {"cell": cell[1]}
+    def cell_json(self, cell: int, precision: int) -> dict:
+        return {"cell": cell}
 
     def lattice(self, fmap, q: int, eta: Fraction):
         """The key n is n/q, ends included.  A step is fmap on n/q in

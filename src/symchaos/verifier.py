@@ -147,10 +147,6 @@ def rotation_target(step: Fraction = Fraction(1, 3)) -> Target:
                   ((ZERO, 1 - step, ONE, step), (1 - step, ONE, ONE, step - 1)))
 
 
-def _all_cells(space: Codec, p: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(1, space.r + 1) for j in range(1 << p)]
-
-
 _CONSTANTS = (Word([], [0]), Word([], [1]))
 
 
@@ -180,7 +176,7 @@ def periodic_density(target: Target, max_period: int, resolution: int) -> ChaosR
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": points_kept,
               "covered": cells - len(missing), "cells": cells}
-    witnesses = [space.cell_json(c) for c in missing]
+    witnesses = [space.cell_json(c, resolution) for c in missing]
     return _finish(target.name, "periodic-density", params, witnesses, started)
 
 
@@ -289,7 +285,7 @@ def _cycle(step, w: Word, horizon: int):
 
 
 def _uncovered(space: Codec, kept: Callable[[int, int], bool],
-               max_period: int, p: int) -> List[Tuple[int, int]]:
+               max_period: int, p: int) -> List[int]:
     """Every resolution-p cell that holds no kept word's point.
 
     A kept constant word marks the cells its fiber's words address
@@ -305,10 +301,10 @@ def _uncovered(space: Codec, kept: Callable[[int, int], bool],
     end_cells = word_cells(space, (v for b, w in enumerate(_CONSTANTS) if kept(1, b)
                                    for v in space.fiber_of(w)), p)
     missing = []
-    for i, (s, c) in enumerate(space.prefixes, start=1):
+    for i, (s, c) in enumerate(space.prefixes):
         for j in range(1 << p):
-            if (i, j) not in end_cells and not _holds_kept(kept, s, c, j, p, max_period):
-                missing.append((i, j))
+            if i << p | j not in end_cells and not _holds_kept(kept, s, c, j, p, max_period):
+                missing.append(i << p | j)
     return missing
 
 
@@ -365,24 +361,24 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
         raise ValueError(f"system {target.name!r} has no symbolic generator orbit")
     space, complementing = target.space, _complementing(target.induced)
     width, lead = space.r - 1 + resolution, 0 if complementing else 1
-    total = _all_cells(space, resolution)
+    cells = space.r << resolution
     seen, covered, split = set(), set(), space.split_window
-    switch = len(total) - _SEARCH_PATTERNS // (2 if complementing else 1)
+    switch = cells - _SEARCH_PATTERNS // (2 if complementing else 1)
     left, full_at = None, None  # once searching: each unmarked cell's patterns
     for n0, text in streams.orbit_text(width, steps):
         if left is None and len(covered) < switch:
             # set(...) - seen walks the chunk; -= would walk seen
             new = set(streams.window_array(text, width, complementing)) - seen
             seen |= new
-            cells = {split(window, resolution) for window in new}
-            cells -= covered
-            covered |= cells
-            if len(covered) < len(total):
+            marked = {split(window, resolution) for window in new}
+            marked -= covered
+            covered |= marked
+            if len(covered) < cells:
                 continue
-            left = _patterns(space, resolution, complementing, cells)
+            left = _patterns(space, resolution, complementing, marked)
         elif left is None:
             left = _patterns(space, resolution, complementing,
-                             [c for c in total if c not in covered])
+                             [c for c in range(cells) if c not in covered])
         stop = len(text) - width - 2 + lead  # where the chunk's last step's pattern starts
         first = {}
         for cell, patterns in left.items():
@@ -393,15 +389,15 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
             if hit <= stop:
                 first[cell] = hit
         covered.update(first)
-        if len(covered) == len(total):
+        if len(covered) == cells:
             full_at = n0 + max(first.values()) - lead
             break
         left = {c: q for c, q in left.items() if c not in first}
-    missing = [c for c in total if c not in covered]
+    missing = [c for c in range(cells) if c not in covered]
     params = {"steps": steps, "resolution": resolution,
-              "covered": len(total) - len(missing), "cells": len(total),
+              "covered": cells - len(missing), "cells": cells,
               "full_coverage_step": full_at}
-    witnesses = [space.cell_json(c) for c in missing]
+    witnesses = [space.cell_json(c, resolution) for c in missing]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
 
 
@@ -416,17 +412,17 @@ _FLIPPED = str.maketrans("01", "10")
 
 
 def _patterns(space: Codec, p: int, complementing: bool,
-              cells: Iterable[Tuple[int, int]]) -> dict:
+              cells: Iterable[int]) -> dict:
     """The texts whose hit at a step's index marks each of `cells`:
-    split_window marks cell (i, j) exactly when the window starts with arc
-    i's prefix (s, c) and then the p bits of j, one pattern `head` whatever
-    the other bits.  So under S step t marks it iff text[t+1:] starts with
-    head, and under C iff text[t:] starts with '0' + head or '1' + head
-    complemented (text[t] is the iterate's flip)."""
+    split_window marks cell (i - 1) 2^p + j exactly when the window starts
+    with arc i's prefix (s, c) and then the p bits of j, one pattern `head`
+    whatever the other bits.  So under S step t marks it iff text[t+1:]
+    starts with head, and under C iff text[t:] starts with '0' + head or
+    '1' + head complemented (text[t] is the iterate's flip)."""
     out = {}
     for cell in cells:
-        s, c = space.prefixes[cell[0] - 1]
-        head = format((c << p) | cell[1], f"0{s + p}b")
+        s, c = space.prefixes[cell >> p]
+        head = format((c << p) | (cell & ((1 << p) - 1)), f"0{s + p}b")
         out[cell] = ("0" + head, "1" + head.translate(_FLIPPED)) if complementing else (head,)
     return out
 

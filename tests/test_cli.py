@@ -1004,6 +1004,35 @@ def _fresh_cli(*argv, timeout, stdin=None):
     return _fresh_python("-m", "symchaos.cli", *argv, timeout=timeout, stdin=stdin)
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--system", "tent", "--x", "1/3", "--steps", "100000"],
+    ["orbit", "--system", "induced-baker", "--x", "1/3", "--steps", "100000",
+     "--format", "json"],
+    ["graph-orbit", "--file", "K3", "--start", "E2:1/3", "--steps", "100000"],
+    ["graph-orbit", "--file", "K3", "--start", "E2:1/3", "--steps", "100000",
+     "--format", "json"],
+    ["verify", "--system", "tent", "--property", "dense-orbit", "--steps", "1",
+     "--resolution", "16"],
+], ids=["orbit-csv", "orbit-json", "graph-orbit-csv", "graph-orbit-json", "verify"])
+def test_a_closed_stdout_exits_2_without_a_traceback(k3_file, argv):
+    # the reader leaves after the first line, as `| head -1` does: the
+    # command cannot write the rest, which is an output error, exit 2, and
+    # the rows or report still buffered are not written at exit
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [k3_file if a == "K3" else a for a in argv]
+    child = subprocess.Popen([sys.executable, "-m", "symchaos.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert first in ("step,num,den,approx\n", "step,arc_or_node,t_num,t_den,approx\n",
+                     "[\n", "{\n")
+    assert (child.returncode, err) == (2, "error: stdout closed\n")
+
+
 def test_graph_periodic_density_at_the_max_period_bound(k3_file):
     # counted, not enumerated: 2^25 words would not finish in a minute
     code, out, err = _fresh_cli("verify", "--system", "graph", "--file", k3_file,

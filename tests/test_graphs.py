@@ -31,6 +31,7 @@ from symchaos.words import (Word, _order_of_two, _pack, bits_of, c_map, parse_wo
 
 import tuple_lattice
 from prefixed import drop_bits, prepend_bits
+from tuple_cells import as_pair
 from tuple_lattice import int_key
 from value_cells import point_cells
 
@@ -213,7 +214,7 @@ def test_window_and_word_addressing_agree(name, w, p):
     # address a sequence through the same arc rule
     space = SPACES[name]
     point = space.decode(w)
-    cell = space.split_window(prefix_int(w, space.r - 1 + p), p)
+    cell = as_pair(space.split_window(prefix_int(w, space.r - 1 + p), p), p)
     assert cell[0] in _arcs_of(space, point)
     assert cell in point_cells(space, point, p)
 

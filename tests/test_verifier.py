@@ -46,6 +46,7 @@ from symchaos.verifier import (
 
 import text_reader
 from measured import last_line_and_peak
+from tuple_cells import all_pairs, as_int, as_pair, pair_json, split_pair
 from tuple_lattice import tuple_lattice
 from value_cells import point_cells
 
@@ -445,12 +446,12 @@ def _old_periodic_density(target, max_period, resolution):
         if _old_is_f_periodic(target, w, pt, max_period, pinned):
             kept.add(w)
             covered.update(point_cells(target.space, pt, resolution))
-    cells = verifier._all_cells(target.space, resolution)
+    cells = all_pairs(target.space, resolution)
     missing = [c for c in cells if c not in covered]
     params = {"max_period": max_period, "resolution": resolution,
               "periodic_points": len(kept), "covered": len(cells) - len(missing),
               "cells": len(cells)}
-    return params, [target.space.cell_json(c) for c in missing], kept
+    return params, [pair_json(target.space, c) for c in missing], kept
 
 
 def _count_decodes(monkeypatch, target):
@@ -685,12 +686,12 @@ def _enumerate_and_cover(target, max_period, resolutions):
     reports = {}
     for p in resolutions:
         covered = {c for pt in points for c in point_cells(space, pt, p)}
-        cells = verifier._all_cells(space, p)
+        cells = all_pairs(space, p)
         missing = [c for c in cells if c not in covered]
         params = {"max_period": max_period, "resolution": p,
                   "periodic_points": len(points), "covered": len(cells) - len(missing),
                   "cells": len(cells)}
-        reports[p] = (params, [space.cell_json(c) for c in missing])
+        reports[p] = (params, [pair_json(space, c) for c in missing])
     return reports
 
 
@@ -728,27 +729,19 @@ def test_constant_control_maps_each_decoded_point_at_most_twice(value):
 
 
 def _oracle_marks(target, resolution):
-    """The cell, (arc, j) on a graph and j on the interval, that each
-    generator step marks, from one window_int read per step."""
-    system = target.space if isinstance(target.space, GraphSystem) else None
-    r = system.spec.r if system else 1
-    width = r - 1 + resolution + 2
+    """The cell (arc, j) that each generator step marks, from one window_int
+    read per step."""
+    space = target.space
+    width = space.r - 1 + resolution
     sw = StreamWord()
     while True:
-        bits = format(sw.window_int(width), f"0{width}b")
-        ones = len(bits[:r - 1]) - len(bits[:r - 1].lstrip("1"))
-        arc, skip = (ones + 1, ones + 1) if ones < r - 1 else (r, r - 1)
-        j = int(bits[skip:skip + resolution], 2)
-        yield (arc, j) if system else j
+        yield split_pair(space, sw.window_int(width), resolution)
         sw = target.stream_step(sw)
 
 
 def _orbit_oracle(target, steps, resolution):
     """(params, witnesses) from one window_int read per generator step."""
-    system = target.space if isinstance(target.space, GraphSystem) else None
-    r = system.spec.r if system else 1
-    cells = ([(i, j) for i in range(1, r + 1) for j in range(1 << resolution)]
-             if system else list(range(1 << resolution)))
+    cells = all_pairs(target.space, resolution)
     covered, full_at = set(), None
     for n, cell in zip(range(steps), _oracle_marks(target, resolution)):
         covered.add(cell)
@@ -759,9 +752,7 @@ def _orbit_oracle(target, steps, resolution):
     params = {"steps": steps, "resolution": resolution,
               "covered": len(cells) - len(missing), "cells": len(cells),
               "full_coverage_step": full_at}
-    witnesses = [{"arc": system.spec.arc(c[0]).id, "cell": c[1]} if system
-                 else {"cell": c} for c in missing]
-    return params, witnesses
+    return params, [pair_json(target.space, c) for c in missing]
 
 
 CHUNK = streams._CHUNK_BITS
@@ -797,6 +788,47 @@ ORBIT_CASES += [case for case in
 def test_dense_orbit_matches_per_step_window_oracle(target, steps, resolution):
     report = dense_orbit_coverage(target, steps, resolution)
     assert (report.params, report.witnesses) == _orbit_oracle(target, steps, resolution)
+
+
+CELL_CYCLES = [graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(r))
+    + "".join(f"arc E{i} n{i - 1} n{i % r}\n" for i in range(1, r + 1)))), f"cycle{r}")
+    for r in (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63, 64)]
+
+
+def _cell_windows(space, p):
+    """Every packed window of r-1+p bits when there are at most 2^12, else
+    for each cell the windows that address it with the unread bits after
+    its arc's prefix all 0 and all 1."""
+    r = space.r
+    if r - 1 + p <= 12:
+        yield from range(1 << (r - 1 + p))
+        return
+    for s, c in space.prefixes:
+        free = r - 1 - s
+        for j in range(1 << p):
+            for tail in {0, (1 << free) - 1}:
+                yield (c << (p + free)) | (j << free) | tail
+
+
+@pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS + CELL_CYCLES,
+                         ids=lambda t: t.name)
+def test_int_cells_agree_with_the_pair_oracle(target):
+    # the int cell (i - 1) 2^p + j is the pair (i, j) in the witnesses'
+    # order; split_window and cell_json give what the pair form gave, and
+    # so do both reports that mark cells
+    space = target.space
+    for p in range(1, 5):
+        pairs = all_pairs(space, p)
+        assert [as_pair(c, p) for c in range(space.r << p)] == pairs
+        assert [space.cell_json(as_int(c, p), p) for c in pairs] == [
+            pair_json(space, c) for c in pairs]
+        for x in _cell_windows(space, p):
+            assert as_pair(space.split_window(x, p), p) == split_pair(space, x, p), (x, p)
+        report = periodic_density(target, 6, p)
+        assert (report.params, report.witnesses) == _old_periodic_density(target, 6, p)[:2]
+        report = dense_orbit_coverage(target, 5000, p)
+        assert (report.params, report.witnesses) == _orbit_oracle(target, 5000, p)
 
 
 PATH24 = graph_target(graph_system(parse_graph(
@@ -916,8 +948,9 @@ def test_dense_orbit_end_bound(monkeypatch, target, resolution, full_at, pattern
     assert params["full_coverage_step"] == full_at
     last = _orbit_oracle(target, full_at, resolution)[1]
     assert short.verdict == "fail" and short.witnesses == last
-    window = _orbit_iterate(target, full_at).window_int(target.space.r - 1 + resolution)
-    assert [target.space.cell_json(target.space.split_window(window, resolution))] == last
+    space = target.space
+    window = _orbit_iterate(target, full_at).window_int(space.r - 1 + resolution)
+    assert [space.cell_json(space.split_window(window, resolution), resolution)] == last
     done = dense_orbit_coverage(target, full_at + 1, resolution)
     assert done.verdict == "pass"
     assert done.params == params and done.params["full_coverage_step"] == full_at
@@ -936,10 +969,9 @@ def test_dense_orbit_end_bound_of_each_cell(monkeypatch, target, resolution, pat
     space, first = target.space, {}
     for n, cell in zip(range(10 ** 4), _oracle_marks(target, resolution)):
         first.setdefault(cell, n)
-    cells = verifier._all_cells(space, resolution)
-    assert len(first) == len(cells)
+    assert len(first) == len(all_pairs(space, resolution))
     for cell, f in first.items():
-        shown = space.cell_json(cell if isinstance(cell, tuple) else (1, cell))
+        shown = pair_json(space, cell)
         if f:  # at least one step is taken
             assert shown in dense_orbit_coverage(target, f, resolution).witnesses
         assert shown not in dense_orbit_coverage(target, f + 1, resolution).witnesses
@@ -975,7 +1007,7 @@ def _copy_target(base, n, bits):
     r-1+bits bits of the generator orbit's iterate at step n."""
     space = base.space
     window = _orbit_iterate(base, n).window_int(space.r - 1 + bits)
-    arc, v = space.split_window(window, bits)
+    arc, v = as_pair(space.split_window(window, bits), bits)
     point = Interior(arc, F(v, 1 << bits)) if space.r > 1 else F(v, 1 << bits)
     sys = InducedSystem(f"{base.name}-copy", base.induced.symbolic_map, space,
                         pinned_points=(point,))
@@ -997,13 +1029,18 @@ def test_the_copy_steps_exercise_the_flip_and_a_short_prefix():
 
 def _cells_at(sys, p):
     """The precision-p cells that hold a pinned point."""
-    return {c for pt in sys.pinned_points for c in point_cells(sys.codec, pt, p)}
+    return {as_int(c, p) for pt in sys.pinned_points for c in point_cells(sys.codec, pt, p)}
 
 
 @functools.lru_cache(maxsize=None)
 def _pinned_cells(sys, p=512):
     """The precision-p cells that the pinned points' fiber words address."""
     return frozenset(word_cells(sys.codec, (w for fib in sys.pinned_fibers for w in fib), p))
+
+
+def _pinned_pairs(sys):
+    """_pinned_cells(sys) as pairs (arc, v)."""
+    return {as_pair(c, 512) for c in _pinned_cells(sys)}
 
 
 def _separated(sys, sw, p=512):
@@ -1040,7 +1077,7 @@ def _orbit_commute_failures(target, steps):
     space = target.space
     flips = target.stream_step is streams.stream_c_step
     patterns = set()
-    for i, v in _pinned_cells(target.induced):
+    for i, v in _pinned_pairs(target.induced):
         s, c = space.prefixes[i - 1]
         pattern = format((c << 512) | v, f"0{s + 512}b")
         patterns |= {"0" + pattern, "1" + pattern.translate(_FLIPPED)} if flips else {pattern}
@@ -1104,7 +1141,7 @@ def test_lemma6_refines_where_64_bits_cannot_separate(monkeypatch, target):
     # planted in the text, a copy of a pinned cell's first s+511 bits is no
     # hit and a copy of all s+512 is exactly its step, the first or the last
     steps = 40
-    for i, v in sorted(_pinned_cells(sys)):
+    for i, v in sorted(_pinned_pairs(sys)):
         s, c = space.prefixes[i - 1]
         pattern = format((c << 512) | v, f"0{s + 512}b")
         short = pattern[:-1] + "10"[int(pattern[-1])]
@@ -1287,8 +1324,9 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
     codec, points = sys.codec, sys.pinned_points
     r, top = codec.r, (1 << p) - 1
     suspects = {c for pt in points for c in point_cells(codec, pt, p)}
+    held = {as_int(c, p) for c in suspects}  # as stream_excludes_all reads them
     # the cells nest: the pinned 512-bit cells' top 64 bits are the suspects
-    assert suspects and suspects == {(i, v >> (bits - p)) for i, v in _pinned_cells(sys)}
+    assert suspects and suspects == {(i, v >> (bits - p)) for i, v in _pinned_pairs(sys)}
     near = {(i, v + d) for i, v in suspects for d in range(-2, 3)}
     for i in range(1, r + 1):
         near |= {(i, v + d) for _, v in suspects for d in range(-2, 3)}
@@ -1301,15 +1339,15 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
         free = r - 1 - s
         for tail in {0, (1 << free) - 1}:
             x = (c << (p + free)) | (v << free) | tail
-            assert codec.split_window(x, p) == (i, v)
-            separated = codec.stream_excludes_all(_Window(x=x, width=r - 1 + p), suspects, p)
+            assert codec.split_window(x, p) == as_int((i, v), p)
+            separated = codec.stream_excludes_all(_Window(x=x, width=r - 1 + p), held, p)
             assert ((i, v) in suspects) == (not separated), (i, v)
             inside = any(_in_enclosure(codec, pt, i, v, p) for pt in points)
             assert inside == (not separated), (i, v)
             for fill in (0, (1 << (bits - p)) - 1):  # the 64-bit cell's two ends
                 streams.append((i, x >> free << (bits - p) | fill, free, tail))
     pinned = []  # each pinned 512-bit cell and its neighbours
-    for i, v in _pinned_cells(sys):
+    for i, v in _pinned_pairs(sys):
         s, c = codec.prefixes[i - 1]
         free = r - 1 - s
         for d in range(-2, 3):
