@@ -140,18 +140,25 @@ def _parse_start(sys: graphs.GraphSystem, text: str) -> graphs.GraphPoint:
     return sys.point_at(_resolve_arc(sys, kind), _fraction(rest))
 
 
-def _print_rows(header: str, rows: Iterator[tuple], fmt: str) -> None:
-    """Orbit rows, printed as they are made: indented JSON (the text of
-    json.dumps of the list of dicts of header's keys, indent=2), or CSV, the
-    header line before the first row and each row by one format string.
-    Rows go out _ROWS_PER_WRITE at a time, one write each however stdout is
-    buffered; an error mid-orbit writes the rows before it, then raises."""
-    keys = header.split(",")
+def _json_row(header: str, *fields: str) -> str:
+    """The format string of one orbit row in JSON: the text json.dumps gives
+    the dict of header's keys with indent=2, indented once more to sit in
+    the list, each value by its field (%s a number, "%s" an id, %r a float,
+    null a blank)."""
+    pairs = (f'"{key}": {field}' for key, field in zip(header.split(","), fields))
+    return "{\n    " + ",\n    ".join(pairs) + "\n  }"
+
+
+def _print_rows(header: str, texts: Iterator[str], fmt: str) -> None:
+    """Orbit rows, each one text by its command's format string for fmt,
+    printed as they are made: an indented JSON list (the text of json.dumps
+    of the list of dicts of header's keys, indent=2), or CSV, the header
+    line before the first row.  Rows go out _ROWS_PER_WRITE at a time, one
+    write each however stdout is buffered; an error mid-orbit writes the
+    rows before it, then raises."""
     if fmt == "json":
-        texts = (json.dumps(dict(zip(keys, row)), indent=2).replace("\n", "\n  ") for row in rows)
         first, between, last = "[\n  ", ",\n  ", "\n]\n"
     else:
-        texts = map((",".join(["%s"] * len(keys)) + "\n").__mod__, rows)
         first, between, last = header + "\n", "", ""
     pending = []
     try:
@@ -204,12 +211,15 @@ def _cmd_orbit(args) -> int:
     else:
         pairs = _pairs(step, *y.as_integer_ratio())
 
+    header = "step,num,den,approx"
+    row = _json_row(header, "%s", "%s", "%s", "%r") if args.format == "json" else "%s,%s,%s,%s\n"
+
     def rows():
         for k, (n, d) in zip(range(args.steps + 1), pairs):
             g = gcd(n, d)
-            yield k, n // g, d // g, n / d
+            yield row % (k, n // g, d // g, n / d)
 
-    _exactly(_print_rows, "step,num,den,approx", rows(), args.format)
+    _exactly(_print_rows, header, rows(), args.format)
     return 0
 
 
@@ -219,18 +229,23 @@ def _cmd_graph_orbit(args) -> int:
     sys_ = _load_graph(args.file)
     orbit = induced_orbit(sys_.induced, sys_.closed_form, _parse_start(sys_, args.start))
     arcs, nodes = [arc.id for arc in sys_.spec.arcs], sys_.spec.nodes
-    blank = None if args.format == "json" else ""  # a node's parameter fields
+    header = "step,arc_or_node,t_num,t_den,approx"
+    if args.format == "json":  # an id is [A-Za-z0-9_]+: no escape to write
+        arc_row = _json_row(header, "%s", '"%s"', "%s", "%s", "%r")
+        node_row = _json_row(header, "%s", '"%s"', "null", "null", "null")
+    else:
+        arc_row, node_row = "%s,%s,%s,%s,%s\n", "%s,%s,,,\n"
 
     def rows():
         for k, ((key, q), _) in zip(range(args.steps + 1), orbit):
             if key < 0:
-                yield k, nodes[~key], blank, blank, blank
+                yield node_row % (k, nodes[~key])
             else:
                 i, n = divmod(key, q + 1)
                 g = gcd(n, q)
-                yield k, arcs[i], n // g, q // g, n / q
+                yield arc_row % (k, arcs[i], n // g, q // g, n / q)
 
-    _exactly(_print_rows, "step,arc_or_node,t_num,t_den,approx", rows(), args.format)
+    _exactly(_print_rows, header, rows(), args.format)
     return 0
 
 

@@ -41,7 +41,9 @@ class Codec(Protocol):
     is the int (i - 1) 2^p + j, the window [j/2^p, (j+1)/2^p] of arc i.  Arc
     i is addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
     exactly when its first s bits, packed, are c (the interval's is (0, 0)).
-    split_window is the one cell rule, for a point too (word_cells).
+    split_windows is the one cell rule, for a chunk of the generator
+    orbit's windows, for one window (split_window) and for a point
+    (word_cells).
     """
 
     r: int
@@ -67,6 +69,9 @@ class Codec(Protocol):
 
     def split_window(self, x: int, precision: int) -> int:
         """The cell addressed by the packed first r-1+precision bits."""
+
+    def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
+        """The cells that split_window gives the windows xs."""
 
     def cell_json(self, cell: int, precision: int) -> dict: ...
 
@@ -209,5 +214,5 @@ def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int
 def word_cells(codec: Codec, words: Iterable[Word], p: int) -> Set[int]:
     """The resolution-p cells that the words' first r-1+p bits address: for
     a fiber's words, every cell that holds its point."""
-    return {codec.split_window(prefix_int(w, codec.r - 1 + p), p) for w in words}
+    return codec.split_windows([prefix_int(w, codec.r - 1 + p) for w in words], p)
 

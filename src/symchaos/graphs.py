@@ -11,8 +11,11 @@ two midpoint fibers on arcs 1 and r form the exceptional set, held fixed.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Tuple, Union
+from itertools import repeat
+from operator import add, rshift
+from typing import Callable, Dict, Iterable, List, NamedTuple, Set, Tuple, Union
 
 from .decomposition import InducedSystem, induced_point, stream_excludes_all
 from .words import (Word, _expansions, _order_of_two, _quote, _show, as_unit, prefix_int,
@@ -266,10 +269,22 @@ class GraphSystem:
 
     def split_window(self, x: int, precision: int) -> int:
         """The cell addressed by the packed first r-1+precision bits of a
-        sequence (first bit most significant)."""
-        r = self.r
-        i = _arc_address(x >> precision, r) - 1
-        return i << precision | (x >> (r - 1 - self.prefixes[i][0])) & ((1 << precision) - 1)
+        sequence (first bit most significant): split_windows of x alone."""
+        (cell,) = self.split_windows((x,), precision)
+        return cell
+
+    def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
+        """The cells addressed by packed r-1+precision-bit windows.  Sorted,
+        the windows of arc i, prefix (s, c), are one run, below (c + 1)
+        2^(r-1+p-s), and its window x is the cell (x >> (r-1-s)) + (i - 1 -
+        c) 2^p: its p bits after the prefix, on arc i."""
+        xs, cells, a = sorted(xs), set(), 0
+        for i, (s, c) in enumerate(self.prefixes):
+            b = bisect_left(xs, (c + 1) << (self.r - 1 + precision - s), a)
+            cells.update(map(add, map(rshift, xs[a:b], repeat(self.r - 1 - s)),
+                             repeat((i - c) << precision)))
+            a = b
+        return cells
 
     def cell_json(self, cell: int, precision: int) -> dict:
         i, j = divmod(cell, 1 << precision)

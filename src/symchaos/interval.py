@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import Iterable, Set, Tuple
 
 from .decomposition import InducedSystem, induced_point, stream_excludes_all
 from .words import (Word, _expansions, _show, as_unit, bits_of, c_map, r_map, shift_map,
@@ -68,6 +68,9 @@ class IntervalCodec:
 
     def split_window(self, x: int, precision: int) -> int:
         return x
+
+    def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
+        return set(xs)
 
     def cell_json(self, cell: int, precision: int) -> dict:
         return {"cell": cell}

@@ -5,6 +5,10 @@ length then lexicographically (0, 1, 00, 01, 10, 11, 000, ...).  Its shift
 orbit visits every cylinder, which is what the dense-orbit checks consume.
 Nothing is stored: block L lists the 2^L words of length L and starts after
 (L-2)*2^L + 2 bits, so any bit or window is computed from its position.
+A run of K listed words v, v+1, ..., v+K-1 of length L reads as one
+integer, the sum of (v + k) r^(K-1-k) over k < K for r = 2^L, that is
+(v (r^K - 1)(r - 1) + r^K - K r + K - 1) / (r - 1)^2: a read takes a few
+big-int operations per block it reaches, however long it is.
 
 A StreamWord is an (offset, flip) view of the dense word.  The flip flag
 makes iterates of the complementing map exact as well: the n-th such
@@ -43,18 +47,22 @@ __all__ = [
 
 def _dense_window(start: int, n: int) -> int:
     """Dense-word bits start+1 .. start+n packed into an int (first bit most
-    significant), assembled a whole listed word at a time."""
+    significant): the tail of the listed word that holds bit start+1, then
+    the run of listed words after it in each block it reaches, each run one
+    closed form (see the module docstring)."""
     # block L starts at (L-2)*2^L + 2, about L*2^L, so this guess is at most L
     length = max(1, start.bit_length() - start.bit_length().bit_length() - 1)
     while ((length - 1) << (length + 1)) + 2 <= start:  # block length+1 starts there
         length += 1
     v, j = divmod(start - ((length - 2) << length) - 2, length)
-    value, have = v & ((1 << (length - j)) - 1), length - j
+    value, have, v = v & ((1 << (length - j)) - 1), length - j, v + 1
     while have < n:
-        v += 1
         if v >> length:
             length, v = length + 1, 0
-        value, have = (value << length) | v, have + length
+        r, k = 1 << length, min((1 << length) - v, -(-(n - have) // length))
+        rk = 1 << length * k
+        value = value << length * k | (v * (rk - 1) * (r - 1) + rk - k * r + k - 1) // (r - 1) ** 2
+        have, v = have + length * k, v + k
     return value >> (have - n)
 
 
@@ -104,9 +112,7 @@ def orbit_text(width: int, steps: int) -> Iterator[Tuple[int, str]]:
     _CHUNK_BITS steps, text being dense bits n0 .. n0+k+width of its k
     steps as '0'/'1' (bit 0 reads as 0), so that text[t] is iterate n0+t's
     flip and text[t+1:t+1+width] its window before any flip.  Consecutive
-    chunks overlap by width+1 bits.  Each is one _dense_window read (one read
-    over n bits shifts its whole value once per listed word: about n^2/64
-    word operations)."""
+    chunks overlap by width+1 bits.  Each is one _dense_window read."""
     for n0 in range(0, steps, _CHUNK_BITS):
         k = min(_CHUNK_BITS, steps - n0) + width + 1
         start = max(n0 - 1, 0)  # at n0 = 0 the padding to k digits writes bit 0

@@ -12,7 +12,7 @@ import math
 import operator
 import time
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, filterfalse
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import streams
@@ -348,13 +348,14 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     text chunk at a time (streams.orbit_text, under C when the induced map is
     the complementing shift, else under S).  While more than _SEARCH_PATTERNS
     text patterns are left (one per unmarked cell under S, two under C), a
-    chunk's windows (streams.window_array) are taken as one set, and only a
-    window not seen before is split into its cell.  The last cells come long
-    after the others (on K3 at resolution 10, 99 % of them by step 24,057 and
-    the last at 65,527), so the later chunks' text is searched for the cells
-    left instead (_patterns): a cell's first hit is the step that marks it
-    first.  The chunk that marks the last cell is searched for each cell it
-    marks, and the latest of their first steps is full_coverage_step."""
+    chunk's windows (streams.window_array) are taken as one set, and the
+    windows not seen before go to their cells at once (split_windows).  The
+    last cells come long after the others (on K3 at resolution 10, 99 % of
+    them by step 24,057 and the last at 65,527), so the later chunks' text
+    is searched for the cells left instead (_patterns): a cell's first hit
+    is the step that marks it first.  The chunk that marks the last cell is
+    searched for each cell it marks, and the latest of their first steps is
+    full_coverage_step."""
     started = time.monotonic()
     _within(steps=(steps, 1, MAX_STEPS), resolution=(resolution, 1, 16))
     if target.induced is None:
@@ -362,7 +363,7 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
     space, complementing = target.space, _complementing(target.induced)
     width, lead = space.r - 1 + resolution, 0 if complementing else 1
     cells = space.r << resolution
-    seen, covered, split = set(), set(), space.split_window
+    seen, covered = set(), set()
     switch = cells - _SEARCH_PATTERNS // (2 if complementing else 1)
     left, full_at = None, None  # once searching: each unmarked cell's patterns
     for n0, text in streams.orbit_text(width, steps):
@@ -370,15 +371,14 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
             # set(...) - seen walks the chunk; -= would walk seen
             new = set(streams.window_array(text, width, complementing)) - seen
             seen |= new
-            marked = {split(window, resolution) for window in new}
-            marked -= covered
+            marked = space.split_windows(new, resolution) - covered
             covered |= marked
             if len(covered) < cells:
                 continue
             left = _patterns(space, resolution, complementing, marked)
         elif left is None:
             left = _patterns(space, resolution, complementing,
-                             [c for c in range(cells) if c not in covered])
+                             filterfalse(covered.__contains__, range(cells)))
         stop = len(text) - width - 2 + lead  # where the chunk's last step's pattern starts
         first = {}
         for cell, patterns in left.items():
@@ -393,19 +393,20 @@ def dense_orbit_coverage(target: Target, steps: int, resolution: int) -> ChaosRe
             full_at = n0 + max(first.values()) - lead
             break
         left = {c: q for c, q in left.items() if c not in first}
-    missing = [c for c in range(cells) if c not in covered]
     params = {"steps": steps, "resolution": resolution,
-              "covered": cells - len(missing), "cells": cells,
+              "covered": len(covered), "cells": cells,
               "full_coverage_step": full_at}
-    witnesses = [space.cell_json(c, resolution) for c in missing]
+    witnesses = [] if full_at is not None else [  # a full check enumerates no cell
+        space.cell_json(c, resolution) for c in filterfalse(covered.__contains__, range(cells))]
     return _finish(target.name, "dense-orbit", params, witnesses, started)
 
 
-# searching a chunk's text for one pattern costs about 3.4 ns a character,
-# and reading a step's window into the chunk's set about 70 ns (x86-64 VM,
-# Python 3.11); the patterns dwindle as their cells are found, and 32 was
-# among the fastest of 0 to 128 on the tent at 40,000/12 and K3 at
-# 70,000/10, all within noise on the tent at 10^6/16
+# searching a chunk's text for one pattern costs about 5 ns a character,
+# and a step's window about 65-85 ns: 2 ns of text, 9 of window_array and
+# the rest taking it into the sets and splitting it (x86-64 VM, Python
+# 3.11); the patterns dwindle as their cells are found, and 16 and 32 were
+# the fastest of 0 to 128 on the tent at 40,000/12 and K3 at 70,000/10,
+# all within noise on the tent at 10^6/16
 _SEARCH_PATTERNS = 32
 
 _FLIPPED = str.maketrans("01", "10")

@@ -295,6 +295,117 @@ def test_graph_orbit_numeric_arc_and_json(capsys, k3_file):
     ]
 
 
+# ------------------------------------------------- JSON rows, byte for byte
+
+def _per_row_json(header, rows):
+    """The JSON orbit text as cli printed it before each row kind had one
+    format string, kept as the oracle: json.dumps of each row's dict,
+    indent=2, indented once more inside the list."""
+    keys = header.split(",")
+    texts = [json.dumps(dict(zip(keys, row)), indent=2).replace("\n", "\n  ") for row in rows]
+    return "[\n  " + ",\n  ".join(texts) + "\n]\n"
+
+
+def _golden_rows(text):
+    """A CSV golden's header and rows, each field read back as the orbit
+    made it: an int, a float, an id, or None where CSV left it blank."""
+    def value(field):
+        for kind in (int, float):
+            try:
+                return kind(field)
+            except ValueError:
+                pass
+        return field or None
+
+    header, *lines = text.splitlines()
+    return header, [tuple(map(value, line.split(","))) for line in lines]
+
+
+GOLDEN_ORBIT_JSON = """[
+  {
+    "step": 0,
+    "num": 1,
+    "den": 3,
+    "approx": 0.3333333333333333
+  },
+  {
+    "step": 1,
+    "num": 2,
+    "den": 3,
+    "approx": 0.6666666666666666
+  },
+  {
+    "step": 2,
+    "num": 2,
+    "den": 3,
+    "approx": 0.6666666666666666
+  }
+]
+"""
+
+
+def test_orbit_json_golden(capsys):
+    # the CI step prints this text from the installed console script
+    argv = ("orbit", "--system", "tent", "--x", "1/3", "--steps", "2", "--format", "json")
+    assert run(capsys, *argv) == (0, GOLDEN_ORBIT_JSON, "")
+    assert GOLDEN_ORBIT_JSON == _per_row_json("step,num,den,approx", [
+        (k, *Fraction(n, 3).as_integer_ratio(), n / 3) for k, n in enumerate((1, 2, 2))])
+
+
+@pytest.mark.parametrize("golden,argv", [
+    (GOLDEN_ORBIT, ("orbit", "--system", "baker", "--x", "2/3", "--steps", "2")),
+    (GOLDEN_GRAPH_ORBIT, ("graph-orbit", "--file", "K3", "--start", "E2:1/3", "--steps", "3")),
+    ("step,arc_or_node,t_num,t_den,approx\n0,b,,,\n1,b,,,\n",
+     ("graph-orbit", "--file", "K3", "--start", "node:b", "--steps", "1")),
+], ids=["orbit", "graph-orbit", "graph-orbit-node"])
+def test_every_csv_golden_prints_the_per_row_json_text(capsys, k3_file, golden, argv):
+    argv = [k3_file if a == "K3" else a for a in argv]
+    assert run(capsys, *argv) == (0, golden, "")
+    assert run(capsys, *argv, "--format", "json") == (0, _per_row_json(*_golden_rows(golden)), "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(cli.EVAL_SYSTEMS)),
+       st.fractions(0, 1, max_denominator=10 ** 6), st.integers(0, 60))
+def test_drawn_interval_orbits_print_the_per_row_json_text(system, x, steps):
+    rows = [tuple(row.values()) for row in _held_orbit_rows(system, x, steps)]
+    assert _run_command(["orbit", "--system", system, "--x", str(x), "--steps", str(steps),
+                         "--format", "json"]) == (0, _per_row_json("step,num,den,approx", rows), "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EXAMPLE_GRAPHS)), st.data(), st.integers(0, 40))
+def test_drawn_graph_orbits_print_the_per_row_json_text(tmp_path_factory, name, data, steps):
+    path = tmp_path_factory.getbasetemp() / f"{name}.graph"
+    path.write_text(EXAMPLE_GRAPHS[name])
+    sys_ = cli._load_graph(str(path))
+    arc = st.integers(1, sys_.r)
+    start = data.draw(st.one_of(
+        st.sampled_from(sys_.spec.nodes).map("node:{}".format),
+        st.tuples(arc, st.fractions(0, 1, max_denominator=10 ** 4)).map("{0[0]}:{0[1]}".format),
+        st.tuples(arc, st.integers(0, 64)).map("{0[0]}:{0[1]}/64".format)))
+    assert _graph_orbit_json(path, start, steps) == (0, _held_graph_json(sys_, start, steps), "")
+
+
+def test_a_graph_orbit_into_a_node_prints_the_per_row_json_text(k3_file):
+    # E1:3/8 reaches node c at step 2: arc rows, then node rows of nulls
+    sys_ = cli._load_graph(k3_file)
+    held = _held_graph_json(sys_, "E1:3/8", 4)
+    assert '"arc_or_node": "E1"' in held and '"t_num": null' in held
+    assert _graph_orbit_json(k3_file, "E1:3/8", 4) == (0, held, "")
+
+
+def _graph_orbit_json(path, start, steps):
+    return _run_command(["graph-orbit", "--file", str(path), "--start", start,
+                         "--steps", str(steps), "--format", "json"])
+
+
+def _held_graph_json(sys_, start, steps):
+    """The per-row JSON text of the held graph rows from `start`."""
+    rows = _held_graph_rows(sys_, cli._parse_start(sys_, start), steps)
+    return _per_row_json("step,arc_or_node,t_num,t_den,approx", [tuple(r.values()) for r in rows])
+
+
 @pytest.mark.parametrize("start", ["E1:3/2", "2:-1/4"])
 def test_graph_orbit_start_outside_the_arc_names_the_point(capsys, k3_file, start):
     code, out, err = run(capsys, "graph-orbit", "--file", k3_file, "--start", start,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from symchaos.streams import (
     window_array,
 )
 
-from text_reader import dense_text
+from text_reader import dense_text, word_by_word
 from tuple_cells import as_int, as_pair
 from value_cells import point_cells
 
@@ -129,6 +130,30 @@ def test_dense_prefix_and_bits_across_block_boundaries():
             for n in (1, 7, 40):
                 sw = StreamWord(pos, 0)
                 assert sw.prefix(n) == BRUTE[pos:pos + n]
+
+
+def test_the_word_by_word_oracle_reads_the_listing():
+    for start in range(0, 300, 7):
+        for n in (0, 1, 40, 601):
+            assert word_by_word(start, n) == int("0" + "".join(map(str, BRUTE[start:start + n])), 2)
+
+
+def test_each_run_of_listed_words_reads_as_the_words_one_by_one():
+    # every start within L+2 bits of block L's start, for L <= 20: the first
+    # word's tail, then runs within a block, across it and across several
+    for L in range(1, 21):
+        block = ((L - 2) << L) + 2
+        for start in range(max(0, block - L - 2), block + L + 3):
+            for n in (0, 1, L - 1, L, L + 1, 2 * L + 3, 3 * _CHUNK_BITS):
+                assert _dense_window(start, n) == word_by_word(start, n), (start, n)
+
+
+def test_runs_of_listed_words_read_as_the_words_one_by_one_at_drawn_starts():
+    rng = random.Random(48)
+    for _ in range(400):
+        start = rng.randrange(1 << rng.randint(1, 22))
+        n = rng.randint(0, 3 * _CHUNK_BITS)
+        assert _dense_window(start, n) == word_by_word(start, n), (start, n)
 
 
 @settings(max_examples=300)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -809,6 +810,30 @@ def _cell_windows(space, p):
         for j in range(1 << p):
             for tail in {0, (1 << free) - 1}:
                 yield (c << (p + free)) | (j << free) | tail
+
+
+CELL_PATHS = [graph_target(graph_system(parse_graph(
+    "".join(f"node n{i}\n" for i in range(r + 1))
+    + "".join(f"arc E{i} n{i - 1} n{i}\n" for i in range(1, r + 1)))), f"path{r}")
+    for r in (2, 3, 5, 8, 17, 33, 64)]
+
+
+@pytest.mark.parametrize("target", _interval_targets()[:1] + GRAPH_TARGETS + CELL_CYCLES
+                         + CELL_PATHS, ids=lambda t: t.name)
+def test_a_chunk_of_windows_goes_to_the_cells_of_its_windows(target):
+    # split_windows, the bulk split of a chunk's new windows, is the pair
+    # oracle window by window on no window, every window (_cell_windows) and
+    # drawn ones, uniform and on each arc
+    space, rng = target.space, random.Random(target.name)
+    for p in range(1, 9):
+        width = space.r - 1 + p
+        drawn = {rng.getrandbits(width) for _ in range(200)} | {
+            (c << (width - s)) | rng.getrandbits(width - s)
+            for s, c in space.prefixes for _ in range(8)}
+        for xs in ([], list(_cell_windows(space, p)), drawn):
+            cells = {as_int(split_pair(space, x, p), p) for x in xs}
+            assert space.split_windows(xs, p) == cells, p
+        assert {space.split_window(x, p) for x in drawn} == space.split_windows(drawn, p)
 
 
 @pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS + CELL_CYCLES,
