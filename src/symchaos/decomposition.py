@@ -42,7 +42,7 @@ class Codec(Protocol):
     i is addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
     exactly when its first s bits, packed, are c (the interval's is (0, 0)).
     split_windows is the one cell rule, for a chunk of the generator
-    orbit's windows, for one window (split_window) and for a point
+    orbit's windows, for one window (stream_excludes_all) and for a point
     (word_cells).
     """
 
@@ -67,11 +67,9 @@ class Codec(Protocol):
 
     def point_json(self, point): ...
 
-    def split_window(self, x: int, precision: int) -> int:
-        """The cell addressed by the packed first r-1+precision bits."""
-
     def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
-        """The cells that split_window gives the windows xs."""
+        """The cells addressed by the windows xs, each the packed first
+        r-1+precision bits of a sequence (first bit most significant)."""
 
     def cell_json(self, cell: int, precision: int) -> dict: ...
 
@@ -208,7 +206,7 @@ def stream_excludes_all(codec: Codec, sw: StreamWord, cells: Set, precision: int
     parameter, and it fails to separate a point exactly when it is one of
     the cells of the point's fiber words (word_cells).  Each codec binds
     this as its method."""
-    return codec.split_window(sw.window_int(codec.r - 1 + precision), precision) not in cells
+    return not codec.split_windows((sw.window_int(codec.r - 1 + precision),), precision) & cells
 
 
 def word_cells(codec: Codec, words: Iterable[Word], p: int) -> Set[int]:

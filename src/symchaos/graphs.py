@@ -267,12 +267,6 @@ class GraphSystem:
             return Node(arc.head)
         return Interior._at(i, t)
 
-    def split_window(self, x: int, precision: int) -> int:
-        """The cell addressed by the packed first r-1+precision bits of a
-        sequence (first bit most significant): split_windows of x alone."""
-        (cell,) = self.split_windows((x,), precision)
-        return cell
-
     def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
         """The cells addressed by packed r-1+precision-bit windows.  Sorted,
         the windows of arc i, prefix (s, c), are one run, below (c + 1)

@@ -66,9 +66,6 @@ class IntervalCodec:
     def point_json(self, point: Fraction) -> str:
         return str(point)
 
-    def split_window(self, x: int, precision: int) -> int:
-        return x
-
     def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
         return set(xs)
 

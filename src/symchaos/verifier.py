@@ -415,7 +415,7 @@ _FLIPPED = str.maketrans("01", "10")
 def _patterns(space: Codec, p: int, complementing: bool,
               cells: Iterable[int]) -> dict:
     """The texts whose hit at a step's index marks each of `cells`:
-    split_window marks cell (i - 1) 2^p + j exactly when the window starts
+    split_windows marks cell (i - 1) 2^p + j exactly when a window starts
     with arc i's prefix (s, c) and then the p bits of j, one pattern `head`
     whatever the other bits.  So under S step t marks it iff text[t+1:]
     starts with head, and under C iff text[t:] starts with '0' + head or
@@ -449,8 +449,7 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     ends at step n lie on 1/(L S^n) for S the lcm of the nonzero |slopes|
     (_integer_branches).  Each step sweeps the laps once, and a lap is tried
     only on the cells its image overlaps.  A row ends at its horizon, when
-    every cell is met, or when its lap images repeat (_same_images), which
-    Brent's test finds with one saved lap list.
+    every cell is met, or when its lap images repeat (_row_laps).
     Targets without (graphs) use the dense-orbit route (a dense orbit on
     these spaces gives transitivity), and the report records that route.
     """
@@ -467,19 +466,9 @@ def transitivity_witness(target: Target, resolution: int, horizon: int) -> Chaos
     get, gcd, unwitnessed = image.get, math.gcd, []
     for uj in range(size):
         remaining = set(range(size))
-        ulo, uhi = uj * width, (uj + 1) * width
-        pieces = [(ulo, ulo, uhi, 1)]
-        scale = 1  # S^n: the domain ends' lattice is 1/(lattice scale)
-        saved, save_at = [], 1  # Brent's test: the laps of step 2^k, and 2^(k+1)
-        for n in range(1, horizon + 1):
-            pieces = _advance_laps(branches, pieces, scale, stretch)
-            scale *= stretch
-            if not pieces or len(pieces) == len(saved) and _same_images(pieces, saved):
-                break
-            if n == save_at:
-                saved, save_at = pieces, 2 * save_at
+        for n, laps, scale in _row_laps(branches, stretch, uj * width, (uj + 1) * width, horizon):
             denom = lattice * scale  # of step n's domain ends
-            for d0, i0, i1, sigma in pieces:
+            for d0, i0, i1, sigma in laps:
                 lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
                 if lo == hi:  # a collapsed lap meets no cell (and may have slope 0)
                     continue
@@ -547,35 +536,41 @@ def _integer_branches(target: Target, p: int):
     return lattice, stretch, branches
 
 
-def _advance_laps(branches, pieces, scale: int, stretch: int):
-    """One step of every lap (d0, i0, i1, sigma): the domain end d0 on
-    1/(L scale) that maps to the image end i0 on 1/L, the other image end
-    i1, and the cumulative slope sigma, which divides scale (the domain's
-    other end is never needed).  A lap's image meets each branch in a
-    sub-lap, whose domain end moves to 1/(L scale stretch)."""
-    # dropping surplus pieces only loses witnesses, never fabricates one
-    out = []
-    for d0, i0, i1, sigma in pieces[:_MAX_PIECES]:
-        img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
-        if img_lo == img_hi:
-            continue
-        per = scale // sigma
-        for blo, bhi, s, c in branches:
-            seg_lo = img_lo if img_lo > blo else blo
-            seg_hi = img_hi if img_hi < bhi else bhi
-            if seg_lo >= seg_hi:
+def _row_laps(branches, stretch: int, lo: int, hi: int, horizon: int):
+    """(n, laps, scale) at each step n = 1, 2, ... of the row from the domain
+    [lo, hi] on 1/L, to the horizon.  A lap (d0, i0, i1, sigma) is the domain
+    end d0 on 1/(L scale), scale = S^n, that maps to the image end i0 on 1/L,
+    the other image end i1, and the cumulative slope sigma, which divides
+    scale (the other domain end is never needed).  A step meets each image
+    with each branch in a sub-lap; a collapsed lap (i0 == i1) is yielded but
+    not stepped.  The row ends when no lap is left, or when the images (i0,
+    i1) repeat in order, which Brent's test finds with the laps of steps 1,
+    2, 4, ...: they are a function of those before (with the _MAX_PIECES
+    cut), so no new cell is met.  A yielded list must not be changed."""
+    laps, scale = [(lo, lo, hi, 1)], 1
+    saved, save_at = [], 1
+    for n in range(1, horizon + 1):
+        out = []
+        # dropping surplus laps only loses witnesses, never fabricates one
+        for d0, i0, i1, sigma in laps[:_MAX_PIECES]:
+            img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+            if img_lo == img_hi:
                 continue
-            a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)
-            out.append(((d0 + (a - i0) * per) * stretch, s * a + c, s * b + c, sigma * s))
-    return out
-
-
-def _same_images(pieces, saved) -> bool:
-    """Do two lap lists of one length have the same images (i0, i1), in
-    order?  The images after a step are a function of those before it
-    (_advance_laps, with its cut), so a row whose images repeat meets no
-    cell it has not met."""
-    return all(a[1] == b[1] and a[2] == b[2] for a, b in zip(pieces, saved))
+            per = scale // sigma
+            for blo, bhi, s, c in branches:
+                seg_lo = img_lo if img_lo > blo else blo
+                seg_hi = img_hi if img_hi < bhi else bhi
+                if seg_lo >= seg_hi:
+                    continue
+                a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)
+                out.append(((d0 + (a - i0) * per) * stretch, s * a + c, s * b + c, sigma * s))
+        laps, scale = out, scale * stretch
+        if not laps or len(laps) == len(saved) and all(
+                new[1] == old[1] and new[2] == old[2] for new, old in zip(laps, saved)):
+            return
+        if n == save_at:
+            saved, save_at = laps, 2 * save_at
+        yield n, laps, scale
 
 
 def _met_cells(lo: int, hi: int, width: int, size: int) -> range:

@@ -172,7 +172,7 @@ def no_work(monkeypatch):
     """Every place a check, an orbit or an enumeration starts its work
     raises instead."""
     for codec in (IntervalCodec, GraphSystem):
-        for name in ("decode", "split_window", "lattice"):
+        for name in ("decode", "split_windows", "lattice"):
             monkeypatch.setattr(codec, name, _work)
     for name in ("_kept_blocks", "_returning_blocks", "_integer_branches", "_pinned_periodic",
                  "semiconjugacy_check"):

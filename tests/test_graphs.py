@@ -214,7 +214,8 @@ def test_window_and_word_addressing_agree(name, w, p):
     # address a sequence through the same arc rule
     space = SPACES[name]
     point = space.decode(w)
-    cell = as_pair(space.split_window(prefix_int(w, space.r - 1 + p), p), p)
+    (cell,) = space.split_windows((prefix_int(w, space.r - 1 + p),), p)
+    cell = as_pair(cell, p)
     assert cell[0] in _arcs_of(space, point)
     assert cell in point_cells(space, point, p)
 

@@ -250,8 +250,8 @@ def test_a_pinned_node_blocks_only_the_arc_ends_at_it():
     k3, p = SYSTEMS["k3"], 8
     top = (1 << p) - 1
     head, tail = _Window(top << 1), _Window(0)
-    assert as_pair(k3.split_window(head.x, p), p) == (1, top)
-    assert as_pair(k3.split_window(tail.x, p), p) == (1, 0)
+    assert [as_pair(c, p) for c in k3.split_windows((head.x,), p)] == [(1, top)]
+    assert [as_pair(c, p) for c in k3.split_windows((tail.x,), p)] == [(1, 0)]
     assert k3.stream_excludes_all(head, _cells(k3, [Node("a")], p), p)
     assert not k3.stream_excludes_all(tail, _cells(k3, [Node("a")], p), p)
     assert not k3.stream_excludes_all(head, _cells(k3, [Node("b")], p), p)

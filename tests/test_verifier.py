@@ -833,14 +833,15 @@ def test_a_chunk_of_windows_goes_to_the_cells_of_its_windows(target):
         for xs in ([], list(_cell_windows(space, p)), drawn):
             cells = {as_int(split_pair(space, x, p), p) for x in xs}
             assert space.split_windows(xs, p) == cells, p
-        assert {space.split_window(x, p) for x in drawn} == space.split_windows(drawn, p)
+        assert (set().union(*(space.split_windows((x,), p) for x in drawn))
+                == space.split_windows(drawn, p))
 
 
 @pytest.mark.parametrize("target", _interval_targets()[:2] + GRAPH_TARGETS + CELL_CYCLES,
                          ids=lambda t: t.name)
 def test_int_cells_agree_with_the_pair_oracle(target):
     # the int cell (i - 1) 2^p + j is the pair (i, j) in the witnesses'
-    # order; split_window and cell_json give what the pair form gave, and
+    # order; split_windows and cell_json give what the pair form gave, and
     # so do both reports that mark cells
     space = target.space
     for p in range(1, 5):
@@ -849,7 +850,8 @@ def test_int_cells_agree_with_the_pair_oracle(target):
         assert [space.cell_json(as_int(c, p), p) for c in pairs] == [
             pair_json(space, c) for c in pairs]
         for x in _cell_windows(space, p):
-            assert as_pair(space.split_window(x, p), p) == split_pair(space, x, p), (x, p)
+            assert ([as_pair(c, p) for c in space.split_windows((x,), p)]
+                    == [split_pair(space, x, p)]), (x, p)
         report = periodic_density(target, 6, p)
         assert (report.params, report.witnesses) == _old_periodic_density(target, 6, p)[:2]
         report = dense_orbit_coverage(target, 5000, p)
@@ -975,7 +977,8 @@ def test_dense_orbit_end_bound(monkeypatch, target, resolution, full_at, pattern
     assert short.verdict == "fail" and short.witnesses == last
     space = target.space
     window = _orbit_iterate(target, full_at).window_int(space.r - 1 + resolution)
-    assert [space.cell_json(space.split_window(window, resolution), resolution)] == last
+    assert [space.cell_json(c, resolution)
+            for c in space.split_windows((window,), resolution)] == last
     done = dense_orbit_coverage(target, full_at + 1, resolution)
     assert done.verdict == "pass"
     assert done.params == params and done.params["full_coverage_step"] == full_at
@@ -1032,7 +1035,8 @@ def _copy_target(base, n, bits):
     r-1+bits bits of the generator orbit's iterate at step n."""
     space = base.space
     window = _orbit_iterate(base, n).window_int(space.r - 1 + bits)
-    arc, v = as_pair(space.split_window(window, bits), bits)
+    (cell,) = space.split_windows((window,), bits)
+    arc, v = as_pair(cell, bits)
     point = Interior(arc, F(v, 1 << bits)) if space.r > 1 else F(v, 1 << bits)
     sys = InducedSystem(f"{base.name}-copy", base.induced.symbolic_map, space,
                         pinned_points=(point,))
@@ -1073,7 +1077,7 @@ def _separated(sys, sw, p=512):
     do when the cell they address holds none (the numeric test lemma6 once
     made along the orbit; cells nest, so no coarser cell separates more)."""
     codec = sys.codec
-    return codec.split_window(sw.window_int(codec.r - 1 + p), p) not in _pinned_cells(sys, p)
+    return not codec.split_windows((sw.window_int(codec.r - 1 + p),), p) & _pinned_cells(sys, p)
 
 
 def _ladder_check(sys):
@@ -1364,7 +1368,7 @@ def test_suspect_cells_are_where_64_bits_cannot_separate(monkeypatch, target):
         free = r - 1 - s
         for tail in {0, (1 << free) - 1}:
             x = (c << (p + free)) | (v << free) | tail
-            assert codec.split_window(x, p) == as_int((i, v), p)
+            assert codec.split_windows((x,), p) == {as_int((i, v), p)}
             separated = codec.stream_excludes_all(_Window(x=x, width=r - 1 + p), held, p)
             assert ((i, v) in suspects) == (not separated), (i, v)
             inside = any(_in_enclosure(codec, pt, i, v, p) for pt in points)
@@ -1700,9 +1704,30 @@ def _recorded(target):
     return target._replace(fmap=fmap), calls
 
 
+def _advance_laps(branches, pieces, scale, stretch):
+    """One step of every integer lap (d0, i0, i1, sigma), as the verifier's
+    rows take it (verifier._row_laps), cut as they are to _MAX_PIECES: the
+    step the oracle below takes, kept apart from the code it checks."""
+    out = []
+    for d0, i0, i1, sigma in pieces[:verifier._MAX_PIECES]:
+        img_lo, img_hi = (i0, i1) if i0 <= i1 else (i1, i0)
+        if img_lo == img_hi:
+            continue
+        for blo, bhi, s, c in branches:
+            seg_lo, seg_hi = max(img_lo, blo), min(img_hi, bhi)
+            if seg_lo >= seg_hi:
+                continue
+            a, b = (seg_lo, seg_hi) if i0 <= i1 else (seg_hi, seg_lo)
+            out.append(((d0 + (a - i0) * (scale // sigma)) * stretch, s * a + c, s * b + c,
+                        sigma * s))
+    return out
+
+
 def _unmemoized_transitivity(target, resolution, horizon):
-    """(params, witnesses) from the integer laps before the fmap memo: every
-    witness walks its n steps through the target's own map."""
+    """(params, witnesses) from the integer laps before the fmap memo and
+    before Brent's test: every witness walks its n steps through the
+    target's own map, and a row ends only at its horizon, when every cell
+    is met or when no lap is left."""
     lattice, stretch, branches = verifier._integer_branches(target, resolution)
     size = 1 << resolution
     width = lattice >> resolution
@@ -1713,7 +1738,7 @@ def _unmemoized_transitivity(target, resolution, horizon):
         pieces = [(ulo, ulo, uhi, 1)]
         scale = 1
         for n in range(1, horizon + 1):
-            pieces = verifier._advance_laps(branches, pieces, scale, stretch)
+            pieces = _advance_laps(branches, pieces, scale, stretch)
             scale *= stretch
             if not pieces:
                 break
@@ -1744,10 +1769,21 @@ LYING_TARGETS = {
     "lying-identity": lambda: _lying_target(lambda n, d: (n, d)),
     "lying-constant": lambda: _lying_target(lambda n, d: (1, 2)),
 }
+
+
+def _flat_beside_doubling_target():
+    """1/4 on [0, 1/2) and 2x - 1 on [1/2, 1]: a row holds collapsed laps
+    (slope 0) beside live ones."""
+    branches = ((F(0), F(1, 2), F(0), F(1, 4)), (F(1, 2), F(1), F(2), F(-1)))
+    return Target("flat-beside-doubling",
+                  lambda n, d: (1, 4) if 2 * n < d else (2 * n - d, d), INTERVAL_CODEC, branches)
+
+
 FMAP_WORK_TARGETS = {
     "tent": tent_target, "baker": baker_target, "identity": identity_target,
-    "constant": constant_target, "rotation": rotation_target,
-    "exchange": _exchange_target, **LYING_TARGETS,
+    "constant": constant_target, "constant-1/3": lambda: constant_target(F(1, 3)),
+    "rotation": rotation_target, "exchange": _exchange_target,
+    "flat-beside-doubling": _flat_beside_doubling_target, **LYING_TARGETS,
 }
 FMAP_WORK_CASES = [(name, horizon) for name in FMAP_WORK_TARGETS
                    for horizon in (1, 5, 8 if name in LYING_TARGETS else 40)]
@@ -1786,6 +1822,29 @@ def test_transitivity_maps_each_point_the_walk_reaches_once(monkeypatch, name, h
                     == _unmemoized_transitivity(oracle, resolution, horizon))
             assert set(calls) == set(oracle_calls), resolution
         assert len(calls) == len(set(calls)), resolution
+
+
+@pytest.mark.parametrize("name", [name for name in FMAP_WORK_TARGETS
+                                  if name not in LYING_TARGETS])
+def test_a_row_yields_the_oracle_laps_until_none_is_left_or_they_repeat(name):
+    # the row against the per-step oracle: each step's laps, collapsed ones
+    # included (a slope-0 lap holds its branch's value), and a row that ends
+    # before its horizon ends where the next step leaves no lap or repeats
+    # the images (i0, i1) of a step it yielded
+    target, horizon = FMAP_WORK_TARGETS[name](), 40
+    for resolution in (1, 3):
+        lattice, stretch, branches = verifier._integer_branches(target, resolution)
+        width = lattice >> resolution
+        for lo in range(0, lattice, width):
+            row = list(verifier._row_laps(branches, stretch, lo, lo + width, horizon))
+            pieces, scale = [(lo, lo, lo + width, 1)], 1
+            for n, step in enumerate(row, 1):
+                pieces, scale = _advance_laps(branches, pieces, scale, stretch), scale * stretch
+                assert step == (n, pieces, scale), (resolution, lo, n)
+            if len(row) < horizon:
+                images = [lap[1:3] for lap in _advance_laps(branches, pieces, scale, stretch)]
+                assert not images or images in (
+                    [lap[1:3] for lap in laps] for _, laps, _ in row), (resolution, lo)
 
 
 @pytest.mark.parametrize("makes", [
@@ -2322,21 +2381,23 @@ def test_sensitivity_at_grid_4096_and_its_horizon_cap(target, eta, failures, dig
 def test_control_transitivity_at_its_horizon_cap(monkeypatch, make):
     # each row ends where its lap images repeat, within 8 steps (Brent's
     # test: a cycle of 1 or 3 steps), so 10^6 steps give the report and the
-    # work of 10^3; the integer laps without the memo give the same
-    # witnesses where they are fast
-    steps, advance = [], verifier._advance_laps
+    # work of 10^3; a row yields every step it takes but the one that finds
+    # the repeat, so at most 7 of them; the integer laps without the memo
+    # give the same witnesses where they are fast
+    steps, rows = [], verifier._row_laps
 
     def counted(*args):
-        steps.append(None)
-        return advance(*args)
+        for step in rows(*args):
+            steps.append(step[0])
+            yield step
 
-    monkeypatch.setattr(verifier, "_advance_laps", counted)
+    monkeypatch.setattr(verifier, "_row_laps", counted)
     reports, work = {}, set()
     for horizon in (100, 1000, 10 ** 6):
         steps.clear()
         reports[horizon] = transitivity_witness(make(), 8, horizon)
         work.add(len(steps))
-    assert len(work) == 1 and work.pop() <= 8 * 256
+    assert len(work) == 1 and work.pop() <= 7 * 256 and max(steps) <= 7
     expected = _unmemoized_transitivity(make(), 8, 100)
     for horizon, report in reports.items():
         assert report.params == dict(expected[0], horizon=horizon)

@@ -1,7 +1,7 @@
 """Cells as the pairs the codecs passed before a cell became one int:
 (i, j) names the parameter window [j/2^p, (j+1)/2^p] of arc i, (1, j) on
 the interval.  The oracle of the int cell (i - 1) 2^p + j: its order,
-Codec.split_window and Codec.cell_json, read in the pair form."""
+Codec.split_windows and Codec.cell_json, read in the pair form."""
 
 from symchaos.graphs import GraphSystem
 
