@@ -84,7 +84,7 @@ def _orbit_arguments(p: argparse.ArgumentParser) -> None:
 
 def _graph_orbit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", required=True)
-    p.add_argument("--start", required=True, help="ARC:p/q (arc id or 1-based index) or node:ID")
+    p.add_argument("--start", required=True, help="ARC:p/q (arc id, else 1-based index) or node:ID")
     p.add_argument("--steps", required=True, type=_integer)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -109,7 +109,7 @@ def _conjugacy_arguments(p: argparse.ArgumentParser) -> None:
 def _fiber_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", required=True, type=_fraction)
     p.add_argument("--file", help="graph DSL file")
-    p.add_argument("--arc", help="arc id or 1-based index (with --file)")
+    p.add_argument("--arc", help="arc id, else 1-based index (with --file)")
 
 
 def _load_graph(path: str) -> graphs.GraphSystem:
@@ -125,8 +125,9 @@ def _load_graph(path: str) -> graphs.GraphSystem:
 
 
 def _resolve_arc(sys: graphs.GraphSystem, token: str) -> int:
-    """An arc id, or a 1-based index in ASCII digits."""
-    i = _integer(token) if token.isascii() and token.isdigit() else sys.arc_index(token)
+    """An arc id, or else a 1-based index in ASCII digits (an id 7 wins)."""
+    index = token.isascii() and token.isdigit() and token not in [a.id for a in sys.spec.arcs]
+    i = _integer(token) if index else sys.arc_index(token)
     sys.spec.arc(i)  # an index out of range raises before the parameter is read
     return i
 

@@ -40,7 +40,8 @@ class Codec(Protocol):
     space is a union of r arcs (r = 1 on the interval); a resolution-p cell
     is the int (i - 1) 2^p + j, the window [j/2^p, (j+1)/2^p] of arc i.  Arc
     i is addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
-    exactly when its first s bits, packed, are c (the interval's is (0, 0)).
+    exactly when its first s bits, packed, are c (the interval's is (0, 0));
+    a graph finds that arc by one table of where each arc's cylinder ends.
     split_windows is the one cell rule, for a chunk of the generator
     orbit's windows, for one window (stream_excludes_all) and for a point
     (word_cells).

@@ -11,7 +11,7 @@ two midpoint fibers on arcs 1 and r form the exceptional set, held fixed.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
 from operator import add, rshift
@@ -161,7 +161,9 @@ def parse_graph(text: str) -> GraphSpec:
 
 class GraphSystem:
     """A graph together with its address codec and induced shift map.  Each
-    node's fiber, one eventually constant word per arc end at it, is built once."""
+    node's fiber, one eventually constant word per arc end at it, is built
+    once.  One table of arc ends decides the arc of a window, a decoded word
+    and an arc-1 step."""
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
@@ -169,6 +171,9 @@ class GraphSystem:
         # (length, bits) of arc i's prefix: 1^(i-1) 0 for i < r, 1^(r-1) last
         self.prefixes: List[Tuple[int, int]] = (
             [(i, (1 << i) - 2) for i in range(1, r)] + [(r - 1, (1 << (r - 1)) - 1)])
+        # the arc table: arc i's cylinder ends at (c + 1) 2^(r-1-s) on the first
+        # r-1 bits, packed as x, so x lies on arc bisect_right(_arc_ends, x) + 1
+        self._arc_ends = [(c + 1) << (r - 1 - s) for s, c in self.prefixes]
         self._arc_index: Dict[str, int] = {a.id: i + 1 for i, a in enumerate(spec.arcs)}
         # a node's words: each arc's prefix, then 0s at its tail and 1s at its
         # head; distinct, as the prefixes are prefix-free
@@ -216,9 +221,9 @@ class GraphSystem:
     def decode(self, word: Word) -> GraphPoint:
         """Point addressed by a word, the value (c + t) / 2^s for its arc's
         prefix (s, c) read back as t; endpoint parameters collapse to nodes."""
-        i = _arc_address(prefix_int(word, self.r - 1), self.r)
-        s, c = self.prefixes[i - 1]
-        return self.point_at(i, word_value(word) * 2 ** s - c)
+        i = bisect_right(self._arc_ends, prefix_int(word, self.r - 1))
+        s, c = self.prefixes[i]
+        return self.point_at(i + 1, word_value(word) * 2 ** s - c)
 
     def point(self, key: int, q: int) -> GraphPoint:
         """The point of a lattice key, its parameter read from the integers
@@ -269,12 +274,12 @@ class GraphSystem:
 
     def split_windows(self, xs: Iterable[int], precision: int) -> Set[int]:
         """The cells addressed by packed r-1+precision-bit windows.  Sorted,
-        the windows of arc i, prefix (s, c), are one run, below (c + 1)
-        2^(r-1+p-s), and its window x is the cell (x >> (r-1-s)) + (i - 1 -
-        c) 2^p: its p bits after the prefix, on arc i."""
+        the windows of arc i, prefix (s, c), are one run, below its arc-table
+        end << p, and its window x is the cell (x >> (r-1-s)) + (i - 1 - c)
+        2^p: its p bits after the prefix, on arc i."""
         xs, cells, a = sorted(xs), set(), 0
-        for i, (s, c) in enumerate(self.prefixes):
-            b = bisect_left(xs, (c + 1) << (self.r - 1 + precision - s), a)
+        for i, ((s, c), end) in enumerate(zip(self.prefixes, self._arc_ends)):
+            b = bisect_left(xs, end << precision, a)
             cells.update(map(add, map(rshift, xs[a:b], repeat(self.r - 1 - s)),
                              repeat((i - c) << precision)))
             a = b
@@ -293,12 +298,6 @@ class GraphSystem:
         return lambda key: lattice_step(self, key, q), lattice_far(self, q, eta), False
 
     stream_excludes_all = stream_excludes_all
-
-
-def _arc_address(lead: int, r: int) -> int:
-    """Arc index addressed by the first r-1 bits of a sequence (packed, first
-    bit most significant): one more than the leading 1s."""
-    return r - (~lead & ((1 << (r - 1)) - 1)).bit_length()
 
 
 def graph_system(spec: GraphSpec) -> GraphSystem:
@@ -340,11 +339,12 @@ def lattice_step(sys: GraphSystem, key: int, q: int) -> int:
     doubles or shifts parameters, so the image is on the same lattice.  Nodes
     and the midpoints of arcs 1 and r are pinned.  On the loop (r = 1) it
     doubles mod 1; arc i (1 < i < r) steps down to arc i-1; the last arc
-    doubles into arc r-1 below 1/2 and into itself above.  On arc 1 (r > 1),
-    with j the leading 1s of the parameter's larger expansion (at most r-1),
-    the point moves to arc j+1 and drops j+1 bits (r-1 when j = r-1).  At
-    t = 1 - 2^-j the two expansions land on head(arc j) and tail(arc j+1):
-    one node, or a star failure, which the identity override holds fixed."""
+    doubles into arc r-1 below 1/2 and into itself above.  On arc 1 (r > 1)
+    the point moves to the arc that the first r-1 bits of its parameter's
+    larger expansion address in the arc table, and that arc's prefix is
+    dropped.  At t = 1 - 2^-j that is parameter 0 of arc j+1, and the other
+    expansion lands on head(arc j): one node, or a star failure, which the
+    identity override holds fixed."""
     if key < 0:
         return key
     r, stride = sys.r, q + 1
@@ -357,14 +357,9 @@ def lattice_step(sys: GraphSystem, key: int, q: int) -> int:
         return (i - 1) * stride + 2 * n if 2 * n < q else key + n - q
     if i:
         return key - stride
-    # j is the largest j <= r-1 with t >= 1 - 2^-j, that is (q - n) 2^j <= q
-    gap = q - n
-    j = q.bit_length() - gap.bit_length()
-    if gap << j > q:
-        j -= 1
-    j = min(j, r - 1)
-    d = min(j + 1, r - 1)
-    m = (n << d) - q * ((1 << d) - (1 << d - j))
+    j = bisect_right(sys._arc_ends, (n << (r - 1)) // q)
+    s, c = sys.prefixes[j]
+    m = (n << s) - q * c
     if m:
         return j * stride + m
     tail, head = sys.spec.arcs[j].tail, sys.spec.arcs[j - 1].head

@@ -781,6 +781,34 @@ def test_an_arc_index_is_read_from_ascii_digits_of_any_length(capsys, k3_file, c
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text,token,arc", [
+    ("node a\nnode b\narc 7 a b\n", "7", 1),
+    ("node a\nnode b\narc 7 a b\n", "1", 1),
+    ("node a\nnode b\narc 2 a b\narc 1 b a\n", "1", 2),
+    ("node a\nnode b\narc 2 a b\narc 1 b a\n", "2", 1),
+], ids=["id-7", "index-1", "id-1-of-arcs-2-1", "id-2-of-arcs-2-1"])
+def test_an_arc_whose_id_is_all_digits_is_named_by_it(capsys, tmp_path, text, token, arc):
+    # an exact arc id wins over the index of the same digits; other digits
+    # are still an index
+    path = tmp_path / "digits.graph"
+    path.write_text(text)
+    sys_ = graphs.graph_system(graphs.parse_graph(text))
+    start = graphs.Interior(arc, Fraction(1, 3))
+    rows = [(0, start), (1, graphs.graph_step(sys_, start))]
+    orbit = "step,arc_or_node,t_num,t_den,approx\n" + "".join(
+        f"{k},{sys_.spec.arc(p.arc).id},{p.t.numerator},{p.t.denominator},{float(p.t)!r}\n"
+        for k, p in rows)
+    assert run(capsys, "graph-orbit", "--file", str(path), "--start", f"{token}:1/3",
+               "--steps", "1") == (0, orbit, "")
+    fiber = "".join(f"{w}\n" for w in sys_.encode(start))
+    assert run(capsys, "fiber", "--file", str(path), "--arc", token, "--x", "1/3") == (0, fiber, "")
+    index = len(sys_.spec.arcs) + 1  # digits that name no arc are an index
+    for argv in (["graph-orbit", "--steps", "1", "--start", f"{index}:1/3"],
+                 ["fiber", "--x", "1/3", "--arc", str(index)]):
+        assert run(capsys, *argv, "--file", str(path)) == (
+            2, "", f"error: arc index {index} out of range 1..{index - 1}\n")
+
+
 def test_an_arc_index_with_leading_zeros_is_read(capsys, k3_file):
     assert cli._resolve_arc(cli._load_graph(k3_file), "0" * 600 + "2") == 2
 

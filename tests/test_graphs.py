@@ -19,7 +19,6 @@ from symchaos.graphs import (
     graph_metric,
     graph_step,
     graph_system,
-    _arc_address,
     _form,
     _hausdorff,
     lattice_far,
@@ -528,6 +527,46 @@ def _cycle(r):
     return graph_system(parse_graph("\n".join(lines)))
 
 
+def _path(r):
+    """The path of r arcs, v0 to vr."""
+    lines = [f"node v{k}" for k in range(r + 1)]
+    lines += [f"arc E{k + 1} v{k} v{k + 1}" for k in range(r)]
+    return graph_system(parse_graph("\n".join(lines)))
+
+
+def _arc_address(lead, r):
+    """Arc index addressed by the first r-1 bits of a sequence (packed, first
+    bit most significant): one more than the leading 1s.  The leading-ones
+    rule the codec kept before its arc table, and that table's oracle."""
+    return r - (~lead & ((1 << (r - 1)) - 1)).bit_length()
+
+
+def _drawn_leads(r, rng):
+    """Drawn (r-1)-bit prefixes: j leading 1s then a 0 and drawn bits, for
+    every j < r-1, all 1s, all 0s, and 200 drawn at random."""
+    leads = [((1 << j) - 1) << (r - 1 - j) | rng.getrandbits(r - 2 - j) for j in range(r - 1)]
+    return leads + [(1 << (r - 1)) - 1, 0] + [rng.getrandbits(r - 1) for _ in range(200)]
+
+
+@pytest.mark.parametrize("sys", [_cycle(r) for r in range(1, 14)]
+                         + [make(r) for r in (17, 33, 64) for make in (_cycle, _path)],
+                         ids=[f"cycle{r}" for r in range(1, 14)]
+                         + [f"{make.__name__[1:]}{r}" for r in (17, 33, 64)
+                            for make in (_cycle, _path)])
+def test_the_arc_table_reads_every_prefix_as_the_leading_ones(sys):
+    # decode's arc and the cell of a window at precision 0 (its arc) are
+    # read off the arc table; the oracle counts the prefix's leading 1s.
+    # Every (r-1)-bit prefix up to 13 arcs, drawn ones past that.  The
+    # word's tail (01)^inf keeps its point off every arc end
+    r = sys.r
+    leads = range(1 << (r - 1)) if r <= 13 else _drawn_leads(r, random.Random(r))
+    for lead in leads:
+        i = _arc_address(lead, r)
+        point = sys.decode(Word._from_packed(r - 1, lead, 2, 1))
+        assert isinstance(point, Interior) and point.arc == i, (r, lead)
+        assert sys.split_windows((lead,), 0) == {i - 1}, (r, lead)
+
+
 def _dropped_route(sys, w):
     """A word's point, whether it is an arc end, and its fiber, by the rule
     that copies the word with its prefix dropped: the arc i of its first r-1
@@ -658,9 +697,11 @@ def test_the_node_tables_give_what_the_per_call_node_rules_gave(sys):
 @pytest.mark.parametrize(
     "sys", [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
     + [_cycle(r) for r in (1, 2, 5, 9, 17)]
-    + [random_graph(random.Random(seed)) for seed in [*range(12), 26]],
+    + [random_graph(random.Random(seed)) for seed in [*range(12), 26]]
+    + [make(r) for r in (33, 64) for make in (_cycle, _path)],
     ids=sorted(EXAMPLE_GRAPHS) + [f"cycle{r}" for r in (1, 2, 5, 9, 17)]
-    + [f"random{seed}" for seed in [*range(12), 26]])
+    + [f"random{seed}" for seed in [*range(12), 26]]
+    + [f"{make.__name__[1:]}{r}" for r in (33, 64) for make in (_cycle, _path)])
 def test_the_int_keys_step_point_and_measure_as_the_tuple_keys(sys):
     # the lattice keyed by (arc, n) tuples and nodes is the oracle, node
     # outcomes and star failures among its images: the int key of n/q on
@@ -687,6 +728,14 @@ def test_the_int_keys_step_point_and_measure_as_the_tuple_keys(sys):
             far, oracle = sys.lattice(None, q, eta)[1], tuple_lattice.lattice_far(sys, q, eta)
             assert ([far(xs[j], int_key(sys, y, q)) for j, y in pairs]
                     == [oracle(keys[j], y) for j, y in pairs]), (sys.spec, q, eta)
+    # arc-1 steps at and beside t = 1 - 2^-j for every j <= r, so with up to
+    # r-1 leading 1s: on a lattice of 3 2^(r+2), which holds each t, and on
+    # a drawn odd one of r+8 bits
+    for q in (3 << sys.r + 2, rng.getrandbits(sys.r + 8) | 1):
+        keys = [(1, n) for j in range(sys.r + 1) for d in (-1, 0, 1)
+                if 0 < (n := q - (q >> j) + d) < q]
+        assert ([symchaos.graphs.lattice_step(sys, int_key(sys, key, q), q) for key in keys]
+                == [int_key(sys, tuple_lattice.lattice_step(sys, key, q), q) for key in keys])
 
 
 def test_lattice_point_builds_the_interior_point_of_a_key(k3):
