@@ -242,7 +242,7 @@ def _cmd_graph_orbit(args) -> int:
             if key < 0:
                 yield node_row % (k, nodes[~key])
             else:
-                i, n = divmod(key, q + 1)
+                i, n = divmod(key, q)
                 g = gcd(n, q)
                 yield arc_row % (k, arcs[i], n // g, q // g, n / q)
 

@@ -33,12 +33,13 @@ class Codec(Protocol):
     Fibers are the points: a fiber is the tuple of the point's words,
     distinct and in the order of their printed text (preperiod, then
     period), so fibers compare and hash as sets; `read`, `encode` and
-    `fiber_of` all give it so.  A point also has an integer form, a pair
-    (a, b) that `read` gives with its fiber and `point` reads back: (n, d)
-    for n/d on the interval, (key, q) on a graph, with key as in `lattice`,
-    q the parameter's own denominator and 1 at a node.  The
-    space is a union of r arcs (r = 1 on the interval); a resolution-p cell
-    is the int (i - 1) 2^p + j, the window [j/2^p, (j+1)/2^p] of arc i.  Arc
+    `fiber_of` all give it so.  The space is r arcs (r = 1 on the interval)
+    end to end, the arc line [0, r], where t on arc i sits at i - 1 + t.  A
+    point's integer form, which `read` gives and `point` reads back, is its
+    place there in lowest terms: (x, q) for x = (i - 1) q + n at n/q on arc
+    i, or (~k, 1) at node k of a graph.  A resolution-p cell is a place at
+    scale 2^p: (i - 1) 2^p + j for the window [j/2^p, (j+1)/2^p] of arc i,
+    so x/q's cell is (x << p) // q off cell ends.  Arc
     i is addressed by its prefix prefixes[i-1] = (s, c): a word is on the arc
     exactly when its first s bits, packed, are c (the interval's is (0, 0));
     a graph finds that arc by one table of where each arc's cylinder ends.
@@ -76,8 +77,8 @@ class Codec(Protocol):
 
     def lattice(self, fmap: Callable, q: int, eta) -> Tuple[Callable, Callable, bool]:
         """The space on the parameters n/q of each arc, each point keyed by
-        one int: (i - 1)(q + 1) + n for n/q on arc i (n on the interval), ~k
-        for node k of a graph, its point point(key, q).  One step of fmap
+        one int, the numerator x of its integer form on denominator q (~k
+        for node k of a graph), its point point(x, q).  One step of fmap
         (None on a graph) on a key, the test metric > eta on two keys, and
         whether arc ends (n = 0 or q) may be neighbours."""
 

@@ -212,7 +212,7 @@ class GraphSystem:
         key, q = form = _form(self, point)
         if key < 0:
             return form, self._node_fibers[self.spec.nodes[~key]]
-        i, n = divmod(key, q + 1)
+        i, n = divmod(key, q)
         return form, _expansions(n, q, *self.prefixes[i])
 
     def encode(self, point: GraphPoint) -> Tuple[Word, ...]:
@@ -226,12 +226,16 @@ class GraphSystem:
         return self.point_at(i + 1, word_value(word) * 2 ** s - c)
 
     def point(self, key: int, q: int) -> GraphPoint:
-        """The point of a lattice key, its parameter read from the integers
-        n and q."""
+        """The point at key/q on the arc line, or node k at key ~k; a key
+        past the last arc or the last node raises GraphError."""
         if key < 0:
+            if ~key >= len(self.spec.nodes):
+                raise GraphError(f"node index {~key} out of range 0..{len(self.spec.nodes) - 1}")
             return Node(self.spec.nodes[~key])
-        i, n = divmod(key, q + 1)  # off the open arc, Interior raises its own error
-        return (Interior._at if 0 < n < q else Interior)(i + 1, Fraction(n, q))
+        i, n = divmod(key, q)
+        if i >= self.r:
+            self.spec.arc(i + 1)  # raises
+        return (Interior._at if n else Interior)(i + 1, Fraction(n, q))  # n = 0 raises
 
     def addresses(self, word: Word, key: int, q: int) -> bool:
         """decode(word) == point(key, q) on integers: a node is addressed by
@@ -241,7 +245,7 @@ class GraphSystem:
         sequence space, so the value decides the arc too."""
         if key < 0:
             return word in self._node_fibers[self.spec.nodes[~key]]
-        i, n = divmod(key, q + 1)
+        i, n = divmod(key, q)
         s, c = self.prefixes[i]
         wq = word.q
         return (word.pre * wq + word.s) * q << s == (c * q + n) * wq << word.pre_len
@@ -317,53 +321,47 @@ def graph_step(sys: GraphSystem, point: GraphPoint) -> GraphPoint:
 
 
 def _form(sys: GraphSystem, point: GraphPoint) -> Tuple[int, int]:
-    """A point's integer form (key, q): its lattice key on its parameter's
-    own denominator q, or (~k, 1) at node k.  An arc index out of range or
-    an unknown node raises."""
+    """A point's integer form (key, q), on its parameter's own denominator
+    q (see Codec).  An arc index out of range or an unknown node raises."""
     if isinstance(point, Interior):
         sys.spec.arc(point.arc)  # an index out of range raises
         n, q = point.t.as_integer_ratio()
-        return (point.arc - 1) * (q + 1) + n, q
+        return (point.arc - 1) * q + n, q
     if isinstance(point, Node):
         sys.node(point.id)  # an unknown id raises
         return ~sys.spec.nodes.index(point.id), 1
     raise TypeError(f"not a graph point: {point!r}")
 
 
-# A lattice key is one int: (i - 1)(q + 1) + n for the point n/q of arc i
-# (0 < n < q), and ~k, a negative int, for node k of spec.nodes.
-
-
-def lattice_step(sys: GraphSystem, key: int, q: int) -> int:
-    """The arc-ladder map on a key of the lattice of denominator q: it only
-    doubles or shifts parameters, so the image is on the same lattice.  Nodes
-    and the midpoints of arcs 1 and r are pinned.  On the loop (r = 1) it
-    doubles mod 1; arc i (1 < i < r) steps down to arc i-1; the last arc
-    doubles into arc r-1 below 1/2 and into itself above.  On arc 1 (r > 1)
-    the point moves to the arc that the first r-1 bits of its parameter's
-    larger expansion address in the arc table, and that arc's prefix is
-    dropped.  At t = 1 - 2^-j that is parameter 0 of arc j+1, and the other
-    expansion lands on head(arc j): one node, or a star failure, which the
-    identity override holds fixed."""
-    if key < 0:
-        return key
-    r, stride = sys.r, q + 1
-    i, n = divmod(key, stride)  # on arc i + 1
-    if 2 * n == q and (i == 0 or i == r - 1):
-        return key
+# A lattice key is one int: x = (i - 1) q + n for the point n/q of arc i
+# (0 < n < q), at x/q on the arc line [0, r]; ~k, negative, for node k.
+def lattice_step(sys: GraphSystem, x: int, q: int) -> int:
+    """The arc-ladder map on a key of the lattice of denominator q, as one
+    affine branch of x with an integer slope, so the image stays on the
+    lattice.  Nodes and the midpoints of arcs 1 and r are pinned.  The loop
+    (r = 1) doubles mod 1; arc i (1 < i < r) steps down to arc i-1; the last
+    arc doubles, 2x - r q, into arc r-1 below 1/2 and into itself above.  On
+    arc 1 (r > 1) the point moves to the arc j + 1 that the first r-1 bits
+    of its parameter's larger expansion address in the arc table, and that
+    arc's prefix (s, c) is dropped: (x << s) + (j - c) q.  At t = 1 - 2^-j
+    that is the arc end j q, and the other expansion lands on head(arc j):
+    one node, or a star failure, which the identity override holds fixed."""
+    r = sys.r
+    if x < 0 or 2 * x == q or 2 * x == (2 * r - 1) * q:
+        return x
     if r == 1:
-        return 2 * n % q
-    if i == r - 1:
-        return (i - 1) * stride + 2 * n if 2 * n < q else key + n - q
-    if i:
-        return key - stride
-    j = bisect_right(sys._arc_ends, (n << (r - 1)) // q)
+        return 2 * x % q
+    if x > (r - 1) * q:
+        return 2 * x - r * q
+    if x > q:
+        return x - q
+    j = bisect_right(sys._arc_ends, (x << (r - 1)) // q)
     s, c = sys.prefixes[j]
-    m = (n << s) - q * c
-    if m:
-        return j * stride + m
+    y = (x << s) + (j - c) * q
+    if y != j * q:
+        return y
     tail, head = sys.spec.arcs[j].tail, sys.spec.arcs[j - 1].head
-    return ~sys.spec.nodes.index(tail) if tail == head else key
+    return ~sys.spec.nodes.index(tail) if tail == head else x
 
 
 def graph_metric(sys: GraphSystem, p: GraphPoint, q: GraphPoint) -> Fraction:
@@ -417,7 +415,7 @@ def lattice_far(sys: GraphSystem, q: int, eta: Fraction) -> Callable[[int, int],
     def words(key: int) -> List[int]:
         if key < 0:
             return [prefix_int(w, lead + k) for w in sys._node_fibers[sys.spec.nodes[~key]]]
-        i, n = divmod(key, q + 1)
+        i, n = divmod(key, q)
         c, rest = frames[i]
         m = (c << rest) | (n << rest) // q
         return [m, m - 1] if n % q_odd == 0 else [m]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import point_route
 import symchaos.graphs
-from symchaos.decomposition import induced_apply, induced_orbit
+from symchaos.decomposition import induced_apply, induced_orbit, word_cells
 from symchaos.graphs import (
     EXAMPLE_GRAPHS,
     GraphError,
@@ -419,8 +419,7 @@ def _addresses(sys, w, point):
         return False
     found = sys.addresses(w, key, q)
     if key >= 0:
-        i, n = divmod(key, q + 1)
-        assert sys.addresses(w, i * (3 * q + 1) + 3 * n, 3 * q) == found, (sys.spec, w, point)
+        assert sys.addresses(w, 3 * key, 3 * q) == found, (sys.spec, w, point)
     return found
 
 
@@ -705,7 +704,7 @@ def test_the_node_tables_give_what_the_per_call_node_rules_gave(sys):
 def test_the_int_keys_step_point_and_measure_as_the_tuple_keys(sys):
     # the lattice keyed by (arc, n) tuples and nodes is the oracle, node
     # outcomes and star failures among its images: the int key of n/q on
-    # arc i is (i - 1)(q + 1) + n, and node k's is ~k (random0, random9 and
+    # arc i is (i - 1) q + n, and node k's is ~k (random0, random9 and
     # random26 are the star-failure graphs of the sensitivity tests).  On
     # the lattices of 8, 32, 6 and 24 every key is checked; q' = 125 and
     # 4099 put the word's period at 100 and 4098 bits, and there 300 drawn
@@ -739,16 +738,16 @@ def test_the_int_keys_step_point_and_measure_as_the_tuple_keys(sys):
 
 
 def test_lattice_point_builds_the_interior_point_of_a_key(k3):
-    # the key of n/q on arc i is (i - 1)(q + 1) + n, and node k's is ~k
+    # the key of n/q on arc i is (i - 1) q + n, and node k's is ~k
     for q in (2, 3, 12, 1000003):
         for n in (1, q // 2, q - 1):
-            point = k3.point(q + 1 + n, q)
+            point = k3.point(q + n, q)
             assert point == Interior(2, F(n, q)) and hash(point) == hash(Interior(2, F(n, q)))
             assert type(point.t) is F and repr(point) == f"Interior(2, {F(n, q)})"
             with pytest.raises(AttributeError):
                 point.t = F(1, 2)
         # at an arc end, point raises as Interior does
-        for key, i, n in ((0, 1, 0), (q, 1, q), (q + 1, 2, 0), (2 * q + 1, 2, q)):
+        for key, i, n in ((0, 1, 0), (q, 2, 0), (2 * q, 3, 0)):
             with pytest.raises(ValueError) as got:
                 k3.point(key, q)
             with pytest.raises(ValueError) as expected:
@@ -756,9 +755,42 @@ def test_lattice_point_builds_the_interior_point_of_a_key(k3):
             assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match=r"^interior parameter 0 not in \(0, 1\)$"):
         k3.point(0, 7)
-    with pytest.raises(ValueError, match=r"^interior parameter 1 not in \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^interior parameter 0 not in \(0, 1\)$"):
         k3.point(7, 7)
     assert [k3.point(key, 7) for key in (~0, ~1, ~2)] == [Node("a"), Node("b"), Node("c")]
+
+
+def test_lattice_point_refuses_a_key_past_the_last_arc_or_node(k3):
+    # keys 21 and 22 name parameter 0 and 1/7 of a fourth arc, and 100 the
+    # fifteenth; K3 has nodes 0..2 only
+    for key, message in ((21, "arc index 4 out of range 1..3"),
+                         (22, "arc index 4 out of range 1..3"),
+                         (100, "arc index 15 out of range 1..3"),
+                         (~3, "node index 3 out of range 0..2"),
+                         (~5, "node index 5 out of range 0..2")):
+        with pytest.raises(GraphError) as got:
+            k3.point(key, 7)
+        assert str(got.value) == message, key
+
+
+@pytest.mark.parametrize(
+    "sys", [graph_system(parse_graph(text)) for _, text in sorted(EXAMPLE_GRAPHS.items())]
+    + [make(r) for r in (1, 4, 17, 33) for make in (_cycle, _path)],
+    ids=sorted(EXAMPLE_GRAPHS)
+    + [f"{make.__name__[1:]}{r}" for r in (1, 4, 17, 33) for make in (_cycle, _path)])
+def test_a_key_and_a_cell_are_one_place_on_the_arc_line(sys):
+    # the interior key x on denominator q is the place x/q on [0, r], read
+    # back in lowest terms, and its resolution-p cell is the same place at
+    # scale 2^p: (x << p) // q, and the cell below too at a cell end, where
+    # the fiber holds both dyadic expansions
+    for q in (6, 24, 1000):
+        for x in range(1, sys.r * q):
+            if x % q:
+                form, words = sys.read(sys.point(x, q))
+                assert form == F(x, q).as_integer_ratio(), (sys.spec, x, q)
+                for p in (1, 3, 6):
+                    y = x << p
+                    assert word_cells(sys, words, p) == {(y - 1) // q, y // q}, (x, q, p)
 
 
 def test_a_star_failure_on_arc_one_is_held_fixed():
@@ -803,7 +835,7 @@ def test_graph_metric_axioms(k3):
 
 def _lattice_keys(sys, q):
     return [~k for k in range(len(sys.spec.nodes))] + [
-        base + n for base in range(0, sys.r * (q + 1), q + 1) for n in range(1, q)]
+        base + n for base in range(0, sys.r * q, q) for n in range(1, q)]
 
 
 def test_lattice_far_decides_as_graph_metric():
@@ -831,7 +863,7 @@ def test_lattice_far_on_every_key_against_nodes_and_twins(k3):
     # dyadic 1/2 (two words) and a node (two arc ends)
     far = lattice_far(k3, 6, F(1, 8))
     for x in _lattice_keys(k3, 6):
-        for y in (1, 17, 19, ~2):  # 1/6 on E1, 3/6 and 5/6 on E3, node c
+        for y in (1, 15, 17, ~2):  # 1/6 on E1, 3/6 and 5/6 on E3, node c
             d = graph_metric(k3, k3.point(x, 6), k3.point(y, 6))
             assert far(x, y) == (d > F(1, 8))
 

@@ -2294,7 +2294,7 @@ def _far_sensitivity(target, eta, delta, grid, horizon, tuples=False):
             return space.point(key, q)
 
     def key(i, n):
-        return (i, n) if tuples else (i - 1) * (q + 1) + n
+        return (i, n) if tuples else (i - 1) * q + n
 
     unit, width = q // (2 * grid), delta.numerator * (q // delta.denominator)
     lo, hi = (0, q) if ends else (1, q - 1)

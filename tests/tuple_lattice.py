@@ -126,7 +126,7 @@ def tuple_lattice(space, fmap, q: int, eta: Fraction):
 
 
 def int_key(sys: GraphSystem, key: Key, q: int) -> int:
-    """The int key of a tuple key: (i - 1)(q + 1) + n, or ~k for node k."""
+    """The int key of a tuple key: (i - 1) q + n, or ~k for node k."""
     if isinstance(key, Node):
         return ~sys.spec.nodes.index(key.id)
-    return (key[0] - 1) * (q + 1) + key[1]
+    return (key[0] - 1) * q + key[1]
